@@ -4,8 +4,9 @@ The probabilistic route samples random integer points of the spectral
 variety and takes the best exact rank seen; a nonvanishing minor misses
 its zero set at almost every sample, so the maximum is right except with
 vanishing probability.  The symbolic route writes each moment entry as an
-affine polynomial in the chart coordinates and hunts for a nonzero minor
-determinant, which certifies the answer outright.  The package always
+affine polynomial in the chart coordinates (each row scaled to integers)
+and eliminates fraction-free over the polynomial ring; the last pivot is
+a nonzero minor, which certifies the answer outright.  The package always
 cross-checks one against the other; this script just makes the agreement
 visible.
 """

@@ -22,9 +22,9 @@ from .geometry import (JacobianReport, ad_exp, coadjoint_apply,
                        numerical_rank, phi_in_chart)
 from .linalg import rank_exact
 from .moment import (GenericRankResult, MomentMatrix, StabilizerReport,
-                     ThresholdExceededError, generic_h_orbit_dim,
-                     moment_matrix, rank_at, skew_form_matrix,
-                     stabilizer_report, symbolic_generic_rank)
+                     generic_h_orbit_dim, moment_matrix, rank_at,
+                     skew_form_matrix, stabilizer_report,
+                     symbolic_generic_rank)
 from .monomial import (CharacterFunctional, MonomialDatum, NotACharacterError,
                        NotClosedError, RankDeficientError, Subalgebra,
                        adapt_basis, adapted_dual_coords, build_datum,
@@ -45,7 +45,7 @@ __all__ = [
     "check_subalgebra", "check_character", "adapt_basis", "build_datum",
     "point_on_variety", "adapted_dual_coords",
     "MomentMatrix", "StabilizerReport", "GenericRankResult",
-    "ThresholdExceededError", "moment_matrix", "skew_form_matrix",
+    "moment_matrix", "skew_form_matrix",
     "rank_exact", "rank_at", "stabilizer_report", "generic_h_orbit_dim",
     "symbolic_generic_rank",
     "SpectralVerdict", "AdmissibilityVerdict", "FullReport",

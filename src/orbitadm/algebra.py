@@ -166,7 +166,7 @@ def ad_trace(L: LieAlgebra, u) -> Fraction:
 
 @dataclass(frozen=True)
 class StructureReport:
-    is_valid: bool
+    violations: tuple[Violation, ...]
     is_solvable: bool
     derived_series_dims: tuple[int, ...]
     lower_central_dims: tuple[int, ...]
@@ -174,6 +174,10 @@ class StructureReport:
     is_unimodular: bool
     exponentiality: str  # "PassedSampling" | "FailedWithWitness" | "Skipped"
     exponentiality_witness: Vector | None = None
+
+    @property
+    def is_valid(self) -> bool:
+        return not self.violations
 
 
 def _bracket_span(L: LieAlgebra, rows_a, rows_b):
@@ -244,14 +248,16 @@ def exponentiality_screen(L: LieAlgebra, samples: int, seed: int,
 
 def structure_report(L: LieAlgebra, exp_samples: int = 20,
                      seed: int = 0) -> StructureReport:
-    """Classify the algebra: solvable / nilpotent / unimodular / exponential.
+    """Validate and classify: solvable / nilpotent / unimodular / exponential.
 
-    Series dimensions come from exact ranks of row-reduced spanning sets;
-    unimodularity is trace(ad Z_i) = 0 on every basis element (trace is
-    linear in u, so the basis check decides it).  Exponentiality is screened
-    by sampling; pass exp_samples=0 to record it as Skipped.
+    The report carries the violations ``validate`` found, so callers need
+    no second validation pass.  Series dimensions come from exact ranks of
+    row-reduced spanning sets; unimodularity is trace(ad Z_i) = 0 on every
+    basis element (trace is linear in u, so the basis check decides it).
+    Exponentiality is screened by sampling; pass exp_samples=0 to record it
+    as Skipped.
     """
-    valid = not validate(L)
+    violations = tuple(validate(L))
     der = derived_series_dims(L)
     low = lower_central_dims(L)
     unimod = all(ad_trace(L, L.basis_vector(i)) == 0 for i in range(L.dim))
@@ -260,7 +266,7 @@ def structure_report(L: LieAlgebra, exp_samples: int = 20,
     else:
         status, witness = exponentiality_screen(L, exp_samples, seed)
     return StructureReport(
-        is_valid=valid,
+        violations=violations,
         is_solvable=der[-1] == 0,
         derived_series_dims=der,
         lower_central_dims=low,

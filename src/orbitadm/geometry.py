@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import DimensionMismatchError, LieAlgebra, ad_matrix
-from .moment import moment_matrix, rank_exact
+from .linalg import rank_exact
+from .moment import moment_matrix
 from .monomial import MonomialDatum, point_on_variety
 
 

@@ -31,6 +31,9 @@ def _cleared_int_rows(mat) -> list[list[int]]:
     # scale each row by the lcm of its denominators; rank is unaffected
     out = []
     for row in mat:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
         fr = [Fraction(x) for x in row]
         scale = 1
         for x in fr:
@@ -39,39 +42,41 @@ def _cleared_int_rows(mat) -> list[list[int]]:
     return out
 
 
-def rank_exact(mat) -> int:
-    """Exact rank via Bareiss fraction-free elimination.
+def bareiss(a: list[list]):
+    """Fraction-free (Bareiss) elimination in place over an integral domain.
 
-    Rows are cleared to integers first; all interior divisions are exact
-    integer divisions by the previous pivot.
+    Entries are ints or ``Poly``s: anything with ``*``, ``-``, truth and an
+    exact ``//``.  Each step divides by the previous pivot, and Sylvester's
+    identity makes every such division exact.  The pivot is the first
+    nonzero entry of its column.  Returns (rank, last nonzero pivot); that
+    pivot is, up to sign, the rank x rank minor on the pivot rows and
+    columns (None at rank 0).
     """
-    a = _cleared_int_rows(mat)
-    if not a or not a[0]:
-        return 0
-    n_rows, n_cols = len(a), len(a[0])
-    rank = 0
-    prev = 1
+    n_rows = len(a)
+    n_cols = len(a[0]) if a else 0
+    prev = None
     row = 0
     for col in range(n_cols):
-        piv = None
-        for r in range(row, n_rows):
-            if a[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(row, n_rows) if a[r][col]), None)
         if piv is None:
             continue
-        if piv != row:
-            a[row], a[piv] = a[piv], a[row]
+        a[row], a[piv] = a[piv], a[row]
+        p = a[row][col]
         for r in range(row + 1, n_rows):
+            lead = a[r][col]
             for c in range(col + 1, n_cols):
-                a[r][c] = (a[r][c] * a[row][col] - a[r][col] * a[row][c]) // prev
-            a[r][col] = 0
-        prev = a[row][col]
+                v = a[r][c] * p - lead * a[row][c]
+                a[r][c] = v if prev is None else v // prev
+        prev = p
         row += 1
-        rank += 1
         if row == n_rows:
             break
-    return rank
+    return row, prev
+
+
+def rank_exact(mat) -> int:
+    """Exact rank: Bareiss elimination on rows cleared to integers."""
+    return bareiss(_cleared_int_rows(mat))[0]
 
 
 def rref(mat) -> tuple[list[list[Fraction]], list[int]]:

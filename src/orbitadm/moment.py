@@ -8,12 +8,14 @@ the generators.  The generic value of that rank over the spectral variety,
 
     d_tau = max over l in A_tau of dim H.l,
 
-is computed two independent ways: by seeded random evaluation (exact rank
-at integer chart points, Schwartz-Zippel controlled) and, for small
-dimensions, by exhibiting a not-identically-zero minor of the symbolic
-matrix with polynomial entries.  The induced representation behaves
-qualitatively differently according to whether d_tau reaches m — whether H
-acts freely somewhere on A_tau — which is what the verdict layer consumes.
+is computed two independent ways from the datum's integer pencil
+M(x) = M_0 + sum x_r M_r: by seeded random evaluation (exact rank at
+integer chart points, Schwartz-Zippel controlled) and by fraction-free
+elimination of the pencil over the polynomial ring, whose last pivot is a
+not-identically-zero minor certifying the rank in any dimension.  The
+induced representation behaves qualitatively differently according to
+whether d_tau reaches m — whether H acts freely somewhere on A_tau — which
+is what the verdict layer consumes.
 """
 
 from __future__ import annotations
@@ -22,26 +24,20 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .algebra import DimensionMismatchError
-from .linalg import dot, left_nullspace, nullspace, rank_exact
-from .monomial import MonomialDatum, point_on_variety
-from .poly import Poly, determinant
+from .linalg import bareiss, dot, left_nullspace, nullspace, rank_exact
+from .monomial import MonomialDatum
+from .poly import Poly
 
 Vector = tuple[Fraction, ...]
 
 __all__ = [
     "MomentMatrix", "StabilizerReport", "GenericRankResult",
-    "ThresholdExceededError", "moment_matrix", "rank_exact",
-    "stabilizer_report", "generic_h_orbit_dim", "symbolic_generic_rank",
-    "symbolic_moment_entries", "SYMBOLIC_DIM_THRESHOLD",
+    "moment_matrix", "stabilizer_report", "generic_h_orbit_dim",
+    "symbolic_generic_rank", "symbolic_moment_entries",
 ]
-
-SYMBOLIC_DIM_THRESHOLD = 8
-
-
-class ThresholdExceededError(ValueError):
-    """Dimension too large for the exhaustive-minor symbolic path."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +119,13 @@ class GenericRankResult:
 
 
 def rank_at(D: MonomialDatum, x) -> int:
-    return moment_matrix(D, point_on_variety(D, x)).rank()
+    """Exact rank of the moment matrix at chart point x, from the pencil."""
+    if len(x) != D.n - D.m:
+        raise DimensionMismatchError(
+            f"chart point needs {D.n - D.m} coordinates, got {len(x)}")
+    xs = (1, *x)
+    return rank_exact([[sum(map(mul, entry, xs)) for entry in row]
+                       for row in D.pencil])
 
 
 def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
@@ -135,46 +137,37 @@ def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
     identically zero on A_tau misses its zero set with probability at least
     1 - k/(2*bound + 1), so the maximum over independent trials certifies
     d_tau except with vanishing probability.  Deterministic given the seed;
-    the witness is the first sampled point attaining the maximum.
+    the witness is the first sampled point attaining the maximum.  No rank
+    exceeds m, so the trials stop at the first point reaching it: d_tau and
+    the witness are what all trials would give.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     nfree = D.n - D.m
     best = -1
-    witness: Vector = ()
+    witness: tuple[int, ...] = ()
     for _ in range(trials):
-        x = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(nfree))
+        x = tuple(rng.randint(-bound, bound) for _ in range(nfree))
         r = rank_at(D, x)
         if r > best:
             best, witness = r, x
-    return GenericRankResult(d_tau=best, witness=witness,
+            if best == D.m:
+                break
+    return GenericRankResult(d_tau=best,
+                             witness=tuple(Fraction(v) for v in witness),
                              method="probabilistic", is_free=best == D.m,
                              trials=trials, seed=seed)
 
 
 def symbolic_moment_entries(D: MonomialDatum) -> list[list[Poly]]:
-    """M as a polynomial matrix in the chart variables x_1..x_{n-m}.
+    """The pencil as a polynomial matrix in the chart variables x_1..x_{n-m}.
 
-    Entry (i, j) is l_x([Y_i, B_j]) with l_x affine in x: the constant part
-    evaluates the chart at x = 0 and the x_r coefficient pairs the bracket
-    with the r-th chart direction.
+    Entry (i, j) is l_x([Y_i, B_j]) with l_x affine in x, times the integer
+    that clears the denominators of row i.
     """
-    n, m = D.n, D.m
-    nfree = n - m
-    l0 = point_on_variety(D, (Fraction(0),) * nfree)
-    # chart direction r = column m+r of the adapted inverse
-    directions = [tuple(D.adapted_inv[k][m + r] for k in range(n))
-                  for r in range(nfree)]
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            w = D.bracket_table[i][j]
-            row.append(Poly.affine(dot(l0, w),
-                                   [dot(d, w) for d in directions]))
-        rows.append(row)
-    return rows
+    return [[Poly.affine(entry[0], entry[1:]) for entry in row]
+            for row in D.pencil]
 
 
 def _witness_for_minor(D: MonomialDatum, minor: Poly, target: int) -> Vector:
@@ -195,31 +188,16 @@ def _witness_for_minor(D: MonomialDatum, minor: Poly, target: int) -> Vector:
                 return x
 
 
-def symbolic_generic_rank(D: MonomialDatum,
-                          threshold: int = SYMBOLIC_DIM_THRESHOLD,
-                          enforce_threshold: bool = True) -> GenericRankResult:
-    """Certified generic rank: the largest k with a not-identically-zero minor.
+def symbolic_generic_rank(D: MonomialDatum) -> GenericRankResult:
+    """Certified generic rank: Bareiss elimination of the polynomial pencil.
 
-    Entries of M are affine polynomials in x; minors are enumerated
-    largest-first with early exit, each determinant computed by exact
-    polynomial arithmetic.  The zero set of a nonzero minor is a proper
-    subvariety, so the first size with a surviving minor is d_tau.
+    Elimination over the polynomial ring gives the rank over its fraction
+    field, which is the rank at Zariski-generic x, i.e. d_tau.  The last
+    nonzero pivot is a nonzero d_tau x d_tau minor; the witness is a chart
+    point where it does not vanish.
     """
-    if enforce_threshold and D.n > threshold:
-        raise ThresholdExceededError(
-            f"dimension {D.n} exceeds the symbolic threshold {threshold}")
-    entries = symbolic_moment_entries(D)
-    m, n = D.m, D.n
-    nfree = n - m
-    for k in range(min(m, n), 0, -1):
-        for rows_sel in itertools.combinations(range(m), k):
-            for cols_sel in itertools.combinations(range(n), k):
-                sub = [[entries[i][j] for j in cols_sel] for i in rows_sel]
-                minor = determinant(sub)
-                if not minor.is_zero:
-                    witness = _witness_for_minor(D, minor, k)
-                    return GenericRankResult(
-                        d_tau=k, witness=witness, method="symbolic",
-                        is_free=k == m)
-    return GenericRankResult(d_tau=0, witness=(Fraction(0),) * nfree,
-                             method="symbolic", is_free=m == 0)
+    d, minor = bareiss(symbolic_moment_entries(D))
+    witness = (_witness_for_minor(D, minor, d) if d
+               else (Fraction(0),) * (D.n - D.m))
+    return GenericRankResult(d_tau=d, witness=witness, method="symbolic",
+                             is_free=d == D.m)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .algebra import DimensionMismatchError, LieAlgebra, bracket
 from .linalg import (dot, in_row_space, invert, rank_exact,
@@ -20,6 +21,8 @@ from .linalg import (dot, in_row_space, invert, rank_exact,
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+# pencil[i][j] = (c_0, c_1, ..., c_{n-m}): entry (i, j) is c_0 + sum c_r x_r
+Pencil = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 class RankDeficientError(ValueError):
@@ -132,6 +135,8 @@ class MonomialDatum:
     adapted_inv is its exact inverse.  bracket_table[i][j] holds the
     original-basis coordinates of [Y_i, B_j] where B_j runs over the adapted
     basis — the moment matrix at l is just l applied to these.
+    pencil is the moment matrix over the chart, M(x) = M_0 + sum x_r M_r,
+    with each row scaled to integers (which keeps its rank at every x).
     """
 
     algebra: LieAlgebra
@@ -140,6 +145,7 @@ class MonomialDatum:
     adapted_rows: Matrix
     adapted_inv: Matrix
     bracket_table: tuple[tuple[Vector, ...], ...] = field(repr=False)
+    pencil: Pencil = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -179,7 +185,31 @@ def adapt_basis(L: LieAlgebra, Hsub: Subalgebra,
         for i in range(m))
     return MonomialDatum(algebra=L, subalgebra=Hsub, functional=f,
                          adapted_rows=adapted, adapted_inv=inv,
-                         bracket_table=table)
+                         bracket_table=table,
+                         pencil=_moment_pencil(table, inv, f.f_vals))
+
+
+def _moment_pencil(table, inv, f_vals) -> Pencil:
+    """Entry (i, j) is l_x([Y_i, B_j]) with l_x = inv (f, x), affine in x.
+
+    Its constant part pairs the bracket with l_0 (the chart at x = 0) and
+    its x_r coefficient with column m + r of inv.  Brackets are sparse, so
+    each pairing runs over the nonzero coordinates only.
+    """
+    n, m = len(inv), len(f_vals)
+    l0 = tuple(dot(row[:m], f_vals) for row in inv)
+    forms = [l0] + [tuple(row[m + r] for row in inv) for r in range(n - m)]
+    pencil = []
+    for brackets in table:
+        row = []
+        for w in brackets:
+            nonzero = [(k, c) for k, c in enumerate(w) if c]
+            row.append(tuple(sum(v[k] * c for k, c in nonzero)
+                             for v in forms))
+        scale = lcm(*(c.denominator for entry in row for c in entry))
+        pencil.append(tuple(tuple(int(c * scale) for c in entry)
+                            for entry in row))
+    return tuple(pencil)
 
 
 def point_on_variety(D: MonomialDatum, x) -> Vector:

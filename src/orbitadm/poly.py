@@ -1,8 +1,9 @@
-"""Multivariate polynomials over the rationals, just enough for minors.
+"""Multivariate polynomials over the rationals, just enough for Bareiss.
 
 Terms are stored dense-by-dict: exponent tuple -> Fraction coefficient.
-The moment matrix has affine entries in the chart variables, so a k x k
-minor has total degree at most k; with at most 8 variables this stays tiny.
+The moment pencil has affine entries in the chart variables, so every
+intermediate entry of fraction-free elimination is a minor of total degree
+at most its size, and every division it makes is exact.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ class Poly:
             mapping[e] = Fraction(coeff)
         return Poly._build(nvars, mapping)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __add__(self, other: "Poly") -> "Poly":
         acc = dict(self.terms)
@@ -64,6 +64,34 @@ class Poly:
                 acc[e] = acc.get(e, Fraction(0)) + c1 * c2
         return Poly._build(self.nvars, acc)
 
+    def __floordiv__(self, other: "Poly") -> "Poly":
+        """Exact quotient; raises ValueError when other does not divide self.
+
+        Division by a single polynomial has a unique remainder, so the
+        quotient is exact iff the leading term of every remainder is
+        divisible by the leading term of other (lex order on exponents).
+        """
+        if not other.terms:
+            raise ZeroDivisionError("polynomial division by zero")
+        lead_e, lead_c = other.terms[-1]
+        rem = dict(self.terms)
+        quot = {}
+        while rem:
+            e = max(rem)
+            if any(a < b for a, b in zip(e, lead_e)):
+                raise ValueError("polynomial division is not exact")
+            qe = tuple(a - b for a, b in zip(e, lead_e))
+            qc = rem[e] / lead_c
+            quot[qe] = qc
+            for oe, oc in other.terms:
+                te = tuple(a + b for a, b in zip(qe, oe))
+                value = rem.get(te, 0) - qc * oc
+                if value:
+                    rem[te] = value
+                else:
+                    del rem[te]
+        return Poly._build(self.nvars, quot)
+
     def evaluate(self, point) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("evaluation point has wrong arity")
@@ -76,9 +104,6 @@ class Poly:
                     term *= base
             total += term
         return total
-
-    def degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=-1)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -94,40 +119,3 @@ class Poly:
             parts.append("*".join(factors))
         return " + ".join(parts)
 
-
-def determinant(rows: list[list[Poly]]) -> Poly:
-    """Determinant of a square polynomial matrix.
-
-    Dynamic programming over column subsets (Laplace expansion along rows),
-    O(k * 2^k) polynomial operations — fine for the k <= 8 this package uses.
-    """
-    k = len(rows)
-    if k == 0:
-        raise ValueError("empty determinant")
-    nvars = rows[0][0].nvars
-    zero = Poly.const(nvars, 0)
-    # state[mask] = det of the minor on the first popcount(mask) rows and
-    # the column set given by mask
-    state = {0: Poly.const(nvars, 1)}
-    for i in range(k):
-        nxt: dict = {}
-        for mask, minor in state.items():
-            if minor.is_zero:
-                continue
-            pos = 0
-            for j in range(k):
-                bit = 1 << j
-                if mask & bit:
-                    pos += 1
-                    continue
-                entry = rows[i][j]
-                if not entry.is_zero:
-                    contrib = entry * minor
-                    if (i + pos) % 2:
-                        contrib = -contrib
-                    key = mask | bit
-                    nxt[key] = nxt.get(key, zero) + contrib
-        state = nxt
-        if not state:
-            return zero
-    return state.get((1 << k) - 1, zero)

@@ -17,10 +17,6 @@ from .problemfile import ProblemFile, _format_combo
 from .verdict import RATIONALE_TEXT, FullReport
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _combo_strings(rows, basis_names) -> list:
     return [_format_combo(row, basis_names) for row in rows]
 
@@ -33,7 +29,7 @@ def report_dict(rep: FullReport) -> dict:
         "dim": L.dim,
         "basis": list(L.basis_names),
         "generators": _combo_strings(sub.rows, L.basis_names),
-        "functional": [_frac_str(v) for v in rep.datum.functional.f_vals],
+        "functional": [str(v) for v in rep.datum.functional.f_vals],
         "is_valid": rep.structure.is_valid,
         "is_solvable": rep.structure.is_solvable,
         "derived_series_dims": list(rep.structure.derived_series_dims),
@@ -44,7 +40,7 @@ def report_dict(rep: FullReport) -> dict:
     }
     witness = None
     if rep.spectral.witness is not None:
-        witness = [_frac_str(v) for v in rep.spectral.witness]
+        witness = [str(v) for v in rep.spectral.witness]
     return {
         "structure": structure,
         "d_tau": rep.spectral.d_tau,
@@ -93,7 +89,7 @@ def render_text(rep: FullReport) -> str:
 
 def render_stabilizer_text(sr: StabilizerReport, basis_names) -> str:
     lines = [
-        "point: " + json.dumps([_frac_str(v) for v in sr.point],
+        "point: " + json.dumps([str(v) for v in sr.point],
                                separators=(", ", ": ")),
         f"rank_M: {sr.rank_M}",
         f"dim_H_orbit: {sr.dim_H_orbit}",
@@ -111,7 +107,7 @@ def render_stabilizer_text(sr: StabilizerReport, basis_names) -> str:
 def render_jacobian_text(jr: JacobianReport, point, h: float,
                          rel_tol: float) -> str:
     lines = [
-        "point: " + json.dumps([_frac_str(Fraction(v)) for v in point],
+        "point: " + json.dumps([str(Fraction(v)) for v in point],
                                separators=(", ", ": ")),
         f"step: {h!r}",
         f"rank_tolerance: {rel_tol!r}",
@@ -135,7 +131,7 @@ def render_problem_summary(pf: ProblemFile) -> str:
             _combo_strings(pf.subalgebra_rows, L.basis_names),
             separators=(", ", ": ")),
         "functional: " + json.dumps(
-            [_frac_str(v) for v in pf.functional_vals],
+            [str(v) for v in pf.functional_vals],
             separators=(", ", ": ")),
     ]
     return "\n".join(lines) + "\n"

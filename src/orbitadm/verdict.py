@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (LieAlgebra, StructureReport, Violation,
-                      structure_report, validate)
-from .moment import (SYMBOLIC_DIM_THRESHOLD, GenericRankResult,
-                     generic_h_orbit_dim, symbolic_generic_rank)
+                      structure_report)
+from .moment import (GenericRankResult, generic_h_orbit_dim,
+                     symbolic_generic_rank)
 from .monomial import MonomialDatum, build_datum
 
 ABSOLUTELY_CONTINUOUS = "AbsolutelyContinuous"
@@ -48,7 +48,7 @@ RATIONALE_TEXT = {
 
 
 class InvalidAlgebraError(ValueError):
-    def __init__(self, violations: list[Violation], names):
+    def __init__(self, violations: tuple[Violation, ...], names):
         self.violations = violations
         lines = "; ".join(v.describe(tuple(names)) for v in violations)
         super().__init__(f"structure constants are inconsistent: {lines}")
@@ -118,7 +118,6 @@ class AnalysisConfig:
     force_symbolic: bool = False
     assume_exponential: bool = False
     exp_samples: int = 20
-    symbolic_threshold: int = SYMBOLIC_DIM_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ class FullReport:
     structure: StructureReport
     generic: GenericRankResult            # the result the verdicts use
     generic_probabilistic: GenericRankResult
-    generic_symbolic: GenericRankResult | None
+    generic_symbolic: GenericRankResult
     spectral: SpectralVerdict
     admissibility: AdmissibilityVerdict
     warnings: tuple[str, ...]
@@ -146,13 +145,11 @@ def full_report(L: LieAlgebra, h_rows, f_vals,
     the exponentiality screen finds a witness (and no override is set), and
     DisagreementError if the two generic-rank routes ever disagree.
     """
-    violations = validate(L)
-    if violations:
-        raise InvalidAlgebraError(violations, L.basis_names)
-    datum = build_datum(L, h_rows, f_vals)
-
     exp_samples = 0 if config.assume_exponential else config.exp_samples
     structure = structure_report(L, exp_samples=exp_samples, seed=config.seed)
+    if structure.violations:
+        raise InvalidAlgebraError(structure.violations, L.basis_names)
+    datum = build_datum(L, h_rows, f_vals)
     if not structure.is_solvable:
         raise StructuralPreconditionError(
             "the algebra is not solvable; the analysis applies only to "
@@ -174,16 +171,8 @@ def full_report(L: LieAlgebra, h_rows, f_vals,
 
     prob = generic_h_orbit_dim(datum, trials=config.trials,
                                bound=config.bound, seed=config.seed)
-    symbolic: GenericRankResult | None = None
-    if config.force_symbolic:
-        symbolic = symbolic_generic_rank(datum, enforce_threshold=False)
-    elif datum.n <= config.symbolic_threshold:
-        symbolic = symbolic_generic_rank(datum,
-                                         threshold=config.symbolic_threshold)
-    else:
-        warnings.append("dimension exceeds the symbolic threshold; "
-                        "generic rank certified probabilistically only")
-    if symbolic is not None and symbolic.d_tau != prob.d_tau:
+    symbolic = symbolic_generic_rank(datum)
+    if symbolic.d_tau != prob.d_tau:
         raise DisagreementError(prob.d_tau, symbolic.d_tau)
 
     reported = symbolic if config.force_symbolic else prob

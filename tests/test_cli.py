@@ -184,6 +184,28 @@ class TestVerdict:
         assert code == 3
         assert "internal disagreement" in err
 
+    def test_disagreement_exits_three_above_dimension_eight(self, monkeypatch,
+                                                             tmp_path):
+        # A x| R^9, [A, X_i] = i X_i, h = span{X_i}, f = 1: n = 10, d_tau = 1
+        xs = [f"X{i}" for i in range(1, 10)]
+        path = tmp_path / "diag9.alg"
+        path.write_text(
+            "algebra diag9\ndim 10\nbasis A " + " ".join(xs) + "\n"
+            + "".join(f"bracket A {x} = {i} * {x}\n"
+                      for i, x in enumerate(xs, 1))
+            + "subalgebra " + "; ".join(xs) + "\n"
+            + "functional " + ", ".join(["1"] * 9) + "\n")
+        assert run_cli("verdict", str(path))[0] == 0
+
+        def lying(D, trials=20, bound=10 ** 6, seed=0):
+            return GenericRankResult(d_tau=2, witness=(0,) * (D.n - D.m),
+                                     method="probabilistic", is_free=False,
+                                     trials=trials, seed=seed)
+        monkeypatch.setattr(verdict_mod, "generic_h_orbit_dim", lying)
+        code, _out, err = run_cli("verdict", str(path))
+        assert code == 3
+        assert "internal disagreement" in err
+
 
 class TestSeedPrecedence:
     def seed_of(self, *argv, **kw):

@@ -1,15 +1,38 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import orbitadm as oa
 from orbitadm import moment
-from orbitadm.linalg import dot, invert, matmul
-from orbitadm.poly import Poly, determinant
+from orbitadm.linalg import bareiss, dot, invert, matmul, rank_exact
+from orbitadm.poly import Poly
 
 from conftest import (CORPUS_NAMES, ORACLES, load_datum, make_abelian,
                       random_invertible, random_vector, transform_algebra)
+
+
+def _load_bench_families():
+    """The benchmark's generators, whose answers are derived by hand."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("bench_families", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+_families = _load_bench_families()
+# the cases of the benchmark's families-large workload, n = 9..21
+FAMILIES_LARGE = (
+    [_families.heisenberg(k, sub) for k in range(4, 11)
+     for sub in ("lagrangian", "centre")]
+    + [_families.borel(N, sub) for N in (4, 5, 6)
+       for sub in ("cartan", "nilradical")]
+    + [_families.diagonal(k, m) for k in range(8, 21) for m in (1, k)])
 
 
 class TestMomentMatrix:
@@ -151,7 +174,7 @@ class TestSymbolicRank:
         D = oa.build_datum(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
         entries = moment.symbolic_moment_entries(D)
         # row Z of the symbolic matrix vanishes identically
-        assert all(p.is_zero for p in entries[1])
+        assert not any(entries[1])
         res = oa.symbolic_generic_rank(D)
         assert res.d_tau == 1
         assert moment.rank_at(D, res.witness) == 1
@@ -162,13 +185,12 @@ class TestSymbolicRank:
         res = oa.symbolic_generic_rank(D)
         assert res.d_tau == 0 and not res.is_free
 
-    def test_threshold_enforced(self):
+    def test_no_dimension_threshold(self):
         L = make_abelian(9)
-        D = oa.build_datum(L, [], [])
-        with pytest.raises(oa.ThresholdExceededError):
-            oa.symbolic_generic_rank(D)
-        res = oa.symbolic_generic_rank(D, enforce_threshold=False)
-        assert res.d_tau == 0
+        res = oa.symbolic_generic_rank(oa.build_datum(L, [], []))
+        assert res.d_tau == 0 and res.is_free
+        D = oa.build_datum(L, [L.vector(E1=1)], [1])
+        assert oa.symbolic_generic_rank(D).d_tau == 0
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_witness_attains_d_tau(self, name, corpus_data):
@@ -177,23 +199,53 @@ class TestSymbolicRank:
         assert res.d_tau == ORACLES[name][0]
 
 
+class TestPolyDivision:
+    def test_exact_quotient(self):
+        x = Poly.variable(1, 0)
+        one = Poly.const(1, 1)
+        assert (x * x - one) // (x - one) == x + one
+
+    def test_multivariate_quotient(self):
+        x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+        a = x + Poly.const(2, 3) * y
+        b = x * y - Poly.const(2, 2)
+        assert (a * b) // b == a
+        assert (a * b) // a == b
+
+    def test_inexact_quotient_raises(self):
+        x = Poly.variable(1, 0)
+        one = Poly.const(1, 1)
+        with pytest.raises(ValueError):
+            (x * x + one) // (x - one)
+
+    def test_division_by_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            Poly.variable(1, 0) // Poly.const(1, 0)
+
+
 class TestPolyDeterminant:
+    """Bareiss elimination over Poly: its last pivot is +-det when full rank."""
+
     def test_two_by_two(self):
         x = Poly.variable(1, 0)
         one = Poly.const(1, 1)
-        det = determinant([[x, one], [one, x]])
+        rank, det = bareiss([[x, one], [one, x]])
+        assert rank == 2
         # x^2 - 1
         assert det.evaluate((3,)) == 8
         assert det.evaluate((1,)) == 0
 
     def test_matches_numeric_determinant(self):
         rng = random.Random(2024)
-        for _ in range(30):
-            k = rng.randint(1, 4)
+        for trial in range(60):
+            k = rng.randint(1, 5)
             mat = [[random_vector(rng, 1)[0] for _ in range(k)]
                    for _ in range(k)]
+            if trial % 3 == 0 and k > 1:  # force a singular matrix
+                mat[-1] = [2 * a - b for a, b in zip(mat[0], mat[1])]
             polymat = [[Poly.const(0, v) for v in row] for row in mat]
-            got = determinant(polymat).evaluate(())
+            rank, pivot = bareiss(polymat)
+            assert rank == rank_exact(mat)
             # cofactor expansion oracle
             def cof(m):
                 if len(m) == 1:
@@ -204,7 +256,10 @@ class TestPolyDeterminant:
                     term = m[0][j] * cof(minor)
                     total += term if j % 2 == 0 else -term
                 return total
-            assert got == cof(mat)
+            if rank == k:
+                assert abs(pivot.evaluate(())) == abs(cof(mat))
+            else:
+                assert cof(mat) == 0
 
 
 class TestRouteAgreement:
@@ -234,6 +289,20 @@ class TestRouteAgreement:
                 hits += 1
         # Zariski-openness: the generic stratum carries almost all samples
         assert hits >= 0.95 * total
+
+
+class TestRouteAgreementLarge:
+    @pytest.mark.parametrize("problem", FAMILIES_LARGE,
+                             ids=[p.name for p in FAMILIES_LARGE])
+    def test_routes_match_hand_derived_rank(self, problem):
+        pf = oa.parse(problem.text)
+        D = oa.build_datum(pf.algebra, pf.subalgebra_rows,
+                           pf.functional_vals)
+        assert (D.n, D.m) == (problem.n, problem.m)
+        sym = oa.symbolic_generic_rank(D)
+        prob = oa.generic_h_orbit_dim(D)
+        assert sym.d_tau == prob.d_tau == problem.answer.d_tau
+        assert moment.rank_at(D, sym.witness) == sym.d_tau
 
 
 class TestBasisInvariance:

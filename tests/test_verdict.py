@@ -72,8 +72,6 @@ class TestFullReport:
         assert rep.spectral.status == spectral
         assert rep.admissibility.status == admis
         assert rep.structure.is_unimodular == unimod
-        # the cross-check ran for every corpus datum (all have dim <= 8)
-        assert rep.generic_symbolic is not None
         assert rep.generic_symbolic.d_tau == rep.generic_probabilistic.d_tau
 
     def test_invalid_algebra_short_circuits(self, h3):
@@ -105,12 +103,19 @@ class TestFullReport:
         assert rep.generic.method == "symbolic"
         assert rep.spectral.status == "AbsolutelyContinuous"
 
-    def test_large_dimension_skips_symbolic(self):
+    def test_large_dimension_certified_symbolically(self):
         L = make_abelian(9)
         rep = oa.full_report(L, [], [])
-        assert rep.generic_symbolic is None
-        assert any("threshold" in w for w in rep.warnings)
+        assert rep.generic_symbolic.d_tau == 0
         assert rep.spectral.status == "AbsolutelyContinuous"
+        # A x| R^9 with [A, X_i] = i X_i, h = span{X_i}, f = 1: d_tau = 1 < 9
+        xs = [f"X{i}" for i in range(1, 10)]
+        L = oa.from_brackets("diag9", ["A"] + xs,
+                             {("A", x): {x: i} for i, x in enumerate(xs, 1)})
+        rep = oa.full_report(L, [L.vector(**{x: 1}) for x in xs], [1] * 9)
+        assert rep.generic_symbolic.d_tau == rep.generic.d_tau == 1
+        assert rep.spectral.status == "Singular"
+        assert not any("threshold" in w for w in rep.warnings)
 
     def test_large_dimension_forced_symbolic(self):
         L = make_abelian(9)
