@@ -3,12 +3,12 @@
 The probabilistic route samples random integer points of the spectral
 variety and takes the best exact rank seen; a nonvanishing minor misses
 its zero set at almost every sample, so the maximum is right except with
-vanishing probability.  The symbolic route writes each moment entry as an
-affine polynomial in the chart coordinates (each row scaled to integers)
-and eliminates fraction-free over the polynomial ring; the last pivot is
-a nonzero minor, which certifies the answer outright.  The package always
-cross-checks one against the other; this script just makes the agreement
-visible.
+vanishing probability.  The symbolic route writes the moment matrix over a
+basis of the span of its chart coefficients, so each entry is a linear form
+in a few new variables (printed x1, x2, ...), and eliminates fraction-free
+over the polynomial ring, which certifies the answer outright.  The package
+always cross-checks one against the other; this script just makes the
+agreement visible.
 """
 
 from orbitadm import generic_h_orbit_dim, parse, build_datum
@@ -21,7 +21,7 @@ for name in ("heisenberg_yz", "grelaud", "h5_y1y2"):
     D = build_datum(pf.algebra, pf.subalgebra_rows, pf.functional_vals)
 
     print(f"== {name} (n = {D.n}, m = {D.m})")
-    print("   moment entries as polynomials in the chart coordinates:")
+    print("   moment entries as linear forms over the pencil's span:")
     for row in symbolic_moment_entries(D):
         print("     ", [str(p) for p in row])
 

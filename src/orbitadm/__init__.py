@@ -20,7 +20,7 @@ from .algebra import (DimensionMismatchError, LieAlgebra, StructureReport,
 from .geometry import (JacobianReport, ad_exp, coadjoint_apply,
                        coadjoint_apply_factors, expm, fd_jacobian,
                        numerical_rank, phi_in_chart)
-from .linalg import rank_exact
+from .linalg import WorkLimitError, rank_exact
 from .moment import (GenericRankResult, MomentMatrix, StabilizerReport,
                      generic_h_orbit_dim, moment_matrix, rank_at,
                      skew_form_matrix, stabilizer_report,
@@ -47,6 +47,7 @@ __all__ = [
     "MomentMatrix", "StabilizerReport", "GenericRankResult",
     "moment_matrix", "skew_form_matrix",
     "rank_exact", "rank_at", "stabilizer_report", "generic_h_orbit_dim",
+    "WorkLimitError",
     "symbolic_generic_rank",
     "SpectralVerdict", "AdmissibilityVerdict", "FullReport",
     "AnalysisConfig", "InvalidAlgebraError", "StructuralPreconditionError",

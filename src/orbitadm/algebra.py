@@ -175,10 +175,6 @@ class StructureReport:
     exponentiality: str  # "PassedSampling" | "FailedWithWitness" | "Skipped"
     exponentiality_witness: Vector | None = None
 
-    @property
-    def is_valid(self) -> bool:
-        return not self.violations
-
 
 def _bracket_span(L: LieAlgebra, rows_a, rows_b):
     """rref basis of span{[a, b] : a in rows_a, b in rows_b}."""
@@ -250,12 +246,11 @@ def structure_report(L: LieAlgebra, exp_samples: int = 20,
                      seed: int = 0) -> StructureReport:
     """Validate and classify: solvable / nilpotent / unimodular / exponential.
 
-    The report carries the violations ``validate`` found, so callers need
-    no second validation pass.  Series dimensions come from exact ranks of
-    row-reduced spanning sets; unimodularity is trace(ad Z_i) = 0 on every
-    basis element (trace is linear in u, so the basis check decides it).
-    Exponentiality is screened by sampling; pass exp_samples=0 to record it
-    as Skipped.
+    The report carries validate's violations, so none need a second pass.
+    Series dimensions come from exact ranks of row-reduced spanning sets;
+    unimodularity is trace(ad Z_i) = 0 on every basis element (trace is
+    linear in u, so the basis check decides it).  Exponentiality is
+    screened by sampling; pass exp_samples=0 to record it as Skipped.
     """
     violations = tuple(validate(L))
     der = derived_series_dims(L)

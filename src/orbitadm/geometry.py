@@ -96,7 +96,7 @@ def phi_in_chart(D: MonomialDatum, t, x) -> np.ndarray:
         raise DimensionMismatchError(
             f"chart point needs {n - m} values, got {len(x)}")
     l = point_on_variety(D, tuple(Fraction(v) for v in x))
-    factors = [(D.adapted_vector(k), t[k]) for k in range(n)]
+    factors = [(D.adapted_rows[k], t[k]) for k in range(n)]
     moved = coadjoint_apply_factors(D.algebra, factors, l)
     adapted = np.array([[float(v) for v in row] for row in D.adapted_rows],
                        dtype=float)

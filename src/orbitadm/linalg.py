@@ -23,11 +23,15 @@ class InconsistentSystemError(ValueError):
     pass
 
 
+class WorkLimitError(ArithmeticError):
+    """An elimination stopped before a step that would pass its work limit."""
+
+
 def as_fraction_rows(mat) -> list[list[Fraction]]:
     return [[Fraction(x) for x in row] for row in mat]
 
 
-def _cleared_int_rows(mat) -> list[list[int]]:
+def cleared_int_rows(mat) -> list[list[int]]:
     # scale each row by the lcm of its denominators; rank is unaffected
     out = []
     for row in mat:
@@ -42,41 +46,58 @@ def _cleared_int_rows(mat) -> list[list[int]]:
     return out
 
 
-def bareiss(a: list[list]):
+def bareiss(a: list[list], size=None, limit: int | None = None):
     """Fraction-free (Bareiss) elimination in place over an integral domain.
 
     Entries are ints or ``Poly``s: anything with ``*``, ``-``, truth and an
-    exact ``//``.  Each step divides by the previous pivot, and Sylvester's
-    identity makes every such division exact.  The pivot is the first
-    nonzero entry of its column.  Returns (rank, last nonzero pivot); that
-    pivot is, up to sign, the rank x rank minor on the pivot rows and
-    columns (None at rank 0).
+    exact ``//``; Sylvester's identity makes each division by the previous
+    pivot exact.  Returns (rank, last pivot), that pivot being up to sign
+    the minor on the pivot rows and columns (None at rank 0).  The pivot is
+    the first nonzero entry of the next column, or with ``size`` (a Poly's
+    term count) the smallest nonzero entry left.  ``limit`` caps the sum of
+    size(x) * size(y) over the products formed: a step that would pass it
+    raises WorkLimitError instead.
     """
     n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
+    cols = list(range(len(a[0]) if a else 0))
     prev = None
-    row = 0
-    for col in range(n_cols):
-        piv = next((r for r in range(row, n_rows) if a[r][col]), None)
-        if piv is None:
-            continue
+    row = spent = 0
+    while row < n_rows and cols:
+        if size is None:
+            col = cols.pop(0)
+            piv = next((r for r in range(row, n_rows) if a[r][col]), None)
+            if piv is None:
+                continue
+        else:
+            nonzero = [(size(a[r][c]), r, c) for r in range(row, n_rows)
+                       for c in cols if a[r][c]]
+            if not nonzero:
+                break
+            _, piv, col = min(nonzero)
+            cols.remove(col)
         a[row], a[piv] = a[piv], a[row]
         p = a[row][col]
-        for r in range(row + 1, n_rows):
+        rows = range(row + 1, n_rows)
+        if limit is not None:
+            spent += (size(p) * sum(size(a[r][c]) for r in rows for c in cols)
+                      + sum(size(a[r][col]) for r in rows)
+                      * sum(size(a[row][c]) for c in cols))
+            if spent > limit:
+                raise WorkLimitError(f"elimination would form more than "
+                                     f"{limit} term products")
+        for r in rows:
             lead = a[r][col]
-            for c in range(col + 1, n_cols):
+            for c in cols:
                 v = a[r][c] * p - lead * a[row][c]
                 a[r][c] = v if prev is None else v // prev
         prev = p
         row += 1
-        if row == n_rows:
-            break
     return row, prev
 
 
 def rank_exact(mat) -> int:
     """Exact rank: Bareiss elimination on rows cleared to integers."""
-    return bareiss(_cleared_int_rows(mat))[0]
+    return bareiss(cleared_int_rows(mat))[0]
 
 
 def rref(mat) -> tuple[list[list[Fraction]], list[int]]:

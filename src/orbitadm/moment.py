@@ -11,8 +11,8 @@ the generators.  The generic value of that rank over the spectral variety,
 is computed two independent ways from the datum's integer pencil
 M(x) = M_0 + sum x_r M_r: by seeded random evaluation (exact rank at
 integer chart points, Schwartz-Zippel controlled) and by fraction-free
-elimination of the pencil over the polynomial ring, whose last pivot is a
-not-identically-zero minor certifying the rank in any dimension.  The
+elimination over the polynomial ring on a basis of the pencil's span,
+which certifies the rank in any dimension within a work limit.  The
 induced representation behaves qualitatively differently according to
 whether d_tau reaches m — whether H acts freely somewhere on A_tau — which
 is what the verdict layer consumes.
@@ -27,7 +27,8 @@ from fractions import Fraction
 from operator import mul
 
 from .algebra import DimensionMismatchError
-from .linalg import bareiss, dot, left_nullspace, nullspace, rank_exact
+from .linalg import (bareiss, cleared_int_rows, dot, left_nullspace,
+                     nullspace, rank_exact, rref)
 from .monomial import MonomialDatum
 from .poly import Poly
 
@@ -37,16 +38,17 @@ __all__ = [
     "MomentMatrix", "StabilizerReport", "GenericRankResult",
     "moment_matrix", "stabilizer_report", "generic_h_orbit_dim",
     "symbolic_generic_rank", "symbolic_moment_entries",
+    "SYMBOLIC_WORK_LIMIT",
 ]
+
+# Term products the symbolic route may form before it gives up: about
+# three seconds of polynomial arithmetic on a 2-core x86-64 VM.
+SYMBOLIC_WORK_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
 class MomentMatrix:
     entries: tuple[Vector, ...]  # m rows, n columns
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
 
     def rank(self) -> int:
         return rank_exact(self.entries)
@@ -123,7 +125,7 @@ def rank_at(D: MonomialDatum, x) -> int:
     if len(x) != D.n - D.m:
         raise DimensionMismatchError(
             f"chart point needs {D.n - D.m} coordinates, got {len(x)}")
-    xs = (1, *x)
+    xs = (1, *(v if type(v) is int else Fraction(v) for v in x))
     return rank_exact([[sum(map(mul, entry, xs)) for entry in row]
                        for row in D.pencil])
 
@@ -161,43 +163,46 @@ def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
 
 
 def symbolic_moment_entries(D: MonomialDatum) -> list[list[Poly]]:
-    """The pencil as a polynomial matrix in the chart variables x_1..x_{n-m}.
+    """The pencil over a basis of its span, as linear forms in y_1..y_s.
 
-    Entry (i, j) is l_x([Y_i, B_j]) with l_x affine in x, times the integer
-    that clears the denominators of row i.
+    M(x) lies in V = span{M_0, ..., M_{n-m}}, and its generic rank is that
+    of y_1 N_1 + ... + y_s N_s for any basis N of V (giving M_0 a variable
+    and changing parameters linearly keep the generic rank).  N is the rref
+    basis of the flattened M_v, cleared to integers.  s can be far below
+    n - m + 1: for h_{2k+1} with a Lagrangian h, in any basis of g, the
+    pencil is one matrix times a linear form, so s = 1.
     """
-    return [[Poly.affine(entry[0], entry[1:]) for entry in row]
-            for row in D.pencil]
+    m, n = D.m, D.n
+    flat = [[entry[v] for row in D.pencil for entry in row]
+            for v in range(n - m + 1)]
+    basis = cleared_int_rows(rref(flat)[0])
+    return [[Poly.affine(0, [b[i * n + j] for b in basis]) for j in range(n)]
+            for i in range(m)]
 
 
-def _witness_for_minor(D: MonomialDatum, minor: Poly, target: int) -> Vector:
-    """A rational chart point where the certifying minor does not vanish.
-
-    Deterministic search over integer points of growing radius; the minor is
-    a nonzero polynomial, so some point in a large enough box works.
-    """
-    nfree = D.n - D.m
-    if nfree == 0:
-        return ()
+def _witness(D: MonomialDatum, target: int) -> Vector:
+    """A chart point of rank target = d_tau, from seeded integer points of
+    growing radius; the rank drops only on a proper subvariety."""
     for radius in itertools.count(1):
         rng = random.Random(radius)
         for _ in range(32):
             x = tuple(Fraction(rng.randint(-radius, radius))
-                      for _ in range(nfree))
-            if minor.evaluate(x) != 0 and rank_at(D, x) == target:
+                      for _ in range(D.n - D.m))
+            if rank_at(D, x) == target:
                 return x
 
 
 def symbolic_generic_rank(D: MonomialDatum) -> GenericRankResult:
-    """Certified generic rank: Bareiss elimination of the polynomial pencil.
+    """Certified d_tau: Bareiss elimination of the span pencil over Q[y].
 
-    Elimination over the polynomial ring gives the rank over its fraction
-    field, which is the rank at Zariski-generic x, i.e. d_tau.  The last
-    nonzero pivot is a nonzero d_tau x d_tau minor; the witness is a chart
-    point where it does not vanish.
+    It gives the rank over Q(y), i.e. at generic x; the witness is a chart
+    point attaining it.  Generic rank has no known deterministic
+    polynomial-time method and the minors formed can have exponentially
+    many terms, so past SYMBOLIC_WORK_LIMIT term products the elimination
+    raises WorkLimitError.
     """
-    d, minor = bareiss(symbolic_moment_entries(D))
-    witness = (_witness_for_minor(D, minor, d) if d
-               else (Fraction(0),) * (D.n - D.m))
+    d, _ = bareiss(symbolic_moment_entries(D), size=len,
+                   limit=SYMBOLIC_WORK_LIMIT)
+    witness = _witness(D, d) if d else (Fraction(0),) * (D.n - D.m)
     return GenericRankResult(d_tau=d, witness=witness, method="symbolic",
                              is_free=d == D.m)

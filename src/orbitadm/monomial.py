@@ -63,15 +63,6 @@ class Subalgebra:
     def contains(self, v) -> bool:
         return in_row_space(v, self.rref_rows, self.pivots)
 
-    def coordinates_of(self, v) -> list[Fraction]:
-        """Coefficients a with v = sum a_i Y_i (raises if v is outside)."""
-        if not self.rows:
-            if any(Fraction(x) != 0 for x in v):
-                raise ValueError("vector lies outside the trivial subalgebra")
-            return []
-        cols = [list(col) for col in zip(*self.rows)]
-        return solve_exact(cols, list(v))
-
 
 def check_subalgebra(L: LieAlgebra, candidate_rows) -> Subalgebra:
     """Validate generators: exact rank m and exact bracket closure.
@@ -110,17 +101,20 @@ class CharacterFunctional:
 
 
 def check_character(Hsub: Subalgebra, f_vals) -> CharacterFunctional:
-    """f, given by its values on the generators, must kill [h, h]."""
+    """f, given by its values on the generators, must kill [h, h].
+
+    One solve extends f to phi on g (phi . Y_i = f_i); brackets of
+    generators lie in h, where f(w) = phi . w.
+    """
     vals = tuple(Fraction(x) for x in f_vals)
     if len(vals) != Hsub.m:
         raise DimensionMismatchError(
             f"functional has {len(vals)} values for {Hsub.m} generators")
     L = Hsub.algebra
+    phi = solve_exact(Hsub.rows, vals)
     for i in range(Hsub.m):
         for j in range(i + 1, Hsub.m):
-            w = bracket(L, Hsub.rows[i], Hsub.rows[j])
-            coords = Hsub.coordinates_of(w)
-            value = sum((a * fv for a, fv in zip(coords, vals)), Fraction(0))
+            value = dot(phi, bracket(L, Hsub.rows[i], Hsub.rows[j]))
             if value != 0:
                 raise NotACharacterError(i, j, value)
     return CharacterFunctional(f_vals=vals)
@@ -154,9 +148,6 @@ class MonomialDatum:
     @property
     def m(self) -> int:
         return self.subalgebra.m
-
-    def adapted_vector(self, i: int) -> Vector:
-        return self.adapted_rows[i]
 
 
 def adapt_basis(L: LieAlgebra, Hsub: Subalgebra,

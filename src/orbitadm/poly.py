@@ -1,109 +1,95 @@
-"""Multivariate polynomials over the rationals, just enough for Bareiss.
+"""Multivariate polynomials with exact coefficients, just enough for Bareiss.
 
-Terms are stored dense-by-dict: exponent tuple -> Fraction coefficient.
-The moment pencil has affine entries in the chart variables, so every
-intermediate entry of fraction-free elimination is a minor of total degree
-at most its size, and every division it makes is exact.
+Terms are (exponent tuple, coefficient) pairs sorted by exponent, so the
+last one leads in lex order.  Integer inputs keep integer coefficients:
+every entry Bareiss forms from an integer pencil is an integer minor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 
 
 @dataclass(frozen=True)
 class Poly:
     nvars: int
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]  # sorted by exponent
+    terms: tuple[tuple[tuple[int, ...], int | Fraction], ...]
 
     @staticmethod
     def _build(nvars: int, mapping: dict) -> "Poly":
-        cleaned = {e: c for e, c in mapping.items() if c != 0}
-        return Poly(nvars, tuple(sorted(cleaned.items())))
-
-    @staticmethod
-    def const(nvars: int, value) -> "Poly":
-        return Poly._build(nvars, {(0,) * nvars: Fraction(value)})
-
-    @staticmethod
-    def variable(nvars: int, i: int) -> "Poly":
-        e = tuple(1 if k == i else 0 for k in range(nvars))
-        return Poly._build(nvars, {e: Fraction(1)})
+        return Poly(nvars, tuple(sorted((e, c) for e, c in mapping.items()
+                                        if c)))
 
     @staticmethod
     def affine(constant, linear) -> "Poly":
         """constant + sum linear[i] * x_i."""
         nvars = len(linear)
-        mapping = {(0,) * nvars: Fraction(constant)}
+        mapping = {(0,) * nvars: constant}
         for i, coeff in enumerate(linear):
-            e = tuple(1 if k == i else 0 for k in range(nvars))
-            mapping[e] = Fraction(coeff)
+            mapping[tuple(int(k == i) for k in range(nvars))] = coeff
         return Poly._build(nvars, mapping)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __add__(self, other: "Poly", sign: int = 1) -> "Poly":
         acc = dict(self.terms)
         for e, c in other.terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
+            acc[e] = acc.get(e, 0) + sign * c
         return Poly._build(self.nvars, acc)
 
-    def __neg__(self) -> "Poly":
-        return Poly(self.nvars, tuple((e, -c) for e, c in self.terms))
-
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __mul__(self, other: "Poly") -> "Poly":
         acc: dict = {}
+        get = acc.get
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
         return Poly._build(self.nvars, acc)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         """Exact quotient; raises ValueError when other does not divide self.
 
-        Division by a single polynomial has a unique remainder, so the
-        quotient is exact iff the leading term of every remainder is
-        divisible by the leading term of other (lex order on exponents).
+        Long division by other's leading term: each step cancels the
+        remainder's leading term and adds only smaller ones, so a heap
+        yields them in turn.  The remainder is unique, so the division is
+        exact iff each leading term met is divisible by other's.
         """
         if not other.terms:
             raise ZeroDivisionError("polynomial division by zero")
         lead_e, lead_c = other.terms[-1]
+        rest = other.terms[:-1]
         rem = dict(self.terms)
+        heap = [tuple(map(neg, e)) for e in rem]
+        heapify(heap)
         quot = {}
-        while rem:
-            e = max(rem)
-            if any(a < b for a, b in zip(e, lead_e)):
+        while heap:
+            e = tuple(map(neg, heappop(heap)))
+            c = rem.pop(e)
+            if not c:
+                continue
+            qe = tuple(map(sub, e, lead_e))
+            if any(a < 0 for a in qe):
                 raise ValueError("polynomial division is not exact")
-            qe = tuple(a - b for a, b in zip(e, lead_e))
-            qc = rem[e] / lead_c
+            qc = Fraction(c, lead_c)
+            if qc.denominator == 1:
+                qc = qc.numerator
             quot[qe] = qc
-            for oe, oc in other.terms:
-                te = tuple(a + b for a, b in zip(qe, oe))
-                value = rem.get(te, 0) - qc * oc
-                if value:
-                    rem[te] = value
-                else:
-                    del rem[te]
+            for oe, oc in rest:
+                te = tuple(map(add, qe, oe))
+                if te not in rem:
+                    heappush(heap, tuple(map(neg, te)))
+                rem[te] = rem.get(te, 0) - qc * oc
         return Poly._build(self.nvars, quot)
-
-    def evaluate(self, point) -> Fraction:
-        if len(point) != self.nvars:
-            raise ValueError("evaluation point has wrong arity")
-        pt = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for e, c in self.terms:
-            term = c
-            for base, power in zip(pt, e):
-                for _ in range(power):
-                    term *= base
-            total += term
-        return total
 
     def __str__(self) -> str:
         if not self.terms:
@@ -118,4 +104,3 @@ class Poly:
                     factors.append(f"x{i + 1}^{power}")
             parts.append("*".join(factors))
         return " + ".join(parts)
-

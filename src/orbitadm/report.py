@@ -30,7 +30,7 @@ def report_dict(rep: FullReport) -> dict:
         "basis": list(L.basis_names),
         "generators": _combo_strings(sub.rows, L.basis_names),
         "functional": [str(v) for v in rep.datum.functional.f_vals],
-        "is_valid": rep.structure.is_valid,
+        "is_valid": not rep.structure.violations,
         "is_solvable": rep.structure.is_solvable,
         "derived_series_dims": list(rep.structure.derived_series_dims),
         "lower_central_dims": list(rep.structure.lower_central_dims),

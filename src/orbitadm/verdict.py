@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .algebra import (LieAlgebra, StructureReport, Violation,
                       structure_report)
+from .linalg import WorkLimitError
 from .moment import (GenericRankResult, generic_h_orbit_dim,
                      symbolic_generic_rank)
 from .monomial import MonomialDatum, build_datum
@@ -127,7 +128,7 @@ class FullReport:
     structure: StructureReport
     generic: GenericRankResult            # the result the verdicts use
     generic_probabilistic: GenericRankResult
-    generic_symbolic: GenericRankResult
+    generic_symbolic: GenericRankResult | None  # None: work limit hit
     spectral: SpectralVerdict
     admissibility: AdmissibilityVerdict
     warnings: tuple[str, ...]
@@ -143,7 +144,8 @@ def full_report(L: LieAlgebra, h_rows, f_vals,
     Raises InvalidAlgebraError / the datum validation errors for malformed
     input, StructuralPreconditionError when the algebra is not solvable or
     the exponentiality screen finds a witness (and no override is set), and
-    DisagreementError if the two generic-rank routes ever disagree.
+    DisagreementError if the two generic-rank routes ever disagree.  If the
+    symbolic route hits its work limit, a warning says the sampled one decides.
     """
     exp_samples = 0 if config.assume_exponential else config.exp_samples
     structure = structure_report(L, exp_samples=exp_samples, seed=config.seed)
@@ -171,11 +173,17 @@ def full_report(L: LieAlgebra, h_rows, f_vals,
 
     prob = generic_h_orbit_dim(datum, trials=config.trials,
                                bound=config.bound, seed=config.seed)
-    symbolic = symbolic_generic_rank(datum)
-    if symbolic.d_tau != prob.d_tau:
+    try:
+        symbolic = symbolic_generic_rank(datum)
+    except WorkLimitError:
+        symbolic = None
+        warnings.append("symbolic elimination stopped at its work limit; "
+                        "generic rank certified probabilistically only")
+    if symbolic is not None and symbolic.d_tau != prob.d_tau:
         raise DisagreementError(prob.d_tau, symbolic.d_tau)
 
-    reported = symbolic if config.force_symbolic else prob
+    use_symbolic = config.force_symbolic and symbolic is not None
+    reported = symbolic if use_symbolic else prob
     spectral = spectral_verdict(datum, reported)
     admissibility = admissibility_verdict(spectral, structure.is_unimodular)
     return FullReport(

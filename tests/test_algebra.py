@@ -137,7 +137,7 @@ class TestAdMatrix:
 class TestStructureReport:
     def test_h3(self, h3):
         rep = oa.structure_report(h3, exp_samples=20, seed=1)
-        assert rep.is_valid and rep.is_solvable and rep.is_nilpotent
+        assert not rep.violations and rep.is_solvable and rep.is_nilpotent
         assert rep.is_unimodular
         assert rep.derived_series_dims == (3, 1, 0)
         assert rep.exponentiality == "PassedSampling"

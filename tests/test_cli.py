@@ -109,6 +109,23 @@ class TestValidate:
         code, _out, err = run_cli("validate", str(bad))
         assert code == 1
 
+    def test_input_errors_come_before_a_bad_env_seed(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "banana")
+        code, _out, err = run_cli("validate",
+                                  str(FIXTURES / "broken_jacobi.alg"))
+        assert code == 1
+        assert "invalid:" in err and "must be an integer" not in err
+        bad = tmp_path / "bad.alg"
+        bad.write_text("algebra h3\ndim 3\nbasis X Y Z\nbracket X Y = Z\n"
+                       "subalgebra X; Y; Z\nfunctional 0, 0, 1\n")
+        code, _out, err = run_cli("validate", str(bad))
+        assert code == 1
+        assert "invalid:" in err and "must be an integer" not in err
+        code, _out, err = run_cli("validate", corpus_file("axb_f1"))
+        assert code == 1
+        assert "must be an integer" in err
+
 
 class TestVerdict:
     @pytest.mark.parametrize("name", CORPUS_NAMES)

@@ -35,6 +35,28 @@ FAMILIES_LARGE = (
     + [_families.diagonal(k, m) for k in range(8, 21) for m in (1, k)])
 
 
+# Some of them again in a random basis of g and of h.  The chart
+# coordinates then mix, so pencil entries become dense linear forms; on
+# h_{2k+1} with a Lagrangian h the pencil is one matrix times such a form.
+CHANGED_BASIS = (
+    [_families.heisenberg(k, "lagrangian") for k in (4, 7, 10)]
+    + [_families.borel(4, "cartan"), _families.borel(5, "cartan"),
+       _families.borel(5, "nilradical")]
+    + [_families.diagonal(8, m) for m in (1, 8)])
+
+
+def _in_random_basis(problem) -> oa.MonomialDatum:
+    pf = oa.parse(problem.text)
+    rng = random.Random(problem.name)
+    Q = random_invertible(rng, problem.n)
+    Qinv = invert(Q)
+    rows = [[dot(r, col) for col in zip(*Qinv)] for r in pf.subalgebra_rows]
+    A = random_invertible(rng, problem.m)
+    rows = [[dot(a, col) for col in zip(*rows)] for a in A]
+    f = [dot(a, pf.functional_vals) for a in A]
+    return oa.build_datum(transform_algebra(pf.algebra, Q), rows, f)
+
+
 class TestMomentMatrix:
     def test_h3_yz_rows(self, h3):
         D = oa.build_datum(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
@@ -155,6 +177,14 @@ class TestGenericRank:
         b = oa.generic_h_orbit_dim(D, trials=10, bound=1000, seed=42)
         assert a == b
 
+    def test_rank_at_reads_points_exactly(self, h3):
+        D = oa.build_datum(h3, [h3.vector(X=1)], [0])
+        for x in [("1/2", "3"), (0.5, 0), ("0", "-7/3"), (0, 0)]:
+            l = oa.point_on_variety(D, [Fraction(v) for v in x])
+            assert moment.rank_at(D, x) == oa.moment_matrix(D, l).rank()
+        assert {moment.rank_at(D, x) for x in [("1/3", 0), (0, "1/3")]} \
+            == {0, 1}
+
     def test_trials_must_be_positive(self, h3):
         D = oa.build_datum(h3, [], [])
         with pytest.raises(ValueError):
@@ -165,8 +195,9 @@ class TestSymbolicRank:
     def test_axb_constant_entry(self, axb):
         D = oa.build_datum(axb, [axb.vector(X=1)], [1])
         entries = moment.symbolic_moment_entries(D)
+        # M(x) = (0, -1) at every x: its span is one matrix, one variable
         assert str(entries[0][0]) == "0"
-        assert str(entries[0][1]) == "-1"
+        assert str(entries[0][1]) == "1*x1"
         res = oa.symbolic_generic_rank(D)
         assert res.d_tau == 1 and res.method == "symbolic"
 
@@ -199,52 +230,70 @@ class TestSymbolicRank:
         assert res.d_tau == ORACLES[name][0]
 
 
+def _var(nvars, i):
+    return Poly.affine(0, [int(k == i) for k in range(nvars)])
+
+
+def _const(nvars, value):
+    return Poly.affine(value, [0] * nvars)
+
+
 class TestPolyDivision:
     def test_exact_quotient(self):
-        x = Poly.variable(1, 0)
-        one = Poly.const(1, 1)
+        x, one = _var(1, 0), _const(1, 1)
         assert (x * x - one) // (x - one) == x + one
 
     def test_multivariate_quotient(self):
-        x, y = Poly.variable(2, 0), Poly.variable(2, 1)
-        a = x + Poly.const(2, 3) * y
-        b = x * y - Poly.const(2, 2)
+        x, y = _var(2, 0), _var(2, 1)
+        a = x + _const(2, 3) * y
+        b = x * y - _const(2, 2)
         assert (a * b) // b == a
         assert (a * b) // a == b
 
+    def test_rational_quotient(self):
+        x, y = _var(2, 0), _var(2, 1)
+        a = _const(2, 2) * x - _const(2, 3) * y
+        assert (a * x) // (_const(2, 4) * x) == _const(2, Fraction(1, 4)) * a
+
     def test_inexact_quotient_raises(self):
-        x = Poly.variable(1, 0)
-        one = Poly.const(1, 1)
+        x, one = _var(1, 0), _const(1, 1)
         with pytest.raises(ValueError):
             (x * x + one) // (x - one)
 
     def test_division_by_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
-            Poly.variable(1, 0) // Poly.const(1, 0)
+            _var(1, 0) // _const(1, 0)
 
 
 class TestPolyDeterminant:
     """Bareiss elimination over Poly: its last pivot is +-det when full rank."""
 
+    def test_work_limit(self):
+        x, y, one = _var(2, 0), _var(2, 1), _const(2, 1)
+        mat = [[x + y, one, x], [one, y, one], [x, one, y + one]]
+        # the first step alone counts 11 term products
+        with pytest.raises(oa.WorkLimitError):
+            bareiss([row[:] for row in mat], size=len, limit=5)
+        assert bareiss([row[:] for row in mat], size=len, limit=10 ** 3)[0] \
+            == 3
+
     def test_two_by_two(self):
-        x = Poly.variable(1, 0)
-        one = Poly.const(1, 1)
+        x, one = _var(1, 0), _const(1, 1)
         rank, det = bareiss([[x, one], [one, x]])
         assert rank == 2
-        # x^2 - 1
-        assert det.evaluate((3,)) == 8
-        assert det.evaluate((1,)) == 0
+        assert det == x * x - one
 
     def test_matches_numeric_determinant(self):
         rng = random.Random(2024)
-        for trial in range(60):
+        for trial in range(120):
             k = rng.randint(1, 5)
             mat = [[random_vector(rng, 1)[0] for _ in range(k)]
                    for _ in range(k)]
             if trial % 3 == 0 and k > 1:  # force a singular matrix
                 mat[-1] = [2 * a - b for a, b in zip(mat[0], mat[1])]
-            polymat = [[Poly.const(0, v) for v in row] for row in mat]
-            rank, pivot = bareiss(polymat)
+            polymat = [[_const(0, v) for v in row] for row in mat]
+            # both pivot rules: column order and smallest entry
+            rank, pivot = bareiss(polymat, size=len if trial % 2 else None)
             assert rank == rank_exact(mat)
             # cofactor expansion oracle
             def cof(m):
@@ -257,7 +306,8 @@ class TestPolyDeterminant:
                     total += term if j % 2 == 0 else -term
                 return total
             if rank == k:
-                assert abs(pivot.evaluate(())) == abs(cof(mat))
+                assert pivot.terms == (((), pivot.terms[0][1]),)
+                assert abs(pivot.terms[0][1]) == abs(cof(mat))
             else:
                 assert cof(mat) == 0
 
@@ -303,6 +353,31 @@ class TestRouteAgreementLarge:
         prob = oa.generic_h_orbit_dim(D)
         assert sym.d_tau == prob.d_tau == problem.answer.d_tau
         assert moment.rank_at(D, sym.witness) == sym.d_tau
+
+    @pytest.mark.parametrize("problem", CHANGED_BASIS,
+                             ids=[p.name for p in CHANGED_BASIS])
+    def test_routes_match_in_a_random_basis(self, problem):
+        D = _in_random_basis(problem)
+        sym = oa.symbolic_generic_rank(D)
+        prob = oa.generic_h_orbit_dim(D)
+        assert sym.d_tau == prob.d_tau == problem.answer.d_tau
+        assert moment.rank_at(D, sym.witness) == sym.d_tau
+
+    def test_work_limit_stops_a_dense_elimination(self):
+        # [Y_i, X_j] = Z_ij, h = span{Y_i}, f = 0: M(l) is the generic 7 x 7
+        # matrix (l(Z_ij)), whose minors have up to 7! terms
+        k = 7
+        ys = [f"Y{i}" for i in range(k)]
+        xs = [f"X{j}" for j in range(k)]
+        zs = [[f"Z{i}_{j}" for j in range(k)] for i in range(k)]
+        L = oa.from_brackets(
+            "generic7", ys + xs + [z for row in zs for z in row],
+            {(ys[i], xs[j]): {zs[i][j]: 1}
+             for i in range(k) for j in range(k)})
+        D = oa.build_datum(L, [L.vector(**{y: 1}) for y in ys], [0] * k)
+        with pytest.raises(oa.WorkLimitError):
+            oa.symbolic_generic_rank(D)
+        assert oa.generic_h_orbit_dim(D).d_tau == k
 
 
 class TestBasisInvariance:

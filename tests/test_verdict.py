@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import orbitadm as oa
+from orbitadm import moment
 from orbitadm import verdict as verdict_mod
 from orbitadm.moment import GenericRankResult
 
@@ -116,6 +117,18 @@ class TestFullReport:
         assert rep.generic_symbolic.d_tau == rep.generic.d_tau == 1
         assert rep.spectral.status == "Singular"
         assert not any("threshold" in w for w in rep.warnings)
+
+    def test_work_limit_leaves_the_sampled_route_deciding(
+            self, corpus_problems, monkeypatch):
+        monkeypatch.setattr(moment, "SYMBOLIC_WORK_LIMIT", 0)
+        pf = corpus_problems["h5_y1y2"]
+        cfg = oa.AnalysisConfig(force_symbolic=True)
+        rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
+                             pf.functional_vals, cfg)
+        assert rep.generic_symbolic is None
+        assert rep.generic.method == "probabilistic"
+        assert rep.spectral.d_tau == ORACLES["h5_y1y2"][0]
+        assert any("work limit" in w for w in rep.warnings)
 
     def test_large_dimension_forced_symbolic(self):
         L = make_abelian(9)
