@@ -1,20 +1,23 @@
 """Finite-dimensional real Lie algebras with exact rational structure constants.
 
-A ``LieAlgebra`` stores the dense table c[i][j][k] meaning
-[Z_i, Z_j] = sum_k c[i][j][k] Z_k with all coefficients ``Fraction``.
-Brackets, adjoint matrices, and the structural classification (solvable,
-nilpotent, unimodular, exponential-by-sampling) are computed from it.
+A ``LieAlgebra`` is built from the table c[i][j][k] meaning
+[Z_i, Z_j] = sum_k c[i][j][k] Z_k with all coefficients ``Fraction``; c is
+its constructor and serialisation format.  On construction it derives the
+sparse view ``nonzero[i][j]``, the (k, c[i][j][k]) pairs with a nonzero
+coefficient, and brackets, adjoint matrices, validation and the structural
+classification (solvable, nilpotent, unimodular, exponential-by-sampling)
+all read that view, so their cost follows the nonzero constants, not n^3.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .linalg import mat_vec, rank_exact, rref
+from .linalg import rref
 
 Vector = tuple[Fraction, ...]
 
@@ -52,6 +55,14 @@ class LieAlgebra:
     name: str
     basis_names: tuple[str, ...]
     c: tuple[tuple[Vector, ...], ...]  # c[i][j][k]
+    # nonzero[i][j]: the (k, c[i][j][k]) pairs with c[i][j][k] != 0, k rising
+    nonzero: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "nonzero", tuple(
+            tuple(tuple((k, q) for k, q in enumerate(w) if q) for w in plane)
+            for plane in self.c))
 
     @property
     def dim(self) -> int:
@@ -102,51 +113,55 @@ def validate(L: LieAlgebra) -> list[Violation]:
     """Exact check of antisymmetry and the Jacobi identity.
 
     Violations are returned as data; an empty list certifies the table.
+    Both checks run over the nonzero constants only: antisymmetry on the
+    pairs (i <= j) with a nonzero entry either way, Jacobi by expanding the
+    cyclic sum through nonzero entries.
     """
     n = L.dim
+    nz = L.nonzero
     out: list[Violation] = []
     for i in range(n):
         for j in range(i, n):
-            for k in range(n):
-                s = L.c[i][j][k] + L.c[j][i][k]
-                if s != 0:
-                    out.append(Violation("antisymmetry", (i, j, k), s))
+            if not (nz[i][j] or nz[j][i]):
+                continue
+            sums: dict[int, Fraction] = {}
+            for k, q in nz[i][j] + nz[j][i]:
+                sums[k] = sums.get(k, 0) + q
+            out.extend(Violation("antisymmetry", (i, j, k), sums[k])
+                       for k in sorted(sums) if sums[k] != 0)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                res = [Fraction(0)] * n
+                res: dict[int, Fraction] = {}
                 for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
                     # [[Z_a, Z_b], Z_c] expanded through the table
-                    for p in range(n):
-                        coeff = L.c[a][b][p]
-                        if coeff == 0:
-                            continue
-                        for q in range(n):
-                            res[q] += coeff * L.c[p][cc][q]
-                if any(x != 0 for x in res):
-                    out.append(Violation("jacobi", (i, j, k), tuple(res)))
+                    for p, coeff in nz[a][b]:
+                        for q, r in nz[p][cc]:
+                            res[q] = res.get(q, 0) + coeff * r
+                if any(res.values()):
+                    out.append(Violation("jacobi", (i, j, k), tuple(
+                        Fraction(res.get(q, 0)) for q in range(n))))
     return out
 
 
+def _nonzero_coords(u) -> list[tuple[int, Fraction]]:
+    return [(i, x if type(x) is Fraction else Fraction(x))
+            for i, x in enumerate(u) if x]
+
+
 def bracket(L: LieAlgebra, u, v) -> Vector:
-    """[u, v] by bilinear expansion of the structure constants."""
+    """[u, v] by bilinear expansion over the nonzero structure constants."""
     n = L.dim
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(
             f"bracket arguments must have length {n}, got {len(u)} and {len(v)}")
     out = [Fraction(0)] * n
-    for i in range(n):
-        ui = Fraction(u[i])
-        if ui == 0:
-            continue
-        for j in range(n):
-            vj = Fraction(v[j])
-            if vj == 0:
-                continue
-            piece = L.c[i][j]
-            for k in range(n):
-                if piece[k] != 0:
-                    out[k] += ui * vj * piece[k]
+    vs = _nonzero_coords(v)
+    for i, ui in _nonzero_coords(u):
+        plane = L.nonzero[i]
+        for j, vj in vs:
+            for k, q in plane[j]:
+                out[k] += ui * vj * q
     return tuple(out)
 
 
@@ -155,8 +170,12 @@ def ad_matrix(L: LieAlgebra, u) -> list[list[Fraction]]:
     n = L.dim
     if len(u) != n:
         raise DimensionMismatchError(f"expected length {n}, got {len(u)}")
-    cols = [bracket(L, u, L.basis_vector(j)) for j in range(n)]
-    return [[cols[j][k] for j in range(n)] for k in range(n)]
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for i, ui in _nonzero_coords(u):
+        for j, pairs in enumerate(L.nonzero[i]):
+            for k, q in pairs:
+                mat[k][j] += ui * q
+    return mat
 
 
 def ad_trace(L: LieAlgebra, u) -> Fraction:
@@ -176,43 +195,41 @@ class StructureReport:
     exponentiality_witness: Vector | None = None
 
 
-def _bracket_span(L: LieAlgebra, rows_a, rows_b):
-    """rref basis of span{[a, b] : a in rows_a, b in rows_b}."""
-    prods = [bracket(L, a, b) for a in rows_a for b in rows_b]
-    prods = [p for p in prods if any(x != 0 for x in p)]
-    if not prods:
-        return []
-    basis, _ = rref(prods)
-    return basis
+def _span(vectors) -> list[list[Fraction]]:
+    """rref basis of the span of vectors."""
+    vectors = [v for v in vectors if any(x != 0 for x in v)]
+    return rref(vectors)[0] if vectors else []
+
+
+def _series(L: LieAlgebra, step) -> tuple[int, ...]:
+    """Dimensions of [g, g], step([g, g]), ... while they strictly decrease.
+
+    [g, g] is the span of the planes c[i][j] the sparse view marks nonzero;
+    step maps the rref basis of one term to that of the next.
+    """
+    dims = [L.dim]
+    current = _span(L.c[i][j] for i, plane in enumerate(L.nonzero)
+                    for j, pairs in enumerate(plane) if pairs)
+    while len(current) < dims[-1]:
+        dims.append(len(current))
+        current = step(current)
+    return tuple(dims)
 
 
 def derived_series_dims(L: LieAlgebra) -> tuple[int, ...]:
     """Dimensions n = dim g^(0) > dim g^(1) > ... until the series stabilizes.
 
     Strictly decreasing by construction; ends in 0 exactly when L is solvable.
+    [b, a] = -[a, b], so each step brackets only the pairs a before b.
     """
-    current = [list(L.basis_vector(i)) for i in range(L.dim)]
-    dims = [L.dim]
-    while dims[-1] > 0:
-        nxt = _bracket_span(L, current, current)
-        if len(nxt) == dims[-1]:
-            break  # stabilized above zero: not solvable
-        dims.append(len(nxt))
-        current = nxt
-    return tuple(dims)
+    return _series(L, lambda rows: _span(
+        bracket(L, a, b) for s, a in enumerate(rows) for b in rows[s + 1:]))
 
 
 def lower_central_dims(L: LieAlgebra) -> tuple[int, ...]:
-    full = [list(L.basis_vector(i)) for i in range(L.dim)]
-    current = full
-    dims = [L.dim]
-    while dims[-1] > 0:
-        nxt = _bracket_span(L, full, current)
-        if len(nxt) == dims[-1]:
-            break
-        dims.append(len(nxt))
-        current = nxt
-    return tuple(dims)
+    basis = [L.basis_vector(i) for i in range(L.dim)]
+    return _series(L, lambda rows: _span(
+        bracket(L, z, b) for z in basis for b in rows))
 
 
 def _random_rational_vector(rng: random.Random, n: int) -> Vector:
@@ -234,7 +251,8 @@ def exponentiality_screen(L: LieAlgebra, samples: int, seed: int,
     for _ in range(samples):
         candidates.append(_random_rational_vector(rng, L.dim))
     for u in candidates:
-        mat = np.array([[float(x) for x in row] for row in ad_matrix(L, u)],
+        mat = np.array([[float(x) if x else 0.0 for x in row]
+                        for row in ad_matrix(L, u)],
                        dtype=float)
         for lam in np.linalg.eigvals(mat):
             if abs(lam.real) <= tol_im and abs(lam) > tol_im:

@@ -28,7 +28,8 @@ class WorkLimitError(ArithmeticError):
 
 
 def as_fraction_rows(mat) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in mat]
+    return [[x if type(x) is Fraction else Fraction(x) for x in row]
+            for row in mat]
 
 
 def cleared_int_rows(mat) -> list[list[int]]:
@@ -230,4 +231,5 @@ def mat_vec(a, v) -> list[Fraction]:
 
 
 def dot(u, v) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(u, v)), Fraction(0))
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(u, v) if x and y),
+               Fraction(0))

@@ -77,11 +77,9 @@ class StabilizerReport:
 
 def skew_form_matrix(D: MonomialDatum, l) -> list[list[Fraction]]:
     """B(l)[i][j] = l([Z_i, Z_j]) over the original basis; skew-symmetric."""
-    L = D.algebra
     lv = [Fraction(v) for v in l]
-    n = L.dim
-    return [[sum((L.c[i][j][k] * lv[k] for k in range(n)), Fraction(0))
-             for j in range(n)] for i in range(n)]
+    return [[sum((q * lv[k] for k, q in pairs), Fraction(0))
+             for pairs in plane] for plane in D.algebra.nonzero]
 
 
 def stabilizer_report(D: MonomialDatum, l) -> StabilizerReport:

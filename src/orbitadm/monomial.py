@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import DimensionMismatchError, LieAlgebra, bracket
-from .linalg import (dot, in_row_space, invert, rank_exact,
+from .linalg import (dot, in_row_space, invert, nullspace, rank_exact,
                      reduce_against, rref, solve_exact)
 
 Vector = tuple[Fraction, ...]
@@ -155,21 +155,18 @@ def adapt_basis(L: LieAlgebra, Hsub: Subalgebra,
     """Complete the generators to a basis of g, greedily and deterministically.
 
     Completion vectors are standard basis vectors e_k, taken in index order,
-    each kept iff it is independent of what came before.
+    each kept iff it is independent of what came before.  That holds iff
+    column k of a matrix with kernel h (the rows of a basis of h^perp) is
+    independent of the columns before it: one rref, whose pivot columns
+    are the kept k.
     """
     if Hsub.algebra is not L:
         raise ValueError("subalgebra was built over a different algebra")
     if f.m != Hsub.m:
         raise DimensionMismatchError("functional does not match subalgebra")
     n, m = L.dim, Hsub.m
-    chosen = [list(r) for r in Hsub.rows]
-    for k in range(n):
-        if len(chosen) == n:
-            break
-        trial = chosen + [list(L.basis_vector(k))]
-        if rank_exact(trial) == len(trial):
-            chosen = trial
-    adapted = tuple(tuple(x for x in row) for row in chosen)
+    _, kept = rref(nullspace(Hsub.rref_rows, n_cols=n))
+    adapted = Hsub.rows + tuple(L.basis_vector(k) for k in kept)
     inv = tuple(tuple(row) for row in invert(adapted))
     table = tuple(
         tuple(bracket(L, Hsub.rows[i], adapted[j]) for j in range(n))

@@ -2,7 +2,7 @@
 
     algebra NAME
     dim INT
-    basis ID ...                        # exactly dim distinct names
+    basis ID ...                        # exactly dim distinct names, <= 128
     bracket ID ID = term [+ term ...]   # omitted pairs bracket to zero
     subalgebra gen [; gen ...]          # gen := term [+ term ...]
     functional RAT [, RAT ...]          # one value per generator, in order
@@ -40,6 +40,10 @@ _TOKEN_RE = re.compile(r"""
   | (?P<SPACE>[ \t]+)
   | (?P<BAD>.)
 """, re.VERBOSE)
+
+# The structure-constant table holds n^3 entries, so a longer basis line
+# is refused before anything is allocated for it.
+MAX_BASIS_NAMES = 128
 
 CONFIG_KEYS = {
     "seed": int,
@@ -196,7 +200,11 @@ def parse(source: str) -> ProblemFile:
     n = int(dim_tok.text)
 
     line = next_line("'basis'")
-    line.take("ID", "'basis'", "basis")
+    basis_tok = line.take("ID", "'basis'", "basis")
+    if len(line.tokens) - 1 > MAX_BASIS_NAMES:
+        raise ParseError(basis_tok.line, basis_tok.col,
+                         f"basis lists {len(line.tokens) - 1} names; at most "
+                         f"{MAX_BASIS_NAMES} are supported")
     basis: list[str] = []
     while line.peek() is not None:
         tok = line.take("ID", "a basis name")

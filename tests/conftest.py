@@ -8,9 +8,12 @@ tests compare computed results against it, never the other way round.
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,17 @@ ORACLES = {
 }
 
 FREE_NAMES = [n for n, (d, m, *_rest) in ORACLES.items() if d == m]
+
+
+def load_bench_families():
+    """The benchmark's generators (bench/families.py), loaded read-only;
+    their answers are derived by hand."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("bench_families", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_problem(name: str) -> oa.ProblemFile:

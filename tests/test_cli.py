@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -8,9 +9,15 @@ import orbitadm.cli as cli
 import orbitadm.verdict as verdict_mod
 from orbitadm.moment import GenericRankResult
 
-from conftest import CORPUS_NAMES, ORACLES, run_cli
+from conftest import CORPUS_NAMES, ORACLES, load_bench_families, run_cli
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+_families = load_bench_families()
+# reports frozen before the structure constants became sparse
+LARGE_FROZEN = [_families.heisenberg(4, "lagrangian"),
+                _families.borel(5, "cartan"), _families.borel(6, "nilradical"),
+                _families.diagonal(12, 12)]
 
 
 @pytest.fixture(autouse=True)
@@ -95,6 +102,19 @@ class TestValidate:
         assert code == 1
         assert "parse error: line 4" in err
 
+    def test_thousand_name_basis_exits_one_quickly(self, tmp_path):
+        # a dense table for this line would hold 10^9 entries
+        names = " ".join(f"Z_{i}" for i in range(1000))
+        bad = tmp_path / "huge.alg"
+        bad.write_text(f"algebra g\ndim 1000\nbasis {names}\n")
+        assert len(bad.read_bytes()) > 5000
+        start = time.perf_counter()
+        code, out, err = run_cli("verdict", str(bad))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("parse error: line 3, column 1:")
+        assert "Traceback" not in err
+
     def test_bad_character_exits_one(self, tmp_path):
         bad = tmp_path / "bad.alg"
         bad.write_text("algebra h3\ndim 3\nbasis X Y Z\nbracket X Y = Z\n"
@@ -134,6 +154,18 @@ class TestVerdict:
                                  "--seed", "7", "--json")
         assert code == 0, err
         assert out == (FIXTURES / f"{name}.verdict.json").read_text()
+
+    @pytest.mark.parametrize("problem", LARGE_FROZEN, ids=lambda p: p.name)
+    @pytest.mark.parametrize("extra, suffix", [((), "txt"),
+                                               (("--json",), "json")])
+    def test_large_reports_match_frozen_fixture(self, problem, extra, suffix,
+                                                tmp_path):
+        path = tmp_path / f"{problem.name}.alg"
+        path.write_text(problem.text)
+        code, out, err = run_cli("verdict", str(path), "--seed", "5", *extra)
+        assert code == 0, err
+        frozen = FIXTURES / f"{problem.name}.seed5.verdict.{suffix}"
+        assert out == frozen.read_text()
 
     def test_text_mode_flattens_same_fields(self):
         code, out, _err = run_cli("verdict", corpus_file("heisenberg_yz"),

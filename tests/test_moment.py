@@ -1,8 +1,5 @@
-import importlib.util
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -11,21 +8,12 @@ from orbitadm import moment
 from orbitadm.linalg import bareiss, dot, invert, matmul, rank_exact
 from orbitadm.poly import Poly
 
-from conftest import (CORPUS_NAMES, ORACLES, load_datum, make_abelian,
-                      random_invertible, random_vector, transform_algebra)
+from conftest import (CORPUS_NAMES, ORACLES, load_bench_families, load_datum,
+                      make_abelian, random_invertible, random_vector,
+                      transform_algebra)
 
 
-def _load_bench_families():
-    """The benchmark's generators, whose answers are derived by hand."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
-    spec = importlib.util.spec_from_file_location("bench_families", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-_families = _load_bench_families()
+_families = load_bench_families()
 # the cases of the benchmark's families-large workload, n = 9..21
 FAMILIES_LARGE = (
     [_families.heisenberg(k, sub) for k in range(4, 11)

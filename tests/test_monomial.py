@@ -6,6 +6,7 @@ import pytest
 
 import orbitadm as oa
 from orbitadm.geometry import coadjoint_apply_factors
+from orbitadm.linalg import rank_exact
 
 from conftest import (CORPUS_NAMES, make_abelian, make_h3, random_dyadic,
                       random_vector)
@@ -97,6 +98,28 @@ class TestAdaptBasis:
         D = oa.build_datum(L, [L.vector(E2=1)], [0])
         assert D.adapted_rows[1] == L.vector(E1=1)
         assert D.adapted_rows[2] == L.vector(E3=1)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_greedy_rank_trials(self, seed):
+        # reference: one rank trial per standard vector, in index order.
+        # Every subspace of an abelian algebra is a subalgebra.
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        m = rng.randint(0, n)
+        L = make_abelian(n)
+        rows = []
+        while len(rows) < m:
+            row = tuple(rng.choice((0, 0, 0, 1, -2, Fraction(1, 3)))
+                        for _ in range(n))
+            if rank_exact(rows + [row]) == len(rows) + 1:
+                rows.append(row)
+        chosen = [list(r) for r in rows]
+        for k in range(n):
+            trial = chosen + [list(L.basis_vector(k))]
+            if rank_exact(trial) == len(trial):
+                chosen = trial
+        D = oa.build_datum(L, rows, [0] * len(rows))
+        assert D.adapted_rows == tuple(tuple(r) for r in chosen)
 
 
 class TestPointOnVariety:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import orbitadm as oa
-from orbitadm.problemfile import parse_rational_list
+from orbitadm.problemfile import MAX_BASIS_NAMES, parse_rational_list
 
 from conftest import CORPUS_NAMES, load_problem
 
@@ -119,6 +119,17 @@ class TestParseErrors:
         e = err("algebra g\ndim 2\nbasis A A\n")
         assert (e.line, e.col) == (3, 9)
         assert "duplicate basis name 'A'" in e.message
+
+    def test_basis_line_past_the_limit(self):
+        names = " ".join(f"Z{i}" for i in range(MAX_BASIS_NAMES + 1))
+        e = err(f"algebra g\ndim {MAX_BASIS_NAMES + 1}\n  basis {names}\n")
+        assert (e.line, e.col) == (3, 3)
+        assert f"at most {MAX_BASIS_NAMES}" in e.message
+
+    def test_basis_line_at_the_limit_passes_the_guard(self):
+        names = " ".join(f"Z{i}" for i in range(MAX_BASIS_NAMES))
+        e = err(f"algebra g\ndim {MAX_BASIS_NAMES - 1}\nbasis {names}\n")
+        assert f"{MAX_BASIS_NAMES} names for dim" in e.message
 
     def test_zero_dimension(self):
         e = err("algebra g\ndim 0\nbasis\n")

@@ -1,0 +1,192 @@
+"""The sparse structure-constant readers against dense reference loops.
+
+``dense_bracket``, ``dense_ad_matrix``, ``dense_validate`` and
+``dense_series`` are the loops over the full n x n x n table c[i][j][k]
+that the sparse view ``LieAlgebra.nonzero`` replaced.  On random rational
+tables (Lie algebras in random bases, and tables with injected
+antisymmetry and Jacobi faults) the sparse code must return exactly what
+they return: the same vectors, matrices and violation lists, in order.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import orbitadm as oa
+from orbitadm import algebra
+from orbitadm.linalg import rref
+
+from conftest import (make_abelian, make_axb, make_h3, make_motion, make_sl2,
+                      random_invertible, transform_algebra)
+
+
+def dense_validate(L):
+    n = L.dim
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                s = L.c[i][j][k] + L.c[j][i][k]
+                if s != 0:
+                    out.append(algebra.Violation("antisymmetry", (i, j, k), s))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                res = [Fraction(0)] * n
+                for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
+                    for p in range(n):
+                        coeff = L.c[a][b][p]
+                        if coeff == 0:
+                            continue
+                        for q in range(n):
+                            res[q] += coeff * L.c[p][cc][q]
+                if any(x != 0 for x in res):
+                    out.append(algebra.Violation("jacobi", (i, j, k),
+                                                 tuple(res)))
+    return out
+
+
+def dense_bracket(L, u, v):
+    n = L.dim
+    out = [Fraction(0)] * n
+    for i in range(n):
+        ui = Fraction(u[i])
+        if ui == 0:
+            continue
+        for j in range(n):
+            vj = Fraction(v[j])
+            if vj == 0:
+                continue
+            piece = L.c[i][j]
+            for k in range(n):
+                if piece[k] != 0:
+                    out[k] += ui * vj * piece[k]
+    return tuple(out)
+
+
+def dense_ad_matrix(L, u):
+    n = L.dim
+    cols = [dense_bracket(L, u, L.basis_vector(j)) for j in range(n)]
+    return [[cols[j][k] for j in range(n)] for k in range(n)]
+
+
+def _dense_bracket_span(L, rows_a, rows_b):
+    prods = [dense_bracket(L, a, b) for a in rows_a for b in rows_b]
+    prods = [p for p in prods if any(x != 0 for x in p)]
+    return rref(prods)[0] if prods else []
+
+
+def dense_series(L, lower: bool):
+    """Derived (lower=False) or lower central series dimensions."""
+    full = [list(L.basis_vector(i)) for i in range(L.dim)]
+    current = full
+    dims = [L.dim]
+    while dims[-1] > 0:
+        nxt = _dense_bracket_span(L, full if lower else current, current)
+        if len(nxt) == dims[-1]:
+            break
+        dims.append(len(nxt))
+        current = nxt
+    return tuple(dims)
+
+
+def _twist() -> oa.LieAlgebra:
+    # R^2 ⋉ R^2, ad A = I + J and ad B = I - J: solvable, not nilpotent
+    return oa.from_brackets("twist", ("A", "B", "X", "Y"), {
+        ("A", "X"): {"X": 1, "Y": 1}, ("A", "Y"): {"X": -1, "Y": 1},
+        ("B", "X"): {"X": 1, "Y": -1}, ("B", "Y"): {"X": 1, "Y": 1}})
+
+
+def _h5() -> oa.LieAlgebra:
+    return oa.from_brackets("h5", ("X1", "X2", "Y1", "Y2", "Z"), {
+        ("X1", "Y1"): {"Z": 1}, ("X2", "Y2"): {"Z": 1}})
+
+
+def _filiform() -> oa.LieAlgebra:
+    # [X, E_i] = E_{i+1}: nilpotent of class 3
+    return oa.from_brackets("filiform", ("X", "E1", "E2", "E3"), {
+        ("X", "E1"): {"E2": 1}, ("X", "E2"): {"E3": 1}})
+
+
+def _graded_h3() -> oa.LieAlgebra:
+    # R ⋉ h3 by the grading derivation: derived series [4, 3, 1, 0]
+    return oa.from_brackets("graded_h3", ("A", "X", "Y", "Z"), {
+        ("A", "X"): {"X": 1}, ("A", "Y"): {"Y": 1}, ("A", "Z"): {"Z": 2},
+        ("X", "Y"): {"Z": 1}})
+
+
+LIE_ALGEBRAS = [make_h3(), make_axb(), make_abelian(2), make_motion(),
+                make_sl2(), _twist(), _h5(), _filiform(), _graded_h3()]
+
+rationals = st.one_of(
+    st.just(0), st.just(0),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def lie_algebras(draw):
+    """A Lie algebra from LIE_ALGEBRAS, as given or in a random basis."""
+    L = draw(st.sampled_from(LIE_ALGEBRAS))
+    seed = draw(st.none() | st.integers(0, 10 ** 6))
+    if seed is None:
+        return L
+    Q = random_invertible(random.Random(seed), L.dim)
+    return transform_algebra(L, Q)
+
+
+@st.composite
+def faulty_tables(draw):
+    """A random antisymmetric table (Jacobi generally fails), with
+    one-sided entries and planes injected to break antisymmetry."""
+    n = draw(st.integers(1, 5))
+    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                q = draw(rationals)
+                table[i][j][k], table[j][i][k] = q, -q
+    cells = st.tuples(*[st.integers(0, n - 1)] * 3)
+    for (i, j, k), q in draw(st.lists(st.tuples(cells, rationals),
+                                      max_size=4)):
+        table[i][j][k] = Fraction(q)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(pairs, max_size=2)):
+        table[i][j] = [draw(rationals) for _ in range(n)]
+    c = tuple(tuple(tuple(row) for row in plane) for plane in table)
+    return oa.LieAlgebra(name="t", basis_names=tuple(
+        f"Z{i}" for i in range(n)), c=c)
+
+
+def _vector(n):
+    return st.lists(st.one_of(rationals, st.integers(-3, 3)),
+                    min_size=n, max_size=n)
+
+
+def _check_readers(L, data):
+    u = data.draw(_vector(L.dim))
+    v = data.draw(_vector(L.dim))
+    assert oa.bracket(L, u, v) == dense_bracket(L, u, v)
+    assert oa.ad_matrix(L, u) == dense_ad_matrix(L, u)
+    got, want = oa.validate(L), dense_validate(L)
+    assert got == want
+    assert ([x.describe(L.basis_names) for x in got]
+            == [x.describe(L.basis_names) for x in want])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(L=lie_algebras(), data=st.data())
+def test_lie_algebras_in_random_bases(L, data):
+    _check_readers(L, data)
+    assert not oa.validate(L)
+    assert algebra.derived_series_dims(L) == dense_series(L, lower=False)
+    assert algebra.lower_central_dims(L) == dense_series(L, lower=True)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(L=faulty_tables(), data=st.data())
+def test_tables_with_injected_faults(L, data):
+    _check_readers(L, data)
