@@ -8,7 +8,7 @@
 from fractions import Fraction
 
 from orbitadm import (build_datum, from_brackets, moment_matrix,
-                      point_on_variety, stabilizer_report)
+                      point_on_variety, rank_at, stabilizer_report)
 
 L = from_brackets("h3", ("X", "Y", "Z"), {("X", "Y"): {"Z": 1}})
 D = build_datum(L, [L.vector(Y=1), L.vector(Z=1)], [0, 1])
@@ -21,14 +21,16 @@ print()
 # The moment matrix has entries l[Y_i, B_j] over the adapted columns.
 # Row Y: l[Y, Y] = 0, l[Y, Z] = 0, l[Y, X] = l(-Z) = -1.  Row Z: zero.
 # So M(l) is constant of rank 1 on the whole variety -- the subgroup
-# never acts freely and the spectral measure is singular.
+# never acts freely and the spectral measure is singular.  Points of the
+# variety are named by their chart coordinate a, as everywhere in the
+# library.
 for a in (Fraction(0), Fraction(5), Fraction(-3, 2)):
     l = point_on_variety(D, (a,))
-    M = moment_matrix(D, l)
-    print(f"l = {l}   M(l) = {M.entries}   rank {M.rank()}")
+    M = moment_matrix(D, (a,))
+    print(f"l = {l}   M(l) = {M}   rank {rank_at(D, (a,))}")
 
 print()
-sr = stabilizer_report(D, point_on_variety(D, (Fraction(5),)))
+sr = stabilizer_report(D, (Fraction(5),))
 print("at a = 5:")
 print("  dim H-orbit:", sr.dim_H_orbit)
 print("  h-stabilizer basis:", sr.h_stab_basis)

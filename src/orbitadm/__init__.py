@@ -21,7 +21,7 @@ from .geometry import (JacobianReport, ad_exp, coadjoint_apply,
                        coadjoint_apply_factors, expm, fd_jacobian,
                        numerical_rank, phi_in_chart)
 from .linalg import WorkLimitError, rank_exact
-from .moment import (GenericRankResult, MomentMatrix, StabilizerReport,
+from .moment import (GenericRankResult, StabilizerReport,
                      generic_h_orbit_dim, moment_matrix, rank_at,
                      skew_form_matrix, stabilizer_report,
                      symbolic_generic_rank)
@@ -44,7 +44,7 @@ __all__ = [
     "RankDeficientError", "NotClosedError", "NotACharacterError",
     "check_subalgebra", "check_character", "adapt_basis", "build_datum",
     "point_on_variety", "adapted_dual_coords",
-    "MomentMatrix", "StabilizerReport", "GenericRankResult",
+    "StabilizerReport", "GenericRankResult",
     "moment_matrix", "skew_form_matrix",
     "rank_exact", "rank_at", "stabilizer_report", "generic_h_orbit_dim",
     "WorkLimitError",

@@ -21,6 +21,9 @@ from .linalg import rref
 
 Vector = tuple[Fraction, ...]
 
+# random directions the exponentiality screen samples beyond the basis
+EXP_SCREEN_SAMPLES = 20
+
 
 class DimensionMismatchError(ValueError):
     """A vector or point has the wrong length for the ambient algebra."""
@@ -201,18 +204,29 @@ def _span(vectors) -> list[list[Fraction]]:
     return rref(vectors)[0] if vectors else []
 
 
-def _series(L: LieAlgebra, step) -> tuple[int, ...]:
-    """Dimensions of [g, g], step([g, g]), ... while they strictly decrease.
+def _commutator(L: LieAlgebra) -> list[list[Fraction]]:
+    """rref basis of [g, g]: the span of the planes marked nonzero."""
+    return _span(L.c[i][j] for i, plane in enumerate(L.nonzero)
+                 for j, pairs in enumerate(plane) if pairs)
 
-    [g, g] is the span of the planes c[i][j] the sparse view marks nonzero;
-    step maps the rref basis of one term to that of the next.
-    """
+
+def _derived_step(L: LieAlgebra, rows) -> list[list[Fraction]]:
+    # [b, a] = -[a, b], so only the pairs a before b are bracketed
+    return _span(bracket(L, a, b) for s, a in enumerate(rows)
+                 for b in rows[s + 1:])
+
+
+def _lower_central_step(L: LieAlgebra, rows) -> list[list[Fraction]]:
+    return _span(bracket(L, z, b) for z in map(L.basis_vector, range(L.dim))
+                 for b in rows)
+
+
+def _series(L: LieAlgebra, current, step) -> tuple[int, ...]:
+    """Dimensions of g, current, step(current), ... while they decrease."""
     dims = [L.dim]
-    current = _span(L.c[i][j] for i, plane in enumerate(L.nonzero)
-                    for j, pairs in enumerate(plane) if pairs)
     while len(current) < dims[-1]:
         dims.append(len(current))
-        current = step(current)
+        current = step(L, current)
     return tuple(dims)
 
 
@@ -220,16 +234,12 @@ def derived_series_dims(L: LieAlgebra) -> tuple[int, ...]:
     """Dimensions n = dim g^(0) > dim g^(1) > ... until the series stabilizes.
 
     Strictly decreasing by construction; ends in 0 exactly when L is solvable.
-    [b, a] = -[a, b], so each step brackets only the pairs a before b.
     """
-    return _series(L, lambda rows: _span(
-        bracket(L, a, b) for s, a in enumerate(rows) for b in rows[s + 1:]))
+    return _series(L, _commutator(L), _derived_step)
 
 
 def lower_central_dims(L: LieAlgebra) -> tuple[int, ...]:
-    basis = [L.basis_vector(i) for i in range(L.dim)]
-    return _series(L, lambda rows: _span(
-        bracket(L, z, b) for z in basis for b in rows))
+    return _series(L, _commutator(L), _lower_central_step)
 
 
 def _random_rational_vector(rng: random.Random, n: int) -> Vector:
@@ -260,7 +270,7 @@ def exponentiality_screen(L: LieAlgebra, samples: int, seed: int,
     return "PassedSampling", None
 
 
-def structure_report(L: LieAlgebra, exp_samples: int = 20,
+def structure_report(L: LieAlgebra, exp_samples: int = EXP_SCREEN_SAMPLES,
                      seed: int = 0) -> StructureReport:
     """Validate and classify: solvable / nilpotent / unimodular / exponential.
 
@@ -271,8 +281,9 @@ def structure_report(L: LieAlgebra, exp_samples: int = 20,
     screened by sampling; pass exp_samples=0 to record it as Skipped.
     """
     violations = tuple(validate(L))
-    der = derived_series_dims(L)
-    low = lower_central_dims(L)
+    commutator = _commutator(L)
+    der = _series(L, commutator, _derived_step)
+    low = _series(L, commutator, _lower_central_step)
     unimod = all(ad_trace(L, L.basis_vector(i)) == 0 for i in range(L.dim))
     if exp_samples <= 0:
         status, witness = "Skipped", None

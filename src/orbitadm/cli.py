@@ -15,12 +15,12 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .algebra import (DimensionMismatchError, exponentiality_screen,
-                      structure_report)
+from .algebra import (EXP_SCREEN_SAMPLES, DimensionMismatchError,
+                      exponentiality_screen, structure_report)
 from .geometry import fd_jacobian
 from .moment import stabilizer_report
 from .monomial import (NotACharacterError, NotClosedError, RankDeficientError,
-                       build_datum, point_on_variety)
+                       build_datum)
 from .problemfile import ParseError, parse, parse_rational_list
 from .report import (render_jacobian_text, render_json,
                      render_problem_summary, render_stabilizer_text,
@@ -104,7 +104,7 @@ def corpus_path(name: str) -> Path:
     return path
 
 
-def _resolve_seed(flag_value, file_config: dict, stderr) -> int:
+def _resolve_seed(flag_value, file_config: dict) -> int:
     if flag_value is not None:
         return flag_value
     if "seed" in file_config:
@@ -138,14 +138,15 @@ def _cmd_validate(args, out, err) -> int:
     build_datum(pf.algebra, pf.subalgebra_rows, pf.functional_vals)
     assume = args.assume_exponential or pf.config.get("assume_exponential",
                                                       False)
-    seed = _resolve_seed(args.seed, pf.config, err)
+    seed = _resolve_seed(args.seed, pf.config)
     if not report.is_solvable:
         print("precondition failed: the algebra is not solvable "
               f"(derived series dims {list(report.derived_series_dims)})",
               file=err)
         return EXIT_PRECONDITION
-    exponentiality, witness = (("Skipped", None) if assume else
-                               exponentiality_screen(pf.algebra, 20, seed))
+    exponentiality, witness = (
+        ("Skipped", None) if assume
+        else exponentiality_screen(pf.algebra, EXP_SCREEN_SAMPLES, seed))
     if exponentiality == "FailedWithWitness":
         witness = ", ".join(str(x) for x in witness)
         print("precondition failed: exponentiality screen found a witness "
@@ -164,7 +165,7 @@ def _cmd_validate(args, out, err) -> int:
 
 def _cmd_verdict(args, out, err) -> int:
     pf = _load(args.file)
-    seed = _resolve_seed(args.seed, pf.config, err)
+    seed = _resolve_seed(args.seed, pf.config)
     config = AnalysisConfig(
         trials=args.trials if args.trials is not None
         else pf.config.get("trials", 20),
@@ -201,7 +202,7 @@ def _datum_and_point(args):
 
 def _cmd_rank(args, out, err) -> int:
     datum, x = _datum_and_point(args)
-    sr = stabilizer_report(datum, point_on_variety(datum, x))
+    sr = stabilizer_report(datum, x)
     out.write(render_stabilizer_text(sr, datum.algebra.basis_names))
     return EXIT_OK
 

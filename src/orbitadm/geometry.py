@@ -135,7 +135,7 @@ def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
     in the chart directions.  The analytic prediction for the three marked
     blocks is M(l) (top-left), 0 (top-right), I (bottom-right); the
     bottom-left block is unconstrained.  x may be floats; they convert to
-    exact rationals, so the comparison matrix M(l) is computed exactly.
+    exact rationals, so the comparison matrix M(l_x) is computed exactly.
     """
     if h <= 0:
         raise ValueError("step must be positive")
@@ -161,9 +161,8 @@ def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
         cols.append((f([0.0] * n, xp) - f([0.0] * n, xm)) / (2 * h))
     J = np.column_stack(cols) if cols else np.zeros((n, 0))
 
-    l = point_on_variety(D, x_exact)
-    M = moment_matrix(D, l)
-    M_float = np.array([[float(v) for v in row] for row in M.entries],
+    M = moment_matrix(D, x_exact)
+    M_float = np.array([[float(v) for v in row] for row in M],
                        dtype=float).reshape(m, n)
     top_left = J[:m, :n] - M_float
     top_right = J[:m, n:]
@@ -175,5 +174,5 @@ def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
         max_dev_topright=dev(top_right),
         max_dev_bottomright=dev(bottom_right),
         numerical_rank_J=numerical_rank(J, rel_tol),
-        expected_rank=rank_exact(M.entries) + nfree,
+        expected_rank=rank_exact(M) + nfree,
     )

@@ -4,18 +4,20 @@ For l in g* the m x n moment matrix has entries M(l)[i][j] = l([Y_i, B_j])
 with B_j running over the adapted basis.  Its exact rank equals the
 dimension of the H-orbit of l, and the H-stabilizer subalgebra
 h(l) = { Y in h : l([Y, .]) = 0 } is the left kernel of M(l) pushed through
-the generators.  The generic value of that rank over the spectral variety,
+the generators.  Every reader takes l = l_x in A_tau by its chart point x
+and evaluates the datum's integer pencil M(x) = M_0 + sum x_r M_r, whose
+row i is row_scales[i] times that of M(l_x): rank_at ranks it as it is,
+moment_matrix divides the scales out.  The generic value of that rank,
 
     d_tau = max over l in A_tau of dim H.l,
 
-is computed two independent ways from the datum's integer pencil
-M(x) = M_0 + sum x_r M_r: by seeded random evaluation (exact rank at
-integer chart points, Schwartz-Zippel controlled) and by fraction-free
-elimination over the polynomial ring on a basis of the pencil's span,
-which certifies the rank in any dimension within a work limit.  The
-induced representation behaves qualitatively differently according to
-whether d_tau reaches m — whether H acts freely somewhere on A_tau — which
-is what the verdict layer consumes.
+is computed two independent ways from the pencil: by seeded random
+evaluation (exact rank at integer chart points, Schwartz-Zippel
+controlled) and by fraction-free elimination over the polynomial ring on
+a basis of the pencil's span, which certifies the rank in any dimension
+within a work limit.  The induced representation behaves qualitatively
+differently according to whether d_tau reaches m — whether H acts freely
+somewhere on A_tau — which is what the verdict layer consumes.
 """
 
 from __future__ import annotations
@@ -27,16 +29,16 @@ from fractions import Fraction
 from operator import mul
 
 from .algebra import DimensionMismatchError
-from .linalg import (bareiss, cleared_int_rows, dot, left_nullspace,
-                     nullspace, rank_exact, rref)
-from .monomial import MonomialDatum
+from .linalg import (bareiss, cleared_int_rows, left_nullspace, nullspace,
+                     rank_exact, rref)
+from .monomial import MonomialDatum, point_on_variety
 from .poly import Poly
 
 Vector = tuple[Fraction, ...]
 
 __all__ = [
-    "MomentMatrix", "StabilizerReport", "GenericRankResult",
-    "moment_matrix", "stabilizer_report", "generic_h_orbit_dim",
+    "StabilizerReport", "GenericRankResult",
+    "rank_at", "moment_matrix", "stabilizer_report", "generic_h_orbit_dim",
     "symbolic_generic_rank", "symbolic_moment_entries",
     "SYMBOLIC_WORK_LIMIT",
 ]
@@ -46,23 +48,24 @@ __all__ = [
 SYMBOLIC_WORK_LIMIT = 10 ** 6
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
-    entries: tuple[Vector, ...]  # m rows, n columns
-
-    def rank(self) -> int:
-        return rank_exact(self.entries)
-
-
-def moment_matrix(D: MonomialDatum, l) -> MomentMatrix:
-    if len(l) != D.n:
+def _scaled_moment(D: MonomialDatum, x) -> list[list]:
+    """The pencil at chart point x: M(l_x) with row i times row_scales[i]."""
+    if len(x) != D.n - D.m:
         raise DimensionMismatchError(
-            f"functional needs {D.n} coordinates, got {len(l)}")
-    lv = [Fraction(v) for v in l]
-    entries = tuple(
-        tuple(dot(lv, D.bracket_table[i][j]) for j in range(D.n))
-        for i in range(D.m))
-    return MomentMatrix(entries=entries)
+            f"chart point needs {D.n - D.m} coordinates, got {len(x)}")
+    xs = (1, *(v if type(v) is int else Fraction(v) for v in x))
+    return [[sum(map(mul, entry, xs)) for entry in row] for row in D.pencil]
+
+
+def rank_at(D: MonomialDatum, x) -> int:
+    """Exact rank of the moment matrix at chart point x, from the pencil."""
+    return rank_exact(_scaled_moment(D, x))
+
+
+def moment_matrix(D: MonomialDatum, x) -> tuple[Vector, ...]:
+    """The exact m x n moment matrix M(l_x) at chart point x."""
+    return tuple(tuple(Fraction(v, scale) for v in row) for row, scale
+                 in zip(_scaled_moment(D, x), D.row_scales))
 
 
 @dataclass(frozen=True)
@@ -82,24 +85,25 @@ def skew_form_matrix(D: MonomialDatum, l) -> list[list[Fraction]]:
              for pairs in plane] for plane in D.algebra.nonzero]
 
 
-def stabilizer_report(D: MonomialDatum, l) -> StabilizerReport:
-    """Orbit dimensions and stabilizer bases at one point of g*.
+def stabilizer_report(D: MonomialDatum, x) -> StabilizerReport:
+    """Orbit dimensions and stabilizer bases at the point l_x of A_tau.
 
     h(l) comes from the left kernel of M(l): a row combination a with
     a M(l) = 0 corresponds to the element sum a_i Y_i.  g(l) is the kernel
     of the skew form B(l), whose rank (always even) is dim G.l.
     """
-    M = moment_matrix(D, l)
-    rank_M = M.rank()
+    M = moment_matrix(D, x)
+    rank_M = rank_exact(M)
     m, n = D.m, D.n
     h_basis = tuple(
         tuple(sum((a[i] * D.subalgebra.rows[i][k] for i in range(m)),
                   Fraction(0)) for k in range(n))
-        for a in left_nullspace(M.entries, n_rows=m))
-    B = skew_form_matrix(D, l)
-    g_basis = tuple(tuple(v) for v in nullspace(B, n_cols=n))
+        for a in left_nullspace(M, n_rows=m))
+    l = point_on_variety(D, x)
+    g_basis = tuple(tuple(v) for v in nullspace(skew_form_matrix(D, l),
+                                                n_cols=n))
     return StabilizerReport(
-        point=tuple(Fraction(v) for v in l),
+        point=l,
         rank_M=rank_M,
         dim_H_orbit=rank_M,
         h_stab_basis=h_basis,
@@ -116,16 +120,6 @@ class GenericRankResult:
     is_free: bool             # d_tau == m
     trials: int | None = None
     seed: int | None = None
-
-
-def rank_at(D: MonomialDatum, x) -> int:
-    """Exact rank of the moment matrix at chart point x, from the pencil."""
-    if len(x) != D.n - D.m:
-        raise DimensionMismatchError(
-            f"chart point needs {D.n - D.m} coordinates, got {len(x)}")
-    xs = (1, *(v if type(v) is int else Fraction(v) for v in x))
-    return rank_exact([[sum(map(mul, entry, xs)) for entry in row]
-                       for row in D.pencil])
 
 
 def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,

@@ -126,11 +126,10 @@ class MonomialDatum:
 
     adapted_rows: n x n invertible matrix; rows 0..m-1 are the generators
     Y_i, rows m..n-1 the greedy standard-vector completion X_r.
-    adapted_inv is its exact inverse.  bracket_table[i][j] holds the
-    original-basis coordinates of [Y_i, B_j] where B_j runs over the adapted
-    basis — the moment matrix at l is just l applied to these.
-    pencil is the moment matrix over the chart, M(x) = M_0 + sum x_r M_r,
-    with each row scaled to integers (which keeps its rank at every x).
+    adapted_inv is its exact inverse.  pencil is the moment matrix
+    M(l_x)[i][j] = l_x([Y_i, B_j]) over the chart, B_j running over the
+    adapted basis, as M(x) = M_0 + sum x_r M_r with row i multiplied by
+    row_scales[i] to make it integral (which keeps its rank at every x).
     """
 
     algebra: LieAlgebra
@@ -138,8 +137,8 @@ class MonomialDatum:
     functional: CharacterFunctional
     adapted_rows: Matrix
     adapted_inv: Matrix
-    bracket_table: tuple[tuple[Vector, ...], ...] = field(repr=False)
     pencil: Pencil = field(repr=False)
+    row_scales: tuple[int, ...] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -164,40 +163,40 @@ def adapt_basis(L: LieAlgebra, Hsub: Subalgebra,
         raise ValueError("subalgebra was built over a different algebra")
     if f.m != Hsub.m:
         raise DimensionMismatchError("functional does not match subalgebra")
-    n, m = L.dim, Hsub.m
+    n = L.dim
     _, kept = rref(nullspace(Hsub.rref_rows, n_cols=n))
     adapted = Hsub.rows + tuple(L.basis_vector(k) for k in kept)
     inv = tuple(tuple(row) for row in invert(adapted))
-    table = tuple(
-        tuple(bracket(L, Hsub.rows[i], adapted[j]) for j in range(n))
-        for i in range(m))
+    pencil, scales = _moment_pencil(L, adapted, inv, f.f_vals)
     return MonomialDatum(algebra=L, subalgebra=Hsub, functional=f,
                          adapted_rows=adapted, adapted_inv=inv,
-                         bracket_table=table,
-                         pencil=_moment_pencil(table, inv, f.f_vals))
+                         pencil=pencil, row_scales=scales)
 
 
-def _moment_pencil(table, inv, f_vals) -> Pencil:
+def _moment_pencil(L, adapted, inv,
+                   f_vals) -> tuple[Pencil, tuple[int, ...]]:
     """Entry (i, j) is l_x([Y_i, B_j]) with l_x = inv (f, x), affine in x.
 
     Its constant part pairs the bracket with l_0 (the chart at x = 0) and
     its x_r coefficient with column m + r of inv.  Brackets are sparse, so
-    each pairing runs over the nonzero coordinates only.
+    each pairing runs over the nonzero coordinates only.  Returns the
+    integer pencil and the row scales that made it integral.
     """
     n, m = len(inv), len(f_vals)
     l0 = tuple(dot(row[:m], f_vals) for row in inv)
     forms = [l0] + [tuple(row[m + r] for row in inv) for r in range(n - m)]
-    pencil = []
-    for brackets in table:
+    pencil, scales = [], []
+    for y in adapted[:m]:
         row = []
-        for w in brackets:
-            nonzero = [(k, c) for k, c in enumerate(w) if c]
+        for b in adapted:
+            nonzero = [(k, c) for k, c in enumerate(bracket(L, y, b)) if c]
             row.append(tuple(sum(v[k] * c for k, c in nonzero)
                              for v in forms))
         scale = lcm(*(c.denominator for entry in row for c in entry))
         pencil.append(tuple(tuple(int(c * scale) for c in entry)
                             for entry in row))
-    return tuple(pencil)
+        scales.append(scale)
+    return tuple(pencil), tuple(scales)
 
 
 def point_on_variety(D: MonomialDatum, x) -> Vector:

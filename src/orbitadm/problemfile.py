@@ -336,10 +336,6 @@ def _config_value(key: str, tok: Token):
     return int(tok.text)
 
 
-def _format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def _format_combo(vec, basis_names) -> str:
     parts = []
     for k, coeff in enumerate(vec):
@@ -348,7 +344,7 @@ def _format_combo(vec, basis_names) -> str:
         if coeff == 1:
             parts.append(basis_names[k])
         else:
-            parts.append(f"{_format_rational(coeff)} * {basis_names[k]}")
+            parts.append(f"{coeff} * {basis_names[k]}")
     return " + ".join(parts) if parts else f"0 * {basis_names[0]}"
 
 
@@ -367,8 +363,7 @@ def serialize(pf: ProblemFile) -> str:
         gens = "; ".join(_format_combo(row, L.basis_names)
                          for row in pf.subalgebra_rows)
         out.append(f"subalgebra {gens}")
-        out.append("functional " + ", ".join(_format_rational(v)
-                                             for v in pf.functional_vals))
+        out.append("functional " + ", ".join(map(str, pf.functional_vals)))
     for key in sorted(pf.config):
         value = pf.config[key]
         text = ("true" if value else "false") if isinstance(value, bool) \

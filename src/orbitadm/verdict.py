@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (LieAlgebra, StructureReport, Violation,
-                      structure_report)
+from .algebra import (EXP_SCREEN_SAMPLES, LieAlgebra, StructureReport,
+                      Violation, structure_report)
 from .linalg import WorkLimitError
 from .moment import (GenericRankResult, generic_h_orbit_dim,
                      symbolic_generic_rank)
@@ -118,7 +118,6 @@ class AnalysisConfig:
     seed: int = 0
     force_symbolic: bool = False
     assume_exponential: bool = False
-    exp_samples: int = 20
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,7 @@ def full_report(L: LieAlgebra, h_rows, f_vals,
     DisagreementError if the two generic-rank routes ever disagree.  If the
     symbolic route hits its work limit, a warning says the sampled one decides.
     """
-    exp_samples = 0 if config.assume_exponential else config.exp_samples
+    exp_samples = 0 if config.assume_exponential else EXP_SCREEN_SAMPLES
     structure = structure_report(L, exp_samples=exp_samples, seed=config.seed)
     if structure.violations:
         raise InvalidAlgebraError(structure.violations, L.basis_names)

@@ -168,14 +168,18 @@ def transform_algebra(L: oa.LieAlgebra, Q) -> oa.LieAlgebra:
                          c=tuple(table))
 
 
+def moment_reference(D: oa.MonomialDatum, l) -> tuple:
+    """M(l)[i][j] = l([Y_i, B_j]) straight from the definition, for any l in
+    g*; the reference the datum's pencil is checked against."""
+    L = D.algebra
+    return tuple(tuple(dot(l, oa.bracket(L, y, b)) for b in D.adapted_rows)
+                 for y in D.subalgebra.rows)
+
+
 def moment_float(D: oa.MonomialDatum, l_float) -> np.ndarray:
     """Moment matrix from a floating functional (for transported points)."""
-    rows = []
-    for i in range(D.m):
-        rows.append([float(sum(float(w) * lv for w, lv
-                               in zip(D.bracket_table[i][j], l_float)))
-                     for j in range(D.n)])
-    return np.array(rows, dtype=float).reshape(D.m, D.n)
+    return np.array(moment_reference(D, l_float),
+                    dtype=float).reshape(D.m, D.n)
 
 
 # ---------------------------------------------------------------------------

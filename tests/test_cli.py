@@ -20,6 +20,23 @@ LARGE_FROZEN = [_families.heisenberg(4, "lagrangian"),
                 _families.diagonal(12, 12)]
 
 
+def _frozen_points():
+    """(name, label, point): the benchmark's point of each corpus file and
+    one rational point, whose `rank` and `jacobian` reports are frozen in
+    fixtures/points/NAME.COMMAND.LABEL.txt."""
+    cases = []
+    for name in CORPUS_NAMES:
+        point = _families.CORPUS[name][3]
+        rational = ("3/2", "-2/3", "5/4")[:len(point.split(","))]
+        cases += [(name, "bench", point),
+                  (name, "rational", ",".join(rational))]
+    return cases
+
+
+FROZEN_POINTS = _frozen_points()
+FROZEN_IDS = [f"{name}-{label}" for name, label, _ in FROZEN_POINTS]
+
+
 @pytest.fixture(autouse=True)
 def _no_inherited_seed(monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
@@ -321,6 +338,14 @@ class TestRank:
         assert 'point: ["2", "1", "1/2"]' in out
         assert 'g_stab_basis: ["-3 * X + Y"]' in out
 
+    @pytest.mark.parametrize("name,label,point", FROZEN_POINTS,
+                             ids=FROZEN_IDS)
+    def test_matches_frozen_fixture(self, name, label, point):
+        code, out, err = run_cli("rank", corpus_file(name), "--point", point)
+        assert (code, err) == (0, "")
+        assert out == (FIXTURES / "points" / f"{name}.rank.{label}.txt"
+                       ).read_text()
+
     def test_skips_structural_screens(self):
         # rank is a pointwise computation; it must work on the motion
         # algebra even though verdict refuses it
@@ -367,6 +392,29 @@ class TestJacobian:
         assert devs["max_dev_topleft"] < 1e-6
         assert devs["max_dev_topright"] < 1e-6
         assert devs["max_dev_bottomright"] < 1e-9
+
+    @pytest.mark.parametrize("name,label,point", FROZEN_POINTS,
+                             ids=FROZEN_IDS)
+    def test_matches_frozen_fixture(self, name, label, point):
+        # the max_dev_* lines are floats that depend on the BLAS build, so
+        # they are held to the advertised tolerances instead
+        code, out, err = run_cli("jacobian", corpus_file(name),
+                                 "--point", point)
+        assert (code, err) == (0, "")
+        frozen = (FIXTURES / "points" / f"{name}.jacobian.{label}.txt"
+                  ).read_text().splitlines()
+        lines = out.splitlines()
+        assert len(lines) == len(frozen)
+        bounds = {"max_dev_topleft": 1e-6, "max_dev_topright": 1e-6,
+                  "max_dev_bottomright": 1e-9}
+        for line, expected in zip(lines, frozen):
+            key, _, value = line.partition(": ")
+            assert key == expected.partition(": ")[0]
+            if key in bounds:
+                assert float(value) < bounds[key]
+            else:
+                assert line == expected
+        assert out.endswith("\n")
 
     def test_step_must_be_positive(self):
         code, _out, err = run_cli("jacobian", corpus_file("grelaud"),

@@ -241,7 +241,7 @@ class TestTransportedStabilizers:
         for _ in range(20):
             x = random_dyadic_vector(rng, D.n - D.m)
             l_exact = oa.point_on_variety(D, x)
-            exact_rank = oa.moment_matrix(D, l_exact).rank()
+            exact_rank = oa.rank_at(D, x)
             l_float = [float(v) for v in l_exact]
             factors = [(D.subalgebra.rows[i], float(random_dyadic(rng)))
                        for i in range(D.m)]

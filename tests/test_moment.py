@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from orbitadm.linalg import bareiss, dot, invert, matmul, rank_exact
 from orbitadm.poly import Poly
 
 from conftest import (CORPUS_NAMES, ORACLES, load_bench_families, load_datum,
-                      make_abelian, random_invertible, random_vector,
-                      transform_algebra)
+                      make_abelian, moment_reference, random_invertible,
+                      random_vector, transform_algebra)
 
 
 _families = load_bench_families()
@@ -33,6 +34,7 @@ CHANGED_BASIS = (
     + [_families.diagonal(8, m) for m in (1, 8)])
 
 
+@functools.cache
 def _in_random_basis(problem) -> oa.MonomialDatum:
     pf = oa.parse(problem.text)
     rng = random.Random(problem.name)
@@ -48,35 +50,82 @@ def _in_random_basis(problem) -> oa.MonomialDatum:
 class TestMomentMatrix:
     def test_h3_yz_rows(self, h3):
         D = oa.build_datum(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
-        M = oa.moment_matrix(D, (Fraction(7), Fraction(0), Fraction(1)))
+        M = oa.moment_matrix(D, (Fraction(7),))  # l = (7, 0, 1)
         # adapted column order (Y, Z, X); l[Y,X] = l(-Z) = -1
-        assert M.entries == ((0, 0, -1), (0, 0, 0))
-
-    def test_zero_functional_zero_matrix(self, h3):
-        D = oa.build_datum(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
-        M = oa.moment_matrix(D, (0, 0, 0))
-        assert all(x == 0 for row in M.entries for x in row)
+        assert M == ((0, 0, -1), (0, 0, 0))
 
     def test_axb_row(self, axb):
         D = oa.build_datum(axb, [axb.vector(X=1)], [1])
-        M = oa.moment_matrix(D, oa.point_on_variety(D, (0,)))
+        M = oa.moment_matrix(D, (0,))
         # adapted order (X, A); l[X,A] = -l(X) = -1
-        assert M.entries == ((0, -1),)
+        assert M == ((0, -1),)
 
-    def test_bilinearity_in_l(self, h3):
-        D = oa.build_datum(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
+    def test_row_scale_divided_out(self, axb):
+        D = oa.build_datum(axb, [axb.vector(X=1)], [Fraction(1, 2)])
+        assert D.pencil == (((0, 0), (-1, 0)),) and D.row_scales == (2,)
+        assert oa.moment_matrix(D, (5,)) == ((0, Fraction(-1, 2)),)
+
+    def test_affine_in_x(self, corpus_data):
+        # l_x is affine in x, hence so is M(l_x)
         rng = random.Random(17)
+        for D in corpus_data.values():
+            for _ in range(20):
+                x1, x2 = (random_vector(rng, D.n - D.m) for _ in range(2))
+                s = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                combo = tuple(s * a + (1 - s) * b for a, b in zip(x1, x2))
+                M1, M2 = oa.moment_matrix(D, x1), oa.moment_matrix(D, x2)
+                assert oa.moment_matrix(D, combo) == tuple(
+                    tuple(s * a + (1 - s) * b for a, b in zip(r1, r2))
+                    for r1, r2 in zip(M1, M2))
+
+    def test_zero_character_is_linear(self, h3):
+        # f = 0 puts l = 0 on A_tau: M(0) = 0 and M(s x) = s M(x)
+        D = oa.build_datum(h3, [h3.vector(X=1)], [0])
+        assert oa.moment_matrix(D, (0, 0)) == ((0, 0, 0),)
+        rng = random.Random(5)
         for _ in range(20):
-            l1 = random_vector(rng, 3)
-            l2 = random_vector(rng, 3)
+            x = random_vector(rng, 2)
             s = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            combo = tuple(s * a + b for a, b in zip(l1, l2))
-            M1 = oa.moment_matrix(D, l1).entries
-            M2 = oa.moment_matrix(D, l2).entries
-            Mc = oa.moment_matrix(D, combo).entries
-            for i in range(2):
-                for j in range(3):
-                    assert Mc[i][j] == s * M1[i][j] + M2[i][j]
+            assert oa.moment_matrix(D, tuple(s * v for v in x)) == tuple(
+                tuple(s * v for v in row) for row in oa.moment_matrix(D, x))
+        assert oa.moment_matrix(D, (1, 1)) != ((0, 0, 0),)
+
+    def test_wrong_arity(self, h3):
+        # every reader takes chart coordinates, never a functional
+        D = oa.build_datum(h3, [h3.vector(X=1)], [0])
+        for reader in (oa.moment_matrix, oa.rank_at, oa.stabilizer_report):
+            with pytest.raises(oa.DimensionMismatchError):
+                reader(D, (0, 0, 1))
+
+
+def _assert_pencil_matches_definition(D, rng, points):
+    for _ in range(points):
+        x = random_vector(rng, D.n - D.m)
+        assert oa.moment_matrix(D, x) == moment_reference(
+            D, oa.point_on_variety(D, x))
+
+
+class TestPencilAgainstDefinition:
+    """The pencil, divided by its row scales, is exactly l_x([Y_i, B_j])."""
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_corpus(self, name, corpus_data):
+        _assert_pencil_matches_definition(corpus_data[name],
+                                          random.Random(name), 20)
+
+    @pytest.mark.parametrize("problem", FAMILIES_LARGE,
+                             ids=[p.name for p in FAMILIES_LARGE])
+    def test_families_large(self, problem):
+        pf = oa.parse(problem.text)
+        D = oa.build_datum(pf.algebra, pf.subalgebra_rows,
+                           pf.functional_vals)
+        _assert_pencil_matches_definition(D, random.Random(problem.name), 3)
+
+    @pytest.mark.parametrize("problem", CHANGED_BASIS,
+                             ids=[p.name for p in CHANGED_BASIS])
+    def test_in_a_random_basis(self, problem):
+        D = _in_random_basis(problem)
+        _assert_pencil_matches_definition(D, random.Random(problem.name), 3)
 
 
 class TestRankExactOperation:
@@ -93,7 +142,7 @@ class TestRankExactOperation:
 class TestStabilizerReport:
     def test_h3_center_point(self, h3):
         D = oa.build_datum(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
-        sr = oa.stabilizer_report(D, (0, 0, 1))
+        sr = oa.stabilizer_report(D, (0,))  # l = (0, 0, 1)
         assert sr.rank_M == sr.dim_H_orbit == 1
         assert sr.h_stab_basis == (h3.vector(Z=1),)
         assert sr.dim_G_orbit == 2
@@ -102,14 +151,15 @@ class TestStabilizerReport:
     def test_abelian_everything_fixed(self):
         L = make_abelian(3)
         D = oa.build_datum(L, [L.vector(E1=1), L.vector(E2=1)], [1, 1])
-        sr = oa.stabilizer_report(D, (5, -2, 3))
+        sr = oa.stabilizer_report(D, (3,))  # l = (1, 1, 3)
         assert sr.rank_M == 0
         assert sr.dim_G_orbit == 0
         assert len(sr.h_stab_basis) == 2
 
     def test_axb_free_point(self, axb):
         D = oa.build_datum(axb, [axb.vector(X=1)], [1])
-        sr = oa.stabilizer_report(D, axb.vector(X=1))
+        sr = oa.stabilizer_report(D, (0,))
+        assert sr.point == axb.vector(X=1)
         B = moment.skew_form_matrix(D, axb.vector(X=1))
         assert B == [[0, 1], [-1, 0]]
         assert sr.rank_M == 1
@@ -122,8 +172,7 @@ class TestStabilizerReport:
         D = corpus_data[name]
         rng = random.Random(len(name) * 101)
         for _ in range(25):
-            l = oa.point_on_variety(D, random_vector(rng, D.n - D.m))
-            sr = oa.stabilizer_report(D, l)
+            sr = oa.stabilizer_report(D, random_vector(rng, D.n - D.m))
             g_rows = [list(v) for v in sr.g_stab_basis]
             for v in sr.h_stab_basis:
                 stacked = g_rows + [list(v)]
@@ -134,8 +183,7 @@ class TestStabilizerReport:
         D = corpus_data[name]
         rng = random.Random(len(name) * 77 + 5)
         for _ in range(120):
-            l = oa.point_on_variety(D, random_vector(rng, D.n - D.m))
-            sr = oa.stabilizer_report(D, l)
+            sr = oa.stabilizer_report(D, random_vector(rng, D.n - D.m))
             assert sr.dim_G_orbit % 2 == 0
             assert sr.dim_H_orbit + len(sr.h_stab_basis) == D.m
             assert sr.dim_G_orbit + len(sr.g_stab_basis) == D.n
@@ -169,7 +217,7 @@ class TestGenericRank:
         D = oa.build_datum(h3, [h3.vector(X=1)], [0])
         for x in [("1/2", "3"), (0.5, 0), ("0", "-7/3"), (0, 0)]:
             l = oa.point_on_variety(D, [Fraction(v) for v in x])
-            assert moment.rank_at(D, x) == oa.moment_matrix(D, l).rank()
+            assert moment.rank_at(D, x) == rank_exact(moment_reference(D, l))
         assert {moment.rank_at(D, x) for x in [("1/3", 0), (0, "1/3")]} \
             == {0, 1}
 
@@ -389,9 +437,8 @@ class TestBasisInvariance:
                 l = oa.point_on_variety(D0, x)
                 # same functional in new coordinates: l'_i = l(Q_i)
                 l2 = tuple(dot(l, Q[i]) for i in range(L.dim))
-                r_old = oa.moment_matrix(D0, l).rank()
-                r_new = oa.moment_matrix(D2, l2).rank()
-                assert r_old == r_new
+                x2 = oa.adapted_dual_coords(D2, l2)[D2.m:]
+                assert oa.rank_at(D0, x) == oa.rank_at(D2, x2)
 
     @pytest.mark.parametrize("name",
                              [n for n in CORPUS_NAMES if ORACLES[n][1] > 0])
@@ -412,5 +459,5 @@ class TestBasisInvariance:
             for _ in range(20):
                 x = random_vector(rng, D0.n - D0.m, num_bound=30)
                 l = oa.point_on_variety(D0, x)
-                assert (oa.moment_matrix(D0, l).rank()
-                        == oa.moment_matrix(D2, l).rank())
+                x2 = oa.adapted_dual_coords(D2, l)[D2.m:]
+                assert oa.rank_at(D0, x) == oa.rank_at(D2, x2)
