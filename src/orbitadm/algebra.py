@@ -1,18 +1,17 @@
 """Finite-dimensional real Lie algebras with exact rational structure constants.
 
-A ``LieAlgebra`` is built from the table c[i][j][k] meaning
-[Z_i, Z_j] = sum_k c[i][j][k] Z_k with all coefficients ``Fraction``; c is
-its constructor and serialisation format.  On construction it derives the
-sparse view ``nonzero[i][j]``, the (k, c[i][j][k]) pairs with a nonzero
-coefficient, and brackets, adjoint matrices, validation and the structural
+A ``LieAlgebra`` stores only its sparse bracket table: ``nonzero[i][j]`` is
+the tuple of (k, q) pairs with [Z_i, Z_j] = sum q Z_k, q a nonzero
+``Fraction`` and k rising.  ``from_brackets`` builds it from a list of
+brackets, and brackets, adjoint matrices, validation and the structural
 classification (solvable, nilpotent, unimodular, exponential-by-sampling)
-all read that view, so their cost follows the nonzero constants, not n^3.
+all read it, so their cost follows the nonzero constants, not n^3.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -33,9 +32,9 @@ class DimensionMismatchError(ValueError):
 class Violation:
     """One exact failure of the structure-constant axioms.
 
-    kind is "antisymmetry" (residual = c[i][j][k] + c[j][i][k] at the stored
-    component indices) or "jacobi" (residual = the full cyclic-sum vector at
-    basis triple (i, j, k)).
+    kind is "antisymmetry" (residual = the Z_k coefficient of
+    [Z_i, Z_j] + [Z_j, Z_i] as stored) or "jacobi" (residual = the full
+    cyclic-sum vector at basis triple (i, j, k)).
     """
 
     kind: str
@@ -57,15 +56,9 @@ class Violation:
 class LieAlgebra:
     name: str
     basis_names: tuple[str, ...]
-    c: tuple[tuple[Vector, ...], ...]  # c[i][j][k]
-    # nonzero[i][j]: the (k, c[i][j][k]) pairs with c[i][j][k] != 0, k rising
-    nonzero: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "nonzero", tuple(
-            tuple(tuple((k, q) for k, q in enumerate(w) if q) for w in plane)
-            for plane in self.c))
+    # nonzero[i][j]: the (k, q) pairs of [Z_i, Z_j] with q != 0, k rising;
+    # canonical, so equality and hashing follow the structure constants
+    nonzero: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
 
     @property
     def dim(self) -> int:
@@ -75,15 +68,12 @@ class LieAlgebra:
         return self.basis_names.index(name)
 
     def basis_vector(self, i: int) -> Vector:
-        n = self.dim
-        return tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))
+        return dense_vector([(i, Fraction(1))], self.dim)
 
     def vector(self, **coeffs) -> Vector:
         """Build a vector from named coefficients, e.g. L.vector(X=1, Y=-2)."""
-        v = [Fraction(0)] * self.dim
-        for name, value in coeffs.items():
-            v[self.index_of(name)] = Fraction(value)
-        return tuple(v)
+        return dense_vector([(self.index_of(name), Fraction(value))
+                             for name, value in coeffs.items()], self.dim)
 
 
 def from_brackets(name: str, basis_names, brackets) -> LieAlgebra:
@@ -91,25 +81,33 @@ def from_brackets(name: str, basis_names, brackets) -> LieAlgebra:
 
     ``brackets`` maps a pair of basis names (i, j) to {name: coefficient}
     giving [Z_i, Z_j]; the (j, i) entry is filled by antisymmetry.  Pairs
-    not mentioned bracket to zero.
+    not mentioned bracket to zero; zero coefficients are dropped.
     """
     names = tuple(basis_names)
     n = len(names)
     if len(set(names)) != n:
         raise ValueError("basis names must be distinct")
     idx = {nm: i for i, nm in enumerate(names)}
-    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (a, b), combo in brackets.items():
         i, j = idx[a], idx[b]
         if i == j:
             raise ValueError(f"bracket of {a} with itself must be omitted")
         for target, coeff in combo.items():
-            k = idx[target]
             q = Fraction(coeff)
-            table[i][j][k] = q
-            table[j][i][k] = -q
-    c = tuple(tuple(tuple(row) for row in plane) for plane in table)
-    return LieAlgebra(name=name, basis_names=names, c=c)
+            table.setdefault((i, j), {})[idx[target]] = q
+            table.setdefault((j, i), {})[idx[target]] = -q
+    return LieAlgebra(name, names, tuple(tuple(
+        tuple(sorted((k, q) for k, q in table.get((i, j), {}).items() if q))
+        for j in range(n)) for i in range(n)))
+
+
+def dense_vector(pairs, n: int) -> Vector:
+    """The length-n coordinate vector of sparse (k, q) pairs."""
+    vec = [Fraction(0)] * n
+    for k, q in pairs:
+        vec[k] += q
+    return tuple(vec)
 
 
 def validate(L: LieAlgebra) -> list[Violation]:
@@ -181,9 +179,22 @@ def ad_matrix(L: LieAlgebra, u) -> list[list[Fraction]]:
     return mat
 
 
+def ad_float(L: LieAlgebra, u) -> np.ndarray:
+    """ad(u) as a floating n x n matrix."""
+    return np.array(ad_matrix(L, u), dtype=float)
+
+
+def _ad_traces(L: LieAlgebra) -> list[Fraction]:
+    """tr ad Z_i: the sum of the Z_j coefficients of [Z_i, Z_j] over j."""
+    return [sum((q for j, pairs in enumerate(plane) for k, q in pairs
+                 if k == j), Fraction(0)) for plane in L.nonzero]
+
+
 def ad_trace(L: LieAlgebra, u) -> Fraction:
-    mat = ad_matrix(L, u)
-    return sum((mat[k][k] for k in range(L.dim)), Fraction(0))
+    """tr ad(u) = sum_i u_i tr ad Z_i, read from the table."""
+    if len(u) != L.dim:
+        raise DimensionMismatchError(f"expected length {L.dim}, got {len(u)}")
+    return sum((x * t for x, t in zip(u, _ad_traces(L)) if x), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -206,8 +217,8 @@ def _span(vectors) -> list[list[Fraction]]:
 
 def _commutator(L: LieAlgebra) -> list[list[Fraction]]:
     """rref basis of [g, g]: the span of the planes marked nonzero."""
-    return _span(L.c[i][j] for i, plane in enumerate(L.nonzero)
-                 for j, pairs in enumerate(plane) if pairs)
+    return _span(dense_vector(pairs, L.dim) for plane in L.nonzero
+                 for pairs in plane if pairs)
 
 
 def _derived_step(L: LieAlgebra, rows) -> list[list[Fraction]]:
@@ -242,11 +253,6 @@ def lower_central_dims(L: LieAlgebra) -> tuple[int, ...]:
     return _series(L, _commutator(L), _lower_central_step)
 
 
-def _random_rational_vector(rng: random.Random, n: int) -> Vector:
-    return tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 4))
-                 for _ in range(n))
-
-
 def exponentiality_screen(L: LieAlgebra, samples: int, seed: int,
                           tol_im: float = 1e-9):
     """Sample-based screen for the exponential property.
@@ -256,15 +262,12 @@ def exponentiality_screen(L: LieAlgebra, samples: int, seed: int,
     |Re lam| <= tol_im we require |lam| <= tol_im.  Floating point only — a
     screen, not a certificate.  Returns (status, witness_or_None).
     """
-    candidates = [L.basis_vector(i) for i in range(L.dim)]
     rng = random.Random(seed)
-    for _ in range(samples):
-        candidates.append(_random_rational_vector(rng, L.dim))
+    candidates = [L.basis_vector(i) for i in range(L.dim)] + [
+        tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+              for _ in range(L.dim)) for _ in range(samples)]
     for u in candidates:
-        mat = np.array([[float(x) if x else 0.0 for x in row]
-                        for row in ad_matrix(L, u)],
-                       dtype=float)
-        for lam in np.linalg.eigvals(mat):
+        for lam in np.linalg.eigvals(ad_float(L, u)):
             if abs(lam.real) <= tol_im and abs(lam) > tol_im:
                 return "FailedWithWitness", u
     return "PassedSampling", None
@@ -276,15 +279,16 @@ def structure_report(L: LieAlgebra, exp_samples: int = EXP_SCREEN_SAMPLES,
 
     The report carries validate's violations, so none need a second pass.
     Series dimensions come from exact ranks of row-reduced spanning sets;
-    unimodularity is trace(ad Z_i) = 0 on every basis element (trace is
-    linear in u, so the basis check decides it).  Exponentiality is
-    screened by sampling; pass exp_samples=0 to record it as Skipped.
+    unimodularity is tr ad Z_i = 0 on every basis element, read from the
+    table (trace is linear in u, so the basis check decides it).
+    Exponentiality is screened by sampling; pass exp_samples=0 to record
+    it as Skipped.
     """
     violations = tuple(validate(L))
     commutator = _commutator(L)
     der = _series(L, commutator, _derived_step)
     low = _series(L, commutator, _lower_central_step)
-    unimod = all(ad_trace(L, L.basis_vector(i)) == 0 for i in range(L.dim))
+    unimod = not any(_ad_traces(L))
     if exp_samples <= 0:
         status, witness = "Skipped", None
     else:

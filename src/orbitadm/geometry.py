@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import DimensionMismatchError, LieAlgebra, ad_matrix
+from .algebra import DimensionMismatchError, LieAlgebra, ad_float
 from .linalg import rank_exact
 from .moment import moment_matrix
 from .monomial import MonomialDatum, point_on_variety
@@ -54,9 +54,15 @@ def expm(A: np.ndarray) -> np.ndarray:
 
 def ad_exp(L: LieAlgebra, Z, t: float) -> np.ndarray:
     """exp(t ad Z) as an n x n floating matrix."""
-    ad = np.array([[float(x) for x in row] for row in ad_matrix(L, Z)],
-                  dtype=float)
-    return expm(t * ad)
+    return expm(t * ad_float(L, Z))
+
+
+def _coadjoint_apply_ads(ad_factors, l) -> np.ndarray:
+    """coadjoint_apply_factors, given the pairs (floating ad Z_k, t_k)."""
+    row = np.array([float(v) for v in l], dtype=float)
+    for ad, t in reversed(list(ad_factors)):
+        row = row @ expm(-float(t) * ad)
+    return row
 
 
 def coadjoint_apply_factors(L: LieAlgebra, factors, l) -> np.ndarray:
@@ -65,10 +71,7 @@ def coadjoint_apply_factors(L: LieAlgebra, factors, l) -> np.ndarray:
     Ad(s^-1) is the product of the inverse factors in reverse order; as a
     row vector l transforms by right multiplication.
     """
-    row = np.array([float(v) for v in l], dtype=float)
-    for Z, t in reversed(list(factors)):
-        row = row @ ad_exp(L, Z, -float(t))
-    return row
+    return _coadjoint_apply_ads([(ad_float(L, Z), t) for Z, t in factors], l)
 
 
 def coadjoint_apply(L: LieAlgebra, t, l) -> np.ndarray:
@@ -95,12 +98,18 @@ def phi_in_chart(D: MonomialDatum, t, x) -> np.ndarray:
     if len(x) != n - m:
         raise DimensionMismatchError(
             f"chart point needs {n - m} values, got {len(x)}")
-    l = point_on_variety(D, tuple(Fraction(v) for v in x))
-    factors = [(D.adapted_rows[k], t[k]) for k in range(n)]
-    moved = coadjoint_apply_factors(D.algebra, factors, l)
-    adapted = np.array([[float(v) for v in row] for row in D.adapted_rows],
-                       dtype=float)
-    return adapted @ moved
+    return _chart_action(D)(t, x)
+
+
+def _chart_action(D: MonomialDatum):
+    """phi~(t, x), with the adapted basis and its ad-matrices floated once."""
+    ads = [ad_float(D.algebra, row) for row in D.adapted_rows]
+    adapted = np.array(D.adapted_rows, dtype=float)
+
+    def phi(t, x):
+        l = point_on_variety(D, tuple(Fraction(v) for v in x))
+        return adapted @ _coadjoint_apply_ads(zip(ads, t), l)
+    return phi
 
 
 def numerical_rank(mat: np.ndarray, rel_tol: float = 1e-8) -> int:
@@ -144,9 +153,7 @@ def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
     x_exact = tuple(Fraction(v) for v in x)
     x_float = [float(v) for v in x_exact]
 
-    def f(t, xs):
-        return phi_in_chart(D, t, xs)
-
+    f = _chart_action(D)
     cols = []
     for k in range(n):
         tp = [0.0] * n

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, dense_vector, from_brackets
 
 Vector = tuple[Fraction, ...]
 
@@ -41,8 +41,9 @@ _TOKEN_RE = re.compile(r"""
   | (?P<BAD>.)
 """, re.VERBOSE)
 
-# The structure-constant table holds n^3 entries, so a longer basis line
-# is refused before anything is allocated for it.
+# The parsed table is sparse, but validation checks n^3/6 Jacobi triples and
+# the analysis builds dense n x n exact matrices, so a longer basis line is
+# refused before any of that work starts.
 MAX_BASIS_NAMES = 128
 
 CONFIG_KEYS = {
@@ -152,18 +153,17 @@ def _term(line: _Line, names: dict[str, int]) -> tuple[int, Fraction]:
     return names[ident.text], coeff
 
 
-def _term_sum(line: _Line, names: dict[str, int], n: int) -> list[Fraction]:
-    vec = [Fraction(0)] * n
-    idx, coeff = _term(line, names)
-    vec[idx] += coeff
+def _term_sum(line: _Line,
+              names: dict[str, int]) -> list[tuple[int, Fraction]]:
+    """The (index, coefficient) pairs of a sum; a repeated name adds up."""
+    terms: dict[int, Fraction] = {}
     while True:
+        idx, coeff = _term(line, names)
+        terms[idx] = terms.get(idx, 0) + coeff
         tok = line.peek()
         if tok is None or tok.text != "+":
-            break
+            return list(terms.items())
         line.take("PUNCT", "'+'", "+")
-        idx, coeff = _term(line, names)
-        vec[idx] += coeff
-    return vec
 
 
 def parse(source: str) -> ProblemFile:
@@ -218,9 +218,9 @@ def parse(source: str) -> ProblemFile:
     names = {nm: i for i, nm in enumerate(basis)}
 
     # --- statements -------------------------------------------------------
-    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    brackets: dict[tuple[str, str], dict[str, Fraction]] = {}
     seen_pairs: dict[frozenset, int] = {}
-    sub_rows: list[list[Fraction]] | None = None
+    sub_rows: list[Vector] | None = None
     functional: tuple[tuple[Fraction, ...], Token] | None = None
     config: dict = {}
 
@@ -251,12 +251,9 @@ def parse(source: str) -> ProblemFile:
                                  f"line {seen_pairs[key]}")
             seen_pairs[key] = a.line
             line.take("PUNCT", "'='", "=")
-            vec = _term_sum(line, names, n)
+            combo = {basis[k]: q for k, q in _term_sum(line, names)}
             line.done()
-            i, j = names[a.text], names[b.text]
-            for k in range(n):
-                table[i][j][k] = vec[k]
-                table[j][i][k] = -vec[k]
+            brackets[a.text, b.text] = combo
         elif head.text == "subalgebra":
             if sub_rows is not None:
                 raise ParseError(head.line, head.col,
@@ -264,10 +261,10 @@ def parse(source: str) -> ProblemFile:
             if functional is not None:
                 raise ParseError(head.line, head.col,
                                  "subalgebra must precede the functional")
-            sub_rows = [_term_sum(line, names, n)]
+            sub_rows = [dense_vector(_term_sum(line, names), n)]
             while line.peek() is not None:
                 line.take("PUNCT", "';'", ";")
-                sub_rows.append(_term_sum(line, names, n))
+                sub_rows.append(dense_vector(_term_sum(line, names), n))
             line.done()
         elif head.text == "functional":
             if functional is not None:
@@ -305,7 +302,7 @@ def parse(source: str) -> ProblemFile:
                              "expected 'bracket', 'subalgebra', 'functional' "
                              f"or 'config', found {head.text!r}")
 
-    rows = tuple(tuple(r) for r in (sub_rows or []))
+    rows = tuple(sub_rows or ())
     if functional is not None:
         vals, head = functional
         if len(vals) != len(rows):
@@ -316,9 +313,7 @@ def parse(source: str) -> ProblemFile:
     else:
         f_vals = (Fraction(0),) * len(rows)
 
-    algebra = LieAlgebra(
-        name=name, basis_names=tuple(basis),
-        c=tuple(tuple(tuple(row) for row in plane) for plane in table))
+    algebra = from_brackets(name, basis, brackets)
     return ProblemFile(name=name, algebra=algebra, subalgebra_rows=rows,
                        functional_vals=f_vals, config=config)
 
@@ -351,16 +346,15 @@ def _format_combo(vec, basis_names) -> str:
 def serialize(pf: ProblemFile) -> str:
     """Canonical text form; parse(serialize(pf)) == pf."""
     L = pf.algebra
-    out = [f"algebra {pf.name}", f"dim {L.dim}",
-           "basis " + " ".join(L.basis_names)]
-    for i in range(L.dim):
+    names = L.basis_names
+    out = [f"algebra {pf.name}", f"dim {L.dim}", "basis " + " ".join(names)]
+    for i, plane in enumerate(L.nonzero):
         for j in range(i + 1, L.dim):
-            if any(x != 0 for x in L.c[i][j]):
-                combo = _format_combo(L.c[i][j], L.basis_names)
-                out.append(f"bracket {L.basis_names[i]} "
-                           f"{L.basis_names[j]} = {combo}")
+            if plane[j]:
+                combo = _format_combo(dense_vector(plane[j], L.dim), names)
+                out.append(f"bracket {names[i]} {names[j]} = {combo}")
     if pf.subalgebra_rows:
-        gens = "; ".join(_format_combo(row, L.basis_names)
+        gens = "; ".join(_format_combo(row, names)
                          for row in pf.subalgebra_rows)
         out.append(f"subalgebra {gens}")
         out.append("functional " + ", ".join(map(str, pf.functional_vals)))

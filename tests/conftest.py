@@ -20,6 +20,7 @@ import pytest
 
 import orbitadm as oa
 from orbitadm import cli
+from orbitadm.algebra import dense_vector
 from orbitadm.linalg import dot, invert
 
 CORPUS_NAMES = [
@@ -153,6 +154,20 @@ def random_invertible(rng: random.Random, n: int):
     return [mat[i] for i in order]
 
 
+def algebra_from_table(name: str, names, c) -> oa.LieAlgebra:
+    """The algebra whose dense table is c[i][j][k], read entry by entry, so a
+    table that breaks antisymmetry keeps its fault."""
+    nonzero = tuple(tuple(tuple((k, Fraction(q)) for k, q in enumerate(w) if q)
+                          for w in plane) for plane in c)
+    return oa.LieAlgebra(name=name, basis_names=tuple(names), nonzero=nonzero)
+
+
+def dense_table(L: oa.LieAlgebra) -> tuple:
+    """The dense table c[i][j][k] of L: [Z_i, Z_j] = sum_k c[i][j][k] Z_k."""
+    return tuple(tuple(dense_vector(pairs, L.dim) for pairs in plane)
+                 for plane in L.nonzero)
+
+
 def transform_algebra(L: oa.LieAlgebra, Q) -> oa.LieAlgebra:
     """Structure constants in the basis whose rows (in old coords) are Q."""
     Qinv = invert(Q)
@@ -164,8 +179,7 @@ def transform_algebra(L: oa.LieAlgebra, Q) -> oa.LieAlgebra:
             w = oa.bracket(L, Q[i], Q[j])
             plane.append(tuple(dot(w, col) for col in zip(*Qinv)))
         table.append(tuple(plane))
-    return oa.LieAlgebra(name=L.name + "_chg", basis_names=L.basis_names,
-                         c=tuple(table))
+    return algebra_from_table(L.name + "_chg", L.basis_names, table)
 
 
 def moment_reference(D: oa.MonomialDatum, l) -> tuple:

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +7,10 @@ import pytest
 import orbitadm as oa
 from orbitadm import algebra
 
-from conftest import (make_abelian, make_axb, make_h3, make_motion, make_sl2,
-                      random_vector)
+from conftest import (CORPUS_NAMES, algebra_from_table, dense_table,
+                      load_problem, make_abelian, make_axb, make_h3,
+                      make_motion, make_sl2, random_invertible, random_vector,
+                      transform_algebra)
 
 ALL_CORPUS_ALGEBRAS = [make_h3(), make_axb(), make_abelian(3), make_motion(),
                        make_sl2()]
@@ -17,10 +18,9 @@ ALL_CORPUS_ALGEBRAS = [make_h3(), make_axb(), make_abelian(3), make_motion(),
 
 def inject_constant(L, i, j, k, value):
     """Return a copy of L with c[i][j][k] overwritten (j,i left alone)."""
-    table = [[[x for x in row] for row in plane] for plane in L.c]
+    table = [[list(row) for row in plane] for plane in dense_table(L)]
     table[i][j][k] = Fraction(value)
-    c = tuple(tuple(tuple(row) for row in plane) for plane in table)
-    return replace(L, c=c)
+    return algebra_from_table(L.name, L.basis_names, table)
 
 
 class TestValidate:
@@ -134,6 +134,30 @@ class TestAdMatrix:
             assert left == expected
 
 
+class TestAdTrace:
+    ALGEBRAS = ({L.name: L for L in ALL_CORPUS_ALGEBRAS}
+                | {name: load_problem(name).algebra for name in CORPUS_NAMES})
+
+    @pytest.mark.parametrize("name", ALGEBRAS)
+    def test_matches_the_diagonal_of_ad_matrix(self, name):
+        # the table read of tr ad(u) against the matrix it abbreviates, in
+        # the given basis and in random ones
+        L = self.ALGEBRAS[name]
+        rng = random.Random(sum(map(ord, name)))
+        bases = [L] + [transform_algebra(L, random_invertible(rng, L.dim))
+                       for _ in range(4)]
+        for M in bases:
+            for _ in range(20):
+                u = random_vector(rng, M.dim)
+                mat = oa.ad_matrix(M, u)
+                assert algebra.ad_trace(M, u) == sum(
+                    (mat[k][k] for k in range(M.dim)), Fraction(0))
+
+    def test_dimension_mismatch(self, h3):
+        with pytest.raises(oa.DimensionMismatchError):
+            algebra.ad_trace(h3, (1, 2))
+
+
 class TestStructureReport:
     def test_h3(self, h3):
         rep = oa.structure_report(h3, exp_samples=20, seed=1)
@@ -202,4 +226,5 @@ class TestFromBrackets:
             oa.from_brackets("bad", ("X", "Y"), {("X", "X"): {"Y": 1}})
 
     def test_antisymmetric_fill(self, h3):
-        assert h3.c[1][0][2] == -1  # [Y,X] = -Z was filled automatically
+        # [Y,X] = -Z was filled automatically
+        assert dense_table(h3)[1][0][2] == -1

@@ -23,14 +23,16 @@ LARGE_FROZEN = [_families.heisenberg(4, "lagrangian"),
 def _frozen_points():
     """(name, label, point): the benchmark's point of each corpus file and
     one rational point, whose `rank` and `jacobian` reports are frozen in
-    fixtures/points/NAME.COMMAND.LABEL.txt."""
+    fixtures/points/NAME.COMMAND.LABEL.txt; and two points of
+    fixtures/rational_scales.alg, whose pencil row has scale 90."""
     cases = []
     for name in CORPUS_NAMES:
         point = _families.CORPUS[name][3]
         rational = ("3/2", "-2/3", "5/4")[:len(point.split(","))]
         cases += [(name, "bench", point),
                   (name, "rational", ",".join(rational))]
-    return cases
+    return cases + [("rational_scales", "p1", "3/2,-2/3,5/4"),
+                    ("rational_scales", "p2", "1/7,2,-3/5")]
 
 
 FROZEN_POINTS = _frozen_points()
@@ -44,6 +46,12 @@ def _no_inherited_seed(monkeypatch):
 
 def corpus_file(name: str) -> str:
     return str(cli.corpus_path(name))
+
+
+def problem_file(name: str) -> str:
+    """A problem file under fixtures/, else the corpus file of that name."""
+    fixture = FIXTURES / f"{name}.alg"
+    return str(fixture) if fixture.exists() else corpus_file(name)
 
 
 class TestUsage:
@@ -341,10 +349,16 @@ class TestRank:
     @pytest.mark.parametrize("name,label,point", FROZEN_POINTS,
                              ids=FROZEN_IDS)
     def test_matches_frozen_fixture(self, name, label, point):
-        code, out, err = run_cli("rank", corpus_file(name), "--point", point)
+        code, out, err = run_cli("rank", problem_file(name), "--point", point)
         assert (code, err) == (0, "")
         assert out == (FIXTURES / "points" / f"{name}.rank.{label}.txt"
                        ).read_text()
+
+    def test_rational_fixture_has_a_row_scale_of_90(self):
+        pf = oa.parse((FIXTURES / "rational_scales.alg").read_text())
+        assert oa.validate(pf.algebra) == []
+        D = oa.build_datum(pf.algebra, pf.subalgebra_rows, pf.functional_vals)
+        assert D.row_scales == (90,)
 
     def test_skips_structural_screens(self):
         # rank is a pointwise computation; it must work on the motion
@@ -398,7 +412,7 @@ class TestJacobian:
     def test_matches_frozen_fixture(self, name, label, point):
         # the max_dev_* lines are floats that depend on the BLAS build, so
         # they are held to the advertised tolerances instead
-        code, out, err = run_cli("jacobian", corpus_file(name),
+        code, out, err = run_cli("jacobian", problem_file(name),
                                  "--point", point)
         assert (code, err) == (0, "")
         frozen = (FIXTURES / "points" / f"{name}.jacobian.{label}.txt"

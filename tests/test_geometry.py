@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import orbitadm as oa
-from orbitadm import geometry
+from orbitadm import algebra, geometry
 
 from conftest import (CORPUS_NAMES, ORACLES, load_problem, make_abelian,
                       make_axb, make_h3, moment_float, random_dyadic,
@@ -196,6 +196,22 @@ class TestFdJacobian:
         jr = oa.fd_jacobian(D, (0.25, -0.75), h=1e-4)
         assert np.abs(jr.J[:1, :]).max() == 0.0
         assert jr.numerical_rank_J == jr.expected_rank == 2
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_builds_each_ad_matrix_once(self, name, corpus_data,
+                                        monkeypatch):
+        # the n adapted ad-matrices never change between the 2(2n - m)
+        # evaluations of the chart action
+        D = corpus_data[name]
+        calls = []
+        original = algebra.ad_matrix
+
+        def counting(L, u):
+            calls.append(u)
+            return original(L, u)
+        monkeypatch.setattr(algebra, "ad_matrix", counting)
+        oa.fd_jacobian(D, (Fraction(1, 2),) * (D.n - D.m), h=1e-4)
+        assert len(calls) == D.n
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_block_structure_on_corpus(self, name, corpus_data):

@@ -1,11 +1,13 @@
 """The sparse structure-constant readers against dense reference loops.
 
 ``dense_bracket``, ``dense_ad_matrix``, ``dense_validate`` and
-``dense_series`` are the loops over the full n x n x n table c[i][j][k]
-that the sparse view ``LieAlgebra.nonzero`` replaced.  On random rational
-tables (Lie algebras in random bases, and tables with injected
-antisymmetry and Jacobi faults) the sparse code must return exactly what
-they return: the same vectors, matrices and violation lists, in order.
+``dense_series`` are loops over the full n x n x n table c[i][j][k], the
+representation that the sparse table ``LieAlgebra.nonzero`` replaced.  On
+random rational tables (Lie algebras in random bases, and tables with
+injected antisymmetry and Jacobi faults) the sparse code must return
+exactly what they return: the same vectors, matrices and violation lists,
+in order.  A fault table is read from the table it was generated as, an
+algebra in a random basis from ``dense_table``.
 """
 
 from __future__ import annotations
@@ -20,17 +22,18 @@ import orbitadm as oa
 from orbitadm import algebra
 from orbitadm.linalg import rref
 
-from conftest import (make_abelian, make_axb, make_h3, make_motion, make_sl2,
-                      random_invertible, transform_algebra)
+from conftest import (algebra_from_table, dense_table, make_abelian, make_axb,
+                      make_h3, make_motion, make_sl2, random_invertible,
+                      transform_algebra)
 
 
-def dense_validate(L):
+def dense_validate(L, c):
     n = L.dim
     out = []
     for i in range(n):
         for j in range(i, n):
             for k in range(n):
-                s = L.c[i][j][k] + L.c[j][i][k]
+                s = c[i][j][k] + c[j][i][k]
                 if s != 0:
                     out.append(algebra.Violation("antisymmetry", (i, j, k), s))
     for i in range(n):
@@ -39,18 +42,18 @@ def dense_validate(L):
                 res = [Fraction(0)] * n
                 for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
                     for p in range(n):
-                        coeff = L.c[a][b][p]
+                        coeff = c[a][b][p]
                         if coeff == 0:
                             continue
                         for q in range(n):
-                            res[q] += coeff * L.c[p][cc][q]
+                            res[q] += coeff * c[p][cc][q]
                 if any(x != 0 for x in res):
                     out.append(algebra.Violation("jacobi", (i, j, k),
                                                  tuple(res)))
     return out
 
 
-def dense_bracket(L, u, v):
+def dense_bracket(L, c, u, v):
     n = L.dim
     out = [Fraction(0)] * n
     for i in range(n):
@@ -61,32 +64,32 @@ def dense_bracket(L, u, v):
             vj = Fraction(v[j])
             if vj == 0:
                 continue
-            piece = L.c[i][j]
+            piece = c[i][j]
             for k in range(n):
                 if piece[k] != 0:
                     out[k] += ui * vj * piece[k]
     return tuple(out)
 
 
-def dense_ad_matrix(L, u):
+def dense_ad_matrix(L, c, u):
     n = L.dim
-    cols = [dense_bracket(L, u, L.basis_vector(j)) for j in range(n)]
+    cols = [dense_bracket(L, c, u, L.basis_vector(j)) for j in range(n)]
     return [[cols[j][k] for j in range(n)] for k in range(n)]
 
 
-def _dense_bracket_span(L, rows_a, rows_b):
-    prods = [dense_bracket(L, a, b) for a in rows_a for b in rows_b]
+def _dense_bracket_span(L, c, rows_a, rows_b):
+    prods = [dense_bracket(L, c, a, b) for a in rows_a for b in rows_b]
     prods = [p for p in prods if any(x != 0 for x in p)]
     return rref(prods)[0] if prods else []
 
 
-def dense_series(L, lower: bool):
+def dense_series(L, c, lower: bool):
     """Derived (lower=False) or lower central series dimensions."""
     full = [list(L.basis_vector(i)) for i in range(L.dim)]
     current = full
     dims = [L.dim]
     while dims[-1] > 0:
-        nxt = _dense_bracket_span(L, full if lower else current, current)
+        nxt = _dense_bracket_span(L, c, full if lower else current, current)
         if len(nxt) == dims[-1]:
             break
         dims.append(len(nxt))
@@ -141,7 +144,8 @@ def lie_algebras(draw):
 @st.composite
 def faulty_tables(draw):
     """A random antisymmetric table (Jacobi generally fails), with
-    one-sided entries and planes injected to break antisymmetry."""
+    one-sided entries and planes injected to break antisymmetry; returns
+    the algebra and the table it was built from."""
     n = draw(st.integers(1, 5))
     table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -156,9 +160,8 @@ def faulty_tables(draw):
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     for i, j in draw(st.lists(pairs, max_size=2)):
         table[i][j] = [draw(rationals) for _ in range(n)]
-    c = tuple(tuple(tuple(row) for row in plane) for plane in table)
-    return oa.LieAlgebra(name="t", basis_names=tuple(
-        f"Z{i}" for i in range(n)), c=c)
+    L = algebra_from_table("t", tuple(f"Z{i}" for i in range(n)), table)
+    return L, table
 
 
 def _vector(n):
@@ -166,12 +169,12 @@ def _vector(n):
                     min_size=n, max_size=n)
 
 
-def _check_readers(L, data):
+def _check_readers(L, c, data):
     u = data.draw(_vector(L.dim))
     v = data.draw(_vector(L.dim))
-    assert oa.bracket(L, u, v) == dense_bracket(L, u, v)
-    assert oa.ad_matrix(L, u) == dense_ad_matrix(L, u)
-    got, want = oa.validate(L), dense_validate(L)
+    assert oa.bracket(L, u, v) == dense_bracket(L, c, u, v)
+    assert oa.ad_matrix(L, u) == dense_ad_matrix(L, c, u)
+    got, want = oa.validate(L), dense_validate(L, c)
     assert got == want
     assert ([x.describe(L.basis_names) for x in got]
             == [x.describe(L.basis_names) for x in want])
@@ -180,13 +183,15 @@ def _check_readers(L, data):
 @settings(max_examples=60, deadline=None, database=None)
 @given(L=lie_algebras(), data=st.data())
 def test_lie_algebras_in_random_bases(L, data):
-    _check_readers(L, data)
+    c = dense_table(L)
+    _check_readers(L, c, data)
     assert not oa.validate(L)
-    assert algebra.derived_series_dims(L) == dense_series(L, lower=False)
-    assert algebra.lower_central_dims(L) == dense_series(L, lower=True)
+    assert algebra.derived_series_dims(L) == dense_series(L, c, lower=False)
+    assert algebra.lower_central_dims(L) == dense_series(L, c, lower=True)
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(L=faulty_tables(), data=st.data())
-def test_tables_with_injected_faults(L, data):
-    _check_readers(L, data)
+@given(fault=faulty_tables(), data=st.data())
+def test_tables_with_injected_faults(fault, data):
+    L, c = fault
+    _check_readers(L, c, data)

@@ -8,8 +8,8 @@ from orbitadm import moment
 from orbitadm import verdict as verdict_mod
 from orbitadm.moment import GenericRankResult
 
-from conftest import (CORPUS_NAMES, ORACLES, load_problem, make_abelian,
-                      make_axb, make_h3, make_motion, make_sl2,
+from conftest import (CORPUS_NAMES, ORACLES, algebra_from_table, load_problem,
+                      make_abelian, make_axb, make_h3, make_motion, make_sl2,
                       random_vector)
 
 
@@ -78,8 +78,7 @@ class TestFullReport:
     def test_invalid_algebra_short_circuits(self, h3):
         table = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
         table[0][1][2] = Fraction(1)  # [X,Y]=Z but [Y,X] missing: broken
-        L = oa.LieAlgebra(name="broken", basis_names=("X", "Y", "Z"),
-                          c=tuple(tuple(tuple(r) for r in p) for p in table))
+        L = algebra_from_table("broken", ("X", "Y", "Z"), table)
         with pytest.raises(oa.InvalidAlgebraError):
             oa.full_report(L, [], [])
 
