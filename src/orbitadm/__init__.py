@@ -9,17 +9,17 @@ A_tau = f + h^perp reaches dim h — and tau admits a continuous-wavelet
 admissible vector exactly in the nonunimodular absolutely continuous case
 (the unimodular free case being conjecturally empty).
 
-The computation is exact rational linear algebra end to end, with a
-floating-point cross-check of the derivative structure of the coadjoint
-action map.
+The computation is exact rational linear algebra end to end, including
+the decision that the group is exponential.  The one floating-point part,
+``geometry`` (a finite-difference cross-check of the derivative structure
+of the coadjoint action map), is the only module that imports numpy; its
+names below are imported on first use, so importing orbitadm does not load
+numpy.
 """
 
 from .algebra import (DimensionMismatchError, LieAlgebra, StructureReport,
                       Violation, ad_matrix, bracket, from_brackets,
                       structure_report, validate)
-from .geometry import (JacobianReport, ad_exp, coadjoint_apply,
-                       coadjoint_apply_factors, expm, fd_jacobian,
-                       numerical_rank, phi_in_chart)
 from .linalg import WorkLimitError, rank_exact
 from .moment import (GenericRankResult, StabilizerReport,
                      generic_h_orbit_dim, moment_matrix, rank_at,
@@ -37,6 +37,18 @@ from .verdict import (AnalysisConfig, AdmissibilityVerdict, DisagreementError,
 
 __version__ = "0.1.0"
 
+_GEOMETRY_NAMES = ("JacobianReport", "expm", "ad_exp", "coadjoint_apply",
+                   "coadjoint_apply_factors", "phi_in_chart", "fd_jacobian",
+                   "numerical_rank")
+
+
+def __getattr__(name: str):
+    if name in _GEOMETRY_NAMES:
+        from . import geometry
+        return getattr(geometry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "LieAlgebra", "Violation", "StructureReport", "DimensionMismatchError",
     "from_brackets", "validate", "bracket", "ad_matrix", "structure_report",
@@ -53,9 +65,7 @@ __all__ = [
     "AnalysisConfig", "InvalidAlgebraError", "StructuralPreconditionError",
     "DisagreementError", "spectral_verdict", "admissibility_verdict",
     "full_report",
-    "JacobianReport", "expm", "ad_exp", "coadjoint_apply",
-    "coadjoint_apply_factors", "phi_in_chart", "fd_jacobian",
-    "numerical_rank",
+    *_GEOMETRY_NAMES,
     "ProblemFile", "ParseError", "parse", "serialize",
     "__version__",
 ]

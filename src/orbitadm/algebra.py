@@ -4,24 +4,21 @@ A ``LieAlgebra`` stores only its sparse bracket table: ``nonzero[i][j]`` is
 the tuple of (k, q) pairs with [Z_i, Z_j] = sum q Z_k, q a nonzero
 ``Fraction`` and k rising.  ``from_brackets`` builds it from a list of
 brackets, and brackets, adjoint matrices, validation and the structural
-classification (solvable, nilpotent, unimodular, exponential-by-sampling)
-all read it, so their cost follows the nonzero constants, not n^3.
+classification (solvable, nilpotent, unimodular, exponential) all read it,
+so their cost follows the nonzero constants, not n^3.  Exponentiality is
+decided exactly over Q, with the univariate helpers of ``univariate``;
+nothing here uses floating point.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .linalg import rref
+from . import univariate
+from .linalg import invert, mat_vec, matmul, rank_exact, rref
 
 Vector = tuple[Fraction, ...]
-
-# random directions the exponentiality screen samples beyond the basis
-EXP_SCREEN_SAMPLES = 20
 
 
 class DimensionMismatchError(ValueError):
@@ -110,6 +107,19 @@ def dense_vector(pairs, n: int) -> Vector:
     return tuple(vec)
 
 
+def format_combo(vec, basis_names) -> str:
+    """A vector as a sum of basis names, e.g. "X + -1/2 * Y"."""
+    parts = []
+    for k, coeff in enumerate(vec):
+        if coeff == 0:
+            continue
+        if coeff == 1:
+            parts.append(basis_names[k])
+        else:
+            parts.append(f"{coeff} * {basis_names[k]}")
+    return " + ".join(parts) if parts else f"0 * {basis_names[0]}"
+
+
 def validate(L: LieAlgebra) -> list[Violation]:
     """Exact check of antisymmetry and the Jacobi identity.
 
@@ -150,20 +160,25 @@ def _nonzero_coords(u) -> list[tuple[int, Fraction]]:
             for i, x in enumerate(u) if x]
 
 
+def _sparse_bracket(L: LieAlgebra, us, vs) -> dict[int, Fraction]:
+    """[u, v] as {k: coefficient}, from the nonzero coordinates of u, v."""
+    out: dict[int, Fraction] = {}
+    for i, ui in us:
+        plane = L.nonzero[i]
+        for j, vj in vs:
+            for k, q in plane[j]:
+                out[k] = out.get(k, 0) + ui * vj * q
+    return out
+
+
 def bracket(L: LieAlgebra, u, v) -> Vector:
     """[u, v] by bilinear expansion over the nonzero structure constants."""
     n = L.dim
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(
             f"bracket arguments must have length {n}, got {len(u)} and {len(v)}")
-    out = [Fraction(0)] * n
-    vs = _nonzero_coords(v)
-    for i, ui in _nonzero_coords(u):
-        plane = L.nonzero[i]
-        for j, vj in vs:
-            for k, q in plane[j]:
-                out[k] += ui * vj * q
-    return tuple(out)
+    return dense_vector(_sparse_bracket(L, _nonzero_coords(u),
+                                        _nonzero_coords(v)).items(), n)
 
 
 def ad_matrix(L: LieAlgebra, u) -> list[list[Fraction]]:
@@ -179,11 +194,6 @@ def ad_matrix(L: LieAlgebra, u) -> list[list[Fraction]]:
     return mat
 
 
-def ad_float(L: LieAlgebra, u) -> np.ndarray:
-    """ad(u) as a floating n x n matrix."""
-    return np.array(ad_matrix(L, u), dtype=float)
-
-
 def _ad_traces(L: LieAlgebra) -> list[Fraction]:
     """tr ad Z_i: the sum of the Z_j coefficients of [Z_i, Z_j] over j."""
     return [sum((q for j, pairs in enumerate(plane) for k, q in pairs
@@ -197,6 +207,10 @@ def ad_trace(L: LieAlgebra, u) -> Fraction:
     return sum((x * t for x, t in zip(u, _ad_traces(L)) if x), Fraction(0))
 
 
+EXPONENTIAL = "Exponential"
+NOT_EXPONENTIAL = "NotExponential"
+
+
 @dataclass(frozen=True)
 class StructureReport:
     violations: tuple[Violation, ...]
@@ -205,40 +219,92 @@ class StructureReport:
     lower_central_dims: tuple[int, ...]
     is_nilpotent: bool
     is_unimodular: bool
-    exponentiality: str  # "PassedSampling" | "FailedWithWitness" | "Skipped"
-    exponentiality_witness: Vector | None = None
+    exponentiality: str              # EXPONENTIAL or NOT_EXPONENTIAL
+    exponentiality_reason: str       # what the decision rests on
+    exponentiality_witness: Vector | None = None  # X of a failed check (i)
 
 
-def _span(vectors) -> list[list[Fraction]]:
-    """rref basis of the span of vectors."""
-    vectors = [v for v in vectors if any(x != 0 for x in v)]
-    return rref(vectors)[0] if vectors else []
+# The series and the flag below are spans of brackets, held as sparse
+# vectors {k: coefficient} in echelon form: each row vanishes at the pivots
+# (first nonzero index) of the rows before it, so reducing a vector by the
+# rows in order clears every pivot.
+Sparse = dict[int, Fraction]
 
 
-def _commutator(L: LieAlgebra) -> list[list[Fraction]]:
-    """rref basis of [g, g]: the span of the planes marked nonzero."""
-    return _span(dense_vector(pairs, L.dim) for plane in L.nonzero
-                 for pairs in plane if pairs)
+def _reduce(w: Sparse, rows: list[Sparse], pivots) -> list[Fraction]:
+    """Reduce w in place by the echelon rows in order; the factors taken
+    are w's coordinates when w lies in their span."""
+    factors = []
+    for row, col in zip(rows, pivots):
+        f = w.get(col, 0)
+        factors.append(f)
+        if f:
+            for k, y in row.items():
+                x = w.get(k, 0) - f * y
+                if x:
+                    w[k] = x
+                else:
+                    del w[k]
+    return factors
 
 
-def _derived_step(L: LieAlgebra, rows) -> list[list[Fraction]]:
+def _span(vectors, limit: int | None = None) -> list[Sparse]:
+    """Echelon basis of the span of sparse vectors, one vector at a time;
+    with ``limit``, stops once it has that many rows."""
+    rows: list[Sparse] = []
+    pivots: list[int] = []
+    for v in vectors:
+        w = {k: x for k, x in v.items() if x}
+        _reduce(w, rows, pivots)
+        if not w:
+            continue
+        col = min(w)
+        lead = w[col]
+        rows.append({k: x / lead for k, x in w.items()})
+        pivots.append(col)
+        if len(rows) == limit:
+            break
+    return rows
+
+
+def _brackets(L: LieAlgebra, us, vs):
+    """[u, v] for every sparse u in us and v in vs."""
+    vs = [list(v.items()) for v in vs]
+    for u in us:
+        u = list(u.items())
+        for v in vs:
+            yield _sparse_bracket(L, u, v)
+
+
+def _commutator(L: LieAlgebra) -> list[Sparse]:
+    """Echelon basis of [g, g]: the span of the planes marked nonzero."""
+    # [Z_j, Z_i] = -[Z_i, Z_j], so only the planes j > i are read
+    return _span(dict(pairs) for i, plane in enumerate(L.nonzero)
+                 for pairs in plane[i + 1:] if pairs)
+
+
+def _derived_step(L: LieAlgebra, rows) -> list[Sparse]:
     # [b, a] = -[a, b], so only the pairs a before b are bracketed
-    return _span(bracket(L, a, b) for s, a in enumerate(rows)
-                 for b in rows[s + 1:])
+    terms = [list(row.items()) for row in rows]
+    return _span(_sparse_bracket(L, a, b) for s, a in enumerate(terms)
+                 for b in terms[s + 1:])
 
 
-def _lower_central_step(L: LieAlgebra, rows) -> list[list[Fraction]]:
-    return _span(bracket(L, z, b) for z in map(L.basis_vector, range(L.dim))
-                 for b in rows)
+def _lower_central_step(L: LieAlgebra, rows) -> list[Sparse]:
+    # C^(j+1) lies in C^j, so a span as large as C^j is C^j: the series
+    # has stabilised and the remaining products cannot add to it
+    basis = ({z: Fraction(1)} for z in range(L.dim))
+    return _span(_brackets(L, basis, rows), limit=len(rows))
 
 
-def _series(L: LieAlgebra, current, step) -> tuple[int, ...]:
-    """Dimensions of g, current, step(current), ... while they decrease."""
+def _series(L: LieAlgebra, current, step):
+    """Dimensions of g, current, step(current), ... while they decrease,
+    and a basis of the last term."""
     dims = [L.dim]
     while len(current) < dims[-1]:
         dims.append(len(current))
         current = step(L, current)
-    return tuple(dims)
+    return tuple(dims), current
 
 
 def derived_series_dims(L: LieAlgebra) -> tuple[int, ...]:
@@ -246,60 +312,211 @@ def derived_series_dims(L: LieAlgebra) -> tuple[int, ...]:
 
     Strictly decreasing by construction; ends in 0 exactly when L is solvable.
     """
-    return _series(L, _commutator(L), _derived_step)
+    return _series(L, _commutator(L), _derived_step)[0]
 
 
 def lower_central_dims(L: LieAlgebra) -> tuple[int, ...]:
-    return _series(L, _commutator(L), _lower_central_step)
+    return _series(L, _commutator(L), _lower_central_step)[0]
 
 
-def exponentiality_screen(L: LieAlgebra, samples: int, seed: int,
-                          tol_im: float = 1e-9):
-    """Sample-based screen for the exponential property.
+def _matrix_poly(p, A) -> list[list[Fraction]]:
+    """p(A) by Horner's rule, p an integer coefficient list."""
+    n = len(A)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(p):
+        out = matmul(out, A)
+        for i in range(n):
+            out[i][i] += c
+    return out
 
-    For each basis vector and ``samples`` random rational u, the eigenvalues
-    of ad(u) must contain no nonzero purely imaginary value: whenever
-    |Re lam| <= tol_im we require |lam| <= tol_im.  Floating point only — a
-    screen, not a certificate.  Returns (status, witness_or_None).
+
+def _semisimple_part(A) -> list[list[Fraction]]:
+    """The semisimple part of A in its Jordan-Chevalley decomposition.
+
+    With p the square-free part of the characteristic polynomial, Newton's
+    iteration A <- A - p(A) p'(A)^-1 keeps the eigenvalues, so p'(A) stays
+    invertible, and reaches p(A) = 0 in about log2(largest multiplicity)
+    steps.  A with distinct eigenvalues, or with p(A) = 0, is its own.
     """
-    rng = random.Random(seed)
-    candidates = [L.basis_vector(i) for i in range(L.dim)] + [
-        tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 4))
-              for _ in range(L.dim)) for _ in range(samples)]
-    for u in candidates:
-        for lam in np.linalg.eigvals(ad_float(L, u)):
-            if abs(lam.real) <= tol_im and abs(lam) > tol_im:
-                return "FailedWithWitness", u
-    return "PassedSampling", None
+    full = univariate.charpoly(A)
+    p = univariate.squarefree(full)
+    if len(p) == len(full):
+        return A
+    dp = univariate.derivative(p)
+    while True:
+        residue = _matrix_poly(p, A)
+        if not any(any(row) for row in residue):
+            return A
+        step = matmul(residue, invert(_matrix_poly(dp, A)))
+        A = [[a - s for a, s in zip(ra, rs)] for ra, rs in zip(A, step)]
 
 
-def structure_report(L: LieAlgebra, exp_samples: int = EXP_SCREEN_SAMPLES,
-                     seed: int = 0) -> StructureReport:
+def _separating(parts):
+    """(c, S): S = sum c_i S_i with ker S the common kernel of the S_i.
+
+    c runs through (1, t, t^2, ...) for t = 1, 2, ...  A joint character
+    chi != 0 of the commuting S_i has chi(S) = sum_i chi_i t^i, a nonzero
+    polynomial in t with fewer than r roots, so the search ends.
+    """
+    common = rank_exact([row for S in parts for row in S])
+    n = len(parts[0])
+    t = 1
+    while True:
+        c = [Fraction(t ** i) for i in range(len(parts))]
+        S = [[sum((ci * P[a][b] for ci, P in zip(c, parts)), Fraction(0))
+              for b in range(n)] for a in range(n)]
+        if rank_exact(S) == common:
+            return c, S
+        t += 1
+
+
+def _on_image(S, parts) -> list[list[list[Fraction]]]:
+    """E_i = S_i S^-1 on im S, where the semisimple S is invertible.
+
+    The rref rows of S's columns are a basis of im S; a vector of im S has
+    its entries at their pivots as coordinates.
+    """
+    basis, piv = rref([list(col) for col in zip(*S)])
+    if not basis:
+        return []
+
+    def restricted(M):
+        images = [mat_vec(M, b) for b in basis]
+        return [[w[p] for w in images] for p in piv]
+
+    inverse = invert(restricted(S))
+    return [matmul(restricted(P), inverse) for P in parts]
+
+
+def _quotient_failure(mats):
+    """Which check fails for the commuting actions ``mats`` on one quotient.
+
+    None when no real combination has a nonzero purely imaginary
+    eigenvalue; else ("i", c, None) with the rational witness sum c_i A_i,
+    or ("ii", c, i) with the index of an E_i that has a non-real eigenvalue.
+
+    On a joint character chi with theta = chi(S) != 0, chi(S_i) = theta e_i
+    with e_i an eigenvalue of E_i.  If (i) leaves Re theta != 0 and every
+    e_i is real, chi(X) is theta times a real number, imaginary only when
+    it is 0; and theta = 0 only for chi = 0.  If some e_i is not real,
+    theta and theta e_i span C over R, so chi(X) = i for some real X.
+    """
+    if len(mats) == 1:
+        # S's eigenvalues are A's; E_1 is the identity on im S
+        c, S, parts = [Fraction(1)], mats[0], None
+    elif all(_real_spectrum(A) for A in mats):
+        return None  # then every joint character takes real values
+    else:
+        parts = [_semisimple_part(A) for A in mats]
+        c, S = _separating(parts)
+    if univariate.has_nonzero_imaginary_root(univariate.charpoly(S)):
+        return "i", c, None
+    for i, E in enumerate(_on_image(S, parts) if parts else ()):
+        if not _real_spectrum(E):
+            return "ii", c, i
+    return None
+
+
+def _real_spectrum(M) -> bool:
+    """Whether every eigenvalue of M is real (a Sturm count)."""
+    p = univariate.squarefree(univariate.charpoly(M))
+    return univariate.real_root_count(p) == len(p) - 1
+
+
+def _quotient_actions(L: LieAlgebra, gens, upper, lower):
+    """ad Z_k on upper/lower for k in gens, in one basis of the quotient.
+
+    Residues mod lower vanish at lower's pivots; an echelon basis U of the
+    residues of upper's rows spans a complement of lower in upper, and the
+    coordinates of w in upper/lower are those of its residue in U.
+    """
+    low_piv = [min(row) for row in lower]
+
+    def residue(v: Sparse) -> Sparse:
+        w = dict(v)
+        _reduce(w, lower, low_piv)
+        return w
+
+    basis = _span(map(residue, upper))
+    piv = [min(row) for row in basis]
+    mats = []
+    for k in gens:
+        cols = [_reduce(residue(w), basis, piv)
+                for w in _brackets(L, [{k: Fraction(1)}], basis)]
+        mats.append([list(row) for row in zip(*cols)])
+    return mats
+
+
+def _exponentiality(L: LieAlgebra, commutator, stable):
+    """(status, reason, witness) for a valid solvable L, decided exactly.
+
+    g is exponential iff no ad X has a nonzero purely imaginary eigenvalue
+    (Dixmier 1957, Saito 1957).  g acts trivially on g/C^1 and on each
+    C^j/C^(j+1), so every nonzero root lives on the stable term C^inf of
+    the lower central series.  Its flag V_0 = C^inf, V_(j+1) = [[g, g], V_j]
+    is g-stable and reaches 0 by Engel's theorem, and [g, g] acts as 0 on
+    each V_j/V_(j+1), so there only the basis vectors Z_k outside the
+    pivots of [g, g] act, by commuting matrices A_k.  Checks (i) and (ii)
+    of ``_quotient_failure`` run on each quotient.
+    """
+    if not stable:
+        return EXPONENTIAL, "nilpotent", None
+    pivots = {min(row) for row in commutator}
+    gens = [k for k in range(L.dim) if k not in pivots]
+    flag = [stable]
+    while flag[-1]:
+        flag.append(_span(_brackets(L, commutator, flag[-1])))
+    for j, (upper, lower) in enumerate(zip(flag, flag[1:])):
+        failure = _quotient_failure(_quotient_actions(L, gens, upper, lower))
+        if failure is None:
+            continue
+        check, c, i = failure
+        X = dense_vector(zip(gens, c), L.dim)
+        combo = format_combo(X, L.basis_names)
+        where = (f"check ({check}) fails on V_{j}/V_{j + 1} of the flag of "
+                 f"C^inf (dimension {len(upper) - len(lower)})")
+        if check == "i":
+            return NOT_EXPONENTIAL, (
+                f"{where}: ad X has a nonzero purely imaginary eigenvalue "
+                f"for X = {combo}"), X
+        name = L.basis_names[gens[i]]
+        return NOT_EXPONENTIAL, (
+            f"{where}: E_{name} = S_{name} S^-1 has a non-real eigenvalue, "
+            f"S_Z being the semisimple part of ad Z there and S that of "
+            f"ad({combo})"), None
+    return EXPONENTIAL, ("checks (i) and (ii) hold on every quotient of "
+                         "the flag of C^inf"), None
+
+
+def structure_report(L: LieAlgebra) -> StructureReport:
     """Validate and classify: solvable / nilpotent / unimodular / exponential.
 
     The report carries validate's violations, so none need a second pass.
-    Series dimensions come from exact ranks of row-reduced spanning sets;
+    Series dimensions come from exact ranks of echelon spanning sets;
     unimodularity is tr ad Z_i = 0 on every basis element, read from the
     table (trace is linear in u, so the basis check decides it).
-    Exponentiality is screened by sampling; pass exp_samples=0 to record
-    it as Skipped.
+    Exponentiality is decided exactly over Q (``_exponentiality``); an
+    invalid table or a group that is not solvable is not exponential.
     """
     violations = tuple(validate(L))
     commutator = _commutator(L)
-    der = _series(L, commutator, _derived_step)
-    low = _series(L, commutator, _lower_central_step)
-    unimod = not any(_ad_traces(L))
-    if exp_samples <= 0:
-        status, witness = "Skipped", None
+    der, _ = _series(L, commutator, _derived_step)
+    low, stable = _series(L, commutator, _lower_central_step)
+    if violations:
+        decision = NOT_EXPONENTIAL, "the structure constants are invalid", None
+    elif der[-1] != 0:
+        decision = NOT_EXPONENTIAL, "not solvable", None
     else:
-        status, witness = exponentiality_screen(L, exp_samples, seed)
+        decision = _exponentiality(L, commutator, stable)
+    status, reason, witness = decision
     return StructureReport(
         violations=violations,
         is_solvable=der[-1] == 0,
         derived_series_dims=der,
         lower_central_dims=low,
         is_nilpotent=low[-1] == 0,
-        is_unimodular=unimod,
+        is_unimodular=not any(_ad_traces(L)),
         exponentiality=status,
+        exponentiality_reason=reason,
         exponentiality_witness=witness,
     )

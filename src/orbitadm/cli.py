@@ -2,9 +2,11 @@
 
 Subcommands: validate, verdict, rank, jacobian, corpus.  Exit codes:
 0 success; 1 parse/validation error (also bad usage); 2 structural
-precondition failed (not solvable, or the exponentiality screen found a
-witness and no override was given); 3 internal disagreement between the
-probabilistic and symbolic generic ranks (never expected).
+precondition failed (the algebra is not solvable, or is decided not
+exponential, with the check and quotient the decision rests on); 3
+internal disagreement between the probabilistic and symbolic generic ranks
+(never expected).  Only `jacobian` imports ``geometry`` and so numpy; the
+other subcommands are exact and never load it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .algebra import (EXP_SCREEN_SAMPLES, DimensionMismatchError,
-                      exponentiality_screen, structure_report)
-from .geometry import fd_jacobian
+from .algebra import EXPONENTIAL, DimensionMismatchError, structure_report
 from .moment import stabilizer_report
 from .monomial import (NotACharacterError, NotClosedError, RankDeficientError,
                        build_datum)
@@ -26,7 +26,8 @@ from .report import (render_jacobian_text, render_json,
                      render_problem_summary, render_stabilizer_text,
                      render_text)
 from .verdict import (AnalysisConfig, DisagreementError, InvalidAlgebraError,
-                      StructuralPreconditionError, full_report)
+                      StructuralPreconditionError, full_report,
+                      not_exponential_error)
 
 SEED_ENV_VAR = "ORBITADM_SEED"
 
@@ -57,8 +58,8 @@ def build_parser() -> _Parser:
         "validate", help="check structure constants, subalgebra, character, "
                          "and structural preconditions")
     p_validate.add_argument("file")
+    # accepted for symmetry with verdict; no validate step is randomised
     p_validate.add_argument("--seed", type=int, default=None)
-    p_validate.add_argument("--assume-exponential", action="store_true")
 
     p_verdict = sub.add_parser(
         "verdict", help="full analysis: generic orbit rank and verdicts")
@@ -71,7 +72,6 @@ def build_parser() -> _Parser:
                                 "generic rank and witness when it finishes "
                                 "within its work limit (both routes run "
                                 "either way)")
-    p_verdict.add_argument("--assume-exponential", action="store_true")
     p_verdict.add_argument("--json", action="store_true")
 
     p_rank = sub.add_parser(
@@ -129,36 +129,27 @@ def _load(path: str):
 
 def _cmd_validate(args, out, err) -> int:
     pf = _load(args.file)
-    # the seed is read after the input checks: a bad one must not mask them
-    report = structure_report(pf.algebra, exp_samples=0)
+    report = structure_report(pf.algebra)
     if report.violations:
         for v in report.violations:
             print("invalid: " + v.describe(pf.algebra.basis_names), file=err)
         return EXIT_INVALID
     build_datum(pf.algebra, pf.subalgebra_rows, pf.functional_vals)
-    assume = args.assume_exponential or pf.config.get("assume_exponential",
-                                                      False)
-    seed = _resolve_seed(args.seed, pf.config)
+    # the seed is read after the input checks: a bad one must not mask them
+    _resolve_seed(args.seed, pf.config)
     if not report.is_solvable:
         print("precondition failed: the algebra is not solvable "
               f"(derived series dims {list(report.derived_series_dims)})",
               file=err)
         return EXIT_PRECONDITION
-    exponentiality, witness = (
-        ("Skipped", None) if assume
-        else exponentiality_screen(pf.algebra, EXP_SCREEN_SAMPLES, seed))
-    if exponentiality == "FailedWithWitness":
-        witness = ", ".join(str(x) for x in witness)
-        print("precondition failed: exponentiality screen found a witness "
-              f"({witness}); rerun with --assume-exponential to override",
-              file=err)
-        return EXIT_PRECONDITION
+    if report.exponentiality != EXPONENTIAL:
+        raise not_exponential_error(report)
     out.write(render_problem_summary(pf))
     out.write(f"is_solvable: true\n"
               f"is_nilpotent: {'true' if report.is_nilpotent else 'false'}\n"
               f"is_unimodular: "
               f"{'true' if report.is_unimodular else 'false'}\n"
-              f"exponentiality: {exponentiality}\n"
+              f"exponentiality: {report.exponentiality}\n"
               f"ok\n")
     return EXIT_OK
 
@@ -173,8 +164,6 @@ def _cmd_verdict(args, out, err) -> int:
         else pf.config.get("bound", 10 ** 6),
         seed=seed,
         force_symbolic=args.symbolic or pf.config.get("symbolic", False),
-        assume_exponential=args.assume_exponential
-        or pf.config.get("assume_exponential", False),
     )
     if config.trials < 1:
         raise _UsageError("--trials must be at least 1")
@@ -208,6 +197,7 @@ def _cmd_rank(args, out, err) -> int:
 
 
 def _cmd_jacobian(args, out, err) -> int:
+    from .geometry import fd_jacobian  # numpy: loaded for this command only
     if args.step <= 0:
         raise _UsageError("--step must be positive")
     if args.tol <= 0:

@@ -20,10 +20,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import DimensionMismatchError, LieAlgebra, ad_float
+from .algebra import DimensionMismatchError, LieAlgebra, ad_matrix
 from .linalg import rank_exact
 from .moment import moment_matrix
 from .monomial import MonomialDatum, point_on_variety
+
+
+def ad_float(L: LieAlgebra, u) -> np.ndarray:
+    """ad(u) as a floating n x n matrix."""
+    return np.array(ad_matrix(L, u), dtype=float)
 
 
 def expm(A: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LieAlgebra, dense_vector, from_brackets
+from .algebra import LieAlgebra, dense_vector, format_combo, from_brackets
 
 Vector = tuple[Fraction, ...]
 
@@ -51,7 +51,6 @@ CONFIG_KEYS = {
     "trials": int,
     "bound": int,
     "symbolic": bool,
-    "assume_exponential": bool,
 }
 
 
@@ -126,14 +125,25 @@ class ProblemFile:
         return len(self.subalgebra_rows)
 
 
+def _int(text: str, line: int, col: int) -> int:
+    """int(text) for a digit string; Python refuses very long ones."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(line, col, f"integer literal too long "
+                         f"({len(text.lstrip('-'))} digits)") from None
+
+
 def _rational(tok: Token) -> Fraction:
     if "/" in tok.text:
         num, den = tok.text.split("/")
-        if int(den) == 0:
-            raise ParseError(tok.line, tok.col + len(num) + 1,
+        den_col = tok.col + len(num) + 1
+        if _int(den, tok.line, den_col) == 0:
+            raise ParseError(tok.line, den_col,
                              "denominator must be a positive integer")
-        return Fraction(int(num), int(den))
-    return Fraction(int(tok.text))
+        return Fraction(_int(num, tok.line, tok.col),
+                        _int(den, tok.line, den_col))
+    return Fraction(_int(tok.text, tok.line, tok.col))
 
 
 def _term(line: _Line, names: dict[str, int]) -> tuple[int, Fraction]:
@@ -194,10 +204,11 @@ def parse(source: str) -> ProblemFile:
     line.take("ID", "'dim'", "dim")
     dim_tok = line.take("RATIONAL", "a positive integer dimension")
     line.done()
-    if "/" in dim_tok.text or int(dim_tok.text) < 1:
+    n = 0 if "/" in dim_tok.text else _int(dim_tok.text, dim_tok.line,
+                                            dim_tok.col)
+    if n < 1:
         raise ParseError(dim_tok.line, dim_tok.col,
                          "dimension must be a positive integer")
-    n = int(dim_tok.text)
 
     line = next_line("'basis'")
     basis_tok = line.take("ID", "'basis'", "basis")
@@ -328,19 +339,7 @@ def _config_value(key: str, tok: Token):
     if tok.kind != "RATIONAL" or "/" in tok.text:
         raise ParseError(tok.line, tok.col,
                          f"expected an integer, found {tok.text!r}")
-    return int(tok.text)
-
-
-def _format_combo(vec, basis_names) -> str:
-    parts = []
-    for k, coeff in enumerate(vec):
-        if coeff == 0:
-            continue
-        if coeff == 1:
-            parts.append(basis_names[k])
-        else:
-            parts.append(f"{coeff} * {basis_names[k]}")
-    return " + ".join(parts) if parts else f"0 * {basis_names[0]}"
+    return _int(tok.text, tok.line, tok.col)
 
 
 def serialize(pf: ProblemFile) -> str:
@@ -351,10 +350,10 @@ def serialize(pf: ProblemFile) -> str:
     for i, plane in enumerate(L.nonzero):
         for j in range(i + 1, L.dim):
             if plane[j]:
-                combo = _format_combo(dense_vector(plane[j], L.dim), names)
+                combo = format_combo(dense_vector(plane[j], L.dim), names)
                 out.append(f"bracket {names[i]} {names[j]} = {combo}")
     if pf.subalgebra_rows:
-        gens = "; ".join(_format_combo(row, names)
+        gens = "; ".join(format_combo(row, names)
                          for row in pf.subalgebra_rows)
         out.append(f"subalgebra {gens}")
         out.append("functional " + ", ".join(map(str, pf.functional_vals)))

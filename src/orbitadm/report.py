@@ -10,15 +10,19 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .geometry import JacobianReport
+from .algebra import format_combo
 from .moment import StabilizerReport
-from .problemfile import ProblemFile, _format_combo
+from .problemfile import ProblemFile
 from .verdict import RATIONALE_TEXT, FullReport
+
+if TYPE_CHECKING:  # geometry imports numpy, which only `jacobian` needs
+    from .geometry import JacobianReport
 
 
 def _combo_strings(rows, basis_names) -> list:
-    return [_format_combo(row, basis_names) for row in rows]
+    return [format_combo(row, basis_names) for row in rows]
 
 
 def report_dict(rep: FullReport) -> dict:

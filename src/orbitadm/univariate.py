@@ -1,0 +1,166 @@
+"""Univariate polynomials over the rationals, just enough to locate roots.
+
+A polynomial is a list of ints, constant term first, with no trailing zero
+(the zero polynomial is ``[]``).  Callers ask only where the roots are, so
+every result is given up to a positive rational factor: rational input is
+scaled to integers, and remainders are divided by their content, which
+keeps the integers small without changing any sign that a Sturm count
+reads.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd as int_gcd
+
+
+def primitive(p) -> list[int]:
+    """p over the gcd of its integer coefficients, trailing zeros dropped."""
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    g = 0
+    for c in p:
+        g = int_gcd(g, c)
+    return [c // g for c in p] if g > 1 else p
+
+
+def from_rationals(coeffs) -> list[int]:
+    """The primitive integer polynomial with the roots of ``coeffs``."""
+    coeffs = [Fraction(c) for c in coeffs]
+    scale = 1
+    for c in coeffs:
+        scale = scale * c.denominator // int_gcd(scale, c.denominator)
+    return primitive(int(c * scale) for c in coeffs)
+
+
+def derivative(p) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _pseudo_divmod(a, b) -> tuple[list[int], list[int]]:
+    """(q, r) with s * a = q * b + r and deg r < deg b, s a positive int."""
+    lead = b[-1]
+    s = abs(lead)
+    r = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(q))):
+        top = r[k + len(b) - 1]
+        if s != 1:
+            r = [s * x for x in r]
+            q = [s * x for x in q]
+        f = top if lead > 0 else -top
+        q[k] += f
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+    return q, primitive(r)
+
+
+def gcd(a, b) -> list[int]:
+    """Greatest common divisor, primitive with a positive leading term."""
+    a, b = primitive(a), primitive(b)
+    while b:
+        a, b = b, _pseudo_divmod(a, b)[1]
+    return [-c for c in a] if a and a[-1] < 0 else a
+
+
+def squarefree(p) -> list[int]:
+    """p with every repeated factor reduced to a single one."""
+    p = primitive(p)
+    g = gcd(p, derivative(p))
+    return primitive(_pseudo_divmod(p, g)[0]) if len(g) > 1 else p
+
+
+def _sign_changes(signs) -> int:
+    signs = [s > 0 for s in signs if s]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def real_root_count(p) -> int:
+    """Number of distinct real roots, from the Sturm sequence of p.
+
+    p_0 = p, p_1 = p', p_(k+1) = -(p_(k-1) mod p_k); the count is the
+    number of sign changes of the leading terms at -infinity minus that at
+    +infinity.  It counts distinct roots whether or not p is square-free.
+    """
+    p = primitive(p)
+    if len(p) < 2:
+        return 0
+    seq = [p, derivative(p)]
+    while len(seq[-1]) > 1:
+        r = _pseudo_divmod(seq[-2], seq[-1])[1]
+        if not r:
+            break
+        seq.append([-c for c in r])
+    at_plus = [q[-1] for q in seq]
+    at_minus = [q[-1] if len(q) % 2 else -q[-1] for q in seq]
+    return _sign_changes(at_minus) - _sign_changes(at_plus)
+
+
+def has_nonzero_imaginary_root(p) -> bool:
+    """Whether p(iy) = 0 for some real y != 0.
+
+    p(iy) = R(y) + i I(y) with R, I real, so such a y is a common real root
+    of R and I: a real root of their gcd once the factors y are removed.
+    The Sturm count runs only when that gcd is not constant.
+    """
+    sign = [1, 1, -1, -1]  # i^k = sign * 1 (k even) or sign * i (k odd)
+    re = [sign[k % 4] * c if k % 2 == 0 else 0 for k, c in enumerate(p)]
+    im = [sign[k % 4] * c if k % 2 else 0 for k, c in enumerate(p)]
+    g = gcd(re, im)
+    while g and not g[0]:
+        g = g[1:]
+    return len(g) > 1 and real_root_count(g) > 0
+
+
+def charpoly(mat) -> list[int]:
+    """det(x I - mat), up to a positive factor, in O(n^3) exact steps.
+
+    The matrix is brought to upper Hessenberg form H by similarity
+    (Gaussian elimination below the subdiagonal), then the determinant
+    follows from the recurrence on its leading principal minors,
+
+        p_k = (x - h_kk) p_(k-1)
+              - sum_(i<k) h_ik * h_(i+1,i) ... h_(k,k-1) * p_(i-1).
+
+    Zero multipliers and zero subdiagonal products are skipped, so a
+    triangular matrix costs O(n^2).
+    """
+    h = [[Fraction(x) for x in row] for row in mat]
+    n = len(h)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        top = h[m][m - 1]
+        for i in range(m + 1, n):
+            u = h[i][m - 1] / top
+            if not u:
+                continue
+            row_i, row_m = h[i], h[m]
+            for c in range(m - 1, n):
+                if row_m[c]:
+                    row_i[c] -= u * row_m[c]
+            for row in h:
+                if row[i]:
+                    row[m] += u * row[i]
+    polys = [[Fraction(1)]]
+    for k in range(n):
+        prev = polys[-1]
+        p = [Fraction(0)] + prev
+        for d, c in enumerate(prev):
+            p[d] -= h[k][k] * c
+        t = Fraction(1)
+        for i in range(k - 1, -1, -1):
+            t *= h[i + 1][i]
+            if not t:
+                break
+            if h[i][k]:
+                for d, c in enumerate(polys[i]):
+                    p[d] -= h[i][k] * t * c
+        polys.append(p)
+    return from_rationals(polys[-1])

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (EXP_SCREEN_SAMPLES, LieAlgebra, StructureReport,
-                      Violation, structure_report)
+from .algebra import (EXPONENTIAL, LieAlgebra, StructureReport, Violation,
+                      structure_report)
 from .linalg import WorkLimitError
 from .moment import (GenericRankResult, generic_h_orbit_dim,
                      symbolic_generic_rank)
@@ -62,6 +62,15 @@ class StructuralPreconditionError(RuntimeError):
         self.reason = reason
         self.witness = witness
         super().__init__(reason)
+
+
+def not_exponential_error(structure: StructureReport
+                          ) -> StructuralPreconditionError:
+    """The refusal for a solvable algebra decided not exponential."""
+    return StructuralPreconditionError(
+        "the algebra is not exponential, so the analysis does not apply: "
+        + structure.exponentiality_reason,
+        witness=structure.exponentiality_witness)
 
 
 class DisagreementError(RuntimeError):
@@ -117,7 +126,6 @@ class AnalysisConfig:
     bound: int = 10 ** 6
     seed: int = 0
     force_symbolic: bool = False
-    assume_exponential: bool = False
 
 
 @dataclass(frozen=True)
@@ -142,12 +150,11 @@ def full_report(L: LieAlgebra, h_rows, f_vals,
 
     Raises InvalidAlgebraError / the datum validation errors for malformed
     input, StructuralPreconditionError when the algebra is not solvable or
-    the exponentiality screen finds a witness (and no override is set), and
-    DisagreementError if the two generic-rank routes ever disagree.  If the
-    symbolic route hits its work limit, a warning says the sampled one decides.
+    not exponential, and DisagreementError if the two generic-rank routes
+    ever disagree.  If the symbolic route hits its work limit, a warning
+    says the sampled one decides.
     """
-    exp_samples = 0 if config.assume_exponential else EXP_SCREEN_SAMPLES
-    structure = structure_report(L, exp_samples=exp_samples, seed=config.seed)
+    structure = structure_report(L)
     if structure.violations:
         raise InvalidAlgebraError(structure.violations, L.basis_names)
     datum = build_datum(L, h_rows, f_vals)
@@ -155,21 +162,10 @@ def full_report(L: LieAlgebra, h_rows, f_vals,
         raise StructuralPreconditionError(
             "the algebra is not solvable; the analysis applies only to "
             "exponential solvable groups")
-    if structure.exponentiality == "FailedWithWitness":
-        names = ", ".join(L.basis_names)
-        raise StructuralPreconditionError(
-            "exponentiality screen found a witness direction with a nonzero "
-            f"purely imaginary ad-eigenvalue (basis {names}); pass the "
-            "assume-exponential override to proceed anyway",
-            witness=structure.exponentiality_witness)
+    if structure.exponentiality != EXPONENTIAL:
+        raise not_exponential_error(structure)
 
     warnings = []
-    if structure.exponentiality == "PassedSampling":
-        warnings.append("exponentiality verified by sampling only, "
-                        "not certified")
-    elif structure.exponentiality == "Skipped":
-        warnings.append("exponentiality asserted by caller; screen skipped")
-
     prob = generic_h_orbit_dim(datum, trials=config.trials,
                                bound=config.bound, seed=config.seed)
     try:

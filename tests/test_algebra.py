@@ -160,44 +160,42 @@ class TestAdTrace:
 
 class TestStructureReport:
     def test_h3(self, h3):
-        rep = oa.structure_report(h3, exp_samples=20, seed=1)
+        rep = oa.structure_report(h3)
         assert not rep.violations and rep.is_solvable and rep.is_nilpotent
         assert rep.is_unimodular
         assert rep.derived_series_dims == (3, 1, 0)
-        assert rep.exponentiality == "PassedSampling"
+        assert rep.exponentiality == "Exponential"
+        assert rep.exponentiality_reason == "nilpotent"
 
     def test_axb(self, axb):
-        rep = oa.structure_report(axb, exp_samples=20, seed=1)
+        rep = oa.structure_report(axb)
         assert rep.is_solvable and not rep.is_nilpotent
         assert not rep.is_unimodular  # trace ad A = 1
         assert rep.derived_series_dims == (2, 1, 0)
-        assert rep.exponentiality == "PassedSampling"
+        assert rep.exponentiality == "Exponential"
 
     def test_abelian(self):
-        rep = oa.structure_report(make_abelian(2), exp_samples=5, seed=0)
+        rep = oa.structure_report(make_abelian(2))
         assert rep.is_solvable and rep.is_nilpotent and rep.is_unimodular
         assert rep.derived_series_dims == (2, 0)
 
-    def test_motion_algebra_fails_screen(self):
-        rep = oa.structure_report(make_motion(), exp_samples=10, seed=0)
+    def test_motion_algebra_is_not_exponential(self):
+        rep = oa.structure_report(make_motion())
         assert rep.is_solvable
-        assert rep.exponentiality == "FailedWithWitness"
-        # the witness is found already among basis vectors, hence A itself
+        assert rep.exponentiality == "NotExponential"
+        assert rep.exponentiality_reason.startswith("check (i) fails")
+        # ad A rotates the plane: A itself is the rational witness
         assert rep.exponentiality_witness == make_motion().vector(A=1)
 
     def test_sl2_not_solvable(self):
-        rep = oa.structure_report(make_sl2(), exp_samples=5, seed=0)
+        rep = oa.structure_report(make_sl2())
         assert not rep.is_solvable
         assert rep.derived_series_dims == (3,)
-
-    def test_skip_flag(self, h3):
-        rep = oa.structure_report(h3, exp_samples=0, seed=0)
-        assert rep.exponentiality == "Skipped"
-        assert rep.exponentiality_witness is None
+        assert rep.exponentiality == "NotExponential"
 
     def test_unimodularity_matches_random_traces(self):
         for L in (make_h3(), make_axb(), make_abelian(3), make_motion()):
-            rep = oa.structure_report(L, exp_samples=0, seed=0)
+            rep = oa.structure_report(L)
             rng = random.Random(31 + L.dim)
             all_zero = True
             for _ in range(100):

@@ -102,17 +102,27 @@ class TestValidate:
         assert "(0, 0, -1)" in err
 
     def test_motion_exits_two_with_witness(self):
-        code, _out, err = run_cli("validate", str(FIXTURES / "motion.alg"))
-        assert code == 2
-        assert "exponentiality screen found a witness" in err
-        assert "(1, 0, 0)" in err
-        assert "--assume-exponential" in err
+        code, out, err = run_cli("validate", str(FIXTURES / "motion.alg"))
+        assert (code, out) == (2, "")
+        assert err.startswith("precondition failed: the algebra is not "
+                              "exponential")
+        assert "check (i) fails on V_0/V_1" in err
+        assert "for X = A\n" in err
 
-    def test_motion_override_allows_validation(self):
-        code, out, _err = run_cli("validate", str(FIXTURES / "motion.alg"),
-                                  "--assume-exponential")
-        assert code == 0
-        assert "exponentiality: Skipped" in out
+    @pytest.mark.parametrize("command", ["validate", "verdict"])
+    def test_assume_exponential_flag_is_usage_error(self, command):
+        code, out, err = run_cli(command, str(FIXTURES / "motion.alg"),
+                                 "--assume-exponential")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unrecognized arguments: "
+                              "--assume-exponential")
+
+    def test_seed_changes_nothing(self):
+        runs = {run_cli("validate", corpus_file("grelaud"), "--seed", str(s))
+                for s in range(3)}
+        assert len(runs) == 1
+        code, out, _err = runs.pop()
+        assert code == 0 and "exponentiality: Exponential\n" in out
 
     def test_sl2_exits_two_not_solvable(self):
         code, _out, err = run_cli("validate", str(FIXTURES / "sl2.alg"))
@@ -222,13 +232,18 @@ class TestVerdict:
         assert code == 2
         assert "precondition failed" in err
 
-    def test_motion_override_reports_skip_warning(self):
-        code, out, _err = run_cli("verdict", str(FIXTURES / "motion.alg"),
-                                  "--assume-exponential", "--json")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["structure"]["exponentiality"] == "Skipped"
-        assert any("screen skipped" in w for w in doc["warnings"])
+    @pytest.mark.parametrize("name", ["twist1", "twist2", "twist3"])
+    def test_twists_exit_two_at_every_seed(self, name, tmp_path):
+        # R^2 x| R^(2j) with ad A = I + J, ad B = I - J: ad(A - B) = 2J has
+        # eigenvalues +-2i, and only check (ii) sees it
+        problem = _families.twist(int(name[-1]))
+        path = tmp_path / f"{name}.alg"
+        path.write_text(problem.text)
+        for seed in range(8):
+            code, out, err = run_cli("verdict", str(path), "--seed",
+                                     str(seed))
+            assert (code, out) == (2, "")
+            assert "not exponential" in err and "check (ii)" in err
 
     def test_broken_jacobi_exits_one(self):
         code, _out, err = run_cli("verdict",

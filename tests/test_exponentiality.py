@@ -1,0 +1,262 @@
+"""The exact exponentiality decision, on algebras whose answer is known by
+hand, in their own basis and in random rational bases; the univariate
+helpers it rests on; and the import graph that keeps numpy off every
+command but `jacobian`.
+
+A solvable g is exponential iff no ad X has a nonzero purely imaginary
+eigenvalue (Dixmier 1957, Saito 1957).
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import orbitadm as oa
+from orbitadm import cli, univariate
+from orbitadm.geometry import ad_float
+
+from conftest import (CORPUS_NAMES, load_bench_families, load_problem,
+                      make_motion, random_invertible, transform_algebra)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+_families = load_bench_families()
+
+
+def _family(problem) -> oa.LieAlgebra:
+    return oa.parse(problem.text).algebra
+
+
+def _plane_action(prefix: str, blocks) -> dict:
+    """Brackets [prefix, X_i] on R^k from the k x k matrix ``blocks``
+    (column i holds the coordinates of [prefix, X_i])."""
+    k = len(blocks)
+    return {(prefix, f"X{i + 1}"): {f"X{r + 1}": blocks[r][i]
+                                    for r in range(k) if blocks[r][i]}
+            for i in range(k)}
+
+
+def _semidirect(name: str, actions: dict) -> oa.LieAlgebra:
+    """R^r x| R^k with abelian R^r acting by the commuting matrices
+    ``actions`` (generator name -> k x k matrix) on an abelian ideal."""
+    k = len(next(iter(actions.values())))
+    brackets = {}
+    for gen, mat in actions.items():
+        brackets.update(_plane_action(gen, mat))
+    return oa.from_brackets(name, tuple(actions) + tuple(
+        f"X{i + 1}" for i in range(k)), brackets)
+
+
+def _blocks(*rows_of_blocks):
+    """A matrix assembled from 2 x 2 blocks."""
+    out = []
+    for block_row in rows_of_blocks:
+        for r in range(2):
+            out.append([x for block in block_row for x in block[r]])
+    return out
+
+
+I2, Z2 = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+R_PLUS = [[1, -1], [1, 1]]     # I + J, eigenvalues 1 +- i
+R_MINUS = [[1, 1], [-1, 1]]    # I - J, eigenvalues 1 -+ i
+
+
+def oscillator() -> oa.LieAlgebra:
+    # ad T rotates (X, Y), [X, Y] = Z: solvable, ad T has eigenvalues +-i
+    return oa.from_brackets("oscillator", ("T", "X", "Y", "Z"), {
+        ("T", "X"): {"Y": 1}, ("T", "Y"): {"X": -1}, ("X", "Y"): {"Z": 1}})
+
+
+def jordan_block() -> oa.LieAlgebra:
+    # ad A on R^3 is one Jordan block with eigenvalue 1
+    return _semidirect("jordan", {"A": [[1, 1, 0], [0, 1, 1], [0, 0, 1]]})
+
+
+def complex_jordan(b_blocks) -> oa.LieAlgebra:
+    """ad A = [[R, I], [0, R]] on R^4 = C^2 (R = I + J: a Jordan block with
+    eigenvalue 1 + i, so not semisimple), ad B = diag(b, b)."""
+    return _semidirect("cjordan", {
+        "A": _blocks([R_PLUS, I2], [Z2, R_PLUS]),
+        "B": _blocks([b_blocks, Z2], [Z2, b_blocks])})
+
+
+EXPONENTIAL = {
+    **{name: (lambda name=name: load_problem(name).algebra)
+       for name in CORPUS_NAMES},
+    "h7": lambda: _family(_families.heisenberg(3, "lagrangian")),
+    "b4": lambda: _family(_families.borel(4, "cartan")),
+    "diag5": lambda: _family(_families.diagonal(5, 1)),
+    "jordan": jordan_block,
+    # chi(B) = chi(A) = 1 + i on each character: chi(X) is a real multiple
+    # of 1 + i, never purely imaginary; decided through checks (i) and (ii)
+    "complex_jordan_parallel": lambda: complex_jordan(R_PLUS),
+}
+
+# name -> (algebra, the check that refuses it in its own basis)
+NOT_EXPONENTIAL = {
+    "twist1": (lambda: _family(_families.twist(1)), "ii"),
+    "twist2": (lambda: _family(_families.twist(2)), "ii"),
+    "twist3": (lambda: _family(_families.twist(3)), "ii"),
+    "e2": (make_motion, "i"),
+    "oscillator": (oscillator, "i"),
+    # ad A = I + J, ad B = 3I + J: ad(3A - B) = 2J has eigenvalues +-2i
+    "pair": (lambda: _semidirect("pair", {"A": R_PLUS,
+                                          "B": [[3, -1], [1, 3]]}), "ii"),
+    # chi(A) = 1 + i, chi(B) = 1 - i, with ad A not semisimple
+    "complex_jordan_twisted": (lambda: complex_jordan(R_MINUS), "ii"),
+}
+
+
+def _decide(L):
+    assert oa.validate(L) == []
+    rep = oa.structure_report(L)
+    assert rep.is_solvable
+    return rep
+
+
+@pytest.mark.parametrize("name", EXPONENTIAL)
+def test_exponential_algebras(name):
+    rep = _decide(EXPONENTIAL[name]())
+    assert rep.exponentiality == "Exponential"
+    assert rep.exponentiality_witness is None
+    assert (rep.exponentiality_reason == "nilpotent") == rep.is_nilpotent
+
+
+@pytest.mark.parametrize("name", NOT_EXPONENTIAL)
+def test_not_exponential_algebras(name):
+    build, check = NOT_EXPONENTIAL[name]
+    L = build()
+    rep = _decide(L)
+    assert rep.exponentiality == "NotExponential"
+    assert rep.exponentiality_reason.startswith(f"check ({check}) fails")
+    if check == "i":
+        _assert_imaginary_witness(L, rep.exponentiality_witness)
+    else:
+        assert rep.exponentiality_witness is None
+
+
+def _assert_imaginary_witness(L, X):
+    """ad X has a nonzero purely imaginary eigenvalue (float oracle)."""
+    eig = np.linalg.eigvals(ad_float(L, X))
+    assert any(abs(lam.real) < 1e-9 and abs(lam.imag) > 1e-6 for lam in eig)
+
+
+CASES = [(name, build, "Exponential") for name, build in EXPONENTIAL.items()]
+CASES += [(name, build, "NotExponential")
+          for name, (build, _check) in NOT_EXPONENTIAL.items()]
+
+
+@pytest.mark.parametrize("name, build, expected", CASES,
+                         ids=[c[0] for c in CASES])
+def test_decision_is_basis_invariant(name, build, expected):
+    L = build()
+    rng = random.Random(f"exp:{name}")
+    for _ in range(2):
+        M = transform_algebra(L, random_invertible(rng, L.dim))
+        rep = _decide(M)
+        assert rep.exponentiality == expected
+        if rep.exponentiality_witness is not None:
+            _assert_imaginary_witness(M, rep.exponentiality_witness)
+
+
+def test_check_ii_names_the_quotient_and_generator():
+    rep = oa.structure_report(_family(_families.twist(2)))
+    assert rep.exponentiality_reason == (
+        "check (ii) fails on V_0/V_1 of the flag of C^inf (dimension 4): "
+        "E_A = S_A S^-1 has a non-real eigenvalue, S_Z being the semisimple "
+        "part of ad Z there and S that of ad(A + B)")
+
+
+def test_invalid_and_non_solvable_tables_are_not_exponential():
+    broken = oa.parse((Path(__file__).parent / "fixtures"
+                       / "broken_jacobi.alg").read_text()).algebra
+    assert oa.structure_report(broken).exponentiality == "NotExponential"
+    sl2 = oa.parse((Path(__file__).parent / "fixtures"
+                    / "sl2.alg").read_text()).algebra
+    rep = oa.structure_report(sl2)
+    assert (rep.exponentiality, rep.exponentiality_reason) == (
+        "NotExponential", "not solvable")
+
+
+class TestUnivariate:
+    def test_charpoly_matches_numpy(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            mat = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    if rng.random() < 0.7 else Fraction(0)
+                    for _ in range(n)] for _ in range(n)]
+            got = univariate.charpoly(mat)
+            want = np.poly(np.array(mat, dtype=float))[::-1]
+            assert np.allclose(np.array(got, dtype=float) / got[-1], want,
+                               atol=1e-8)
+
+    def test_charpoly_of_triangular_matrix(self):
+        # (x - 1)(x - 2)(x - 3) = -6 + 11x - 6x^2 + x^3
+        mat = [[1, 5, 7], [0, 2, 9], [0, 0, 3]]
+        assert univariate.charpoly(mat) == [-6, 11, -6, 1]
+
+    @pytest.mark.parametrize("p, real, imaginary", [
+        ([1, 0, 1], 0, True),            # s^2 + 1
+        ([0, 0, 1], 1, False),           # s^2
+        ([-4, 4, -1, 1], 1, True),       # (s - 1)(s^2 + 4)
+        ([2, -2, 1], 0, False),          # roots 1 +- i
+        ([0, 1, 0, 1], 1, True),         # s(s^2 + 1)
+        ([-6, 11, -6, 1], 3, False),
+        ([1, -2, 1], 1, False),          # (s - 1)^2: one distinct root
+    ])
+    def test_root_counts(self, p, real, imaginary):
+        assert univariate.real_root_count(p) == real
+        assert univariate.has_nonzero_imaginary_root(p) is imaginary
+
+    def test_gcd_and_squarefree(self):
+        # (x - 1)^2 (x + 2) and (x - 1)(x + 3)
+        a = [2, -3, 0, 1]
+        assert univariate.gcd(a, [-3, 2, 1]) == [-1, 1]
+        assert univariate.squarefree(a) == [-2, 1, 1]
+        assert univariate.from_rationals([Fraction(1, 2), Fraction(-3, 4)]) \
+            == [2, -3]
+
+
+_NUMPY_PROBE = ("import sys\n"
+                "from orbitadm.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "print('numpy' in sys.modules, file=sys.stderr)\n"
+                "sys.exit(code)\n")
+
+
+def _fresh(*argv) -> tuple[int, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.pop(cli.SEED_ENV_VAR, None)
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    return proc.returncode, proc.stderr.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verdict", "grelaud"), ("validate", "grelaud"),
+    ("rank", "grelaud", "--point", "1,2")])
+def test_exact_commands_never_import_numpy(argv):
+    command, name, *rest = argv
+    assert _fresh(command, str(cli.corpus_path(name)), *rest) == (0, "False")
+
+
+def test_jacobian_still_loads_numpy():
+    path = str(cli.corpus_path("grelaud"))
+    assert _fresh("jacobian", path, "--point", "1,2") == (0, "True")
+
+
+def test_only_geometry_imports_numpy():
+    importers = sorted(path.name for path in (SRC / "orbitadm").glob("*.py")
+                       if "import numpy" in path.read_text())
+    assert importers == ["geometry.py"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import orbitadm as oa
-from orbitadm import algebra, geometry
+from orbitadm import geometry
 
 from conftest import (CORPUS_NAMES, ORACLES, load_problem, make_abelian,
                       make_axb, make_h3, moment_float, random_dyadic,
@@ -204,12 +204,12 @@ class TestFdJacobian:
         # evaluations of the chart action
         D = corpus_data[name]
         calls = []
-        original = algebra.ad_matrix
+        original = geometry.ad_matrix
 
         def counting(L, u):
             calls.append(u)
             return original(L, u)
-        monkeypatch.setattr(algebra, "ad_matrix", counting)
+        monkeypatch.setattr(geometry, "ad_matrix", counting)
         oa.fd_jacobian(D, (Fraction(1, 2),) * (D.n - D.m), h=1e-4)
         assert len(calls) == D.n
 

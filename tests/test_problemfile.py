@@ -75,9 +75,9 @@ class TestParseValid:
     def test_config_block(self):
         pf = oa.parse("algebra g\ndim 1\nbasis T\nconfig seed 9\n"
                       "config trials 5\nconfig symbolic true\n"
-                      "config assume_exponential false\nconfig bound 100\n")
+                      "config bound 100\n")
         assert pf.config == {"seed": 9, "trials": 5, "symbolic": True,
-                             "assume_exponential": False, "bound": 100}
+                             "bound": 100}
 
     def test_negative_config_seed(self):
         pf = oa.parse("algebra g\ndim 1\nbasis T\nconfig seed -3\n")
@@ -201,6 +201,27 @@ class TestParseErrors:
         assert "unknown config key 'volume'" in e.message
         assert "seed" in e.message  # lists the known keys
 
+    def test_assume_exponential_is_no_longer_a_config_key(self):
+        e = err("algebra g\ndim 1\nbasis T\n"
+                "config assume_exponential true\n")
+        assert (e.line, e.col) == (4, 8)
+        assert "unknown config key 'assume_exponential'" in e.message
+
+    @pytest.mark.parametrize("template, line, col", [
+        ("algebra g\ndim {big}\nbasis T\n", 2, 5),
+        ("algebra g\ndim 2\nbasis A X\nbracket A X = {big} * X\n", 4, 15),
+        ("algebra g\ndim 2\nbasis A X\nbracket A X = 1/{big} * X\n", 4, 17),
+        ("algebra g\ndim 2\nbasis A X\nsubalgebra X\nfunctional -{big}\n",
+         5, 12),
+        ("algebra g\ndim 1\nbasis T\nconfig seed {big}\n", 4, 13),
+    ])
+    def test_overlong_integer_literal_has_position(self, template, line,
+                                                   col):
+        # Python's int() refuses strings of more than 4300 digits
+        e = err(template.format(big="7" * 5000))
+        assert (e.line, e.col) == (line, col)
+        assert "integer literal too long (5000 digits)" in e.message
+
     def test_duplicate_config_key(self):
         e = err("algebra g\ndim 1\nbasis T\nconfig seed 1\nconfig seed 2\n")
         assert "duplicate config key" in e.message
@@ -294,7 +315,9 @@ def test_parse_inverts_serialize_in_random_bases(case):
 
 
 CORPUS_TEXTS = [cli.corpus_path(name).read_text() for name in CORPUS_NAMES]
-FUZZ_CHARS = "AXYZabz019/-*+;,=# \t\n@_"
+FUZZ_CHARS = list("AXYZabz019/-*+;,=# \t\n@_")
+# past Python's 4300-digit limit for int()
+FUZZ_LITERALS = ["9" * 4301, "-" + "1" * 5000, "2/" + "3" * 4400]
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -318,7 +341,7 @@ def test_mutated_corpus_texts_fail_only_with_parse_errors(data):
         else:
             text = lines[r]
             c = data.draw(st.integers(0, len(text)))
-            char = data.draw(st.sampled_from(FUZZ_CHARS))
+            char = data.draw(st.sampled_from(FUZZ_CHARS + FUZZ_LITERALS))
             if op == "delete_char":
                 text = text[:c] + text[c + 1:]
             elif op == "insert_char":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,9 +23,10 @@ import orbitadm as oa
 from orbitadm import algebra
 from orbitadm.linalg import rref
 
-from conftest import (algebra_from_table, dense_table, make_abelian, make_axb,
-                      make_h3, make_motion, make_sl2, random_invertible,
-                      transform_algebra)
+from conftest import (CORPUS_NAMES, algebra_from_table, dense_table,
+                      load_bench_families, load_problem, make_abelian,
+                      make_axb, make_h3, make_motion, make_sl2,
+                      random_invertible, transform_algebra)
 
 
 def dense_validate(L, c):
@@ -195,3 +197,33 @@ def test_lie_algebras_in_random_bases(L, data):
 def test_tables_with_injected_faults(fault, data):
     L, c = fault
     _check_readers(L, c, data)
+
+
+def _family_lower_central_cases():
+    """Every family member the benchmark runs, with its lower central
+    series by hand: h_(2k+1) has C^1 = span{Z} and C^2 = 0; b_N and
+    A x| R^k have C^1 = C^2 (the nilradical, resp. R^k, which the diagonal
+    acts on invertibly); the twist ideal R^(2j) is its own bracket with
+    g."""
+    fam = load_bench_families()
+    cases = [(fam.heisenberg(k, "lagrangian"), (2 * k + 1, 1, 0))
+             for k in range(1, 11)]
+    cases += [(fam.borel(N, "cartan"), (N * (N + 1) // 2, N * (N - 1) // 2))
+              for N in range(2, 7)]
+    cases += [(fam.diagonal(k, 1), (k + 1, k)) for k in range(1, 21)]
+    cases += [(fam.twist(j), (2 + 2 * j, 2 * j)) for j in (1, 2, 3)]
+    return cases
+
+
+@pytest.mark.parametrize("problem, dims", _family_lower_central_cases(),
+                         ids=lambda case: getattr(case, "name", ""))
+def test_lower_central_dims_of_the_families(problem, dims):
+    assert algebra.lower_central_dims(oa.parse(problem.text).algebra) == dims
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_series_of_the_corpus_match_the_dense_loops(name):
+    L = load_problem(name).algebra
+    c = dense_table(L)
+    assert algebra.derived_series_dims(L) == dense_series(L, c, lower=False)
+    assert algebra.lower_central_dims(L) == dense_series(L, c, lower=True)

@@ -89,13 +89,18 @@ class TestFullReport:
     def test_exponentiality_witness_rejected(self):
         with pytest.raises(oa.StructuralPreconditionError) as exc:
             oa.full_report(make_motion(), [], [])
-        assert exc.value.witness is not None
+        assert exc.value.witness == make_motion().vector(A=1)
+        assert "not exponential" in str(exc.value)
+        assert "X = A" in str(exc.value)
 
     def test_exponentiality_override(self):
-        cfg = oa.AnalysisConfig(assume_exponential=True)
-        rep = oa.full_report(make_motion(), [], [], cfg)
-        assert rep.structure.exponentiality == "Skipped"
-        assert any("asserted" in w for w in rep.warnings)
+        # there is none: a group decided not exponential is always refused
+        with pytest.raises(TypeError):
+            oa.AnalysisConfig(assume_exponential=True)
+        for seed in range(4):
+            with pytest.raises(oa.StructuralPreconditionError):
+                oa.full_report(make_motion(), [], [],
+                               oa.AnalysisConfig(seed=seed))
 
     def test_force_symbolic_reports_symbolic_route(self, axb):
         cfg = oa.AnalysisConfig(force_symbolic=True)
