@@ -58,8 +58,9 @@ def build_parser() -> _Parser:
         "validate", help="check structure constants, subalgebra, character, "
                          "and structural preconditions")
     p_validate.add_argument("file")
-    # accepted for symmetry with verdict; no validate step is randomised
-    p_validate.add_argument("--seed", type=int, default=None)
+    p_validate.add_argument("--seed", type=int, default=None,
+                            help="accepted for symmetry with verdict; "
+                                 "validate draws no random numbers")
 
     p_verdict = sub.add_parser(
         "verdict", help="full analysis: generic orbit rank and verdicts")
