@@ -372,11 +372,11 @@ def parse_rational_list(text: str) -> tuple[Fraction, ...]:
     for piece in items:
         if not re.fullmatch(r"-?\d+(?:/\d+)?", piece or ""):
             raise ValueError(f"not a rational: {piece!r}")
-        if "/" in piece:
-            num, den = piece.split("/")
-            if int(den) == 0:
-                raise ValueError(f"zero denominator: {piece!r}")
-            out.append(Fraction(int(num), int(den)))
-        else:
-            out.append(Fraction(int(piece)))
+        try:
+            out.append(Fraction(piece))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {piece!r}") from None
+        except ValueError:  # Python refuses very long digit strings
+            raise ValueError(f"integer literal too long "
+                             f"({len(piece)} characters)") from None
     return tuple(out)

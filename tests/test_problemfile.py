@@ -380,6 +380,10 @@ class TestParseRationalList:
         with pytest.raises(ValueError):
             parse_rational_list("1/0")
 
+    def test_rejects_overlong_literal(self):
+        with pytest.raises(ValueError, match="too long"):
+            parse_rational_list("1," + "9" * 5000)
+
     def test_rejects_empty_piece(self):
         with pytest.raises(ValueError):
             parse_rational_list("1,,2")
