@@ -69,10 +69,9 @@ def build_parser() -> _Parser:
     p_verdict.add_argument("--bound", type=int, default=None)
     p_verdict.add_argument("--seed", type=int, default=None)
     p_verdict.add_argument("--symbolic", action="store_true",
-                           help="report the symbolic route's certified "
-                                "generic rank and witness when it finishes "
-                                "within its work limit (both routes run "
-                                "either way)")
+                           help="accepted for compatibility; changes "
+                                "nothing: the symbolic rank certifies the "
+                                "sampled witness on every run")
     p_verdict.add_argument("--json", action="store_true")
 
     p_rank = sub.add_parser(
@@ -164,7 +163,6 @@ def _cmd_verdict(args, out, err) -> int:
         bound=args.bound if args.bound is not None
         else pf.config.get("bound", 10 ** 6),
         seed=seed,
-        force_symbolic=args.symbolic or pf.config.get("symbolic", False),
     )
     if config.trials < 1:
         raise _UsageError("--trials must be at least 1")

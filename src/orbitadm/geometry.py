@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -66,7 +67,8 @@ def _coadjoint_apply_ads(ad_factors, l) -> np.ndarray:
     """coadjoint_apply_factors, given the pairs (floating ad Z_k, t_k)."""
     row = np.array([float(v) for v in l], dtype=float)
     for ad, t in reversed(list(ad_factors)):
-        row = row @ expm(-float(t) * ad)
+        if t:  # exp(0) = I
+            row = row @ expm(-float(t) * ad)
     return row
 
 
@@ -107,13 +109,17 @@ def phi_in_chart(D: MonomialDatum, t, x) -> np.ndarray:
 
 
 def _chart_action(D: MonomialDatum):
-    """phi~(t, x), with the adapted basis and its ad-matrices floated once."""
+    """phi~(t, x), with the adapted basis and its ad-matrices floated once
+    and l_x computed once per distinct x."""
     ads = [ad_float(D.algebra, row) for row in D.adapted_rows]
     adapted = np.array(D.adapted_rows, dtype=float)
 
+    @cache
+    def l_at(x):
+        return point_on_variety(D, tuple(Fraction(v) for v in x))
+
     def phi(t, x):
-        l = point_on_variety(D, tuple(Fraction(v) for v in x))
-        return adapted @ _coadjoint_apply_ads(zip(ads, t), l)
+        return adapted @ _coadjoint_apply_ads(zip(ads, t), l_at(tuple(x)))
     return phi
 
 

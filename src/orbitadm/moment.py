@@ -13,16 +13,16 @@ moment_matrix divides the scales out.  The generic value of that rank,
 
 is computed two independent ways from the pencil: by seeded random
 evaluation (exact rank at integer chart points, Schwartz-Zippel
-controlled) and by fraction-free elimination over the polynomial ring on
-a basis of the pencil's span, which certifies the rank in any dimension
-within a work limit.  The induced representation behaves qualitatively
-differently according to whether d_tau reaches m — whether H acts freely
-somewhere on A_tau — which is what the verdict layer consumes.
+controlled), which also gives the witness point, and by fraction-free
+elimination over the polynomial ring on a basis of the pencil's span,
+which certifies that rank in any dimension within a work limit.  The
+induced representation behaves qualitatively differently according to
+whether d_tau reaches m — whether H acts freely somewhere on A_tau —
+which is what the verdict layer consumes.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,10 +116,10 @@ def stabilizer_report(D: MonomialDatum, x) -> StabilizerReport:
 class GenericRankResult:
     d_tau: int
     witness: Vector           # chart coordinates of a point attaining d_tau
-    method: str               # "probabilistic" or "symbolic"
     is_free: bool             # d_tau == m
-    trials: int | None = None
-    seed: int | None = None
+    trials: int
+    seed: int
+    bound: int
 
 
 def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
@@ -150,8 +150,8 @@ def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
                 break
     return GenericRankResult(d_tau=best,
                              witness=tuple(Fraction(v) for v in witness),
-                             method="probabilistic", is_free=best == D.m,
-                             trials=trials, seed=seed)
+                             is_free=best == D.m, trials=trials, seed=seed,
+                             bound=bound)
 
 
 def symbolic_moment_entries(D: MonomialDatum) -> list[list[Poly]]:
@@ -172,29 +172,15 @@ def symbolic_moment_entries(D: MonomialDatum) -> list[list[Poly]]:
             for i in range(m)]
 
 
-def _witness(D: MonomialDatum, target: int) -> Vector:
-    """A chart point of rank target = d_tau, from seeded integer points of
-    growing radius; the rank drops only on a proper subvariety."""
-    for radius in itertools.count(1):
-        rng = random.Random(radius)
-        for _ in range(32):
-            x = tuple(Fraction(rng.randint(-radius, radius))
-                      for _ in range(D.n - D.m))
-            if rank_at(D, x) == target:
-                return x
-
-
-def symbolic_generic_rank(D: MonomialDatum) -> GenericRankResult:
+def symbolic_generic_rank(D: MonomialDatum) -> int:
     """Certified d_tau: Bareiss elimination of the span pencil over Q[y].
 
-    It gives the rank over Q(y), i.e. at generic x; the witness is a chart
-    point attaining it.  Generic rank has no known deterministic
-    polynomial-time method and the minors formed can have exponentially
-    many terms, so past SYMBOLIC_WORK_LIMIT term products the elimination
-    raises WorkLimitError.
+    It gives the rank over Q(y), i.e. at generic x.  It names no point:
+    the sampled route's witness is the point, and this rank certifies it.
+    Generic rank has no known deterministic polynomial-time method and the
+    minors formed can have exponentially many terms, so past
+    SYMBOLIC_WORK_LIMIT term products the elimination raises
+    WorkLimitError.
     """
-    d, _ = bareiss(symbolic_moment_entries(D), size=len,
-                   limit=SYMBOLIC_WORK_LIMIT)
-    witness = _witness(D, d) if d else (Fraction(0),) * (D.n - D.m)
-    return GenericRankResult(d_tau=d, witness=witness, method="symbolic",
-                             is_free=d == D.m)
+    return bareiss(symbolic_moment_entries(D), size=len,
+                   limit=SYMBOLIC_WORK_LIMIT)[0]

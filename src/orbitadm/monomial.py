@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import DimensionMismatchError, LieAlgebra, bracket
-from .linalg import (dot, in_row_space, invert, nullspace, rank_exact,
-                     reduce_against, rref, solve_exact)
+from .linalg import (dot, in_row_space, invert, nullspace, reduce_against,
+                     rref, solve_exact)
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -74,11 +74,11 @@ def check_subalgebra(L: LieAlgebra, candidate_rows) -> Subalgebra:
         if len(row) != L.dim:
             raise DimensionMismatchError(
                 f"generator length {len(row)} != algebra dimension {L.dim}")
-    if rank_exact(rows) != len(rows):
+    r, piv = rref(rows)
+    if len(piv) != len(rows):
         raise RankDeficientError(
             f"{len(rows)} generators span only a "
-            f"{rank_exact(rows)}-dimensional subspace")
-    r, piv = rref(rows) if rows else ([], [])
+            f"{len(piv)}-dimensional subspace")
     sub = Subalgebra(algebra=L, rows=rows,
                      rref_rows=tuple(tuple(x) for x in r),
                      pivots=tuple(piv))

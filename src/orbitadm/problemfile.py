@@ -6,7 +6,7 @@
     bracket ID ID = term [+ term ...]   # omitted pairs bracket to zero
     subalgebra gen [; gen ...]          # gen := term [+ term ...]
     functional RAT [, RAT ...]          # one value per generator, in order
-    config KEY VALUE                    # seed/trials/bound/symbolic/...
+    config KEY INT                      # KEY is seed, trials or bound
 
 A term is RATIONAL * ID or a bare ID (coefficient 1); rationals are INT or
 INT/POSINT.  '#' starts a comment.  Omitting the subalgebra means the
@@ -46,12 +46,7 @@ _TOKEN_RE = re.compile(r"""
 # refused before any of that work starts.
 MAX_BASIS_NAMES = 128
 
-CONFIG_KEYS = {
-    "seed": int,
-    "trials": int,
-    "bound": int,
-    "symbolic": bool,
-}
+CONFIG_KEYS = frozenset({"seed", "trials", "bound"})
 
 
 @dataclass(frozen=True)
@@ -307,7 +302,7 @@ def parse(source: str) -> ProblemFile:
                                  "expected a config value, found end of line")
             line.pos += 1
             line.done()
-            config[key_tok.text] = _config_value(key_tok.text, val_tok)
+            config[key_tok.text] = _config_value(val_tok)
         else:
             raise ParseError(head.line, head.col,
                              "expected 'bracket', 'subalgebra', 'functional' "
@@ -329,13 +324,7 @@ def parse(source: str) -> ProblemFile:
                        functional_vals=f_vals, config=config)
 
 
-def _config_value(key: str, tok: Token):
-    want = CONFIG_KEYS[key]
-    if want is bool:
-        if tok.kind == "ID" and tok.text in ("true", "false"):
-            return tok.text == "true"
-        raise ParseError(tok.line, tok.col,
-                         f"expected 'true' or 'false', found {tok.text!r}")
+def _config_value(tok: Token) -> int:
     if tok.kind != "RATIONAL" or "/" in tok.text:
         raise ParseError(tok.line, tok.col,
                          f"expected an integer, found {tok.text!r}")
@@ -358,10 +347,7 @@ def serialize(pf: ProblemFile) -> str:
         out.append(f"subalgebra {gens}")
         out.append("functional " + ", ".join(map(str, pf.functional_vals)))
     for key in sorted(pf.config):
-        value = pf.config[key]
-        text = ("true" if value else "false") if isinstance(value, bool) \
-            else str(value)
-        out.append(f"config {key} {text}")
+        out.append(f"config {key} {pf.config[key]}")
     return "\n".join(out) + "\n"
 
 

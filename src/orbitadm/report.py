@@ -58,8 +58,8 @@ def report_dict(rep: FullReport) -> dict:
             "rationale_text": RATIONALE_TEXT[rep.admissibility.rationale],
         },
         "warnings": list(rep.warnings),
-        "seed": rep.seed,
-        "trials": rep.trials,
+        "seed": rep.generic.seed,
+        "trials": rep.generic.trials,
     }
 
 

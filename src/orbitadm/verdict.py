@@ -11,8 +11,9 @@ acts freely at some (equivalently, at Zariski-almost-every) point of A_tau.
     a.c. + nonunimodular-> admissible vectors exist
     a.c. + unimodular   -> conjectured: no admissible vector (open case)
 
-full_report chains validation, structure classification, both generic-rank
-routes, and the verdict table into one deterministic report object.
+full_report chains validation, structure classification, the sampled
+generic rank and its symbolic certificate, and the verdict table into one
+deterministic report object.
 """
 
 from __future__ import annotations
@@ -125,7 +126,6 @@ class AnalysisConfig:
     trials: int = 20
     bound: int = 10 ** 6
     seed: int = 0
-    force_symbolic: bool = False
 
 
 @dataclass(frozen=True)
@@ -133,15 +133,11 @@ class FullReport:
     algebra: LieAlgebra
     datum: MonomialDatum
     structure: StructureReport
-    generic: GenericRankResult            # the result the verdicts use
-    generic_probabilistic: GenericRankResult
-    generic_symbolic: GenericRankResult | None  # None: work limit hit
+    generic: GenericRankResult       # the sampled route: d_tau and witness
+    symbolic_rank: int | None        # its certificate; None: work limit hit
     spectral: SpectralVerdict
     admissibility: AdmissibilityVerdict
     warnings: tuple[str, ...]
-    seed: int
-    trials: int
-    bound: int
 
 
 def full_report(L: LieAlgebra, h_rows, f_vals,
@@ -150,9 +146,9 @@ def full_report(L: LieAlgebra, h_rows, f_vals,
 
     Raises InvalidAlgebraError / the datum validation errors for malformed
     input, StructuralPreconditionError when the algebra is not solvable or
-    not exponential, and DisagreementError if the two generic-rank routes
-    ever disagree.  If the symbolic route hits its work limit, a warning
-    says the sampled one decides.
+    not exponential, and DisagreementError if the symbolic rank does not
+    certify the sampled one.  If the symbolic route hits its work limit, a
+    warning says the sampled one decides.
     """
     structure = structure_report(L)
     if structure.violations:
@@ -166,32 +162,26 @@ def full_report(L: LieAlgebra, h_rows, f_vals,
         raise not_exponential_error(structure)
 
     warnings = []
-    prob = generic_h_orbit_dim(datum, trials=config.trials,
-                               bound=config.bound, seed=config.seed)
+    generic = generic_h_orbit_dim(datum, trials=config.trials,
+                                  bound=config.bound, seed=config.seed)
     try:
-        symbolic = symbolic_generic_rank(datum)
+        symbolic_rank = symbolic_generic_rank(datum)
     except WorkLimitError:
-        symbolic = None
+        symbolic_rank = None
         warnings.append("symbolic elimination stopped at its work limit; "
                         "generic rank certified probabilistically only")
-    if symbolic is not None and symbolic.d_tau != prob.d_tau:
-        raise DisagreementError(prob.d_tau, symbolic.d_tau)
+    if symbolic_rank is not None and symbolic_rank != generic.d_tau:
+        raise DisagreementError(generic.d_tau, symbolic_rank)
 
-    use_symbolic = config.force_symbolic and symbolic is not None
-    reported = symbolic if use_symbolic else prob
-    spectral = spectral_verdict(datum, reported)
+    spectral = spectral_verdict(datum, generic)
     admissibility = admissibility_verdict(spectral, structure.is_unimodular)
     return FullReport(
         algebra=L,
         datum=datum,
         structure=structure,
-        generic=reported,
-        generic_probabilistic=prob,
-        generic_symbolic=symbolic,
+        generic=generic,
+        symbolic_rank=symbolic_rank,
         spectral=spectral,
         admissibility=admissibility,
         warnings=tuple(warnings),
-        seed=config.seed,
-        trials=config.trials,
-        bound=config.bound,
     )

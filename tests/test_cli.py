@@ -227,6 +227,26 @@ class TestVerdict:
         assert doc["spectral"] == "AbsolutelyContinuous"
         assert doc["d_tau"] == 1
 
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_symbolic_flag_changes_nothing(self, name):
+        # kept for compatibility: the one witness is always the sampled one
+        for seed in ("0", "5"):
+            for extra in ((), ("--json",)):
+                argv = ("verdict", corpus_file(name), "--seed", seed, *extra)
+                assert run_cli(*argv, "--symbolic") == run_cli(*argv)
+
+    @pytest.mark.parametrize("problem", LARGE_FROZEN, ids=lambda p: p.name)
+    def test_symbolic_flag_changes_no_large_report(self, problem, tmp_path):
+        path = tmp_path / f"{problem.name}.alg"
+        path.write_text(problem.text)
+        for extra, suffix in (((), "txt"), (("--json",), "json")):
+            argv = ("verdict", str(path), *extra, "--symbolic")
+            frozen = FIXTURES / f"{problem.name}.seed5.verdict.{suffix}"
+            assert run_cli(*argv, "--seed", "5") == (0, frozen.read_text(),
+                                                     "")
+            assert run_cli(*argv, "--seed", "0") == run_cli(*argv[:-1],
+                                                            "--seed", "0")
+
     def test_motion_exits_two(self):
         code, _out, err = run_cli("verdict", str(FIXTURES / "motion.alg"))
         assert code == 2
@@ -266,8 +286,8 @@ class TestVerdict:
     def test_disagreement_exits_three(self, monkeypatch):
         def lying(D, trials=20, bound=10 ** 6, seed=0):
             return GenericRankResult(d_tau=2, witness=(0,) * (D.n - D.m),
-                                     method="probabilistic", is_free=True,
-                                     trials=trials, seed=seed)
+                                     is_free=True, trials=trials, seed=seed,
+                                     bound=bound)
         monkeypatch.setattr(verdict_mod, "generic_h_orbit_dim", lying)
         code, _out, err = run_cli("verdict", corpus_file("heisenberg_yz"))
         assert code == 3
@@ -288,8 +308,8 @@ class TestVerdict:
 
         def lying(D, trials=20, bound=10 ** 6, seed=0):
             return GenericRankResult(d_tau=2, witness=(0,) * (D.n - D.m),
-                                     method="probabilistic", is_free=False,
-                                     trials=trials, seed=seed)
+                                     is_free=False, trials=trials, seed=seed,
+                                     bound=bound)
         monkeypatch.setattr(verdict_mod, "generic_h_orbit_dim", lying)
         code, _out, err = run_cli("verdict", str(path))
         assert code == 3

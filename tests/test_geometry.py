@@ -230,7 +230,7 @@ class TestFdJacobian:
                               if ORACLES[n][0] == ORACLES[n][1]])
     def test_submersion_at_free_witness(self, name, corpus_data):
         D = corpus_data[name]
-        res = oa.symbolic_generic_rank(D)
+        res = oa.generic_h_orbit_dim(D)
         jr = oa.fd_jacobian(D, res.witness, h=1e-4)
         assert jr.numerical_rank_J == D.n
 

@@ -75,10 +75,8 @@ class TestParseValid:
 
     def test_config_block(self):
         pf = oa.parse("algebra g\ndim 1\nbasis T\nconfig seed 9\n"
-                      "config trials 5\nconfig symbolic true\n"
-                      "config bound 100\n")
-        assert pf.config == {"seed": 9, "trials": 5, "symbolic": True,
-                             "bound": 100}
+                      "config trials 5\nconfig bound 100\n")
+        assert pf.config == {"seed": 9, "trials": 5, "bound": 100}
 
     def test_negative_config_seed(self):
         pf = oa.parse("algebra g\ndim 1\nbasis T\nconfig seed -3\n")
@@ -227,9 +225,10 @@ class TestParseErrors:
         e = err("algebra g\ndim 1\nbasis T\nconfig seed 1\nconfig seed 2\n")
         assert "duplicate config key" in e.message
 
-    def test_config_bool_rejects_integer(self):
-        e = err("algebra g\ndim 1\nbasis T\nconfig symbolic 1\n")
-        assert "expected 'true' or 'false'" in e.message
+    def test_symbolic_is_no_longer_a_config_key(self):
+        e = err("algebra g\ndim 1\nbasis T\nconfig symbolic true\n")
+        assert (e.line, e.col) == (4, 8)
+        assert "unknown config key 'symbolic'" in e.message
 
     def test_config_int_rejects_word(self):
         e = err("algebra g\ndim 1\nbasis T\nconfig trials many\n")
@@ -267,10 +266,9 @@ class TestSerialize:
     def test_config_survives_roundtrip(self):
         src = ("algebra g\ndim 2\nbasis A X\nbracket A X = X\n"
                "subalgebra X\nfunctional 1\nconfig seed 4\n"
-               "config symbolic true\n")
+               "config bound 7\n")
         pf = oa.parse(src)
-        assert oa.parse(oa.serialize(pf)).config == {"seed": 4,
-                                                     "symbolic": True}
+        assert oa.parse(oa.serialize(pf)).config == {"seed": 4, "bound": 7}
 
 
 ROUNDTRIP_ALGEBRAS = ([make_h3(), make_axb(), make_motion(), make_sl2()]
@@ -293,8 +291,7 @@ def problem_texts(draw):
     vals = tuple(draw(st.lists(small_rationals, min_size=m, max_size=m)))
     config = {}
     for key in draw(st.sets(st.sampled_from(sorted(CONFIG_KEYS)))):
-        config[key] = draw(st.booleans() if CONFIG_KEYS[key] is bool
-                           else st.integers(-5, 500))
+        config[key] = draw(st.integers(-5, 500))
     pf = oa.ProblemFile(name=L.name, algebra=L, subalgebra_rows=rows,
                         functional_vals=vals, config=config)
     lines = oa.serialize(pf).splitlines(keepends=True)

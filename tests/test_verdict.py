@@ -1,16 +1,21 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbitadm as oa
 from orbitadm import moment
 from orbitadm import verdict as verdict_mod
+from orbitadm.linalg import dot, invert
 from orbitadm.moment import GenericRankResult
 
 from conftest import (CORPUS_NAMES, ORACLES, algebra_from_table, load_problem,
                       make_abelian, make_axb, make_h3, make_motion, make_sl2,
-                      random_vector)
+                      random_vector, transform_algebra)
+from test_moment import CHANGED_BASIS
 
 
 class TestSpectralVerdict:
@@ -73,7 +78,7 @@ class TestFullReport:
         assert rep.spectral.status == spectral
         assert rep.admissibility.status == admis
         assert rep.structure.is_unimodular == unimod
-        assert rep.generic_symbolic.d_tau == rep.generic_probabilistic.d_tau
+        assert rep.symbolic_rank == rep.generic.d_tau
 
     def test_invalid_algebra_short_circuits(self, h3):
         table = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
@@ -102,23 +107,17 @@ class TestFullReport:
                 oa.full_report(make_motion(), [], [],
                                oa.AnalysisConfig(seed=seed))
 
-    def test_force_symbolic_reports_symbolic_route(self, axb):
-        cfg = oa.AnalysisConfig(force_symbolic=True)
-        rep = oa.full_report(axb, [axb.vector(X=1)], [1], cfg)
-        assert rep.generic.method == "symbolic"
-        assert rep.spectral.status == "AbsolutelyContinuous"
-
     def test_large_dimension_certified_symbolically(self):
         L = make_abelian(9)
         rep = oa.full_report(L, [], [])
-        assert rep.generic_symbolic.d_tau == 0
+        assert rep.symbolic_rank == 0
         assert rep.spectral.status == "AbsolutelyContinuous"
         # A x| R^9 with [A, X_i] = i X_i, h = span{X_i}, f = 1: d_tau = 1 < 9
         xs = [f"X{i}" for i in range(1, 10)]
         L = oa.from_brackets("diag9", ["A"] + xs,
                              {("A", x): {x: i} for i, x in enumerate(xs, 1)})
         rep = oa.full_report(L, [L.vector(**{x: 1}) for x in xs], [1] * 9)
-        assert rep.generic_symbolic.d_tau == rep.generic.d_tau == 1
+        assert rep.symbolic_rank == rep.generic.d_tau == 1
         assert rep.spectral.status == "Singular"
         assert not any("threshold" in w for w in rep.warnings)
 
@@ -126,25 +125,17 @@ class TestFullReport:
             self, corpus_problems, monkeypatch):
         monkeypatch.setattr(moment, "SYMBOLIC_WORK_LIMIT", 0)
         pf = corpus_problems["h5_y1y2"]
-        cfg = oa.AnalysisConfig(force_symbolic=True)
         rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
-                             pf.functional_vals, cfg)
-        assert rep.generic_symbolic is None
-        assert rep.generic.method == "probabilistic"
+                             pf.functional_vals)
+        assert rep.symbolic_rank is None
         assert rep.spectral.d_tau == ORACLES["h5_y1y2"][0]
         assert any("work limit" in w for w in rep.warnings)
-
-    def test_large_dimension_forced_symbolic(self):
-        L = make_abelian(9)
-        cfg = oa.AnalysisConfig(force_symbolic=True)
-        rep = oa.full_report(L, [], [], cfg)
-        assert rep.generic.method == "symbolic"
 
     def test_disagreement_raises(self, axb, monkeypatch):
         def lying_probabilistic(D, trials=20, bound=10 ** 6, seed=0):
             return GenericRankResult(d_tau=0, witness=(Fraction(0),),
-                                     method="probabilistic", is_free=False,
-                                     trials=trials, seed=seed)
+                                     is_free=False, trials=trials, seed=seed,
+                                     bound=bound)
         monkeypatch.setattr(verdict_mod, "generic_h_orbit_dim",
                             lying_probabilistic)
         with pytest.raises(oa.DisagreementError):
@@ -213,3 +204,90 @@ class TestConsistencyTable:
                     assert admis == "Admissible"
         # the random stream must actually exercise both branches
         assert seen_ac >= 20 and seen_sing >= 20
+
+
+# name -> problem file: the corpus, and families of dimension 9..21
+METAMORPHIC = {**{name: load_problem(name) for name in CORPUS_NAMES},
+               **{p.name: oa.parse(p.text) for p in CHANGED_BASIS}}
+
+nonzero_rationals = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                              st.integers(1, 3))
+
+
+@st.composite
+def invertible_matrices(draw, n):
+    """Rational GL_n: n to 2n row additions on the identity, then nonzero
+    row scales and a row permutation."""
+    mat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    index = st.integers(0, n - 1)
+    for i, j, c in draw(st.lists(st.tuples(index, index, nonzero_rationals),
+                                 min_size=n, max_size=2 * n)):
+        if i != j:
+            mat[i] = [a + c * b for a, b in zip(mat[i], mat[j])]
+    scales = draw(st.lists(nonzero_rationals, min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    return [[s * v for v in mat[k]] for k, s in zip(order, scales)]
+
+
+def _decisions(L, rows, f) -> tuple:
+    rep = oa.full_report(L, rows, f)
+    return (rep.spectral.d_tau, rep.spectral.status, rep.admissibility.status,
+            rep.structure.is_unimodular, rep.structure.exponentiality)
+
+
+@functools.cache
+def _decisions_of(name) -> tuple:
+    pf = METAMORPHIC[name]
+    return _decisions(pf.algebra, pf.subalgebra_rows, pf.functional_vals)
+
+
+def _change_basis_of_g(name, data) -> None:
+    pf = METAMORPHIC[name]
+    Q = data.draw(invertible_matrices(pf.algebra.dim), label="Q")
+    Qinv = invert(Q)
+    # the generators in the new coordinates: r' = r . Q^{-1}
+    rows = [[dot(r, col) for col in zip(*Qinv)] for r in pf.subalgebra_rows]
+    assert _decisions(transform_algebra(pf.algebra, Q), rows,
+                      pf.functional_vals) == _decisions_of(name)
+
+
+def _change_generators_of_h(name, data) -> None:
+    pf = METAMORPHIC[name]
+    A = data.draw(invertible_matrices(len(pf.subalgebra_rows)), label="A")
+    rows = [[dot(a, col) for col in zip(*pf.subalgebra_rows)] for a in A]
+    f = [dot(a, pf.functional_vals) for a in A]
+    assert _decisions(pf.algebra, rows, f) == _decisions_of(name)
+
+
+LARGE = [p.name for p in CHANGED_BASIS]
+
+
+class TestVerdictInvariance:
+    """Every reported decision is a property of (g, h, f), not of the bases
+    the file writes them in.  A change of basis makes a family's tables
+    dense, which costs seconds, so the families get fewer examples."""
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(data=st.data())
+    def test_change_of_basis_of_g(self, name, data):
+        _change_basis_of_g(name, data)
+
+    @pytest.mark.parametrize("name", LARGE)
+    @settings(max_examples=3, deadline=None, database=None)
+    @given(data=st.data())
+    def test_change_of_basis_of_g_large(self, name, data):
+        _change_basis_of_g(name, data)
+
+    @pytest.mark.parametrize("name",
+                             [n for n in CORPUS_NAMES if ORACLES[n][1] > 0])
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(data=st.data())
+    def test_change_of_generators_of_h(self, name, data):
+        _change_generators_of_h(name, data)
+
+    @pytest.mark.parametrize("name", LARGE)
+    @settings(max_examples=5, deadline=None, database=None)
+    @given(data=st.data())
+    def test_change_of_generators_of_h_large(self, name, data):
+        _change_generators_of_h(name, data)
