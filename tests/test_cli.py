@@ -38,6 +38,12 @@ def _frozen_points():
 FROZEN_POINTS = _frozen_points()
 FROZEN_IDS = [f"{name}-{label}" for name, label, _ in FROZEN_POINTS]
 
+# a subalgebra that is not closed and a functional that is not a character,
+# each as written and in a random rational basis of g and of h
+DATUM_ERROR_DIR = FIXTURES / "datum_errors"
+DATUM_ERRORS = ["not_closed", "not_closed_random", "not_character",
+                "not_character_random"]
+
 
 @pytest.fixture(autouse=True)
 def _no_inherited_seed(monkeypatch):
@@ -157,6 +163,15 @@ class TestValidate:
         code, _out, err = run_cli("validate", str(bad))
         assert code == 1
         assert "invalid:" in err
+
+    @pytest.mark.parametrize("command", ["validate", "verdict"])
+    @pytest.mark.parametrize("name", DATUM_ERRORS)
+    def test_datum_error_matches_frozen_fixture(self, name, command):
+        # fixtures/datum_errors/NAME.COMMAND.txt: "exit N", then the stderr
+        code, out, err = run_cli(command, str(DATUM_ERROR_DIR / f"{name}.alg"))
+        assert out == ""
+        assert f"exit {code}\n{err}" == (
+            DATUM_ERROR_DIR / f"{name}.{command}.txt").read_text()
 
     def test_rank_deficient_subalgebra_exits_one(self, tmp_path):
         bad = tmp_path / "bad.alg"
