@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import univariate
-from .linalg import invert, mat_vec, matmul, rank_exact, rref
+from .linalg import (Sparse, echelon, invert, mat_vec, matmul, rank_exact,
+                     reduce_in_place, rref, sparse_rows)
 
 Vector = tuple[Fraction, ...]
 
@@ -155,11 +157,6 @@ def validate(L: LieAlgebra) -> list[Violation]:
     return out
 
 
-def _nonzero_coords(u) -> list[tuple[int, Fraction]]:
-    return [(i, x if type(x) is Fraction else Fraction(x))
-            for i, x in enumerate(u) if x]
-
-
 def _sparse_bracket(L: LieAlgebra, us, vs) -> dict[int, Fraction]:
     """[u, v] as {k: coefficient}, from the nonzero coordinates of u, v."""
     out: dict[int, Fraction] = {}
@@ -177,8 +174,8 @@ def bracket(L: LieAlgebra, u, v) -> Vector:
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(
             f"bracket arguments must have length {n}, got {len(u)} and {len(v)}")
-    return dense_vector(_sparse_bracket(L, _nonzero_coords(u),
-                                        _nonzero_coords(v)).items(), n)
+    us, vs = sparse_rows((u, v))
+    return dense_vector(_sparse_bracket(L, us.items(), vs.items()).items(), n)
 
 
 def ad_matrix(L: LieAlgebra, u) -> list[list[Fraction]]:
@@ -187,7 +184,7 @@ def ad_matrix(L: LieAlgebra, u) -> list[list[Fraction]]:
     if len(u) != n:
         raise DimensionMismatchError(f"expected length {n}, got {len(u)}")
     mat = [[Fraction(0)] * n for _ in range(n)]
-    for i, ui in _nonzero_coords(u):
+    for i, ui in sparse_rows([u])[0].items():
         for j, pairs in enumerate(L.nonzero[i]):
             for k, q in pairs:
                 mat[k][j] += ui * q
@@ -225,46 +222,7 @@ class StructureReport:
 
 
 # The series and the flag below are spans of brackets, held as sparse
-# vectors {k: coefficient} in echelon form: each row vanishes at the pivots
-# (first nonzero index) of the rows before it, so reducing a vector by the
-# rows in order clears every pivot.
-Sparse = dict[int, Fraction]
-
-
-def _reduce(w: Sparse, rows: list[Sparse], pivots) -> list[Fraction]:
-    """Reduce w in place by the echelon rows in order; the factors taken
-    are w's coordinates when w lies in their span."""
-    factors = []
-    for row, col in zip(rows, pivots):
-        f = w.get(col, 0)
-        factors.append(f)
-        if f:
-            for k, y in row.items():
-                x = w.get(k, 0) - f * y
-                if x:
-                    w[k] = x
-                else:
-                    del w[k]
-    return factors
-
-
-def _span(vectors, limit: int | None = None) -> list[Sparse]:
-    """Echelon basis of the span of sparse vectors, one vector at a time;
-    with ``limit``, stops once it has that many rows."""
-    rows: list[Sparse] = []
-    pivots: list[int] = []
-    for v in vectors:
-        w = {k: x for k, x in v.items() if x}
-        _reduce(w, rows, pivots)
-        if not w:
-            continue
-        col = min(w)
-        lead = w[col]
-        rows.append({k: x / lead for k, x in w.items()})
-        pivots.append(col)
-        if len(rows) == limit:
-            break
-    return rows
+# vectors {k: coefficient} in the echelon form of ``linalg.echelon``.
 
 
 def _brackets(L: LieAlgebra, us, vs):
@@ -279,22 +237,22 @@ def _brackets(L: LieAlgebra, us, vs):
 def _commutator(L: LieAlgebra) -> list[Sparse]:
     """Echelon basis of [g, g]: the span of the planes marked nonzero."""
     # [Z_j, Z_i] = -[Z_i, Z_j], so only the planes j > i are read
-    return _span(dict(pairs) for i, plane in enumerate(L.nonzero)
-                 for pairs in plane[i + 1:] if pairs)
+    return echelon(dict(pairs) for i, plane in enumerate(L.nonzero)
+                   for pairs in plane[i + 1:] if pairs)[0]
 
 
 def _derived_step(L: LieAlgebra, rows) -> list[Sparse]:
     # [b, a] = -[a, b], so only the pairs a before b are bracketed
     terms = [list(row.items()) for row in rows]
-    return _span(_sparse_bracket(L, a, b) for s, a in enumerate(terms)
-                 for b in terms[s + 1:])
+    return echelon(_sparse_bracket(L, a, b) for s, a in enumerate(terms)
+                   for b in terms[s + 1:])[0]
 
 
 def _lower_central_step(L: LieAlgebra, rows) -> list[Sparse]:
     # C^(j+1) lies in C^j, so a span as large as C^j is C^j: the series
     # has stabilised and the remaining products cannot add to it
     basis = ({z: Fraction(1)} for z in range(L.dim))
-    return _span(_brackets(L, basis, rows), limit=len(rows))
+    return echelon(_brackets(L, basis, rows), limit=len(rows))[0]
 
 
 def _series(L: LieAlgebra, current, step):
@@ -426,22 +384,16 @@ def _real_spectrum(M) -> bool:
 def _quotient_actions(L: LieAlgebra, gens, upper, lower):
     """ad Z_k on upper/lower for k in gens, in one basis of the quotient.
 
-    Residues mod lower vanish at lower's pivots; an echelon basis U of the
-    residues of upper's rows spans a complement of lower in upper, and the
-    coordinates of w in upper/lower are those of its residue in U.
+    One echelon pass over lower's rows, then upper's, keeps lower's rows
+    and adds a basis U of a complement of lower in upper.  Reducing w by
+    all of them, the factors taken by the rows of U are the coordinates
+    of w in upper/lower.
     """
-    low_piv = [min(row) for row in lower]
-
-    def residue(v: Sparse) -> Sparse:
-        w = dict(v)
-        _reduce(w, lower, low_piv)
-        return w
-
-    basis = _span(map(residue, upper))
-    piv = [min(row) for row in basis]
+    rows, piv = echelon(chain(lower, upper))
+    basis = rows[len(lower):]
     mats = []
     for k in gens:
-        cols = [_reduce(residue(w), basis, piv)
+        cols = [reduce_in_place(w, rows, piv)[len(lower):]
                 for w in _brackets(L, [{k: Fraction(1)}], basis)]
         mats.append([list(row) for row in zip(*cols)])
     return mats
@@ -465,7 +417,7 @@ def _exponentiality(L: LieAlgebra, commutator, stable):
     gens = [k for k in range(L.dim) if k not in pivots]
     flag = [stable]
     while flag[-1]:
-        flag.append(_span(_brackets(L, commutator, flag[-1])))
+        flag.append(echelon(_brackets(L, commutator, flag[-1]))[0])
     for j, (upper, lower) in enumerate(zip(flag, flag[1:])):
         failure = _quotient_failure(_quotient_actions(L, gens, upper, lower))
         if failure is None:

@@ -12,6 +12,7 @@ other subcommands are exact and never load it.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from importlib import resources
@@ -46,7 +47,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="orbitadm",
         description="Spectral type and wavelet admissibility of induced "

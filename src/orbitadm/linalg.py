@@ -1,18 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Matrices are sequences of row sequences of ``fractions.Fraction`` (plain
-ints are accepted and coerced).  Everything here is exact: ranks come from
-fraction-free (Bareiss) elimination on denominator-cleared integer rows,
-subspaces are canonicalized by reduced row echelon form.
+Matrices are sequences of rows of ``fractions.Fraction`` (plain ints are
+accepted and coerced).  Everything here is exact.  Ranks come from
+fraction-free (Bareiss) elimination on denominator-cleared integer rows.
+Rref, kernels, inverses and solves come from one sparse reduction,
+``echelon``, on rows held as {column: nonzero Fraction}: it never visits a
+zero entry and never divides by a pivot equal to 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 Row = tuple[Fraction, ...]
 Matrix = tuple[Row, ...]
+Sparse = dict[int, Fraction]  # a row's nonzero entries by column
 
 
 class SingularMatrixError(ValueError):
@@ -39,11 +42,9 @@ def cleared_int_rows(mat) -> list[list[int]]:
         if all(type(x) is int for x in row):
             out.append(list(row))
             continue
-        fr = [Fraction(x) for x in row]
-        scale = 1
-        for x in fr:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in fr])
+        fr = as_fraction_rows([row])[0]
+        scale = lcm(*(x.denominator for x in fr))
+        out.append([x.numerator * (scale // x.denominator) for x in fr])
     return out
 
 
@@ -101,63 +102,111 @@ def rank_exact(mat) -> int:
     return bareiss(cleared_int_rows(mat))[0]
 
 
+def sparse_rows(mat) -> list[Sparse]:
+    """The nonzero entries of each row, as {column: Fraction}."""
+    return [{k: x if type(x) is Fraction else Fraction(x)
+             for k, x in enumerate(row) if x} for row in mat]
+
+
+def dense_rows(rows, n_cols: int) -> list[list[Fraction]]:
+    """Sparse rows as length-n_cols lists of Fractions."""
+    out = []
+    for row in rows:
+        v = [Fraction(0)] * n_cols
+        for k, x in row.items():
+            v[k] = x
+        out.append(v)
+    return out
+
+
+def reduce_in_place(w: Sparse, rows, pivots) -> list:
+    """Reduce the sparse w in place by ``echelon`` rows, in order: w ends 0
+    at every pivot, and the factors taken are its coordinates when it lies
+    in the rows' span."""
+    factors = []
+    for row, col in zip(rows, pivots):
+        f = w.get(col, 0)
+        factors.append(f)
+        if f:
+            for k, y in row.items():
+                x = w.get(k, 0) - f * y
+                if x:
+                    w[k] = x
+                else:
+                    del w[k]
+    return factors
+
+
+def echelon(vectors, limit: int | None = None) -> tuple[list[Sparse], list[int]]:
+    """Echelon basis (rows, pivots) of the span of sparse vectors.
+
+    Each vector is reduced by the rows so far; a nonzero residue becomes a
+    row, scaled to 1 at its pivot, its first nonzero column.  So each row
+    is 0 at the pivots of the rows before it.  With ``limit``, stops once
+    it has that many rows.
+    """
+    rows: list[Sparse] = []
+    pivots: list[int] = []
+    for v in vectors:
+        w = {k: x for k, x in v.items() if x}
+        reduce_in_place(w, rows, pivots)
+        if not w:
+            continue
+        col = min(w)
+        lead = w[col]
+        if lead != 1:
+            w = {k: x / lead for k, x in w.items()}
+        rows.append(w)
+        pivots.append(col)
+        if len(rows) == limit:
+            break
+    return rows, pivots
+
+
+def rref_sparse(rows) -> tuple[list[Sparse], list[int]]:
+    """Reduced row echelon form of sparse rows, ordered by pivot.
+
+    After ``echelon`` a row can be nonzero only at the pivots of later
+    rows, so clearing each pivot from the rows before it, last row first,
+    leaves every row 0 at every other pivot.
+    """
+    rows, pivots = echelon(rows)
+    for s in range(len(rows) - 1, 0, -1):
+        for row in rows[:s]:
+            if pivots[s] in row:
+                reduce_in_place(row, rows[s:s + 1], pivots[s:s + 1])
+    order = sorted(range(len(rows)), key=pivots.__getitem__)
+    return [rows[i] for i in order], [pivots[i] for i in order]
+
+
 def rref(mat) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot_columns).
 
     Zero rows are dropped, so the rows are a canonical basis of the row
     space.
     """
-    a = as_fraction_rows(mat)
-    if not a:
-        return [], []
-    n_rows, n_cols = len(a), len(a[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        piv = None
-        for r in range(row, n_rows):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != row:
-            a[row], a[piv] = a[piv], a[row]
-        inv = a[row][col]
-        a[row] = [x / inv for x in a[row]]
-        for r in range(n_rows):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    return a[: len(pivots)], pivots
+    rows, pivots = rref_sparse(sparse_rows(mat))
+    return dense_rows(rows, len(mat[0]) if mat else 0), pivots
 
 
 def reduce_against(vec, rref_rows, pivots) -> list[Fraction]:
     """Residual of vec after elimination by an rref basis (0 iff in row space)."""
-    v = [Fraction(x) for x in vec]
-    for row, col in zip(rref_rows, pivots):
-        if v[col] != 0:
-            factor = v[col]
-            v = [x - factor * y for x, y in zip(v, row)]
-    return v
+    w = sparse_rows([vec])[0]
+    reduce_in_place(w, sparse_rows(rref_rows), pivots)
+    return dense_rows([w], len(vec))[0]
 
 
 def in_row_space(vec, rref_rows, pivots) -> bool:
-    return all(x == 0 for x in reduce_against(vec, rref_rows, pivots))
+    return not any(reduce_against(vec, rref_rows, pivots))
 
 
 def nullspace(mat, n_cols: int | None = None) -> list[list[Fraction]]:
     """Canonical basis of the right kernel {v : mat @ v = 0}."""
-    rows = as_fraction_rows(mat)
     if n_cols is None:
-        if not rows:
+        if not mat:
             raise ValueError("n_cols required for an empty matrix")
-        n_cols = len(rows[0])
-    r, pivots = rref(rows) if rows else ([], [])
+        n_cols = len(mat[0])
+    rows, pivots = rref_sparse(sparse_rows(mat))
     pivot_set = set(pivots)
     basis = []
     for free in range(n_cols):
@@ -165,71 +214,61 @@ def nullspace(mat, n_cols: int | None = None) -> list[list[Fraction]]:
             continue
         v = [Fraction(0)] * n_cols
         v[free] = Fraction(1)
-        for row, col in zip(r, pivots):
-            v[col] = -row[free]
+        for row, col in zip(rows, pivots):
+            if free in row:
+                v[col] = -row[free]
         basis.append(v)
     return basis
 
 
 def left_nullspace(mat, n_rows: int | None = None) -> list[list[Fraction]]:
     """Canonical basis of {a : a @ mat = 0}."""
-    rows = as_fraction_rows(mat)
-    if n_rows is None:
-        n_rows = len(rows)
-    if n_rows == 0:
-        return []
-    if not rows or not rows[0]:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(n_rows)]
-                for i in range(n_rows)]
-    transposed = [list(col) for col in zip(*rows)]
-    return nullspace(transposed, n_cols=n_rows)
+    return nullspace(list(zip(*mat)),
+                     n_cols=len(mat) if n_rows is None else n_rows)
 
 
 def invert(mat) -> list[list[Fraction]]:
-    a = as_fraction_rows(mat)
-    n = len(a)
-    if any(len(row) != n for row in a):
+    n = len(mat)
+    if any(len(row) != n for row in mat):
         raise ValueError("inversion requires a square matrix")
-    aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(a)]
-    r, pivots = rref(aug)
+    aug = sparse_rows(mat)
+    for i, row in enumerate(aug):
+        row[n + i] = Fraction(1)
+    rows, pivots = rref_sparse(aug)
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in r]
+    return dense_rows(({k - n: x for k, x in row.items() if k >= n}
+                       for row in rows), n)
 
 
 def solve_exact(mat, rhs) -> list[Fraction]:
     """One exact solution of mat @ x = rhs (free variables set to 0)."""
-    a = as_fraction_rows(mat)
-    b = [Fraction(x) for x in rhs]
-    if len(a) != len(b):
+    if len(mat) != len(rhs):
         raise ValueError("rhs length mismatch")
-    if not a:
+    if not mat:
         return []
-    n_cols = len(a[0])
-    aug = [row + [bv] for row, bv in zip(a, b)]
-    r, pivots = rref(aug)
+    n_cols = len(mat[0])
+    rows, pivots = rref_sparse(sparse_rows(
+        [(*row, b) for row, b in zip(mat, rhs)]))
     if n_cols in pivots:
         raise InconsistentSystemError("system has no solution")
     x = [Fraction(0)] * n_cols
-    for row, col in zip(r, pivots):
-        x[col] = row[-1]
+    for row, col in zip(rows, pivots):
+        if n_cols in row:
+            x[col] = row[n_cols]
     return x
 
 
 def matmul(a, b) -> list[list[Fraction]]:
-    a = as_fraction_rows(a)
-    b = as_fraction_rows(b)
     if a and b and len(a[0]) != len(b):
         raise ValueError("inner dimensions do not match")
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
-             for col in zip(*b)] for row in a]
+    columns = list(zip(*b))
+    return [[dot(row, col) for col in columns] for row in a]
 
 
 def mat_vec(a, v) -> list[Fraction]:
-    return [sum((x * Fraction(y) for x, y in zip(row, v)), Fraction(0)) for row in a]
+    return [dot(row, v) for row in a]
 
 
 def dot(u, v) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(u, v) if x and y),
-               Fraction(0))
+    return sum((x * y for x, y in zip(u, v) if x and y), Fraction(0))

@@ -29,8 +29,8 @@ from fractions import Fraction
 from operator import mul
 
 from .algebra import DimensionMismatchError
-from .linalg import (bareiss, cleared_int_rows, left_nullspace, nullspace,
-                     rank_exact, rref)
+from .linalg import (bareiss, cleared_int_rows, left_nullspace, matmul,
+                     nullspace, rank_exact, rref)
 from .monomial import MonomialDatum, point_on_variety
 from .poly import Poly
 
@@ -95,10 +95,8 @@ def stabilizer_report(D: MonomialDatum, x) -> StabilizerReport:
     M = moment_matrix(D, x)
     rank_M = rank_exact(M)
     m, n = D.m, D.n
-    h_basis = tuple(
-        tuple(sum((a[i] * D.subalgebra.rows[i][k] for i in range(m)),
-                  Fraction(0)) for k in range(n))
-        for a in left_nullspace(M, n_rows=m))
+    h_basis = tuple(map(tuple, matmul(left_nullspace(M, n_rows=m),
+                                      D.subalgebra.rows)))
     l = point_on_variety(D, x)
     g_basis = tuple(tuple(v) for v in nullspace(skew_form_matrix(D, l),
                                                 n_cols=n))
@@ -160,7 +158,8 @@ def symbolic_moment_entries(D: MonomialDatum) -> list[list[Poly]]:
     M(x) lies in V = span{M_0, ..., M_{n-m}}, and its generic rank is that
     of y_1 N_1 + ... + y_s N_s for any basis N of V (giving M_0 a variable
     and changing parameters linearly keep the generic rank).  N is the rref
-    basis of the flattened M_v, cleared to integers.  s can be far below
+    basis of the flattened M_v, cleared to integers; the sparse reduction
+    behind ``rref`` visits only their nonzero entries.  s can be far below
     n - m + 1: for h_{2k+1} with a Lagrangian h, in any basis of g, the
     pencil is one matrix times a linear form, so s = 1.
     """

@@ -7,6 +7,9 @@ the generators Y_1..Y_m to an adapted basis Y_1..Y_m, X_1..X_{n-m} of g,
 and provides the affine chart x -> l for the spectral variety
 
     A_tau = { l in g* : l(Y) = f(Y) on h }  =  f + h^perp.
+
+The checks and the moment pencil bracket the nonzero coordinates of the
+generators and adapted rows through the sparse table.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .algebra import DimensionMismatchError, LieAlgebra, bracket
-from .linalg import (dot, in_row_space, invert, nullspace, reduce_against,
-                     rref, solve_exact)
+from .algebra import DimensionMismatchError, LieAlgebra, _sparse_bracket
+from .linalg import (as_fraction_rows, dense_rows, dot, in_row_space, invert,
+                     nullspace, reduce_in_place, rref, rref_sparse,
+                     solve_exact, sparse_rows)
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -69,25 +73,26 @@ def check_subalgebra(L: LieAlgebra, candidate_rows) -> Subalgebra:
 
     m = 0 (no generators) is the trivial subalgebra and always valid.
     """
-    rows = tuple(tuple(Fraction(x) for x in row) for row in candidate_rows)
+    rows = tuple(map(tuple, as_fraction_rows(candidate_rows)))
     for row in rows:
         if len(row) != L.dim:
             raise DimensionMismatchError(
                 f"generator length {len(row)} != algebra dimension {L.dim}")
-    r, piv = rref(rows)
+    coords = sparse_rows(rows)
+    r, piv = rref_sparse(coords)
     if len(piv) != len(rows):
         raise RankDeficientError(
             f"{len(rows)} generators span only a "
             f"{len(piv)}-dimensional subspace")
     sub = Subalgebra(algebra=L, rows=rows,
-                     rref_rows=tuple(tuple(x) for x in r),
+                     rref_rows=tuple(map(tuple, dense_rows(r, L.dim))),
                      pivots=tuple(piv))
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            w = bracket(L, rows[i], rows[j])
-            res = reduce_against(w, sub.rref_rows, sub.pivots)
-            if any(x != 0 for x in res):
-                raise NotClosedError(i, j, tuple(res))
+            w = _sparse_bracket(L, coords[i].items(), coords[j].items())
+            reduce_in_place(w, r, piv)
+            if any(w.values()):
+                raise NotClosedError(i, j, tuple(dense_rows([w], L.dim)[0]))
     return sub
 
 
@@ -112,9 +117,12 @@ def check_character(Hsub: Subalgebra, f_vals) -> CharacterFunctional:
             f"functional has {len(vals)} values for {Hsub.m} generators")
     L = Hsub.algebra
     phi = solve_exact(Hsub.rows, vals)
+    coords = sparse_rows(Hsub.rows)
     for i in range(Hsub.m):
         for j in range(i + 1, Hsub.m):
-            value = dot(phi, bracket(L, Hsub.rows[i], Hsub.rows[j]))
+            w = _sparse_bracket(L, coords[i].items(), coords[j].items())
+            value = sum((phi[k] * c for k, c in w.items() if c),
+                        Fraction(0))
             if value != 0:
                 raise NotACharacterError(i, j, value)
     return CharacterFunctional(f_vals=vals)
@@ -178,23 +186,28 @@ def _moment_pencil(L, adapted, inv,
     """Entry (i, j) is l_x([Y_i, B_j]) with l_x = inv (f, x), affine in x.
 
     Its constant part pairs the bracket with l_0 (the chart at x = 0) and
-    its x_r coefficient with column m + r of inv.  Brackets are sparse, so
-    each pairing runs over the nonzero coordinates only.  Returns the
-    integer pencil and the row scales that made it integral.
+    its x_r coefficient with column m + r of inv; chart[k] holds the
+    nonzero values of these n - m + 1 forms at coordinate k.  Brackets are
+    sparse, so each pairing runs over nonzero coordinates only.  Returns
+    the integer pencil and the row scales that made it integral.
     """
     n, m = len(inv), len(f_vals)
-    l0 = tuple(dot(row[:m], f_vals) for row in inv)
-    forms = [l0] + [tuple(row[m + r] for row in inv) for r in range(n - m)]
+    chart = [[(r, v) for r, v in enumerate((dot(row[:m], f_vals), *row[m:]))
+              if v] for row in inv]
+    coords = [row.items() for row in sparse_rows(adapted)]
     pencil, scales = [], []
-    for y in adapted[:m]:
+    for y in coords[:m]:
         row = []
-        for b in adapted:
-            nonzero = [(k, c) for k, c in enumerate(bracket(L, y, b)) if c]
-            row.append(tuple(sum(v[k] * c for k, c in nonzero)
-                             for v in forms))
-        scale = lcm(*(c.denominator for entry in row for c in entry))
-        pencil.append(tuple(tuple(int(c * scale) for c in entry)
-                            for entry in row))
+        for b in coords:
+            entry: dict[int, Fraction] = {}
+            for k, c in _sparse_bracket(L, y, b).items():
+                if c:
+                    for r, v in chart[k]:
+                        entry[r] = entry.get(r, 0) + c * v
+            row.append(entry)
+        scale = lcm(*(c.denominator for entry in row for c in entry.values()))
+        pencil.append(tuple(tuple(int(entry.get(r, 0) * scale)
+                                  for r in range(n - m + 1)) for entry in row))
         scales.append(scale)
     return tuple(pencil), tuple(scales)
 

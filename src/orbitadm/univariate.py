@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
+from .linalg import cleared_int_rows
+
 
 def primitive(p) -> list[int]:
     """p over the gcd of its integer coefficients, trailing zeros dropped."""
@@ -27,11 +29,7 @@ def primitive(p) -> list[int]:
 
 def from_rationals(coeffs) -> list[int]:
     """The primitive integer polynomial with the roots of ``coeffs``."""
-    coeffs = [Fraction(c) for c in coeffs]
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // int_gcd(scale, c.denominator)
-    return primitive(int(c * scale) for c in coeffs)
+    return primitive(cleared_int_rows([coeffs])[0])
 
 
 def derivative(p) -> list[int]:
