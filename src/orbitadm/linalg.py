@@ -137,7 +137,8 @@ def reduce_in_place(w: Sparse, rows, pivots) -> list:
     return factors
 
 
-def echelon(vectors, limit: int | None = None) -> tuple[list[Sparse], list[int]]:
+def echelon(vectors,
+            limit: int | None = None) -> tuple[list[Sparse], list[int]]:
     """Echelon basis (rows, pivots) of the span of sparse vectors.
 
     Each vector is reduced by the rows so far; a nonzero residue becomes a

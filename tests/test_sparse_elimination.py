@@ -216,9 +216,9 @@ def test_rref_nullspace_left_nullspace(mat):
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=st.data())
 def test_reduce_against_an_rref_basis(data):
-    mat = data.draw(matrices(n_cols=data.draw(st.integers(1, 6))))
+    n = data.draw(st.integers(1, 6))
+    mat = data.draw(matrices(n_cols=n))
     rows, pivots = dense_rref(mat)
-    n = len(mat[0]) if mat else data.draw(st.integers(1, 6))
     free = data.draw(vectors(n))
     coeffs = data.draw(vectors(len(mat)))
     inside = [sum((c * row[k] for c, row in zip(coeffs, mat)), Fraction(0))
@@ -276,8 +276,9 @@ def test_products(data):
 
 
 @pytest.mark.parametrize("mat, pivots", [
-    ([], []), ([[]], []), ([[0]], []), ([[-3]], [0]), ([[Fraction(2, 3)]], [0]),
-    ([[0, 0], [0, 0]], []), ([[0, -2], [0, 4]], [1]),
+    ([], []), ([[]], []), ([[0]], []), ([[-3]], [0]),
+    ([[Fraction(2, 3)]], [0]), ([[0, 0], [0, 0]], []),
+    ([[0, -2], [0, 4]], [1]),
 ])
 def test_small_shapes(mat, pivots):
     assert linalg.rref(mat) == dense_rref(mat)
