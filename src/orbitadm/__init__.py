@@ -25,10 +25,9 @@ from .moment import (GenericRankResult, StabilizerReport,
                      generic_h_orbit_dim, moment_matrix, rank_at,
                      skew_form_matrix, stabilizer_report,
                      symbolic_generic_rank)
-from .monomial import (CharacterFunctional, MonomialDatum, NotACharacterError,
-                       NotClosedError, RankDeficientError, Subalgebra,
-                       adapt_basis, adapted_dual_coords, build_datum,
-                       check_character, check_subalgebra, point_on_variety)
+from .monomial import (MonomialDatum, NotACharacterError, NotClosedError,
+                       RankDeficientError, adapted_dual_coords, build_datum,
+                       point_on_variety)
 from .problemfile import ParseError, ProblemFile, parse, serialize
 from .verdict import (AnalysisConfig, AdmissibilityVerdict, DisagreementError,
                       FullReport, InvalidAlgebraError, SpectralVerdict,
@@ -52,9 +51,8 @@ def __getattr__(name: str):
 __all__ = [
     "LieAlgebra", "Violation", "StructureReport", "DimensionMismatchError",
     "from_brackets", "validate", "bracket", "ad_matrix", "structure_report",
-    "Subalgebra", "CharacterFunctional", "MonomialDatum",
-    "RankDeficientError", "NotClosedError", "NotACharacterError",
-    "check_subalgebra", "check_character", "adapt_basis", "build_datum",
+    "MonomialDatum", "RankDeficientError", "NotClosedError",
+    "NotACharacterError", "build_datum",
     "point_on_variety", "adapted_dual_coords",
     "StabilizerReport", "GenericRankResult",
     "moment_matrix", "skew_form_matrix",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from importlib import resources
@@ -160,13 +161,11 @@ def _cmd_validate(args, out, err) -> int:
 def _cmd_verdict(args, out, err) -> int:
     pf = _load(args.file)
     seed = _resolve_seed(args.seed, pf.config)
-    config = AnalysisConfig(
-        trials=args.trials if args.trials is not None
-        else pf.config.get("trials", 20),
-        bound=args.bound if args.bound is not None
-        else pf.config.get("bound", 10 ** 6),
-        seed=seed,
-    )
+    # a flag beats the file's config line, which beats AnalysisConfig
+    config = AnalysisConfig(seed=seed, **{
+        key: pf.config[key] if flag is None else flag
+        for key, flag in (("trials", args.trials), ("bound", args.bound))
+        if flag is not None or key in pf.config})
     if config.trials < 1:
         raise _UsageError("--trials must be at least 1")
     if config.bound < 1:
@@ -200,12 +199,14 @@ def _cmd_rank(args, out, err) -> int:
 
 def _cmd_jacobian(args, out, err) -> int:
     from .geometry import fd_jacobian  # numpy: loaded for this command only
-    if args.step <= 0:
-        raise _UsageError("--step must be positive")
-    if args.tol <= 0:
-        raise _UsageError("--tol must be positive")
+    for flag, value in (("--step", args.step), ("--tol", args.tol)):
+        if not 0 < value < math.inf:  # nan fails too
+            raise _UsageError(f"{flag} must be positive and finite")
     datum, x = _datum_and_point(args)
-    jr = fd_jacobian(datum, x, h=args.step, rel_tol=args.tol)
+    try:
+        jr = fd_jacobian(datum, x, h=args.step, rel_tol=args.tol)
+    except OverflowError as exc:
+        raise _UsageError(f"--step is too large: {exc}")
     out.write(render_jacobian_text(jr, x, args.step, args.tol))
     return EXIT_OK
 

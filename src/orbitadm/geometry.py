@@ -15,6 +15,7 @@ its rank is rank M(l) + n - m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -125,8 +126,8 @@ def _chart_action(D: MonomialDatum):
 
 def numerical_rank(mat: np.ndarray, rel_tol: float = 1e-8) -> int:
     """Singular values above rel_tol times the largest one."""
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    if not 0 < rel_tol < math.inf:
+        raise ValueError("rel_tol must be positive and finite")
     mat = np.asarray(mat, dtype=float)
     if mat.size == 0:
         return 0
@@ -147,6 +148,7 @@ class JacobianReport:
     expected_rank: int            # rank M(l) + n - m
 
 
+@np.errstate(over="ignore", invalid="ignore")  # J is checked to be finite
 def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
                 rel_tol: float = 1e-8) -> JacobianReport:
     """Central-difference Jacobian of phi~ at (t, x) = (0, x), with checks.
@@ -157,8 +159,8 @@ def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
     bottom-left block is unconstrained.  x may be floats; they convert to
     exact rationals, so the comparison matrix M(l_x) is computed exactly.
     """
-    if h <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("step must be positive and finite")
     n, m = D.n, D.m
     nfree = n - m
     x_exact = tuple(Fraction(v) for v in x)
@@ -178,6 +180,9 @@ def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
         xm[r] -= h
         cols.append((f([0.0] * n, xp) - f([0.0] * n, xm)) / (2 * h))
     J = np.column_stack(cols) if cols else np.zeros((n, 0))
+    if not np.isfinite(J).all():
+        raise OverflowError(f"the difference quotients at step {h!r} "
+                            f"are not finite")
 
     M = moment_matrix(D, x_exact)
     M_float = np.array([[float(v) for v in row] for row in M],

@@ -190,17 +190,6 @@ def rref(mat) -> tuple[list[list[Fraction]], list[int]]:
     return dense_rows(rows, len(mat[0]) if mat else 0), pivots
 
 
-def reduce_against(vec, rref_rows, pivots) -> list[Fraction]:
-    """Residual of vec after elimination by an rref basis (0 iff in row space)."""
-    w = sparse_rows([vec])[0]
-    reduce_in_place(w, sparse_rows(rref_rows), pivots)
-    return dense_rows([w], len(vec))[0]
-
-
-def in_row_space(vec, rref_rows, pivots) -> bool:
-    return not any(reduce_against(vec, rref_rows, pivots))
-
-
 def nullspace(mat, n_cols: int | None = None) -> list[list[Fraction]]:
     """Canonical basis of the right kernel {v : mat @ v = 0}."""
     if n_cols is None:

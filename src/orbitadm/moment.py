@@ -89,14 +89,15 @@ def stabilizer_report(D: MonomialDatum, x) -> StabilizerReport:
     """Orbit dimensions and stabilizer bases at the point l_x of A_tau.
 
     h(l) comes from the left kernel of M(l): a row combination a with
-    a M(l) = 0 corresponds to the element sum a_i Y_i.  g(l) is the kernel
-    of the skew form B(l), whose rank (always even) is dim G.l.
+    a M(l) = 0 corresponds to the element sum a_i Y_i, so rank M(l) is
+    m - dim h(l).  g(l) is the kernel of the skew form B(l), whose rank
+    (always even) is dim G.l.
     """
     M = moment_matrix(D, x)
-    rank_M = rank_exact(M)
     m, n = D.m, D.n
     h_basis = tuple(map(tuple, matmul(left_nullspace(M, n_rows=m),
-                                      D.subalgebra.rows)))
+                                      D.generators)))
+    rank_M = m - len(h_basis)
     l = point_on_variety(D, x)
     g_basis = tuple(tuple(v) for v in nullspace(skew_form_matrix(D, l),
                                                 n_cols=n))

@@ -27,13 +27,12 @@ def _combo_strings(rows, basis_names) -> list:
 
 def report_dict(rep: FullReport) -> dict:
     L = rep.algebra
-    sub = rep.datum.subalgebra
     structure = {
         "algebra": L.name,
         "dim": L.dim,
         "basis": list(L.basis_names),
-        "generators": _combo_strings(sub.rows, L.basis_names),
-        "functional": [str(v) for v in rep.datum.functional.f_vals],
+        "generators": _combo_strings(rep.datum.generators, L.basis_names),
+        "functional": [str(v) for v in rep.datum.f_vals],
         "is_valid": not rep.structure.violations,
         "is_solvable": rep.structure.is_solvable,
         "derived_series_dims": list(rep.structure.derived_series_dims),

@@ -187,7 +187,7 @@ def moment_reference(D: oa.MonomialDatum, l) -> tuple:
     g*; the reference the datum's pencil is checked against."""
     L = D.algebra
     return tuple(tuple(dot(l, oa.bracket(L, y, b)) for b in D.adapted_rows)
-                 for y in D.subalgebra.rows)
+                 for y in D.generators)
 
 
 def moment_float(D: oa.MonomialDatum, l_float) -> np.ndarray:

@@ -134,12 +134,12 @@ def test_criterion_5_invariant_suites():
         L = D.algebra
         rng = random.Random(1100 + D.n)
         gen_floats = [np.array([float(c) for c in row])
-                      for row in D.subalgebra.rows]
-        f_floats = [float(v) for v in D.functional.f_vals]
+                      for row in D.generators]
+        f_floats = [float(v) for v in D.f_vals]
         for _ in range(100):
             l = [float(v) for v in oa.point_on_variety(
                 D, random_dyadic_vector(rng, D.n - D.m))]
-            factors = [(D.subalgebra.rows[i], float(random_dyadic(rng)))
+            factors = [(D.generators[i], float(random_dyadic(rng)))
                        for i in range(D.m)]
             moved = coadjoint_apply_factors(L, factors, l)
             for row, fj in zip(gen_floats, f_floats):

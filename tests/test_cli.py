@@ -481,16 +481,22 @@ class TestJacobian:
         assert out.endswith("\n")
 
     def test_step_must_be_positive(self):
-        code, _out, err = run_cli("jacobian", corpus_file("grelaud"),
-                                  "--point", "2,1/2", "--step", "0")
-        assert code == 1
-        assert "--step" in err
+        # and finite; 1e10 is, but exp(1e10 ad A) on axb_f1 overflows
+        for name, step in (("grelaud", "0"), ("axb_f1", "nan"),
+                           ("axb_f1", "inf"), ("axb_f1", "-inf"),
+                           ("axb_f1", "1e10")):
+            code, out, err = run_cli("jacobian", corpus_file(name), "--point",
+                                     "2,1/2" if name == "grelaud" else "1",
+                                     f"--step={step}")
+            assert (code, out) == (1, "")
+            assert err.startswith("error: --step") and err.count("\n") == 1
 
     def test_tol_must_be_positive(self):
-        code, _out, err = run_cli("jacobian", corpus_file("grelaud"),
-                                  "--point", "2,1/2", "--tol", "-1")
-        assert code == 1
-        assert "--tol" in err
+        for tol in ("-1", "nan", "inf"):
+            code, out, err = run_cli("jacobian", corpus_file("grelaud"),
+                                     "--point", "2,1/2", f"--tol={tol}")
+            assert (code, out) == (1, "")
+            assert err.startswith("error: --tol") and err.count("\n") == 1
 
     def test_skips_structural_screens(self):
         code, out, _err = run_cli("jacobian", str(FIXTURES / "motion.alg"),

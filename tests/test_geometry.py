@@ -122,7 +122,7 @@ class TestPhiInChart:
         for D in corpus_data.values():
             x = [float(random_dyadic(rng)) for _ in range(D.n - D.m)]
             out = oa.phi_in_chart(D, [0.0] * D.n, x)
-            expect = [float(v) for v in D.functional.f_vals] + x
+            expect = [float(v) for v in D.f_vals] + x
             assert np.abs(out - np.array(expect)).max() < 1e-12
 
     def test_axb_first_coordinate_decays(self, axb):
@@ -259,7 +259,7 @@ class TestTransportedStabilizers:
             l_exact = oa.point_on_variety(D, x)
             exact_rank = oa.rank_at(D, x)
             l_float = [float(v) for v in l_exact]
-            factors = [(D.subalgebra.rows[i], float(random_dyadic(rng)))
+            factors = [(D.generators[i], float(random_dyadic(rng)))
                        for i in range(D.m)]
             moved = geometry.coadjoint_apply_factors(L, factors, l_float)
             got = oa.numerical_rank(moment_float(D, moved), 1e-8)

@@ -50,9 +50,15 @@ class TestRref:
     def test_row_space_membership(self):
         basis = [[1, 0, 2, 0], [0, 1, 3, 0]]
         rows, pivots = linalg.rref(basis)
-        assert linalg.in_row_space([2, 3, 13, 0], rows, pivots)
-        assert not linalg.in_row_space([0, 0, 0, 1], rows, pivots)
-        assert not linalg.in_row_space([2, 3, 12, 0], rows, pivots)
+        rows = linalg.sparse_rows(rows)
+
+        def reduced(vec):
+            w = linalg.sparse_rows([vec])[0]
+            return linalg.reduce_in_place(w, rows, pivots), w
+
+        assert reduced([2, 3, 13, 0]) == ([2, 3], {})
+        assert reduced([0, 0, 0, 1]) == ([0, 0], {3: 1})
+        assert reduced([2, 3, 12, 0]) == ([2, 3], {2: -1})
 
 
 class TestNullspace:

@@ -3,69 +3,114 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbitadm as oa
 from orbitadm.geometry import coadjoint_apply_factors
-from orbitadm.linalg import rank_exact
+from orbitadm.linalg import nullspace, rank_exact, rref
 
 from conftest import (CORPUS_NAMES, make_abelian, make_h3, random_dyadic,
                       random_vector)
 
 
+ENTRIES = st.sampled_from((0, 0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 2)))
+
+
+def nullspace_rule(L, rows):
+    """The completion as it was first computed: the standard vectors e_k at
+    the pivot columns of the rref of a basis of h^perp."""
+    _, kept = rref(nullspace(rref(rows)[0], n_cols=L.dim))
+    return tuple(map(tuple, rows)) + tuple(L.basis_vector(k) for k in kept)
+
+
+@st.composite
+def independent_rows(draw, n, m):
+    """m independent rational rows of length n: each nonzero at a pivot
+    column of its own and 0 at the others' pivots, then mixed by row
+    operations, which often leaves several rows ending at one coordinate."""
+    pivots = draw(st.permutations(range(n)))[:m]
+    rows = []
+    for p in pivots:
+        row = [0 if k in pivots else draw(ENTRIES) for k in range(n)]
+        row[p] = draw(st.sampled_from((1, -1, 2, Fraction(2, 3))))
+        rows.append(row)
+    for dst, src, q in draw(st.lists(st.tuples(
+            st.integers(0, max(m - 1, 0)), st.integers(0, max(m - 1, 0)),
+            ENTRIES), max_size=2 * m)):
+        if dst != src:
+            rows[dst] = [x + q * y for x, y in zip(rows[dst], rows[src])]
+    return [tuple(Fraction(x) for x in row) for row in rows]
+
+
 class TestCheckSubalgebra:
     def test_h3_yz_valid(self, h3):
-        sub = oa.check_subalgebra(h3, [h3.vector(Y=1), h3.vector(Z=1)])
-        assert sub.m == 2
-        assert sub.contains(h3.vector(Y=2, Z=-3))
+        D = oa.build_datum(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 0])
+        assert D.m == 2
+        assert rank_exact([*D.generators, h3.vector(Y=2, Z=-3)]) == 2
 
     def test_h3_xy_not_closed(self, h3):
         with pytest.raises(oa.NotClosedError) as exc:
-            oa.check_subalgebra(h3, [h3.vector(X=1), h3.vector(Y=1)])
+            oa.build_datum(h3, [h3.vector(X=1), h3.vector(Y=1)], [0, 0])
         assert (exc.value.i, exc.value.j) == (0, 1)
         # the escaping component is Z
         assert exc.value.residual == h3.vector(Z=1)
 
     def test_trivial_subalgebra(self, h3):
-        sub = oa.check_subalgebra(h3, [])
-        assert sub.m == 0
+        D = oa.build_datum(h3, [], [])
+        assert D.m == 0 and D.generators == ()
 
     def test_rank_deficient(self, h3):
         with pytest.raises(oa.RankDeficientError):
-            oa.check_subalgebra(h3, [h3.vector(Y=1), h3.vector(Y=2)])
+            oa.build_datum(h3, [h3.vector(Y=1), h3.vector(Y=2)], [0, 0])
 
     def test_non_standard_generators_accepted(self, h3):
         # span{Y + Z, Z} is still the abelian plane
-        sub = oa.check_subalgebra(h3, [h3.vector(Y=1, Z=1), h3.vector(Z=1)])
-        assert sub.m == 2
+        D = oa.build_datum(h3, [h3.vector(Y=1, Z=1), h3.vector(Z=1)], [0, 0])
+        assert D.m == 2
 
     def test_dimension_mismatch(self, h3):
         with pytest.raises(oa.DimensionMismatchError):
-            oa.check_subalgebra(h3, [(1, 0)])
+            oa.build_datum(h3, [(1, 0)], [0])
+
+    def test_errors_come_in_order(self, h3):
+        # generator length, rank, closure pair by pair, the functional's
+        # length, then the character check
+        X, Y, Z = (h3.basis_vector(k) for k in range(3))
+        with pytest.raises(oa.DimensionMismatchError, match="generator"):
+            oa.build_datum(h3, [X, X, (1, 0)], [])
+        with pytest.raises(oa.RankDeficientError):
+            oa.build_datum(h3, [X, Y, X], [])
+        with pytest.raises(oa.NotClosedError) as exc:
+            oa.build_datum(h3, [Y, X], [])
+        assert exc.value.residual == h3.vector(Z=-1)
+        with pytest.raises(oa.DimensionMismatchError, match="functional"):
+            oa.build_datum(h3, [X, Y, Z], [1])
+        with pytest.raises(oa.NotACharacterError) as exc:
+            oa.build_datum(h3, [Z, X, Y], [1, 0, 0])
+        assert (exc.value.i, exc.value.j, exc.value.value) == (1, 2, 1)
 
 
 class TestCheckCharacter:
     def test_h3_yz_any_f_valid(self, h3):
-        sub = oa.check_subalgebra(h3, [h3.vector(Y=1), h3.vector(Z=1)])
-        f = oa.check_character(sub, [0, 1])
-        assert f.f_vals == (Fraction(0), Fraction(1))
+        D = oa.build_datum(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
+        assert D.f_vals == (Fraction(0), Fraction(1))
 
     def test_full_algebra_rejects_central_character(self, h3):
-        sub = oa.check_subalgebra(
-            h3, [h3.vector(X=1), h3.vector(Y=1), h3.vector(Z=1)])
         with pytest.raises(oa.NotACharacterError) as exc:
-            oa.check_character(sub, [0, 0, 1])
+            oa.build_datum(
+                h3, [h3.vector(X=1), h3.vector(Y=1), h3.vector(Z=1)],
+                [0, 0, 1])
         assert exc.value.value == 1  # f([X,Y]) = f(Z) = 1
 
     def test_zero_functional_always_works(self, h3):
-        sub = oa.check_subalgebra(
-            h3, [h3.vector(X=1), h3.vector(Y=1), h3.vector(Z=1)])
-        f = oa.check_character(sub, [0, 0, 0])
-        assert all(v == 0 for v in f.f_vals)
+        D = oa.build_datum(
+            h3, [h3.vector(X=1), h3.vector(Y=1), h3.vector(Z=1)], [0, 0, 0])
+        assert all(v == 0 for v in D.f_vals)
 
     def test_length_mismatch(self, h3):
-        sub = oa.check_subalgebra(h3, [h3.vector(Y=1)])
         with pytest.raises(oa.DimensionMismatchError):
-            oa.check_character(sub, [1, 2])
+            oa.build_datum(h3, [h3.vector(Y=1)], [1, 2])
 
 
 class TestAdaptBasis:
@@ -121,6 +166,32 @@ class TestAdaptBasis:
         D = oa.build_datum(L, rows, [0] * len(rows))
         assert D.adapted_rows == tuple(tuple(r) for r in chosen)
 
+    @pytest.mark.parametrize("rows", [
+        [], [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+        # both end at E4; their difference ends at E2
+        [(1, 0, 0, 1), (0, 1, 0, 1)],
+        [(0, 3, 0, Fraction(1, 2)), (0, 0, -1, 2), (1, 1, 1, 1)],
+    ])
+    def test_matches_the_nullspace_rule(self, rows):
+        L = make_abelian(4)
+        D = oa.build_datum(L, rows, [1] * len(rows))
+        assert D.adapted_rows == nullspace_rule(L, rows)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_the_nullspace_rule_on_random_generators(self, data):
+        # Every subspace of an abelian algebra is a subalgebra and every f
+        # a character, so any independent generators and values will do.
+        n = data.draw(st.integers(1, 7), label="n")
+        m = data.draw(st.integers(0, n), label="m")
+        rows = data.draw(independent_rows(n, m), label="rows")
+        vals = data.draw(st.lists(ENTRIES, min_size=m, max_size=m))
+        L = make_abelian(n)
+        D = oa.build_datum(L, rows, vals)
+        assert D.adapted_rows == nullspace_rule(L, rows)
+        assert D.generators == tuple(map(tuple, rows))
+        assert D.f_vals == tuple(map(Fraction, vals))
+
 
 class TestPointOnVariety:
     def test_h3_example(self, h3):
@@ -152,8 +223,8 @@ class TestPointOnVariety:
             l = oa.point_on_variety(D, x)
             for j in range(D.m):
                 val = sum(a * b for a, b in
-                          zip(l, D.subalgebra.rows[j]))
-                assert val == D.functional.f_vals[j]
+                          zip(l, D.generators[j]))
+                assert val == D.f_vals[j]
             # and the completion coordinates are the chart input
             assert oa.adapted_dual_coords(D, l)[D.m:] == tuple(
                 Fraction(v) for v in x)
@@ -176,12 +247,12 @@ class TestVarietyInvariance:
         for _ in range(100):
             x = [random_dyadic(rng) for _ in range(D.n - D.m)]
             l = [float(v) for v in oa.point_on_variety(D, x)]
-            factors = [(D.subalgebra.rows[i], random_dyadic(rng, scale=8))
+            factors = [(D.generators[i], random_dyadic(rng, scale=8))
                        for i in range(D.m)]
             moved = coadjoint_apply_factors(L, factors, l)
             for j in range(D.m):
-                fj = float(D.functional.f_vals[j])
+                fj = float(D.f_vals[j])
                 got = float(np.dot(moved,
                                    [float(v) for v in
-                                    D.subalgebra.rows[j]]))
+                                    D.generators[j]]))
                 assert abs(got - fj) < 1e-8

@@ -216,6 +216,8 @@ def test_rref_nullspace_left_nullspace(mat):
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=st.data())
 def test_reduce_against_an_rref_basis(data):
+    # reduce_in_place by rref rows leaves the residual dense_reduce_against
+    # gives, and its factors are the coordinates of what it took away
     n = data.draw(st.integers(1, 6))
     mat = data.draw(matrices(n_cols=n))
     rows, pivots = dense_rref(mat)
@@ -224,11 +226,17 @@ def test_reduce_against_an_rref_basis(data):
     inside = [sum((c * row[k] for c, row in zip(coeffs, mat)), Fraction(0))
               for k in range(n)]
     for vec in (free, inside):
-        got = linalg.reduce_against(vec, rows, pivots)
+        w = linalg.sparse_rows([vec])[0]
+        factors = linalg.reduce_in_place(w, linalg.sparse_rows(rows), pivots)
+        got = linalg.dense_rows([w], n)[0]
         assert got == dense_reduce_against(vec, rows, pivots)
-        assert all_fractions(got)
-        assert linalg.in_row_space(vec, rows, pivots) == (not any(got))
-    assert linalg.in_row_space(inside, rows, pivots)
+        assert all(w.values())
+        taken = [sum((f * row[k] for f, row in zip(factors, rows)),
+                     Fraction(0)) for k in range(n)]
+        assert [a - b for a, b in zip(vec, taken)] == got
+    w = linalg.sparse_rows([inside])[0]
+    linalg.reduce_in_place(w, linalg.sparse_rows(rows), pivots)
+    assert not w
 
 
 @settings(max_examples=300, deadline=None, database=None)
