@@ -481,13 +481,10 @@ class TestJacobian:
         assert out.endswith("\n")
 
     def test_step_must_be_positive(self):
-        # and finite; 1e10 is, but exp(1e10 ad A) on axb_f1 overflows
-        for name, step in (("grelaud", "0"), ("axb_f1", "nan"),
-                           ("axb_f1", "inf"), ("axb_f1", "-inf"),
-                           ("axb_f1", "1e10")):
-            code, out, err = run_cli("jacobian", corpus_file(name), "--point",
-                                     "2,1/2" if name == "grelaud" else "1",
-                                     f"--step={step}")
+        # and finite; 1e10 is, but exp(1e10 ad A) overflows
+        for step in ("0", "nan", "inf", "-inf", "1e10"):
+            code, out, err = run_cli("jacobian", corpus_file("grelaud"),
+                                     "--point", "2,1/2", f"--step={step}")
             assert (code, out) == (1, "")
             assert err.startswith("error: --step") and err.count("\n") == 1
 
