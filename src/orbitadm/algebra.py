@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import chain
 
 from . import univariate
-from .linalg import (Sparse, echelon, invert, mat_vec, matmul, rank_exact,
-                     reduce_in_place, rref, sparse_rows)
+from .linalg import (SingularMatrixError, Sparse, echelon, invert, mat_vec,
+                     matmul, reduce_in_place, rref, sparse_rows)
 
 Vector = tuple[Fraction, ...]
 
@@ -277,73 +277,30 @@ def lower_central_dims(L: LieAlgebra) -> tuple[int, ...]:
     return _series(L, _commutator(L), _lower_central_step)[0]
 
 
-def _matrix_poly(p, A) -> list[list[Fraction]]:
-    """p(A) by Horner's rule, p an integer coefficient list."""
-    n = len(A)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for c in reversed(p):
-        out = matmul(out, A)
-        for i in range(n):
-            out[i][i] += c
-    return out
+def _on_fitting_component(mats) -> list[list[list[Fraction]]]:
+    """The commuting ``mats`` restricted to their joint Fitting-one part.
 
-
-def _semisimple_part(A) -> list[list[Fraction]]:
-    """The semisimple part of A in its Jordan-Chevalley decomposition.
-
-    With p the square-free part of the characteristic polynomial, Newton's
-    iteration A <- A - p(A) p'(A)^-1 keeps the eigenvalues, so p'(A) stays
-    invertible, and reaches p(A) = 0 in about log2(largest multiplicity)
-    steps.  A with distinct eigenvalues, or with p(A) = 0, is its own.
+    That part is W = sum_i im A_i^d (d = len(A_i)): the sum of the joint
+    generalised eigenspaces of the characters chi != 0.  U <- sum_i A_i U,
+    from the whole space, shrinks to W and stays there: some A_i is
+    invertible on each of those eigenspaces, while on the joint kernel
+    part the A_i are commuting nilpotents, under which a nonzero invariant
+    U has sum_i A_i U smaller than U.  The rref rows of W are its basis; a
+    vector of W has its entries at their pivots as coordinates.
     """
-    full = univariate.charpoly(A)
-    p = univariate.squarefree(full)
-    if len(p) == len(full):
-        return A
-    dp = univariate.derivative(p)
+    n = len(mats[0])
+    basis = [[Fraction(j == k) for k in range(n)] for j in range(n)]
     while True:
-        residue = _matrix_poly(p, A)
-        if not any(any(row) for row in residue):
-            return A
-        step = matmul(residue, invert(_matrix_poly(dp, A)))
-        A = [[a - s for a, s in zip(ra, rs)] for ra, rs in zip(A, step)]
+        images, piv = rref([mat_vec(A, b) for A in mats for b in basis])
+        if len(images) == len(basis):
+            break
+        basis = images
 
+    def restricted(A):
+        columns = [mat_vec(A, b) for b in images]
+        return [[w[p] for w in columns] for p in piv]
 
-def _separating(parts):
-    """(c, S): S = sum c_i S_i with ker S the common kernel of the S_i.
-
-    c runs through (1, t, t^2, ...) for t = 1, 2, ...  A joint character
-    chi != 0 of the commuting S_i has chi(S) = sum_i chi_i t^i, a nonzero
-    polynomial in t with fewer than r roots, so the search ends.
-    """
-    common = rank_exact([row for S in parts for row in S])
-    n = len(parts[0])
-    t = 1
-    while True:
-        c = [Fraction(t ** i) for i in range(len(parts))]
-        S = [[sum((ci * P[a][b] for ci, P in zip(c, parts)), Fraction(0))
-              for b in range(n)] for a in range(n)]
-        if rank_exact(S) == common:
-            return c, S
-        t += 1
-
-
-def _on_image(S, parts) -> list[list[list[Fraction]]]:
-    """E_i = S_i S^-1 on im S, where the semisimple S is invertible.
-
-    The rref rows of S's columns are a basis of im S; a vector of im S has
-    its entries at their pivots as coordinates.
-    """
-    basis, piv = rref([list(col) for col in zip(*S)])
-    if not basis:
-        return []
-
-    def restricted(M):
-        images = [mat_vec(M, b) for b in basis]
-        return [[w[p] for w in images] for p in piv]
-
-    inverse = invert(restricted(S))
-    return [matmul(restricted(P), inverse) for P in parts]
+    return [restricted(A) for A in mats]
 
 
 def _quotient_failure(mats):
@@ -353,32 +310,43 @@ def _quotient_failure(mats):
     eigenvalue; else ("i", c, None) with the rational witness sum c_i A_i,
     or ("ii", c, i) with the index of an E_i that has a non-real eigenvalue.
 
-    On a joint character chi with theta = chi(S) != 0, chi(S_i) = theta e_i
-    with e_i an eigenvalue of E_i.  If (i) leaves Re theta != 0 and every
-    e_i is real, chi(X) is theta times a real number, imaginary only when
-    it is 0; and theta = 0 only for chi = 0.  If some e_i is not real,
-    theta and theta e_i span C over R, so chi(X) = i for some real X.
+    Every nonzero joint character chi lives on the joint Fitting-one part
+    W, where S = sum c_i A_i is invertible exactly when chi(S) != 0 for
+    all of them.  c runs through (1, t, t^2, ...) for t = 1, 2, ...:
+    chi(S) = sum_i chi_i t^i is a nonzero polynomial in t with fewer than
+    r roots, so the search ends.  In a joint triangular basis of W,
+    E_i = A_i S^-1 has the eigenvalues e_i = chi(A_i) / chi(S).  If (i)
+    leaves Re chi(S) != 0 and every e_i is real, chi(X) is chi(S) times a
+    real number, imaginary only when it is 0.  If some e_i is not real,
+    chi(S) and chi(A_i) span C over R, so chi(X) = i for some real X.
     """
-    if len(mats) == 1:
-        # S's eigenvalues are A's; E_1 is the identity on im S
-        c, S, parts = [Fraction(1)], mats[0], None
-    elif all(_real_spectrum(A) for A in mats):
+    if all(_real_spectrum(A) for A in mats):
         return None  # then every joint character takes real values
-    else:
-        parts = [_semisimple_part(A) for A in mats]
-        c, S = _separating(parts)
+    mats = _on_fitting_component(mats)
+    n, t = len(mats[0]), 1
+    while True:
+        c = [Fraction(t ** i) for i in range(len(mats))]
+        S = [[sum((ci * A[a][b] for ci, A in zip(c, mats)), Fraction(0))
+              for b in range(n)] for a in range(n)]
+        try:
+            inverse = invert(S)
+            break
+        except SingularMatrixError:
+            t += 1
     if univariate.has_nonzero_imaginary_root(univariate.charpoly(S)):
         return "i", c, None
-    for i, E in enumerate(_on_image(S, parts) if parts else ()):
-        if not _real_spectrum(E):
+    for i, A in enumerate(mats):
+        if not _real_spectrum(matmul(A, inverse)):
             return "ii", c, i
     return None
 
 
 def _real_spectrum(M) -> bool:
-    """Whether every eigenvalue of M is real (a Sturm count)."""
-    p = univariate.squarefree(univariate.charpoly(M))
-    return univariate.real_root_count(p) == len(p) - 1
+    """Whether every eigenvalue of M is real: a Sturm count of the roots
+    against deg p - deg gcd(p, p'), the number of distinct ones."""
+    p = univariate.charpoly(M)
+    distinct = len(p) - len(univariate.gcd(p, univariate.derivative(p)))
+    return univariate.real_root_count(p) == distinct
 
 
 def _quotient_actions(L: LieAlgebra, gens, upper, lower):
@@ -432,6 +400,8 @@ def _exponentiality(L: LieAlgebra, commutator, stable):
                 f"{where}: ad X has a nonzero purely imaginary eigenvalue "
                 f"for X = {combo}"), X
         name = L.basis_names[gens[i]]
+        # E_Z = A_Z S^-1 on the Fitting-one part has the eigenvalues of
+        # S_Z S^-1 on im S, S_Z and S the semisimple parts, as stated
         return NOT_EXPONENTIAL, (
             f"{where}: E_{name} = S_{name} S^-1 has a non-real eigenvalue, "
             f"S_Z being the semisimple part of ad Z there and S that of "

@@ -148,13 +148,7 @@ def _cmd_validate(args, out, err) -> int:
         return EXIT_PRECONDITION
     if report.exponentiality != EXPONENTIAL:
         raise not_exponential_error(report)
-    out.write(render_problem_summary(pf))
-    out.write(f"is_solvable: true\n"
-              f"is_nilpotent: {'true' if report.is_nilpotent else 'false'}\n"
-              f"is_unimodular: "
-              f"{'true' if report.is_unimodular else 'false'}\n"
-              f"exponentiality: {report.exponentiality}\n"
-              f"ok\n")
+    out.write(render_problem_summary(pf, report) + "ok\n")
     return EXIT_OK
 
 
@@ -199,9 +193,10 @@ def _cmd_rank(args, out, err) -> int:
 
 def _cmd_jacobian(args, out, err) -> int:
     from .geometry import fd_jacobian  # numpy: loaded for this command only
-    for flag, value in (("--step", args.step), ("--tol", args.tol)):
-        if not 0 < value < math.inf:  # nan fails too
-            raise _UsageError(f"{flag} must be positive and finite")
+    if not 0 < args.step < math.inf:  # nan fails too
+        raise _UsageError("--step must be positive and finite")
+    if not 0 < args.tol < 1:  # at 1 no singular value would count
+        raise _UsageError("--tol must lie strictly between 0 and 1")
     datum, x = _datum_and_point(args)
     try:
         jr = fd_jacobian(datum, x, h=args.step, rel_tol=args.tol)
@@ -230,12 +225,30 @@ _COMMANDS = {
 }
 
 
+# argparse reads a value that starts with '-' and is not a plain number,
+# such as the point -1/2,2 or the step -inf, as an option, and Python 3.13
+# changed which values count as numbers; bound with '=' they never do
+_VALUED_OPTIONS = ("--point", "--step", "--tol")
+
+
+def _bind_values(argv) -> list[str]:
+    """argv with each of _VALUED_OPTIONS joined to its value by '='."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VALUED_OPTIONS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _bind_values(sys.argv[1:] if argv is None else argv))
     except _UsageError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INVALID

@@ -125,9 +125,10 @@ def _chart_action(D: MonomialDatum):
 
 
 def numerical_rank(mat: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """Singular values above rel_tol times the largest one."""
-    if not 0 < rel_tol < math.inf:
-        raise ValueError("rel_tol must be positive and finite")
+    """Singular values above rel_tol times the largest one, 0 < rel_tol < 1:
+    at 1 or more none would count."""
+    if not 0 < rel_tol < 1:  # nan fails too
+        raise ValueError("rel_tol must lie strictly between 0 and 1")
     mat = np.asarray(mat, dtype=float)
     if mat.size == 0:
         return 0

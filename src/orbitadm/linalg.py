@@ -3,9 +3,9 @@
 Matrices are sequences of rows of ``fractions.Fraction`` (plain ints are
 accepted and coerced).  Everything here is exact.  Ranks come from
 fraction-free (Bareiss) elimination on denominator-cleared integer rows.
-Rref, kernels, inverses and solves come from one sparse reduction,
-``echelon``, on rows held as {column: nonzero Fraction}: it never visits a
-zero entry and never divides by a pivot equal to 1.
+Rref, kernels and inverses come from one sparse reduction, ``echelon``,
+on rows held as {column: nonzero Fraction}: it never visits a zero entry
+and never divides by a pivot equal to 1.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ Sparse = dict[int, Fraction]  # a row's nonzero entries by column
 
 
 class SingularMatrixError(ValueError):
-    pass
-
-
-class InconsistentSystemError(ValueError):
     pass
 
 
@@ -229,24 +225,6 @@ def invert(mat) -> list[list[Fraction]]:
         raise SingularMatrixError("matrix is singular")
     return dense_rows(({k - n: x for k, x in row.items() if k >= n}
                        for row in rows), n)
-
-
-def solve_exact(mat, rhs) -> list[Fraction]:
-    """One exact solution of mat @ x = rhs (free variables set to 0)."""
-    if len(mat) != len(rhs):
-        raise ValueError("rhs length mismatch")
-    if not mat:
-        return []
-    n_cols = len(mat[0])
-    rows, pivots = rref_sparse(sparse_rows(
-        [(*row, b) for row, b in zip(mat, rhs)]))
-    if n_cols in pivots:
-        raise InconsistentSystemError("system has no solution")
-    x = [Fraction(0)] * n_cols
-    for row, col in zip(rows, pivots):
-        if n_cols in row:
-            x[col] = row[n_cols]
-    return x
 
 
 def matmul(a, b) -> list[list[Fraction]]:

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import format_combo
+from .algebra import StructureReport, format_combo
 from .moment import StabilizerReport
 from .problemfile import ProblemFile
 from .verdict import RATIONALE_TEXT, FullReport
@@ -80,61 +80,58 @@ def _flatten(prefix: str, value, lines: list) -> None:
         lines.append(f"{prefix}: {_scalar(value)}")
 
 
+def _text(tree: dict) -> str:
+    lines: list = []
+    _flatten("", tree, lines)
+    return "\n".join(lines) + "\n"
+
+
 def render_json(rep: FullReport) -> str:
     return json.dumps(report_dict(rep), indent=2) + "\n"
 
 
 def render_text(rep: FullReport) -> str:
-    lines: list = []
-    _flatten("", report_dict(rep), lines)
-    return "\n".join(lines) + "\n"
+    return _text(report_dict(rep))
 
 
 def render_stabilizer_text(sr: StabilizerReport, basis_names) -> str:
-    lines = [
-        "point: " + json.dumps([str(v) for v in sr.point],
-                               separators=(", ", ": ")),
-        f"rank_M: {sr.rank_M}",
-        f"dim_H_orbit: {sr.dim_H_orbit}",
-        "h_stab_basis: " + json.dumps(_combo_strings(sr.h_stab_basis,
-                                                     basis_names),
-                                      separators=(", ", ": ")),
-        f"dim_G_orbit: {sr.dim_G_orbit}",
-        "g_stab_basis: " + json.dumps(_combo_strings(sr.g_stab_basis,
-                                                     basis_names),
-                                      separators=(", ", ": ")),
-    ]
-    return "\n".join(lines) + "\n"
+    return _text({
+        "point": [str(v) for v in sr.point],
+        "rank_M": sr.rank_M,
+        "dim_H_orbit": sr.dim_H_orbit,
+        "h_stab_basis": _combo_strings(sr.h_stab_basis, basis_names),
+        "dim_G_orbit": sr.dim_G_orbit,
+        "g_stab_basis": _combo_strings(sr.g_stab_basis, basis_names),
+    })
 
 
 def render_jacobian_text(jr: JacobianReport, point, h: float,
                          rel_tol: float) -> str:
-    lines = [
-        "point: " + json.dumps([str(Fraction(v)) for v in point],
-                               separators=(", ", ": ")),
-        f"step: {h!r}",
-        f"rank_tolerance: {rel_tol!r}",
-        f"max_dev_topleft: {jr.max_dev_topleft!r}",
-        f"max_dev_topright: {jr.max_dev_topright!r}",
-        f"max_dev_bottomright: {jr.max_dev_bottomright!r}",
-        f"numerical_rank_J: {jr.numerical_rank_J}",
-        f"expected_rank: {jr.expected_rank}",
-        f"rank_matches: {json.dumps(jr.numerical_rank_J == jr.expected_rank)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return _text({
+        "point": [str(Fraction(v)) for v in point],
+        "step": h,
+        "rank_tolerance": rel_tol,
+        "max_dev_topleft": jr.max_dev_topleft,
+        "max_dev_topright": jr.max_dev_topright,
+        "max_dev_bottomright": jr.max_dev_bottomright,
+        "numerical_rank_J": jr.numerical_rank_J,
+        "expected_rank": jr.expected_rank,
+        "rank_matches": jr.numerical_rank_J == jr.expected_rank,
+    })
 
 
-def render_problem_summary(pf: ProblemFile) -> str:
+def render_problem_summary(pf: ProblemFile,
+                           structure: StructureReport) -> str:
+    """The problem and its structural class, as `validate` prints them."""
     L = pf.algebra
-    lines = [
-        f"algebra: {pf.name}",
-        f"dim: {L.dim}",
-        "basis: " + " ".join(L.basis_names),
-        "generators: " + json.dumps(
-            _combo_strings(pf.subalgebra_rows, L.basis_names),
-            separators=(", ", ": ")),
-        "functional: " + json.dumps(
-            [str(v) for v in pf.functional_vals],
-            separators=(", ", ": ")),
-    ]
-    return "\n".join(lines) + "\n"
+    return _text({
+        "algebra": pf.name,
+        "dim": L.dim,
+        "basis": " ".join(L.basis_names),
+        "generators": _combo_strings(pf.subalgebra_rows, L.basis_names),
+        "functional": [str(v) for v in pf.functional_vals],
+        "is_solvable": structure.is_solvable,
+        "is_nilpotent": structure.is_nilpotent,
+        "is_unimodular": structure.is_unimodular,
+        "exponentiality": structure.exponentiality,
+    })

@@ -36,37 +36,28 @@ def derivative(p) -> list[int]:
     return [k * c for k, c in enumerate(p)][1:]
 
 
-def _pseudo_divmod(a, b) -> tuple[list[int], list[int]]:
-    """(q, r) with s * a = q * b + r and deg r < deg b, s a positive int."""
+def _pseudo_remainder(a, b) -> list[int]:
+    """r with s * a = q * b + r and deg r < deg b, s a positive int, made
+    primitive."""
     lead = b[-1]
     s = abs(lead)
     r = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for k in reversed(range(len(q))):
+    for k in reversed(range(len(a) - len(b) + 1)):
         top = r[k + len(b) - 1]
         if s != 1:
             r = [s * x for x in r]
-            q = [s * x for x in q]
         f = top if lead > 0 else -top
-        q[k] += f
         for i, c in enumerate(b):
             r[k + i] -= f * c
-    return q, primitive(r)
+    return primitive(r)
 
 
 def gcd(a, b) -> list[int]:
     """Greatest common divisor, primitive with a positive leading term."""
     a, b = primitive(a), primitive(b)
     while b:
-        a, b = b, _pseudo_divmod(a, b)[1]
+        a, b = b, _pseudo_remainder(a, b)
     return [-c for c in a] if a and a[-1] < 0 else a
-
-
-def squarefree(p) -> list[int]:
-    """p with every repeated factor reduced to a single one."""
-    p = primitive(p)
-    g = gcd(p, derivative(p))
-    return primitive(_pseudo_divmod(p, g)[0]) if len(g) > 1 else p
 
 
 def _sign_changes(signs) -> int:
@@ -86,7 +77,7 @@ def real_root_count(p) -> int:
         return 0
     seq = [p, derivative(p)]
     while len(seq[-1]) > 1:
-        r = _pseudo_divmod(seq[-2], seq[-1])[1]
+        r = _pseudo_remainder(seq[-2], seq[-1])
         if not r:
             break
         seq.append([-c for c in r])

@@ -147,8 +147,8 @@ def full_report(L: LieAlgebra, h_rows, f_vals,
     Raises InvalidAlgebraError / the datum validation errors for malformed
     input, StructuralPreconditionError when the algebra is not solvable or
     not exponential, and DisagreementError if the symbolic rank does not
-    certify the sampled one.  If the symbolic route hits its work limit, a
-    warning says the sampled one decides.
+    certify the sampled one.  If the symbolic route hits its work limit
+    below d_tau = m, a warning says the sampled one decides.
     """
     structure = structure_report(L)
     if structure.violations:
@@ -168,8 +168,11 @@ def full_report(L: LieAlgebra, h_rows, f_vals,
         symbolic_rank = symbolic_generic_rank(datum)
     except WorkLimitError:
         symbolic_rank = None
-        warnings.append("symbolic elimination stopped at its work limit; "
-                        "generic rank certified probabilistically only")
+        # at d_tau = m the exact rank at the witness already proves it
+        if generic.d_tau < datum.m:
+            warnings.append("symbolic elimination stopped at its work "
+                            "limit; generic rank certified probabilistically "
+                            "only")
     if symbolic_rank is not None and symbolic_rank != generic.d_tau:
         raise DisagreementError(generic.d_tau, symbolic_rank)
 

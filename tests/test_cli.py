@@ -404,6 +404,18 @@ class TestRank:
         assert out == (FIXTURES / "points" / f"{name}.rank.{label}.txt"
                        ).read_text()
 
+    def test_negative_point_as_a_separate_argument(self):
+        # argparse would read "-1,2" as an option and "--step -inf" too
+        path = corpus_file("grelaud")
+        for point in ("-1,2", "-1/2,2"):
+            bound = run_cli("rank", path, f"--point={point}")
+            assert bound[0] == 0
+            assert run_cli("rank", path, "--point", point) == bound
+        code, out, err = run_cli("jacobian", path, "--point", "-1,2",
+                                 "--step", "-inf")
+        assert (code, out, err) == (
+            1, "", "error: --step must be positive and finite\n")
+
     def test_rational_fixture_has_a_row_scale_of_90(self):
         pf = oa.parse((FIXTURES / "rational_scales.alg").read_text())
         assert oa.validate(pf.algebra) == []
@@ -489,7 +501,7 @@ class TestJacobian:
             assert err.startswith("error: --step") and err.count("\n") == 1
 
     def test_tol_must_be_positive(self):
-        for tol in ("-1", "nan", "inf"):
+        for tol in ("-1", "nan", "inf", "1", "2"):
             code, out, err = run_cli("jacobian", corpus_file("grelaud"),
                                      "--point", "2,1/2", f"--tol={tol}")
             assert (code, out) == (1, "")

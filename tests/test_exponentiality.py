@@ -18,10 +18,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import orbitadm as oa
 from orbitadm import cli, univariate
+from orbitadm.algebra import _quotient_failure
 from orbitadm.geometry import ad_float
+from orbitadm.linalg import invert, mat_vec, matmul, rank_exact, rref
 
 from conftest import (CORPUS_NAMES, load_bench_families, load_problem,
                       make_motion, random_invertible, transform_algebra)
@@ -185,6 +189,173 @@ def test_invalid_and_non_solvable_tables_are_not_exponential():
         "NotExponential", "not solvable")
 
 
+# The reference for ``_quotient_failure``: the Jordan-Chevalley path it
+# replaced.  It reads the semisimple parts S_i of the A_i, from Newton's
+# iteration, takes S = sum c_i S_i with ker S the common kernel of the S_i,
+# and runs check (ii) on E_i = S_i S^-1 on im S.
+
+
+def _matrix_poly(p, A):
+    """p(A) by Horner's rule, p an integer coefficient list."""
+    n = len(A)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(p):
+        out = matmul(out, A)
+        for i in range(n):
+            out[i][i] += c
+    return out
+
+
+def _squarefree(p):
+    """p / gcd(p, p'): every repeated factor reduced to a single one."""
+    g = univariate.gcd(p, univariate.derivative(p))
+    q = [Fraction(0)] * (len(p) - len(g) + 1)
+    r = [Fraction(x) for x in p]
+    for k in reversed(range(len(q))):
+        q[k] = r[k + len(g) - 1] / g[-1]
+        for i, x in enumerate(g):
+            r[k + i] -= q[k] * x
+    return univariate.from_rationals(q)
+
+
+def _semisimple_part(A):
+    """Newton's iteration A <- A - p(A) p'(A)^-1, p the square-free part of
+    the characteristic polynomial, until p(A) = 0."""
+    full = univariate.charpoly(A)
+    p = _squarefree(full)
+    if len(p) == len(full):
+        return A
+    dp = univariate.derivative(p)
+    while True:
+        residue = _matrix_poly(p, A)
+        if not any(any(row) for row in residue):
+            return A
+        step = matmul(residue, invert(_matrix_poly(dp, A)))
+        A = [[a - s for a, s in zip(ra, rs)] for ra, rs in zip(A, step)]
+
+
+def _reference_real_spectrum(M):
+    p = _squarefree(univariate.charpoly(M))
+    return univariate.real_root_count(p) == len(p) - 1
+
+
+def _reference_quotient_failure(mats):
+    if len(mats) == 1:
+        c, S, parts = [Fraction(1)], mats[0], None
+    elif all(_reference_real_spectrum(A) for A in mats):
+        return None
+    else:
+        parts = [_semisimple_part(A) for A in mats]
+        common = rank_exact([row for P in parts for row in P])
+        n, t = len(mats[0]), 1
+        while True:
+            c = [Fraction(t ** i) for i in range(len(parts))]
+            S = [[sum((ci * P[a][b] for ci, P in zip(c, parts)), Fraction(0))
+                  for b in range(n)] for a in range(n)]
+            if rank_exact(S) == common:
+                break
+            t += 1
+    if univariate.has_nonzero_imaginary_root(univariate.charpoly(S)):
+        return "i", c, None
+    for i, E in enumerate(_on_image(S, parts) if parts else ()):
+        if not _reference_real_spectrum(E):
+            return "ii", c, i
+    return None
+
+
+def _on_image(S, parts):
+    """E_i = S_i S^-1 on im S, where the semisimple S is invertible."""
+    basis, piv = rref([list(col) for col in zip(*S)])
+    if not basis:
+        return []
+
+    def restricted(M):
+        images = [mat_vec(M, b) for b in basis]
+        return [[w[p] for w in images] for p in piv]
+
+    inverse = invert(restricted(S))
+    return [matmul(restricted(P), inverse) for P in parts]
+
+
+def _block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for r, row in enumerate(b):
+            out[at + r][at:at + len(b)] = row
+        at += len(b)
+    return out
+
+
+@st.composite
+def _block(draw, kinds=("jordan", "zero", "rotation", "cjordan")):
+    """A real Jordan block (eigenvalue 0 included), a zero block, a
+    rotation-scaling block or a complex Jordan block [[R, I], [0, R]]."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "jordan":
+        lam, k = draw(st.integers(-2, 2)), draw(st.integers(1, 3))
+        return [[lam if i == j else int(j == i + 1) for j in range(k)]
+                for i in range(k)]
+    if kind == "zero":
+        k = draw(st.integers(1, 2))
+        return [[0] * k for _ in range(k)]
+    a, b = draw(st.integers(-2, 2)), draw(st.sampled_from([-2, -1, 1, 2]))
+    R = [[a, -b], [b, a]]
+    return R if kind == "rotation" else _blocks([R, I2], [Z2, R])
+
+
+@st.composite
+def commuting_actions(draw):
+    """r = 1..3 commuting matrices p_i(J), J block diagonal with a complex
+    pair and p_i of degree <= 2, conjugated by one random rational matrix.
+    With p_i(0) = 0 a zero block of J carries the zero joint character; a
+    p_i that is a multiple of p_0 keeps every E_i real."""
+    blocks = [draw(_block(("rotation", "cjordan")))]
+    blocks += draw(st.lists(_block(), max_size=2)
+                   .filter(lambda bs: sum(map(len, bs)) <= 5))
+    J = _block_diagonal(blocks)
+    through_zero = draw(st.booleans())
+    coeff = st.integers(-2, 2)
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        if polys and draw(st.booleans()):
+            k = draw(st.sampled_from([-2, -1, 1, 2]))
+            polys.append([k * x for x in polys[0]])
+        else:
+            polys.append([0 if through_zero else draw(coeff),
+                          draw(coeff), draw(coeff)])
+    P = random_invertible(random.Random(draw(st.integers(0, 2 ** 16))),
+                          len(J))
+    P_inv = invert(P)
+    return [matmul(matmul(P, _matrix_poly(p, J)), P_inv) for p in polys]
+
+
+def _conjugate_pair_next_to_zero():
+    # A = diag(0, I + J), B = A^2: chi = (0, 0) on the zero block beside
+    # chi = (1 + i, 2i) on the pair
+    J = _block_diagonal([[[0]], R_PLUS])
+    return [J, matmul(J, J)]
+
+
+def _nilpotent_tail_next_to_a_pair():
+    # U <- A U + B U falls twice: a 2 x 2 nilpotent Jordan block beside a
+    # rotation-scaling block, with A = J and B = J + J^2
+    J = _block_diagonal([[[0, 1], [0, 0]], [[2, -1], [1, 2]]])
+    J2 = matmul(J, J)
+    return [J, [[a + b for a, b in zip(r, s)] for r, s in zip(J, J2)]]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(mats=commuting_actions())
+@example(mats=_conjugate_pair_next_to_zero())
+@example(mats=_nilpotent_tail_next_to_a_pair())
+def test_quotient_failure_matches_the_semisimple_parts(mats):
+    """The joint Fitting-one component decides as the semisimple parts do:
+    the same check fails, at the same c and the same generator."""
+    assert _quotient_failure(mats) == _reference_quotient_failure(mats)
+
+
 class TestUnivariate:
     def test_charpoly_matches_numpy(self):
         rng = random.Random(5)
@@ -220,7 +391,8 @@ class TestUnivariate:
         # (x - 1)^2 (x + 2) and (x - 1)(x + 3)
         a = [2, -3, 0, 1]
         assert univariate.gcd(a, [-3, 2, 1]) == [-1, 1]
-        assert univariate.squarefree(a) == [-2, 1, 1]
+        # the repeated factor: a has 3 - 1 = 2 distinct roots
+        assert univariate.gcd(a, univariate.derivative(a)) == [-1, 1]
         assert univariate.from_rationals([Fraction(1, 2), Fraction(-3, 4)]) \
             == [2, -3]
 

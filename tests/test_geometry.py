@@ -172,8 +172,9 @@ class TestNumericalRank:
             assert oa.numerical_rank(floats, 1e-8) == exact
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            oa.numerical_rank(np.eye(2), 0.0)
+        for rel_tol in (0.0, 1.0, 2.0):
+            with pytest.raises(ValueError):
+                oa.numerical_rank(np.eye(2), rel_tol)
 
 
 class TestFdJacobian:

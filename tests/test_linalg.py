@@ -102,15 +102,3 @@ class TestInvertSolve:
     def test_invert_singular_raises(self):
         with pytest.raises(linalg.SingularMatrixError):
             linalg.invert([[1, 2], [2, 4]])
-
-    def test_solve_exact(self):
-        mat = [[2, 0], [0, 3]]
-        assert linalg.solve_exact(mat, [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
-
-    def test_solve_inconsistent(self):
-        with pytest.raises(linalg.InconsistentSystemError):
-            linalg.solve_exact([[1, 1], [2, 2]], [0, 1])
-
-    def test_solve_underdetermined_free_vars_zero(self):
-        sol = linalg.solve_exact([[1, 1, 0]], [5])
-        assert sol == [F(5), F(0), F(0)]

@@ -1,15 +1,15 @@
 """The sparse elimination kernel against the dense routines it replaced.
 
 ``dense_rref``, ``dense_reduce_against``, ``dense_nullspace``,
-``dense_left_nullspace``, ``dense_invert`` and ``dense_solve_exact`` are
-the Gauss-Jordan loops over full rows of ``Fraction`` that ``linalg`` used
-before its readers were built on ``linalg.echelon``; ``dense_matmul``,
-``dense_mat_vec`` and ``dense_dot`` wrapped every entry in ``Fraction``
-and multiplied zeros too.  On random rational matrices, with zero rows
-and columns, repeated and rescaled rows, negative and non-unit pivots,
-and empty and 1 x 1 shapes, the linalg functions must return exactly what
-the references return, entries of type ``Fraction`` included, and raise
-SingularMatrixError and InconsistentSystemError in the same cases.
+``dense_left_nullspace`` and ``dense_invert`` are the Gauss-Jordan loops
+over full rows of ``Fraction`` that ``linalg`` used before its readers
+were built on ``linalg.echelon``; ``dense_matmul``, ``dense_mat_vec`` and
+``dense_dot`` wrapped every entry in ``Fraction`` and multiplied zeros
+too.  On random rational matrices, with zero rows and columns, repeated
+and rescaled rows, negative and non-unit pivots, and empty and 1 x 1
+shapes, the linalg functions must return exactly what the references
+return, entries of type ``Fraction`` included, and raise
+SingularMatrixError in the same cases.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitadm import linalg
-from orbitadm.linalg import InconsistentSystemError, SingularMatrixError
+from orbitadm.linalg import SingularMatrixError
 
 
 def as_fraction_rows(mat):
@@ -114,24 +114,6 @@ def dense_invert(mat):
     return [row[n:] for row in r]
 
 
-def dense_solve_exact(mat, rhs):
-    a = as_fraction_rows(mat)
-    b = [Fraction(x) for x in rhs]
-    if len(a) != len(b):
-        raise ValueError("rhs length mismatch")
-    if not a:
-        return []
-    n_cols = len(a[0])
-    aug = [row + [bv] for row, bv in zip(a, b)]
-    r, pivots = dense_rref(aug)
-    if n_cols in pivots:
-        raise InconsistentSystemError("system has no solution")
-    x = [Fraction(0)] * n_cols
-    for row, col in zip(r, pivots):
-        x[col] = row[-1]
-    return x
-
-
 def dense_matmul(a, b):
     a = as_fraction_rows(a)
     b = as_fraction_rows(b)
@@ -155,7 +137,7 @@ def outcome(fn, *args):
     """fn's result, or the type of the error it raised."""
     try:
         return fn(*args)
-    except (SingularMatrixError, InconsistentSystemError, ValueError) as exc:
+    except (SingularMatrixError, ValueError) as exc:
         return type(exc)
 
 
@@ -249,21 +231,6 @@ def test_invert(data):
     assert all_fractions(got)
     if n:
         assert outcome(linalg.invert, [row[1:] for row in mat]) is ValueError
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(data=st.data())
-def test_solve_exact(data):
-    mat = data.draw(matrices())
-    n_cols = len(mat[0]) if mat else 0
-    x = data.draw(vectors(n_cols))
-    consistent = [sum((a * b for a, b in zip(row, x)), Fraction(0))
-                  for row in mat]
-    for rhs in (data.draw(vectors(len(mat))), consistent):
-        got = outcome(linalg.solve_exact, mat, rhs)
-        assert got == outcome(dense_solve_exact, mat, rhs)
-        assert all_fractions(got)
-    assert outcome(linalg.solve_exact, mat, consistent + [1]) is ValueError
 
 
 @settings(max_examples=200, deadline=None, database=None)

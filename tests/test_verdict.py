@@ -12,9 +12,10 @@ from orbitadm import verdict as verdict_mod
 from orbitadm.linalg import dot, invert
 from orbitadm.moment import GenericRankResult
 
-from conftest import (CORPUS_NAMES, ORACLES, algebra_from_table, load_problem,
-                      make_abelian, make_axb, make_h3, make_motion, make_sl2,
-                      random_vector, transform_algebra)
+from conftest import (CORPUS_NAMES, ORACLES, algebra_from_table,
+                      load_bench_families, load_problem, make_abelian,
+                      make_axb, make_h3, make_motion, make_sl2, random_vector,
+                      transform_algebra)
 from test_moment import CHANGED_BASIS
 
 
@@ -124,12 +125,20 @@ class TestFullReport:
     def test_work_limit_leaves_the_sampled_route_deciding(
             self, corpus_problems, monkeypatch):
         monkeypatch.setattr(moment, "SYMBOLIC_WORK_LIMIT", 0)
+        # Singular: d_tau < m rests on the sampled points alone
+        pf = oa.parse(load_bench_families().borel(4, "nilradical").text)
+        rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
+                             pf.functional_vals)
+        assert rep.symbolic_rank is None
+        assert (rep.spectral.d_tau, rep.spectral.m) == (3, 6)
+        assert any("work limit" in w for w in rep.warnings)
+        # free: the exact rank m at the witness proves d_tau = m
         pf = corpus_problems["h5_y1y2"]
         rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
                              pf.functional_vals)
         assert rep.symbolic_rank is None
-        assert rep.spectral.d_tau == ORACLES["h5_y1y2"][0]
-        assert any("work limit" in w for w in rep.warnings)
+        assert rep.spectral.d_tau == ORACLES["h5_y1y2"][0] == rep.spectral.m
+        assert rep.warnings == ()
 
     def test_disagreement_raises(self, axb, monkeypatch):
         def lying_probabilistic(D, trials=20, bound=10 ** 6, seed=0):
