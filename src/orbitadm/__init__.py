@@ -30,9 +30,9 @@ from .monomial import (MonomialDatum, NotACharacterError, NotClosedError,
                        point_on_variety)
 from .problemfile import ParseError, ProblemFile, parse, serialize
 from .verdict import (AnalysisConfig, AdmissibilityVerdict, DisagreementError,
-                      FullReport, InvalidAlgebraError, SpectralVerdict,
-                      StructuralPreconditionError, admissibility_verdict,
-                      full_report, spectral_verdict)
+                      FullReport, InvalidAlgebraError, SamplingMissError,
+                      SpectralVerdict, StructuralPreconditionError,
+                      admissibility_verdict, full_report, spectral_verdict)
 
 __version__ = "0.1.0"
 
@@ -61,8 +61,8 @@ __all__ = [
     "symbolic_generic_rank",
     "SpectralVerdict", "AdmissibilityVerdict", "FullReport",
     "AnalysisConfig", "InvalidAlgebraError", "StructuralPreconditionError",
-    "DisagreementError", "spectral_verdict", "admissibility_verdict",
-    "full_report",
+    "DisagreementError", "SamplingMissError", "spectral_verdict",
+    "admissibility_verdict", "full_report",
     *_GEOMETRY_NAMES,
     "ProblemFile", "ParseError", "parse", "serialize",
     "__version__",

@@ -400,12 +400,10 @@ def _exponentiality(L: LieAlgebra, commutator, stable):
                 f"{where}: ad X has a nonzero purely imaginary eigenvalue "
                 f"for X = {combo}"), X
         name = L.basis_names[gens[i]]
-        # E_Z = A_Z S^-1 on the Fitting-one part has the eigenvalues of
-        # S_Z S^-1 on im S, S_Z and S the semisimple parts, as stated
         return NOT_EXPONENTIAL, (
-            f"{where}: E_{name} = S_{name} S^-1 has a non-real eigenvalue, "
-            f"S_Z being the semisimple part of ad Z there and S that of "
-            f"ad({combo})"), None
+            f"{where}: E_{name} = A_{name} S^-1 has a non-real eigenvalue on "
+            f"the joint Fitting-one part W, with A_{name} = ad {name} and "
+            f"S = ad({combo}) on W"), None
     return EXPONENTIAL, ("checks (i) and (ii) hold on every quotient of "
                          "the flag of C^inf"), None
 

@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Subcommands: validate, verdict, rank, jacobian, corpus.  Exit codes:
-0 success; 1 parse/validation error (also bad usage); 2 structural
-precondition failed (the algebra is not solvable, or is decided not
-exponential, with the check and quotient the decision rests on); 3
-internal disagreement between the probabilistic and symbolic generic ranks
-(never expected).  Only `jacobian` imports ``geometry`` and so numpy; the
-other subcommands are exact and never load it.
+0 success; 1 parse/validation error, bad usage, or a sample that missed
+the certified rank; 2 structural precondition failed (the algebra is not
+solvable, or is decided not exponential, with the check and quotient the
+decision rests on); 3 the sampled rank exceeds the symbolic one (never
+expected).  `validate` and `verdict` refuse as ``verdict.check_problem``
+does, then resolve their settings.  Only `jacobian` imports ``geometry``
+and so numpy; the other subcommands are exact and never load it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .algebra import EXPONENTIAL, DimensionMismatchError, structure_report
+from .algebra import DimensionMismatchError
 from .moment import stabilizer_report
 from .monomial import (NotACharacterError, NotClosedError, RankDeficientError,
                        build_datum)
@@ -28,8 +29,8 @@ from .report import (render_jacobian_text, render_json,
                      render_problem_summary, render_stabilizer_text,
                      render_text)
 from .verdict import (AnalysisConfig, DisagreementError, InvalidAlgebraError,
-                      StructuralPreconditionError, full_report,
-                      not_exponential_error)
+                      SamplingMissError, StructuralPreconditionError,
+                      check_problem, decide)
 
 SEED_ENV_VAR = "ORBITADM_SEED"
 
@@ -108,19 +109,25 @@ def corpus_path(name: str) -> Path:
     return path
 
 
-def _resolve_seed(flag_value, file_config: dict) -> int:
-    if flag_value is not None:
-        return flag_value
-    if "seed" in file_config:
-        return file_config["seed"]
+def _settings(args, file_config: dict) -> AnalysisConfig:
+    """A flag beats the file's config line, which beats ORBITADM_SEED (the
+    seed only), which beats the AnalysisConfig default."""
+    flags = {key: vars(args).get(key) for key in ("trials", "bound", "seed")}
+    values = {**file_config,
+              **{key: v for key, v in flags.items() if v is not None}}
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if env is not None and "seed" not in values:
         try:
-            return int(env)
+            values["seed"] = int(env)
         except ValueError:
             raise _UsageError(
                 f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return 0
+    config = AnalysisConfig(**values)
+    if config.trials < 1:
+        raise _UsageError("--trials must be at least 1")
+    if config.bound < 1:
+        raise _UsageError("--bound must be at least 1")
+    return config
 
 
 def _load(path: str):
@@ -131,41 +138,24 @@ def _load(path: str):
     return parse(text)
 
 
-def _cmd_validate(args, out, err) -> int:
+def _checked(args):
+    """The problem file, its check and its settings, in that order: a bad
+    setting must not mask an input error."""
     pf = _load(args.file)
-    report = structure_report(pf.algebra)
-    if report.violations:
-        for v in report.violations:
-            print("invalid: " + v.describe(pf.algebra.basis_names), file=err)
-        return EXIT_INVALID
-    build_datum(pf.algebra, pf.subalgebra_rows, pf.functional_vals)
-    # the seed is read after the input checks: a bad one must not mask them
-    _resolve_seed(args.seed, pf.config)
-    if not report.is_solvable:
-        print("precondition failed: the algebra is not solvable "
-              f"(derived series dims {list(report.derived_series_dims)})",
-              file=err)
-        return EXIT_PRECONDITION
-    if report.exponentiality != EXPONENTIAL:
-        raise not_exponential_error(report)
-    out.write(render_problem_summary(pf, report) + "ok\n")
+    structure, datum = check_problem(pf.algebra, pf.subalgebra_rows,
+                                     pf.functional_vals)
+    return pf, structure, datum, _settings(args, pf.config)
+
+
+def _cmd_validate(args, out) -> int:
+    pf, structure, _datum, _config = _checked(args)
+    out.write(render_problem_summary(pf, structure) + "ok\n")
     return EXIT_OK
 
 
-def _cmd_verdict(args, out, err) -> int:
-    pf = _load(args.file)
-    seed = _resolve_seed(args.seed, pf.config)
-    # a flag beats the file's config line, which beats AnalysisConfig
-    config = AnalysisConfig(seed=seed, **{
-        key: pf.config[key] if flag is None else flag
-        for key, flag in (("trials", args.trials), ("bound", args.bound))
-        if flag is not None or key in pf.config})
-    if config.trials < 1:
-        raise _UsageError("--trials must be at least 1")
-    if config.bound < 1:
-        raise _UsageError("--bound must be at least 1")
-    rep = full_report(pf.algebra, pf.subalgebra_rows, pf.functional_vals,
-                      config)
+def _cmd_verdict(args, out) -> int:
+    _pf, structure, datum, config = _checked(args)
+    rep = decide(structure, datum, config)
     out.write(render_json(rep) if args.json else render_text(rep))
     return EXIT_OK
 
@@ -184,19 +174,19 @@ def _datum_and_point(args):
     return datum, x
 
 
-def _cmd_rank(args, out, err) -> int:
+def _cmd_rank(args, out) -> int:
     datum, x = _datum_and_point(args)
     sr = stabilizer_report(datum, x)
     out.write(render_stabilizer_text(sr, datum.algebra.basis_names))
     return EXIT_OK
 
 
-def _cmd_jacobian(args, out, err) -> int:
-    from .geometry import fd_jacobian  # numpy: loaded for this command only
+def _cmd_jacobian(args, out) -> int:
     if not 0 < args.step < math.inf:  # nan fails too
         raise _UsageError("--step must be positive and finite")
     if not 0 < args.tol < 1:  # at 1 no singular value would count
         raise _UsageError("--tol must lie strictly between 0 and 1")
+    from .geometry import fd_jacobian  # numpy: loaded for this command only
     datum, x = _datum_and_point(args)
     try:
         jr = fd_jacobian(datum, x, h=args.step, rel_tol=args.tol)
@@ -206,7 +196,7 @@ def _cmd_jacobian(args, out, err) -> int:
     return EXIT_OK
 
 
-def _cmd_corpus(args, out, err) -> int:
+def _cmd_corpus(args, out) -> int:
     entries = sorted(p for p in corpus_dir().iterdir()
                      if p.name.endswith(".alg"))
     for entry in entries:
@@ -255,8 +245,8 @@ def main(argv=None, out=None, err=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args, out, err)
-    except _UsageError as exc:
+        return _COMMANDS[args.command](args, out)
+    except (_UsageError, SamplingMissError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INVALID
     except ParseError as exc:

@@ -352,17 +352,15 @@ def serialize(pf: ProblemFile) -> str:
 
 
 def parse_rational_list(text: str) -> tuple[Fraction, ...]:
-    """Comma-separated rationals, e.g. '1,-2/3,0' (used for --point)."""
-    items = [piece.strip() for piece in text.split(",")]
+    """Comma-separated rationals, e.g. '1,-2/3,0' (used for --point), each
+    read as a problem file reads a rational; errors carry no position."""
     out = []
-    for piece in items:
-        if not re.fullmatch(r"-?\d+(?:/\d+)?", piece or ""):
+    for piece in (item.strip() for item in text.split(",")):
+        match = _TOKEN_RE.fullmatch(piece)
+        if match is None or match.lastgroup != "RATIONAL":
             raise ValueError(f"not a rational: {piece!r}")
         try:
-            out.append(Fraction(piece))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {piece!r}") from None
-        except ValueError:  # Python refuses very long digit strings
-            raise ValueError(f"integer literal too long "
-                             f"({len(piece)} characters)") from None
+            out.append(_rational(Token("RATIONAL", piece, 1, 1)))
+        except ParseError as exc:
+            raise ValueError(exc.message) from None
     return tuple(out)

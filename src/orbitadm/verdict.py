@@ -11,9 +11,9 @@ acts freely at some (equivalently, at Zariski-almost-every) point of A_tau.
     a.c. + nonunimodular-> admissible vectors exist
     a.c. + unimodular   -> conjectured: no admissible vector (open case)
 
-full_report chains validation, structure classification, the sampled
-generic rank and its symbolic certificate, and the verdict table into one
-deterministic report object.
+full_report is two stages: check_problem refuses what the theorem does
+not cover, and decide ranks the checked datum two ways (sampled, then
+certified symbolically) and reads the verdict table into one report.
 """
 
 from __future__ import annotations
@@ -65,17 +65,8 @@ class StructuralPreconditionError(RuntimeError):
         super().__init__(reason)
 
 
-def not_exponential_error(structure: StructureReport
-                          ) -> StructuralPreconditionError:
-    """The refusal for a solvable algebra decided not exponential."""
-    return StructuralPreconditionError(
-        "the algebra is not exponential, so the analysis does not apply: "
-        + structure.exponentiality_reason,
-        witness=structure.exponentiality_witness)
-
-
 class DisagreementError(RuntimeError):
-    """Probabilistic and symbolic generic ranks differ — an internal bug."""
+    """The sampled rank exceeds the symbolic one — an internal bug."""
 
     def __init__(self, probabilistic: int, symbolic: int):
         self.probabilistic = probabilistic
@@ -83,6 +74,11 @@ class DisagreementError(RuntimeError):
         super().__init__(
             f"generic rank mismatch: probabilistic {probabilistic} "
             f"vs symbolic {symbolic}")
+
+
+class SamplingMissError(RuntimeError):
+    """The sampled rank stayed below the certified one: every point drawn
+    under the trials and bound settings fell where the rank drops."""
 
 
 @dataclass(frozen=True)
@@ -140,27 +136,35 @@ class FullReport:
     warnings: tuple[str, ...]
 
 
-def full_report(L: LieAlgebra, h_rows, f_vals,
-                config: AnalysisConfig = AnalysisConfig()) -> FullReport:
-    """Validate, classify, rank both ways, decide.
-
-    Raises InvalidAlgebraError / the datum validation errors for malformed
-    input, StructuralPreconditionError when the algebra is not solvable or
-    not exponential, and DisagreementError if the symbolic rank does not
-    certify the sampled one.  If the symbolic route hits its work limit
-    below d_tau = m, a warning says the sampled one decides.
-    """
+def check_problem(L: LieAlgebra, h_rows, f_vals
+                  ) -> tuple[StructureReport, MonomialDatum]:
+    """The structure and datum of (L, h, f), refused in one order: a table
+    that breaks antisymmetry or Jacobi (InvalidAlgebraError), the datum
+    errors of ``build_datum``, then StructuralPreconditionError when L is
+    not solvable or is decided not exponential."""
     structure = structure_report(L)
     if structure.violations:
         raise InvalidAlgebraError(structure.violations, L.basis_names)
     datum = build_datum(L, h_rows, f_vals)
     if not structure.is_solvable:
         raise StructuralPreconditionError(
-            "the algebra is not solvable; the analysis applies only to "
-            "exponential solvable groups")
+            "the algebra is not solvable (derived series dims "
+            f"{list(structure.derived_series_dims)}); the analysis applies "
+            "only to exponential solvable groups")
     if structure.exponentiality != EXPONENTIAL:
-        raise not_exponential_error(structure)
+        raise StructuralPreconditionError(
+            "the algebra is not exponential, so the analysis does not apply: "
+            + structure.exponentiality_reason,
+            witness=structure.exponentiality_witness)
+    return structure, datum
 
+
+def decide(structure: StructureReport, datum: MonomialDatum,
+           config: AnalysisConfig = AnalysisConfig()) -> FullReport:
+    """Rank a checked datum both ways and read the verdicts.  A sampled
+    rank below the symbolic one raises SamplingMissError, one above it (no
+    correct run gives that) DisagreementError; past the symbolic work
+    limit below d_tau = m, a warning says the sampled rank decides."""
     warnings = []
     generic = generic_h_orbit_dim(datum, trials=config.trials,
                                   bound=config.bound, seed=config.seed)
@@ -173,13 +177,18 @@ def full_report(L: LieAlgebra, h_rows, f_vals,
             warnings.append("symbolic elimination stopped at its work "
                             "limit; generic rank certified probabilistically "
                             "only")
-    if symbolic_rank is not None and symbolic_rank != generic.d_tau:
+    if symbolic_rank is not None and symbolic_rank > generic.d_tau:
+        raise SamplingMissError(
+            f"the sampled rank {generic.d_tau} is below the certified "
+            f"generic rank {symbolic_rank}: trials {config.trials} and bound "
+            f"{config.bound} are too small for this problem; raise either")
+    if symbolic_rank is not None and symbolic_rank < generic.d_tau:
         raise DisagreementError(generic.d_tau, symbolic_rank)
 
     spectral = spectral_verdict(datum, generic)
     admissibility = admissibility_verdict(spectral, structure.is_unimodular)
     return FullReport(
-        algebra=L,
+        algebra=datum.algebra,
         datum=datum,
         structure=structure,
         generic=generic,
@@ -188,3 +197,9 @@ def full_report(L: LieAlgebra, h_rows, f_vals,
         admissibility=admissibility,
         warnings=tuple(warnings),
     )
+
+
+def full_report(L: LieAlgebra, h_rows, f_vals,
+                config: AnalysisConfig = AnalysisConfig()) -> FullReport:
+    """``check_problem``, then ``decide``: the whole analysis in one call."""
+    return decide(*check_problem(L, h_rows, f_vals), config)

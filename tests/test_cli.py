@@ -179,22 +179,48 @@ class TestValidate:
         code, _out, err = run_cli("validate", str(bad))
         assert code == 1
 
-    def test_input_errors_come_before_a_bad_env_seed(self, tmp_path,
+    @pytest.mark.parametrize("command", ["validate", "verdict"])
+    def test_input_errors_come_before_a_bad_env_seed(self, command, tmp_path,
                                                      monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "banana")
-        code, _out, err = run_cli("validate",
+        code, _out, err = run_cli(command,
                                   str(FIXTURES / "broken_jacobi.alg"))
         assert code == 1
         assert "invalid:" in err and "must be an integer" not in err
         bad = tmp_path / "bad.alg"
         bad.write_text("algebra h3\ndim 3\nbasis X Y Z\nbracket X Y = Z\n"
                        "subalgebra X; Y; Z\nfunctional 0, 0, 1\n")
-        code, _out, err = run_cli("validate", str(bad))
+        code, _out, err = run_cli(command, str(bad))
         assert code == 1
         assert "invalid:" in err and "must be an integer" not in err
-        code, _out, err = run_cli("validate", corpus_file("axb_f1"))
+        code, _out, err = run_cli(command, str(FIXTURES / "sl2.alg"))
+        assert code == 2
+        assert "not solvable" in err and "must be an integer" not in err
+        code, _out, err = run_cli(command, corpus_file("axb_f1"))
         assert code == 1
         assert "must be an integer" in err
+
+    @pytest.mark.parametrize("key", ["trials", "bound"])
+    def test_settings_verdict_refuses_fail_validate(self, key, tmp_path):
+        path = tmp_path / "zero.alg"
+        path.write_text("algebra axb\ndim 2\nbasis A X\nbracket A X = X\n"
+                        f"subalgebra X\nfunctional 1\nconfig {key} 0\n")
+        expected = (1, "", f"error: --{key} must be at least 1\n")
+        assert run_cli("validate", str(path)) == expected
+        assert run_cli("verdict", str(path)) == expected
+
+    @pytest.mark.parametrize("name", [
+        "broken_jacobi", "sl2", "motion", "twist1", "twist2", "twist3",
+        *(f"datum_errors/{path.stem}"
+          for path in sorted(DATUM_ERROR_DIR.glob("*.alg")))])
+    def test_validate_and_verdict_refuse_alike(self, name, tmp_path):
+        path = FIXTURES / f"{name}.alg"
+        if name.startswith("twist"):
+            path = tmp_path / f"{name}.alg"
+            path.write_text(_families.twist(int(name[-1])).text)
+        code, out, err = run_cli("validate", str(path))
+        assert code != 0 and out == ""
+        assert run_cli("verdict", str(path)) == (code, out, err)
 
 
 class TestVerdict:
@@ -285,6 +311,18 @@ class TestVerdict:
                                   str(FIXTURES / "broken_jacobi.alg"))
         assert code == 1
         assert "invalid:" in err
+
+    def test_a_missed_sample_is_a_settings_error(self):
+        # heisenberg_x has d_tau = 1; one draw from {-1, 0, 1} at these
+        # seeds lands where the moment matrix vanishes
+        for seed in ("0", "4", "5"):
+            code, out, err = run_cli("verdict", corpus_file("heisenberg_x"),
+                                     "--trials", "1", "--bound", "1",
+                                     "--seed", seed)
+            assert (code, out) == (1, "")
+            assert err == ("error: the sampled rank 0 is below the certified "
+                           "generic rank 1: trials 1 and bound 1 are too "
+                           "small for this problem; raise either\n")
 
     def test_trials_must_be_positive(self):
         code, _out, err = run_cli("verdict", corpus_file("axb_f1"),

@@ -174,8 +174,8 @@ def test_check_ii_names_the_quotient_and_generator():
     rep = oa.structure_report(_family(_families.twist(2)))
     assert rep.exponentiality_reason == (
         "check (ii) fails on V_0/V_1 of the flag of C^inf (dimension 4): "
-        "E_A = S_A S^-1 has a non-real eigenvalue, S_Z being the semisimple "
-        "part of ad Z there and S that of ad(A + B)")
+        "E_A = A_A S^-1 has a non-real eigenvalue on the joint Fitting-one "
+        "part W, with A_A = ad A and S = ad(A + B) on W")
 
 
 def test_invalid_and_non_solvable_tables_are_not_exponential():
@@ -426,6 +426,24 @@ def test_exact_commands_never_import_numpy(argv):
 def test_jacobian_still_loads_numpy():
     path = str(cli.corpus_path("grelaud"))
     assert _fresh("jacobian", path, "--point", "1,2") == (0, "True")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("validate", "grelaud"), 0), (("verdict", "grelaud"), 0),
+    (("rank", "grelaud", "--point", "1,2"), 0),
+    (("jacobian", "grelaud", "--point", "2,1/2", "--tol", "2"), 1)])
+def test_runs_without_site_packages(argv, code):
+    # python -S leaves site-packages, and with them numpy, off the path
+    command, name, *rest = argv
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop(cli.SEED_ENV_VAR, None)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; from orbitadm.cli import main; sys.exit(main())",
+         command, str(cli.corpus_path(name)), *rest],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_only_geometry_imports_numpy():

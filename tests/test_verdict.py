@@ -1,6 +1,7 @@
 import functools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -141,14 +142,52 @@ class TestFullReport:
         assert rep.warnings == ()
 
     def test_disagreement_raises(self, axb, monkeypatch):
+        # a sampled rank is the exact rank at a point, so it never exceeds
+        # the generic rank: above the symbolic one it is a bug
         def lying_probabilistic(D, trials=20, bound=10 ** 6, seed=0):
-            return GenericRankResult(d_tau=0, witness=(Fraction(0),),
+            return GenericRankResult(d_tau=2, witness=(Fraction(0),),
                                      is_free=False, trials=trials, seed=seed,
                                      bound=bound)
         monkeypatch.setattr(verdict_mod, "generic_h_orbit_dim",
                             lying_probabilistic)
         with pytest.raises(oa.DisagreementError):
             oa.full_report(axb, [axb.vector(X=1)], [1])
+
+    def test_sampling_miss_raises(self, axb, monkeypatch):
+        # below the symbolic rank it only means the sample missed
+        def unlucky(D, trials=20, bound=10 ** 6, seed=0):
+            return GenericRankResult(d_tau=0, witness=(Fraction(0),),
+                                     is_free=False, trials=trials, seed=seed,
+                                     bound=bound)
+        monkeypatch.setattr(verdict_mod, "generic_h_orbit_dim", unlucky)
+        with pytest.raises(oa.SamplingMissError,
+                           match="trials 3 and bound 7 are too small"):
+            oa.full_report(axb, [axb.vector(X=1)], [1],
+                           oa.AnalysisConfig(trials=3, bound=7))
+
+    def test_checks_refuse_in_one_order(self):
+        # table, then (h, f), then solvability: sl2 with h = span{E, F} is
+        # not closed, since [E, F] = H
+        broken = oa.parse((Path(__file__).parent / "fixtures"
+                           / "broken_jacobi.alg").read_text())
+        check = verdict_mod.check_problem
+        with pytest.raises(oa.InvalidAlgebraError):
+            check(broken.algebra, [(1, 0, 0), (0, 1, 0)], [0, 0])
+        sl2 = make_sl2()
+        E, F = sl2.vector(E=1), sl2.vector(F=1)
+        with pytest.raises(oa.NotClosedError):
+            check(sl2, [E, F], [0, 0])
+        with pytest.raises(oa.StructuralPreconditionError,
+                           match=r"not solvable \(derived series dims \[3\]\)"):
+            check(sl2, [E], [0])
+
+    def test_full_report_is_the_check_then_decide(self, corpus_problems):
+        pf = corpus_problems["grelaud"]
+        cfg = oa.AnalysisConfig(seed=3)
+        checked = verdict_mod.check_problem(
+            pf.algebra, pf.subalgebra_rows, pf.functional_vals)
+        assert verdict_mod.decide(*checked, cfg) == oa.full_report(
+            pf.algebra, pf.subalgebra_rows, pf.functional_vals, cfg)
 
     def test_deterministic_given_config(self, corpus_problems):
         pf = corpus_problems["grelaud"]
