@@ -1,14 +1,16 @@
 """Two independent routes to the generic orbit rank, side by side.
 
 The probabilistic route samples random integer points of the spectral
-variety and takes the best exact rank seen; a nonvanishing minor misses
-its zero set at almost every sample, so the maximum is right except with
-vanishing probability.  The symbolic route writes the moment matrix over a
-basis of the span of its chart coefficients, so each entry is a linear form
-in a few new variables (printed x1, x2, ...), and eliminates fraction-free
-over the polynomial ring, which certifies the rank outright but names no
-point.  The package reports the sampled witness and checks that the
-certified rank is its rank; this script just makes that visible.
+variety and takes the best exact rank seen, which bounds the generic rank
+from below.  At that witness it also looks for a shrunk-subspace
+certificate (the limit of the second Wong sequence): subspaces U, W with
+M(x) U inside W at every x, which bounds the rank from above by
+(n - m) - (dim U - dim W).  The symbolic route writes the moment matrix
+over a basis of the span of its chart coefficients, so each entry is a
+linear form in a few new variables (printed x1, x2, ...), and eliminates
+fraction-free over the polynomial ring, which certifies the rank outright
+but names no point.  The package runs it only when no certificate closes;
+this script runs both to make the agreement visible.
 """
 
 from orbitadm import generic_h_orbit_dim, parse, build_datum
@@ -16,7 +18,7 @@ from orbitadm.cli import corpus_path
 from orbitadm.moment import symbolic_moment_entries
 from orbitadm import symbolic_generic_rank
 
-for name in ("heisenberg_yz", "grelaud", "h5_y1y2"):
+for name in ("heisenberg_yz", "grelaud", "h5_y1y2", "diag_2d"):
     pf = parse(corpus_path(name).read_text())
     D = build_datum(pf.algebra, pf.subalgebra_rows, pf.functional_vals)
 
@@ -26,10 +28,15 @@ for name in ("heisenberg_yz", "grelaud", "h5_y1y2"):
         print("     ", [str(p) for p in row])
 
     prob = generic_h_orbit_dim(D, trials=20, bound=10 ** 6, seed=0)
+    dim_u, dim_w, steps = prob.certificate
+    proven = D.n - D.m - (dim_u - dim_w)
     certified = symbolic_generic_rank(D)
     witness = ", ".join(map(str, prob.witness))
-    print(f"   sampled:   d_tau = {prob.d_tau} (witness x = ({witness}))")
-    print(f"   certified: d_tau = {certified}")
-    assert prob.d_tau == certified
-    print("   agree:", prob.d_tau == certified)
+    print(f"   sampled:     d_tau >= {prob.d_tau} "
+          f"(witness x = ({witness}))")
+    print(f"   certificate: d_tau <= {proven} "
+          f"(dim U = {dim_u}, dim W = {dim_w}, Wong steps {steps})")
+    print(f"   symbolic:    d_tau = {certified}")
+    assert prob.d_tau == proven == certified
+    print("   agree:", prob.d_tau == proven == certified)
     print()

@@ -23,7 +23,7 @@ from .algebra import (DimensionMismatchError, LieAlgebra, StructureReport,
 from .linalg import WorkLimitError, rank_exact
 from .moment import (GenericRankResult, StabilizerReport,
                      generic_h_orbit_dim, moment_matrix, rank_at,
-                     skew_form_matrix, stabilizer_report,
+                     rank_certificate, skew_form_matrix, stabilizer_report,
                      symbolic_generic_rank)
 from .monomial import (MonomialDatum, NotACharacterError, NotClosedError,
                        RankDeficientError, adapted_dual_coords, build_datum,
@@ -58,7 +58,7 @@ __all__ = [
     "moment_matrix", "skew_form_matrix",
     "rank_exact", "rank_at", "stabilizer_report", "generic_h_orbit_dim",
     "WorkLimitError",
-    "symbolic_generic_rank",
+    "rank_certificate", "symbolic_generic_rank",
     "SpectralVerdict", "AdmissibilityVerdict", "FullReport",
     "AnalysisConfig", "InvalidAlgebraError", "StructuralPreconditionError",
     "DisagreementError", "SamplingMissError", "spectral_verdict",

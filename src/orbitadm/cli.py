@@ -4,10 +4,11 @@ Subcommands: validate, verdict, rank, jacobian, corpus.  Exit codes:
 0 success; 1 parse/validation error, bad usage, or a sample that missed
 the certified rank; 2 structural precondition failed (the algebra is not
 solvable, or is decided not exponential, with the check and quotient the
-decision rests on); 3 the sampled rank exceeds the symbolic one (never
-expected).  `validate` and `verdict` refuse as ``verdict.check_problem``
-does, then resolve their settings.  Only `jacobian` imports ``geometry``
-and so numpy; the other subcommands are exact and never load it.
+decision rests on); 3 the sampled rank differs from the certified one
+(never expected).  `validate` and `verdict` refuse as
+``verdict.check_problem`` does, then resolve their settings.  Only
+`jacobian` imports ``geometry`` and so numpy; the other subcommands are
+exact and never load it.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ def build_parser() -> _Parser:
     p_verdict.add_argument("--seed", type=int, default=None)
     p_verdict.add_argument("--symbolic", action="store_true",
                            help="accepted for compatibility; changes "
-                                "nothing: the symbolic rank certifies the "
-                                "sampled witness on every run")
+                                "nothing: the rank is proven at the sampled "
+                                "witness, or by symbolic elimination when "
+                                "no proof is found there")
     p_verdict.add_argument("--json", action="store_true")
 
     p_rank = sub.add_parser(
@@ -123,10 +125,11 @@ def _settings(args, file_config: dict) -> AnalysisConfig:
             raise _UsageError(
                 f"{SEED_ENV_VAR} must be an integer, got {env!r}")
     config = AnalysisConfig(**values)
-    if config.trials < 1:
-        raise _UsageError("--trials must be at least 1")
-    if config.bound < 1:
-        raise _UsageError("--bound must be at least 1")
+    for key in ("trials", "bound"):
+        if getattr(config, key) < 1:
+            source = (f"--{key}" if flags[key] is not None
+                      else f"config {key} in {args.file}")
+            raise _UsageError(f"{source} must be at least 1")
     return config
 
 

@@ -139,8 +139,9 @@ def echelon(vectors,
 
     Each vector is reduced by the rows so far; a nonzero residue becomes a
     row, scaled to 1 at its pivot, its first nonzero column.  So each row
-    is 0 at the pivots of the rows before it.  With ``limit``, stops once
-    it has that many rows.
+    is 0 at the pivots of the rows before it.  Entries may be ints: the
+    scaling divides by a Fraction, so every row stays exact.  With
+    ``limit``, stops once it has that many rows.
     """
     rows: list[Sparse] = []
     pivots: list[int] = []
@@ -152,6 +153,8 @@ def echelon(vectors,
         col = min(w)
         lead = w[col]
         if lead != 1:
+            if type(lead) is int:  # int / int would be a float
+                lead = Fraction(lead)
             w = {k: x / lead for k, x in w.items()}
         rows.append(w)
         pivots.append(col)

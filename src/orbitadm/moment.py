@@ -11,11 +11,14 @@ moment_matrix divides the scales out.  The generic value of that rank,
 
     d_tau = max over l in A_tau of dim H.l,
 
-is computed two independent ways from the pencil: by seeded random
-evaluation (exact rank at integer chart points, Schwartz-Zippel
-controlled), which also gives the witness point, and by fraction-free
-elimination over the polynomial ring on a basis of the pencil's span,
-which certifies that rank in any dimension within a work limit.  The
+is sampled by seeded random evaluation (exact rank at integer chart
+points, Schwartz-Zippel controlled), which gives the witness point and
+proves d_tau >= its rank.  The upper bound is proven at that same point by
+a shrunk-subspace certificate, the limit of the second Wong sequence: exact
+linear algebra over Q, no polynomials.  Where it does not close (the
+pencil's non-commutative rank exceeds d_tau, as for generic skew pencils),
+fraction-free elimination over the polynomial ring on a basis of the
+pencil's span certifies the rank in any dimension within a work limit.  The
 induced representation behaves qualitatively differently according to
 whether d_tau reaches m — whether H acts freely somewhere on A_tau —
 which is what the verdict layer consumes.
@@ -29,8 +32,8 @@ from fractions import Fraction
 from operator import mul
 
 from .algebra import DimensionMismatchError
-from .linalg import (bareiss, cleared_int_rows, left_nullspace, matmul,
-                     nullspace, rank_exact, rref)
+from .linalg import (bareiss, cleared_int_rows, echelon, left_nullspace,
+                     matmul, nullspace, rank_exact, reduce_in_place, rref)
 from .monomial import MonomialDatum, point_on_variety
 from .poly import Poly
 
@@ -39,7 +42,7 @@ Vector = tuple[Fraction, ...]
 __all__ = [
     "StabilizerReport", "GenericRankResult",
     "rank_at", "moment_matrix", "stabilizer_report", "generic_h_orbit_dim",
-    "symbolic_generic_rank", "symbolic_moment_entries",
+    "rank_certificate", "symbolic_generic_rank", "symbolic_moment_entries",
     "SYMBOLIC_WORK_LIMIT",
 ]
 
@@ -111,6 +114,11 @@ def stabilizer_report(D: MonomialDatum, x) -> StabilizerReport:
     )
 
 
+# (dim U, dim W, Wong steps): subspaces with M(x) U inside W at every x,
+# so that rank M(x) <= (n - m) - (dim U - dim W) everywhere
+Certificate = tuple[int, int, int]
+
+
 @dataclass(frozen=True)
 class GenericRankResult:
     d_tau: int
@@ -119,20 +127,88 @@ class GenericRankResult:
     trials: int
     seed: int
     bound: int
+    certificate: Certificate | None = None  # proves rank <= d_tau; None: no
+                                            # proof found at the witness
+
+
+def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
+    """Prove that no chart point gives the pencil a rank above its rank at
+    x, or return None.
+
+    The first m columns of M(x) = M_0 + sum x_r M_r are 0, so this reads
+    the m x (n - m) block.  With A that block at x, the second Wong
+    sequence W_0 = 0, U_i = {u : A u in W_i}, W_{i+1} = sum_v M_v U_i over
+    the n - m + 1 coefficient matrices rises to a limit W*.  If some W_i
+    leaves im A, nothing is proven: None.  Otherwise U = U* has
+    M_v U in W* for every v, so at every x' M(x') U lies in W* and
+    rank M(x') <= (n - m) - (dim U - dim W*).  A maps U onto W* with kernel
+    ker A, so that bound is rank A.  Returns (dim U, dim W*, steps), steps
+    counting the W_{i+1} formed.  This is the shrunk-subspace certificate
+    of Fortin and Reutenauer (2004), reached as in Ivanyos, Karpinski, Qiao
+    and Santha (JCSS 2015); it closes at x exactly when rank A equals the
+    pencil's non-commutative rank.
+    """
+    m, k = D.m, D.n - D.m
+    # coefficient matrices by column: columns[v][j] = {row: M_v[row][j]}
+    columns: list[list[dict[int, int]]] = [[{} for _ in range(k)]
+                                           for _ in range(k + 1)]
+    for i, row in enumerate(D.pencil):
+        for j, entry in enumerate(row[m:]):
+            for v, c in enumerate(entry):
+                if c:
+                    columns[v][j][i] = c
+    at_x = _scaled_moment(D, x)
+    a_columns = [{i: row[j] for i, row in enumerate(at_x) if row[j]}
+                 for j in range(m, m + k)]
+    image_rows, image_pivots = echelon(a_columns)
+    w_rows: list = []
+    w_pivots: list[int] = []
+    steps = 0
+    while True:
+        # U = ker of A followed by the quotient map onto Q^m / W
+        residues = [dict(a) for a in a_columns]
+        for residue in residues:
+            reduce_in_place(residue, w_rows, w_pivots)
+        # cleared to integers, so the products below are int arithmetic
+        U = cleared_int_rows(nullspace(
+            [[r.get(i, 0) for r in residues] for i in range(m)], n_cols=k))
+        products = []
+        for u in U:
+            support = [(j, uj) for j, uj in enumerate(u) if uj]
+            for coefficient in columns:
+                w: dict = {}
+                for j, uj in support:
+                    for i, c in coefficient[j].items():
+                        w[i] = w.get(i, 0) + c * uj
+                products.append(w)
+        rows, pivots = echelon(products)
+        steps += 1
+        for row in rows:
+            outside = dict(row)
+            reduce_in_place(outside, image_rows, image_pivots)
+            if outside:  # this W leaves im A
+                return None
+        if len(rows) == len(w_rows):  # W only grows: it has stopped
+            return len(U), len(rows), steps
+        w_rows, w_pivots = rows, pivots
 
 
 def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
                         bound: int = 10 ** 6, seed: int = 0) -> GenericRankResult:
-    """Probabilistic generic rank by exact evaluation at random integer points.
+    """Generic rank by exact evaluation at random integer points, proven
+    at the first point that reaches it whenever a proof is found.
 
     Each trial draws x uniformly from the integer box [-bound, bound]^(n-m)
-    and computes rank M(l(x)) exactly.  Any single k x k minor that is not
-    identically zero on A_tau misses its zero set with probability at least
-    1 - k/(2*bound + 1), so the maximum over independent trials certifies
-    d_tau except with vanishing probability.  Deterministic given the seed;
-    the witness is the first sampled point attaining the maximum.  No rank
-    exceeds m, so the trials stop at the first point reaching it: d_tau and
-    the witness are what all trials would give.
+    and computes rank M(l(x)) exactly, a lower bound on d_tau.  At each new
+    best rank r it seeks the upper bound: r = m needs none (the certificate
+    is the trivial (n - m, m, 0)), below m it runs ``rank_certificate``.
+    The trials stop at the first proven point.  Without a proof, any single
+    k x k minor that is not identically zero on A_tau misses its zero set
+    with probability at least 1 - k/(2*bound + 1), so the maximum over all
+    trials is d_tau except with vanishing probability.  Deterministic given
+    the seed; the witness is the first sampled point attaining the maximum,
+    and a proof closes only at a point reaching the generic rank, so
+    stopping there changes neither d_tau nor the witness.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -140,17 +216,20 @@ def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
     nfree = D.n - D.m
     best = -1
     witness: tuple[int, ...] = ()
+    certificate = None
     for _ in range(trials):
         x = tuple(rng.randint(-bound, bound) for _ in range(nfree))
         r = rank_at(D, x)
         if r > best:
             best, witness = r, x
-            if best == D.m:
+            certificate = ((nfree, D.m, 0) if r == D.m
+                           else rank_certificate(D, x))
+            if certificate is not None:
                 break
     return GenericRankResult(d_tau=best,
                              witness=tuple(Fraction(v) for v in witness),
                              is_free=best == D.m, trials=trials, seed=seed,
-                             bound=bound)
+                             bound=bound, certificate=certificate)
 
 
 def symbolic_moment_entries(D: MonomialDatum) -> list[list[Poly]]:
@@ -176,7 +255,8 @@ def symbolic_generic_rank(D: MonomialDatum) -> int:
     """Certified d_tau: Bareiss elimination of the span pencil over Q[y].
 
     It gives the rank over Q(y), i.e. at generic x.  It names no point:
-    the sampled route's witness is the point, and this rank certifies it.
+    the sampled route's witness is the point, and where that route found no
+    certificate this rank certifies it.
     Generic rank has no known deterministic polynomial-time method and the
     minors formed can have exponentially many terms, so past
     SYMBOLIC_WORK_LIMIT term products the elimination raises

@@ -12,8 +12,10 @@ acts freely at some (equivalently, at Zariski-almost-every) point of A_tau.
     a.c. + unimodular   -> conjectured: no admissible vector (open case)
 
 full_report is two stages: check_problem refuses what the theorem does
-not cover, and decide ranks the checked datum two ways (sampled, then
-certified symbolically) and reads the verdict table into one report.
+not cover, and decide ranks the checked datum and reads the verdict table
+into one report.  The rank is sampled, then proven: by the sampled route's
+own certificate at its witness when it found one, otherwise by Bareiss
+elimination over the polynomial ring.
 """
 
 from __future__ import annotations
@@ -66,14 +68,14 @@ class StructuralPreconditionError(RuntimeError):
 
 
 class DisagreementError(RuntimeError):
-    """The sampled rank exceeds the symbolic one — an internal bug."""
+    """The sampled rank differs from the certified one — an internal bug."""
 
-    def __init__(self, probabilistic: int, symbolic: int):
+    def __init__(self, probabilistic: int, certified: int):
         self.probabilistic = probabilistic
-        self.symbolic = symbolic
+        self.certified = certified
         super().__init__(
             f"generic rank mismatch: probabilistic {probabilistic} "
-            f"vs symbolic {symbolic}")
+            f"vs certified {certified}")
 
 
 class SamplingMissError(RuntimeError):
@@ -130,7 +132,7 @@ class FullReport:
     datum: MonomialDatum
     structure: StructureReport
     generic: GenericRankResult       # the sampled route: d_tau and witness
-    symbolic_rank: int | None        # its certificate; None: work limit hit
+    certified_rank: int | None       # proven d_tau; None: work limit hit
     spectral: SpectralVerdict
     admissibility: AdmissibilityVerdict
     warnings: tuple[str, ...]
@@ -159,31 +161,48 @@ def check_problem(L: LieAlgebra, h_rows, f_vals
     return structure, datum
 
 
-def decide(structure: StructureReport, datum: MonomialDatum,
-           config: AnalysisConfig = AnalysisConfig()) -> FullReport:
-    """Rank a checked datum both ways and read the verdicts.  A sampled
-    rank below the symbolic one raises SamplingMissError, one above it (no
-    correct run gives that) DisagreementError; past the symbolic work
-    limit below d_tau = m, a warning says the sampled rank decides."""
-    warnings = []
-    generic = generic_h_orbit_dim(datum, trials=config.trials,
-                                  bound=config.bound, seed=config.seed)
+def _symbolic_rank(generic: GenericRankResult, datum: MonomialDatum,
+                   config: AnalysisConfig, warnings: list) -> int | None:
+    """The Bareiss rank, checked against the sampled one; None past the
+    work limit."""
     try:
         symbolic_rank = symbolic_generic_rank(datum)
     except WorkLimitError:
-        symbolic_rank = None
         # at d_tau = m the exact rank at the witness already proves it
         if generic.d_tau < datum.m:
             warnings.append("symbolic elimination stopped at its work "
                             "limit; generic rank certified probabilistically "
                             "only")
-    if symbolic_rank is not None and symbolic_rank > generic.d_tau:
+        return None
+    if symbolic_rank > generic.d_tau:
         raise SamplingMissError(
             f"the sampled rank {generic.d_tau} is below the certified "
             f"generic rank {symbolic_rank}: trials {config.trials} and bound "
             f"{config.bound} are too small for this problem; raise either")
-    if symbolic_rank is not None and symbolic_rank < generic.d_tau:
+    if symbolic_rank < generic.d_tau:
         raise DisagreementError(generic.d_tau, symbolic_rank)
+    return symbolic_rank
+
+
+def decide(structure: StructureReport, datum: MonomialDatum,
+           config: AnalysisConfig = AnalysisConfig()) -> FullReport:
+    """Rank a checked datum and read the verdicts.  The sampled route's
+    exact rank at its witness proves d_tau >= rank; its certificate, when
+    it found one, proves the rest, and a certificate for any other rank (no
+    correct run gives that) raises DisagreementError.  Without one,
+    Bareiss elimination certifies the rank: a sampled rank below it raises
+    SamplingMissError, one above it DisagreementError, and past its work
+    limit below d_tau = m a warning says the sampled rank decides."""
+    warnings = []
+    generic = generic_h_orbit_dim(datum, trials=config.trials,
+                                  bound=config.bound, seed=config.seed)
+    if generic.certificate is not None:
+        dim_u, dim_w, _steps = generic.certificate
+        certified_rank = datum.n - datum.m - (dim_u - dim_w)
+        if certified_rank != generic.d_tau:
+            raise DisagreementError(generic.d_tau, certified_rank)
+    else:
+        certified_rank = _symbolic_rank(generic, datum, config, warnings)
 
     spectral = spectral_verdict(datum, generic)
     admissibility = admissibility_verdict(spectral, structure.is_unimodular)
@@ -192,7 +211,7 @@ def decide(structure: StructureReport, datum: MonomialDatum,
         datum=datum,
         structure=structure,
         generic=generic,
-        symbolic_rank=symbolic_rank,
+        certified_rank=certified_rank,
         spectral=spectral,
         admissibility=admissibility,
         warnings=tuple(warnings),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import time
@@ -205,9 +206,30 @@ class TestValidate:
         path = tmp_path / "zero.alg"
         path.write_text("algebra axb\ndim 2\nbasis A X\nbracket A X = X\n"
                         f"subalgebra X\nfunctional 1\nconfig {key} 0\n")
-        expected = (1, "", f"error: --{key} must be at least 1\n")
+        expected = (1, "", f"error: config {key} in {path} must be at "
+                           "least 1\n")
         assert run_cli("validate", str(path)) == expected
         assert run_cli("verdict", str(path)) == expected
+
+    @pytest.mark.parametrize("key", ["trials", "bound"])
+    def test_a_zero_flag_is_named_as_the_flag(self, key, tmp_path):
+        # the file's own value is fine; the flag that overrides it is not
+        path = tmp_path / "three.alg"
+        path.write_text("algebra axb\ndim 2\nbasis A X\nbracket A X = X\n"
+                        f"subalgebra X\nfunctional 1\nconfig {key} 3\n")
+        assert run_cli("verdict", str(path), f"--{key}", "0") == (
+            1, "", f"error: --{key} must be at least 1\n")
+
+    @pytest.mark.parametrize("key", ["trials", "bound"])
+    def test_a_zero_config_line_is_named_as_the_line(self, key, tmp_path):
+        # a flag that overrides it clears it; without one, the line is named
+        path = tmp_path / "zero.alg"
+        path.write_text("algebra axb\ndim 2\nbasis A X\nbracket A X = X\n"
+                        f"subalgebra X\nfunctional 1\nconfig {key} 0\n")
+        assert run_cli("verdict", str(path), f"--{key}", "3")[0] == 0
+        code, out, err = run_cli("verdict", str(path), "--seed", "4")
+        assert (code, out) == (1, "")
+        assert err == f"error: config {key} in {path} must be at least 1\n"
 
     @pytest.mark.parametrize("name", [
         "broken_jacobi", "sl2", "motion", "twist1", "twist2", "twist3",
@@ -367,6 +389,21 @@ class TestVerdict:
         code, _out, err = run_cli("verdict", str(path))
         assert code == 3
         assert "internal disagreement" in err
+
+
+    def test_a_certificate_with_a_wrong_gap_exits_three(self, monkeypatch):
+        sampled = verdict_mod.generic_h_orbit_dim
+
+        def wrong_gap(*args, **kw):
+            res = sampled(*args, **kw)
+            dim_u, dim_w, steps = res.certificate
+            return dataclasses.replace(res,
+                                       certificate=(dim_u, dim_w + 1, steps))
+        monkeypatch.setattr(verdict_mod, "generic_h_orbit_dim", wrong_gap)
+        code, out, err = run_cli("verdict", corpus_file("heisenberg_yz"))
+        assert (code, out) == (3, "")
+        assert err == ("internal disagreement: generic rank mismatch: "
+                       "probabilistic 1 vs certified 2\n")
 
 
 class TestSeedPrecedence:

@@ -61,6 +61,18 @@ class TestRref:
         assert reduced([2, 3, 12, 0]) == ([2, 3], {2: -1})
 
 
+class TestEchelon:
+    def test_int_rows_stay_exact(self):
+        # the scaling to a pivot of 1 divides; int / int would be a float
+        rows, pivots = linalg.echelon([{0: 2, 1: 3}, {0: 4, 2: 1},
+                                       {1: -3, 2: 5}])
+        assert pivots == [0, 1, 2]
+        assert rows[0] == {0: 1, 1: F("3/2")}
+        assert rows[1] == {1: 1, 2: F("-1/6")}
+        assert rows[2] == {2: 1}
+        assert all(type(x) is Fraction for row in rows for x in row.values())
+
+
 class TestNullspace:
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(99)

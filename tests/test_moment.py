@@ -1,6 +1,7 @@
 import functools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +33,31 @@ CHANGED_BASIS = (
     + [_families.borel(4, "cartan"), _families.borel(5, "cartan"),
        _families.borel(5, "nilradical")]
     + [_families.diagonal(8, m) for m in (1, 8)])
+
+
+def sampled_oracle(D, trials=20, bound=10 ** 6, seed=0):
+    """(d_tau, witness) of the sampled route as it was before it proved its
+    rank: the first point of the best rank over all trials, stopping early
+    only at rank m."""
+    rng = random.Random(seed)
+    best, witness = -1, ()
+    for _ in range(trials):
+        x = tuple(rng.randint(-bound, bound) for _ in range(D.n - D.m))
+        r = moment.rank_at(D, x)
+        if r > best:
+            best, witness = r, x
+            if best == D.m:
+                break
+    return best, tuple(map(Fraction, witness))
+
+
+def assert_certified(D, d_tau, seed=0):
+    """The sampled route proves d_tau, at the oracle's witness."""
+    res = oa.generic_h_orbit_dim(D, seed=seed)
+    assert res.certificate is not None
+    dim_u, dim_w, _steps = res.certificate
+    assert dim_u - dim_w == D.n - D.m - d_tau
+    assert (res.d_tau, res.witness) == sampled_oracle(D, seed=seed)
 
 
 @functools.cache
@@ -262,7 +288,41 @@ class TestSymbolicRank:
         rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
                              pf.functional_vals)
         assert moment.rank_at(rep.datum, rep.generic.witness) \
-            == rep.symbolic_rank == ORACLES[name][0]
+            == rep.certified_rank == ORACLES[name][0]
+
+
+def _hand_pencil(block):
+    """A stand-in datum whose pencil is 0 on its first m columns and
+    ``block`` (m x k entries (c_0, c_1, ..., c_k), meaning
+    c_0 + sum c_r x_r) on the rest."""
+    m, k = len(block), len(block[0])
+    zero = ((0,) * (k + 1),) * m
+    return SimpleNamespace(n=m + k, m=m, pencil=tuple(
+        zero + tuple(map(tuple, row)) for row in block))
+
+
+class TestRankCertificate:
+    def test_generic_skew_pencil_falls_back(self):
+        # [[0, x1, x2], [-x1, 0, x3], [-x2, -x3, 0]]: rank 2 at every point,
+        # non-commutative rank 3, so the Wong sequence leaves im A
+        x1, x2, x3, o = (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0,) * 4
+        neg = lambda e: tuple(-c for c in e)  # noqa: E731
+        D = _hand_pencil([[o, x1, x2], [neg(x1), o, x3],
+                          [neg(x2), neg(x3), o]])
+        assert moment.rank_at(D, (1, 2, 3)) == 2
+        assert moment.rank_certificate(D, (1, 2, 3)) is None
+
+    def test_rank_one_pencil_closes_with_gap_two(self):
+        # [[x1, x2, x3], [2 x1, 2 x2, 2 x3]]: rank 1, kernel of dimension 2
+        D = _hand_pencil([[(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+                          [(0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]])
+        assert moment.rank_at(D, (1, 2, 3)) == 1
+        dim_u, dim_w, steps = moment.rank_certificate(D, (1, 2, 3))
+        assert (dim_u, dim_w, dim_u - dim_w) == (3, 1, 2)
+        assert steps == 2
+        # at a point below the generic rank no certificate can close
+        assert moment.rank_at(D, (0, 0, 0)) == 0
+        assert moment.rank_certificate(D, (0, 0, 0)) is None
 
 
 def _var(nvars, i):
@@ -357,6 +417,7 @@ class TestRouteAgreement:
             prob = oa.generic_h_orbit_dim(D, trials=20, bound=10 ** 6,
                                           seed=seed)
             assert prob.d_tau == sym
+            assert_certified(D, sym, seed=seed)
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_sampled_rank_never_exceeds_d_tau(self, name, corpus_data):
@@ -387,6 +448,7 @@ class TestRouteAgreementLarge:
         sym = oa.symbolic_generic_rank(D)
         prob = oa.generic_h_orbit_dim(D)
         assert sym == prob.d_tau == problem.answer.d_tau
+        assert_certified(D, sym)
 
     @pytest.mark.parametrize("problem", CHANGED_BASIS,
                              ids=[p.name for p in CHANGED_BASIS])
@@ -395,6 +457,7 @@ class TestRouteAgreementLarge:
         sym = oa.symbolic_generic_rank(D)
         prob = oa.generic_h_orbit_dim(D)
         assert sym == prob.d_tau == problem.answer.d_tau
+        assert_certified(D, sym)
 
     def test_work_limit_stops_a_dense_elimination(self):
         # [Y_i, X_j] = Z_ij, h = span{Y_i}, f = 0: M(l) is the generic 7 x 7
@@ -429,6 +492,7 @@ class TestBasisInvariance:
             rows2 = [tuple(dot(r, col) for col in zip(*Qinv))
                      for r in pf.subalgebra_rows]
             D2 = oa.build_datum(L2, rows2, pf.functional_vals)
+            assert_certified(D2, ORACLES[name][0])
             for _ in range(20):
                 x = random_vector(rng, D0.n - D0.m, num_bound=30)
                 l = oa.point_on_variety(D0, x)

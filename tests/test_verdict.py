@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ from conftest import (CORPUS_NAMES, ORACLES, algebra_from_table,
                       load_bench_families, load_problem, make_abelian,
                       make_axb, make_h3, make_motion, make_sl2, random_vector,
                       transform_algebra)
-from test_moment import CHANGED_BASIS
+from test_moment import CHANGED_BASIS, sampled_oracle
 
 
 class TestSpectralVerdict:
@@ -70,7 +71,10 @@ class TestAdmissibilityVerdict:
 
 class TestFullReport:
     @pytest.mark.parametrize("name", CORPUS_NAMES)
-    def test_corpus_oracles(self, name, corpus_problems):
+    def test_corpus_oracles(self, name, corpus_problems, monkeypatch):
+        def unreachable(D):
+            raise AssertionError("Bareiss ran although a proof was found")
+        monkeypatch.setattr(verdict_mod, "symbolic_generic_rank", unreachable)
         pf = corpus_problems[name]
         rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
                              pf.functional_vals)
@@ -80,7 +84,7 @@ class TestFullReport:
         assert rep.spectral.status == spectral
         assert rep.admissibility.status == admis
         assert rep.structure.is_unimodular == unimod
-        assert rep.symbolic_rank == rep.generic.d_tau
+        assert rep.certified_rank == rep.generic.d_tau
 
     def test_invalid_algebra_short_circuits(self, h3):
         table = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
@@ -112,32 +116,38 @@ class TestFullReport:
     def test_large_dimension_certified_symbolically(self):
         L = make_abelian(9)
         rep = oa.full_report(L, [], [])
-        assert rep.symbolic_rank == 0
+        assert rep.certified_rank == 0
         assert rep.spectral.status == "AbsolutelyContinuous"
         # A x| R^9 with [A, X_i] = i X_i, h = span{X_i}, f = 1: d_tau = 1 < 9
         xs = [f"X{i}" for i in range(1, 10)]
         L = oa.from_brackets("diag9", ["A"] + xs,
                              {("A", x): {x: i} for i, x in enumerate(xs, 1)})
         rep = oa.full_report(L, [L.vector(**{x: 1}) for x in xs], [1] * 9)
-        assert rep.symbolic_rank == rep.generic.d_tau == 1
+        assert rep.certified_rank == rep.generic.d_tau == 1
         assert rep.spectral.status == "Singular"
         assert not any("threshold" in w for w in rep.warnings)
 
     def test_work_limit_leaves_the_sampled_route_deciding(
             self, corpus_problems, monkeypatch):
         monkeypatch.setattr(moment, "SYMBOLIC_WORK_LIMIT", 0)
+        # Bareiss runs only when the sampled route found no certificate
+        sampled = verdict_mod.generic_h_orbit_dim
+        monkeypatch.setattr(
+            verdict_mod, "generic_h_orbit_dim",
+            lambda *args, **kw: dataclasses.replace(sampled(*args, **kw),
+                                                    certificate=None))
         # Singular: d_tau < m rests on the sampled points alone
         pf = oa.parse(load_bench_families().borel(4, "nilradical").text)
         rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
                              pf.functional_vals)
-        assert rep.symbolic_rank is None
+        assert rep.certified_rank is None
         assert (rep.spectral.d_tau, rep.spectral.m) == (3, 6)
         assert any("work limit" in w for w in rep.warnings)
         # free: the exact rank m at the witness proves d_tau = m
         pf = corpus_problems["h5_y1y2"]
         rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
                              pf.functional_vals)
-        assert rep.symbolic_rank is None
+        assert rep.certified_rank is None
         assert rep.spectral.d_tau == ORACLES["h5_y1y2"][0] == rep.spectral.m
         assert rep.warnings == ()
 
@@ -164,6 +174,31 @@ class TestFullReport:
                            match="trials 3 and bound 7 are too small"):
             oa.full_report(axb, [axb.vector(X=1)], [1],
                            oa.AnalysisConfig(trials=3, bound=7))
+
+    def test_skew_pencil_falls_back_to_bareiss(self, monkeypatch):
+        # [Y_i, X_j] = e_ij Z_ij with e skew, h = span{Y_i}, f = 0: M(l) is
+        # the generic 3 x 3 skew matrix in l(Z_12), l(Z_13), l(Z_23), of
+        # rank 2 where its non-commutative rank is 3, so no certificate
+        # closes and the elimination decides
+        pairs = ((0, 1), (0, 2), (1, 2))
+        brackets = {}
+        for i, j in pairs:
+            brackets[(f"Y{i}", f"X{j}")] = {f"Z{i}{j}": 1}
+            brackets[(f"Y{j}", f"X{i}")] = {f"Z{i}{j}": -1}
+        L = oa.from_brackets(
+            "skew3", [f"Y{i}" for i in range(3)] + [f"X{i}" for i in range(3)]
+            + [f"Z{i}{j}" for i, j in pairs], brackets)
+        ran = []
+        monkeypatch.setattr(
+            verdict_mod, "symbolic_generic_rank",
+            lambda D: ran.append(D) or moment.symbolic_generic_rank(D))
+        rep = oa.full_report(L, [L.vector(**{f"Y{i}": 1}) for i in range(3)],
+                             [0, 0, 0])
+        assert rep.generic.certificate is None and len(ran) == 1
+        assert rep.certified_rank == rep.generic.d_tau == 2
+        assert rep.spectral.status == "Singular"
+        assert sampled_oracle(rep.datum) == (rep.generic.d_tau,
+                                             rep.generic.witness)
 
     def test_checks_refuse_in_one_order(self):
         # table, then (h, f), then solvability: sl2 with h = span{E, F} is
