@@ -9,7 +9,8 @@ M(x) U inside W at every x, which bounds the rank from above by
 over a basis of the span of its chart coefficients, so each entry is a
 linear form in a few new variables (printed x1, x2, ...), and eliminates
 fraction-free over the polynomial ring, which certifies the rank outright
-but names no point.  The package runs it only when no certificate closes;
+but names no point.  generic_h_orbit_dim runs it only when no certificate
+closes, and its result's proof field says which route proved the rank;
 this script runs both to make the agreement visible.
 """
 
@@ -28,7 +29,7 @@ for name in ("heisenberg_yz", "grelaud", "h5_y1y2", "diag_2d"):
         print("     ", [str(p) for p in row])
 
     prob = generic_h_orbit_dim(D, trials=20, bound=10 ** 6, seed=0)
-    dim_u, dim_w, steps = prob.certificate
+    dim_u, dim_w, steps = prob.proof
     proven = D.n - D.m - (dim_u - dim_w)
     certified = symbolic_generic_rank(D)
     witness = ", ".join(map(str, prob.witness))

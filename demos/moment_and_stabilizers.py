@@ -32,7 +32,7 @@ for a in (Fraction(0), Fraction(5), Fraction(-3, 2)):
 print()
 sr = stabilizer_report(D, (Fraction(5),))
 print("at a = 5:")
-print("  dim H-orbit:", sr.dim_H_orbit)
+print("  dim H-orbit (rank M):", sr.rank_M)
 print("  h-stabilizer basis:", sr.h_stab_basis)
 print("  dim G-orbit:", sr.dim_G_orbit, "(always even)")
 print("  g-stabilizer basis:", sr.g_stab_basis)

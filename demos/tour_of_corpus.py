@@ -4,8 +4,8 @@ A tour of the bundled corpus
 
 Every .alg file shipped with the package gets the full treatment here:
 parse, classify the algebra, find the generic orbit rank, and print the
-two verdicts.  Run it from anywhere; the files are loaded through the
-package's own resource lookup.
+two verdicts.  Run it from anywhere; the files are found next to the
+package's own modules.
 """
 
 from orbitadm import AnalysisConfig, full_report, parse
@@ -24,8 +24,8 @@ for entry in sorted(corpus_dir().iterdir()):
     rep = full_report(pf.algebra, pf.subalgebra_rows, pf.functional_vals,
                       config)
     print(f"{entry.name[:-4]:<16}{pf.algebra.dim:>4}{pf.m:>3}"
-          f"{rep.spectral.d_tau:>6}   {rep.spectral.status:<22}"
-          f"{rep.admissibility.status}")
+          f"{rep.generic.d_tau:>6}   {rep.spectral:<22}"
+          f"{rep.admissibility}")
 
 print()
 print("Reading the table: the spectral measure of the induced")

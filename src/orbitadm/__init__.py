@@ -21,18 +21,16 @@ from .algebra import (DimensionMismatchError, LieAlgebra, StructureReport,
                       Violation, ad_matrix, bracket, from_brackets,
                       structure_report, validate)
 from .linalg import WorkLimitError, rank_exact
-from .moment import (GenericRankResult, StabilizerReport,
-                     generic_h_orbit_dim, moment_matrix, rank_at,
-                     rank_certificate, skew_form_matrix, stabilizer_report,
-                     symbolic_generic_rank)
+from .moment import (DisagreementError, GenericRankResult, SamplingMissError,
+                     StabilizerReport, generic_h_orbit_dim, moment_matrix,
+                     rank_at, rank_certificate, skew_form_matrix,
+                     stabilizer_report, symbolic_generic_rank)
 from .monomial import (MonomialDatum, NotACharacterError, NotClosedError,
                        RankDeficientError, adapted_dual_coords, build_datum,
                        point_on_variety)
 from .problemfile import ParseError, ProblemFile, parse, serialize
-from .verdict import (AnalysisConfig, AdmissibilityVerdict, DisagreementError,
-                      FullReport, InvalidAlgebraError, SamplingMissError,
-                      SpectralVerdict, StructuralPreconditionError,
-                      admissibility_verdict, full_report, spectral_verdict)
+from .verdict import (AnalysisConfig, FullReport, InvalidAlgebraError,
+                      StructuralPreconditionError, full_report)
 
 __version__ = "0.1.0"
 
@@ -59,10 +57,9 @@ __all__ = [
     "rank_exact", "rank_at", "stabilizer_report", "generic_h_orbit_dim",
     "WorkLimitError",
     "rank_certificate", "symbolic_generic_rank",
-    "SpectralVerdict", "AdmissibilityVerdict", "FullReport",
+    "DisagreementError", "SamplingMissError", "FullReport",
     "AnalysisConfig", "InvalidAlgebraError", "StructuralPreconditionError",
-    "DisagreementError", "SamplingMissError", "spectral_verdict",
-    "admissibility_verdict", "full_report",
+    "full_report",
     *_GEOMETRY_NAMES,
     "ProblemFile", "ParseError", "parse", "serialize",
     "__version__",

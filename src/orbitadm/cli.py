@@ -18,20 +18,18 @@ import functools
 import math
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .algebra import DimensionMismatchError
-from .moment import stabilizer_report
+from .moment import DisagreementError, SamplingMissError, stabilizer_report
 from .monomial import (NotACharacterError, NotClosedError, RankDeficientError,
                        build_datum)
 from .problemfile import ParseError, parse, parse_rational_list
 from .report import (render_jacobian_text, render_json,
                      render_problem_summary, render_stabilizer_text,
                      render_text)
-from .verdict import (AnalysisConfig, DisagreementError, InvalidAlgebraError,
-                      SamplingMissError, StructuralPreconditionError,
-                      check_problem, decide)
+from .verdict import (AnalysisConfig, InvalidAlgebraError,
+                      StructuralPreconditionError, check_problem, decide)
 
 SEED_ENV_VAR = "ORBITADM_SEED"
 
@@ -100,12 +98,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def corpus_dir():
-    return resources.files(__package__).joinpath("corpus")
+def corpus_dir() -> Path:
+    return Path(__file__).with_name("corpus")
 
 
 def corpus_path(name: str) -> Path:
-    path = Path(str(corpus_dir().joinpath(name + ".alg")))
+    path = corpus_dir() / (name + ".alg")
     if not path.exists():
         raise FileNotFoundError(f"no bundled example named {name!r}")
     return path
@@ -191,6 +189,12 @@ def _cmd_jacobian(args, out) -> int:
         raise _UsageError("--tol must lie strictly between 0 and 1")
     from .geometry import fd_jacobian  # numpy: loaded for this command only
     datum, x = _datum_and_point(args)
+    try:  # fd_jacobian differentiates in floating point
+        for v in x:
+            float(v)
+    except OverflowError:
+        raise _UsageError("--point: a coordinate is too large for floating "
+                          "point")
     try:
         jr = fd_jacobian(datum, x, h=args.step, rel_tol=args.tol)
     except OverflowError as exc:
@@ -265,3 +269,7 @@ def main(argv=None, out=None, err=None) -> int:
     except DisagreementError as exc:
         print(f"internal disagreement: {exc}", file=err)
         return EXIT_DISAGREEMENT
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,17 +11,19 @@ moment_matrix divides the scales out.  The generic value of that rank,
 
     d_tau = max over l in A_tau of dim H.l,
 
-is sampled by seeded random evaluation (exact rank at integer chart
-points, Schwartz-Zippel controlled), which gives the witness point and
-proves d_tau >= its rank.  The upper bound is proven at that same point by
-a shrunk-subspace certificate, the limit of the second Wong sequence: exact
-linear algebra over Q, no polynomials.  Where it does not close (the
-pencil's non-commutative rank exceeds d_tau, as for generic skew pencils),
-fraction-free elimination over the polynomial ring on a basis of the
-pencil's span certifies the rank in any dimension within a work limit.  The
-induced representation behaves qualitatively differently according to
-whether d_tau reaches m — whether H acts freely somewhere on A_tau —
-which is what the verdict layer consumes.
+is decided and proven here, by generic_h_orbit_dim alone.  Seeded random
+evaluation (exact rank at integer chart points, Schwartz-Zippel
+controlled) gives the witness point and proves d_tau >= its rank.  The
+upper bound is proven at that same point by a shrunk-subspace certificate,
+the limit of the second Wong sequence: exact linear algebra over Q, no
+polynomials.  Where it does not close (the pencil's non-commutative rank
+exceeds d_tau, as for generic skew pencils), fraction-free elimination over
+the polynomial ring on a basis of the pencil's span certifies the rank in
+any dimension within a work limit.  A proof that contradicts the sample
+raises DisagreementError; a sample below the elimination's rank raises
+SamplingMissError.  The induced representation behaves qualitatively
+differently according to whether d_tau reaches m — whether H acts freely
+somewhere on A_tau — which is all the verdict layer reads.
 """
 
 from __future__ import annotations
@@ -32,16 +34,18 @@ from fractions import Fraction
 from operator import mul
 
 from .algebra import DimensionMismatchError
-from .linalg import (bareiss, cleared_int_rows, echelon, left_nullspace,
-                     matmul, nullspace, rank_exact, reduce_in_place, rref)
+from .linalg import (WorkLimitError, bareiss, cleared_int_rows, echelon,
+                     left_nullspace, matmul, nullspace, rank_exact,
+                     reduce_in_place, rref)
 from .monomial import MonomialDatum, point_on_variety
 from .poly import Poly
 
 Vector = tuple[Fraction, ...]
 
 __all__ = [
-    "StabilizerReport", "GenericRankResult",
-    "rank_at", "moment_matrix", "stabilizer_report", "generic_h_orbit_dim",
+    "StabilizerReport", "GenericRankResult", "DisagreementError",
+    "SamplingMissError", "rank_at", "moment_matrix", "stabilizer_report",
+    "generic_h_orbit_dim",
     "rank_certificate", "symbolic_generic_rank", "symbolic_moment_entries",
     "SYMBOLIC_WORK_LIMIT",
 ]
@@ -74,8 +78,7 @@ def moment_matrix(D: MonomialDatum, x) -> tuple[Vector, ...]:
 @dataclass(frozen=True)
 class StabilizerReport:
     point: Vector
-    rank_M: int
-    dim_H_orbit: int
+    rank_M: int                        # dim H.l
     h_stab_basis: tuple[Vector, ...]   # vectors in g, original coordinates
     dim_G_orbit: int
     g_stab_basis: tuple[Vector, ...]
@@ -100,14 +103,12 @@ def stabilizer_report(D: MonomialDatum, x) -> StabilizerReport:
     m, n = D.m, D.n
     h_basis = tuple(map(tuple, matmul(left_nullspace(M, n_rows=m),
                                       D.generators)))
-    rank_M = m - len(h_basis)
     l = point_on_variety(D, x)
     g_basis = tuple(tuple(v) for v in nullspace(skew_form_matrix(D, l),
                                                 n_cols=n))
     return StabilizerReport(
         point=l,
-        rank_M=rank_M,
-        dim_H_orbit=rank_M,
+        rank_M=m - len(h_basis),
         h_stab_basis=h_basis,
         dim_G_orbit=n - len(g_basis),
         g_stab_basis=g_basis,
@@ -123,12 +124,28 @@ Certificate = tuple[int, int, int]
 class GenericRankResult:
     d_tau: int
     witness: Vector           # chart coordinates of a point attaining d_tau
-    is_free: bool             # d_tau == m
     trials: int
     seed: int
     bound: int
-    certificate: Certificate | None = None  # proves rank <= d_tau; None: no
-                                            # proof found at the witness
+    # how rank <= d_tau was proven: the certificate at the witness,
+    # "bareiss", or None when the elimination hit its work limit
+    proof: Certificate | str | None
+
+
+class DisagreementError(RuntimeError):
+    """The sampled rank differs from the certified one — an internal bug."""
+
+    def __init__(self, probabilistic: int, certified: int):
+        self.probabilistic = probabilistic
+        self.certified = certified
+        super().__init__(
+            f"generic rank mismatch: probabilistic {probabilistic} "
+            f"vs certified {certified}")
+
+
+class SamplingMissError(RuntimeError):
+    """The sampled rank stayed below the certified one: every point drawn
+    under the trials and bound settings fell where the rank drops."""
 
 
 def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
@@ -195,14 +212,17 @@ def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
 
 def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
                         bound: int = 10 ** 6, seed: int = 0) -> GenericRankResult:
-    """Generic rank by exact evaluation at random integer points, proven
-    at the first point that reaches it whenever a proof is found.
+    """d_tau, sampled at random integer points and then proven.
 
     Each trial draws x uniformly from the integer box [-bound, bound]^(n-m)
     and computes rank M(l(x)) exactly, a lower bound on d_tau.  At each new
     best rank r it seeks the upper bound: r = m needs none (the certificate
     is the trivial (n - m, m, 0)), below m it runs ``rank_certificate``.
-    The trials stop at the first proven point.  Without a proof, any single
+    The trials stop at the first proven point, and a certificate for any
+    rank but r raises DisagreementError.  Without one, Bareiss elimination
+    (``symbolic_generic_rank``) certifies d_tau: a rank below the sampled
+    one raises DisagreementError, one above it SamplingMissError, and past
+    its work limit the sample decides unproven (proof None).  Any single
     k x k minor that is not identically zero on A_tau misses its zero set
     with probability at least 1 - k/(2*bound + 1), so the maximum over all
     trials is d_tau except with vanishing probability.  Deterministic given
@@ -216,20 +236,35 @@ def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
     nfree = D.n - D.m
     best = -1
     witness: tuple[int, ...] = ()
-    certificate = None
+    proof = None
     for _ in range(trials):
         x = tuple(rng.randint(-bound, bound) for _ in range(nfree))
         r = rank_at(D, x)
         if r > best:
             best, witness = r, x
-            certificate = ((nfree, D.m, 0) if r == D.m
-                           else rank_certificate(D, x))
-            if certificate is not None:
+            proof = ((nfree, D.m, 0) if r == D.m
+                     else rank_certificate(D, x))
+            if proof is not None:
                 break
+    if proof is None:
+        try:
+            certified, proof = symbolic_generic_rank(D), "bareiss"
+        except WorkLimitError:
+            certified = best
+        if certified > best:
+            raise SamplingMissError(
+                f"the sampled rank {best} is below the certified generic "
+                f"rank {certified}: trials {trials} and bound {bound} are "
+                f"too small for this problem; raise either")
+    else:
+        dim_u, dim_w, _steps = proof
+        certified = nfree - (dim_u - dim_w)
+    if certified != best:
+        raise DisagreementError(best, certified)
     return GenericRankResult(d_tau=best,
                              witness=tuple(Fraction(v) for v in witness),
-                             is_free=best == D.m, trials=trials, seed=seed,
-                             bound=bound, certificate=certificate)
+                             trials=trials, seed=seed, bound=bound,
+                             proof=proof)
 
 
 def symbolic_moment_entries(D: MonomialDatum) -> list[list[Poly]]:
@@ -256,7 +291,7 @@ def symbolic_generic_rank(D: MonomialDatum) -> int:
 
     It gives the rank over Q(y), i.e. at generic x.  It names no point:
     the sampled route's witness is the point, and where that route found no
-    certificate this rank certifies it.
+    certificate ``generic_h_orbit_dim`` runs this to certify it.
     Generic rank has no known deterministic polynomial-time method and the
     minors formed can have exponentially many terms, so past
     SYMBOLIC_WORK_LIMIT term products the elimination raises

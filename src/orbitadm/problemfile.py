@@ -353,7 +353,10 @@ def serialize(pf: ProblemFile) -> str:
 
 def parse_rational_list(text: str) -> tuple[Fraction, ...]:
     """Comma-separated rationals, e.g. '1,-2/3,0' (used for --point), each
-    read as a problem file reads a rational; errors carry no position."""
+    read as a problem file reads a rational; errors carry no position.  An
+    empty text is no rationals: the chart of h = g has no coordinates."""
+    if not text.strip():
+        return ()
     out = []
     for piece in (item.strip() for item in text.split(",")):
         match = _TOKEN_RE.fullmatch(piece)

@@ -26,7 +26,7 @@ def _combo_strings(rows, basis_names) -> list:
 
 
 def report_dict(rep: FullReport) -> dict:
-    L = rep.algebra
+    L = rep.datum.algebra
     structure = {
         "algebra": L.name,
         "dim": L.dim,
@@ -41,20 +41,18 @@ def report_dict(rep: FullReport) -> dict:
         "is_unimodular": rep.structure.is_unimodular,
         "exponentiality": rep.structure.exponentiality,
     }
-    witness = None
-    if rep.spectral.witness is not None:
-        witness = [str(v) for v in rep.spectral.witness]
+    free = rep.generic.d_tau == rep.datum.m
     return {
         "structure": structure,
-        "d_tau": rep.spectral.d_tau,
-        "m": rep.spectral.m,
-        "witness": witness,
-        "spectral": rep.spectral.status,
+        "d_tau": rep.generic.d_tau,
+        "m": rep.datum.m,
+        "witness": [str(v) for v in rep.generic.witness] if free else None,
+        "spectral": rep.spectral,
         "admissibility": {
-            "status": rep.admissibility.status,
-            "unimodular": rep.admissibility.unimodular,
-            "rationale": rep.admissibility.rationale,
-            "rationale_text": RATIONALE_TEXT[rep.admissibility.rationale],
+            "status": rep.admissibility,
+            "unimodular": rep.structure.is_unimodular,
+            "rationale": rep.rationale,
+            "rationale_text": RATIONALE_TEXT[rep.rationale],
         },
         "warnings": list(rep.warnings),
         "seed": rep.generic.seed,
@@ -98,7 +96,7 @@ def render_stabilizer_text(sr: StabilizerReport, basis_names) -> str:
     return _text({
         "point": [str(v) for v in sr.point],
         "rank_M": sr.rank_M,
-        "dim_H_orbit": sr.dim_H_orbit,
+        "dim_H_orbit": sr.rank_M,
         "h_stab_basis": _combo_strings(sr.h_stab_basis, basis_names),
         "dim_G_orbit": sr.dim_G_orbit,
         "g_stab_basis": _combo_strings(sr.g_stab_basis, basis_names),

@@ -12,22 +12,17 @@ acts freely at some (equivalently, at Zariski-almost-every) point of A_tau.
     a.c. + unimodular   -> conjectured: no admissible vector (open case)
 
 full_report is two stages: check_problem refuses what the theorem does
-not cover, and decide ranks the checked datum and reads the verdict table
-into one report.  The rank is sampled, then proven: by the sampled route's
-own certificate at its witness when it found one, otherwise by Bareiss
-elimination over the polynomial ring.
+not cover, and decide reads the table above into one report.  d_tau and
+its proof come from ``moment.generic_h_orbit_dim``; nothing here ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (EXPONENTIAL, LieAlgebra, StructureReport, Violation,
                       structure_report)
-from .linalg import WorkLimitError
-from .moment import (GenericRankResult, generic_h_orbit_dim,
-                     symbolic_generic_rank)
+from .moment import GenericRankResult, generic_h_orbit_dim
 from .monomial import MonomialDatum, build_datum
 
 ABSOLUTELY_CONTINUOUS = "AbsolutelyContinuous"
@@ -67,58 +62,6 @@ class StructuralPreconditionError(RuntimeError):
         super().__init__(reason)
 
 
-class DisagreementError(RuntimeError):
-    """The sampled rank differs from the certified one — an internal bug."""
-
-    def __init__(self, probabilistic: int, certified: int):
-        self.probabilistic = probabilistic
-        self.certified = certified
-        super().__init__(
-            f"generic rank mismatch: probabilistic {probabilistic} "
-            f"vs certified {certified}")
-
-
-class SamplingMissError(RuntimeError):
-    """The sampled rank stayed below the certified one: every point drawn
-    under the trials and bound settings fell where the rank drops."""
-
-
-@dataclass(frozen=True)
-class SpectralVerdict:
-    status: str                      # ABSOLUTELY_CONTINUOUS or SINGULAR
-    d_tau: int
-    m: int
-    witness: tuple[Fraction, ...] | None  # present iff absolutely continuous
-
-
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    status: str
-    unimodular: bool
-    rationale: str                   # key into RATIONALE_TEXT
-
-
-def spectral_verdict(D: MonomialDatum, G: GenericRankResult) -> SpectralVerdict:
-    if G.is_free:
-        return SpectralVerdict(status=ABSOLUTELY_CONTINUOUS, d_tau=G.d_tau,
-                               m=D.m, witness=G.witness)
-    return SpectralVerdict(status=SINGULAR, d_tau=G.d_tau, m=D.m, witness=None)
-
-
-def admissibility_verdict(S: SpectralVerdict,
-                          unimodular: bool) -> AdmissibilityVerdict:
-    if S.status == SINGULAR:
-        return AdmissibilityVerdict(status=NOT_ADMISSIBLE,
-                                    unimodular=unimodular,
-                                    rationale="singular_spectrum")
-    if unimodular:
-        return AdmissibilityVerdict(status=CONJECTURALLY_NOT_ADMISSIBLE,
-                                    unimodular=True,
-                                    rationale="unimodular_free_conjectural")
-    return AdmissibilityVerdict(status=ADMISSIBLE, unimodular=False,
-                                rationale="free_and_nonunimodular")
-
-
 @dataclass(frozen=True)
 class AnalysisConfig:
     trials: int = 20
@@ -128,13 +71,12 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class FullReport:
-    algebra: LieAlgebra
     datum: MonomialDatum
     structure: StructureReport
-    generic: GenericRankResult       # the sampled route: d_tau and witness
-    certified_rank: int | None       # proven d_tau; None: work limit hit
-    spectral: SpectralVerdict
-    admissibility: AdmissibilityVerdict
+    generic: GenericRankResult       # the proven d_tau and its witness
+    spectral: str                    # ABSOLUTELY_CONTINUOUS or SINGULAR
+    admissibility: str
+    rationale: str                   # key into RATIONALE_TEXT
     warnings: tuple[str, ...]
 
 
@@ -161,61 +103,31 @@ def check_problem(L: LieAlgebra, h_rows, f_vals
     return structure, datum
 
 
-def _symbolic_rank(generic: GenericRankResult, datum: MonomialDatum,
-                   config: AnalysisConfig, warnings: list) -> int | None:
-    """The Bareiss rank, checked against the sampled one; None past the
-    work limit."""
-    try:
-        symbolic_rank = symbolic_generic_rank(datum)
-    except WorkLimitError:
-        # at d_tau = m the exact rank at the witness already proves it
-        if generic.d_tau < datum.m:
-            warnings.append("symbolic elimination stopped at its work "
-                            "limit; generic rank certified probabilistically "
-                            "only")
-        return None
-    if symbolic_rank > generic.d_tau:
-        raise SamplingMissError(
-            f"the sampled rank {generic.d_tau} is below the certified "
-            f"generic rank {symbolic_rank}: trials {config.trials} and bound "
-            f"{config.bound} are too small for this problem; raise either")
-    if symbolic_rank < generic.d_tau:
-        raise DisagreementError(generic.d_tau, symbolic_rank)
-    return symbolic_rank
-
-
 def decide(structure: StructureReport, datum: MonomialDatum,
            config: AnalysisConfig = AnalysisConfig()) -> FullReport:
-    """Rank a checked datum and read the verdicts.  The sampled route's
-    exact rank at its witness proves d_tau >= rank; its certificate, when
-    it found one, proves the rest, and a certificate for any other rank (no
-    correct run gives that) raises DisagreementError.  Without one,
-    Bareiss elimination certifies the rank: a sampled rank below it raises
-    SamplingMissError, one above it DisagreementError, and past its work
-    limit below d_tau = m a warning says the sampled rank decides."""
-    warnings = []
+    """Read the verdict table off a checked datum: d_tau as
+    ``generic_h_orbit_dim`` proves it, against m and unimodularity.  Past
+    the elimination's work limit below d_tau = m a warning says the sampled
+    rank decides (at d_tau = m the exact rank at the witness proves it)."""
     generic = generic_h_orbit_dim(datum, trials=config.trials,
                                   bound=config.bound, seed=config.seed)
-    if generic.certificate is not None:
-        dim_u, dim_w, _steps = generic.certificate
-        certified_rank = datum.n - datum.m - (dim_u - dim_w)
-        if certified_rank != generic.d_tau:
-            raise DisagreementError(generic.d_tau, certified_rank)
+    warnings = ()
+    if generic.d_tau < datum.m:
+        spectral, admissibility, rationale = (
+            SINGULAR, NOT_ADMISSIBLE, "singular_spectrum")
+        if generic.proof is None:
+            warnings = ("symbolic elimination stopped at its work limit; "
+                        "generic rank certified probabilistically only",)
+    elif structure.is_unimodular:
+        spectral, admissibility, rationale = (
+            ABSOLUTELY_CONTINUOUS, CONJECTURALLY_NOT_ADMISSIBLE,
+            "unimodular_free_conjectural")
     else:
-        certified_rank = _symbolic_rank(generic, datum, config, warnings)
-
-    spectral = spectral_verdict(datum, generic)
-    admissibility = admissibility_verdict(spectral, structure.is_unimodular)
-    return FullReport(
-        algebra=datum.algebra,
-        datum=datum,
-        structure=structure,
-        generic=generic,
-        certified_rank=certified_rank,
-        spectral=spectral,
-        admissibility=admissibility,
-        warnings=tuple(warnings),
-    )
+        spectral, admissibility, rationale = (
+            ABSOLUTELY_CONTINUOUS, ADMISSIBLE, "free_and_nonunimodular")
+    return FullReport(datum=datum, structure=structure, generic=generic,
+                      spectral=spectral, admissibility=admissibility,
+                      rationale=rationale, warnings=warnings)
 
 
 def full_report(L: LieAlgebra, h_rows, f_vals,

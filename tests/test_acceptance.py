@@ -29,15 +29,15 @@ def full(name: str) -> oa.FullReport:
 def test_criterion_1_classical_axb_wavelet():
     # f(X) = 1: free generic action, nonunimodular group -> admissible
     rep = full("axb_f1")
-    assert rep.spectral.status == "AbsolutelyContinuous"
-    assert rep.spectral.d_tau == 1 == rep.spectral.m
-    assert rep.admissibility.status == "Admissible"
+    assert rep.spectral == "AbsolutelyContinuous"
+    assert rep.generic.d_tau == 1 == rep.datum.m
+    assert rep.admissibility == "Admissible"
 
     # f(X) = 0: the moment row vanishes identically on A_tau
     rep0 = full("axb_f0")
-    assert rep0.spectral.status == "Singular"
-    assert rep0.spectral.d_tau == 0
-    assert rep0.admissibility.status == "NotAdmissible"
+    assert rep0.spectral == "Singular"
+    assert rep0.generic.d_tau == 0
+    assert rep0.admissibility == "NotAdmissible"
 
     # hand-derived moment row (0, -l(X)) at every point of both varieties
     for name, fval in (("axb_f1", Fraction(1)), ("axb_f0", Fraction(0))):
@@ -56,10 +56,10 @@ def test_criterion_2_heisenberg_triple():
     }
     for name, (spectral, d_tau, m, adm) in expected.items():
         rep = full(name)
-        assert rep.spectral.status == spectral, name
-        assert rep.spectral.d_tau == d_tau, name
-        assert rep.spectral.m == m, name
-        assert rep.admissibility.status == adm, name
+        assert rep.spectral == spectral, name
+        assert rep.generic.d_tau == d_tau, name
+        assert rep.datum.m == m, name
+        assert rep.admissibility == adm, name
         assert rep.structure.is_unimodular
     print("ACCEPTANCE 2 (Heisenberg triple): PASS")
 

@@ -1,14 +1,14 @@
-import dataclasses
 import json
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
 import orbitadm as oa
 import orbitadm.cli as cli
-import orbitadm.verdict as verdict_mod
-from orbitadm.moment import GenericRankResult
+from orbitadm import moment
 
 from conftest import CORPUS_NAMES, ORACLES, load_bench_families, run_cli
 
@@ -88,6 +88,17 @@ class TestUsage:
         code, _out, err = run_cli("validate", "/no/such/file.alg")
         assert code == 1
         assert "cannot read" in err
+
+    def test_runs_as_a_module(self, tmp_path):
+        # python -m orbitadm.cli must run main, not import and exit 0
+        src = pathlib.Path(oa.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbitadm.cli", "verdict",
+             corpus_file("axb_f1")], capture_output=True, text=True,
+            cwd=tmp_path, env={"PYTHONPATH": str(src)}, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) \
+            == run_cli("verdict", corpus_file("axb_f1"))
+        assert proc.stdout.startswith("structure.algebra: ")
 
 
 class TestValidate:
@@ -359,14 +370,13 @@ class TestVerdict:
         assert "--bound" in err
 
     def test_disagreement_exits_three(self, monkeypatch):
-        def lying(D, trials=20, bound=10 ** 6, seed=0):
-            return GenericRankResult(d_tau=2, witness=(0,) * (D.n - D.m),
-                                     is_free=True, trials=trials, seed=seed,
-                                     bound=bound)
-        monkeypatch.setattr(verdict_mod, "generic_h_orbit_dim", lying)
-        code, _out, err = run_cli("verdict", corpus_file("heisenberg_yz"))
-        assert code == 3
-        assert "internal disagreement" in err
+        # heisenberg_yz samples rank 1; a Bareiss rank below it is a bug
+        monkeypatch.setattr(moment, "rank_certificate", lambda D, x: None)
+        monkeypatch.setattr(moment, "symbolic_generic_rank", lambda D: 0)
+        code, out, err = run_cli("verdict", corpus_file("heisenberg_yz"))
+        assert (code, out) == (3, "")
+        assert err == ("internal disagreement: generic rank mismatch: "
+                       "probabilistic 1 vs certified 0\n")
 
     def test_disagreement_exits_three_above_dimension_eight(self, monkeypatch,
                                                              tmp_path):
@@ -381,25 +391,21 @@ class TestVerdict:
             + "functional " + ", ".join(["1"] * 9) + "\n")
         assert run_cli("verdict", str(path))[0] == 0
 
-        def lying(D, trials=20, bound=10 ** 6, seed=0):
-            return GenericRankResult(d_tau=2, witness=(0,) * (D.n - D.m),
-                                     is_free=False, trials=trials, seed=seed,
-                                     bound=bound)
-        monkeypatch.setattr(verdict_mod, "generic_h_orbit_dim", lying)
+        # a sampled rank above the Bareiss one
+        monkeypatch.setattr(moment, "rank_at", lambda D, x: 2)
+        monkeypatch.setattr(moment, "rank_certificate", lambda D, x: None)
         code, _out, err = run_cli("verdict", str(path))
         assert code == 3
-        assert "internal disagreement" in err
-
+        assert err == ("internal disagreement: generic rank mismatch: "
+                       "probabilistic 2 vs certified 1\n")
 
     def test_a_certificate_with_a_wrong_gap_exits_three(self, monkeypatch):
-        sampled = verdict_mod.generic_h_orbit_dim
+        certificate = moment.rank_certificate
 
-        def wrong_gap(*args, **kw):
-            res = sampled(*args, **kw)
-            dim_u, dim_w, steps = res.certificate
-            return dataclasses.replace(res,
-                                       certificate=(dim_u, dim_w + 1, steps))
-        monkeypatch.setattr(verdict_mod, "generic_h_orbit_dim", wrong_gap)
+        def wrong_gap(D, x):
+            dim_u, dim_w, steps = certificate(D, x)
+            return dim_u, dim_w + 1, steps
+        monkeypatch.setattr(moment, "rank_certificate", wrong_gap)
         code, out, err = run_cli("verdict", corpus_file("heisenberg_yz"))
         assert (code, out) == (3, "")
         assert err == ("internal disagreement: generic rank mismatch: "
@@ -521,6 +527,22 @@ class TestRank:
         code, _out, err = run_cli("rank", corpus_file("heisenberg_yz"))
         assert code == 1
 
+    def test_empty_point_when_h_is_g(self, tmp_path):
+        # h = g leaves the chart no coordinates: "" is the one point
+        path = tmp_path / "axb_whole.alg"
+        path.write_text("algebra axb\ndim 2\nbasis A B\nbracket A B = B\n"
+                        "subalgebra A; B\nfunctional 1, 0\n")
+        code, out, err = run_cli("rank", str(path), "--point", "")
+        assert (code, err) == (0, "")
+        assert out.startswith('point: ["1", "0"]\nrank_M: 0\n')
+        assert run_cli("rank", str(path), "--point=")[1] == out
+        code, out, err = run_cli("jacobian", str(path), "--point", "")
+        assert (code, err) == (0, "")
+        assert "rank_matches: true\n" in out
+        assert run_cli("rank", str(path), "--point", "1") == (
+            1, "", "error: --point needs 0 coordinates for this datum, "
+                   "got 1\n")
+
 
 class TestJacobian:
     def test_grelaud_report(self):
@@ -574,6 +596,15 @@ class TestJacobian:
                                      "--point", "2,1/2", f"--step={step}")
             assert (code, out) == (1, "")
             assert err.startswith("error: --step") and err.count("\n") == 1
+
+    def test_oversized_point_is_a_point_error(self):
+        # a coordinate beyond the float range is the point's fault, not
+        # the step's
+        code, out, err = run_cli("jacobian", corpus_file("grelaud"),
+                                 "--point", "9" * 400 + ",1")
+        assert (code, out) == (1, "")
+        assert err == ("error: --point: a coordinate is too large for "
+                       "floating point\n")
 
     def test_tol_must_be_positive(self):
         for tol in ("-1", "nan", "inf", "1", "2"):

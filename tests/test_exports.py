@@ -1,6 +1,7 @@
 """Every name a module exports exists, so a stale export fails here and
 not at a user's `from orbitadm import *`."""
 
+import argparse
 import importlib
 import pkgutil
 from dataclasses import fields
@@ -8,7 +9,7 @@ from dataclasses import fields
 import pytest
 
 import orbitadm
-from orbitadm import problemfile
+from orbitadm import cli, problemfile
 from orbitadm.verdict import AnalysisConfig
 
 MODULES = ["orbitadm"] + [f"orbitadm.{info.name}"
@@ -34,3 +35,23 @@ def test_option_surface_is_pinned():
     assert tuple(f.name for f in fields(AnalysisConfig)) == (
         "trials", "bound", "seed")
     assert problemfile.CONFIG_KEYS == {"seed", "trials", "bound"}
+    # --symbolic changes nothing, and validate draws no random numbers, but
+    # scripts pass both, so they stay accepted
+    parser = cli.build_parser()
+    assert [a.option_strings for a in parser._actions] == [["-h", "--help"],
+                                                          []]
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {name: [s for a in p._actions for s in a.option_strings]
+               for name, p in sub.choices.items()}
+    help_ = ["-h", "--help"]
+    assert surface == {
+        "validate": help_ + ["--seed"],
+        "verdict": help_ + ["--trials", "--bound", "--seed", "--symbolic",
+                            "--json"],
+        "rank": help_ + ["--point"],
+        "jacobian": help_ + ["--point", "--step", "--tol"],
+        "corpus": help_,
+    }
+    assert set(cli._VALUED_OPTIONS) <= {s for options in surface.values()
+                                        for s in options}

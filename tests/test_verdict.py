@@ -12,7 +12,7 @@ import orbitadm as oa
 from orbitadm import moment
 from orbitadm import verdict as verdict_mod
 from orbitadm.linalg import dot, invert
-from orbitadm.moment import GenericRankResult
+from orbitadm.report import report_dict
 
 from conftest import (CORPUS_NAMES, ORACLES, algebra_from_table,
                       load_bench_families, load_problem, make_abelian,
@@ -21,52 +21,57 @@ from conftest import (CORPUS_NAMES, ORACLES, algebra_from_table,
 from test_moment import CHANGED_BASIS, sampled_oracle
 
 
+def _decided(L, rows, f, unimodular=None):
+    """decide on (L, h, f), with the structure's unimodularity optionally
+    flipped: the verdict table reads no other structural field."""
+    structure, datum = verdict_mod.check_problem(L, rows, f)
+    if unimodular is not None:
+        structure = dataclasses.replace(structure, is_unimodular=unimodular)
+    return verdict_mod.decide(structure, datum)
+
+
+def _no_proof_at_the_witness(monkeypatch):
+    """Make every rank below m unproven at its witness, so that
+    generic_h_orbit_dim falls back to Bareiss."""
+    monkeypatch.setattr(moment, "rank_certificate", lambda D, x: None)
+
+
 class TestSpectralVerdict:
     def test_free_is_absolutely_continuous(self, axb):
-        D = oa.build_datum(axb, [axb.vector(X=1)], [1])
-        G = oa.generic_h_orbit_dim(D, seed=0)
-        S = oa.spectral_verdict(D, G)
-        assert S.status == "AbsolutelyContinuous"
-        assert S.d_tau == S.m == 1
-        assert S.witness is not None
+        rep = _decided(axb, [axb.vector(X=1)], [1])
+        assert rep.spectral == "AbsolutelyContinuous"
+        assert rep.generic.d_tau == rep.datum.m == 1
+        assert report_dict(rep)["witness"] == [str(v) for v
+                                               in rep.generic.witness]
 
     def test_stuck_rank_is_singular(self, h3):
-        D = oa.build_datum(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
-        S = oa.spectral_verdict(D, oa.generic_h_orbit_dim(D, seed=0))
-        assert S.status == "Singular"
-        assert S.witness is None
+        rep = _decided(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
+        assert rep.spectral == "Singular"
+        assert report_dict(rep)["witness"] is None
 
     def test_trivial_subalgebra_free(self, h3):
-        D = oa.build_datum(h3, [], [])
-        S = oa.spectral_verdict(D, oa.generic_h_orbit_dim(D, seed=0))
-        assert S.status == "AbsolutelyContinuous" and S.m == 0
+        rep = _decided(h3, [], [])
+        assert rep.spectral == "AbsolutelyContinuous" and rep.datum.m == 0
 
 
 class TestAdmissibilityVerdict:
-    def _spectral(self, status, d=1, m=1):
-        wit = (Fraction(1),) if status == "AbsolutelyContinuous" else None
-        return verdict_mod.SpectralVerdict(status=status, d_tau=d, m=m,
-                                           witness=wit)
+    def test_ac_nonunimodular_admissible(self, h3):
+        rep = _decided(h3, [h3.vector(X=1)], [0], unimodular=False)
+        assert rep.admissibility == "Admissible"
+        assert rep.rationale == "free_and_nonunimodular"
 
-    def test_ac_nonunimodular_admissible(self):
-        A = oa.admissibility_verdict(
-            self._spectral("AbsolutelyContinuous"), unimodular=False)
-        assert A.status == "Admissible"
-        assert A.rationale == "free_and_nonunimodular"
-
-    def test_singular_never_admissible(self):
+    def test_singular_never_admissible(self, h3):
         for unimod in (True, False):
-            A = oa.admissibility_verdict(self._spectral("Singular", d=0),
-                                         unimodular=unimod)
-            assert A.status == "NotAdmissible"
-            assert A.rationale == "singular_spectrum"
+            rep = _decided(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1],
+                           unimodular=unimod)
+            assert rep.admissibility == "NotAdmissible"
+            assert rep.rationale == "singular_spectrum"
 
-    def test_ac_unimodular_conjectural(self):
-        A = oa.admissibility_verdict(
-            self._spectral("AbsolutelyContinuous"), unimodular=True)
-        assert A.status == "ConjecturallyNotAdmissible"
-        assert A.rationale == "unimodular_free_conjectural"
-        assert "unresolved" in verdict_mod.RATIONALE_TEXT[A.rationale]
+    def test_ac_unimodular_conjectural(self, axb):
+        rep = _decided(axb, [axb.vector(X=1)], [1], unimodular=True)
+        assert rep.admissibility == "ConjecturallyNotAdmissible"
+        assert rep.rationale == "unimodular_free_conjectural"
+        assert "unresolved" in verdict_mod.RATIONALE_TEXT[rep.rationale]
 
 
 class TestFullReport:
@@ -74,17 +79,17 @@ class TestFullReport:
     def test_corpus_oracles(self, name, corpus_problems, monkeypatch):
         def unreachable(D):
             raise AssertionError("Bareiss ran although a proof was found")
-        monkeypatch.setattr(verdict_mod, "symbolic_generic_rank", unreachable)
+        monkeypatch.setattr(moment, "symbolic_generic_rank", unreachable)
         pf = corpus_problems[name]
         rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
                              pf.functional_vals)
         d_tau, m, spectral, admis, unimod = ORACLES[name]
-        assert rep.spectral.d_tau == d_tau
-        assert rep.spectral.m == m
-        assert rep.spectral.status == spectral
-        assert rep.admissibility.status == admis
+        assert rep.generic.d_tau == d_tau
+        assert rep.datum.m == m
+        assert rep.spectral == spectral
+        assert rep.admissibility == admis
         assert rep.structure.is_unimodular == unimod
-        assert rep.certified_rank == rep.generic.d_tau
+        assert isinstance(rep.generic.proof, tuple)
 
     def test_invalid_algebra_short_circuits(self, h3):
         table = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
@@ -113,63 +118,60 @@ class TestFullReport:
                 oa.full_report(make_motion(), [], [],
                                oa.AnalysisConfig(seed=seed))
 
-    def test_large_dimension_certified_symbolically(self):
+    def test_large_dimension_certified_symbolically(self, monkeypatch):
         L = make_abelian(9)
         rep = oa.full_report(L, [], [])
-        assert rep.certified_rank == 0
-        assert rep.spectral.status == "AbsolutelyContinuous"
+        assert rep.generic.d_tau == 0
+        assert rep.spectral == "AbsolutelyContinuous"
         # A x| R^9 with [A, X_i] = i X_i, h = span{X_i}, f = 1: d_tau = 1 < 9
         xs = [f"X{i}" for i in range(1, 10)]
         L = oa.from_brackets("diag9", ["A"] + xs,
                              {("A", x): {x: i} for i, x in enumerate(xs, 1)})
+        _no_proof_at_the_witness(monkeypatch)
         rep = oa.full_report(L, [L.vector(**{x: 1}) for x in xs], [1] * 9)
-        assert rep.certified_rank == rep.generic.d_tau == 1
-        assert rep.spectral.status == "Singular"
+        assert rep.generic.proof == "bareiss"
+        assert rep.generic.d_tau == 1
+        assert rep.spectral == "Singular"
         assert not any("threshold" in w for w in rep.warnings)
 
     def test_work_limit_leaves_the_sampled_route_deciding(
             self, corpus_problems, monkeypatch):
         monkeypatch.setattr(moment, "SYMBOLIC_WORK_LIMIT", 0)
-        # Bareiss runs only when the sampled route found no certificate
-        sampled = verdict_mod.generic_h_orbit_dim
-        monkeypatch.setattr(
-            verdict_mod, "generic_h_orbit_dim",
-            lambda *args, **kw: dataclasses.replace(sampled(*args, **kw),
-                                                    certificate=None))
+        _no_proof_at_the_witness(monkeypatch)
         # Singular: d_tau < m rests on the sampled points alone
         pf = oa.parse(load_bench_families().borel(4, "nilradical").text)
         rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
                              pf.functional_vals)
-        assert rep.certified_rank is None
-        assert (rep.spectral.d_tau, rep.spectral.m) == (3, 6)
+        assert rep.generic.proof is None
+        assert (rep.generic.d_tau, rep.datum.m) == (3, 6)
         assert any("work limit" in w for w in rep.warnings)
-        # free: the exact rank m at the witness proves d_tau = m
+        # free: the exact rank m at the witness proves d_tau = m, so an
+        # unproven result there carries no warning
+        sampled = verdict_mod.generic_h_orbit_dim
+        monkeypatch.setattr(
+            verdict_mod, "generic_h_orbit_dim",
+            lambda *args, **kw: dataclasses.replace(sampled(*args, **kw),
+                                                    proof=None))
         pf = corpus_problems["h5_y1y2"]
         rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
                              pf.functional_vals)
-        assert rep.certified_rank is None
-        assert rep.spectral.d_tau == ORACLES["h5_y1y2"][0] == rep.spectral.m
+        assert rep.generic.proof is None
+        assert rep.generic.d_tau == ORACLES["h5_y1y2"][0] == rep.datum.m
         assert rep.warnings == ()
 
-    def test_disagreement_raises(self, axb, monkeypatch):
+    def test_disagreement_raises(self, h3, monkeypatch):
         # a sampled rank is the exact rank at a point, so it never exceeds
-        # the generic rank: above the symbolic one it is a bug
-        def lying_probabilistic(D, trials=20, bound=10 ** 6, seed=0):
-            return GenericRankResult(d_tau=2, witness=(Fraction(0),),
-                                     is_free=False, trials=trials, seed=seed,
-                                     bound=bound)
-        monkeypatch.setattr(verdict_mod, "generic_h_orbit_dim",
-                            lying_probabilistic)
-        with pytest.raises(oa.DisagreementError):
-            oa.full_report(axb, [axb.vector(X=1)], [1])
+        # the generic rank: above the Bareiss one it is a bug
+        _no_proof_at_the_witness(monkeypatch)
+        monkeypatch.setattr(moment, "symbolic_generic_rank", lambda D: 0)
+        with pytest.raises(oa.DisagreementError,
+                           match="probabilistic 1 vs certified 0"):
+            oa.full_report(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
 
     def test_sampling_miss_raises(self, axb, monkeypatch):
-        # below the symbolic rank it only means the sample missed
-        def unlucky(D, trials=20, bound=10 ** 6, seed=0):
-            return GenericRankResult(d_tau=0, witness=(Fraction(0),),
-                                     is_free=False, trials=trials, seed=seed,
-                                     bound=bound)
-        monkeypatch.setattr(verdict_mod, "generic_h_orbit_dim", unlucky)
+        # below the Bareiss rank it only means the sample missed
+        _no_proof_at_the_witness(monkeypatch)
+        monkeypatch.setattr(moment, "rank_at", lambda D, x: 0)
         with pytest.raises(oa.SamplingMissError,
                            match="trials 3 and bound 7 are too small"):
             oa.full_report(axb, [axb.vector(X=1)], [1],
@@ -189,14 +191,14 @@ class TestFullReport:
             "skew3", [f"Y{i}" for i in range(3)] + [f"X{i}" for i in range(3)]
             + [f"Z{i}{j}" for i, j in pairs], brackets)
         ran = []
-        monkeypatch.setattr(
-            verdict_mod, "symbolic_generic_rank",
-            lambda D: ran.append(D) or moment.symbolic_generic_rank(D))
+        symbolic = moment.symbolic_generic_rank
+        monkeypatch.setattr(moment, "symbolic_generic_rank",
+                            lambda D: ran.append(D) or symbolic(D))
         rep = oa.full_report(L, [L.vector(**{f"Y{i}": 1}) for i in range(3)],
                              [0, 0, 0])
-        assert rep.generic.certificate is None and len(ran) == 1
-        assert rep.certified_rank == rep.generic.d_tau == 2
-        assert rep.spectral.status == "Singular"
+        assert rep.generic.proof == "bareiss" and len(ran) == 1
+        assert rep.generic.d_tau == 2
+        assert rep.spectral == "Singular"
         assert sampled_oracle(rep.datum) == (rep.generic.d_tau,
                                              rep.generic.witness)
 
@@ -241,8 +243,8 @@ class TestFullReport:
             rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
                                  pf.functional_vals,
                                  oa.AnalysisConfig(seed=seed))
-            outcomes.add((rep.spectral.status, rep.spectral.d_tau,
-                          rep.admissibility.status))
+            outcomes.add((rep.spectral, rep.generic.d_tau,
+                          rep.admissibility))
         assert len(outcomes) == 1
 
 
@@ -274,8 +276,8 @@ class TestConsistencyTable:
         seen_ac = seen_sing = 0
         for L, rows, f in self._random_data():
             rep = oa.full_report(L, rows, f, oa.AnalysisConfig(trials=8))
-            spectral = rep.spectral.status
-            admis = rep.admissibility.status
+            spectral = rep.spectral
+            admis = rep.admissibility
             if spectral == "Singular":
                 seen_sing += 1
                 assert admis == "NotAdmissible"
@@ -314,7 +316,7 @@ def invertible_matrices(draw, n):
 
 def _decisions(L, rows, f) -> tuple:
     rep = oa.full_report(L, rows, f)
-    return (rep.spectral.d_tau, rep.spectral.status, rep.admissibility.status,
+    return (rep.generic.d_tau, rep.spectral, rep.admissibility,
             rep.structure.is_unimodular, rep.structure.exponentiality)
 
 
