@@ -9,7 +9,9 @@ M(x) U inside W at every x, which bounds the rank from above by
 over a basis of the span of its chart coefficients, so each entry is a
 linear form in a few new variables (printed x1, x2, ...), and eliminates
 fraction-free over the polynomial ring, which certifies the rank outright
-but names no point.  generic_h_orbit_dim runs it only when no certificate
+but names no point.  Both read the datum's one sparse pencil, which holds
+only the m x (n - m) block of columns X_1..X_{n-m}: the columns of the
+Y_j are 0, since f is a character, so that block is what is printed.  generic_h_orbit_dim runs it only when no certificate
 closes, and its result's proof field says which route proved the rank;
 this script runs both to make the agreement visible.
 """
@@ -24,7 +26,7 @@ for name in ("heisenberg_yz", "grelaud", "h5_y1y2", "diag_2d"):
     D = build_datum(pf.algebra, pf.subalgebra_rows, pf.functional_vals)
 
     print(f"== {name} (n = {D.n}, m = {D.m})")
-    print("   moment entries as linear forms over the pencil's span:")
+    print("   the m x (n - m) block, as linear forms over the pencil's span:")
     for row in symbolic_moment_entries(D):
         print("     ", [str(p) for p in row])
 

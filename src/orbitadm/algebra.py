@@ -127,8 +127,10 @@ def validate(L: LieAlgebra) -> list[Violation]:
 
     Violations are returned as data; an empty list certifies the table.
     Both checks run over the nonzero constants only: antisymmetry on the
-    pairs (i <= j) with a nonzero entry either way, Jacobi by expanding the
-    cyclic sum through nonzero entries.
+    pairs (i <= j) with a nonzero entry either way, Jacobi on the nonzero
+    terms [[Z_a, Z_b], Z_c] alone, each added to the cyclic sum of the
+    triple i < j < k it is a rotation of, (i, j, k), (j, k, i) or (k, i, j).
+    A triple with no such term has cyclic sum 0.
     """
     n = L.dim
     nz = L.nonzero
@@ -142,18 +144,21 @@ def validate(L: LieAlgebra) -> list[Violation]:
                 sums[k] = sums.get(k, 0) + q
             out.extend(Violation("antisymmetry", (i, j, k), sums[k])
                        for k in sorted(sums) if sums[k] != 0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                res: dict[int, Fraction] = {}
-                for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
-                    # [[Z_a, Z_b], Z_c] expanded through the table
-                    for p, coeff in nz[a][b]:
-                        for q, r in nz[p][cc]:
+    support = [[(c, pairs) for c, pairs in enumerate(plane) if pairs]
+               for plane in nz]
+    cyclic: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    for a in range(n):
+        for b, ab in support[a]:
+            for p, coeff in ab:
+                for c, pc in support[p]:
+                    if a < b < c or b < c < a or c < a < b:
+                        res = cyclic.setdefault(tuple(sorted((a, b, c))), {})
+                        for q, r in pc:
                             res[q] = res.get(q, 0) + coeff * r
-                if any(res.values()):
-                    out.append(Violation("jacobi", (i, j, k), tuple(
-                        Fraction(res.get(q, 0)) for q in range(n))))
+    for triple, res in sorted(cyclic.items()):
+        if any(res.values()):
+            out.append(Violation("jacobi", triple, tuple(
+                Fraction(res.get(q, 0)) for q in range(n))))
     return out
 
 

@@ -190,11 +190,13 @@ def _cmd_jacobian(args, out) -> int:
     from .geometry import fd_jacobian  # numpy: loaded for this command only
     datum, x = _datum_and_point(args)
     try:  # fd_jacobian differentiates in floating point
-        for v in x:
-            float(v)
+        coordinates = [float(v) for v in x]
     except OverflowError:
         raise _UsageError("--point: a coordinate is too large for floating "
                           "point")
+    if any(v - args.step == v or v + args.step == v for v in coordinates):
+        raise _UsageError("--step is below the spacing of floating point at "
+                          "a --point coordinate")
     try:
         jr = fd_jacobian(datum, x, h=args.step, rel_tol=args.tol)
     except OverflowError as exc:

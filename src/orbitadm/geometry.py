@@ -23,8 +23,7 @@ from functools import cache
 import numpy as np
 
 from .algebra import DimensionMismatchError, LieAlgebra, ad_matrix
-from .linalg import rank_exact
-from .moment import moment_matrix
+from .moment import moment_matrix, rank_at
 from .monomial import MonomialDatum, point_on_variety
 
 
@@ -198,5 +197,5 @@ def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
         max_dev_topright=dev(top_right),
         max_dev_bottomright=dev(bottom_right),
         numerical_rank_J=numerical_rank(J, rel_tol),
-        expected_rank=rank_exact(M) + nfree,
+        expected_rank=rank_at(D, x_exact) + nfree,
     )

@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Matrices are sequences of rows of ``fractions.Fraction`` (plain ints are
-accepted and coerced).  Everything here is exact.  Ranks come from
+accepted and coerced).  Everything here is exact.  ``rank_exact`` is
 fraction-free (Bareiss) elimination on denominator-cleared integer rows.
-Rref, kernels and inverses come from one sparse reduction, ``echelon``,
-on rows held as {column: nonzero Fraction}: it never visits a zero entry
-and never divides by a pivot equal to 1.
+Rref, kernels, inverses and the ranks of sparse rows come from one sparse
+reduction, ``echelon``, on rows held as {column: nonzero Fraction}: it
+never visits a zero entry and never divides by a pivot equal to 1.
 """
 
 from __future__ import annotations
@@ -99,9 +99,11 @@ def rank_exact(mat) -> int:
 
 
 def sparse_rows(mat) -> list[Sparse]:
-    """The nonzero entries of each row, as {column: Fraction}."""
+    """The nonzero entries of each row, as {column: Fraction}; a row may
+    already be sparse, a dict {column: value}."""
     return [{k: x if type(x) is Fraction else Fraction(x)
-             for k, x in enumerate(row) if x} for row in mat]
+             for k, x in (row.items() if isinstance(row, dict)
+                          else enumerate(row)) if x} for row in mat]
 
 
 def dense_rows(rows, n_cols: int) -> list[list[Fraction]]:
@@ -190,7 +192,8 @@ def rref(mat) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def nullspace(mat, n_cols: int | None = None) -> list[list[Fraction]]:
-    """Canonical basis of the right kernel {v : mat @ v = 0}."""
+    """Canonical basis of the right kernel {v : mat @ v = 0}; rows may be
+    sparse, given n_cols."""
     if n_cols is None:
         if not mat:
             raise ValueError("n_cols required for an empty matrix")

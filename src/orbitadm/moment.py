@@ -5,9 +5,10 @@ with B_j running over the adapted basis.  Its exact rank equals the
 dimension of the H-orbit of l, and the H-stabilizer subalgebra
 h(l) = { Y in h : l([Y, .]) = 0 } is the left kernel of M(l) pushed through
 the generators.  Every reader takes l = l_x in A_tau by its chart point x
-and evaluates the datum's integer pencil M(x) = M_0 + sum x_r M_r, whose
-row i is row_scales[i] times that of M(l_x): rank_at ranks it as it is,
-moment_matrix divides the scales out.  The generic value of that rank,
+and evaluates the datum's sparse exact pencil M(x) = M_0 + sum x_r M_r
+there once, into the sparse columns of its m x (n - m) block (the first m
+columns of M(l_x) are 0); rank_at ranks them by sparse elimination.  The
+generic value of that rank,
 
     d_tau = max over l in A_tau of dim H.l,
 
@@ -31,12 +32,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .algebra import DimensionMismatchError
-from .linalg import (WorkLimitError, bareiss, cleared_int_rows, echelon,
-                     left_nullspace, matmul, nullspace, rank_exact,
-                     reduce_in_place, rref)
+from .linalg import (Sparse, WorkLimitError, bareiss, cleared_int_rows,
+                     dense_rows, echelon, matmul, nullspace, reduce_in_place,
+                     rref_sparse)
 from .monomial import MonomialDatum, point_on_variety
 from .poly import Poly
 
@@ -55,24 +55,31 @@ __all__ = [
 SYMBOLIC_WORK_LIMIT = 10 ** 6
 
 
-def _scaled_moment(D: MonomialDatum, x) -> list[list]:
-    """The pencil at chart point x: M(l_x) with row i times row_scales[i]."""
+def _block_at(D: MonomialDatum, x) -> list[Sparse]:
+    """Column r of the m x (n - m) block of M(l_x), as {i: nonzero entry},
+    for r = 0..n-m-1: the pencil at chart point x."""
     if len(x) != D.n - D.m:
         raise DimensionMismatchError(
             f"chart point needs {D.n - D.m} coordinates, got {len(x)}")
-    xs = (1, *(v if type(v) is int else Fraction(v) for v in x))
-    return [[sum(map(mul, entry, xs)) for entry in row] for row in D.pencil]
+    columns: list[Sparse] = [{} for _ in x]
+    for t, coefficient in zip((1, *map(Fraction, x)), D.pencil):
+        if t:
+            for column, pairs in zip(columns, coefficient):
+                for i, c in pairs:
+                    column[i] = column.get(i, 0) + t * c
+    return [{i: c for i, c in column.items() if c} for column in columns]
 
 
 def rank_at(D: MonomialDatum, x) -> int:
     """Exact rank of the moment matrix at chart point x, from the pencil."""
-    return rank_exact(_scaled_moment(D, x))
+    return len(echelon(_block_at(D, x))[0])
 
 
 def moment_matrix(D: MonomialDatum, x) -> tuple[Vector, ...]:
     """The exact m x n moment matrix M(l_x) at chart point x."""
-    return tuple(tuple(Fraction(v, scale) for v in row) for row, scale
-                 in zip(_scaled_moment(D, x), D.row_scales))
+    block, zero = _block_at(D, x), Fraction(0)
+    return tuple((zero,) * D.m + tuple(column.get(i, zero) for column in block)
+                 for i in range(D.m))
 
 
 @dataclass(frozen=True)
@@ -96,12 +103,12 @@ def stabilizer_report(D: MonomialDatum, x) -> StabilizerReport:
 
     h(l) comes from the left kernel of M(l): a row combination a with
     a M(l) = 0 corresponds to the element sum a_i Y_i, so rank M(l) is
-    m - dim h(l).  g(l) is the kernel of the skew form B(l), whose rank
-    (always even) is dim G.l.
+    m - dim h(l).  That kernel is the right kernel of M(l)^T, whose nonzero
+    rows are the block's columns.  g(l) is the kernel of the skew form
+    B(l), whose rank (always even) is dim G.l.
     """
-    M = moment_matrix(D, x)
     m, n = D.m, D.n
-    h_basis = tuple(map(tuple, matmul(left_nullspace(M, n_rows=m),
+    h_basis = tuple(map(tuple, matmul(nullspace(_block_at(D, x), n_cols=m),
                                       D.generators)))
     l = point_on_variety(D, x)
     g_basis = tuple(tuple(v) for v in nullspace(skew_form_matrix(D, l),
@@ -152,8 +159,8 @@ def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
     """Prove that no chart point gives the pencil a rank above its rank at
     x, or return None.
 
-    The first m columns of M(x) = M_0 + sum x_r M_r are 0, so this reads
-    the m x (n - m) block.  With A that block at x, the second Wong
+    It reads the m x (n - m) block of M(x) = M_0 + sum x_r M_r, where the
+    pencil lives.  With A that block at x, the second Wong
     sequence W_0 = 0, U_i = {u : A u in W_i}, W_{i+1} = sum_v M_v U_i over
     the n - m + 1 coefficient matrices rises to a limit W*.  If some W_i
     leaves im A, nothing is proven: None.  Otherwise U = U* has
@@ -166,17 +173,7 @@ def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
     pencil's non-commutative rank.
     """
     m, k = D.m, D.n - D.m
-    # coefficient matrices by column: columns[v][j] = {row: M_v[row][j]}
-    columns: list[list[dict[int, int]]] = [[{} for _ in range(k)]
-                                           for _ in range(k + 1)]
-    for i, row in enumerate(D.pencil):
-        for j, entry in enumerate(row[m:]):
-            for v, c in enumerate(entry):
-                if c:
-                    columns[v][j][i] = c
-    at_x = _scaled_moment(D, x)
-    a_columns = [{i: row[j] for i, row in enumerate(at_x) if row[j]}
-                 for j in range(m, m + k)]
+    a_columns = _block_at(D, x)
     image_rows, image_pivots = echelon(a_columns)
     w_rows: list = []
     w_pivots: list[int] = []
@@ -186,16 +183,16 @@ def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
         residues = [dict(a) for a in a_columns]
         for residue in residues:
             reduce_in_place(residue, w_rows, w_pivots)
-        # cleared to integers, so the products below are int arithmetic
+        # cleared to integers: each product below scales an entry by an int
         U = cleared_int_rows(nullspace(
             [[r.get(i, 0) for r in residues] for i in range(m)], n_cols=k))
         products = []
         for u in U:
             support = [(j, uj) for j, uj in enumerate(u) if uj]
-            for coefficient in columns:
+            for coefficient in D.pencil:
                 w: dict = {}
                 for j, uj in support:
-                    for i, c in coefficient[j].items():
+                    for i, c in coefficient[j]:
                         w[i] = w.get(i, 0) + c * uj
                 products.append(w)
         rows, pivots = echelon(products)
@@ -273,16 +270,17 @@ def symbolic_moment_entries(D: MonomialDatum) -> list[list[Poly]]:
     M(x) lies in V = span{M_0, ..., M_{n-m}}, and its generic rank is that
     of y_1 N_1 + ... + y_s N_s for any basis N of V (giving M_0 a variable
     and changing parameters linearly keep the generic rank).  N is the rref
-    basis of the flattened M_v, cleared to integers; the sparse reduction
-    behind ``rref`` visits only their nonzero entries.  s can be far below
-    n - m + 1: for h_{2k+1} with a Lagrangian h, in any basis of g, the
-    pencil is one matrix times a linear form, so s = 1.
+    basis of the M_v, each flattened sparse over the m x (n - m) block where
+    the pencil lives, cleared to integers; the entries returned are that
+    block's.  s can be far below n - m + 1: for h_{2k+1} with a Lagrangian
+    h, in any basis of g, the pencil is one matrix times a linear form, so
+    s = 1.
     """
-    m, n = D.m, D.n
-    flat = [[entry[v] for row in D.pencil for entry in row]
-            for v in range(n - m + 1)]
-    basis = cleared_int_rows(rref(flat)[0])
-    return [[Poly.affine(0, [b[i * n + j] for b in basis]) for j in range(n)]
+    m, k = D.m, D.n - D.m
+    flat = [{i * k + r: c for r, pairs in enumerate(coefficient)
+             for i, c in pairs} for coefficient in D.pencil]
+    basis = cleared_int_rows(dense_rows(rref_sparse(flat)[0], m * k))
+    return [[Poly.affine(0, [b[i * k + r] for b in basis]) for r in range(k)]
             for i in range(m)]
 
 

@@ -9,10 +9,10 @@ x -> l for the spectral variety
 
     A_tau = { l in g* : l(Y) = f(Y) on h }  =  f + h^perp
 
-and the moment pencil over it.  The datum keeps the adapted basis, its
-inverse, f_vals and the pencil; the generators are the first m adapted
-rows.  Brackets run over the nonzero coordinates through the sparse table,
-and each pair of generators is bracketed once.
+and the moment pencil over it, stored sparse and exact.  The datum keeps
+the adapted basis, its inverse, f_vals and the pencil; the generators are
+the first m adapted rows.  Brackets run over the nonzero coordinates
+through the sparse table, and each pair of generators is bracketed once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .algebra import DimensionMismatchError, LieAlgebra, _sparse_bracket
 from .linalg import (as_fraction_rows, dense_rows, dot, echelon, invert,
@@ -28,8 +27,9 @@ from .linalg import (as_fraction_rows, dense_rows, dot, echelon, invert,
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
-# pencil[i][j] = (c_0, c_1, ..., c_{n-m}): entry (i, j) is c_0 + sum c_r x_r
-Pencil = tuple[tuple[tuple[int, ...], ...], ...]
+# pencil[v][r]: the nonzero (i, c) pairs of column r of M_v, i rising, over
+# the m x (n - m) block; entry (i, r) of M(x) is sum over v of c x_v, x_0 = 1
+Pencil = tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
 
 
 class RankDeficientError(ValueError):
@@ -64,9 +64,9 @@ class MonomialDatum:
     Y_i, rows m..n-1 the greedy standard-vector completion X_r.
     adapted_inv is its exact inverse and f_vals[j] = f(Y_j).  pencil is the
     moment matrix M(l_x)[i][j] = l_x([Y_i, B_j]) over the chart, B_j running
-    over the adapted basis, as M(x) = M_0 + sum x_r M_r with row i
-    multiplied by row_scales[i] to make it integral (which keeps its rank at
-    every x).
+    over the adapted basis, as M(x) = M_0 + sum x_r M_r.  Its first m
+    columns are 0, since f kills [h, h], so it holds only the block
+    j >= m, column by column and sparse (see ``Pencil``).
     """
 
     algebra: LieAlgebra
@@ -74,7 +74,6 @@ class MonomialDatum:
     adapted_rows: Matrix
     adapted_inv: Matrix
     pencil: Pencil = field(repr=False)
-    row_scales: tuple[int, ...] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -134,35 +133,25 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
         value = sum((forms[k][0] * c for k, c in w.items() if c), Fraction(0))
         if value != 0:
             raise NotACharacterError(i, j, value)
-    pencil, scales = _moment_pencil(L, coords, kept, forms)
     return MonomialDatum(algebra=L, f_vals=vals, adapted_rows=adapted,
-                         adapted_inv=inv, pencil=pencil, row_scales=scales)
+                         adapted_inv=inv,
+                         pencil=_moment_pencil(L, coords, kept, forms))
 
 
-def _moment_pencil(L, coords, kept,
-                   forms) -> tuple[Pencil, tuple[int, ...]]:
-    """Entry (i, j) is l_x([Y_i, B_j]), paired with forms[k], the constant
-    and x_r coefficients of l_x at k, over the bracket's nonzero coordinates.
-    For j < m the bracket lies in h, where l_x is f, which kills it: 0.
-    Returns the integer pencil and the row scales that made it integral."""
-    m, width = len(coords), len(forms) - len(coords) + 1
-    chart = [[(r, v) for r, v in enumerate(values) if v] for values in forms]
-    pencil, scales = [], []
-    for y in coords:
-        row = []
-        for k in kept:
-            entry: dict[int, Fraction] = {}
+def _moment_pencil(L, coords, kept, forms) -> Pencil:
+    """Entry (i, r) is l_x([Y_i, X_r]), paired with forms[t], the constant
+    and x_v coefficients of l_x at t, over the bracket's nonzero
+    coordinates; each coefficient goes to column r of its M_v."""
+    chart = [[(v, a) for v, a in enumerate(values) if a] for values in forms]
+    pencil = [[{} for _ in kept] for _ in range(len(kept) + 1)]
+    for i, y in enumerate(coords):
+        for r, k in enumerate(kept):
             for t, c in _sparse_bracket(L, y.items(), ((k, 1),)).items():
-                if c:
-                    for r, v in chart[t]:
-                        entry[r] = entry.get(r, 0) + c * v
-            row.append(entry)
-        scale = lcm(*(c.denominator for entry in row for c in entry.values()))
-        pencil.append(((0,) * width,) * m + tuple(
-            tuple(int(entry.get(r, 0) * scale) for r in range(width))
-            for entry in row))
-        scales.append(scale)
-    return tuple(pencil), tuple(scales)
+                for v, a in chart[t]:
+                    column = pencil[v][r]
+                    column[i] = column.get(i, 0) + c * a
+    return tuple(tuple(tuple((i, c) for i, c in column.items() if c)
+                       for column in columns) for columns in pencil)
 
 
 def point_on_variety(D: MonomialDatum, x) -> Vector:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbitadm as oa
 from orbitadm import algebra
@@ -100,6 +102,69 @@ class TestBracket:
                 piece = oa.bracket(L, oa.bracket(L, a, b), c)
                 total = [t + p for t, p in zip(total, piece)]
             assert all(t == 0 for t in total)
+
+
+def triple_loop_validate(L):
+    """``validate`` as it was written first: antisymmetry over the pairs
+    i <= j, then the cyclic sum of every triple i < j < k in turn."""
+    n, nz = L.dim, L.nonzero
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            sums = {}
+            for k, q in nz[i][j] + nz[j][i]:
+                sums[k] = sums.get(k, 0) + q
+            out.extend(oa.Violation("antisymmetry", (i, j, k), sums[k])
+                       for k in sorted(sums) if sums[k] != 0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                res = {}
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    for p, coeff in nz[a][b]:
+                        for q, r in nz[p][c]:
+                            res[q] = res.get(q, 0) + coeff * r
+                if any(res.values()):
+                    out.append(oa.Violation("jacobi", (i, j, k), tuple(
+                        Fraction(res.get(q, 0)) for q in range(n))))
+    return out
+
+
+@st.composite
+def sparse_tables(draw):
+    """A table on 1..6 basis vectors with a few nonzero constants.  Filled
+    by antisymmetry or not; either way most break Jacobi, and tables with
+    few constants often satisfy it."""
+    n = draw(st.integers(1, 6))
+    index = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(
+        index, index, index,
+        st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+        max_size=2 * n))
+    mirrored = draw(st.booleans())
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, q in entries:
+        c[i][j][k] += q
+        if mirrored:
+            c[j][i][k] -= q
+    return algebra_from_table("random", [f"Z{i}" for i in range(n)], c)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(L=sparse_tables())
+def test_validate_matches_the_triple_loop(L):
+    assert oa.validate(L) == triple_loop_validate(L)
+
+
+@pytest.mark.parametrize("make", [make_h3, make_axb, make_motion, make_sl2],
+                         ids=lambda make: make.__name__)
+def test_validate_matches_the_triple_loop_in_a_random_basis(make):
+    # dense tables: valid as they are, then with one constant changed
+    L, rng = make(), random.Random(make.__name__)
+    L = transform_algebra(L, random_invertible(rng, L.dim))
+    assert oa.validate(L) == triple_loop_validate(L) == []
+    bent = inject_constant(L, 0, 1, L.dim - 1, rng.randint(1, 9))
+    assert oa.validate(bent) == triple_loop_validate(bent) != []
 
 
 class TestAdMatrix:

@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,8 @@ import orbitadm as oa
 import orbitadm.cli as cli
 from orbitadm import moment
 
-from conftest import CORPUS_NAMES, ORACLES, load_bench_families, run_cli
+from conftest import (CORPUS_NAMES, ORACLES, load_bench_families,
+                      moment_reference, run_cli)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -25,7 +27,7 @@ def _frozen_points():
     """(name, label, point): the benchmark's point of each corpus file and
     one rational point, whose `rank` and `jacobian` reports are frozen in
     fixtures/points/NAME.COMMAND.LABEL.txt; and two points of
-    fixtures/rational_scales.alg, whose pencil row has scale 90."""
+    fixtures/rational_scales.alg, whose pencil entries are rational."""
     cases = []
     for name in CORPUS_NAMES:
         point = _families.CORPUS[name][3]
@@ -497,11 +499,19 @@ class TestRank:
         assert (code, out, err) == (
             1, "", "error: --step must be positive and finite\n")
 
-    def test_rational_fixture_has_a_row_scale_of_90(self):
+    def test_rational_fixture_matches_the_definition(self):
+        # rational constants and functional give the pencil rational
+        # entries; at both frozen points the moment matrix is exact
         pf = oa.parse((FIXTURES / "rational_scales.alg").read_text())
         assert oa.validate(pf.algebra) == []
         D = oa.build_datum(pf.algebra, pf.subalgebra_rows, pf.functional_vals)
-        assert D.row_scales == (90,)
+        assert max(c.denominator for coefficient in D.pencil
+                   for pairs in coefficient for _, c in pairs) == 18
+        for _, label, point in FROZEN_POINTS:
+            if label in ("p1", "p2"):
+                x = [Fraction(v) for v in point.split(",")]
+                assert oa.moment_matrix(D, x) == moment_reference(
+                    D, oa.point_on_variety(D, x))
 
     def test_skips_structural_screens(self):
         # rank is a pointwise computation; it must work on the motion
@@ -605,6 +615,24 @@ class TestJacobian:
         assert (code, out) == (1, "")
         assert err == ("error: --point: a coordinate is too large for "
                        "floating point\n")
+
+    def test_step_below_float_spacing_is_a_usage_error(self):
+        # where x_r + step or x_r - step rounds to x_r, the chart columns
+        # of the difference quotient vanish or halve, and the report would
+        # read as a failed derivative check; 2^53 + 1 rounds, 2^53 - 1
+        # does not
+        for point, step in (("1" + "0" * 300 + ",1", "1e-4"),
+                            ("2,1/2", "1e-17"),
+                            ("1," + str(2 ** 53), "1")):
+            code, out, err = run_cli("jacobian", corpus_file("grelaud"),
+                                     "--point", point, "--step", step)
+            assert (code, out) == (1, "")
+            assert err == ("error: --step is below the spacing of floating "
+                           "point at a --point coordinate\n")
+        code, _out, _err = run_cli("jacobian", corpus_file("grelaud"),
+                                   "--point", "1," + str(2 ** 53),
+                                   "--step", "2")
+        assert code == 0
 
     def test_tol_must_be_positive(self):
         for tol in ("-1", "nan", "inf", "1", "2"):

@@ -86,9 +86,11 @@ class TestMomentMatrix:
         # adapted order (X, A); l[X,A] = -l(X) = -1
         assert M == ((0, -1),)
 
-    def test_row_scale_divided_out(self, axb):
+    def test_rational_entry_stored_exactly(self, axb):
+        # l[X, A] = -f(X) = -1/2 at every x: M_0 holds it, M_1 is empty,
+        # and the first (Y) column of M is not stored
         D = oa.build_datum(axb, [axb.vector(X=1)], [Fraction(1, 2)])
-        assert D.pencil == (((0, 0), (-1, 0)),) and D.row_scales == (2,)
+        assert D.pencil == ((((0, Fraction(-1, 2)),),), ((),))
         assert oa.moment_matrix(D, (5,)) == ((0, Fraction(-1, 2)),)
 
     def test_affine_in_x(self, corpus_data):
@@ -127,12 +129,16 @@ class TestMomentMatrix:
 def _assert_pencil_matches_definition(D, rng, points):
     for _ in range(points):
         x = random_vector(rng, D.n - D.m)
-        assert oa.moment_matrix(D, x) == moment_reference(
-            D, oa.point_on_variety(D, x))
+        reference = moment_reference(D, oa.point_on_variety(D, x))
+        assert oa.moment_matrix(D, x) == reference
+        rank = rank_exact(reference)
+        assert oa.rank_at(D, x) == oa.stabilizer_report(D, x).rank_M == rank
 
 
 class TestPencilAgainstDefinition:
-    """The pencil, divided by its row scales, is exactly l_x([Y_i, B_j])."""
+    """Every reader of the pencil agrees with l_x([Y_i, B_j]) taken from
+    the definition: the moment matrix entry by entry, and rank_at and the
+    stabilizer report's rank with Bareiss over the integers."""
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_corpus(self, name, corpus_data):
@@ -257,9 +263,9 @@ class TestSymbolicRank:
     def test_axb_constant_entry(self, axb):
         D = oa.build_datum(axb, [axb.vector(X=1)], [1])
         entries = moment.symbolic_moment_entries(D)
-        # M(x) = (0, -1) at every x: its span is one matrix, one variable
-        assert str(entries[0][0]) == "0"
-        assert str(entries[0][1]) == "1*x1"
+        # M(x) = (0, -1) at every x: its span is one matrix, one variable;
+        # the entries are those of the block, here the one entry -1
+        assert [[str(p) for p in row] for row in entries] == [["1*x1"]]
         assert oa.symbolic_generic_rank(D) == 1
 
     def test_h3_yz_largest_minor_is_one(self, h3):
@@ -293,13 +299,14 @@ class TestSymbolicRank:
 
 
 def _hand_pencil(block):
-    """A stand-in datum whose pencil is 0 on its first m columns and
-    ``block`` (m x k entries (c_0, c_1, ..., c_k), meaning
-    c_0 + sum c_r x_r) on the rest."""
+    """A stand-in datum whose m x k block is ``block``, its entries
+    (c_0, c_1, ..., c_k) meaning c_0 + sum c_v x_v, stored as the datum
+    stores it: pencil[v][r] holds the nonzero (i, c_v) of column r."""
     m, k = len(block), len(block[0])
-    zero = ((0,) * (k + 1),) * m
     return SimpleNamespace(n=m + k, m=m, pencil=tuple(
-        zero + tuple(map(tuple, row)) for row in block))
+        tuple(tuple((i, row[r][v]) for i, row in enumerate(block)
+                    if row[r][v]) for r in range(k))
+        for v in range(k + 1)))
 
 
 class TestRankCertificate:
