@@ -1,13 +1,18 @@
 """Finite-dimensional real Lie algebras with exact rational structure constants.
 
-A ``LieAlgebra`` stores only its sparse bracket table: ``nonzero[i][j]`` is
-the tuple of (k, q) pairs with [Z_i, Z_j] = sum q Z_k, q a nonzero
-``Fraction`` and k rising.  ``from_brackets`` builds it from a list of
-brackets, and brackets, adjoint matrices, validation and the structural
-classification (solvable, nilpotent, unimodular, exponential) all read it,
-so their cost follows the nonzero constants, not n^3.  Exponentiality is
-decided exactly over Q, with the univariate helpers of ``univariate``;
-nothing here uses floating point.
+A ``LieAlgebra`` stores its sparse bracket table as integers: with D the
+lcm of the constants' denominators, ``table[i][j]`` is the tuple of (k, q)
+pairs with [W_i, W_j] = sum q W_k in the basis W_i = D Z_i, q = D c a
+nonzero ``int`` and k rising.  ``from_constants`` builds it from the
+constants as given, ``from_brackets`` from a list of brackets.  Validation
+and the structural classification (solvable, nilpotent, unimodular,
+exponential) read the integer table, so their cost follows the nonzero
+constants, not n^3, and their spans are fraction-free
+(``linalg.integer_span``).  None of them changes under the scaling by D;
+every exact value that leaves this module (brackets, adjoint matrices,
+traces, violation residuals, the ``nonzero`` constants) is scaled back to
+the basis Z_i.  Exponentiality is decided exactly over Q, with the
+univariate helpers of ``univariate``; nothing here uses floating point.
 """
 
 from __future__ import annotations
@@ -15,10 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from . import univariate
-from .linalg import (SingularMatrixError, Sparse, echelon, invert, mat_vec,
-                     matmul, reduce_in_place, rref, sparse_rows)
+from .linalg import (SingularMatrixError, Sparse, cleared, echelon,
+                     integer_span, invert, mat_vec, matmul, reduce_in_place,
+                     rref, sparse_rows)
 
 Vector = tuple[Fraction, ...]
 
@@ -55,13 +62,24 @@ class Violation:
 class LieAlgebra:
     name: str
     basis_names: tuple[str, ...]
-    # nonzero[i][j]: the (k, q) pairs of [Z_i, Z_j] with q != 0, k rising;
-    # canonical, so equality and hashing follow the structure constants
-    nonzero: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
+    # table[i][j]: the (k, q) pairs of [W_i, W_j] with q a nonzero int, k
+    # rising, in the basis W_i = scale * Z_i; scale is the lcm of the
+    # constants' denominators, so equality and hashing follow the constants
+    table: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    scale: int
 
     @property
     def dim(self) -> int:
         return len(self.basis_names)
+
+    @property
+    def nonzero(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...],
+                               ...]:
+        """The constants themselves: nonzero[i][j] holds the (k, c) pairs
+        of [Z_i, Z_j] = sum c Z_k, c a nonzero Fraction, k rising."""
+        d = self.scale
+        return tuple(tuple(tuple((k, Fraction(q, d)) for k, q in pairs)
+                           for pairs in plane) for plane in self.table)
 
     def index_of(self, name: str) -> int:
         return self.basis_names.index(name)
@@ -75,6 +93,31 @@ class LieAlgebra:
                              for name, value in coeffs.items()], self.dim)
 
 
+def from_constants(name: str, basis_names, constants) -> LieAlgebra:
+    """The algebra with [Z_i, Z_j] = sum q Z_k for each entry
+    (i, j) -> {k: q} of ``constants``, read as given: pairs not listed
+    bracket to zero, zero coefficients are dropped, and nothing is filled
+    by antisymmetry, so a table that breaks it keeps its fault.
+    Coefficients are ints or anything ``Fraction`` accepts.
+    """
+    names = tuple(basis_names)
+    n = len(names)
+    if len(set(names)) != n:
+        raise ValueError("basis names must be distinct")
+    planes = {ij: [(k, q if type(q) in (int, Fraction) else Fraction(q))
+                   for k, q in combo.items()]
+              for ij, combo in constants.items()}
+    # an int has denominator 1 and is its own numerator
+    scale = lcm(*(q.denominator for pairs in planes.values()
+                  for _, q in pairs))
+    table = [[()] * n for _ in range(n)]
+    for (i, j), pairs in planes.items():
+        table[i][j] = tuple(sorted(
+            (k, q.numerator * (scale // q.denominator)) for k, q in pairs
+            if q))
+    return LieAlgebra(name, names, tuple(map(tuple, table)), scale)
+
+
 def from_brackets(name: str, basis_names, brackets) -> LieAlgebra:
     """Construct an algebra from the nonzero brackets of basis pairs.
 
@@ -83,22 +126,17 @@ def from_brackets(name: str, basis_names, brackets) -> LieAlgebra:
     not mentioned bracket to zero; zero coefficients are dropped.
     """
     names = tuple(basis_names)
-    n = len(names)
-    if len(set(names)) != n:
-        raise ValueError("basis names must be distinct")
     idx = {nm: i for i, nm in enumerate(names)}
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    constants: dict[tuple[int, int], dict[int, object]] = {}
     for (a, b), combo in brackets.items():
         i, j = idx[a], idx[b]
         if i == j:
             raise ValueError(f"bracket of {a} with itself must be omitted")
         for target, coeff in combo.items():
-            q = Fraction(coeff)
-            table.setdefault((i, j), {})[idx[target]] = q
-            table.setdefault((j, i), {})[idx[target]] = -q
-    return LieAlgebra(name, names, tuple(tuple(
-        tuple(sorted((k, q) for k, q in table.get((i, j), {}).items() if q))
-        for j in range(n)) for i in range(n)))
+            q = coeff if type(coeff) is int else Fraction(coeff)
+            constants.setdefault((i, j), {})[idx[target]] = q
+            constants.setdefault((j, i), {})[idx[target]] = -q
+    return from_constants(name, names, constants)
 
 
 def dense_vector(pairs, n: int) -> Vector:
@@ -130,23 +168,26 @@ def validate(L: LieAlgebra) -> list[Violation]:
     pairs (i <= j) with a nonzero entry either way, Jacobi on the nonzero
     terms [[Z_a, Z_b], Z_c] alone, each added to the cyclic sum of the
     triple i < j < k it is a rotation of, (i, j, k), (j, k, i) or (k, i, j).
-    A triple with no such term has cyclic sum 0.
+    A triple with no such term has cyclic sum 0.  The sums are formed in
+    the integer table, where an antisymmetry residual is D times the
+    constants' and a Jacobi residual D^2 times, and are scaled back.
     """
-    n = L.dim
-    nz = L.nonzero
+    n, d = L.dim, L.scale
+    nz = L.table
     out: list[Violation] = []
     for i in range(n):
         for j in range(i, n):
             if not (nz[i][j] or nz[j][i]):
                 continue
-            sums: dict[int, Fraction] = {}
+            sums: dict[int, int] = {}
             for k, q in nz[i][j] + nz[j][i]:
                 sums[k] = sums.get(k, 0) + q
-            out.extend(Violation("antisymmetry", (i, j, k), sums[k])
+            out.extend(Violation("antisymmetry", (i, j, k),
+                                 Fraction(sums[k], d))
                        for k in sorted(sums) if sums[k] != 0)
     support = [[(c, pairs) for c, pairs in enumerate(plane) if pairs]
                for plane in nz]
-    cyclic: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    cyclic: dict[tuple[int, int, int], dict[int, int]] = {}
     for a in range(n):
         for b, ab in support[a]:
             for p, coeff in ab:
@@ -158,19 +199,30 @@ def validate(L: LieAlgebra) -> list[Violation]:
     for triple, res in sorted(cyclic.items()):
         if any(res.values()):
             out.append(Violation("jacobi", triple, tuple(
-                Fraction(res.get(q, 0)) for q in range(n))))
+                Fraction(res.get(q, 0), d * d) for q in range(n))))
     return out
 
 
-def _sparse_bracket(L: LieAlgebra, us, vs) -> dict[int, Fraction]:
-    """[u, v] as {k: coefficient}, from the nonzero coordinates of u, v."""
-    out: dict[int, Fraction] = {}
+def _product(L: LieAlgebra, us, vs) -> dict:
+    """[u, v] in the integer table, as {k: coefficient}, from the nonzero
+    coordinates of u and v: D times the bracket in the basis Z_i."""
+    out: dict = {}
     for i, ui in us:
-        plane = L.nonzero[i]
+        plane = L.table[i]
         for j, vj in vs:
             for k, q in plane[j]:
                 out[k] = out.get(k, 0) + ui * vj * q
     return out
+
+
+def _sparse_bracket(L: LieAlgebra, u, v) -> dict:
+    """[u, v] as {k: coefficient}, for u and v given as ``linalg.cleared``
+    pairs (integer row, denominator): formed in the integer table, then
+    scaled back once per coordinate."""
+    (us, du), (vs, dv) = u, v
+    out = _product(L, us.items(), vs.items())
+    d = L.scale * du * dv
+    return out if d == 1 else {k: Fraction(x, d) for k, x in out.items()}
 
 
 def bracket(L: LieAlgebra, u, v) -> Vector:
@@ -180,7 +232,8 @@ def bracket(L: LieAlgebra, u, v) -> Vector:
         raise DimensionMismatchError(
             f"bracket arguments must have length {n}, got {len(u)} and {len(v)}")
     us, vs = sparse_rows((u, v))
-    return dense_vector(_sparse_bracket(L, us.items(), vs.items()).items(), n)
+    return dense_vector(_sparse_bracket(L, cleared(us), cleared(vs)).items(),
+                        n)
 
 
 def ad_matrix(L: LieAlgebra, u) -> list[list[Fraction]]:
@@ -190,23 +243,25 @@ def ad_matrix(L: LieAlgebra, u) -> list[list[Fraction]]:
         raise DimensionMismatchError(f"expected length {n}, got {len(u)}")
     mat = [[Fraction(0)] * n for _ in range(n)]
     for i, ui in sparse_rows([u])[0].items():
-        for j, pairs in enumerate(L.nonzero[i]):
+        ui /= L.scale
+        for j, pairs in enumerate(L.table[i]):
             for k, q in pairs:
                 mat[k][j] += ui * q
     return mat
 
 
-def _ad_traces(L: LieAlgebra) -> list[Fraction]:
-    """tr ad Z_i: the sum of the Z_j coefficients of [Z_i, Z_j] over j."""
-    return [sum((q for j, pairs in enumerate(plane) for k, q in pairs
-                 if k == j), Fraction(0)) for plane in L.nonzero]
+def _ad_traces(L: LieAlgebra) -> list[int]:
+    """D tr ad Z_i: the sum of the W_j coefficients of [W_i, W_j] over j."""
+    return [sum(q for j, pairs in enumerate(plane) for k, q in pairs if k == j)
+            for plane in L.table]
 
 
 def ad_trace(L: LieAlgebra, u) -> Fraction:
     """tr ad(u) = sum_i u_i tr ad Z_i, read from the table."""
     if len(u) != L.dim:
         raise DimensionMismatchError(f"expected length {L.dim}, got {len(u)}")
-    return sum((x * t for x, t in zip(u, _ad_traces(L)) if x), Fraction(0))
+    return sum((x * t for x, t in zip(u, _ad_traces(L)) if x),
+               Fraction(0)) / L.scale
 
 
 EXPONENTIAL = "Exponential"
@@ -226,38 +281,40 @@ class StructureReport:
     exponentiality_witness: Vector | None = None  # X of a failed check (i)
 
 
-# The series and the flag below are spans of brackets, held as sparse
-# vectors {k: coefficient} in the echelon form of ``linalg.echelon``.
+# The series and the flag below are spans of brackets in the integer
+# table, held as primitive integer rows {k: coefficient} in the echelon form
+# of ``linalg.integer_span``.  A span does not change under the scaling by
+# D, so neither do the dimensions and pivots read off them.
 
 
 def _brackets(L: LieAlgebra, us, vs):
-    """[u, v] for every sparse u in us and v in vs."""
+    """[u, v] in the integer table for every sparse u in us and v in vs."""
     vs = [list(v.items()) for v in vs]
     for u in us:
         u = list(u.items())
         for v in vs:
-            yield _sparse_bracket(L, u, v)
+            yield _product(L, u, v)
 
 
 def _commutator(L: LieAlgebra) -> list[Sparse]:
     """Echelon basis of [g, g]: the span of the planes marked nonzero."""
     # [Z_j, Z_i] = -[Z_i, Z_j], so only the planes j > i are read
-    return echelon(dict(pairs) for i, plane in enumerate(L.nonzero)
-                   for pairs in plane[i + 1:] if pairs)[0]
+    return integer_span(dict(pairs) for i, plane in enumerate(L.table)
+                        for pairs in plane[i + 1:] if pairs)[0]
 
 
 def _derived_step(L: LieAlgebra, rows) -> list[Sparse]:
     # [b, a] = -[a, b], so only the pairs a before b are bracketed
     terms = [list(row.items()) for row in rows]
-    return echelon(_sparse_bracket(L, a, b) for s, a in enumerate(terms)
-                   for b in terms[s + 1:])[0]
+    return integer_span(_product(L, a, b) for s, a in enumerate(terms)
+                        for b in terms[s + 1:])[0]
 
 
 def _lower_central_step(L: LieAlgebra, rows) -> list[Sparse]:
     # C^(j+1) lies in C^j, so a span as large as C^j is C^j: the series
     # has stabilised and the remaining products cannot add to it
-    basis = ({z: Fraction(1)} for z in range(L.dim))
-    return echelon(_brackets(L, basis, rows), limit=len(rows))[0]
+    basis = ({z: 1} for z in range(L.dim))
+    return integer_span(_brackets(L, basis, rows), limit=len(rows))[0]
 
 
 def _series(L: LieAlgebra, current, step):
@@ -347,8 +404,14 @@ def _quotient_failure(mats):
 
 
 def _real_spectrum(M) -> bool:
-    """Whether every eigenvalue of M is real: a Sturm count of the roots
-    against deg p - deg gcd(p, p'), the number of distinct ones."""
+    """Whether every eigenvalue of M is real.  A triangular M has its
+    diagonal entries as eigenvalues; otherwise a Sturm count of the roots
+    of the characteristic polynomial p against deg p - deg gcd(p, p'), the
+    number of distinct ones."""
+    n = len(M)
+    if (not any(M[i][j] for i in range(1, n) for j in range(i))
+            or not any(M[i][j] for i in range(n) for j in range(i + 1, n))):
+        return True
     p = univariate.charpoly(M)
     distinct = len(p) - len(univariate.gcd(p, univariate.derivative(p)))
     return univariate.real_root_count(p) == distinct
@@ -360,14 +423,16 @@ def _quotient_actions(L: LieAlgebra, gens, upper, lower):
     One echelon pass over lower's rows, then upper's, keeps lower's rows
     and adds a basis U of a complement of lower in upper.  Reducing w by
     all of them, the factors taken by the rows of U are the coordinates
-    of w in upper/lower.
+    of w in upper/lower.  Read from the integer table, each action is D
+    times the one in the basis Z_i: that scales every eigenvalue by D > 0
+    and every S of ``_quotient_failure`` by D, so no check changes.
     """
     rows, piv = echelon(chain(lower, upper))
     basis = rows[len(lower):]
     mats = []
     for k in gens:
         cols = [reduce_in_place(w, rows, piv)[len(lower):]
-                for w in _brackets(L, [{k: Fraction(1)}], basis)]
+                for w in _brackets(L, [{k: 1}], basis)]
         mats.append([list(row) for row in zip(*cols)])
     return mats
 
@@ -390,7 +455,7 @@ def _exponentiality(L: LieAlgebra, commutator, stable):
     gens = [k for k in range(L.dim) if k not in pivots]
     flag = [stable]
     while flag[-1]:
-        flag.append(echelon(_brackets(L, commutator, flag[-1]))[0])
+        flag.append(integer_span(_brackets(L, commutator, flag[-1]))[0])
     for j, (upper, lower) in enumerate(zip(flag, flag[1:])):
         failure = _quotient_failure(_quotient_actions(L, gens, upper, lower))
         if failure is None:

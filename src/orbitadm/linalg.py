@@ -1,17 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Matrices are sequences of rows of ``fractions.Fraction`` (plain ints are
-accepted and coerced).  Everything here is exact.  ``rank_exact`` is
-fraction-free (Bareiss) elimination on denominator-cleared integer rows.
-Rref, kernels, inverses and the ranks of sparse rows come from one sparse
-reduction, ``echelon``, on rows held as {column: nonzero Fraction}: it
-never visits a zero entry and never divides by a pivot equal to 1.
+Dense matrices are sequences of rows of ``fractions.Fraction`` or ``int``;
+sparse rows are dicts {column: nonzero entry}.  Everything here is exact.
+``rank_exact`` is fraction-free (Bareiss) elimination on
+denominator-cleared integer rows, and ``integer_span`` the fraction-free
+echelon basis of integer rows, in primitive rows.  Rref, kernels, inverses
+and the ranks and coordinates of sparse rows come from one sparse
+reduction, ``echelon``, on rational rows: it never visits a zero entry and
+never divides by a pivot equal to 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Row = tuple[Fraction, ...]
 Matrix = tuple[Row, ...]
@@ -106,6 +108,13 @@ def sparse_rows(mat) -> list[Sparse]:
                           else enumerate(row)) if x} for row in mat]
 
 
+def cleared(row: Sparse) -> tuple[dict[int, int], int]:
+    """A sparse rational row as (integer row, d), d the lcm of its
+    denominators: the row is the integer row divided by d."""
+    d = lcm(*(x.denominator for x in row.values()))
+    return {k: x.numerator * (d // x.denominator) for k, x in row.items()}, d
+
+
 def dense_rows(rows, n_cols: int) -> list[list[Fraction]]:
     """Sparse rows as length-n_cols lists of Fractions."""
     out = []
@@ -160,6 +169,51 @@ def echelon(vectors,
             w = {k: x / lead for k, x in w.items()}
         rows.append(w)
         pivots.append(col)
+        if len(rows) == limit:
+            break
+    return rows, pivots
+
+
+def integer_span(vectors,
+                 limit: int | None = None) -> tuple[list[Sparse], list[int]]:
+    """Echelon basis (rows, pivots) of the span of sparse integer vectors,
+    fraction-free (Bareiss 1968).
+
+    Each vector w is reduced by the rows so far: at the pivot column of a
+    row with entry p there, w <- p w - w_p row, both factors divided by
+    gcd(p, w_p) first.  A nonzero residue, divided by the gcd of its
+    entries, becomes a row with its first nonzero column as pivot.  Each
+    residue is a nonzero multiple of the one ``echelon`` forms, so the span,
+    the pivots and each row up to scale are ``echelon``'s.  With ``limit``,
+    stops once it has that many rows.
+    """
+    rows: list[Sparse] = []
+    pivots: list[int] = []
+    for v in vectors:
+        w = {k: x for k, x in v.items() if x}
+        for row, col in zip(rows, pivots):
+            f = w.get(col)
+            if not f:
+                continue
+            p = row[col]
+            g = gcd(p, f)
+            if g != 1:
+                p, f = p // g, f // g
+            if p != 1:
+                w = {k: p * x for k, x in w.items()}
+            for k, y in row.items():
+                x = w.get(k, 0) - f * y
+                if x:
+                    w[k] = x
+                else:
+                    del w[k]
+        if not w:
+            continue
+        content = gcd(*w.values())
+        if content != 1:
+            w = {k: x // content for k, x in w.items()}
+        rows.append(w)
+        pivots.append(min(w))
         if len(rows) == limit:
             break
     return rows, pivots

@@ -11,8 +11,9 @@ x -> l for the spectral variety
 
 and the moment pencil over it, stored sparse and exact.  The datum keeps
 the adapted basis, its inverse, f_vals and the pencil; the generators are
-the first m adapted rows.  Brackets run over the nonzero coordinates
-through the sparse table, and each pair of generators is bracketed once.
+the first m adapted rows.  Brackets run over the generators' nonzero
+coordinates, cleared to integers once, through the sparse table, and each
+pair of generators is bracketed once.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import DimensionMismatchError, LieAlgebra, _sparse_bracket
-from .linalg import (as_fraction_rows, dense_rows, dot, echelon, invert,
-                     reduce_in_place, sparse_rows)
+from .linalg import (as_fraction_rows, cleared, dense_rows, dot, echelon,
+                     invert, reduce_in_place, sparse_rows)
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -107,13 +108,16 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
             raise DimensionMismatchError(
                 f"generator length {len(row)} != algebra dimension {n}")
     coords = sparse_rows(rows)
+    ints = [cleared(y) for y in coords]
     basis, pivots = echelon(coords)
     if len(pivots) != m:
         raise RankDeficientError(
             f"{m} generators span only a {len(pivots)}-dimensional subspace")
     brackets = []
     for i, j in combinations(range(m), 2):
-        w = _sparse_bracket(L, coords[i].items(), coords[j].items())
+        w = _sparse_bracket(L, ints[i], ints[j])
+        if not any(w.values()):
+            continue  # a zero bracket lies in the span and f kills it
         residual = dict(w)
         reduce_in_place(residual, basis, pivots)
         if any(residual.values()):
@@ -135,18 +139,19 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
             raise NotACharacterError(i, j, value)
     return MonomialDatum(algebra=L, f_vals=vals, adapted_rows=adapted,
                          adapted_inv=inv,
-                         pencil=_moment_pencil(L, coords, kept, forms))
+                         pencil=_moment_pencil(L, ints, kept, forms))
 
 
-def _moment_pencil(L, coords, kept, forms) -> Pencil:
+def _moment_pencil(L, ints, kept, forms) -> Pencil:
     """Entry (i, r) is l_x([Y_i, X_r]), paired with forms[t], the constant
     and x_v coefficients of l_x at t, over the bracket's nonzero
-    coordinates; each coefficient goes to column r of its M_v."""
+    coordinates; each coefficient goes to column r of its M_v.  ints holds
+    the generators as ``linalg.cleared`` pairs."""
     chart = [[(v, a) for v, a in enumerate(values) if a] for values in forms]
     pencil = [[{} for _ in kept] for _ in range(len(kept) + 1)]
-    for i, y in enumerate(coords):
+    for i, y in enumerate(ints):
         for r, k in enumerate(kept):
-            for t, c in _sparse_bracket(L, y.items(), ((k, 1),)).items():
+            for t, c in _sparse_bracket(L, y, ({k: 1}, 1)).items():
                 for v, a in chart[t]:
                     column = pencil[v][r]
                     column[i] = column.get(i, 0) + c * a

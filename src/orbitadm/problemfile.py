@@ -130,7 +130,9 @@ def _int(text: str, line: int, col: int) -> int:
                          f"({len(text.lstrip('-'))} digits)") from None
 
 
-def _rational(tok: Token) -> Fraction:
+def _rational(tok: Token) -> int | Fraction:
+    """The token's value: an int when it is written as one, so an integral
+    bracket table reaches ``from_brackets`` without Fractions."""
     if "/" in tok.text:
         num, den = tok.text.split("/")
         den_col = tok.col + len(num) + 1
@@ -139,10 +141,10 @@ def _rational(tok: Token) -> Fraction:
                              "denominator must be a positive integer")
         return Fraction(_int(num, tok.line, tok.col),
                         _int(den, tok.line, den_col))
-    return Fraction(_int(tok.text, tok.line, tok.col))
+    return _int(tok.text, tok.line, tok.col)
 
 
-def _term(line: _Line, names: dict[str, int]) -> tuple[int, Fraction]:
+def _term(line: _Line, names: dict[str, int]) -> tuple[int, int | Fraction]:
     """One term: RATIONAL '*' ID, or a bare ID with coefficient 1."""
     tok = line.peek()
     if tok is not None and tok.kind == "RATIONAL":
@@ -152,7 +154,7 @@ def _term(line: _Line, names: dict[str, int]) -> tuple[int, Fraction]:
         ident = line.take("ID", "a basis name")
     else:
         ident = line.take("ID", "a term (coefficient * name, or a name)")
-        coeff = Fraction(1)
+        coeff = 1
     if ident.text not in names:
         raise ParseError(ident.line, ident.col,
                          f"unknown basis name {ident.text!r}")
@@ -160,9 +162,9 @@ def _term(line: _Line, names: dict[str, int]) -> tuple[int, Fraction]:
 
 
 def _term_sum(line: _Line,
-              names: dict[str, int]) -> list[tuple[int, Fraction]]:
+              names: dict[str, int]) -> list[tuple[int, int | Fraction]]:
     """The (index, coefficient) pairs of a sum; a repeated name adds up."""
-    terms: dict[int, Fraction] = {}
+    terms: dict[int, int | Fraction] = {}
     while True:
         idx, coeff = _term(line, names)
         terms[idx] = terms.get(idx, 0) + coeff
@@ -225,7 +227,7 @@ def parse(source: str) -> ProblemFile:
     names = {nm: i for i, nm in enumerate(basis)}
 
     # --- statements -------------------------------------------------------
-    brackets: dict[tuple[str, str], dict[str, Fraction]] = {}
+    brackets: dict[tuple[str, str], dict[str, int | Fraction]] = {}
     seen_pairs: dict[frozenset, int] = {}
     sub_rows: list[Vector] | None = None
     functional: tuple[tuple[Fraction, ...], Token] | None = None
@@ -280,11 +282,12 @@ def parse(source: str) -> ProblemFile:
             if sub_rows is None:
                 raise ParseError(head.line, head.col,
                                  "functional requires a subalgebra block")
-            vals = [_rational(line.take("RATIONAL", "a rational value"))]
+            vals = [Fraction(_rational(line.take("RATIONAL",
+                                                 "a rational value")))]
             while line.peek() is not None:
                 line.take("PUNCT", "','", ",")
-                vals.append(_rational(line.take("RATIONAL",
-                                                "a rational value")))
+                vals.append(Fraction(_rational(line.take(
+                    "RATIONAL", "a rational value"))))
             line.done()
             functional = (tuple(vals), head)
         elif head.text == "config":
@@ -364,7 +367,7 @@ def parse_rational_list(text: str) -> tuple[Fraction, ...]:
         if match is None or match.lastgroup != "RATIONAL":
             raise ValueError(f"not a rational: {piece!r}")
         try:
-            out.append(_rational(Token("RATIONAL", piece, 1, 1)))
+            out.append(Fraction(_rational(Token("RATIONAL", piece, 1, 1))))
         except ParseError as exc:
             raise ValueError(exc.message) from None
     return tuple(out)

@@ -13,13 +13,14 @@ import io
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import orbitadm as oa
-from orbitadm import cli
+from orbitadm import algebra, cli
 from orbitadm.algebra import dense_vector
 from orbitadm.linalg import dot, invert
 
@@ -157,9 +158,9 @@ def random_invertible(rng: random.Random, n: int):
 def algebra_from_table(name: str, names, c) -> oa.LieAlgebra:
     """The algebra whose dense table is c[i][j][k], read entry by entry, so a
     table that breaks antisymmetry keeps its fault."""
-    nonzero = tuple(tuple(tuple((k, Fraction(q)) for k, q in enumerate(w) if q)
-                          for w in plane) for plane in c)
-    return oa.LieAlgebra(name=name, basis_names=tuple(names), nonzero=nonzero)
+    return algebra.from_constants(name, names, {
+        (i, j): dict(enumerate(w)) for i, plane in enumerate(c)
+        for j, w in enumerate(plane)})
 
 
 def dense_table(L: oa.LieAlgebra) -> tuple:
@@ -169,15 +170,24 @@ def dense_table(L: oa.LieAlgebra) -> tuple:
 
 
 def transform_algebra(L: oa.LieAlgebra, Q) -> oa.LieAlgebra:
-    """Structure constants in the basis whose rows (in old coords) are Q."""
+    """Structure constants in the basis whose rows (in old coords) are Q:
+    [Q_i, Q_j] Q^-1, with Q^-1 = inv / d for an integer matrix inv, so each
+    constant is one integer sum over one denominator."""
     Qinv = invert(Q)
+    d = lcm(*(x.denominator for row in Qinv for x in row))
+    inv = [[x.numerator * (d // x.denominator) for x in row] for row in Qinv]
     n = L.dim
     table = []
     for i in range(n):
         plane = []
         for j in range(n):
             w = oa.bracket(L, Q[i], Q[j])
-            plane.append(tuple(dot(w, col) for col in zip(*Qinv)))
+            dw = lcm(*(x.denominator for x in w))
+            terms = [(inv[k], x.numerator * (dw // x.denominator))
+                     for k, x in enumerate(w) if x]
+            plane.append(tuple(
+                Fraction(sum(row[c] * x for row, x in terms), d * dw)
+                for c in range(n)))
         table.append(tuple(plane))
     return algebra_from_table(L.name + "_chg", L.basis_names, table)
 

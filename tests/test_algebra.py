@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +9,15 @@ from hypothesis import strategies as st
 
 import orbitadm as oa
 from orbitadm import algebra
+from orbitadm.linalg import dot, invert
 
 from conftest import (CORPUS_NAMES, algebra_from_table, dense_table,
                       load_problem, make_abelian, make_axb, make_h3,
                       make_motion, make_sl2, random_invertible, random_vector,
                       transform_algebra)
+from test_moment import CHANGED_BASIS, _in_random_basis
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 ALL_CORPUS_ALGEBRAS = [make_h3(), make_axb(), make_abelian(3), make_motion(),
                        make_sl2()]
@@ -277,6 +282,119 @@ class TestStructureReport:
                 mat = np.array([[float(x) for x in row]
                                 for row in oa.ad_matrix(L, u)])
                 assert np.abs(np.linalg.eigvals(mat)).max(initial=0) < 1e-8
+
+
+def _plain_bracket(c, u, v):
+    """[u, v] from constants c[(i, j)] = {k: Fraction}, with no scaling."""
+    out = [Fraction(0)] * len(u)
+    for (i, j), combo in c.items():
+        for k, q in combo.items():
+            out[k] += Fraction(u[i]) * Fraction(v[j]) * q
+    return tuple(out)
+
+
+def _plain_cyclic_sum(c, n, i, j, k):
+    """[[Z_i, Z_j], Z_k] + [[Z_j, Z_k], Z_i] + [[Z_k, Z_i], Z_j]."""
+    e = [tuple(Fraction(int(a == b)) for b in range(n)) for a in range(n)]
+    total = [Fraction(0)] * n
+    for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+        piece = _plain_bracket(c, _plain_bracket(c, e[a], e[b]), e[d])
+        total = [t + p for t, p in zip(total, piece)]
+    return tuple(total)
+
+
+SMALL_CHANGED_BASIS = [p for p in CHANGED_BASIS if p.n <= 10]
+
+
+class TestRationalTables:
+    """Tables whose constants have denominators, so the algebra stores them
+    as integers in a scaled basis: every value read back must be the plain
+    Fraction value of the constants as given."""
+
+    NAMES = ("X", "Y", "Z")
+
+    def test_antisymmetry_residual_is_scaled_back(self):
+        # [X, Y] = 1/2 Z but [Y, X] = -1/3 Z: residual 1/2 - 1/3 = 1/6
+        c = {(0, 1): {2: Fraction(1, 2)}, (1, 0): {2: Fraction(-1, 3)}}
+        L = algebra.from_constants("anti", self.NAMES, c)
+        assert L.scale > 1
+        anti = [v for v in oa.validate(L) if v.kind == "antisymmetry"]
+        assert anti == [oa.Violation("antisymmetry", (0, 1, 2),
+                                     Fraction(1, 2) + Fraction(-1, 3))]
+        assert anti[0].describe(self.NAMES) == (
+            "antisymmetry fails at (X,Y) component Z: residual 1/6")
+
+    def test_jacobi_residual_is_scaled_back(self):
+        # [X, Y] = 1/2 Y, [X, Z] = 2/3 Z, [Y, Z] = 3/5 X, each mirrored
+        c = {}
+        for (i, j), combo in {(0, 1): {1: Fraction(1, 2)},
+                              (0, 2): {2: Fraction(2, 3)},
+                              (1, 2): {0: Fraction(3, 5)}}.items():
+            c[i, j] = combo
+            c[j, i] = {k: -q for k, q in combo.items()}
+        L = algebra.from_constants("jac", self.NAMES, c)
+        assert L.scale == 30
+        want = _plain_cyclic_sum(c, 3, 0, 1, 2)
+        assert any(want)
+        got = oa.validate(L)
+        assert got == [oa.Violation("jacobi", (0, 1, 2), want)]
+        res = ", ".join(map(str, want))
+        assert got[0].describe(self.NAMES) == (
+            f"Jacobi identity fails at (X,Y,Z): residual ({res})")
+
+    def _assert_readers_match(self, L, c, rng):
+        n = L.dim
+        for _ in range(10):
+            u, v = random_vector(rng, n), random_vector(rng, n)
+            assert oa.bracket(L, u, v) == _plain_bracket(c, u, v)
+            columns = [_plain_bracket(c, u, L.basis_vector(j))
+                       for j in range(n)]
+            assert oa.ad_matrix(L, u) == [list(row) for row in zip(*columns)]
+            assert algebra.ad_trace(L, u) == sum(
+                (columns[k][k] for k in range(n)), Fraction(0))
+
+    def test_readers_on_rational_scales(self):
+        pf = oa.parse((FIXTURES / "rational_scales.alg").read_text())
+        L = pf.algebra
+        assert L.scale == 6
+        c = {}
+        for (a, b), q in {("A", "X"): Fraction(1, 2),
+                          ("A", "Y"): Fraction(2, 3),
+                          ("A", "Z"): Fraction(7, 6)}.items():
+            i, j = L.index_of(a), L.index_of(b)
+            c[i, j], c[j, i] = {j: q}, {j: -q}
+        x, y, z = L.index_of("X"), L.index_of("Y"), L.index_of("Z")
+        c[x, y], c[y, x] = {z: Fraction(5, 6)}, {z: Fraction(-5, 6)}
+        self._assert_readers_match(L, c, random.Random(6))
+        assert algebra.ad_trace(L, L.vector(A=1)) == Fraction(7, 3)
+        assert oa.parse(oa.serialize(pf)) == pf
+
+    @pytest.mark.parametrize("problem", SMALL_CHANGED_BASIS,
+                             ids=[p.name for p in SMALL_CHANGED_BASIS])
+    def test_readers_on_a_family_in_a_random_basis(self, problem):
+        D = _in_random_basis(problem)
+        L = D.algebra
+        assert L.scale > 1
+        # the constants in the basis Q, from the canonical integral table
+        canonical = oa.parse(problem.text).algebra
+        Q = random_invertible(random.Random(problem.name), problem.n)
+        Qinv = invert(Q)
+        c = {}
+        for i in range(L.dim):
+            for j in range(L.dim):
+                w = oa.bracket(canonical, Q[i], Q[j])
+                combo = {k: dot(w, col) for k, col in enumerate(zip(*Qinv))}
+                if any(combo.values()):
+                    c[i, j] = {k: q for k, q in combo.items() if q}
+        assert dense_table(L) == tuple(
+            tuple(tuple(c.get((i, j), {}).get(k, Fraction(0))
+                        for k in range(L.dim)) for j in range(L.dim))
+            for i in range(L.dim))
+        self._assert_readers_match(L, c, random.Random(problem.n))
+        pf = oa.ProblemFile(name=L.name, algebra=L,
+                            subalgebra_rows=D.generators,
+                            functional_vals=D.f_vals)
+        assert oa.parse(oa.serialize(pf)) == pf
 
 
 class TestFromBrackets:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import orbitadm as oa
 from orbitadm import cli, univariate
-from orbitadm.algebra import _quotient_failure
+from orbitadm.algebra import _quotient_failure, _real_spectrum
 from orbitadm.geometry import ad_float
 from orbitadm.linalg import invert, mat_vec, matmul, rank_exact, rref
 
@@ -354,6 +354,78 @@ def test_quotient_failure_matches_the_semisimple_parts(mats):
     """The joint Fitting-one component decides as the semisimple parts do:
     the same check fails, at the same c and the same generator."""
     assert _quotient_failure(mats) == _reference_quotient_failure(mats)
+
+
+# The triangular route of ``_real_spectrum`` (the diagonal read as the
+# eigenvalues) against the characteristic polynomial route.
+
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def triangular_matrices(draw):
+    """An upper or lower triangular rational matrix whose diagonal repeats
+    entries and holds zeros often."""
+    n = draw(st.integers(1, 5))
+    diagonal = draw(st.lists(st.sampled_from(
+        [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]),
+        min_size=n, max_size=n))
+    M = [[diagonal[i] if i == j else
+          (draw(small_rationals) if i < j else Fraction(0))
+          for j in range(n)] for i in range(n)]
+    return M if draw(st.booleans()) else [list(row) for row in zip(*M)]
+
+
+def _conjugated(M, seed):
+    P = random_invertible(random.Random(seed), len(M))
+    return matmul(matmul(P, M), invert(P))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(M=triangular_matrices(), seed=st.integers(0, 2 ** 16))
+def test_real_spectrum_of_triangular_matrices(M, seed):
+    assert _real_spectrum(M) is _reference_real_spectrum(M) is True
+    N = _conjugated(M, seed)
+    assert _real_spectrum(N) is _reference_real_spectrum(N) is True
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(M=triangular_matrices(), data=st.data())
+def test_real_spectrum_one_entry_off_triangular(M, data):
+    # one entry across the diagonal can make a pair of non-real roots; the
+    # matrix is then not triangular and the charpoly route decides it
+    n = len(M)
+    if n > 1:
+        i, j = data.draw(st.sampled_from(
+            [(i, j) for i in range(n) for j in range(n) if i != j]))
+        M[i][j] = data.draw(small_rationals)
+    assert _real_spectrum(M) is _reference_real_spectrum(M)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(1, 5), r=st.integers(1, 3), data=st.data(),
+       conjugate=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_commuting_diagonal_families_pass_both_checks(n, r, data, conjugate,
+                                                      seed):
+    diagonal = st.sampled_from([Fraction(0), Fraction(2), Fraction(-1, 3)])
+    mats = [[[data.draw(diagonal) if i == j else Fraction(0)
+              for j in range(n)] for i in range(n)] for _ in range(r)]
+    if conjugate:  # one conjugation for all, so they still commute
+        P = random_invertible(random.Random(seed), n)
+        P_inv = invert(P)
+        mats = [matmul(matmul(P, A), P_inv) for A in mats]
+    assert _quotient_failure(mats) is None
+    assert _reference_quotient_failure(mats) is None
+
+
+@pytest.mark.parametrize("M, real", [
+    ([[0, -1], [1, 0]], False),            # a rotation: +-i
+    ([[1, 2], [0, 1]], True),              # upper triangular
+    ([[1, 0], [5, -2]], True),             # lower triangular
+    ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], False),   # a cyclic shift
+])
+def test_real_spectrum_by_hand(M, real):
+    assert _real_spectrum(M) is real
 
 
 class TestUnivariate:

@@ -350,7 +350,7 @@ LARGE = [p.name for p in CHANGED_BASIS]
 class TestVerdictInvariance:
     """Every reported decision is a property of (g, h, f), not of the bases
     the file writes them in.  A change of basis makes a family's tables
-    dense, which costs seconds, so the families get fewer examples."""
+    dense, so the families get fewer examples."""
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     @settings(max_examples=20, deadline=None, database=None)
@@ -359,7 +359,7 @@ class TestVerdictInvariance:
         _change_basis_of_g(name, data)
 
     @pytest.mark.parametrize("name", LARGE)
-    @settings(max_examples=3, deadline=None, database=None)
+    @settings(max_examples=15, deadline=None, database=None)
     @given(data=st.data())
     def test_change_of_basis_of_g_large(self, name, data):
         _change_basis_of_g(name, data)
@@ -372,7 +372,7 @@ class TestVerdictInvariance:
         _change_generators_of_h(name, data)
 
     @pytest.mark.parametrize("name", LARGE)
-    @settings(max_examples=5, deadline=None, database=None)
+    @settings(max_examples=35, deadline=None, database=None)
     @given(data=st.data())
     def test_change_of_generators_of_h_large(self, name, data):
         _change_generators_of_h(name, data)
