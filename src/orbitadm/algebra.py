@@ -8,7 +8,7 @@ constants as given, ``from_brackets`` from a list of brackets.  Validation
 and the structural classification (solvable, nilpotent, unimodular,
 exponential) read the integer table, so their cost follows the nonzero
 constants, not n^3, and their spans are fraction-free
-(``linalg.integer_span``).  None of them changes under the scaling by D;
+(``linalg.echelon``).  None of them changes under the scaling by D;
 every exact value that leaves this module (brackets, adjoint matrices,
 traces, violation residuals, the ``nonzero`` constants) is scaled back to
 the basis Z_i.  Exponentiality is decided exactly over Q, with the
@@ -23,9 +23,8 @@ from itertools import chain
 from math import lcm
 
 from . import univariate
-from .linalg import (SingularMatrixError, Sparse, cleared, echelon,
-                     integer_span, invert, mat_vec, matmul, reduce_in_place,
-                     rref, sparse_rows)
+from .linalg import (SingularMatrixError, Sparse, cleared, echelon, invert,
+                     mat_vec, matmul, reduce_in_place, rref, sparse_rows)
 
 Vector = tuple[Fraction, ...]
 
@@ -283,7 +282,7 @@ class StructureReport:
 
 # The series and the flag below are spans of brackets in the integer
 # table, held as primitive integer rows {k: coefficient} in the echelon form
-# of ``linalg.integer_span``.  A span does not change under the scaling by
+# of ``linalg.echelon``.  A span does not change under the scaling by
 # D, so neither do the dimensions and pivots read off them.
 
 
@@ -299,22 +298,22 @@ def _brackets(L: LieAlgebra, us, vs):
 def _commutator(L: LieAlgebra) -> list[Sparse]:
     """Echelon basis of [g, g]: the span of the planes marked nonzero."""
     # [Z_j, Z_i] = -[Z_i, Z_j], so only the planes j > i are read
-    return integer_span(dict(pairs) for i, plane in enumerate(L.table)
-                        for pairs in plane[i + 1:] if pairs)[0]
+    return echelon(dict(pairs) for i, plane in enumerate(L.table)
+                   for pairs in plane[i + 1:] if pairs)[0]
 
 
 def _derived_step(L: LieAlgebra, rows) -> list[Sparse]:
     # [b, a] = -[a, b], so only the pairs a before b are bracketed
     terms = [list(row.items()) for row in rows]
-    return integer_span(_product(L, a, b) for s, a in enumerate(terms)
-                        for b in terms[s + 1:])[0]
+    return echelon(_product(L, a, b) for s, a in enumerate(terms)
+                   for b in terms[s + 1:])[0]
 
 
 def _lower_central_step(L: LieAlgebra, rows) -> list[Sparse]:
     # C^(j+1) lies in C^j, so a span as large as C^j is C^j: the series
     # has stabilised and the remaining products cannot add to it
     basis = ({z: 1} for z in range(L.dim))
-    return integer_span(_brackets(L, basis, rows), limit=len(rows))[0]
+    return echelon(_brackets(L, basis, rows), limit=len(rows))[0]
 
 
 def _series(L: LieAlgebra, current, step):
@@ -421,7 +420,8 @@ def _quotient_actions(L: LieAlgebra, gens, upper, lower):
     """ad Z_k on upper/lower for k in gens, in one basis of the quotient.
 
     One echelon pass over lower's rows, then upper's, keeps lower's rows
-    and adds a basis U of a complement of lower in upper.  Reducing w by
+    and adds a basis U of a complement of lower in upper.  The rows are
+    integer rows, so each bracket w is formed in integers.  Reducing w by
     all of them, the factors taken by the rows of U are the coordinates
     of w in upper/lower.  Read from the integer table, each action is D
     times the one in the basis Z_i: that scales every eigenvalue by D > 0
@@ -455,7 +455,7 @@ def _exponentiality(L: LieAlgebra, commutator, stable):
     gens = [k for k in range(L.dim) if k not in pivots]
     flag = [stable]
     while flag[-1]:
-        flag.append(integer_span(_brackets(L, commutator, flag[-1]))[0])
+        flag.append(echelon(_brackets(L, commutator, flag[-1]))[0])
     for j, (upper, lower) in enumerate(zip(flag, flag[1:])):
         failure = _quotient_failure(_quotient_actions(L, gens, upper, lower))
         if failure is None:

@@ -3,11 +3,11 @@
 Dense matrices are sequences of rows of ``fractions.Fraction`` or ``int``;
 sparse rows are dicts {column: nonzero entry}.  Everything here is exact.
 ``rank_exact`` is fraction-free (Bareiss) elimination on
-denominator-cleared integer rows, and ``integer_span`` the fraction-free
-echelon basis of integer rows, in primitive rows.  Rref, kernels, inverses
-and the ranks and coordinates of sparse rows come from one sparse
-reduction, ``echelon``, on rational rows: it never visits a zero entry and
-never divides by a pivot equal to 1.
+denominator-cleared integer rows.  Every span, rank and coordinate of
+sparse rows comes from one fraction-free sparse reduction, ``echelon``,
+which returns an echelon basis in primitive integer rows: it never visits a
+zero entry, and a rational vector is cleared to integers on entry.  Rref,
+kernels and inverses scale its rows to pivot 1 once and back-substitute.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ class WorkLimitError(ArithmeticError):
     """An elimination stopped before a step that would pass its work limit."""
 
 
-def as_fraction_rows(mat) -> list[list[Fraction]]:
-    return [[x if type(x) is Fraction else Fraction(x) for x in row]
-            for row in mat]
-
-
 def cleared_int_rows(mat) -> list[list[int]]:
     # scale each row by the lcm of its denominators; rank is unaffected
     out = []
@@ -40,9 +35,8 @@ def cleared_int_rows(mat) -> list[list[int]]:
         if all(type(x) is int for x in row):
             out.append(list(row))
             continue
-        fr = as_fraction_rows([row])[0]
-        scale = lcm(*(x.denominator for x in fr))
-        out.append([x.numerator * (scale // x.denominator) for x in fr])
+        scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
 
 
@@ -127,70 +121,48 @@ def dense_rows(rows, n_cols: int) -> list[list[Fraction]]:
 
 
 def reduce_in_place(w: Sparse, rows, pivots) -> list:
-    """Reduce the sparse w in place by ``echelon`` rows, in order: w ends 0
-    at every pivot, and the factors taken are its coordinates when it lies
-    in the rows' span."""
+    """Reduce the sparse w in place by echelon rows, in order: at each pivot
+    the factor w[col] / row[col] takes the row away, so w ends 0 at every
+    pivot, and the factors are its coordinates in the rows as stored when
+    it lies in their span."""
     factors = []
     for row, col in zip(rows, pivots):
         f = w.get(col, 0)
-        factors.append(f)
         if f:
+            p = row[col]
+            if p != 1:
+                f = Fraction(f, p)
             for k, y in row.items():
                 x = w.get(k, 0) - f * y
                 if x:
                     w[k] = x
                 else:
                     del w[k]
+        factors.append(f)
     return factors
 
 
 def echelon(vectors,
             limit: int | None = None) -> tuple[list[Sparse], list[int]]:
-    """Echelon basis (rows, pivots) of the span of sparse vectors.
+    """Echelon basis (rows, pivots) of the span of sparse rational vectors,
+    in primitive integer rows, fraction-free (Bareiss 1968).
 
-    Each vector is reduced by the rows so far; a nonzero residue becomes a
-    row, scaled to 1 at its pivot, its first nonzero column.  So each row
-    is 0 at the pivots of the rows before it.  Entries may be ints: the
-    scaling divides by a Fraction, so every row stays exact.  With
-    ``limit``, stops once it has that many rows.
-    """
-    rows: list[Sparse] = []
-    pivots: list[int] = []
-    for v in vectors:
-        w = {k: x for k, x in v.items() if x}
-        reduce_in_place(w, rows, pivots)
-        if not w:
-            continue
-        col = min(w)
-        lead = w[col]
-        if lead != 1:
-            if type(lead) is int:  # int / int would be a float
-                lead = Fraction(lead)
-            w = {k: x / lead for k, x in w.items()}
-        rows.append(w)
-        pivots.append(col)
-        if len(rows) == limit:
-            break
-    return rows, pivots
-
-
-def integer_span(vectors,
-                 limit: int | None = None) -> tuple[list[Sparse], list[int]]:
-    """Echelon basis (rows, pivots) of the span of sparse integer vectors,
-    fraction-free (Bareiss 1968).
-
-    Each vector w is reduced by the rows so far: at the pivot column of a
+    A vector with a ``Fraction`` entry is cleared to integers first.  Each
+    vector w is then reduced by the rows so far: at the pivot column of a
     row with entry p there, w <- p w - w_p row, both factors divided by
-    gcd(p, w_p) first.  A nonzero residue, divided by the gcd of its
-    entries, becomes a row with its first nonzero column as pivot.  Each
-    residue is a nonzero multiple of the one ``echelon`` forms, so the span,
-    the pivots and each row up to scale are ``echelon``'s.  With ``limit``,
-    stops once it has that many rows.
+    gcd(p, w_p) first.  A nonzero residue becomes a row with its first
+    nonzero column as pivot, divided by the gcd of its entries and signed
+    to a positive pivot entry.  So each row is 0 at the pivots of the rows
+    before it, and is a positive multiple of the rref row at its pivot of
+    the span of the vectors read so far.  With ``limit``, stops once it has
+    that many rows.
     """
     rows: list[Sparse] = []
     pivots: list[int] = []
     for v in vectors:
         w = {k: x for k, x in v.items() if x}
+        if Fraction in map(type, w.values()):
+            w = cleared(w)[0]
         for row, col in zip(rows, pivots):
             f = w.get(col)
             if not f:
@@ -209,24 +181,29 @@ def integer_span(vectors,
                     del w[k]
         if not w:
             continue
-        content = gcd(*w.values())
+        col = min(w)
+        content = gcd(*w.values()) if w[col] > 0 else -gcd(*w.values())
         if content != 1:
             w = {k: x // content for k, x in w.items()}
         rows.append(w)
-        pivots.append(min(w))
+        pivots.append(col)
         if len(rows) == limit:
             break
     return rows, pivots
 
 
 def rref_sparse(rows) -> tuple[list[Sparse], list[int]]:
-    """Reduced row echelon form of sparse rows, ordered by pivot.
+    """Reduced row echelon form of sparse rows, ordered by pivot, in
+    ``Fraction`` entries.
 
-    After ``echelon`` a row can be nonzero only at the pivots of later
-    rows, so clearing each pivot from the rows before it, last row first,
-    leaves every row 0 at every other pivot.
+    ``echelon``'s rows are scaled to 1 at their pivots once.  A row can
+    then be nonzero only at the pivots of later rows, so clearing each
+    pivot from the rows before it, last row first, leaves every row 0 at
+    every other pivot.
     """
     rows, pivots = echelon(rows)
+    rows = [{k: Fraction(x, row[col]) for k, x in row.items()}
+            for row, col in zip(rows, pivots)]
     for s in range(len(rows) - 1, 0, -1):
         for row in rows[:s]:
             if pivots[s] in row:
@@ -265,12 +242,6 @@ def nullspace(mat, n_cols: int | None = None) -> list[list[Fraction]]:
                 v[col] = -row[free]
         basis.append(v)
     return basis
-
-
-def left_nullspace(mat, n_rows: int | None = None) -> list[list[Fraction]]:
-    """Canonical basis of {a : a @ mat = 0}."""
-    return nullspace(list(zip(*mat)),
-                     n_cols=len(mat) if n_rows is None else n_rows)
 
 
 def invert(mat) -> list[list[Fraction]]:

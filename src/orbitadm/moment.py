@@ -7,8 +7,10 @@ h(l) = { Y in h : l([Y, .]) = 0 } is the left kernel of M(l) pushed through
 the generators.  Every reader takes l = l_x in A_tau by its chart point x
 and evaluates the datum's sparse exact pencil M(x) = M_0 + sum x_r M_r
 there once, into the sparse columns of its m x (n - m) block (the first m
-columns of M(l_x) are 0); rank_at ranks them by sparse elimination.  The
-generic value of that rank,
+columns of M(l_x) are 0); rank_at ranks them by ``linalg.echelon``, the one
+fraction-free sparse elimination, which clears each column to integers.
+The point l_x itself comes from the datum's sparse chart.  The generic
+value of that rank,
 
     d_tau = max over l in A_tau of dim H.l,
 
@@ -50,8 +52,10 @@ __all__ = [
     "SYMBOLIC_WORK_LIMIT",
 ]
 
-# Term products the symbolic route may form before it gives up: about
-# three seconds of polynomial arithmetic on a 2-core x86-64 VM.
+# Term products the symbolic route may form before it gives up.  The limit
+# counts products of polynomial terms, not the growth of their coefficients,
+# so the time it allows varies: on the skew pencil of size 9 (n = 54)
+# Bareiss ran 6.3 s before it stopped (2-core x86-64 VM, Python 3.11.7).
 SYMBOLIC_WORK_LIMIT = 10 ** 6
 
 

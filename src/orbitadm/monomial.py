@@ -9,11 +9,13 @@ x -> l for the spectral variety
 
     A_tau = { l in g* : l(Y) = f(Y) on h }  =  f + h^perp
 
-and the moment pencil over it, stored sparse and exact.  The datum keeps
-the adapted basis, its inverse, f_vals and the pencil; the generators are
-the first m adapted rows.  Brackets run over the generators' nonzero
-coordinates, cleared to integers once, through the sparse table, and each
-pair of generators is bracketed once.
+and the moment pencil over it, stored sparse and exact.  The chart is read
+off the graph of f, the rref of the rows (Y_i | f(Y_i)), with no inverse
+of the adapted basis.  The datum keeps the adapted basis, f_vals, the
+chart and the pencil; the generators are the first m adapted rows.
+Brackets run over the generators' nonzero coordinates, cleared to integers
+once, through the sparse table, and each pair of generators is bracketed
+once.
 """
 
 from __future__ import annotations
@@ -23,11 +25,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import DimensionMismatchError, LieAlgebra, _sparse_bracket
-from .linalg import (as_fraction_rows, cleared, dense_rows, dot, echelon,
-                     invert, reduce_in_place, sparse_rows)
+from .linalg import (cleared, dense_rows, dot, echelon, reduce_in_place,
+                     rref_sparse, sparse_rows)
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+# chart[t]: the nonzero (v, a) pairs, v rising, of coordinate t of the
+# chart point l_x, which is sum over v of a x_v, x_0 = 1
+Chart = tuple[tuple[tuple[int, Fraction], ...], ...]
 # pencil[v][r]: the nonzero (i, c) pairs of column r of M_v, i rising, over
 # the m x (n - m) block; entry (i, r) of M(x) is sum over v of c x_v, x_0 = 1
 Pencil = tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
@@ -63,17 +68,18 @@ class MonomialDatum:
 
     adapted_rows: n x n invertible matrix; rows 0..m-1 are the generators
     Y_i, rows m..n-1 the greedy standard-vector completion X_r.
-    adapted_inv is its exact inverse and f_vals[j] = f(Y_j).  pencil is the
-    moment matrix M(l_x)[i][j] = l_x([Y_i, B_j]) over the chart, B_j running
-    over the adapted basis, as M(x) = M_0 + sum x_r M_r.  Its first m
-    columns are 0, since f kills [h, h], so it holds only the block
+    f_vals[j] = f(Y_j).  chart is the affine chart x -> l_x of A_tau, with
+    l_x(Y_j) = f_j and l_x(X_r) = x_r, sparse (see ``Chart``).  pencil is
+    the moment matrix M(l_x)[i][j] = l_x([Y_i, B_j]) over the chart, B_j
+    running over the adapted basis, as M(x) = M_0 + sum x_r M_r.  Its
+    first m columns are 0, since f kills [h, h], so it holds only the block
     j >= m, column by column and sparse (see ``Pencil``).
     """
 
     algebra: LieAlgebra
     f_vals: Vector
     adapted_rows: Matrix
-    adapted_inv: Matrix
+    chart: Chart
     pencil: Pencil = field(repr=False)
 
     @property
@@ -94,14 +100,17 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
 
     One echelon of the generators gives the rank and, pair by pair, the
     residual of [Y_i, Y_j] outside their span; m = 0 is the trivial
-    subalgebra.  The completion takes the standard vectors e_k in index
-    order, each kept iff it is independent of what came before: iff no
-    element of h has its last nonzero coordinate at k, which a second
-    echelon, over the columns in reverse, reads off as its pivots.  The
-    chart at x = 0 restricts to f on h, so it checks that f kills each
-    bracket already formed.
+    subalgebra.  The chart comes from the rref of the rows (Y_i | f(Y_i)),
+    the coordinates taken last to first and f in a final column.  Its
+    pivots are the last nonzero coordinates of elements of h, and the
+    completion keeps the other standard vectors e_k, k rising: each e_k
+    independent of what came before.  On a kept k the chart is
+    l_k = x_k; the row at pivot p reads l_p = f-part - sum over kept k of
+    its entry at k times x_k.  The chart at x = 0 restricts to f on h, so
+    it checks that f kills each bracket already formed.
     """
-    rows = tuple(map(tuple, as_fraction_rows(candidate_rows)))
+    rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                 for row in candidate_rows)
     n, m = L.dim, len(rows)
     for row in rows:
         if len(row) != n:
@@ -109,7 +118,7 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
                 f"generator length {len(row)} != algebra dimension {n}")
     coords = sparse_rows(rows)
     ints = [cleared(y) for y in coords]
-    basis, pivots = echelon(coords)
+    basis, pivots = echelon(y for y, _ in ints)
     if len(pivots) != m:
         raise RankDeficientError(
             f"{m} generators span only a {len(pivots)}-dimensional subspace")
@@ -127,27 +136,34 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
     if len(vals) != m:
         raise DimensionMismatchError(
             f"functional has {len(vals)} values for {m} generators")
-    last = echelon([{n - 1 - k: x for k, x in c.items()} for c in coords])[1]
-    kept = sorted(set(range(n)).difference(n - 1 - k for k in last))
-    adapted = rows + tuple(L.basis_vector(k) for k in kept)
-    inv = tuple(map(tuple, invert(adapted)))
-    # the chart l_x = l_0 + sum x_r X_r^*, as n - m + 1 forms per coordinate
-    forms = [(dot(row[:m], vals), *row[m:]) for row in inv]
+    # column c of the graph is coordinate n - 1 - c; f, in column n, lands
+    # at coordinate -1
+    graph, last = rref_sparse({n - 1 - k: x for k, x in c.items()} | {n: v}
+                              for c, v in zip(coords, vals))
+    solved = {n - 1 - c: {n - 1 - j: x for j, x in row.items()}
+              for c, row in zip(last, graph)}
+    kept = [k for k in range(n) if k not in solved]
+    var = {k: r + 1 for r, k in enumerate(kept)}
+    chart = tuple(((var[k], Fraction(1)),) if k in var else
+                  tuple(sorted((0, x) if j < 0 else (var[j], -x)
+                               for j, x in solved[k].items() if j != k))
+                  for k in range(n))
     for i, j, w in brackets:
-        value = sum((forms[k][0] * c for k, c in w.items() if c), Fraction(0))
+        value = sum((solved[k].get(-1, 0) * c for k, c in w.items()
+                     if c and k in solved), Fraction(0))
         if value != 0:
             raise NotACharacterError(i, j, value)
+    adapted = rows + tuple(L.basis_vector(k) for k in kept)
     return MonomialDatum(algebra=L, f_vals=vals, adapted_rows=adapted,
-                         adapted_inv=inv,
-                         pencil=_moment_pencil(L, ints, kept, forms))
+                         chart=chart,
+                         pencil=_moment_pencil(L, ints, kept, chart))
 
 
-def _moment_pencil(L, ints, kept, forms) -> Pencil:
-    """Entry (i, r) is l_x([Y_i, X_r]), paired with forms[t], the constant
+def _moment_pencil(L, ints, kept, chart) -> Pencil:
+    """Entry (i, r) is l_x([Y_i, X_r]), paired with chart[t], the constant
     and x_v coefficients of l_x at t, over the bracket's nonzero
     coordinates; each coefficient goes to column r of its M_v.  ints holds
     the generators as ``linalg.cleared`` pairs."""
-    chart = [[(v, a) for v, a in enumerate(values) if a] for values in forms]
     pencil = [[{} for _ in kept] for _ in range(len(kept) + 1)]
     for i, y in enumerate(ints):
         for r, k in enumerate(kept):
@@ -162,16 +178,16 @@ def _moment_pencil(L, ints, kept, forms) -> Pencil:
 def point_on_variety(D: MonomialDatum, x) -> Vector:
     """The chart of A_tau: x -> l with l(Y_j) = f_j and l(X_r) = x_r.
 
-    Returned as a length-n row of values on the ORIGINAL basis.  Writing P
-    for the adapted-rows matrix, the wanted l solves P l^T = (f, x), i.e.
-    l = (f, x) applied through the inverse-transpose of P.
+    Returned as a length-n row of values on the ORIGINAL basis, each
+    coordinate read off the datum's sparse chart.
     """
     n, m = D.n, D.m
     if len(x) != n - m:
         raise DimensionMismatchError(
             f"chart point needs {n - m} coordinates, got {len(x)}")
-    target = list(D.f_vals) + [Fraction(v) for v in x]
-    return tuple(dot(row, target) for row in D.adapted_inv)
+    xs = (1, *map(Fraction, x))
+    return tuple(sum((a * xs[v] for v, a in pairs), Fraction(0))
+                 for pairs in D.chart)
 
 
 def adapted_dual_coords(D: MonomialDatum, l) -> Vector:

@@ -43,8 +43,8 @@ _TOKEN_RE = re.compile(r"""
 
 # The parsed table is sparse, and validation and the moment pencil follow its
 # nonzero constants, but the analysis builds dense n x n exact matrices (the
-# adapted basis and its inverse, the actions on the structure layer's
-# quotients), so a longer basis line is refused before that work starts.
+# adapted basis, the actions on the structure layer's quotients), so a
+# longer basis line is refused before that work starts.
 MAX_BASIS_NAMES = 128
 
 CONFIG_KEYS = frozenset({"seed", "trials", "bound"})

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from orbitadm import linalg
 
 from conftest import random_invertible, random_vector
+from test_sparse_elimination import dense_rref
 
 
 def F(x):
@@ -63,14 +65,32 @@ class TestRref:
 
 class TestEchelon:
     def test_int_rows_stay_exact(self):
-        # the scaling to a pivot of 1 divides; int / int would be a float
+        # int and Fraction vectors alike give primitive integer rows, each a
+        # positive multiple of the rref row at its pivot of the span of the
+        # vectors read so far
         rows, pivots = linalg.echelon([{0: 2, 1: 3}, {0: 4, 2: 1},
                                        {1: -3, 2: 5}])
-        assert pivots == [0, 1, 2]
-        assert rows[0] == {0: 1, 1: F("3/2")}
-        assert rows[1] == {1: 1, 2: F("-1/6")}
-        assert rows[2] == {2: 1}
-        assert all(type(x) is Fraction for row in rows for x in row.values())
+        assert (rows, pivots) == ([{0: 2, 1: 3}, {1: 6, 2: -1}, {2: 1}],
+                                  [0, 1, 2])
+        rng = random.Random(20261019)
+        for den in (1, 3):  # int vectors, then Fraction vectors
+            for _ in range(40):
+                n = rng.randint(1, 5)
+                mat = [[rng.choice((0, rng.randint(-4, 4))) if den == 1 else
+                        Fraction(rng.randint(-4, 4), rng.randint(1, den))
+                        for _ in range(n)] for _ in range(rng.randint(1, 5))]
+                rows, pivots = linalg.echelon(dict(enumerate(row))
+                                              for row in mat)
+                assert sorted(pivots) == dense_rref(mat)[1]
+                for i, (row, p) in enumerate(zip(rows, pivots)):
+                    assert all(type(x) is int for x in row.values())
+                    assert gcd(*row.values()) == 1
+                    assert p == min(row) and row[p] > 0
+                    read = next(k for k in range(1, len(mat) + 1)
+                                if len(dense_rref(mat[:k])[1]) == i + 1)
+                    ref, ref_pivots = dense_rref(mat[:read])
+                    assert [row.get(k, 0) for k in range(n)] == [
+                        row[p] * x for x in ref[ref_pivots.index(p)]]
 
 
 class TestNullspace:
@@ -84,20 +104,6 @@ class TestNullspace:
             for v in null:
                 assert all(x == 0 for x in linalg.mat_vec(mat, v))
             assert len(null) == cols - linalg.rank_exact(mat)
-
-    def test_left_nullspace_annihilates(self):
-        rng = random.Random(100)
-        for _ in range(40):
-            rows = rng.randint(1, 5)
-            cols = rng.randint(1, 4)
-            mat = [random_vector(rng, cols) for _ in range(rows)]
-            for a in linalg.left_nullspace(mat, rows):
-                prod = [linalg.dot(a, col) for col in zip(*mat)]
-                assert all(x == 0 for x in prod)
-
-    def test_left_nullspace_of_zero_columns(self):
-        # matrix with zero width: every row vector is in the left kernel
-        assert len(linalg.left_nullspace([], 3)) == 3
 
 
 class TestInvertSolve:

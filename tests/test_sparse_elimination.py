@@ -1,9 +1,8 @@
 """The sparse elimination kernel against the dense routines it replaced.
 
-``dense_rref``, ``dense_reduce_against``, ``dense_nullspace``,
-``dense_left_nullspace`` and ``dense_invert`` are the Gauss-Jordan loops
-over full rows of ``Fraction`` that ``linalg`` used before its readers
-were built on ``linalg.echelon``; ``dense_matmul``, ``dense_mat_vec`` and
+``dense_rref``, ``dense_reduce_against``, ``dense_nullspace`` and
+``dense_invert`` are the Gauss-Jordan loops over full rows of ``Fraction``
+that ``linalg`` used before its readers were built on ``linalg.echelon``; ``dense_matmul``, ``dense_mat_vec`` and
 ``dense_dot`` wrapped every entry in ``Fraction`` and multiplied zeros
 too.  On random rational matrices, with zero rows and columns, repeated
 and rescaled rows, negative and non-unit pivots, and empty and 1 x 1
@@ -88,19 +87,6 @@ def dense_nullspace(mat, n_cols=None):
     return basis
 
 
-def dense_left_nullspace(mat, n_rows=None):
-    rows = as_fraction_rows(mat)
-    if n_rows is None:
-        n_rows = len(rows)
-    if n_rows == 0:
-        return []
-    if not rows or not rows[0]:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(n_rows)]
-                for i in range(n_rows)]
-    transposed = [list(col) for col in zip(*rows)]
-    return dense_nullspace(transposed, n_cols=n_rows)
-
-
 def dense_invert(mat):
     a = as_fraction_rows(mat)
     n = len(a)
@@ -180,7 +166,7 @@ def vectors(n: int):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(mat=matrices())
-def test_rref_nullspace_left_nullspace(mat):
+def test_rref_nullspace(mat):
     got = linalg.rref(mat)
     assert got == dense_rref(mat)
     assert all_fractions(got[0])
@@ -189,36 +175,38 @@ def test_rref_nullspace_left_nullspace(mat):
         got = outcome(linalg.nullspace, *args)
         assert got == outcome(dense_nullspace, *args)
         assert all_fractions(got)
-    for args in ((mat,), (mat, len(mat))):
-        got = linalg.left_nullspace(*args)
-        assert got == dense_left_nullspace(*args)
-        assert all_fractions(got)
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=st.data())
 def test_reduce_against_an_rref_basis(data):
-    # reduce_in_place by rref rows leaves the residual dense_reduce_against
-    # gives, and its factors are the coordinates of what it took away
+    # reduce_in_place by rref rows, and by those rows scaled by nonzero
+    # integers, leaves the residual dense_reduce_against gives, and its
+    # factors are the coordinates of what it took away in the rows as given
     n = data.draw(st.integers(1, 6))
     mat = data.draw(matrices(n_cols=n))
-    rows, pivots = dense_rref(mat)
+    rref_rows, pivots = dense_rref(mat)
+    scales = data.draw(st.lists(st.integers(-5, 5).filter(bool),
+                                min_size=len(pivots), max_size=len(pivots)))
+    scaled = [[q * x for x in row] for q, row in zip(scales, rref_rows)]
     free = data.draw(vectors(n))
     coeffs = data.draw(vectors(len(mat)))
     inside = [sum((c * row[k] for c, row in zip(coeffs, mat)), Fraction(0))
               for k in range(n)]
-    for vec in (free, inside):
-        w = linalg.sparse_rows([vec])[0]
-        factors = linalg.reduce_in_place(w, linalg.sparse_rows(rows), pivots)
-        got = linalg.dense_rows([w], n)[0]
-        assert got == dense_reduce_against(vec, rows, pivots)
-        assert all(w.values())
-        taken = [sum((f * row[k] for f, row in zip(factors, rows)),
-                     Fraction(0)) for k in range(n)]
-        assert [a - b for a, b in zip(vec, taken)] == got
-    w = linalg.sparse_rows([inside])[0]
-    linalg.reduce_in_place(w, linalg.sparse_rows(rows), pivots)
-    assert not w
+    for rows in (rref_rows, scaled):
+        for vec in (free, inside):
+            w = linalg.sparse_rows([vec])[0]
+            factors = linalg.reduce_in_place(w, linalg.sparse_rows(rows),
+                                             pivots)
+            got = linalg.dense_rows([w], n)[0]
+            assert got == dense_reduce_against(vec, rref_rows, pivots)
+            assert all(w.values())
+            taken = [sum((f * row[k] for f, row in zip(factors, rows)),
+                         Fraction(0)) for k in range(n)]
+            assert [a - b for a, b in zip(vec, taken)] == got
+        w = linalg.sparse_rows([inside])[0]
+        linalg.reduce_in_place(w, linalg.sparse_rows(rows), pivots)
+        assert not w
 
 
 @settings(max_examples=300, deadline=None, database=None)
