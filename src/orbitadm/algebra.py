@@ -8,7 +8,10 @@ constants as given, ``from_brackets`` from a list of brackets.  Validation
 and the structural classification (solvable, nilpotent, unimodular,
 exponential) read the integer table, so their cost follows the nonzero
 constants, not n^3, and their spans are fraction-free
-(``linalg.echelon``).  None of them changes under the scaling by D;
+(``linalg.echelon``).  The spans are support-pruned: ``support[i]`` holds
+the j with a nonzero plane table[i][j], and a product [u, v] is formed only
+when it can meet one, every other product being exactly 0.  None of them
+changes under the scaling by D;
 every exact value that leaves this module (brackets, adjoint matrices,
 traces, violation residuals, the ``nonzero`` constants) is scaled back to
 the basis Z_i.  Exponentiality is decided exactly over Q, with the
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import lcm
 
@@ -70,6 +74,13 @@ class LieAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis_names)
+
+    @cached_property
+    def support(self) -> tuple[frozenset[int], ...]:
+        """support[i]: the j with table[i][j] nonzero.  [u, v] is 0 unless
+        some i of u's coordinates has a j of v's in support[i]."""
+        return tuple(frozenset(j for j, pairs in enumerate(plane) if pairs)
+                     for plane in self.table)
 
     @property
     def nonzero(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...],
@@ -204,7 +215,8 @@ def validate(L: LieAlgebra) -> list[Violation]:
 
 def _product(L: LieAlgebra, us, vs) -> dict:
     """[u, v] in the integer table, as {k: coefficient}, from the nonzero
-    coordinates of u and v: D times the bracket in the basis Z_i."""
+    coordinates of u and v: D times the bracket in the basis Z_i.  A
+    coefficient may cancel to 0 and stay in the dict."""
     out: dict = {}
     for i, ui in us:
         plane = L.table[i]
@@ -214,25 +226,39 @@ def _product(L: LieAlgebra, us, vs) -> dict:
     return out
 
 
-def _sparse_bracket(L: LieAlgebra, u, v) -> dict:
-    """[u, v] as {k: coefficient}, for u and v given as ``linalg.cleared``
-    pairs (integer row, denominator): formed in the integer table, then
-    scaled back once per coordinate."""
-    (us, du), (vs, dv) = u, v
-    out = _product(L, us.items(), vs.items())
-    d = L.scale * du * dv
-    return out if d == 1 else {k: Fraction(x, d) for k, x in out.items()}
+def _products(L: LieAlgebra, us, vs=None):
+    """(s, t, [us[s], vs[t]]) in the integer table for the sparse rows us
+    and vs, s rising and t rising within s, over the pairs whose product
+    can be nonzero: those with a nonzero plane table[i][j], i a coordinate
+    of us[s] and j one of vs[t].  Every other product is exactly 0 and is
+    not formed.  Without vs, the pairs s < t of us, since [b, a] = -[a, b].
+    """
+    support = L.support
+    left = [list(u.items()) for u in us]
+    right = left if vs is None else [list(v.items()) for v in vs]
+    keys = [[j for j, _ in v] for v in right]
+    for s, u in enumerate(left):
+        reach = support[u[0][0]] if len(u) == 1 else frozenset().union(
+            *(support[i] for i, _ in u))
+        if not reach:
+            continue
+        for t in range(s + 1 if vs is None else 0, len(right)):
+            if not reach.isdisjoint(keys[t]):
+                yield s, t, _product(L, u, right[t])
 
 
 def bracket(L: LieAlgebra, u, v) -> Vector:
-    """[u, v] by bilinear expansion over the nonzero structure constants."""
+    """[u, v] by bilinear expansion over the nonzero structure constants:
+    formed in the integer table from u and v cleared to integers, then
+    scaled back once per coordinate."""
     n = L.dim
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(
             f"bracket arguments must have length {n}, got {len(u)} and {len(v)}")
-    us, vs = sparse_rows((u, v))
-    return dense_vector(_sparse_bracket(L, cleared(us), cleared(vs)).items(),
-                        n)
+    (us, du), (vs, dv) = map(cleared, sparse_rows((u, v)))
+    d = L.scale * du * dv
+    w = _product(L, us.items(), vs.items())
+    return dense_vector(((k, Fraction(x, d)) for k, x in w.items()), n)
 
 
 def ad_matrix(L: LieAlgebra, u) -> list[list[Fraction]]:
@@ -283,16 +309,15 @@ class StructureReport:
 # The series and the flag below are spans of brackets in the integer
 # table, held as primitive integer rows {k: coefficient} in the echelon form
 # of ``linalg.echelon``.  A span does not change under the scaling by
-# D, so neither do the dimensions and pivots read off them.
+# D, so neither do the dimensions and pivots read off them.  Their products
+# come from ``_products``, which forms no product that is exactly 0, so
+# echelon reads the same nonzero vectors in the same order.
 
 
-def _brackets(L: LieAlgebra, us, vs):
-    """[u, v] in the integer table for every sparse u in us and v in vs."""
-    vs = [list(v.items()) for v in vs]
-    for u in us:
-        u = list(u.items())
-        for v in vs:
-            yield _product(L, u, v)
+def _span(L: LieAlgebra, us, vs=None, limit=None) -> list[Sparse]:
+    """Echelon basis of the span of the products of ``_products``; without
+    vs, of the brackets of us among themselves: the derived series step."""
+    return echelon((w for _, _, w in _products(L, us, vs)), limit=limit)[0]
 
 
 def _commutator(L: LieAlgebra) -> list[Sparse]:
@@ -302,18 +327,19 @@ def _commutator(L: LieAlgebra) -> list[Sparse]:
                    for pairs in plane[i + 1:] if pairs)[0]
 
 
-def _derived_step(L: LieAlgebra, rows) -> list[Sparse]:
-    # [b, a] = -[a, b], so only the pairs a before b are bracketed
-    terms = [list(row.items()) for row in rows]
-    return echelon(_product(L, a, b) for s, a in enumerate(terms)
-                   for b in terms[s + 1:])[0]
-
-
 def _lower_central_step(L: LieAlgebra, rows) -> list[Sparse]:
     # C^(j+1) lies in C^j, so a span as large as C^j is C^j: the series
     # has stabilised and the remaining products cannot add to it
-    basis = ({z: 1} for z in range(L.dim))
-    return echelon(_brackets(L, basis, rows), limit=len(rows))[0]
+    basis = [{z: 1} for z in range(L.dim)]
+    return _span(L, basis, rows, limit=len(rows))
+
+
+def _flag(L: LieAlgebra, commutator, stable) -> list[list[Sparse]]:
+    """V_0 = stable, V_(j+1) = [[g, g], V_j], down to and with V = 0."""
+    flag = [stable]
+    while flag[-1]:
+        flag.append(_span(L, commutator, flag[-1]))
+    return flag
 
 
 def _series(L: LieAlgebra, current, step):
@@ -331,7 +357,7 @@ def derived_series_dims(L: LieAlgebra) -> tuple[int, ...]:
 
     Strictly decreasing by construction; ends in 0 exactly when L is solvable.
     """
-    return _series(L, _commutator(L), _derived_step)[0]
+    return _series(L, _commutator(L), _span)[0]
 
 
 def lower_central_dims(L: LieAlgebra) -> tuple[int, ...]:
@@ -431,8 +457,8 @@ def _quotient_actions(L: LieAlgebra, gens, upper, lower):
     basis = rows[len(lower):]
     mats = []
     for k in gens:
-        cols = [reduce_in_place(w, rows, piv)[len(lower):]
-                for w in _brackets(L, [{k: 1}], basis)]
+        cols = [reduce_in_place(_product(L, ((k, 1),), row.items()), rows,
+                                piv)[len(lower):] for row in basis]
         mats.append([list(row) for row in zip(*cols)])
     return mats
 
@@ -453,9 +479,7 @@ def _exponentiality(L: LieAlgebra, commutator, stable):
         return EXPONENTIAL, "nilpotent", None
     pivots = {min(row) for row in commutator}
     gens = [k for k in range(L.dim) if k not in pivots]
-    flag = [stable]
-    while flag[-1]:
-        flag.append(echelon(_brackets(L, commutator, flag[-1]))[0])
+    flag = _flag(L, commutator, stable)
     for j, (upper, lower) in enumerate(zip(flag, flag[1:])):
         failure = _quotient_failure(_quotient_actions(L, gens, upper, lower))
         if failure is None:
@@ -490,7 +514,7 @@ def structure_report(L: LieAlgebra) -> StructureReport:
     """
     violations = tuple(validate(L))
     commutator = _commutator(L)
-    der, _ = _series(L, commutator, _derived_step)
+    der, _ = _series(L, commutator, _span)
     low, stable = _series(L, commutator, _lower_central_step)
     if violations:
         decision = NOT_EXPONENTIAL, "the structure constants are invalid", None

@@ -24,7 +24,7 @@ from .algebra import DimensionMismatchError
 from .moment import DisagreementError, SamplingMissError, stabilizer_report
 from .monomial import (NotACharacterError, NotClosedError, RankDeficientError,
                        build_datum)
-from .problemfile import ParseError, parse, parse_rational_list
+from .problemfile import ParseError, decode, parse, parse_rational_list
 from .report import (render_jacobian_text, render_json,
                      render_problem_summary, render_stabilizer_text,
                      render_text)
@@ -133,10 +133,10 @@ def _settings(args, file_config: dict) -> AnalysisConfig:
 
 def _load(path: str):
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
-    return parse(text)
+    return parse(decode(data))
 
 
 def _checked(args):

@@ -6,7 +6,9 @@ sparse rows are dicts {column: nonzero entry}.  Everything here is exact.
 denominator-cleared integer rows.  Every span, rank and coordinate of
 sparse rows comes from one fraction-free sparse reduction, ``echelon``,
 which returns an echelon basis in primitive integer rows: it never visits a
-zero entry, and a rational vector is cleared to integers on entry.  Rref,
+zero entry, drops a zero vector before it meets any row, and clears a
+rational vector to integers on entry; the brackets of the integer table
+and the columns of the integer moment pencil arrive as integers.  Rref,
 kernels and inverses scale its rows to pivot 1 once and back-substitute.
 """
 
@@ -147,7 +149,8 @@ def echelon(vectors,
     """Echelon basis (rows, pivots) of the span of sparse rational vectors,
     in primitive integer rows, fraction-free (Bareiss 1968).
 
-    A vector with a ``Fraction`` entry is cleared to integers first.  Each
+    A zero vector is skipped before it meets any row, and a vector with a
+    ``Fraction`` entry is cleared to integers first.  Each
     vector w is then reduced by the rows so far: at the pivot column of a
     row with entry p there, w <- p w - w_p row, both factors divided by
     gcd(p, w_p) first.  A nonzero residue becomes a row with its first
@@ -161,6 +164,8 @@ def echelon(vectors,
     pivots: list[int] = []
     for v in vectors:
         w = {k: x for k, x in v.items() if x}
+        if not w:
+            continue
         if Fraction in map(type, w.values()):
             w = cleared(w)[0]
         for row, col in zip(rows, pivots):

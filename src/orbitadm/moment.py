@@ -5,12 +5,14 @@ with B_j running over the adapted basis.  Its exact rank equals the
 dimension of the H-orbit of l, and the H-stabilizer subalgebra
 h(l) = { Y in h : l([Y, .]) = 0 } is the left kernel of M(l) pushed through
 the generators.  Every reader takes l = l_x in A_tau by its chart point x
-and evaluates the datum's sparse exact pencil M(x) = M_0 + sum x_r M_r
-there once, into the sparse columns of its m x (n - m) block (the first m
-columns of M(l_x) are 0); rank_at ranks them by ``linalg.echelon``, the one
-fraction-free sparse elimination, which clears each column to integers.
-The point l_x itself comes from the datum's sparse chart.  The generic
-value of that rank,
+and evaluates the datum's sparse integer pencil M(x) = M_0 + sum x_r M_r
+there once, in integers, into the sparse columns of its m x (n - m) block
+(the first m columns of M(l_x) are 0): a rational x is cleared to one
+denominator q first, giving a positive integer multiple of the block, which
+has the same rank, kernel and spans.  rank_at ranks the columns by
+``linalg.echelon``, the one fraction-free sparse elimination, with nothing
+left to clear; only moment_matrix divides back.  The point l_x itself
+comes from the datum's sparse chart.  The generic value of that rank,
 
     d_tau = max over l in A_tau of dim H.l,
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import DimensionMismatchError
 from .linalg import (Sparse, WorkLimitError, bareiss, cleared_int_rows,
@@ -59,30 +62,40 @@ __all__ = [
 SYMBOLIC_WORK_LIMIT = 10 ** 6
 
 
-def _block_at(D: MonomialDatum, x) -> list[Sparse]:
-    """Column r of the m x (n - m) block of M(l_x), as {i: nonzero entry},
-    for r = 0..n-m-1: the pencil at chart point x."""
+def _block_at(D: MonomialDatum, x) -> tuple[list[Sparse], int]:
+    """(columns, q): column r of the m x (n - m) block of
+    q * denominator * M(l_x), as {i: nonzero int}, for r = 0..n-m-1, with
+    q the lcm of the denominators of x.  The integer pencil is evaluated in
+    integers at q x, its constant term taken q times."""
     if len(x) != D.n - D.m:
         raise DimensionMismatchError(
             f"chart point needs {D.n - D.m} coordinates, got {len(x)}")
+    q = 1
+    if any(type(v) is not int for v in x):
+        x = [Fraction(v) for v in x]
+        q = lcm(*(v.denominator for v in x))
+        x = [v.numerator * (q // v.denominator) for v in x]
     columns: list[Sparse] = [{} for _ in x]
-    for t, coefficient in zip((1, *map(Fraction, x)), D.pencil):
+    for t, coefficient in zip((q, *x), D.pencil):
         if t:
             for column, pairs in zip(columns, coefficient):
                 for i, c in pairs:
                     column[i] = column.get(i, 0) + t * c
-    return [{i: c for i, c in column.items() if c} for column in columns]
+    return [{i: c for i, c in column.items() if c} for column in columns], q
 
 
 def rank_at(D: MonomialDatum, x) -> int:
     """Exact rank of the moment matrix at chart point x, from the pencil."""
-    return len(echelon(_block_at(D, x))[0])
+    return len(echelon(_block_at(D, x)[0])[0])
 
 
 def moment_matrix(D: MonomialDatum, x) -> tuple[Vector, ...]:
-    """The exact m x n moment matrix M(l_x) at chart point x."""
-    block, zero = _block_at(D, x), Fraction(0)
-    return tuple((zero,) * D.m + tuple(column.get(i, zero) for column in block)
+    """The exact m x n moment matrix M(l_x) at chart point x: the integer
+    block divided back by q * denominator."""
+    block, q = _block_at(D, x)
+    d, zero = q * D.denominator, Fraction(0)
+    return tuple((zero,) * D.m + tuple(Fraction(column.get(i, 0), d)
+                                       for column in block)
                  for i in range(D.m))
 
 
@@ -112,8 +125,8 @@ def stabilizer_report(D: MonomialDatum, x) -> StabilizerReport:
     B(l), whose rank (always even) is dim G.l.
     """
     m, n = D.m, D.n
-    h_basis = tuple(map(tuple, matmul(nullspace(_block_at(D, x), n_cols=m),
-                                      D.generators)))
+    kernel = nullspace(_block_at(D, x)[0], n_cols=m)
+    h_basis = tuple(map(tuple, matmul(kernel, D.generators)))
     l = point_on_variety(D, x)
     g_basis = tuple(tuple(v) for v in nullspace(skew_form_matrix(D, l),
                                                 n_cols=n))
@@ -177,7 +190,7 @@ def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
     pencil's non-commutative rank.
     """
     m, k = D.m, D.n - D.m
-    a_columns = _block_at(D, x)
+    a_columns = _block_at(D, x)[0]
     image_rows, image_pivots = echelon(a_columns)
     w_rows: list = []
     w_pivots: list[int] = []
@@ -198,7 +211,8 @@ def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
                 for j, uj in support:
                     for i, c in coefficient[j]:
                         w[i] = w.get(i, 0) + c * uj
-                products.append(w)
+                if w:
+                    products.append(w)
         rows, pivots = echelon(products)
         steps += 1
         for row in rows:

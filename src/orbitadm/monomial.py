@@ -9,33 +9,35 @@ x -> l for the spectral variety
 
     A_tau = { l in g* : l(Y) = f(Y) on h }  =  f + h^perp
 
-and the moment pencil over it, stored sparse and exact.  The chart is read
-off the graph of f, the rref of the rows (Y_i | f(Y_i)), with no inverse
-of the adapted basis.  The datum keeps the adapted basis, f_vals, the
-chart and the pencil; the generators are the first m adapted rows.
-Brackets run over the generators' nonzero coordinates, cleared to integers
-once, through the sparse table, and each pair of generators is bracketed
-once.
+and the moment pencil over it, stored sparse in integers.  The chart is
+read off the graph of f, the rref of the rows (Y_i | f(Y_i)), with no
+inverse of the adapted basis.  The datum keeps the adapted basis, f_vals,
+the chart and the pencil; the generators are the first m adapted rows.
+The generators are cleared to one common denominator once, and every
+bracket of two generators, or of a generator and a completing vector, is
+formed in the integer table; a pair of generators whose product is
+exactly 0 is not formed (``algebra._products``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from math import gcd, lcm
 
-from .algebra import DimensionMismatchError, LieAlgebra, _sparse_bracket
-from .linalg import (cleared, dense_rows, dot, echelon, reduce_in_place,
-                     rref_sparse, sparse_rows)
+from .algebra import DimensionMismatchError, LieAlgebra, _products
+from .linalg import (dense_rows, dot, echelon, reduce_in_place, rref_sparse,
+                     sparse_rows)
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 # chart[t]: the nonzero (v, a) pairs, v rising, of coordinate t of the
 # chart point l_x, which is sum over v of a x_v, x_0 = 1
 Chart = tuple[tuple[tuple[int, Fraction], ...], ...]
-# pencil[v][r]: the nonzero (i, c) pairs of column r of M_v, i rising, over
-# the m x (n - m) block; entry (i, r) of M(x) is sum over v of c x_v, x_0 = 1
-Pencil = tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
+# pencil[v][r]: the nonzero (i, c) pairs of column r of M_v, i rising, c an
+# int, over the m x (n - m) block; entry (i, r) of M(x) is the sum over v of
+# c x_v, x_0 = 1, divided by the datum's denominator
+Pencil = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
 
 class RankDeficientError(ValueError):
@@ -71,8 +73,10 @@ class MonomialDatum:
     f_vals[j] = f(Y_j).  chart is the affine chart x -> l_x of A_tau, with
     l_x(Y_j) = f_j and l_x(X_r) = x_r, sparse (see ``Chart``).  pencil is
     the moment matrix M(l_x)[i][j] = l_x([Y_i, B_j]) over the chart, B_j
-    running over the adapted basis, as M(x) = M_0 + sum x_r M_r.  Its
-    first m columns are 0, since f kills [h, h], so it holds only the block
+    running over the adapted basis, as M(x) = M_0 + sum x_r M_r, in
+    integers: the pencil stores denominator * M_v, with denominator a
+    positive int sharing no factor with all of the entries.  The first m
+    columns of M are 0, since f kills [h, h], so it holds only the block
     j >= m, column by column and sparse (see ``Pencil``).
     """
 
@@ -81,6 +85,7 @@ class MonomialDatum:
     adapted_rows: Matrix
     chart: Chart
     pencil: Pencil = field(repr=False)
+    denominator: int
 
     @property
     def n(self) -> int:
@@ -117,20 +122,25 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
             raise DimensionMismatchError(
                 f"generator length {len(row)} != algebra dimension {n}")
     coords = sparse_rows(rows)
-    ints = [cleared(y) for y in coords]
-    basis, pivots = echelon(y for y, _ in ints)
+    d_y = lcm(*(x.denominator for y in coords for x in y.values()))
+    ints = [{k: x.numerator * (d_y // x.denominator) for k, x in y.items()}
+            for y in coords]
+    basis, pivots = echelon(ints)
     if len(pivots) != m:
         raise RankDeficientError(
             f"{m} generators span only a {len(pivots)}-dimensional subspace")
+    # each w is [y_i, y_j] in the integer table: d [Y_i, Y_j]
+    d = L.scale * d_y * d_y
     brackets = []
-    for i, j in combinations(range(m), 2):
-        w = _sparse_bracket(L, ints[i], ints[j])
-        if not any(w.values()):
+    for i, j, w in _products(L, ints):
+        w = {k: x for k, x in w.items() if x}
+        if not w:
             continue  # a zero bracket lies in the span and f kills it
         residual = dict(w)
         reduce_in_place(residual, basis, pivots)
-        if any(residual.values()):
-            raise NotClosedError(i, j, tuple(dense_rows([residual], n)[0]))
+        if residual:
+            raise NotClosedError(i, j, tuple(
+                Fraction(x, d) for x in dense_rows([residual], n)[0]))
         brackets.append((i, j, w))
     vals = tuple(Fraction(x) for x in f_vals)
     if len(vals) != m:
@@ -150,29 +160,41 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
                   for k in range(n))
     for i, j, w in brackets:
         value = sum((solved[k].get(-1, 0) * c for k, c in w.items()
-                     if c and k in solved), Fraction(0))
+                     if k in solved), Fraction(0)) / d
         if value != 0:
             raise NotACharacterError(i, j, value)
     adapted = rows + tuple(L.basis_vector(k) for k in kept)
+    pencil, denominator = _moment_pencil(L, ints, L.scale * d_y, kept, chart)
     return MonomialDatum(algebra=L, f_vals=vals, adapted_rows=adapted,
-                         chart=chart,
-                         pencil=_moment_pencil(L, ints, kept, chart))
+                         chart=chart, pencil=pencil, denominator=denominator)
 
 
-def _moment_pencil(L, ints, kept, chart) -> Pencil:
-    """Entry (i, r) is l_x([Y_i, X_r]), paired with chart[t], the constant
-    and x_v coefficients of l_x at t, over the bracket's nonzero
-    coordinates; each coefficient goes to column r of its M_v.  ints holds
-    the generators as ``linalg.cleared`` pairs."""
+def _moment_pencil(L, ints, scale, kept, chart) -> tuple[Pencil, int]:
+    """The pencil and its denominator.  Entry (i, r) is l_x([Y_i, X_r]):
+    the bracket's coordinates paired with chart[t], the constant and x_v
+    coefficients of l_x at t, cleared to one denominator d; each
+    coefficient goes to column r of its M_v.  ints holds the generators
+    as integer rows, and a bracket formed from them in the integer table
+    is ``scale`` times the bracket, so the entries are scale * d times
+    those of M; that factor and the entries are then divided by their gcd.
+    A pair whose bracket is exactly 0 adds nothing and is not formed.
+    """
+    d = lcm(*(a.denominator for pairs in chart for _, a in pairs))
+    chart = [[(v, a.numerator * (d // a.denominator)) for v, a in pairs]
+             for pairs in chart]
     pencil = [[{} for _ in kept] for _ in range(len(kept) + 1)]
-    for i, y in enumerate(ints):
-        for r, k in enumerate(kept):
-            for t, c in _sparse_bracket(L, y, ({k: 1}, 1)).items():
-                for v, a in chart[t]:
-                    column = pencil[v][r]
-                    column[i] = column.get(i, 0) + c * a
-    return tuple(tuple(tuple((i, c) for i, c in column.items() if c)
-                       for column in columns) for columns in pencil)
+    for i, r, w in _products(L, ints, [{k: 1} for k in kept]):
+        for t, c in w.items():
+            for v, a in chart[t]:
+                column = pencil[v][r]
+                column[i] = column.get(i, 0) + c * a
+    scale *= d
+    g = scale if scale == 1 else gcd(scale, *(c for columns in pencil
+                                              for column in columns
+                                              for c in column.values()))
+    return tuple(tuple(tuple((i, c // g) for i, c in column.items() if c)
+                       for column in columns)
+                 for columns in pencil), scale // g
 
 
 def point_on_variety(D: MonomialDatum, x) -> Vector:

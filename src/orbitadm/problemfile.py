@@ -9,9 +9,10 @@
     config KEY INT                      # KEY is seed, trials or bound
 
 A term is RATIONAL * ID or a bare ID (coefficient 1); rationals are INT or
-INT/POSINT.  '#' starts a comment.  Omitting the subalgebra means the
-trivial one (m = 0); omitting the functional means f = 0.  All errors carry
-(line, column, message).
+INT/POSINT, with the ASCII digits 0-9 only.  '#' starts a comment.
+Omitting the subalgebra means the trivial one (m = 0); omitting the
+functional means f = 0.  A file is UTF-8 text whose lines end at LF,
+CR LF or CR.  All errors carry (line, column, message).
 """
 
 from __future__ import annotations
@@ -34,12 +35,16 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(r"""
-    (?P<RATIONAL>-?\d+(?:/\d+)?)
+    (?P<RATIONAL>-?[0-9]+(?:/[0-9]+)?)
   | (?P<ID>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<PUNCT>[*+;,=])
   | (?P<SPACE>[ \t]+)
   | (?P<BAD>.)
 """, re.VERBOSE)
+
+# a line ends at CR LF, CR or LF only; str.splitlines would also break at
+# form feeds, vertical tabs and Unicode separators, which are errors here
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 # The parsed table is sparse, and validation and the moment pencil follow its
 # nonzero constants, but the analysis builds dense n x n exact matrices (the
@@ -174,9 +179,21 @@ def _term_sum(line: _Line,
         line.take("PUNCT", "'+'", "+")
 
 
+def decode(data: bytes) -> str:
+    """A problem file's bytes as UTF-8 text; a byte sequence that is not
+    UTF-8 is a ParseError at its line and column."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = _LINE_BREAK.split(data[:exc.start].decode("utf-8"))
+        raise ParseError(len(lines), len(lines[-1]) + 1,
+                         f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+                         ) from None
+
+
 def parse(source: str) -> ProblemFile:
     lines = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_BREAK.split(source), start=1):
         toks = _tokenize_line(raw, lineno)
         if toks:
             lines.append(_Line(toks, lineno))

@@ -91,6 +91,23 @@ class TestUsage:
         assert code == 1
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("command", ["validate", "verdict", "rank"])
+    def test_file_that_is_not_utf8(self, tmp_path, command):
+        # read as UTF-8 whatever the locale; the first bad byte is a parse
+        # error at its line and column, lines ending at LF, CR LF or CR
+        extra = ("--point", "0") if command == "rank" else ()
+        for data, where in (
+                (b"\xff\xfealgebra g\n", "line 1, column 1: invalid UTF-8 "
+                                         "byte 0xff"),
+                (b"algebra g\r\ndim 1\rbasis T \xe9\n",
+                 "line 3, column 9: invalid UTF-8 byte 0xe9"),
+                ("algebra \u00e9\n".encode() + b"dim 1\nbasis \xc3(\n",
+                 "line 3, column 7: invalid UTF-8 byte 0xc3")):
+            path = tmp_path / "latin.alg"
+            path.write_bytes(data)
+            assert run_cli(command, str(path), *extra) \
+                == (1, "", f"parse error: {where}\n")
+
     def test_runs_as_a_module(self, tmp_path):
         # python -m orbitadm.cli must run main, not import and exit 0
         src = pathlib.Path(oa.__file__).parents[1]
@@ -500,13 +517,19 @@ class TestRank:
             1, "", "error: --step must be positive and finite\n")
 
     def test_rational_fixture_matches_the_definition(self):
-        # rational constants and functional give the pencil rational
-        # entries; at both frozen points the moment matrix is exact
+        # rational constants and functional give the pencil a denominator
+        # above 1 over its int entries (M has entries -1/10, 1/2, 2/3,
+        # 5/18 and 7/6); at both frozen points the moment matrix is exact
         pf = oa.parse((FIXTURES / "rational_scales.alg").read_text())
         assert oa.validate(pf.algebra) == []
         D = oa.build_datum(pf.algebra, pf.subalgebra_rows, pf.functional_vals)
-        assert max(c.denominator for coefficient in D.pencil
-                   for pairs in coefficient for _, c in pairs) == 18
+        entries = [c for coefficient in D.pencil for pairs in coefficient
+                   for _, c in pairs]
+        assert all(type(c) is int for c in entries)
+        assert D.denominator == 90
+        assert sorted(Fraction(c, D.denominator) for c in entries) == [
+            Fraction(-1, 10), Fraction(5, 18), Fraction(1, 2),
+            Fraction(2, 3), Fraction(7, 6)]
         for _, label, point in FROZEN_POINTS:
             if label in ("p1", "p2"):
                 x = [Fraction(v) for v in point.split(",")]

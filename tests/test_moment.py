@@ -87,11 +87,15 @@ class TestMomentMatrix:
         assert M == ((0, -1),)
 
     def test_rational_entry_stored_exactly(self, axb):
-        # l[X, A] = -f(X) = -1/2 at every x: M_0 holds it, M_1 is empty,
-        # and the first (Y) column of M is not stored
+        # l[X, A] = -f(X) = -1/2 at every x: M_0 holds it as the int -1
+        # over the datum's denominator 2, M_1 is empty, and the first (Y)
+        # column of M is not stored
         D = oa.build_datum(axb, [axb.vector(X=1)], [Fraction(1, 2)])
-        assert D.pencil == ((((0, Fraction(-1, 2)),),), ((),))
+        assert D.pencil == ((((0, -1),),), ((),))
+        assert type(D.pencil[0][0][0][1]) is int and D.denominator == 2
         assert oa.moment_matrix(D, (5,)) == ((0, Fraction(-1, 2)),)
+        assert oa.moment_matrix(D, (Fraction(5, 3),)) \
+            == ((0, Fraction(-1, 2)),)
 
     def test_affine_in_x(self, corpus_data):
         # l_x is affine in x, hence so is M(l_x)

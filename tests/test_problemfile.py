@@ -238,6 +238,44 @@ class TestParseErrors:
         e = err("algebra g\ndim 1\nbasis T\nsubalgebra T @ T\n")
         assert "unexpected character '@'" in e.message
 
+    @pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_only_lf_cr_lf_and_cr_end_a_line(self, brk):
+        # str.splitlines breaks at these too, which shifted every later
+        # line number and let two statements share a physical line
+        e = err(f"algebra g{brk}\ndim 1\nbasis T U\n")
+        assert (e.line, e.col) == (1, 10)
+        assert e.message == f"unexpected character {brk!r}"
+        e = err(f"algebra g\ndim 1{brk}basis T\n")
+        assert (e.line, e.col) == (2, 6)
+        e = err(f"# a comment{brk}\nalgebra g\ndim 1\nbasis T U\n")
+        assert (e.line, e.col) == (4, 1)
+        assert e.message == "basis lists 2 names for dim 1"
+
+    def test_cr_lf_and_cr_end_a_line(self):
+        e = err("algebra g\r\ndim 1\rbasis T U\n")
+        assert (e.line, e.col) == (3, 1)
+        pf = oa.parse(H3_SOURCE.replace("\n", "\r\n"))
+        assert pf == oa.parse(H3_SOURCE) == oa.parse(
+            H3_SOURCE.replace("\n", "\r"))
+
+    @pytest.mark.parametrize("source, col", [
+        ("dim \u0663", 5),                 # ARABIC-INDIC DIGIT THREE
+        ("dim \uff13", 5),                 # FULLWIDTH DIGIT THREE
+        ("dim 1\u0660", 6),
+    ])
+    def test_integers_are_ascii_digits(self, source, col):
+        e = err(f"algebra g\n{source}\nbasis T\n")
+        assert (e.line, e.col) == (2, col)
+
+    def test_coefficients_are_ascii_digits(self):
+        e = err("algebra g\ndim 1\nbasis T\nsubalgebra \uff12 * T\n")
+        assert (e.line, e.col) == (4, 12)
+        e = err("algebra g\ndim 1\nbasis T\nsubalgebra T\n"
+                "functional 1/\u0662\n")
+        assert (e.line, e.col, e.message) \
+            == (5, 13, "unexpected character '/'")
+
     def test_error_string_carries_position(self):
         e = err("algebra g\ndim 2\nbasis A B\nbracket A W = B\n")
         assert str(e).startswith("line 4, column 11: ")
@@ -384,3 +422,9 @@ class TestParseRationalList:
     def test_rejects_empty_piece(self):
         with pytest.raises(ValueError):
             parse_rational_list("1,,2")
+
+    @pytest.mark.parametrize("text", ["\u0661/\u0662", "\uff12", "1,\u0663",
+                                      "1/\u0663", "-\u0967"])
+    def test_rejects_digits_outside_ascii(self, text):
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_rational_list(text)
