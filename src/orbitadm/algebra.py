@@ -200,9 +200,17 @@ def validate(L: LieAlgebra) -> list[Violation]:
     cyclic: dict[tuple[int, int, int], dict[int, int]] = {}
     for a in range(n):
         for b, ab in support[a]:
+            # (a, b, c) is a rotation of an increasing triple for the c
+            # outside [a, b] when a < b and inside (b, a) when b < a
+            if a < b:
+                lo, hi, outside = a, b, True
+            elif b < a:
+                lo, hi, outside = b + 1, a - 1, False
+            else:
+                continue
             for p, coeff in ab:
                 for c, pc in support[p]:
-                    if a < b < c or b < c < a or c < a < b:
+                    if (lo <= c <= hi) is not outside:
                         res = cyclic.setdefault(tuple(sorted((a, b, c))), {})
                         for q, r in pc:
                             res[q] = res.get(q, 0) + coeff * r

@@ -209,7 +209,7 @@ def _cmd_corpus(args, out) -> int:
     entries = sorted(p for p in corpus_dir().iterdir()
                      if p.name.endswith(".alg"))
     for entry in entries:
-        pf = parse(entry.read_text())
+        pf = _load(str(entry))
         out.write(f"{entry.name[:-4]:<16} dim {pf.algebra.dim}  "
                   f"m {pf.m}  {entry}\n")
     return EXIT_OK

@@ -13,6 +13,13 @@ INT/POSINT, with the ASCII digits 0-9 only.  '#' starts a comment.
 Omitting the subalgebra means the trivial one (m = 0); omitting the
 functional means f = 0.  A file is UTF-8 text whose lines end at LF,
 CR LF or CR.  All errors carry (line, column, message).
+
+``parse`` reads a file in one pass.  Each line becomes the list of its
+token texts, and every line is checked for an unexpected character before
+the grammar reads any of them.  The grammar reads the texts by index, and
+a column is worked out only for an error, by scanning its line again.
+Bracket lines fill the constants by basis index, the antisymmetric entry
+with them, for ``from_constants``.
 """
 
 from __future__ import annotations
@@ -20,8 +27,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from string import ascii_letters
 
-from .algebra import LieAlgebra, dense_vector, format_combo, from_brackets
+from .algebra import LieAlgebra, dense_vector, format_combo, from_constants
 
 Vector = tuple[Fraction, ...]
 
@@ -34,13 +42,18 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {col}: {message}")
 
 
-_TOKEN_RE = re.compile(r"""
-    (?P<RATIONAL>-?[0-9]+(?:/[0-9]+)?)
-  | (?P<ID>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<PUNCT>[*+;,=])
-  | (?P<SPACE>[ \t]+)
-  | (?P<BAD>.)
-""", re.VERBOSE)
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
+_RATIONAL_RE = re.compile(_RATIONAL)
+# a token is a name, a rational or a mark (no two start with the same
+# character, and names come first as the most common); blanks (spaces and
+# tabs) part tokens, and every other character is unexpected
+_TOKEN = rf"[A-Za-z_][A-Za-z0-9_]*|{_RATIONAL}|[*+;,=]"
+_TOKEN_RE = re.compile(_TOKEN)
+# the longest start of a line made of tokens and blanks; with no anchor at
+# its end it never backtracks into a token
+_CLEAN_RE = re.compile(rf"(?:[ \t]*(?:{_TOKEN}))*[ \t]*")
+_RATIONAL_START = frozenset("-0123456789")
+_NAME_START = frozenset(ascii_letters + "_")
 
 # a line ends at CR LF, CR or LF only; str.splitlines would also break at
 # form feeds, vertical tabs and Unicode separators, which are errors here
@@ -56,64 +69,6 @@ CONFIG_KEYS = frozenset({"seed", "trials", "bound"})
 
 
 @dataclass(frozen=True)
-class Token:
-    kind: str   # RATIONAL | ID | PUNCT | EOL
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize_line(text: str, lineno: int) -> list[Token]:
-    body = text.split("#", 1)[0]
-    out = []
-    for match in _TOKEN_RE.finditer(body):
-        kind = match.lastgroup
-        if kind == "SPACE":
-            continue
-        col = match.start() + 1
-        if kind == "BAD":
-            raise ParseError(lineno, col,
-                             f"unexpected character {match.group()!r}")
-        out.append(Token(kind, match.group(), lineno, col))
-    return out
-
-
-class _Line:
-    """Cursor over one line's tokens with expectation-style errors."""
-
-    def __init__(self, tokens: list[Token], lineno: int):
-        self.tokens = tokens
-        self.lineno = lineno
-        self.pos = 0
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _end_col(self) -> int:
-        if self.tokens:
-            last = self.tokens[-1]
-            return last.col + len(last.text)
-        return 1
-
-    def take(self, kind: str, expected: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(self.lineno, self._end_col(),
-                             f"expected {expected}, found end of line")
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise ParseError(tok.line, tok.col,
-                             f"expected {expected}, found {tok.text!r}")
-        self.pos += 1
-        return tok
-
-    def done(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(tok.line, tok.col,
-                             f"expected end of line, found {tok.text!r}")
-
-
-@dataclass(frozen=True)
 class ProblemFile:
     name: str
     algebra: LieAlgebra
@@ -126,57 +81,133 @@ class ProblemFile:
         return len(self.subalgebra_rows)
 
 
-def _int(text: str, line: int, col: int) -> int:
+class _Refusal(Exception):
+    """An error at token ``index`` of the line being read, ``offset``
+    characters into it, or just past the line's last token when ``index``
+    is the number of tokens; ``parse`` adds the line and column."""
+
+    def __init__(self, index: int, message: str, offset: int = 0):
+        super().__init__(message)
+        self.index = index
+        self.message = message
+        self.offset = offset
+
+
+def _scan(texts: list[str]) -> list[tuple[int, list[str]]]:
+    """(line number, token texts) of each line with a token; the first
+    unexpected character of any line is a ParseError."""
+    lines = []
+    for lineno, text in enumerate(texts, start=1):
+        body = text.partition("#")[0]
+        toks = _TOKEN_RE.findall(body)
+        # every character outside a token must be a blank
+        if (sum(map(len, toks)) + body.count(" ") + body.count("\t")
+                != len(body)):
+            col = _CLEAN_RE.match(body).end()
+            raise ParseError(lineno, col + 1,
+                             f"unexpected character {body[col]!r}")
+        if toks:
+            lines.append((lineno, toks))
+    return lines
+
+
+def _column(text: str, index: int, offset: int) -> int:
+    """The column of a _Refusal on the line ``text``."""
+    spans = [m.span() for m in _TOKEN_RE.finditer(text.partition("#")[0])]
+    if index < len(spans):
+        return spans[index][0] + offset + 1
+    return spans[-1][1] + 1
+
+
+def _expected(toks: list[str], i: int, what: str) -> _Refusal:
+    found = repr(toks[i]) if i < len(toks) else "end of line"
+    return _Refusal(i, f"expected {what}, found {found}")
+
+
+def _expect(toks: list[str], i: int, text: str) -> int:
+    """The index past toks[i], which must be ``text``."""
+    if i < len(toks) and toks[i] == text:
+        return i + 1
+    raise _expected(toks, i, f"'{text}'")
+
+
+def _end(toks: list[str], i: int) -> None:
+    if i < len(toks):
+        raise _expected(toks, i, "end of line")
+
+
+def _name(toks: list[str], i: int, what: str) -> str:
+    if i < len(toks) and toks[i][0] in _NAME_START:
+        return toks[i]
+    raise _expected(toks, i, what)
+
+
+def _rational_text(toks: list[str], i: int, what: str) -> str:
+    if i < len(toks) and toks[i][0] in _RATIONAL_START:
+        return toks[i]
+    raise _expected(toks, i, what)
+
+
+def _int(text: str, index: int, offset: int = 0) -> int:
     """int(text) for a digit string; Python refuses very long ones."""
     try:
         return int(text)
     except ValueError:
-        raise ParseError(line, col, f"integer literal too long "
-                         f"({len(text.lstrip('-'))} digits)") from None
+        raise _Refusal(index, f"integer literal too long "
+                       f"({len(text.lstrip('-'))} digits)", offset) from None
 
 
-def _rational(tok: Token) -> int | Fraction:
-    """The token's value: an int when it is written as one, so an integral
-    bracket table reaches ``from_brackets`` without Fractions."""
-    if "/" in tok.text:
-        num, den = tok.text.split("/")
-        den_col = tok.col + len(num) + 1
-        if _int(den, tok.line, den_col) == 0:
-            raise ParseError(tok.line, den_col,
-                             "denominator must be a positive integer")
-        return Fraction(_int(num, tok.line, tok.col),
-                        _int(den, tok.line, den_col))
-    return _int(tok.text, tok.line, tok.col)
+def _rational(text: str, index: int = 0) -> int | Fraction:
+    """The value of a rational token: an int when it is written as one, so
+    an integral bracket table reaches ``from_constants`` without
+    Fractions."""
+    num, slash, den = text.partition("/")
+    if not slash:
+        return _int(text, index)
+    q = _int(den, index, len(num) + 1)
+    if q == 0:
+        raise _Refusal(index, "denominator must be a positive integer",
+                       len(num) + 1)
+    return Fraction(_int(num, index), q)
 
 
-def _term(line: _Line, names: dict[str, int]) -> tuple[int, int | Fraction]:
-    """One term: RATIONAL '*' ID, or a bare ID with coefficient 1."""
-    tok = line.peek()
-    if tok is not None and tok.kind == "RATIONAL":
-        line.take("RATIONAL", "a rational coefficient")
-        coeff = _rational(tok)
-        line.take("PUNCT", "'*'", "*")
-        ident = line.take("ID", "a basis name")
-    else:
-        ident = line.take("ID", "a term (coefficient * name, or a name)")
-        coeff = 1
-    if ident.text not in names:
-        raise ParseError(ident.line, ident.col,
-                         f"unknown basis name {ident.text!r}")
-    return names[ident.text], coeff
+def _index(toks: list[str], i: int, names: dict[str, int], what: str) -> int:
+    """The basis index of the name toks[i]; ``what`` is the token expected
+    there when it is no name."""
+    k = names.get(toks[i]) if i < len(toks) else None
+    if k is None:
+        raise _Refusal(i, f"unknown basis name {_name(toks, i, what)!r}")
+    return k
 
 
-def _term_sum(line: _Line,
-              names: dict[str, int]) -> list[tuple[int, int | Fraction]]:
-    """The (index, coefficient) pairs of a sum; a repeated name adds up."""
+def _term_sum(toks: list[str], i: int, names: dict[str, int]
+              ) -> tuple[dict[int, int | Fraction], int]:
+    """The {basis index: coefficient} of the sum of terms from toks[i], a
+    repeated name adding up, and the index past it.  A term is RATIONAL
+    '*' ID, or a bare ID with coefficient 1."""
     terms: dict[int, int | Fraction] = {}
     while True:
-        idx, coeff = _term(line, names)
-        terms[idx] = terms.get(idx, 0) + coeff
-        tok = line.peek()
-        if tok is None or tok.text != "+":
-            return list(terms.items())
-        line.take("PUNCT", "'+'", "+")
+        if i < len(toks) and toks[i][0] in _RATIONAL_START:
+            coeff = _rational(toks[i], i)
+            i = _expect(toks, i + 1, "*")
+            k = _index(toks, i, names, "a basis name")
+        else:
+            coeff = 1
+            k = _index(toks, i, names,
+                       "a term (coefficient * name, or a name)")
+        terms[k] = terms.get(k, 0) + coeff
+        i += 1
+        if i == len(toks) or toks[i] != "+":
+            return terms, i
+        i += 1
+
+
+def _line(lines: list, h: int, expected: str) -> tuple[int, list[str]]:
+    """Header line h, which must be there."""
+    if h < len(lines):
+        return lines[h]
+    raise ParseError(lines[-1][0] if lines else 1, 1,
+                     f"expected {expected}, found end of file")
 
 
 def decode(data: bytes) -> str:
@@ -192,164 +223,135 @@ def decode(data: bytes) -> str:
 
 
 def parse(source: str) -> ProblemFile:
-    lines = []
-    for lineno, raw in enumerate(_LINE_BREAK.split(source), start=1):
-        toks = _tokenize_line(raw, lineno)
-        if toks:
-            lines.append(_Line(toks, lineno))
-    cursor = 0
+    """The problem of ``source``; the first error is a ParseError."""
+    texts = _LINE_BREAK.split(source)
+    lines = _scan(texts)
+    lineno = 0
+    try:
+        # --- header -------------------------------------------------------
+        lineno, toks = _line(lines, 0, "'algebra'")
+        _expect(toks, 0, "algebra")
+        name = _name(toks, 1, "an algebra name")
+        _end(toks, 2)
 
-    def next_line(expected: str) -> _Line:
-        nonlocal cursor
-        if cursor >= len(lines):
-            lastno = lines[-1].lineno if lines else 1
-            raise ParseError(lastno, 1, f"expected {expected}, "
-                             "found end of file")
-        line = lines[cursor]
-        cursor += 1
-        return line
+        lineno, toks = _line(lines, 1, "'dim'")
+        _expect(toks, 0, "dim")
+        dim = _rational_text(toks, 1, "a positive integer dimension")
+        _end(toks, 2)
+        n = 0 if "/" in dim else _int(dim, 1)
+        if n < 1:
+            raise _Refusal(1, "dimension must be a positive integer")
 
-    # --- header -----------------------------------------------------------
-    line = next_line("'algebra'")
-    line.take("ID", "'algebra'", "algebra")
-    name = line.take("ID", "an algebra name").text
-    line.done()
+        lineno, toks = _line(lines, 2, "'basis'")
+        _expect(toks, 0, "basis")
+        if len(toks) - 1 > MAX_BASIS_NAMES:
+            raise _Refusal(0, f"basis lists {len(toks) - 1} names; at most "
+                           f"{MAX_BASIS_NAMES} are supported")
+        names: dict[str, int] = {}
+        for i in range(1, len(toks)):
+            nm = _name(toks, i, "a basis name")
+            if nm in names:
+                raise _Refusal(i, f"duplicate basis name {nm!r}")
+            names[nm] = i - 1
+        if len(names) != n:
+            raise ParseError(lineno, 1,
+                             f"basis lists {len(names)} names for dim {n}")
 
-    line = next_line("'dim'")
-    line.take("ID", "'dim'", "dim")
-    dim_tok = line.take("RATIONAL", "a positive integer dimension")
-    line.done()
-    n = 0 if "/" in dim_tok.text else _int(dim_tok.text, dim_tok.line,
-                                            dim_tok.col)
-    if n < 1:
-        raise ParseError(dim_tok.line, dim_tok.col,
-                         "dimension must be a positive integer")
+        # --- statements ---------------------------------------------------
+        constants: dict[tuple[int, int], dict[int, int | Fraction]] = {}
+        first_line: dict[tuple[int, int], int] = {}
+        sub_rows: list[Vector] | None = None
+        functional: tuple[tuple[Fraction, ...], int] | None = None
+        config: dict = {}
 
-    line = next_line("'basis'")
-    basis_tok = line.take("ID", "'basis'", "basis")
-    if len(line.tokens) - 1 > MAX_BASIS_NAMES:
-        raise ParseError(basis_tok.line, basis_tok.col,
-                         f"basis lists {len(line.tokens) - 1} names; at most "
-                         f"{MAX_BASIS_NAMES} are supported")
-    basis: list[str] = []
-    while line.peek() is not None:
-        tok = line.take("ID", "a basis name")
-        if tok.text in basis:
-            raise ParseError(tok.line, tok.col,
-                             f"duplicate basis name {tok.text!r}")
-        basis.append(tok.text)
-    if len(basis) != n:
-        raise ParseError(line.lineno, 1,
-                         f"basis lists {len(basis)} names for dim {n}")
-    names = {nm: i for i, nm in enumerate(basis)}
+        for lineno, toks in lines[3:]:
+            head = _name(toks, 0, "'bracket', 'subalgebra', 'functional' "
+                         "or 'config'")
+            if head == "bracket":
+                if sub_rows is not None or functional is not None:
+                    raise _Refusal(0, "bracket lines must precede the "
+                                   "subalgebra and functional blocks")
+                a = _name(toks, 1, "a basis name")
+                b = _name(toks, 2, "a basis name")
+                i, j = names.get(a), names.get(b)
+                if i is None:
+                    raise _Refusal(1, f"unknown basis name {a!r}")
+                if j is None:
+                    raise _Refusal(2, f"unknown basis name {b!r}")
+                if i == j:
+                    raise _Refusal(2, "bracket of identical generators must "
+                                   "be omitted (it is zero by antisymmetry)")
+                if (i, j) in first_line:
+                    raise _Refusal(1, f"duplicate bracket for pair ({a}, "
+                                   f"{b}); first given on line "
+                                   f"{first_line[i, j]}")
+                first_line[i, j] = first_line[j, i] = lineno
+                terms, end = _term_sum(toks, _expect(toks, 3, "="), names)
+                _end(toks, end)
+                constants[i, j] = terms
+                constants[j, i] = {k: -q for k, q in terms.items()}
+            elif head == "subalgebra":
+                if sub_rows is not None:
+                    raise _Refusal(0, "duplicate subalgebra block")
+                if functional is not None:
+                    raise _Refusal(0, "subalgebra must precede the "
+                                   "functional")
+                sub_rows, i = [], 1
+                while True:
+                    terms, i = _term_sum(toks, i, names)
+                    sub_rows.append(dense_vector(terms.items(), n))
+                    if i == len(toks):
+                        break
+                    i = _expect(toks, i, ";")
+            elif head == "functional":
+                if functional is not None:
+                    raise _Refusal(0, "duplicate functional block")
+                if sub_rows is None:
+                    raise _Refusal(0, "functional requires a subalgebra "
+                                   "block")
+                vals, i = [], 1
+                while True:
+                    vals.append(Fraction(_rational(
+                        _rational_text(toks, i, "a rational value"), i)))
+                    i += 1
+                    if i == len(toks):
+                        break
+                    i = _expect(toks, i, ",")
+                functional = (tuple(vals), lineno)
+            elif head == "config":
+                key = _name(toks, 1, "a config key")
+                if key not in CONFIG_KEYS:
+                    known = ", ".join(sorted(CONFIG_KEYS))
+                    raise _Refusal(1, f"unknown config key {key!r} "
+                                   f"(known: {known})")
+                if key in config:
+                    raise _Refusal(1, f"duplicate config key {key!r}")
+                if len(toks) == 2:
+                    raise _expected(toks, 2, "a config value")
+                _end(toks, 3)
+                value = toks[2]
+                if value[0] not in _RATIONAL_START or "/" in value:
+                    raise _Refusal(2, f"expected an integer, found {value!r}")
+                config[key] = _int(value, 2)
+            else:
+                raise _Refusal(0, "expected 'bracket', 'subalgebra', "
+                               f"'functional' or 'config', found {head!r}")
 
-    # --- statements -------------------------------------------------------
-    brackets: dict[tuple[str, str], dict[str, int | Fraction]] = {}
-    seen_pairs: dict[frozenset, int] = {}
-    sub_rows: list[Vector] | None = None
-    functional: tuple[tuple[Fraction, ...], Token] | None = None
-    config: dict = {}
-
-    while cursor < len(lines):
-        line = next_line("a statement")
-        head = line.take(
-            "ID", "'bracket', 'subalgebra', 'functional' or 'config'")
-        if head.text == "bracket":
-            if sub_rows is not None or functional is not None:
-                raise ParseError(head.line, head.col,
-                                 "bracket lines must precede the "
-                                 "subalgebra and functional blocks")
-            a = line.take("ID", "a basis name")
-            b = line.take("ID", "a basis name")
-            for tok in (a, b):
-                if tok.text not in names:
-                    raise ParseError(tok.line, tok.col,
-                                     f"unknown basis name {tok.text!r}")
-            if a.text == b.text:
-                raise ParseError(b.line, b.col,
-                                 "bracket of identical generators must be "
-                                 "omitted (it is zero by antisymmetry)")
-            key = frozenset((a.text, b.text))
-            if key in seen_pairs:
-                raise ParseError(a.line, a.col,
-                                 f"duplicate bracket for pair "
-                                 f"({a.text}, {b.text}); first given on "
-                                 f"line {seen_pairs[key]}")
-            seen_pairs[key] = a.line
-            line.take("PUNCT", "'='", "=")
-            combo = {basis[k]: q for k, q in _term_sum(line, names)}
-            line.done()
-            brackets[a.text, b.text] = combo
-        elif head.text == "subalgebra":
-            if sub_rows is not None:
-                raise ParseError(head.line, head.col,
-                                 "duplicate subalgebra block")
-            if functional is not None:
-                raise ParseError(head.line, head.col,
-                                 "subalgebra must precede the functional")
-            sub_rows = [dense_vector(_term_sum(line, names), n)]
-            while line.peek() is not None:
-                line.take("PUNCT", "';'", ";")
-                sub_rows.append(dense_vector(_term_sum(line, names), n))
-            line.done()
-        elif head.text == "functional":
-            if functional is not None:
-                raise ParseError(head.line, head.col,
-                                 "duplicate functional block")
-            if sub_rows is None:
-                raise ParseError(head.line, head.col,
-                                 "functional requires a subalgebra block")
-            vals = [Fraction(_rational(line.take("RATIONAL",
-                                                 "a rational value")))]
-            while line.peek() is not None:
-                line.take("PUNCT", "','", ",")
-                vals.append(Fraction(_rational(line.take(
-                    "RATIONAL", "a rational value"))))
-            line.done()
-            functional = (tuple(vals), head)
-        elif head.text == "config":
-            key_tok = line.take("ID", "a config key")
-            if key_tok.text not in CONFIG_KEYS:
-                known = ", ".join(sorted(CONFIG_KEYS))
-                raise ParseError(key_tok.line, key_tok.col,
-                                 f"unknown config key {key_tok.text!r} "
-                                 f"(known: {known})")
-            if key_tok.text in config:
-                raise ParseError(key_tok.line, key_tok.col,
-                                 f"duplicate config key {key_tok.text!r}")
-            val_tok = line.peek()
-            if val_tok is None:
-                raise ParseError(line.lineno, line._end_col(),
-                                 "expected a config value, found end of line")
-            line.pos += 1
-            line.done()
-            config[key_tok.text] = _config_value(val_tok)
+        rows = tuple(sub_rows or ())
+        if functional is None:
+            f_vals = (Fraction(0),) * len(rows)
         else:
-            raise ParseError(head.line, head.col,
-                             "expected 'bracket', 'subalgebra', 'functional' "
-                             f"or 'config', found {head.text!r}")
+            f_vals, lineno = functional
+            if len(f_vals) != len(rows):
+                raise _Refusal(0, f"functional has {len(f_vals)} values for "
+                               f"{len(rows)} generators")
+    except _Refusal as exc:
+        raise ParseError(lineno, _column(texts[lineno - 1], exc.index,
+                                         exc.offset), exc.message) from None
 
-    rows = tuple(sub_rows or ())
-    if functional is not None:
-        vals, head = functional
-        if len(vals) != len(rows):
-            raise ParseError(head.line, head.col,
-                             f"functional has {len(vals)} values for "
-                             f"{len(rows)} generators")
-        f_vals = vals
-    else:
-        f_vals = (Fraction(0),) * len(rows)
-
-    algebra = from_brackets(name, basis, brackets)
+    algebra = from_constants(name, tuple(names), constants)
     return ProblemFile(name=name, algebra=algebra, subalgebra_rows=rows,
                        functional_vals=f_vals, config=config)
-
-
-def _config_value(tok: Token) -> int:
-    if tok.kind != "RATIONAL" or "/" in tok.text:
-        raise ParseError(tok.line, tok.col,
-                         f"expected an integer, found {tok.text!r}")
-    return _int(tok.text, tok.line, tok.col)
 
 
 def serialize(pf: ProblemFile) -> str:
@@ -380,11 +382,10 @@ def parse_rational_list(text: str) -> tuple[Fraction, ...]:
         return ()
     out = []
     for piece in (item.strip() for item in text.split(",")):
-        match = _TOKEN_RE.fullmatch(piece)
-        if match is None or match.lastgroup != "RATIONAL":
+        if _RATIONAL_RE.fullmatch(piece) is None:
             raise ValueError(f"not a rational: {piece!r}")
         try:
-            out.append(Fraction(_rational(Token("RATIONAL", piece, 1, 1))))
-        except ParseError as exc:
+            out.append(Fraction(_rational(piece)))
+        except _Refusal as exc:
             raise ValueError(exc.message) from None
     return tuple(out)

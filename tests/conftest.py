@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib.util
 import io
 import random
+import re
 import sys
 from fractions import Fraction
 from math import lcm
@@ -18,11 +19,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import orbitadm as oa
 from orbitadm import algebra, cli
 from orbitadm.algebra import dense_vector
 from orbitadm.linalg import dot, invert
+from orbitadm.problemfile import CONFIG_KEYS
 
 CORPUS_NAMES = [
     "abelian_r3", "axb_f0", "axb_f1", "diag_2d", "grelaud",
@@ -216,3 +219,84 @@ def run_cli(*argv, env_seed=None, monkeypatch=None):
         monkeypatch.setenv(cli.SEED_ENV_VAR, str(env_seed))
     code = cli.main(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+ROUNDTRIP_ALGEBRAS = ([make_h3(), make_axb(), make_motion(), make_sl2()]
+                      + [load_problem(name).algebra for name in CORPUS_NAMES])
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def problem_texts(draw):
+    """A problem file over a Lie algebra in a random rational basis, and its
+    text: serialized, or with a `bracket X Y = 0 * Z` line for a pair whose
+    bracket is zero."""
+    L = draw(st.sampled_from(ROUNDTRIP_ALGEBRAS))
+    seed = draw(st.integers(0, 10 ** 6))
+    L = transform_algebra(L, random_invertible(random.Random(seed), L.dim))
+    vector = st.lists(small_rationals, min_size=L.dim, max_size=L.dim)
+    m = draw(st.integers(0, L.dim))
+    rows = tuple(tuple(draw(vector)) for _ in range(m))
+    vals = tuple(draw(st.lists(small_rationals, min_size=m, max_size=m)))
+    config = {}
+    for key in draw(st.sets(st.sampled_from(sorted(CONFIG_KEYS)))):
+        config[key] = draw(st.integers(-5, 500))
+    pf = oa.ProblemFile(name=L.name, algebra=L, subalgebra_rows=rows,
+                        functional_vals=vals, config=config)
+    lines = oa.serialize(pf).splitlines(keepends=True)
+    names = L.basis_names
+    zero_pairs = [(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)
+                  if not L.nonzero[i][j]]
+    if zero_pairs and draw(st.booleans()):
+        i, j = draw(st.sampled_from(zero_pairs))
+        k = draw(st.integers(0, L.dim - 1))
+        lines.insert(3, f"bracket {names[i]} {names[j]} = 0 * {names[k]}\n")
+    return pf, "".join(lines)
+
+
+CORPUS_TEXTS = [cli.corpus_path(name).read_text() for name in CORPUS_NAMES]
+# a form feed, NEL, a byte order mark and an Arabic-Indic digit are no line
+# break, blank or digit of the format
+FUZZ_CHARS = "AXYZabz019/-*+;,=# \t\n@_\f\x85\ufeff\u0661"
+# digit runs past Python's 4300-digit limit for int()
+FUZZ_LITERALS = ["9" * 4301, "1" * 5000]
+
+
+@st.composite
+def mutated_corpus_texts(draw):
+    """A corpus text after one to four random edits of lines, characters
+    or numbers."""
+    lines = draw(st.sampled_from(CORPUS_TEXTS)).splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(
+            ["delete_line", "repeat_line", "swap_lines", "delete_char",
+             "insert_char", "replace_char", "huge_number"]))
+        if not lines:
+            break
+        r = draw(st.integers(0, len(lines) - 1))
+        if op == "delete_line":
+            del lines[r]
+        elif op == "repeat_line":
+            lines.insert(r, lines[r])
+        elif op == "swap_lines":
+            s = draw(st.integers(0, len(lines) - 1))
+            lines[r], lines[s] = lines[s], lines[r]
+        elif op == "huge_number":
+            spans = [m.span() for m in re.finditer(r"\d+", lines[r])]
+            if spans:
+                a, b = draw(st.sampled_from(spans))
+                lines[r] = (lines[r][:a] + draw(
+                    st.sampled_from(FUZZ_LITERALS)) + lines[r][b:])
+        else:
+            text = lines[r]
+            c = draw(st.integers(0, len(text)))
+            char = draw(st.sampled_from(FUZZ_CHARS))
+            if op == "delete_char":
+                text = text[:c] + text[c + 1:]
+            elif op == "insert_char":
+                text = text[:c] + char + text[c:]
+            else:
+                text = text[:c] + char + text[c + 1:]
+            lines[r] = text
+    return "".join(lines)

@@ -691,3 +691,22 @@ class TestCorpus:
     def test_corpus_path_rejects_unknown_name(self):
         with pytest.raises(FileNotFoundError):
             cli.corpus_path("nonexistent")
+
+    def test_reads_files_as_utf8(self, tmp_path, monkeypatch):
+        # corpus reads each file as the other commands do, whatever the
+        # locale: a non-ASCII comment lists as its ASCII twin does
+        text = cli.corpus_path("grelaud").read_text()
+        (tmp_path / "ascii.alg").write_bytes(f"# g\n{text}".encode())
+        (tmp_path / "utf8.alg").write_bytes(f"# é—\n{text}".encode())
+        monkeypatch.setattr(cli, "corpus_dir", lambda: tmp_path)
+        code, out, err = run_cli("corpus")
+        assert (code, err) == (0, "")
+        assert out == (f"ascii            dim 3  m 1  {tmp_path / 'ascii.alg'}\n"
+                       f"utf8             dim 3  m 1  {tmp_path / 'utf8.alg'}\n")
+
+    def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path,
+                                                     monkeypatch):
+        (tmp_path / "latin.alg").write_bytes(b"algebra g\ndim 1\nbasis \xe9\n")
+        monkeypatch.setattr(cli, "corpus_dir", lambda: tmp_path)
+        assert run_cli("corpus") == (
+            1, "", "parse error: line 3, column 7: invalid UTF-8 byte 0xe9\n")

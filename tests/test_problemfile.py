@@ -1,20 +1,14 @@
-import random
-import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import orbitadm as oa
-from orbitadm import cli
-from orbitadm.problemfile import (CONFIG_KEYS, MAX_BASIS_NAMES,
-                                  parse_rational_list)
+from orbitadm.problemfile import MAX_BASIS_NAMES, parse_rational_list
 
-from conftest import (CORPUS_NAMES, dense_table, load_problem, make_axb,
-                      make_h3, make_motion, make_sl2, random_invertible,
-                      transform_algebra)
+from conftest import (CORPUS_NAMES, dense_table, load_problem,
+                      mutated_corpus_texts, problem_texts)
 
 H3_SOURCE = ("algebra h3\ndim 3\nbasis X Y Z\nbracket X Y = Z\n"
              "subalgebra Y; Z\nfunctional 0, 1\n")
@@ -309,40 +303,6 @@ class TestSerialize:
         assert oa.parse(oa.serialize(pf)).config == {"seed": 4, "bound": 7}
 
 
-ROUNDTRIP_ALGEBRAS = ([make_h3(), make_axb(), make_motion(), make_sl2()]
-                      + [load_problem(name).algebra for name in CORPUS_NAMES])
-
-small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
-
-
-@st.composite
-def problem_texts(draw):
-    """A problem file over a Lie algebra in a random rational basis, and its
-    text: serialized, or with a `bracket X Y = 0 * Z` line for a pair whose
-    bracket is zero."""
-    L = draw(st.sampled_from(ROUNDTRIP_ALGEBRAS))
-    seed = draw(st.integers(0, 10 ** 6))
-    L = transform_algebra(L, random_invertible(random.Random(seed), L.dim))
-    vector = st.lists(small_rationals, min_size=L.dim, max_size=L.dim)
-    m = draw(st.integers(0, L.dim))
-    rows = tuple(tuple(draw(vector)) for _ in range(m))
-    vals = tuple(draw(st.lists(small_rationals, min_size=m, max_size=m)))
-    config = {}
-    for key in draw(st.sets(st.sampled_from(sorted(CONFIG_KEYS)))):
-        config[key] = draw(st.integers(-5, 500))
-    pf = oa.ProblemFile(name=L.name, algebra=L, subalgebra_rows=rows,
-                        functional_vals=vals, config=config)
-    lines = oa.serialize(pf).splitlines(keepends=True)
-    names = L.basis_names
-    zero_pairs = [(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)
-                  if not L.nonzero[i][j]]
-    if zero_pairs and draw(st.booleans()):
-        i, j = draw(st.sampled_from(zero_pairs))
-        k = draw(st.integers(0, L.dim - 1))
-        lines.insert(3, f"bracket {names[i]} {names[j]} = 0 * {names[k]}\n")
-    return pf, "".join(lines)
-
-
 @settings(max_examples=80, deadline=None, database=None)
 @given(case=problem_texts())
 def test_parse_inverts_serialize_in_random_bases(case):
@@ -350,49 +310,11 @@ def test_parse_inverts_serialize_in_random_bases(case):
     assert oa.parse(text) == pf
 
 
-CORPUS_TEXTS = [cli.corpus_path(name).read_text() for name in CORPUS_NAMES]
-FUZZ_CHARS = "AXYZabz019/-*+;,=# \t\n@_"
-# digit runs past Python's 4300-digit limit for int()
-FUZZ_LITERALS = ["9" * 4301, "1" * 5000]
-
-
 @settings(max_examples=300, deadline=None, database=None)
-@given(data=st.data())
-def test_mutated_corpus_texts_fail_only_with_parse_errors(data):
-    lines = data.draw(st.sampled_from(CORPUS_TEXTS)).splitlines(keepends=True)
-    for _ in range(data.draw(st.integers(1, 4))):
-        op = data.draw(st.sampled_from(
-            ["delete_line", "repeat_line", "swap_lines", "delete_char",
-             "insert_char", "replace_char", "huge_number"]))
-        if not lines:
-            break
-        r = data.draw(st.integers(0, len(lines) - 1))
-        if op == "delete_line":
-            del lines[r]
-        elif op == "repeat_line":
-            lines.insert(r, lines[r])
-        elif op == "swap_lines":
-            s = data.draw(st.integers(0, len(lines) - 1))
-            lines[r], lines[s] = lines[s], lines[r]
-        elif op == "huge_number":
-            spans = [m.span() for m in re.finditer(r"\d+", lines[r])]
-            if spans:
-                a, b = data.draw(st.sampled_from(spans))
-                lines[r] = (lines[r][:a] + data.draw(
-                    st.sampled_from(FUZZ_LITERALS)) + lines[r][b:])
-        else:
-            text = lines[r]
-            c = data.draw(st.integers(0, len(text)))
-            char = data.draw(st.sampled_from(FUZZ_CHARS))
-            if op == "delete_char":
-                text = text[:c] + text[c + 1:]
-            elif op == "insert_char":
-                text = text[:c] + char + text[c:]
-            else:
-                text = text[:c] + char + text[c + 1:]
-            lines[r] = text
+@given(text=mutated_corpus_texts())
+def test_mutated_corpus_texts_fail_only_with_parse_errors(text):
     try:
-        oa.parse("".join(lines))
+        oa.parse(text)
     except oa.ParseError:
         pass
 
