@@ -157,11 +157,13 @@ def dense_vector(pairs, n: int) -> Vector:
     return tuple(vec)
 
 
-def format_combo(vec, basis_names) -> str:
-    """A vector as a sum of basis names, e.g. "X + -1/2 * Y"."""
+def format_combo(terms, basis_names) -> str:
+    """A vector as a sum of basis names, e.g. "X + -1/2 * Y", from its
+    (k, coefficient) pairs, k rising: its nonzero coordinates, or
+    ``enumerate`` of a dense vector, whose zeros are skipped."""
     parts = []
-    for k, coeff in enumerate(vec):
-        if coeff == 0:
+    for k, coeff in terms:
+        if not coeff:
             continue
         if coeff == 1:
             parts.append(basis_names[k])
@@ -342,21 +344,31 @@ def _lower_central_step(L: LieAlgebra, rows) -> list[Sparse]:
     return _span(L, basis, rows, limit=len(rows))
 
 
-def _flag(L: LieAlgebra, commutator, stable) -> list[list[Sparse]]:
-    """V_0 = stable, V_(j+1) = [[g, g], V_j], down to and with V = 0."""
-    flag = [stable]
+def _flag(L: LieAlgebra, commutator, stable,
+          second=None) -> list[list[Sparse]]:
+    """V_0 = stable, V_(j+1) = [[g, g], V_j], down to and with V = 0.
+
+    ``second``, when given, is taken as V_1: when C^inf = C^1, V_1 is
+    [C^1, C^1] = g^(2), which the derived series has already spanned.  The
+    quotient actions read off V_0/V_1 do not depend on which echelon basis
+    of V_1 they get.
+    """
+    flag = [stable] if second is None else [stable, second]
     while flag[-1]:
         flag.append(_span(L, commutator, flag[-1]))
     return flag
 
 
-def _series(L: LieAlgebra, current, step):
+def _series(L: LieAlgebra, current, step, terms=None):
     """Dimensions of g, current, step(current), ... while they decrease,
-    and a basis of the last term."""
+    and a basis of the last term; each term that a step forms is also
+    appended to the list ``terms``, when given."""
     dims = [L.dim]
     while len(current) < dims[-1]:
         dims.append(len(current))
         current = step(L, current)
+        if terms is not None:
+            terms.append(current)
     return tuple(dims), current
 
 
@@ -471,7 +483,7 @@ def _quotient_actions(L: LieAlgebra, gens, upper, lower):
     return mats
 
 
-def _exponentiality(L: LieAlgebra, commutator, stable):
+def _exponentiality(L: LieAlgebra, commutator, stable, second=None):
     """(status, reason, witness) for a valid solvable L, decided exactly.
 
     g is exponential iff no ad X has a nonzero purely imaginary eigenvalue
@@ -481,20 +493,21 @@ def _exponentiality(L: LieAlgebra, commutator, stable):
     is g-stable and reaches 0 by Engel's theorem, and [g, g] acts as 0 on
     each V_j/V_(j+1), so there only the basis vectors Z_k outside the
     pivots of [g, g] act, by commuting matrices A_k.  Checks (i) and (ii)
-    of ``_quotient_failure`` run on each quotient.
+    of ``_quotient_failure`` run on each quotient.  ``second`` is passed
+    on to ``_flag`` as V_1.
     """
     if not stable:
         return EXPONENTIAL, "nilpotent", None
     pivots = {min(row) for row in commutator}
     gens = [k for k in range(L.dim) if k not in pivots]
-    flag = _flag(L, commutator, stable)
+    flag = _flag(L, commutator, stable, second)
     for j, (upper, lower) in enumerate(zip(flag, flag[1:])):
         failure = _quotient_failure(_quotient_actions(L, gens, upper, lower))
         if failure is None:
             continue
         check, c, i = failure
         X = dense_vector(zip(gens, c), L.dim)
-        combo = format_combo(X, L.basis_names)
+        combo = format_combo(zip(gens, c), L.basis_names)
         where = (f"check ({check}) fails on V_{j}/V_{j + 1} of the flag of "
                  f"C^inf (dimension {len(upper) - len(lower)})")
         if check == "i":
@@ -519,17 +532,23 @@ def structure_report(L: LieAlgebra) -> StructureReport:
     table (trace is linear in u, so the basis check decides it).
     Exponentiality is decided exactly over Q (``_exponentiality``); an
     invalid table or a group that is not solvable is not exponential.
+    When dim C^inf = dim C^1, the two are equal, and the flag's
+    V_1 = [C^1, C^inf] = [C^1, C^1] is g^(2), taken from the derived
+    series instead of spanned again; b_N and A x| R^k are such algebras.
     """
     violations = tuple(validate(L))
     commutator = _commutator(L)
-    der, _ = _series(L, commutator, _span)
+    derived: list = []
+    der, _ = _series(L, commutator, _span, derived)
     low, stable = _series(L, commutator, _lower_central_step)
+    # C^inf = C^1 gives V_1 = [C^1, C^inf] = [C^1, C^1] = g^(2)
+    second = derived[0] if derived and len(stable) == len(commutator) else None
     if violations:
         decision = NOT_EXPONENTIAL, "the structure constants are invalid", None
     elif der[-1] != 0:
         decision = NOT_EXPONENTIAL, "not solvable", None
     else:
-        decision = _exponentiality(L, commutator, stable)
+        decision = _exponentiality(L, commutator, stable, second)
     status, reason, witness = decision
     return StructureReport(
         violations=violations,

@@ -178,7 +178,12 @@ def _datum_and_point(args):
 def _cmd_rank(args, out) -> int:
     datum, x = _datum_and_point(args)
     sr = stabilizer_report(datum, x)
-    out.write(render_stabilizer_text(sr, datum.algebra.basis_names))
+    try:
+        text = render_stabilizer_text(sr, datum.algebra.basis_names)
+    except ValueError:  # Python's cap on the digits of an int as text
+        raise _UsageError("a number in the report at this --point has too "
+                          "many digits to print")
+    out.write(text)
     return EXIT_OK
 
 

@@ -8,8 +8,11 @@ sparse rows comes from one fraction-free sparse reduction, ``echelon``,
 which returns an echelon basis in primitive integer rows: it never visits a
 zero entry, drops a zero vector before it meets any row, and clears a
 rational vector to integers on entry; the brackets of the integer table
-and the columns of the integer moment pencil arrive as integers.  Rref,
-kernels and inverses scale its rows to pivot 1 once and back-substitute.
+and the columns of the integer moment pencil arrive as integers.  One
+fraction-free back-substitution over its rows, ``integer_rref``, gives the
+reduced echelon form in primitive integer rows, and ``integer_kernel`` a
+kernel basis in integer vectors; ``rref``, ``nullspace`` and ``invert``
+are built on them and form a ``Fraction`` only for an entry they return.
 """
 
 from __future__ import annotations
@@ -170,51 +173,77 @@ def echelon(vectors,
             w = cleared(w)[0]
         for row, col in zip(rows, pivots):
             f = w.get(col)
-            if not f:
-                continue
-            p = row[col]
-            g = gcd(p, f)
-            if g != 1:
-                p, f = p // g, f // g
-            if p != 1:
-                w = {k: p * x for k, x in w.items()}
-            for k, y in row.items():
-                x = w.get(k, 0) - f * y
-                if x:
-                    w[k] = x
-                else:
-                    del w[k]
+            if f:
+                w = _take_away(w, row, col, f)
         if not w:
             continue
         col = min(w)
-        content = gcd(*w.values()) if w[col] > 0 else -gcd(*w.values())
-        if content != 1:
-            w = {k: x // content for k, x in w.items()}
-        rows.append(w)
+        rows.append(_primitive(w, col))
         pivots.append(col)
         if len(rows) == limit:
             break
     return rows, pivots
 
 
-def rref_sparse(rows) -> tuple[list[Sparse], list[int]]:
-    """Reduced row echelon form of sparse rows, ordered by pivot, in
-    ``Fraction`` entries.
+def _take_away(w: dict, row: dict, col: int, f: int) -> dict:
+    """p w - f row, with p = row[col] > 0 and f = w[col] != 0 both divided
+    by their gcd first: a positive multiple of w, 0 at col."""
+    p = row[col]
+    g = gcd(p, f)
+    if g != 1:
+        p, f = p // g, f // g
+    if p != 1:
+        w = {k: p * x for k, x in w.items()}
+    for k, y in row.items():
+        x = w.get(k, 0) - f * y
+        if x:
+            w[k] = x
+        else:
+            del w[k]
+    return w
 
-    ``echelon``'s rows are scaled to 1 at their pivots once.  A row can
-    then be nonzero only at the pivots of later rows, so clearing each
-    pivot from the rows before it, last row first, leaves every row 0 at
-    every other pivot.
+
+def _primitive(w: dict, col: int) -> dict:
+    """w divided by the gcd of its entries, signed to a positive entry at
+    col."""
+    content = gcd(*w.values()) if w[col] > 0 else -gcd(*w.values())
+    return w if content == 1 else {k: x // content for k, x in w.items()}
+
+
+def integer_rref(vectors) -> tuple[list[dict[int, int]], list[int]]:
+    """The reduced row echelon form of the span of sparse rational vectors,
+    fraction-free: (rows, pivots), ordered by pivot, in primitive integer
+    rows, each signed to a positive pivot entry.
+
+    ``echelon``'s rows are each 0 at the pivots of the rows before them.
+    Back-substitution runs last row first, so the rows after a row are
+    reduced when it comes: it takes each of them away at its pivot once,
+    as row <- p row - w_p that row (both factors divided by their gcd,
+    p > 0), which brings in no entry at another pivot, and is then divided
+    by its content.  Every row ends 0 at every other pivot, a positive
+    multiple of the rref row: row / p is the rref row, and since that has a
+    1 at its pivot, the row is the rref row cleared to integers.
     """
-    rows, pivots = echelon(rows)
-    rows = [{k: Fraction(x, row[col]) for k, x in row.items()}
-            for row, col in zip(rows, pivots)]
-    for s in range(len(rows) - 1, 0, -1):
-        for row in rows[:s]:
-            if pivots[s] in row:
-                reduce_in_place(row, rows[s:s + 1], pivots[s:s + 1])
+    rows, pivots = echelon(vectors)
+    position = {col: t for t, col in enumerate(pivots)}
+    for r in range(len(rows) - 2, -1, -1):
+        w = rows[r]
+        later = [position[k] for k in w if k in position and k != pivots[r]]
+        for t in later:
+            w = _take_away(w, rows[t], pivots[t], w[pivots[t]])
+        if later:
+            rows[r] = _primitive(w, pivots[r])
     order = sorted(range(len(rows)), key=pivots.__getitem__)
     return [rows[i] for i in order], [pivots[i] for i in order]
+
+
+def rref_sparse(rows) -> tuple[list[Sparse], list[int]]:
+    """Reduced row echelon form of sparse rows, ordered by pivot, in
+    ``Fraction`` entries: the rows of ``integer_rref`` divided by their
+    pivot entries."""
+    rows, pivots = integer_rref(rows)
+    return [{k: Fraction(x, row[col]) for k, x in row.items()}
+            for row, col in zip(rows, pivots)], pivots
 
 
 def rref(mat) -> tuple[list[list[Fraction]], list[int]]:
@@ -227,26 +256,46 @@ def rref(mat) -> tuple[list[list[Fraction]], list[int]]:
     return dense_rows(rows, len(mat[0]) if mat else 0), pivots
 
 
-def nullspace(mat, n_cols: int | None = None) -> list[list[Fraction]]:
-    """Canonical basis of the right kernel {v : mat @ v = 0}; rows may be
-    sparse, given n_cols."""
-    if n_cols is None:
-        if not mat:
-            raise ValueError("n_cols required for an empty matrix")
-        n_cols = len(mat[0])
-    rows, pivots = rref_sparse(sparse_rows(mat))
+def integer_kernel(rows, n_cols: int) -> list[dict[int, int]]:
+    """A basis of the right kernel of sparse rows with n_cols columns, in
+    sparse integer vectors: for each free column c (not a pivot of
+    ``integer_rref``), the vector with c-th entry d, the lcm of the pivot
+    entries of the rows that hold c, and -row[c] d / row[pivot] at each
+    such row's pivot, c its first key.  It is a positive multiple of the
+    canonical kernel vector, whose c-th entry is 1."""
+    rows, pivots = integer_rref(rows)
     pivot_set = set(pivots)
+    hits: dict[int, list] = {}
+    for row, col in zip(rows, pivots):
+        for k, x in row.items():
+            if k != col:
+                hits.setdefault(k, []).append((col, x, row[col]))
     basis = []
     for free in range(n_cols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * n_cols
-        v[free] = Fraction(1)
-        for row, col in zip(rows, pivots):
-            if free in row:
-                v[col] = -row[free]
+        found = hits.get(free, ())
+        d = lcm(*(p for _, _, p in found))
+        v = {free: d}
+        for col, x, p in found:
+            v[col] = -x * (d // p)
         basis.append(v)
     return basis
+
+
+def nullspace(mat, n_cols: int | None = None) -> list[list[Fraction]]:
+    """Canonical basis of the right kernel {v : mat @ v = 0}; rows may be
+    sparse, given n_cols.  ``integer_kernel``'s vectors divided by their
+    free entries."""
+    if n_cols is None:
+        if not mat:
+            raise ValueError("n_cols required for an empty matrix")
+        n_cols = len(mat[0])
+    basis = []
+    for v in integer_kernel(sparse_rows(mat), n_cols):
+        d = next(iter(v.values()))  # the entry at the free column
+        basis.append({k: Fraction(x, d) for k, x in v.items()})
+    return dense_rows(basis, n_cols)
 
 
 def invert(mat) -> list[list[Fraction]]:
@@ -255,12 +304,12 @@ def invert(mat) -> list[list[Fraction]]:
         raise ValueError("inversion requires a square matrix")
     aug = sparse_rows(mat)
     for i, row in enumerate(aug):
-        row[n + i] = Fraction(1)
-    rows, pivots = rref_sparse(aug)
+        row[n + i] = 1
+    rows, pivots = integer_rref(aug)
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return dense_rows(({k - n: x for k, x in row.items() if k >= n}
-                       for row in rows), n)
+    return dense_rows(({k - n: Fraction(x, row[col]) for k, x in row.items()
+                        if k >= n} for row, col in zip(rows, pivots)), n)
 
 
 def matmul(a, b) -> list[list[Fraction]]:

@@ -21,14 +21,18 @@ evaluation (exact rank at integer chart points, Schwartz-Zippel
 controlled) gives the witness point and proves d_tau >= its rank.  The
 upper bound is proven at that same point by a shrunk-subspace certificate,
 the limit of the second Wong sequence: exact linear algebra over Q, no
-polynomials.  Where it does not close (the pencil's non-commutative rank
-exceeds d_tau, as for generic skew pencils), fraction-free elimination over
-the polynomial ring on a basis of the pencil's span certifies the rank in
-any dimension within a work limit.  A proof that contradicts the sample
-raises DisagreementError; a sample below the elimination's rank raises
-SamplingMissError.  The induced representation behaves qualitatively
-differently according to whether d_tau reaches m — whether H acts freely
-somewhere on A_tau — which is all the verdict layer reads.
+polynomials, done in integers.  Each of its subspaces U = {u : A u in W}
+is the integer kernel (``linalg.integer_kernel``) of sparse residue rows:
+the columns of A taken modulo W, all scaled by one integer, one row per
+coordinate off the pivots of W.  Where it does not close (the pencil's
+non-commutative rank exceeds d_tau, as for generic skew pencils),
+fraction-free elimination over the polynomial ring on a basis of the
+pencil's span certifies the rank in any dimension within a work limit.
+A proof that contradicts the sample raises DisagreementError; a sample
+below the elimination's rank raises SamplingMissError.  The induced
+representation behaves qualitatively differently according to whether
+d_tau reaches m — whether H acts freely somewhere on A_tau — which is all
+the verdict layer reads.
 """
 
 from __future__ import annotations
@@ -39,9 +43,8 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import DimensionMismatchError
-from .linalg import (Sparse, WorkLimitError, bareiss, cleared_int_rows,
-                     dense_rows, echelon, matmul, nullspace, reduce_in_place,
-                     rref_sparse)
+from .linalg import (Sparse, WorkLimitError, bareiss, echelon, integer_kernel,
+                     integer_rref, matmul, nullspace)
 from .monomial import MonomialDatum, point_on_variety
 from .poly import Poly
 
@@ -187,42 +190,63 @@ def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
     counting the W_{i+1} formed.  This is the shrunk-subspace certificate
     of Fortin and Reutenauer (2004), reached as in Ivanyos, Karpinski, Qiao
     and Santha (JCSS 2015); it closes at x exactly when rank A equals the
-    pencil's non-commutative rank.
+    pencil's non-commutative rank.  W and im A are held in the reduced
+    integer rows of ``linalg.integer_rref``; U is the integer kernel of
+    the residues of A's columns modulo W (``_residue``), transposed to one
+    sparse row per coordinate, and ``_residue`` of each row of W tells
+    whether it leaves im A.  Past ``_block_at``, which clears a rational
+    x, no ``Fraction`` is formed.
     """
     m, k = D.m, D.n - D.m
     a_columns = _block_at(D, x)[0]
-    image_rows, image_pivots = echelon(a_columns)
+    image = integer_rref(a_columns)
     w_rows: list = []
     w_pivots: list[int] = []
     steps = 0
     while True:
-        # U = ker of A followed by the quotient map onto Q^m / W
-        residues = [dict(a) for a in a_columns]
-        for residue in residues:
-            reduce_in_place(residue, w_rows, w_pivots)
-        # cleared to integers: each product below scales an entry by an int
-        U = cleared_int_rows(nullspace(
-            [[r.get(i, 0) for r in residues] for i in range(m)], n_cols=k))
+        # U = ker of A followed by the quotient map onto Q^m / W: the
+        # kernel of the residue rows, one per coordinate i off W's pivots
+        residue_rows: list[dict] = [{} for _ in range(m)]
+        for j, a in enumerate(a_columns):
+            for i, c in _residue(a, w_rows, w_pivots).items():
+                residue_rows[i][j] = c
+        U = integer_kernel(residue_rows, k)
         products = []
         for u in U:
-            support = [(j, uj) for j, uj in enumerate(u) if uj]
             for coefficient in D.pencil:
                 w: dict = {}
-                for j, uj in support:
+                for j, uj in u.items():
                     for i, c in coefficient[j]:
                         w[i] = w.get(i, 0) + c * uj
                 if w:
                     products.append(w)
-        rows, pivots = echelon(products)
+        rows, pivots = integer_rref(products)
         steps += 1
-        for row in rows:
-            outside = dict(row)
-            reduce_in_place(outside, image_rows, image_pivots)
-            if outside:  # this W leaves im A
-                return None
+        if any(_residue(row, *image) for row in rows):  # W leaves im A
+            return None
         if len(rows) == len(w_rows):  # W only grows: it has stopped
             return len(U), len(rows), steps
         w_rows, w_pivots = rows, pivots
+
+
+def _residue(a: dict, rows, pivots) -> dict:
+    """d a minus its part in the span of ``integer_rref`` rows, d the lcm
+    of their pivot entries: 0 at every pivot, and 0 exactly when a lies in
+    the span.  One d for every a, so a linear relation among residues is
+    one among the a modulo the span."""
+    d = lcm(*(row[col] for row, col in zip(rows, pivots)))
+    out = {i: d * c for i, c in a.items()}
+    for row, col in zip(rows, pivots):
+        f = a.get(col)
+        if f:
+            f *= d // row[col]
+            for i, c in row.items():
+                v = out.get(i, 0) - f * c
+                if v:
+                    out[i] = v
+                else:
+                    del out[i]
+    return out
 
 
 def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
@@ -289,17 +313,18 @@ def symbolic_moment_entries(D: MonomialDatum) -> list[list[Poly]]:
     of y_1 N_1 + ... + y_s N_s for any basis N of V (giving M_0 a variable
     and changing parameters linearly keep the generic rank).  N is the rref
     basis of the M_v, each flattened sparse over the m x (n - m) block where
-    the pencil lives, cleared to integers; the entries returned are that
-    block's.  s can be far below n - m + 1: for h_{2k+1} with a Lagrangian
+    the pencil lives, cleared to integers: the primitive rows of
+    ``linalg.integer_rref``, read as they are; the entries returned are
+    that block's.  s can be far below n - m + 1: for h_{2k+1} with a Lagrangian
     h, in any basis of g, the pencil is one matrix times a linear form, so
     s = 1.
     """
     m, k = D.m, D.n - D.m
     flat = [{i * k + r: c for r, pairs in enumerate(coefficient)
              for i, c in pairs} for coefficient in D.pencil]
-    basis = cleared_int_rows(dense_rows(rref_sparse(flat)[0], m * k))
-    return [[Poly.affine(0, [b[i * k + r] for b in basis]) for r in range(k)]
-            for i in range(m)]
+    basis = integer_rref(flat)[0]
+    return [[Poly.affine(0, [b.get(i * k + r, 0) for b in basis])
+             for r in range(k)] for i in range(m)]
 
 
 def symbolic_generic_rank(D: MonomialDatum) -> int:

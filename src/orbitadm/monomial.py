@@ -10,13 +10,18 @@ x -> l for the spectral variety
     A_tau = { l in g* : l(Y) = f(Y) on h }  =  f + h^perp
 
 and the moment pencil over it, stored sparse in integers.  The chart is
-read off the graph of f, the rref of the rows (Y_i | f(Y_i)), with no
-inverse of the adapted basis.  The datum keeps the adapted basis, f_vals,
-the chart and the pencil; the generators are the first m adapted rows.
-The generators are cleared to one common denominator once, and every
-bracket of two generators, or of a generator and a completing vector, is
-formed in the integer table; a pair of generators whose product is
-exactly 0 is not formed (``algebra._products``).
+read off the graph of f, the fraction-free rref of the rows (Y_i | f(Y_i))
+(``linalg.integer_rref``), with no inverse of the adapted basis; its
+integer rows over one denominator feed the pencil, and ``Fraction``s are
+formed only for the chart the datum keeps.  The pencil is accumulated in
+its nonzero cells (v, r) alone, and the completing rows e_k are written
+directly.  The datum keeps the adapted basis, f_vals, the chart and the
+pencil; the generators are the first m adapted rows, and their nonzero
+entries are kept for reports.  The generators are cleared to one common
+denominator once, and every bracket of two generators, or of a generator
+and a completing vector, is formed in the integer table; a pair of
+generators whose product is exactly 0 is not formed
+(``algebra._products``).
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import DimensionMismatchError, LieAlgebra, _products
-from .linalg import (dense_rows, dot, echelon, reduce_in_place, rref_sparse,
-                     sparse_rows)
+from .linalg import dot, echelon, integer_rref, reduce_in_place, sparse_rows
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -78,6 +82,8 @@ class MonomialDatum:
     positive int sharing no factor with all of the entries.  The first m
     columns of M are 0, since f kills [h, h], so it holds only the block
     j >= m, column by column and sparse (see ``Pencil``).
+    generator_terms holds the nonzero (k, Y_i[k]) pairs of each generator,
+    k rising, for reports.
     """
 
     algebra: LieAlgebra
@@ -86,6 +92,8 @@ class MonomialDatum:
     chart: Chart
     pencil: Pencil = field(repr=False)
     denominator: int
+    generator_terms: tuple[tuple[tuple[int, Fraction], ...], ...] = field(
+        repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -106,10 +114,11 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
     One echelon of the generators gives the rank and, pair by pair, the
     residual of [Y_i, Y_j] outside their span; m = 0 is the trivial
     subalgebra.  The chart comes from the rref of the rows (Y_i | f(Y_i)),
-    the coordinates taken last to first and f in a final column.  Its
-    pivots are the last nonzero coordinates of elements of h, and the
-    completion keeps the other standard vectors e_k, k rising: each e_k
-    independent of what came before.  On a kept k the chart is
+    the coordinates taken last to first and f in a final column, held as
+    integer rows over e, the lcm of their pivot entries.  Its pivots are
+    the last nonzero coordinates of elements of h, and the completion
+    keeps the other standard vectors e_k, k rising: each e_k independent
+    of what came before.  On a kept k the chart is
     l_k = x_k; the row at pivot p reads l_p = f-part - sum over kept k of
     its entry at k times x_k.  The chart at x = 0 restricts to f on h, so
     it checks that f kills each bracket already formed.
@@ -140,61 +149,72 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
         reduce_in_place(residual, basis, pivots)
         if residual:
             raise NotClosedError(i, j, tuple(
-                Fraction(x, d) for x in dense_rows([residual], n)[0]))
+                Fraction(residual.get(k, 0), d) for k in range(n)))
         brackets.append((i, j, w))
     vals = tuple(Fraction(x) for x in f_vals)
     if len(vals) != m:
         raise DimensionMismatchError(
             f"functional has {len(vals)} values for {m} generators")
-    # column c of the graph is coordinate n - 1 - c; f, in column n, lands
-    # at coordinate -1
-    graph, last = rref_sparse({n - 1 - k: x for k, x in c.items()} | {n: v}
-                              for c, v in zip(coords, vals))
-    solved = {n - 1 - c: {n - 1 - j: x for j, x in row.items()}
-              for c, row in zip(last, graph)}
+    # column c of the graph is coordinate n - 1 - c, and f is column n; its
+    # integer rows over e, the lcm of their pivot entries, are the rref rows
+    graph, last = integer_rref({n - 1 - k: x for k, x in c.items()} | {n: v}
+                               for c, v in zip(coords, vals))
+    e = lcm(*(row[c] for c, row in zip(last, graph)))
+    solved = {n - 1 - c: (e // row[c], row) for c, row in zip(last, graph)}
     kept = [k for k in range(n) if k not in solved]
     var = {k: r + 1 for r, k in enumerate(kept)}
-    chart = tuple(((var[k], Fraction(1)),) if k in var else
-                  tuple(sorted((0, x) if j < 0 else (var[j], -x)
-                               for j, x in solved[k].items() if j != k))
-                  for k in range(n))
+    # coordinate k of l_x is the sum of a x_v over the pairs (v, a) of
+    # scaled[k], x_0 = 1, divided by e
+    scaled = []
+    for k in range(n):
+        if k in var:
+            scaled.append(((var[k], e),))
+            continue
+        q, row = solved[k]
+        scaled.append(tuple(sorted(
+            (0, q * x) if j == n else (var[n - 1 - j], -q * x)
+            for j, x in row.items() if j != n - 1 - k)))
+    chart = tuple(tuple((v, Fraction(a, e)) for v, a in pairs)
+                  for pairs in scaled)
+    constant = {k: pairs[0][1] for k, pairs in enumerate(scaled)
+                if pairs and pairs[0][0] == 0}
     for i, j, w in brackets:
-        value = sum((solved[k].get(-1, 0) * c for k, c in w.items()
-                     if k in solved), Fraction(0)) / d
-        if value != 0:
-            raise NotACharacterError(i, j, value)
-    adapted = rows + tuple(L.basis_vector(k) for k in kept)
-    pencil, denominator = _moment_pencil(L, ints, L.scale * d_y, kept, chart)
+        value = sum(constant.get(k, 0) * c for k, c in w.items())
+        if value:
+            raise NotACharacterError(i, j, Fraction(value, e * d))
+    zero, one = Fraction(0), Fraction(1)
+    adapted = rows + tuple((zero,) * k + (one,) + (zero,) * (n - 1 - k)
+                           for k in kept)
+    pencil, denominator = _moment_pencil(L, ints, L.scale * d_y * e, kept,
+                                         scaled)
     return MonomialDatum(algebra=L, f_vals=vals, adapted_rows=adapted,
-                         chart=chart, pencil=pencil, denominator=denominator)
+                         chart=chart, pencil=pencil, denominator=denominator,
+                         generator_terms=tuple(tuple(y.items())
+                                               for y in coords))
 
 
-def _moment_pencil(L, ints, scale, kept, chart) -> tuple[Pencil, int]:
+def _moment_pencil(L, ints, scale, kept, scaled) -> tuple[Pencil, int]:
     """The pencil and its denominator.  Entry (i, r) is l_x([Y_i, X_r]):
-    the bracket's coordinates paired with chart[t], the constant and x_v
-    coefficients of l_x at t, cleared to one denominator d; each
-    coefficient goes to column r of its M_v.  ints holds the generators
-    as integer rows, and a bracket formed from them in the integer table
-    is ``scale`` times the bracket, so the entries are scale * d times
-    those of M; that factor and the entries are then divided by their gcd.
-    A pair whose bracket is exactly 0 adds nothing and is not formed.
+    the bracket's coordinates paired with scaled[t], the constant and x_v
+    coefficients of l_x at t over a common denominator; each coefficient
+    goes to column r of its M_v, in the nonzero cells (v, r) only.  ints
+    holds the generators as integer rows, and with the brackets formed
+    from them in the integer table the entries are ``scale`` times those
+    of M; that factor and the entries are then divided by their gcd.  A
+    pair whose bracket is exactly 0 adds nothing and is not formed.
     """
-    d = lcm(*(a.denominator for pairs in chart for _, a in pairs))
-    chart = [[(v, a.numerator * (d // a.denominator)) for v, a in pairs]
-             for pairs in chart]
-    pencil = [[{} for _ in kept] for _ in range(len(kept) + 1)]
+    cells: dict[tuple[int, int], dict[int, int]] = {}  # (v, r): column
     for i, r, w in _products(L, ints, [{k: 1} for k in kept]):
         for t, c in w.items():
-            for v, a in chart[t]:
-                column = pencil[v][r]
+            for v, a in scaled[t]:
+                column = cells.setdefault((v, r), {})
                 column[i] = column.get(i, 0) + c * a
-    scale *= d
-    g = scale if scale == 1 else gcd(scale, *(c for columns in pencil
-                                              for column in columns
+    g = scale if scale == 1 else gcd(scale, *(c for column in cells.values()
                                               for c in column.values()))
-    return tuple(tuple(tuple((i, c // g) for i, c in column.items() if c)
-                       for column in columns)
-                 for columns in pencil), scale // g
+    pencil = [[()] * len(kept) for _ in range(len(kept) + 1)]
+    for (v, r), column in cells.items():
+        pencil[v][r] = tuple((i, c // g) for i, c in column.items() if c)
+    return tuple(map(tuple, pencil)), scale // g
 
 
 def point_on_variety(D: MonomialDatum, x) -> Vector:

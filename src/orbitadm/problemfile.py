@@ -362,10 +362,10 @@ def serialize(pf: ProblemFile) -> str:
     for i, plane in enumerate(L.nonzero):
         for j in range(i + 1, L.dim):
             if plane[j]:
-                combo = format_combo(dense_vector(plane[j], L.dim), names)
+                combo = format_combo(plane[j], names)
                 out.append(f"bracket {names[i]} {names[j]} = {combo}")
     if pf.subalgebra_rows:
-        gens = "; ".join(format_combo(row, names)
+        gens = "; ".join(format_combo(enumerate(row), names)
                          for row in pf.subalgebra_rows)
         out.append(f"subalgebra {gens}")
         out.append("functional " + ", ".join(map(str, pf.functional_vals)))

@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # geometry imports numpy, which only `jacobian` needs
 
 
 def _combo_strings(rows, basis_names) -> list:
-    return [format_combo(row, basis_names) for row in rows]
+    return [format_combo(enumerate(row), basis_names) for row in rows]
 
 
 def report_dict(rep: FullReport) -> dict:
@@ -31,7 +31,8 @@ def report_dict(rep: FullReport) -> dict:
         "algebra": L.name,
         "dim": L.dim,
         "basis": list(L.basis_names),
-        "generators": _combo_strings(rep.datum.generators, L.basis_names),
+        "generators": [format_combo(terms, L.basis_names)
+                       for terms in rep.datum.generator_terms],
         "functional": [str(v) for v in rep.datum.f_vals],
         "is_valid": not rep.structure.violations,
         "is_solvable": rep.structure.is_solvable,

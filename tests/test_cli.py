@@ -577,6 +577,21 @@ class TestRank:
                    "got 1\n")
 
 
+    def test_a_number_too_long_to_print_is_an_error(self, tmp_path):
+        # a functional value of 4,300 digits parses, and validate and
+        # verdict print it, but the stabilizer basis at -1/2 holds a
+        # longer number than Python converts to text
+        text = pathlib.Path(corpus_file("diag_2d")).read_text().replace(
+            "functional 1, 1", "functional 1, " + "9" * 4300)
+        path = tmp_path / "diag_2d_long.alg"
+        path.write_text(text)
+        for command in ("validate", "verdict"):
+            assert run_cli(command, str(path))[0] == 0
+        assert run_cli("rank", str(path), "--point", "-1/2") == (
+            1, "", "error: a number in the report at this --point has too "
+                   "many digits to print\n")
+
+
 class TestJacobian:
     def test_grelaud_report(self):
         code, out, _err = run_cli("jacobian", corpus_file("grelaud"),
