@@ -108,23 +108,30 @@ def from_constants(name: str, basis_names, constants) -> LieAlgebra:
     (i, j) -> {k: q} of ``constants``, read as given: pairs not listed
     bracket to zero, zero coefficients are dropped, and nothing is filled
     by antisymmetry, so a table that breaks it keeps its fault.
-    Coefficients are ints or anything ``Fraction`` accepts.
+    Coefficients are ints or anything ``Fraction`` accepts.  When every
+    one is an ``int`` the table is the constants themselves, scale 1, with
+    no ``Fraction`` formed and no denominator read.
     """
     names = tuple(basis_names)
     n = len(names)
     if len(set(names)) != n:
         raise ValueError("basis names must be distinct")
-    planes = {ij: [(k, q if type(q) in (int, Fraction) else Fraction(q))
-                   for k, q in combo.items()]
-              for ij, combo in constants.items()}
-    # an int has denominator 1 and is its own numerator
-    scale = lcm(*(q.denominator for pairs in planes.values()
-                  for _, q in pairs))
+    if all(type(q) is int for combo in constants.values()
+           for q in combo.values()):
+        scale, planes = 1, constants
+    else:
+        planes = {ij: {k: q if type(q) in (int, Fraction) else Fraction(q)
+                       for k, q in combo.items()}
+                  for ij, combo in constants.items()}
+        # an int has denominator 1 and is its own numerator
+        scale = lcm(*(q.denominator for combo in planes.values()
+                      for q in combo.values()))
+        planes = {ij: {k: q.numerator * (scale // q.denominator)
+                       for k, q in combo.items()}
+                  for ij, combo in planes.items()}
     table = [[()] * n for _ in range(n)]
-    for (i, j), pairs in planes.items():
-        table[i][j] = tuple(sorted(
-            (k, q.numerator * (scale // q.denominator)) for k, q in pairs
-            if q))
+    for (i, j), combo in planes.items():
+        table[i][j] = tuple(sorted((k, q) for k, q in combo.items() if q))
     return LieAlgebra(name, names, tuple(map(tuple, table)), scale)
 
 
@@ -150,10 +157,11 @@ def from_brackets(name: str, basis_names, brackets) -> LieAlgebra:
 
 
 def dense_vector(pairs, n: int) -> Vector:
-    """The length-n coordinate vector of sparse (k, q) pairs."""
+    """The length-n coordinate vector of sparse (k, q) pairs, each k given
+    once: q as it is at k, and Fraction(0) elsewhere."""
     vec = [Fraction(0)] * n
     for k, q in pairs:
-        vec[k] += q
+        vec[k] = q
     return tuple(vec)
 
 

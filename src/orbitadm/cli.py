@@ -143,7 +143,7 @@ def _checked(args):
     """The problem file, its check and its settings, in that order: a bad
     setting must not mask an input error."""
     pf = _load(args.file)
-    structure, datum = check_problem(pf.algebra, pf.subalgebra_rows,
+    structure, datum = check_problem(pf.algebra, pf.generator_terms,
                                      pf.functional_vals)
     return pf, structure, datum, _settings(args, pf.config)
 
@@ -163,7 +163,7 @@ def _cmd_verdict(args, out) -> int:
 
 def _datum_and_point(args):
     pf = _load(args.file)
-    datum = build_datum(pf.algebra, pf.subalgebra_rows, pf.functional_vals)
+    datum = build_datum(pf.algebra, pf.generator_terms, pf.functional_vals)
     try:
         x = parse_rational_list(args.point)
     except ValueError as exc:

@@ -6,9 +6,11 @@ sparse rows are dicts {column: nonzero entry}.  Everything here is exact.
 denominator-cleared integer rows.  Every span, rank and coordinate of
 sparse rows comes from one fraction-free sparse reduction, ``echelon``,
 which returns an echelon basis in primitive integer rows: it never visits a
-zero entry, drops a zero vector before it meets any row, and clears a
-rational vector to integers on entry; the brackets of the integer table
-and the columns of the integer moment pencil arrive as integers.  One
+zero entry, drops a zero vector before it meets any row, clears a
+rational vector to integers on entry, and takes a vector that meets none
+of its pivots as a row without a walk over the rows; the brackets of the
+integer table, the generators of an integer problem and the columns of
+the integer moment pencil arrive as integers.  One
 fraction-free back-substitution over its rows, ``integer_rref``, gives the
 reduced echelon form in primitive integer rows, and ``integer_kernel`` a
 kernel basis in integer vectors; ``rref``, ``nullspace`` and ``invert``
@@ -153,8 +155,10 @@ def echelon(vectors,
     in primitive integer rows, fraction-free (Bareiss 1968).
 
     A zero vector is skipped before it meets any row, and a vector with a
-    ``Fraction`` entry is cleared to integers first.  Each
-    vector w is then reduced by the rows so far: at the pivot column of a
+    ``Fraction`` entry is cleared to integers first.  A vector that is 0 at
+    every pivot so far (a set of them is kept) becomes a row at once, as
+    the walk below would leave it unchanged.  Any other
+    vector w is reduced by the rows so far: at the pivot column of a
     row with entry p there, w <- p w - w_p row, both factors divided by
     gcd(p, w_p) first.  A nonzero residue becomes a row with its first
     nonzero column as pivot, divided by the gcd of its entries and signed
@@ -165,21 +169,24 @@ def echelon(vectors,
     """
     rows: list[Sparse] = []
     pivots: list[int] = []
+    taken: set[int] = set()
     for v in vectors:
         w = {k: x for k, x in v.items() if x}
         if not w:
             continue
         if Fraction in map(type, w.values()):
             w = cleared(w)[0]
-        for row, col in zip(rows, pivots):
-            f = w.get(col)
-            if f:
-                w = _take_away(w, row, col, f)
-        if not w:
-            continue
+        if not taken.isdisjoint(w):
+            for row, col in zip(rows, pivots):
+                f = w.get(col)
+                if f:
+                    w = _take_away(w, row, col, f)
+            if not w:
+                continue
         col = min(w)
         rows.append(_primitive(w, col))
         pivots.append(col)
+        taken.add(col)
         if len(rows) == limit:
             break
     return rows, pivots

@@ -17,11 +17,16 @@ formed only for the chart the datum keeps.  The pencil is accumulated in
 its nonzero cells (v, r) alone, and the completing rows e_k are written
 directly.  The datum keeps the adapted basis, f_vals, the chart and the
 pencil; the generators are the first m adapted rows, and their nonzero
-entries are kept for reports.  The generators are cleared to one common
-denominator once, and every bracket of two generators, or of a generator
-and a completing vector, is formed in the integer table; a pair of
-generators whose product is exactly 0 is not formed
-(``algebra._products``).
+entries are kept for reports.  A generator is given as its
+{k: coefficient} terms, as ``problemfile.parse`` keeps it, or as a dense
+row, and both go through one normalisation to their nonzero terms.
+Integer generators stay ints, and a value of f with denominator 1 enters
+the graph of f as an int, so on an integer problem no ``Fraction``
+reaches an elimination; rational generators are cleared to one common
+denominator once.  Every
+bracket of two generators, or of a generator and a completing vector, is
+formed in the integer table; a pair of generators whose product is
+exactly 0 is not formed (``algebra._products``).
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import DimensionMismatchError, LieAlgebra, _products
-from .linalg import dot, echelon, integer_rref, reduce_in_place, sparse_rows
+from .algebra import (DimensionMismatchError, LieAlgebra, _products,
+                      dense_vector)
+from .linalg import dot, echelon, integer_rref, reduce_in_place
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -92,8 +98,8 @@ class MonomialDatum:
     chart: Chart
     pencil: Pencil = field(repr=False)
     denominator: int
-    generator_terms: tuple[tuple[tuple[int, Fraction], ...], ...] = field(
-        repr=False, compare=False)
+    generator_terms: tuple[tuple[tuple[int, int | Fraction], ...],
+                           ...] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -111,7 +117,9 @@ class MonomialDatum:
 def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
     """Check (h, f) and complete the generators to an adapted basis of g.
 
-    One echelon of the generators gives the rank and, pair by pair, the
+    candidate_rows holds the generators, each a dict {k: coefficient}
+    (read as it is) or a dense row of length n; f_vals their values under
+    f.  One echelon of the generators gives the rank and, pair by pair, the
     residual of [Y_i, Y_j] outside their span; m = 0 is the trivial
     subalgebra.  The chart comes from the rref of the rows (Y_i | f(Y_i)),
     the coordinates taken last to first and f in a final column, held as
@@ -123,17 +131,15 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
     its entry at k times x_k.  The chart at x = 0 restricts to f on h, so
     it checks that f kills each bracket already formed.
     """
-    rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-                 for row in candidate_rows)
-    n, m = L.dim, len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise DimensionMismatchError(
-                f"generator length {len(row)} != algebra dimension {n}")
-    coords = sparse_rows(rows)
-    d_y = lcm(*(x.denominator for y in coords for x in y.values()))
-    ints = [{k: x.numerator * (d_y // x.denominator) for k, x in y.items()}
-            for y in coords]
+    n = L.dim
+    coords = [_terms(row, n) for row in candidate_rows]
+    m = len(coords)
+    if all(type(x) is int for y in coords for x in y.values()):
+        d_y, ints = 1, coords
+    else:
+        d_y = lcm(*(x.denominator for y in coords for x in y.values()))
+        ints = [{k: x.numerator * (d_y // x.denominator)
+                 for k, x in y.items()} for y in coords]
     basis, pivots = echelon(ints)
     if len(pivots) != m:
         raise RankDeficientError(
@@ -151,14 +157,17 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
             raise NotClosedError(i, j, tuple(
                 Fraction(residual.get(k, 0), d) for k in range(n)))
         brackets.append((i, j, w))
-    vals = tuple(Fraction(x) for x in f_vals)
+    vals = tuple(x if type(x) is Fraction else Fraction(x) for x in f_vals)
     if len(vals) != m:
         raise DimensionMismatchError(
             f"functional has {len(vals)} values for {m} generators")
-    # column c of the graph is coordinate n - 1 - c, and f is column n; its
-    # integer rows over e, the lcm of their pivot entries, are the rref rows
-    graph, last = integer_rref({n - 1 - k: x for k, x in c.items()} | {n: v}
-                               for c, v in zip(coords, vals))
+    # column c of the graph is coordinate n - 1 - c, and f is column n, an
+    # int where it is integral; its integer rows over e, the lcm of their
+    # pivot entries, are the rref rows
+    graph, last = integer_rref(
+        {n - 1 - k: x for k, x in c.items()}
+        | {n: v.numerator if v.denominator == 1 else v}
+        for c, v in zip(coords, vals))
     e = lcm(*(row[c] for c, row in zip(last, graph)))
     solved = {n - 1 - c: (e // row[c], row) for c, row in zip(last, graph)}
     kept = [k for k in range(n) if k not in solved]
@@ -183,14 +192,38 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
         if value:
             raise NotACharacterError(i, j, Fraction(value, e * d))
     zero, one = Fraction(0), Fraction(1)
-    adapted = rows + tuple((zero,) * k + (one,) + (zero,) * (n - 1 - k)
-                           for k in kept)
+    adapted = [dense_vector(y.items(), n) for y in coords]
+    adapted.extend((zero,) * k + (one,) + (zero,) * (n - 1 - k)
+                   for k in kept)
     pencil, denominator = _moment_pencil(L, ints, L.scale * d_y * e, kept,
                                          scaled)
-    return MonomialDatum(algebra=L, f_vals=vals, adapted_rows=adapted,
+    return MonomialDatum(algebra=L, f_vals=vals, adapted_rows=tuple(adapted),
                          chart=chart, pencil=pencil, denominator=denominator,
-                         generator_terms=tuple(tuple(y.items())
+                         generator_terms=tuple(tuple(sorted(y.items()))
                                                for y in coords))
+
+
+def _terms(row, n: int) -> dict:
+    """The nonzero {k: coefficient} terms of a generator given as a dict
+    {k: coefficient} or as a dense row of length n, each coefficient an
+    int or a Fraction (anything else is read by ``Fraction``)."""
+    if isinstance(row, dict):
+        items = row.items()
+        if row and not 0 <= min(row) <= max(row) < n:
+            raise DimensionMismatchError(
+                f"generator coordinate outside algebra dimension {n}")
+    else:
+        items = enumerate(row)
+        if len(row) != n:
+            raise DimensionMismatchError(
+                f"generator length {len(row)} != algebra dimension {n}")
+    terms = {}
+    for k, x in items:
+        if type(x) is not int and type(x) is not Fraction:
+            x = Fraction(x)
+        if x:
+            terms[k] = x
+    return terms
 
 
 def _moment_pencil(L, ints, scale, kept, scaled) -> tuple[Pencil, int]:

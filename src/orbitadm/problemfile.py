@@ -19,7 +19,11 @@ token texts, and every line is checked for an unexpected character before
 the grammar reads any of them.  The grammar reads the texts by index, and
 a column is worked out only for an error, by scanning its line again.
 Bracket lines fill the constants by basis index, the antisymmetric entry
-with them, for ``from_constants``.
+with them, for ``from_constants``; an integral coefficient stays an
+``int``, so an integral table is built with no ``Fraction``.  Each
+generator is kept as its {basis index: coefficient} term sum, which
+``build_datum`` reads as it is, and as a dense row for ``serialize`` and
+reports.
 """
 
 from __future__ import annotations
@@ -59,10 +63,11 @@ _NAME_START = frozenset(ascii_letters + "_")
 # form feeds, vertical tabs and Unicode separators, which are errors here
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
-# The parsed table is sparse, and validation and the moment pencil follow its
-# nonzero constants, but the analysis builds dense n x n exact matrices (the
-# adapted basis, the actions on the structure layer's quotients), so a
-# longer basis line is refused before that work starts.
+# The parsed table and generators are sparse, and validation, the datum and
+# the moment pencil follow their nonzero entries, but the analysis still
+# builds dense exact rows and matrices (the n x n adapted basis, the dense
+# generator rows of a report, the actions on the structure layer's
+# quotients), so a longer basis line is refused before that work starts.
 MAX_BASIS_NAMES = 128
 
 CONFIG_KEYS = frozenset({"seed", "trials", "bound"})
@@ -70,11 +75,25 @@ CONFIG_KEYS = frozenset({"seed", "trials", "bound"})
 
 @dataclass(frozen=True)
 class ProblemFile:
+    """A parsed problem.  subalgebra_rows are the generators as dense rows
+    of ints and Fractions; generator_terms holds the same generators as
+    {basis index: coefficient} term sums, as ``parse`` read them, and is
+    what ``build_datum`` is given.  A ProblemFile made from dense rows
+    alone takes its terms from them."""
+
     name: str
     algebra: LieAlgebra
-    subalgebra_rows: tuple[Vector, ...]
+    subalgebra_rows: tuple[tuple[int | Fraction, ...], ...]
     functional_vals: Vector
     config: dict = field(default_factory=dict)
+    generator_terms: tuple[dict[int, int | Fraction], ...] | None = field(
+        default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.generator_terms is None:
+            object.__setattr__(self, "generator_terms", tuple(
+                {k: x for k, x in enumerate(row) if x}
+                for row in self.subalgebra_rows))
 
     @property
     def m(self) -> int:
@@ -260,7 +279,7 @@ def parse(source: str) -> ProblemFile:
         # --- statements ---------------------------------------------------
         constants: dict[tuple[int, int], dict[int, int | Fraction]] = {}
         first_line: dict[tuple[int, int], int] = {}
-        sub_rows: list[Vector] | None = None
+        sub_terms: list[dict[int, int | Fraction]] | None = None
         functional: tuple[tuple[Fraction, ...], int] | None = None
         config: dict = {}
 
@@ -268,7 +287,7 @@ def parse(source: str) -> ProblemFile:
             head = _name(toks, 0, "'bracket', 'subalgebra', 'functional' "
                          "or 'config'")
             if head == "bracket":
-                if sub_rows is not None or functional is not None:
+                if sub_terms is not None or functional is not None:
                     raise _Refusal(0, "bracket lines must precede the "
                                    "subalgebra and functional blocks")
                 a = _name(toks, 1, "a basis name")
@@ -291,22 +310,22 @@ def parse(source: str) -> ProblemFile:
                 constants[i, j] = terms
                 constants[j, i] = {k: -q for k, q in terms.items()}
             elif head == "subalgebra":
-                if sub_rows is not None:
+                if sub_terms is not None:
                     raise _Refusal(0, "duplicate subalgebra block")
                 if functional is not None:
                     raise _Refusal(0, "subalgebra must precede the "
                                    "functional")
-                sub_rows, i = [], 1
+                sub_terms, i = [], 1
                 while True:
                     terms, i = _term_sum(toks, i, names)
-                    sub_rows.append(dense_vector(terms.items(), n))
+                    sub_terms.append(terms)
                     if i == len(toks):
                         break
                     i = _expect(toks, i, ";")
             elif head == "functional":
                 if functional is not None:
                     raise _Refusal(0, "duplicate functional block")
-                if sub_rows is None:
+                if sub_terms is None:
                     raise _Refusal(0, "functional requires a subalgebra "
                                    "block")
                 vals, i = [], 1
@@ -337,21 +356,23 @@ def parse(source: str) -> ProblemFile:
                 raise _Refusal(0, "expected 'bracket', 'subalgebra', "
                                f"'functional' or 'config', found {head!r}")
 
-        rows = tuple(sub_rows or ())
+        sub_terms = tuple(sub_terms or ())
         if functional is None:
-            f_vals = (Fraction(0),) * len(rows)
+            f_vals = (Fraction(0),) * len(sub_terms)
         else:
             f_vals, lineno = functional
-            if len(f_vals) != len(rows):
+            if len(f_vals) != len(sub_terms):
                 raise _Refusal(0, f"functional has {len(f_vals)} values for "
-                               f"{len(rows)} generators")
+                               f"{len(sub_terms)} generators")
     except _Refusal as exc:
         raise ParseError(lineno, _column(texts[lineno - 1], exc.index,
                                          exc.offset), exc.message) from None
 
     algebra = from_constants(name, tuple(names), constants)
+    rows = tuple(dense_vector(terms.items(), n) for terms in sub_terms)
     return ProblemFile(name=name, algebra=algebra, subalgebra_rows=rows,
-                       functional_vals=f_vals, config=config)
+                       functional_vals=f_vals, config=config,
+                       generator_terms=sub_terms)
 
 
 def serialize(pf: ProblemFile) -> str:

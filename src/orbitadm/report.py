@@ -61,10 +61,9 @@ def report_dict(rep: FullReport) -> dict:
     }
 
 
-def _scalar(value) -> str:
-    if isinstance(value, str):
-        return value
-    return json.dumps(value)
+# the encoder of json.dumps with its default separators, made once: every
+# scalar and list of a text report is encoded by it
+_ENCODER = json.JSONEncoder(separators=(", ", ": "))
 
 
 def _flatten(prefix: str, value, lines: list) -> None:
@@ -72,11 +71,10 @@ def _flatten(prefix: str, value, lines: list) -> None:
         for key, item in value.items():
             path = f"{prefix}.{key}" if prefix else key
             _flatten(path, item, lines)
-    elif isinstance(value, list):
-        lines.append(f"{prefix}: "
-                     + json.dumps(value, separators=(", ", ": ")))
+    elif isinstance(value, str):
+        lines.append(f"{prefix}: {value}")
     else:
-        lines.append(f"{prefix}: {_scalar(value)}")
+        lines.append(f"{prefix}: {_ENCODER.encode(value)}")
 
 
 def _text(tree: dict) -> str:

@@ -85,7 +85,9 @@ def check_problem(L: LieAlgebra, h_rows, f_vals
     """The structure and datum of (L, h, f), refused in one order: a table
     that breaks antisymmetry or Jacobi (InvalidAlgebraError), the datum
     errors of ``build_datum``, then StructuralPreconditionError when L is
-    not solvable or is decided not exponential."""
+    not solvable or is decided not exponential.  The generators h_rows are
+    handed to ``build_datum`` as they are: {k: coefficient} term sums, such
+    as a ProblemFile's generator_terms, or dense rows."""
     structure = structure_report(L)
     if structure.violations:
         raise InvalidAlgebraError(structure.violations, L.basis_names)
