@@ -14,7 +14,9 @@ the decision that the group is exponential.  The one floating-point part,
 ``geometry`` (a finite-difference cross-check of the derivative structure
 of the coadjoint action map), is the only module that imports numpy; its
 names below are imported on first use, so importing orbitadm does not load
-numpy.
+numpy.  ``poly`` (the polynomials of the Bareiss fallback) and
+``univariate`` (the root counts of the exponentiality decision) load on
+first use too, so importing orbitadm loads neither.
 """
 
 from .algebra import (DimensionMismatchError, LieAlgebra, StructureReport,

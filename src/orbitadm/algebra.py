@@ -15,18 +15,20 @@ changes under the scaling by D;
 every exact value that leaves this module (brackets, adjoint matrices,
 traces, violation residuals, the ``nonzero`` constants) is scaled back to
 the basis Z_i.  Exponentiality is decided exactly over Q, with the
-univariate helpers of ``univariate``; nothing here uses floating point.
+univariate helpers of ``univariate``, imported on first use: only a
+quotient action that is not triangular needs them.  Nothing here uses
+floating point.  The records of the package are plain classes, most with
+``__slots__``; ``Record`` compares them field by field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm
 
-from . import univariate
 from .linalg import (SingularMatrixError, Sparse, cleared, echelon, invert,
                      mat_vec, matmul, reduce_in_place, rref, sparse_rows)
 
@@ -37,8 +39,23 @@ class DimensionMismatchError(ValueError):
     """A vector or point has the wrong length for the ambient algebra."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Record:
+    """Equal to another record of its class when the fields named in
+    ``_compared`` are equal.  Nothing changes a record once it is made."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+
+class Violation(Record):
     """One exact failure of the structure-constant axioms.
 
     kind is "antisymmetry" (residual = the Z_k coefficient of
@@ -46,9 +63,12 @@ class Violation:
     cyclic-sum vector at basis triple (i, j, k)).
     """
 
-    kind: str
-    indices: tuple[int, ...]
-    residual: object
+    __slots__ = _compared = ("kind", "indices", "residual")
+
+    def __init__(self, kind: str, indices: tuple[int, ...], residual):
+        self.kind = kind
+        self.indices = indices
+        self.residual = residual
 
     def describe(self, names: tuple[str, ...]) -> str:
         if self.kind == "antisymmetry":
@@ -61,15 +81,24 @@ class Violation:
                 f"residual ({res})")
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
-    name: str
-    basis_names: tuple[str, ...]
-    # table[i][j]: the (k, q) pairs of [W_i, W_j] with q a nonzero int, k
-    # rising, in the basis W_i = scale * Z_i; scale is the lcm of the
-    # constants' denominators, so equality and hashing follow the constants
-    table: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
-    scale: int
+class LieAlgebra(Record):
+    """table[i][j]: the (k, q) pairs of [W_i, W_j] with q a nonzero int, k
+    rising, in the basis W_i = scale * Z_i; scale is the lcm of the
+    constants' denominators, so equality and hashing follow the constants.
+    No ``__slots__``: ``support`` is cached in the instance dict."""
+
+    _compared = ("name", "basis_names", "table", "scale")
+
+    def __init__(self, name: str, basis_names: tuple[str, ...],
+                 table: tuple[tuple[tuple[tuple[int, int], ...], ...], ...],
+                 scale: int):
+        self.name = name
+        self.basis_names = basis_names
+        self.table = table
+        self.scale = scale
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def dim(self) -> int:
@@ -250,19 +279,30 @@ def _products(L: LieAlgebra, us, vs=None):
     can be nonzero: those with a nonzero plane table[i][j], i a coordinate
     of us[s] and j one of vs[t].  Every other product is exactly 0 and is
     not formed.  Without vs, the pairs s < t of us, since [b, a] = -[a, b].
+    An index from each coordinate j to the t rising whose vs[t] has it
+    finds the t that meet us[s] from the j its coordinates reach.
     """
     support = L.support
     left = [list(u.items()) for u in us]
     right = left if vs is None else [list(v.items()) for v in vs]
-    keys = [[j for j, _ in v] for v in right]
+    having: dict[int, list[int]] = {}
+    for t, v in enumerate(right):
+        for j, _ in v:
+            having.setdefault(j, []).append(t)
     for s, u in enumerate(left):
         reach = support[u[0][0]] if len(u) == 1 else frozenset().union(
             *(support[i] for i, _ in u))
-        if not reach:
+        met = having.keys() & reach
+        if not met:
             continue
-        for t in range(s + 1 if vs is None else 0, len(right)):
-            if not reach.isdisjoint(keys[t]):
-                yield s, t, _product(L, u, right[t])
+        if len(met) == 1:
+            ts = having[met.pop()]
+        else:
+            ts = sorted(set().union(*(having[j] for j in met)))
+        if vs is None:
+            ts = ts[bisect_right(ts, s):]
+        for t in ts:
+            yield s, t, _product(L, u, right[t])
 
 
 def bracket(L: LieAlgebra, u, v) -> Vector:
@@ -311,17 +351,31 @@ EXPONENTIAL = "Exponential"
 NOT_EXPONENTIAL = "NotExponential"
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    violations: tuple[Violation, ...]
-    is_solvable: bool
-    derived_series_dims: tuple[int, ...]
-    lower_central_dims: tuple[int, ...]
-    is_nilpotent: bool
-    is_unimodular: bool
-    exponentiality: str              # EXPONENTIAL or NOT_EXPONENTIAL
-    exponentiality_reason: str       # what the decision rests on
-    exponentiality_witness: Vector | None = None  # X of a failed check (i)
+class StructureReport(Record):
+    """exponentiality is EXPONENTIAL or NOT_EXPONENTIAL,
+    exponentiality_reason what the decision rests on, and
+    exponentiality_witness the X of a failed check (i), or None."""
+
+    __slots__ = _compared = (
+        "violations", "is_solvable", "derived_series_dims",
+        "lower_central_dims", "is_nilpotent", "is_unimodular",
+        "exponentiality", "exponentiality_reason", "exponentiality_witness")
+
+    def __init__(self, violations: tuple[Violation, ...], is_solvable: bool,
+                 derived_series_dims: tuple[int, ...],
+                 lower_central_dims: tuple[int, ...], is_nilpotent: bool,
+                 is_unimodular: bool, exponentiality: str,
+                 exponentiality_reason: str,
+                 exponentiality_witness: Vector | None = None):
+        self.violations = violations
+        self.is_solvable = is_solvable
+        self.derived_series_dims = derived_series_dims
+        self.lower_central_dims = lower_central_dims
+        self.is_nilpotent = is_nilpotent
+        self.is_unimodular = is_unimodular
+        self.exponentiality = exponentiality
+        self.exponentiality_reason = exponentiality_reason
+        self.exponentiality_witness = exponentiality_witness
 
 
 # The series and the flag below are spans of brackets in the integer
@@ -437,6 +491,7 @@ def _quotient_failure(mats):
     """
     if all(_real_spectrum(A) for A in mats):
         return None  # then every joint character takes real values
+    from . import univariate
     mats = _on_fitting_component(mats)
     n, t = len(mats[0]), 1
     while True:
@@ -465,6 +520,7 @@ def _real_spectrum(M) -> bool:
     if (not any(M[i][j] for i in range(1, n) for j in range(i))
             or not any(M[i][j] for i in range(n) for j in range(i + 1, n))):
         return True
+    from . import univariate
     p = univariate.charpoly(M)
     distinct = len(p) - len(univariate.gcd(p, univariate.derivative(p)))
     return univariate.real_root_count(p) == distinct

@@ -8,7 +8,10 @@ decision rests on); 3 the sampled rank differs from the certified one
 (never expected).  `validate` and `verdict` refuse as
 ``verdict.check_problem`` does, then resolve their settings.  Only
 `jacobian` imports ``geometry`` and so numpy; the other subcommands are
-exact and never load it.
+exact and never load it.  Two more modules load on first use, as
+``geometry`` does: ``poly``, when no certificate proves the generic rank
+and Bareiss elimination runs, and ``univariate``, when a quotient action
+of the exponentiality decision is not triangular.
 """
 
 from __future__ import annotations

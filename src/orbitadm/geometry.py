@@ -16,7 +16,6 @@ its rank is rank M(l) + n - m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -138,14 +137,23 @@ def numerical_rank(mat: np.ndarray, rel_tol: float = 1e-8) -> int:
     return int((sv > rel_tol * top).sum())
 
 
-@dataclass(frozen=True)
 class JacobianReport:
-    J: np.ndarray                 # n x (2n - m)
-    max_dev_topleft: float        # vs analytic M(l)
-    max_dev_topright: float       # vs the zero block
-    max_dev_bottomright: float    # vs the identity block
-    numerical_rank_J: int
-    expected_rank: int            # rank M(l) + n - m
+    """J is n x (2n - m); the deviations are from the analytic M(l), the
+    zero block and the identity block; expected_rank is
+    rank M(l) + n - m."""
+
+    __slots__ = ("J", "max_dev_topleft", "max_dev_topright",
+                 "max_dev_bottomright", "numerical_rank_J", "expected_rank")
+
+    def __init__(self, J: np.ndarray, max_dev_topleft: float,
+                 max_dev_topright: float, max_dev_bottomright: float,
+                 numerical_rank_J: int, expected_rank: int):
+        self.J = J
+        self.max_dev_topleft = max_dev_topleft
+        self.max_dev_topright = max_dev_topright
+        self.max_dev_bottomright = max_dev_bottomright
+        self.numerical_rank_J = numerical_rank_J
+        self.expected_rank = expected_rank
 
 
 @np.errstate(over="ignore", invalid="ignore")  # J is checked to be finite

@@ -27,7 +27,8 @@ the columns of A taken modulo W, all scaled by one integer, one row per
 coordinate off the pivots of W.  Where it does not close (the pencil's
 non-commutative rank exceeds d_tau, as for generic skew pencils),
 fraction-free elimination over the polynomial ring on a basis of the
-pencil's span certifies the rank in any dimension within a work limit.
+pencil's span certifies the rank in any dimension within a work limit;
+its polynomials (``poly``) are imported only when it runs.
 A proof that contradicts the sample raises DisagreementError; a sample
 below the elimination's rank raises SamplingMissError.  The induced
 representation behaves qualitatively differently according to whether
@@ -38,15 +39,13 @@ the verdict layer reads.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra import DimensionMismatchError
+from .algebra import DimensionMismatchError, Record
 from .linalg import (Sparse, WorkLimitError, bareiss, echelon, integer_kernel,
                      integer_rref, matmul, nullspace)
 from .monomial import MonomialDatum, point_on_variety
-from .poly import Poly
 
 Vector = tuple[Fraction, ...]
 
@@ -102,13 +101,21 @@ def moment_matrix(D: MonomialDatum, x) -> tuple[Vector, ...]:
                  for i in range(D.m))
 
 
-@dataclass(frozen=True)
 class StabilizerReport:
-    point: Vector
-    rank_M: int                        # dim H.l
-    h_stab_basis: tuple[Vector, ...]   # vectors in g, original coordinates
-    dim_G_orbit: int
-    g_stab_basis: tuple[Vector, ...]
+    """rank_M is dim H.l; the stabilizer bases are vectors of g in the
+    original coordinates."""
+
+    __slots__ = ("point", "rank_M", "h_stab_basis", "dim_G_orbit",
+                 "g_stab_basis")
+
+    def __init__(self, point: Vector, rank_M: int,
+                 h_stab_basis: tuple[Vector, ...], dim_G_orbit: int,
+                 g_stab_basis: tuple[Vector, ...]):
+        self.point = point
+        self.rank_M = rank_M
+        self.h_stab_basis = h_stab_basis
+        self.dim_G_orbit = dim_G_orbit
+        self.g_stab_basis = g_stab_basis
 
 
 def skew_form_matrix(D: MonomialDatum, l) -> list[list[Fraction]]:
@@ -147,16 +154,22 @@ def stabilizer_report(D: MonomialDatum, x) -> StabilizerReport:
 Certificate = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class GenericRankResult:
-    d_tau: int
-    witness: Vector           # chart coordinates of a point attaining d_tau
-    trials: int
-    seed: int
-    bound: int
-    # how rank <= d_tau was proven: the certificate at the witness,
-    # "bareiss", or None when the elimination hit its work limit
-    proof: Certificate | str | None
+class GenericRankResult(Record):
+    """witness: the chart coordinates of a point attaining d_tau.  proof:
+    how rank <= d_tau was proven, the certificate at the witness,
+    "bareiss", or None when the elimination hit its work limit."""
+
+    __slots__ = _compared = ("d_tau", "witness", "trials", "seed", "bound",
+                             "proof")
+
+    def __init__(self, d_tau: int, witness: Vector, trials: int, seed: int,
+                 bound: int, proof: Certificate | str | None):
+        self.d_tau = d_tau
+        self.witness = witness
+        self.trials = trials
+        self.seed = seed
+        self.bound = bound
+        self.proof = proof
 
 
 class DisagreementError(RuntimeError):
@@ -306,7 +319,7 @@ def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
                              proof=proof)
 
 
-def symbolic_moment_entries(D: MonomialDatum) -> list[list[Poly]]:
+def symbolic_moment_entries(D: MonomialDatum) -> list[list]:
     """The pencil over a basis of its span, as linear forms in y_1..y_s.
 
     M(x) lies in V = span{M_0, ..., M_{n-m}}, and its generic rank is that
@@ -317,8 +330,9 @@ def symbolic_moment_entries(D: MonomialDatum) -> list[list[Poly]]:
     ``linalg.integer_rref``, read as they are; the entries returned are
     that block's.  s can be far below n - m + 1: for h_{2k+1} with a Lagrangian
     h, in any basis of g, the pencil is one matrix times a linear form, so
-    s = 1.
+    s = 1.  The entries are ``poly.Poly``s.
     """
+    from .poly import Poly
     m, k = D.m, D.n - D.m
     flat = [{i * k + r: c for r, pairs in enumerate(coefficient)
              for i, c in pairs} for coefficient in D.pencil]

@@ -15,9 +15,10 @@ read off the graph of f, the fraction-free rref of the rows (Y_i | f(Y_i))
 integer rows over one denominator feed the pencil, and ``Fraction``s are
 formed only for the chart the datum keeps.  The pencil is accumulated in
 its nonzero cells (v, r) alone, and the completing rows e_k are written
-directly.  The datum keeps the adapted basis, f_vals, the chart and the
-pencil; the generators are the first m adapted rows, and their nonzero
-entries are kept for reports.  A generator is given as its
+directly.  The datum keeps f_vals, the chart, the pencil, the nonzero
+entries of the generators and the completing k; the dense adapted basis,
+which only ``jacobian`` and ``adapted_dual_coords`` read, is built from
+them on first read.  A generator is given as its
 {k: coefficient} terms, as ``problemfile.parse`` keeps it, or as a dense
 row, and both go through one normalisation to their nonzero terms.
 Integer generators stay ints, and a value of f with denominator 1 enters
@@ -31,11 +32,10 @@ exactly 0 is not formed (``algebra._products``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import (DimensionMismatchError, LieAlgebra, _products,
+from .algebra import (DimensionMismatchError, LieAlgebra, Record, _products,
                       dense_vector)
 from .linalg import dot, echelon, integer_rref, reduce_in_place
 
@@ -74,12 +74,12 @@ class NotACharacterError(ValueError):
             f"functional on the subalgebra")
 
 
-@dataclass(frozen=True)
-class MonomialDatum:
+class MonomialDatum(Record):
     """Everything downstream analysis needs, precomputed exactly.
 
     adapted_rows: n x n invertible matrix; rows 0..m-1 are the generators
-    Y_i, rows m..n-1 the greedy standard-vector completion X_r.
+    Y_i, rows m..n-1 the greedy standard-vector completion X_r = e_k for k
+    in ``kept``, built on first read.
     f_vals[j] = f(Y_j).  chart is the affine chart x -> l_x of A_tau, with
     l_x(Y_j) = f_j and l_x(X_r) = x_r, sparse (see ``Chart``).  pencil is
     the moment matrix M(l_x)[i][j] = l_x([Y_i, B_j]) over the chart, B_j
@@ -89,17 +89,27 @@ class MonomialDatum:
     columns of M are 0, since f kills [h, h], so it holds only the block
     j >= m, column by column and sparse (see ``Pencil``).
     generator_terms holds the nonzero (k, Y_i[k]) pairs of each generator,
-    k rising, for reports.
+    k rising.  Equality reads the adapted rows, not the terms.
     """
 
-    algebra: LieAlgebra
-    f_vals: Vector
-    adapted_rows: Matrix
-    chart: Chart
-    pencil: Pencil = field(repr=False)
-    denominator: int
-    generator_terms: tuple[tuple[tuple[int, int | Fraction], ...],
-                           ...] = field(repr=False, compare=False)
+    __slots__ = ("algebra", "f_vals", "chart", "pencil", "denominator",
+                 "generator_terms", "kept", "_adapted")
+    _compared = ("algebra", "f_vals", "adapted_rows", "chart", "pencil",
+                 "denominator")
+
+    def __init__(self, algebra: LieAlgebra, f_vals: Vector, chart: Chart,
+                 pencil: Pencil, denominator: int,
+                 generator_terms: tuple[tuple[tuple[int, int | Fraction],
+                                              ...], ...],
+                 kept: tuple[int, ...]):
+        self.algebra = algebra
+        self.f_vals = f_vals
+        self.chart = chart
+        self.pencil = pencil
+        self.denominator = denominator
+        self.generator_terms = generator_terms
+        self.kept = kept
+        self._adapted = None
 
     @property
     def n(self) -> int:
@@ -111,7 +121,18 @@ class MonomialDatum:
 
     @property
     def generators(self) -> Matrix:
-        return self.adapted_rows[:self.m]
+        """The generators as dense rows: the first m adapted rows."""
+        return tuple(dense_vector(terms, self.n)
+                     for terms in self.generator_terms)
+
+    @property
+    def adapted_rows(self) -> Matrix:
+        if self._adapted is None:
+            n, zero, one = self.n, Fraction(0), Fraction(1)
+            self._adapted = self.generators + tuple(
+                (zero,) * k + (one,) + (zero,) * (n - 1 - k)
+                for k in self.kept)
+        return self._adapted
 
 
 def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
@@ -191,16 +212,13 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
         value = sum(constant.get(k, 0) * c for k, c in w.items())
         if value:
             raise NotACharacterError(i, j, Fraction(value, e * d))
-    zero, one = Fraction(0), Fraction(1)
-    adapted = [dense_vector(y.items(), n) for y in coords]
-    adapted.extend((zero,) * k + (one,) + (zero,) * (n - 1 - k)
-                   for k in kept)
     pencil, denominator = _moment_pencil(L, ints, L.scale * d_y * e, kept,
                                          scaled)
-    return MonomialDatum(algebra=L, f_vals=vals, adapted_rows=tuple(adapted),
-                         chart=chart, pencil=pencil, denominator=denominator,
+    return MonomialDatum(algebra=L, f_vals=vals, chart=chart, pencil=pencil,
+                         denominator=denominator,
                          generator_terms=tuple(tuple(sorted(y.items()))
-                                               for y in coords))
+                                               for y in coords),
+                         kept=tuple(kept))
 
 
 def _terms(row, n: int) -> dict:

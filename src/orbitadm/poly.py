@@ -7,16 +7,25 @@ every entry Bareiss forms from an integer pencil is an integer minor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, neg, sub
 
 
-@dataclass(frozen=True)
 class Poly:
-    nvars: int
-    terms: tuple[tuple[tuple[int, ...], int | Fraction], ...]
+    """nvars variables; terms, the (exponent tuple, coefficient) pairs."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int,
+                 terms: tuple[tuple[tuple[int, ...], int | Fraction], ...]):
+        self.nvars = nvars
+        self.terms = terms
+
+    def __eq__(self, other):
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return (self.nvars, self.terms) == (other.nvars, other.terms)
 
     @staticmethod
     def _build(nvars: int, mapping: dict) -> "Poly":

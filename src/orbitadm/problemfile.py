@@ -22,20 +22,22 @@ Bracket lines fill the constants by basis index, the antisymmetric entry
 with them, for ``from_constants``; an integral coefficient stays an
 ``int``, so an integral table is built with no ``Fraction``.  Each
 generator is kept as its {basis index: coefficient} term sum, which
-``build_datum`` reads as it is, and as a dense row for ``serialize`` and
-reports.
+``build_datum`` reads as it is; the dense rows that ``serialize`` and the
+``validate`` summary read are built from them on first read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from string import ascii_letters
 
-from .algebra import LieAlgebra, dense_vector, format_combo, from_constants
+from .algebra import (LieAlgebra, Record, dense_vector, format_combo,
+                      from_constants)
 
 Vector = tuple[Fraction, ...]
+# the generators as dense rows, and as {basis index: coefficient} term sums
+Rows = tuple[tuple[int | Fraction, ...], ...]
+Terms = tuple[dict[int, int | Fraction], ...]
 
 
 class ParseError(ValueError):
@@ -57,7 +59,8 @@ _TOKEN_RE = re.compile(_TOKEN)
 # its end it never backtracks into a token
 _CLEAN_RE = re.compile(rf"(?:[ \t]*(?:{_TOKEN}))*[ \t]*")
 _RATIONAL_START = frozenset("-0123456789")
-_NAME_START = frozenset(ascii_letters + "_")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                        "abcdefghijklmnopqrstuvwxyz_")
 
 # a line ends at CR LF, CR or LF only; str.splitlines would also break at
 # form feeds, vertical tabs and Unicode separators, which are errors here
@@ -73,31 +76,44 @@ MAX_BASIS_NAMES = 128
 CONFIG_KEYS = frozenset({"seed", "trials", "bound"})
 
 
-@dataclass(frozen=True)
-class ProblemFile:
-    """A parsed problem.  subalgebra_rows are the generators as dense rows
-    of ints and Fractions; generator_terms holds the same generators as
+class ProblemFile(Record):
+    """A parsed problem.  generator_terms holds the generators as
     {basis index: coefficient} term sums, as ``parse`` read them, and is
-    what ``build_datum`` is given.  A ProblemFile made from dense rows
-    alone takes its terms from them."""
+    what ``build_datum`` is given; subalgebra_rows holds them as dense rows
+    of ints and Fractions.  Either may be given: terms given alone have
+    their dense rows built on first read, and dense rows given alone give
+    the terms.  Equality reads the dense rows, not the terms."""
 
-    name: str
-    algebra: LieAlgebra
-    subalgebra_rows: tuple[tuple[int | Fraction, ...], ...]
-    functional_vals: Vector
-    config: dict = field(default_factory=dict)
-    generator_terms: tuple[dict[int, int | Fraction], ...] | None = field(
-        default=None, repr=False, compare=False)
+    __slots__ = ("name", "algebra", "_rows", "functional_vals", "config",
+                 "generator_terms")
+    _compared = ("name", "algebra", "subalgebra_rows", "functional_vals",
+                 "config")
 
-    def __post_init__(self):
-        if self.generator_terms is None:
-            object.__setattr__(self, "generator_terms", tuple(
-                {k: x for k, x in enumerate(row) if x}
-                for row in self.subalgebra_rows))
+    def __init__(self, name: str, algebra: LieAlgebra,
+                 subalgebra_rows: Rows | None, functional_vals: Vector,
+                 config: dict | None = None,
+                 generator_terms: Terms | None = None):
+        self.name = name
+        self.algebra = algebra
+        self._rows = subalgebra_rows
+        self.functional_vals = functional_vals
+        self.config = {} if config is None else config
+        if generator_terms is None:
+            generator_terms = tuple({k: x for k, x in enumerate(row) if x}
+                                    for row in subalgebra_rows)
+        self.generator_terms = generator_terms
+
+    @property
+    def subalgebra_rows(self) -> Rows:
+        if self._rows is None:
+            n = self.algebra.dim
+            self._rows = tuple(dense_vector(terms.items(), n)
+                               for terms in self.generator_terms)
+        return self._rows
 
     @property
     def m(self) -> int:
-        return len(self.subalgebra_rows)
+        return len(self.generator_terms)
 
 
 class _Refusal(Exception):
@@ -369,8 +385,7 @@ def parse(source: str) -> ProblemFile:
                                          exc.offset), exc.message) from None
 
     algebra = from_constants(name, tuple(names), constants)
-    rows = tuple(dense_vector(terms.items(), n) for terms in sub_terms)
-    return ProblemFile(name=name, algebra=algebra, subalgebra_rows=rows,
+    return ProblemFile(name=name, algebra=algebra, subalgebra_rows=None,
                        functional_vals=f_vals, config=config,
                        generator_terms=sub_terms)
 

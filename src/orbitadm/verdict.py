@@ -18,10 +18,8 @@ its proof come from ``moment.generic_h_orbit_dim``; nothing here ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import (EXPONENTIAL, LieAlgebra, StructureReport, Violation,
-                      structure_report)
+from .algebra import (EXPONENTIAL, LieAlgebra, Record, StructureReport,
+                      Violation, structure_report)
 from .moment import GenericRankResult, generic_h_orbit_dim
 from .monomial import MonomialDatum, build_datum
 
@@ -62,22 +60,37 @@ class StructuralPreconditionError(RuntimeError):
         super().__init__(reason)
 
 
-@dataclass(frozen=True)
 class AnalysisConfig:
-    trials: int = 20
-    bound: int = 10 ** 6
-    seed: int = 0
+    """The sampling settings of ``generic_h_orbit_dim``."""
+
+    __slots__ = ("trials", "bound", "seed")
+
+    def __init__(self, trials: int = 20, bound: int = 10 ** 6,
+                 seed: int = 0):
+        self.trials = trials
+        self.bound = bound
+        self.seed = seed
 
 
-@dataclass(frozen=True)
-class FullReport:
-    datum: MonomialDatum
-    structure: StructureReport
-    generic: GenericRankResult       # the proven d_tau and its witness
-    spectral: str                    # ABSOLUTELY_CONTINUOUS or SINGULAR
-    admissibility: str
-    rationale: str                   # key into RATIONALE_TEXT
-    warnings: tuple[str, ...]
+class FullReport(Record):
+    """generic: the proven d_tau and its witness.  spectral:
+    ABSOLUTELY_CONTINUOUS or SINGULAR.  rationale: a key into
+    RATIONALE_TEXT."""
+
+    __slots__ = _compared = ("datum", "structure", "generic", "spectral",
+                             "admissibility", "rationale", "warnings")
+
+    def __init__(self, datum: MonomialDatum, structure: StructureReport,
+                 generic: GenericRankResult, spectral: str,
+                 admissibility: str, rationale: str,
+                 warnings: tuple[str, ...]):
+        self.datum = datum
+        self.structure = structure
+        self.generic = generic
+        self.spectral = spectral
+        self.admissibility = admissibility
+        self.rationale = rationale
+        self.warnings = warnings
 
 
 def check_problem(L: LieAlgebra, h_rows, f_vals

@@ -110,6 +110,20 @@ def make_sl2() -> oa.LieAlgebra:
                              ("E", "F"): {"H": 1}})
 
 
+def make_skew3() -> oa.LieAlgebra:
+    # [Y_i, X_j] = e_ij Z_ij with e skew: with h = span{Y_i} and f = 0, M(l)
+    # is the generic 3 x 3 skew matrix in l(Z_12), l(Z_13), l(Z_23), of
+    # rank 2 where its non-commutative rank is 3
+    pairs = ((0, 1), (0, 2), (1, 2))
+    brackets = {}
+    for i, j in pairs:
+        brackets[(f"Y{i}", f"X{j}")] = {f"Z{i}{j}": 1}
+        brackets[(f"Y{j}", f"X{i}")] = {f"Z{i}{j}": -1}
+    return oa.from_brackets(
+        "skew3", [f"Y{i}" for i in range(3)] + [f"X{i}" for i in range(3)]
+        + [f"Z{i}{j}" for i, j in pairs], brackets)
+
+
 @pytest.fixture
 def h3():
     return make_h3()

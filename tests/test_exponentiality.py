@@ -1,7 +1,8 @@
 """The exact exponentiality decision, on algebras whose answer is known by
 hand, in their own basis and in random rational bases; the univariate
 helpers it rests on; and the import graph that keeps numpy off every
-command but `jacobian`.
+command but `jacobian`, and the Bareiss polynomials and ``dataclasses``
+off every exact command that does not run them.
 
 A solvable g is exponential iff no ad X has a nonzero purely imaginary
 eigenvalue (Dixmier 1957, Saito 1957).
@@ -28,7 +29,8 @@ from orbitadm.geometry import ad_float
 from orbitadm.linalg import invert, mat_vec, matmul, rank_exact, rref
 
 from conftest import (CORPUS_NAMES, load_bench_families, load_problem,
-                      make_motion, random_invertible, transform_algebra)
+                      make_motion, make_skew3, random_invertible,
+                      transform_algebra)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 _families = load_bench_families()
@@ -469,22 +471,47 @@ class TestUnivariate:
             == [2, -3]
 
 
+# the modules of a cold process that an exact command must not load unless
+# it runs them: dataclasses (with inspect, which it pulls in), the Bareiss
+# polynomials and numpy
+_WATCHED = ("dataclasses", "inspect", "numpy", "orbitadm.poly")
+
+# each argument is one command line, its words joined by newlines; the
+# exit code is the last nonzero one, and the last two lines on stderr
+# name the watched modules loaded and say whether numpy is one
 _NUMPY_PROBE = ("import sys\n"
                 "from orbitadm.cli import main\n"
-                "code = main(sys.argv[1:])\n"
+                "code = 0\n"
+                "for argv in sys.argv[1:]:\n"
+                "    code = main(argv.split('\\n')) or code\n"
+                f"watched = {_WATCHED!r}\n"
+                "print('loaded:', *(m for m in watched if m in sys.modules),"
+                " file=sys.stderr)\n"
                 "print('numpy' in sys.modules, file=sys.stderr)\n"
                 "sys.exit(code)\n")
 
 
-def _fresh(*argv) -> tuple[int, str]:
+def _probe(*commands) -> subprocess.CompletedProcess:
+    """Each argv of ``commands`` through ``cli.main``, in order, in one
+    fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     env.pop(cli.SEED_ENV_VAR, None)
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+    return subprocess.run([sys.executable, "-c", _NUMPY_PROBE,
+                           *("\n".join(argv) for argv in commands)],
                           capture_output=True, text=True, env=env,
                           timeout=60)
+
+
+def _fresh(*argv) -> tuple[int, str]:
+    proc = _probe(argv)
     return proc.returncode, proc.stderr.strip().splitlines()[-1]
+
+
+def _loaded(proc: subprocess.CompletedProcess) -> list[str]:
+    """The watched modules the probe loaded."""
+    return proc.stderr.strip().splitlines()[-2].split()[1:]
 
 
 @pytest.mark.parametrize("argv", [
@@ -493,6 +520,33 @@ def _fresh(*argv) -> tuple[int, str]:
 def test_exact_commands_never_import_numpy(argv):
     command, name, *rest = argv
     assert _fresh(command, str(cli.corpus_path(name)), *rest) == (0, "False")
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_exact_commands_load_only_what_they_run(name):
+    pf = load_problem(name)
+    path = str(cli.corpus_path(name))
+    point = ",".join(["1"] * (pf.algebra.dim - pf.m))
+    proc = _probe(("verdict", path), ("verdict", "--json", path),
+                  ("validate", path), ("rank", path, "--point", point))
+    assert proc.returncode == 0, proc.stderr
+    assert _loaded(proc) == []
+
+
+def test_the_bareiss_fallback_loads_poly(tmp_path):
+    # no certificate closes on the skew pencil, so Bareiss decides d_tau
+    L = make_skew3()
+    pf = oa.ProblemFile(name=L.name, algebra=L,
+                        subalgebra_rows=tuple(L.vector(**{f"Y{i}": 1})
+                                              for i in range(3)),
+                        functional_vals=(Fraction(0),) * 3)
+    path = tmp_path / "skew3.alg"
+    path.write_text(oa.serialize(pf))
+    proc = _probe(("verdict", str(path)))
+    assert proc.returncode == 0, proc.stderr
+    assert _loaded(proc) == ["orbitadm.poly"]
+    assert "d_tau: 2\nm: 3\n" in proc.stdout
+    assert "spectral: Singular\n" in proc.stdout
 
 
 def test_jacobian_still_loads_numpy():

@@ -30,14 +30,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitadm as oa
-from orbitadm import algebra
+from orbitadm import algebra, cli, monomial, problemfile
 from orbitadm.algebra import DimensionMismatchError, dense_vector
 from orbitadm.linalg import (_primitive, _take_away, cleared, dot, echelon,
                              invert, sparse_rows)
 from orbitadm.monomial import adapted_dual_coords, point_on_variety
 
-from conftest import (CORPUS_TEXTS, ROUNDTRIP_ALGEBRAS, load_bench_families,
-                      random_invertible, transform_algebra)
+from conftest import (CORPUS_NAMES, CORPUS_TEXTS, ROUNDTRIP_ALGEBRAS,
+                      load_bench_families, random_invertible, run_cli,
+                      transform_algebra)
 
 _families = load_bench_families()
 
@@ -309,6 +310,19 @@ def test_problem_file_from_dense_rows_takes_its_terms():
                         functional_vals=(Fraction(1),))
     assert pf.generator_terms == ({1: Fraction(2, 3)},)
     assert oa.parse(oa.serialize(pf)) == pf
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_verdict_builds_no_dense_rows(name, monkeypatch):
+    # the parser's dense generator rows and the datum's adapted basis are
+    # built on first read, and verdict reads neither
+    def refuse(pairs, n):
+        raise AssertionError("a dense row was built")
+
+    monkeypatch.setattr(problemfile, "dense_vector", refuse)
+    monkeypatch.setattr(monomial, "dense_vector", refuse)
+    code, out, err = run_cli("verdict", str(cli.corpus_path(name)))
+    assert (code, err) == (0, "")
 
 
 def test_wrong_lengths_are_refused(h3):

@@ -302,6 +302,22 @@ class TestSerialize:
         pf = oa.parse(src)
         assert oa.parse(oa.serialize(pf)).config == {"seed": 4, "bound": 7}
 
+    def test_equality_reads_the_config_and_the_dense_rows(self):
+        pf = oa.parse("algebra g\ndim 2\nbasis A X\nbracket A X = X\n"
+                      "subalgebra X + A + -1 * A\nfunctional 1\n"
+                      "config seed 4\n")
+        rows = ((Fraction(0), Fraction(1)),)
+
+        def made(config):
+            return oa.ProblemFile(name="g", algebra=pf.algebra,
+                                  subalgebra_rows=rows,
+                                  functional_vals=pf.functional_vals,
+                                  config=config)
+
+        # the parser's terms keep the cancelled A, the rows' terms do not
+        assert made({"seed": 4}) == pf
+        assert made({"seed": 5}) != pf and made({}) != pf
+
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(case=problem_texts())

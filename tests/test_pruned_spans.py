@@ -7,8 +7,9 @@ all of them to ``linalg.echelon``.  On random sparse integer tables, with
 and without antisymmetry, breaking Jacobi, and with twin rows whose
 products cancel inside nonzero planes, the pruned derived and lower
 central steps, the flag of C^inf and the generator pairs of
-``build_datum`` must give the same (rows, pivots), and a pair left out
-must have a zero product.
+``build_datum`` must give the same (rows, pivots), a pair left out must
+have a zero product, and a pair is formed exactly when it meets a nonzero
+plane.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ def test_pruned_products_are_the_nonzero_products(data):
     for pair in ((us, None), (us, vs)):
         pruned = {(s, t): w for s, t, w in algebra._products(L, *pair)}
         assert list(pruned) == sorted(pruned)
+        # formed exactly for the pairs that meet a nonzero plane
+        right = us if pair[1] is None else vs
+        assert list(pruned) == [
+            (s, t) for s, t, _ in full_products(L, *pair)
+            if any(L.table[i][j] for i in us[s] for j in right[t])]
         for s, t, w in full_products(L, *pair):
             got = pruned.get((s, t), {})
             assert {k: x for k, x in got.items() if x} == w

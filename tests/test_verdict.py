@@ -1,5 +1,5 @@
-import dataclasses
 import functools
+import inspect
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -16,9 +16,17 @@ from orbitadm.report import report_dict
 
 from conftest import (CORPUS_NAMES, ORACLES, algebra_from_table,
                       load_bench_families, load_problem, make_abelian,
-                      make_axb, make_h3, make_motion, make_sl2, random_vector,
-                      transform_algebra)
+                      make_axb, make_h3, make_motion, make_skew3, make_sl2,
+                      random_vector, transform_algebra)
 from test_moment import CHANGED_BASIS, sampled_oracle
+
+
+def _replaced(record, **changes):
+    """A copy of ``record`` made by its class's constructor, with the
+    arguments named in ``changes`` replaced."""
+    names = inspect.signature(type(record)).parameters
+    return type(record)(**{name: getattr(record, name) for name in names}
+                        | changes)
 
 
 def _decided(L, rows, f, unimodular=None):
@@ -26,7 +34,7 @@ def _decided(L, rows, f, unimodular=None):
     flipped: the verdict table reads no other structural field."""
     structure, datum = verdict_mod.check_problem(L, rows, f)
     if unimodular is not None:
-        structure = dataclasses.replace(structure, is_unimodular=unimodular)
+        structure = _replaced(structure, is_unimodular=unimodular)
     return verdict_mod.decide(structure, datum)
 
 
@@ -150,8 +158,7 @@ class TestFullReport:
         sampled = verdict_mod.generic_h_orbit_dim
         monkeypatch.setattr(
             verdict_mod, "generic_h_orbit_dim",
-            lambda *args, **kw: dataclasses.replace(sampled(*args, **kw),
-                                                    proof=None))
+            lambda *args, **kw: _replaced(sampled(*args, **kw), proof=None))
         pf = corpus_problems["h5_y1y2"]
         rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
                              pf.functional_vals)
@@ -178,18 +185,9 @@ class TestFullReport:
                            oa.AnalysisConfig(trials=3, bound=7))
 
     def test_skew_pencil_falls_back_to_bareiss(self, monkeypatch):
-        # [Y_i, X_j] = e_ij Z_ij with e skew, h = span{Y_i}, f = 0: M(l) is
-        # the generic 3 x 3 skew matrix in l(Z_12), l(Z_13), l(Z_23), of
-        # rank 2 where its non-commutative rank is 3, so no certificate
-        # closes and the elimination decides
-        pairs = ((0, 1), (0, 2), (1, 2))
-        brackets = {}
-        for i, j in pairs:
-            brackets[(f"Y{i}", f"X{j}")] = {f"Z{i}{j}": 1}
-            brackets[(f"Y{j}", f"X{i}")] = {f"Z{i}{j}": -1}
-        L = oa.from_brackets(
-            "skew3", [f"Y{i}" for i in range(3)] + [f"X{i}" for i in range(3)]
-            + [f"Z{i}{j}" for i, j in pairs], brackets)
+        # M(l) has rank 2 where its non-commutative rank is 3 (see
+        # make_skew3), so no certificate closes and the elimination decides
+        L = make_skew3()
         ran = []
         symbolic = moment.symbolic_generic_rank
         monkeypatch.setattr(moment, "symbolic_generic_rank",
