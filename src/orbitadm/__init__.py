@@ -22,7 +22,7 @@ first use too, so importing orbitadm loads neither.
 from .algebra import (DimensionMismatchError, LieAlgebra, StructureReport,
                       Violation, ad_matrix, bracket, from_brackets,
                       structure_report, validate)
-from .linalg import WorkLimitError, rank_exact
+from .linalg import WorkLimitError
 from .moment import (DisagreementError, GenericRankResult, SamplingMissError,
                      StabilizerReport, generic_h_orbit_dim, moment_matrix,
                      rank_at, rank_certificate, skew_form_matrix,
@@ -56,7 +56,7 @@ __all__ = [
     "point_on_variety", "adapted_dual_coords",
     "StabilizerReport", "GenericRankResult",
     "moment_matrix", "skew_form_matrix",
-    "rank_exact", "rank_at", "stabilizer_report", "generic_h_orbit_dim",
+    "rank_at", "stabilizer_report", "generic_h_orbit_dim",
     "WorkLimitError",
     "rank_certificate", "symbolic_generic_rank",
     "DisagreementError", "SamplingMissError", "FullReport",

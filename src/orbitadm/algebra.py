@@ -13,12 +13,15 @@ the j with a nonzero plane table[i][j], and a product [u, v] is formed only
 when it can meet one, every other product being exactly 0.  None of them
 changes under the scaling by D;
 every exact value that leaves this module (brackets, adjoint matrices,
-traces, violation residuals, the ``nonzero`` constants) is scaled back to
-the basis Z_i.  Exponentiality is decided exactly over Q, with the
-univariate helpers of ``univariate``, imported on first use: only a
-quotient action that is not triangular needs them.  Nothing here uses
-floating point.  The records of the package are plain classes, most with
-``__slots__``; ``Record`` compares them field by field.
+violation residuals, the ``nonzero`` constants) is scaled back to the
+basis Z_i.  Exponentiality is decided exactly over Q on integer matrices:
+the quotient actions of the flag read their coordinates off
+``linalg.residue``, and the Fitting-one restriction and S^-1 off
+``linalg.integer_rref``, each under a positive scale that changes no
+check.  The univariate helpers of ``univariate`` are imported on first
+use: only a quotient action that is not triangular needs them.  Nothing
+here uses floating point.  The records of the package are plain classes,
+most with ``__slots__``; ``Record`` compares them field by field.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ from functools import cached_property
 from itertools import chain
 from math import lcm
 
-from .linalg import (SingularMatrixError, Sparse, cleared, echelon, invert,
-                     mat_vec, matmul, reduce_in_place, rref, sparse_rows)
+from .linalg import echelon, integer_rref, matmul, residue
 
 Vector = tuple[Fraction, ...]
 
@@ -305,6 +307,14 @@ def _products(L: LieAlgebra, us, vs=None):
             yield s, t, _product(L, u, right[t])
 
 
+def _cleared(u) -> tuple[dict[int, int], int]:
+    """(terms, d): the dense u as integer terms over d, the lcm of the
+    denominators of its nonzero entries (each read by ``Fraction``)."""
+    terms = {k: Fraction(x) for k, x in enumerate(u) if x}
+    d = lcm(*(x.denominator for x in terms.values()))
+    return {k: x.numerator * (d // x.denominator) for k, x in terms.items()}, d
+
+
 def bracket(L: LieAlgebra, u, v) -> Vector:
     """[u, v] by bilinear expansion over the nonzero structure constants:
     formed in the integer table from u and v cleared to integers, then
@@ -313,38 +323,32 @@ def bracket(L: LieAlgebra, u, v) -> Vector:
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(
             f"bracket arguments must have length {n}, got {len(u)} and {len(v)}")
-    (us, du), (vs, dv) = map(cleared, sparse_rows((u, v)))
+    (us, du), (vs, dv) = _cleared(u), _cleared(v)
     d = L.scale * du * dv
     w = _product(L, us.items(), vs.items())
     return dense_vector(((k, Fraction(x, d)) for k, x in w.items()), n)
 
 
 def ad_matrix(L: LieAlgebra, u) -> list[list[Fraction]]:
-    """Matrix of ad(u) = [u, .]; column j holds the coordinates of [u, Z_j]."""
+    """Matrix of ad(u) = [u, .]; column j holds the coordinates of [u, Z_j].
+    Formed in the integer table from u cleared to integers."""
     n = L.dim
     if len(u) != n:
         raise DimensionMismatchError(f"expected length {n}, got {len(u)}")
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for i, ui in sparse_rows([u])[0].items():
-        ui /= L.scale
+    us, d = _cleared(u)
+    mat = [[0] * n for _ in range(n)]
+    for i, ui in us.items():
         for j, pairs in enumerate(L.table[i]):
             for k, q in pairs:
                 mat[k][j] += ui * q
-    return mat
+    d, zero = d * L.scale, Fraction(0)
+    return [[Fraction(x, d) if x else zero for x in row] for row in mat]
 
 
 def _ad_traces(L: LieAlgebra) -> list[int]:
     """D tr ad Z_i: the sum of the W_j coefficients of [W_i, W_j] over j."""
     return [sum(q for j, pairs in enumerate(plane) for k, q in pairs if k == j)
             for plane in L.table]
-
-
-def ad_trace(L: LieAlgebra, u) -> Fraction:
-    """tr ad(u) = sum_i u_i tr ad Z_i, read from the table."""
-    if len(u) != L.dim:
-        raise DimensionMismatchError(f"expected length {L.dim}, got {len(u)}")
-    return sum((x * t for x, t in zip(u, _ad_traces(L)) if x),
-               Fraction(0)) / L.scale
 
 
 EXPONENTIAL = "Exponential"
@@ -386,20 +390,20 @@ class StructureReport(Record):
 # echelon reads the same nonzero vectors in the same order.
 
 
-def _span(L: LieAlgebra, us, vs=None, limit=None) -> list[Sparse]:
+def _span(L: LieAlgebra, us, vs=None, limit=None) -> list[dict]:
     """Echelon basis of the span of the products of ``_products``; without
     vs, of the brackets of us among themselves: the derived series step."""
     return echelon((w for _, _, w in _products(L, us, vs)), limit=limit)[0]
 
 
-def _commutator(L: LieAlgebra) -> list[Sparse]:
+def _commutator(L: LieAlgebra) -> list[dict]:
     """Echelon basis of [g, g]: the span of the planes marked nonzero."""
     # [Z_j, Z_i] = -[Z_i, Z_j], so only the planes j > i are read
     return echelon(dict(pairs) for i, plane in enumerate(L.table)
                    for pairs in plane[i + 1:] if pairs)[0]
 
 
-def _lower_central_step(L: LieAlgebra, rows) -> list[Sparse]:
+def _lower_central_step(L: LieAlgebra, rows) -> list[dict]:
     # C^(j+1) lies in C^j, so a span as large as C^j is C^j: the series
     # has stabilised and the remaining products cannot add to it
     basis = [{z: 1} for z in range(L.dim)]
@@ -407,7 +411,7 @@ def _lower_central_step(L: LieAlgebra, rows) -> list[Sparse]:
 
 
 def _flag(L: LieAlgebra, commutator, stable,
-          second=None) -> list[list[Sparse]]:
+          second=None) -> list[list[dict]]:
     """V_0 = stable, V_(j+1) = [[g, g], V_j], down to and with V = 0.
 
     ``second``, when given, is taken as V_1: when C^inf = C^1, V_1 is
@@ -446,38 +450,44 @@ def lower_central_dims(L: LieAlgebra) -> tuple[int, ...]:
     return _series(L, _commutator(L), _lower_central_step)[0]
 
 
-def _on_fitting_component(mats) -> list[list[list[Fraction]]]:
-    """The commuting ``mats`` restricted to their joint Fitting-one part.
+def _on_fitting_component(mats) -> list[list[list[int]]]:
+    """The commuting integer ``mats`` restricted to their joint Fitting-one
+    part, as integer matrices.
 
     That part is W = sum_i im A_i^d (d = len(A_i)): the sum of the joint
     generalised eigenspaces of the characters chi != 0.  U <- sum_i A_i U,
     from the whole space, shrinks to W and stays there: some A_i is
     invertible on each of those eigenspaces, while on the joint kernel
     part the A_i are commuting nilpotents, under which a nonzero invariant
-    U has sum_i A_i U smaller than U.  The rref rows of W are its basis; a
-    vector of W has its entries at their pivots as coordinates.
+    U has sum_i A_i U smaller than U.  U is held in its ``integer_rref``
+    rows, which are unique: once U stops shrinking they are W's, and the
+    images just formed are those of W's rows.  Such a w has coordinate
+    w[pivot] / p on the row with pivot entry p, taken times e, the lcm of
+    the p: e times the restriction in the rref basis, conjugated by a
+    positive diagonal matrix, which keeps triangularity and every sign
+    the checks read.
     """
-    n = len(mats[0])
-    basis = [[Fraction(j == k) for k in range(n)] for j in range(n)]
+    rows, piv = [{j: 1} for j in range(len(mats[0]))], range(len(mats[0]))
     while True:
-        images, piv = rref([mat_vec(A, b) for A in mats for b in basis])
-        if len(images) == len(basis):
+        images = [[{r: s for r, row in enumerate(A)
+                    if (s := sum(row[k] * x for k, x in b.items()))}
+                   for b in rows] for A in mats]
+        smaller, pivots = integer_rref(chain.from_iterable(images))
+        if len(smaller) == len(rows):
             break
-        basis = images
-
-    def restricted(A):
-        columns = [mat_vec(A, b) for b in images]
-        return [[w[p] for w in columns] for p in piv]
-
-    return [restricted(A) for A in mats]
+        rows, piv = smaller, pivots
+    e = lcm(*(row[p] for row, p in zip(rows, piv)))
+    return [[[w.get(p, 0) * (e // row[p]) for w in columns]
+             for row, p in zip(rows, piv)] for columns in images]
 
 
 def _quotient_failure(mats):
     """Which check fails for the commuting actions ``mats`` on one quotient.
 
-    None when no real combination has a nonzero purely imaginary
-    eigenvalue; else ("i", c, None) with the rational witness sum c_i A_i,
-    or ("ii", c, i) with the index of an E_i that has a non-real eigenvalue.
+    The actions are integer matrices under one positive scale.  None when
+    no real combination has a nonzero purely imaginary eigenvalue; else
+    ("i", c, None) with the integer witness sum c_i A_i, or ("ii", c, i)
+    with the index of an E_i that has a non-real eigenvalue.
 
     Every nonzero joint character chi lives on the joint Fitting-one part
     W, where S = sum c_i A_i is invertible exactly when chi(S) != 0 for
@@ -488,6 +498,8 @@ def _quotient_failure(mats):
     leaves Re chi(S) != 0 and every e_i is real, chi(X) is chi(S) times a
     real number, imaginary only when it is 0.  If some e_i is not real,
     chi(S) and chi(A_i) span C over R, so chi(X) = i for some real X.
+    A positive scale of the A_i moves no eigenvalue off or onto the real
+    or imaginary axis, and cancels in E_i = A_i (e S^-1).
     """
     if all(_real_spectrum(A) for A in mats):
         return None  # then every joint character takes real values
@@ -495,20 +507,33 @@ def _quotient_failure(mats):
     mats = _on_fitting_component(mats)
     n, t = len(mats[0]), 1
     while True:
-        c = [Fraction(t ** i) for i in range(len(mats))]
-        S = [[sum((ci * A[a][b] for ci, A in zip(c, mats)), Fraction(0))
-              for b in range(n)] for a in range(n)]
-        try:
-            inverse = invert(S)
+        c = [t ** i for i in range(len(mats))]
+        S = [[sum(ci * A[a][b] for ci, A in zip(c, mats)) for b in range(n)]
+             for a in range(n)]
+        inverse = _scaled_inverse(S)
+        if inverse is not None:
             break
-        except SingularMatrixError:
-            t += 1
+        t += 1
     if univariate.has_nonzero_imaginary_root(univariate.charpoly(S)):
         return "i", c, None
     for i, A in enumerate(mats):
         if not _real_spectrum(matmul(A, inverse)):
             return "ii", c, i
     return None
+
+
+def _scaled_inverse(S) -> list[list[int]] | None:
+    """e S^-1 for an integer e > 0, or None when S is singular: row t of
+    the ``integer_rref`` of (S | I) is p_t (e_t | row t of S^-1), and e is
+    the lcm of the p_t."""
+    n = len(S)
+    rows, piv = integer_rref({**{b: x for b, x in enumerate(row) if x},
+                              n + a: 1} for a, row in enumerate(S))
+    if piv[-1] >= n:
+        return None
+    e = lcm(*(row[p] for row, p in zip(rows, piv)))
+    return [[row.get(n + b, 0) * (e // row[p]) for b in range(n)]
+            for row, p in zip(rows, piv)]
 
 
 def _real_spectrum(M) -> bool:
@@ -527,23 +552,25 @@ def _real_spectrum(M) -> bool:
 
 
 def _quotient_actions(L: LieAlgebra, gens, upper, lower):
-    """ad Z_k on upper/lower for k in gens, in one basis of the quotient.
+    """ad Z_k on upper/lower for k in gens, as integer matrices.
 
-    One echelon pass over lower's rows, then upper's, keeps lower's rows
-    and adds a basis U of a complement of lower in upper.  The rows are
-    integer rows, so each bracket w is formed in integers.  Reducing w by
-    all of them, the factors taken by the rows of U are the coordinates
-    of w in upper/lower.  Read from the integer table, each action is D
-    times the one in the basis Z_i: that scales every eigenvalue by D > 0
-    and every S of ``_quotient_failure`` by D, so no check changes.
+    The residues of upper's rows modulo lower's ``integer_rref`` rows (one
+    scale d > 0) span a complement of lower; their ``integer_rref`` rows
+    are the basis, and the residue w of a bracket has coordinate
+    w[pivot] / p on the row with pivot entry p, taken times e, the lcm of
+    the p.  With the bracket formed in the integer table, each action is
+    d e D times the one in that basis: one positive scale, under which no
+    check of ``_quotient_failure`` changes.
     """
-    rows, piv = echelon(chain(lower, upper))
-    basis = rows[len(lower):]
+    below = integer_rref(lower)
+    rows, piv = integer_rref(residue(row, *below) for row in upper)
+    e = lcm(*(row[p] for row, p in zip(rows, piv)))
     mats = []
     for k in gens:
-        cols = [reduce_in_place(_product(L, ((k, 1),), row.items()), rows,
-                                piv)[len(lower):] for row in basis]
-        mats.append([list(row) for row in zip(*cols)])
+        cols = [residue(_product(L, ((k, 1),), row.items()), *below)
+                for row in rows]
+        mats.append([[w.get(p, 0) * (e // row[p]) for w in cols]
+                     for row, p in zip(rows, piv)])
     return mats
 
 
@@ -570,7 +597,8 @@ def _exponentiality(L: LieAlgebra, commutator, stable, second=None):
         if failure is None:
             continue
         check, c, i = failure
-        X = dense_vector(zip(gens, c), L.dim)
+        X = dense_vector(((k, Fraction(ci)) for k, ci in zip(gens, c)),
+                         L.dim)
         combo = format_combo(zip(gens, c), L.basis_names)
         where = (f"check ({check}) fails on V_{j}/V_{j + 1} of the flag of "
                  f"C^inf (dimension {len(upper) - len(lower)})")

@@ -1,88 +1,54 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, in integers.
 
-Dense matrices are sequences of rows of ``fractions.Fraction`` or ``int``;
-sparse rows are dicts {column: nonzero entry}.  Everything here is exact.
-``rank_exact`` is fraction-free (Bareiss) elimination on
-denominator-cleared integer rows.  Every span, rank and coordinate of
-sparse rows comes from one fraction-free sparse reduction, ``echelon``,
-which returns an echelon basis in primitive integer rows: it never visits a
-zero entry, drops a zero vector before it meets any row, clears a
-rational vector to integers on entry, and takes a vector that meets none
-of its pivots as a row without a walk over the rows; the brackets of the
-integer table, the generators of an integer problem and the columns of
-the integer moment pencil arrive as integers.  One
-fraction-free back-substitution over its rows, ``integer_rref``, gives the
-reduced echelon form in primitive integer rows, and ``integer_kernel`` a
-kernel basis in integer vectors; ``rref``, ``nullspace`` and ``invert``
-are built on them and form a ``Fraction`` only for an entry they return.
+Sparse rows are dicts {column: nonzero entry}.  Every span, rank,
+coordinate and kernel comes from one fraction-free sparse reduction,
+``echelon``, which returns an echelon basis in primitive integer rows,
+clearing a rational vector to integers on entry.  One back-substitution
+over its rows, ``integer_rref``, gives the reduced echelon form in
+primitive integer rows, ``integer_kernel`` a kernel basis in integer
+vectors, and ``residue`` a vector modulo their span, times one integer.
+``bareiss`` ranks the polynomial pencil and ``matmul`` multiplies dense
+matrices.  Nothing here forms a ``Fraction``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-
-Row = tuple[Fraction, ...]
-Matrix = tuple[Row, ...]
-Sparse = dict[int, Fraction]  # a row's nonzero entries by column
-
-
-class SingularMatrixError(ValueError):
-    pass
 
 
 class WorkLimitError(ArithmeticError):
     """An elimination stopped before a step that would pass its work limit."""
 
 
-def cleared_int_rows(mat) -> list[list[int]]:
-    # scale each row by the lcm of its denominators; rank is unaffected
-    out = []
-    for row in mat:
-        if all(type(x) is int for x in row):
-            out.append(list(row))
-            continue
-        scale = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-    return out
+def bareiss(a: list[list], limit: int | None = None):
+    """Fraction-free (Bareiss) elimination in place over a polynomial ring.
 
-
-def bareiss(a: list[list], size=None, limit: int | None = None):
-    """Fraction-free (Bareiss) elimination in place over an integral domain.
-
-    Entries are ints or ``Poly``s: anything with ``*``, ``-``, truth and an
-    exact ``//``; Sylvester's identity makes each division by the previous
-    pivot exact.  Returns (rank, last pivot), that pivot being up to sign
-    the minor on the pivot rows and columns (None at rank 0).  The pivot is
-    the first nonzero entry of the next column, or with ``size`` (a Poly's
-    term count) the smallest nonzero entry left.  ``limit`` caps the sum of
-    size(x) * size(y) over the products formed: a step that would pass it
-    raises WorkLimitError instead.
+    Entries are ``Poly``s, or anything with ``len`` (its term count),
+    ``*``, ``-``, truth and an exact ``//``; Sylvester's identity makes each
+    division by the previous pivot exact.  Returns (rank, last pivot), that
+    pivot being up to sign the minor on the pivot rows and columns (None at
+    rank 0).  The pivot is the nonzero entry left with the fewest terms.
+    ``limit`` caps the sum of len(x) * len(y) over the products formed: a
+    step that would pass it raises WorkLimitError instead.
     """
     n_rows = len(a)
     cols = list(range(len(a[0]) if a else 0))
     prev = None
     row = spent = 0
     while row < n_rows and cols:
-        if size is None:
-            col = cols.pop(0)
-            piv = next((r for r in range(row, n_rows) if a[r][col]), None)
-            if piv is None:
-                continue
-        else:
-            nonzero = [(size(a[r][c]), r, c) for r in range(row, n_rows)
-                       for c in cols if a[r][c]]
-            if not nonzero:
-                break
-            _, piv, col = min(nonzero)
-            cols.remove(col)
+        nonzero = [(len(a[r][c]), r, c) for r in range(row, n_rows)
+                   for c in cols if a[r][c]]
+        if not nonzero:
+            break
+        _, piv, col = min(nonzero)
+        cols.remove(col)
         a[row], a[piv] = a[piv], a[row]
         p = a[row][col]
         rows = range(row + 1, n_rows)
         if limit is not None:
-            spent += (size(p) * sum(size(a[r][c]) for r in rows for c in cols)
-                      + sum(size(a[r][col]) for r in rows)
-                      * sum(size(a[row][c]) for c in cols))
+            spent += (len(p) * sum(len(a[r][c]) for r in rows for c in cols)
+                      + sum(len(a[r][col]) for r in rows)
+                      * sum(len(a[row][c]) for c in cols))
             if spent > limit:
                 raise WorkLimitError(f"elimination would form more than "
                                      f"{limit} term products")
@@ -96,66 +62,14 @@ def bareiss(a: list[list], size=None, limit: int | None = None):
     return row, prev
 
 
-def rank_exact(mat) -> int:
-    """Exact rank: Bareiss elimination on rows cleared to integers."""
-    return bareiss(cleared_int_rows(mat))[0]
-
-
-def sparse_rows(mat) -> list[Sparse]:
-    """The nonzero entries of each row, as {column: Fraction}; a row may
-    already be sparse, a dict {column: value}."""
-    return [{k: x if type(x) is Fraction else Fraction(x)
-             for k, x in (row.items() if isinstance(row, dict)
-                          else enumerate(row)) if x} for row in mat]
-
-
-def cleared(row: Sparse) -> tuple[dict[int, int], int]:
-    """A sparse rational row as (integer row, d), d the lcm of its
-    denominators: the row is the integer row divided by d."""
-    d = lcm(*(x.denominator for x in row.values()))
-    return {k: x.numerator * (d // x.denominator) for k, x in row.items()}, d
-
-
-def dense_rows(rows, n_cols: int) -> list[list[Fraction]]:
-    """Sparse rows as length-n_cols lists of Fractions."""
-    out = []
-    for row in rows:
-        v = [Fraction(0)] * n_cols
-        for k, x in row.items():
-            v[k] = x
-        out.append(v)
-    return out
-
-
-def reduce_in_place(w: Sparse, rows, pivots) -> list:
-    """Reduce the sparse w in place by echelon rows, in order: at each pivot
-    the factor w[col] / row[col] takes the row away, so w ends 0 at every
-    pivot, and the factors are its coordinates in the rows as stored when
-    it lies in their span."""
-    factors = []
-    for row, col in zip(rows, pivots):
-        f = w.get(col, 0)
-        if f:
-            p = row[col]
-            if p != 1:
-                f = Fraction(f, p)
-            for k, y in row.items():
-                x = w.get(k, 0) - f * y
-                if x:
-                    w[k] = x
-                else:
-                    del w[k]
-        factors.append(f)
-    return factors
-
-
 def echelon(vectors,
-            limit: int | None = None) -> tuple[list[Sparse], list[int]]:
+            limit: int | None = None) -> tuple[list[dict], list[int]]:
     """Echelon basis (rows, pivots) of the span of sparse rational vectors,
     in primitive integer rows, fraction-free (Bareiss 1968).
 
-    A zero vector is skipped before it meets any row, and a vector with a
-    ``Fraction`` entry is cleared to integers first.  A vector that is 0 at
+    A zero vector is skipped before it meets any row, and a vector with an
+    entry other than an int (a ``Fraction``) is cleared to integers first,
+    by the lcm of the denominators.  A vector that is 0 at
     every pivot so far (a set of them is kept) becomes a row at once, as
     the walk below would leave it unchanged.  Any other
     vector w is reduced by the rows so far: at the pivot column of a
@@ -167,15 +81,16 @@ def echelon(vectors,
     the span of the vectors read so far.  With ``limit``, stops once it has
     that many rows.
     """
-    rows: list[Sparse] = []
+    rows: list[dict] = []
     pivots: list[int] = []
     taken: set[int] = set()
     for v in vectors:
         w = {k: x for k, x in v.items() if x}
         if not w:
             continue
-        if Fraction in map(type, w.values()):
-            w = cleared(w)[0]
+        if not all(type(x) is int for x in w.values()):
+            d = lcm(*(x.denominator for x in w.values()))
+            w = {k: x.numerator * (d // x.denominator) for k, x in w.items()}
         if not taken.isdisjoint(w):
             for row, col in zip(rows, pivots):
                 f = w.get(col)
@@ -244,25 +159,6 @@ def integer_rref(vectors) -> tuple[list[dict[int, int]], list[int]]:
     return [rows[i] for i in order], [pivots[i] for i in order]
 
 
-def rref_sparse(rows) -> tuple[list[Sparse], list[int]]:
-    """Reduced row echelon form of sparse rows, ordered by pivot, in
-    ``Fraction`` entries: the rows of ``integer_rref`` divided by their
-    pivot entries."""
-    rows, pivots = integer_rref(rows)
-    return [{k: Fraction(x, row[col]) for k, x in row.items()}
-            for row, col in zip(rows, pivots)], pivots
-
-
-def rref(mat) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot_columns).
-
-    Zero rows are dropped, so the rows are a canonical basis of the row
-    space.
-    """
-    rows, pivots = rref_sparse(sparse_rows(mat))
-    return dense_rows(rows, len(mat[0]) if mat else 0), pivots
-
-
 def integer_kernel(rows, n_cols: int) -> list[dict[int, int]]:
     """A basis of the right kernel of sparse rows with n_cols columns, in
     sparse integer vectors: for each free column c (not a pivot of
@@ -290,45 +186,30 @@ def integer_kernel(rows, n_cols: int) -> list[dict[int, int]]:
     return basis
 
 
-def nullspace(mat, n_cols: int | None = None) -> list[list[Fraction]]:
-    """Canonical basis of the right kernel {v : mat @ v = 0}; rows may be
-    sparse, given n_cols.  ``integer_kernel``'s vectors divided by their
-    free entries."""
-    if n_cols is None:
-        if not mat:
-            raise ValueError("n_cols required for an empty matrix")
-        n_cols = len(mat[0])
-    basis = []
-    for v in integer_kernel(sparse_rows(mat), n_cols):
-        d = next(iter(v.values()))  # the entry at the free column
-        basis.append({k: Fraction(x, d) for k, x in v.items()})
-    return dense_rows(basis, n_cols)
+def residue(a: dict, rows, pivots) -> dict:
+    """d a minus its part in the span of ``integer_rref`` rows, d the lcm
+    of their pivot entries: 0 at every pivot, and 0 exactly when a lies in
+    the span.  One d for every a, so a linear relation among residues is
+    one among the a modulo the span."""
+    d = lcm(*(row[col] for row, col in zip(rows, pivots)))
+    out = {i: d * c for i, c in a.items() if c}
+    for row, col in zip(rows, pivots):
+        f = a.get(col)
+        if f:
+            f *= d // row[col]
+            for i, c in row.items():
+                v = out.get(i, 0) - f * c
+                if v:
+                    out[i] = v
+                else:
+                    del out[i]
+    return out
 
 
-def invert(mat) -> list[list[Fraction]]:
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("inversion requires a square matrix")
-    aug = sparse_rows(mat)
-    for i, row in enumerate(aug):
-        row[n + i] = 1
-    rows, pivots = integer_rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return dense_rows(({k - n: Fraction(x, row[col]) for k, x in row.items()
-                        if k >= n} for row, col in zip(rows, pivots)), n)
-
-
-def matmul(a, b) -> list[list[Fraction]]:
+def matmul(a, b) -> list[list]:
+    """The product of dense matrices, in the entries' own arithmetic."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("inner dimensions do not match")
     columns = list(zip(*b))
-    return [[dot(row, col) for col in columns] for row in a]
-
-
-def mat_vec(a, v) -> list[Fraction]:
-    return [dot(row, v) for row in a]
-
-
-def dot(u, v) -> Fraction:
-    return sum((x * y for x, y in zip(u, v) if x and y), Fraction(0))
+    return [[sum(x * y for x, y in zip(row, col)) for col in columns]
+            for row in a]

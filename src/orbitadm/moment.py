@@ -23,12 +23,14 @@ upper bound is proven at that same point by a shrunk-subspace certificate,
 the limit of the second Wong sequence: exact linear algebra over Q, no
 polynomials, done in integers.  Each of its subspaces U = {u : A u in W}
 is the integer kernel (``linalg.integer_kernel``) of sparse residue rows:
-the columns of A taken modulo W, all scaled by one integer, one row per
-coordinate off the pivots of W.  Where it does not close (the pencil's
-non-commutative rank exceeds d_tau, as for generic skew pencils),
-fraction-free elimination over the polynomial ring on a basis of the
-pencil's span certifies the rank in any dimension within a work limit;
-its polynomials (``poly``) are imported only when it runs.
+the columns of A taken modulo W (``linalg.residue``), all scaled by one
+integer, one row per coordinate off the pivots of W.  The stabilizers are
+integer kernels too, divided back only for the vectors returned.  Where
+it does not close (the pencil's non-commutative rank exceeds d_tau, as
+for generic skew pencils), fraction-free elimination over the polynomial
+ring on a basis of the pencil's span certifies the rank in any dimension
+within a work limit; its polynomials (``poly``) are imported only when it
+runs.
 A proof that contradicts the sample raises DisagreementError; a sample
 below the elimination's rank raises SamplingMissError.  The induced
 representation behaves qualitatively differently according to whether
@@ -43,8 +45,8 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import DimensionMismatchError, Record
-from .linalg import (Sparse, WorkLimitError, bareiss, echelon, integer_kernel,
-                     integer_rref, matmul, nullspace)
+from .linalg import (WorkLimitError, bareiss, echelon, integer_kernel,
+                     integer_rref, residue)
 from .monomial import MonomialDatum, point_on_variety
 
 Vector = tuple[Fraction, ...]
@@ -64,7 +66,7 @@ __all__ = [
 SYMBOLIC_WORK_LIMIT = 10 ** 6
 
 
-def _block_at(D: MonomialDatum, x) -> tuple[list[Sparse], int]:
+def _block_at(D: MonomialDatum, x) -> tuple[list[dict], int]:
     """(columns, q): column r of the m x (n - m) block of
     q * denominator * M(l_x), as {i: nonzero int}, for r = 0..n-m-1, with
     q the lcm of the denominators of x.  The integer pencil is evaluated in
@@ -77,7 +79,7 @@ def _block_at(D: MonomialDatum, x) -> tuple[list[Sparse], int]:
         x = [Fraction(v) for v in x]
         q = lcm(*(v.denominator for v in x))
         x = [v.numerator * (q // v.denominator) for v in x]
-    columns: list[Sparse] = [{} for _ in x]
+    columns: list[dict] = [{} for _ in x]
     for t, coefficient in zip((q, *x), D.pencil):
         if t:
             for column, pairs in zip(columns, coefficient):
@@ -132,20 +134,31 @@ def stabilizer_report(D: MonomialDatum, x) -> StabilizerReport:
     a M(l) = 0 corresponds to the element sum a_i Y_i, so rank M(l) is
     m - dim h(l).  That kernel is the right kernel of M(l)^T, whose nonzero
     rows are the block's columns.  g(l) is the kernel of the skew form
-    B(l), whose rank (always even) is dim G.l.
+    B(l), whose rank (always even) is dim G.l.  Both kernels come from
+    ``linalg.integer_kernel``, whose vectors are divided by their entry at
+    their free column, the first key, once they are dense.
     """
     m, n = D.m, D.n
-    kernel = nullspace(_block_at(D, x)[0], n_cols=m)
-    h_basis = tuple(map(tuple, matmul(kernel, D.generators)))
+    h_basis = []
+    for a in integer_kernel(_block_at(D, x)[0], m):
+        v = [0] * n
+        for i, ai in a.items():
+            for k, c in D.generator_terms[i]:
+                v[k] += ai * c
+        d = next(iter(a.values()))
+        h_basis.append(tuple(Fraction(y, d) for y in v))
     l = point_on_variety(D, x)
-    g_basis = tuple(tuple(v) for v in nullspace(skew_form_matrix(D, l),
-                                                n_cols=n))
+    g_basis = []
+    for v in integer_kernel([dict(enumerate(row))
+                             for row in skew_form_matrix(D, l)], n):
+        d = next(iter(v.values()))
+        g_basis.append(tuple(Fraction(v.get(k, 0), d) for k in range(n)))
     return StabilizerReport(
         point=l,
         rank_M=m - len(h_basis),
-        h_stab_basis=h_basis,
+        h_stab_basis=tuple(h_basis),
         dim_G_orbit=n - len(g_basis),
-        g_stab_basis=g_basis,
+        g_stab_basis=tuple(g_basis),
     )
 
 
@@ -205,9 +218,9 @@ def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
     and Santha (JCSS 2015); it closes at x exactly when rank A equals the
     pencil's non-commutative rank.  W and im A are held in the reduced
     integer rows of ``linalg.integer_rref``; U is the integer kernel of
-    the residues of A's columns modulo W (``_residue``), transposed to one
-    sparse row per coordinate, and ``_residue`` of each row of W tells
-    whether it leaves im A.  Past ``_block_at``, which clears a rational
+    the residues of A's columns modulo W (``linalg.residue``), transposed
+    to one sparse row per coordinate, and the residue of each row of W
+    tells whether it leaves im A.  Past ``_block_at``, which clears a rational
     x, no ``Fraction`` is formed.
     """
     m, k = D.m, D.n - D.m
@@ -221,7 +234,7 @@ def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
         # kernel of the residue rows, one per coordinate i off W's pivots
         residue_rows: list[dict] = [{} for _ in range(m)]
         for j, a in enumerate(a_columns):
-            for i, c in _residue(a, w_rows, w_pivots).items():
+            for i, c in residue(a, w_rows, w_pivots).items():
                 residue_rows[i][j] = c
         U = integer_kernel(residue_rows, k)
         products = []
@@ -235,31 +248,11 @@ def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
                     products.append(w)
         rows, pivots = integer_rref(products)
         steps += 1
-        if any(_residue(row, *image) for row in rows):  # W leaves im A
+        if any(residue(row, *image) for row in rows):  # W leaves im A
             return None
         if len(rows) == len(w_rows):  # W only grows: it has stopped
             return len(U), len(rows), steps
         w_rows, w_pivots = rows, pivots
-
-
-def _residue(a: dict, rows, pivots) -> dict:
-    """d a minus its part in the span of ``integer_rref`` rows, d the lcm
-    of their pivot entries: 0 at every pivot, and 0 exactly when a lies in
-    the span.  One d for every a, so a linear relation among residues is
-    one among the a modulo the span."""
-    d = lcm(*(row[col] for row, col in zip(rows, pivots)))
-    out = {i: d * c for i, c in a.items()}
-    for row, col in zip(rows, pivots):
-        f = a.get(col)
-        if f:
-            f *= d // row[col]
-            for i, c in row.items():
-                v = out.get(i, 0) - f * c
-                if v:
-                    out[i] = v
-                else:
-                    del out[i]
-    return out
 
 
 def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
@@ -352,5 +345,4 @@ def symbolic_generic_rank(D: MonomialDatum) -> int:
     SYMBOLIC_WORK_LIMIT term products the elimination raises
     WorkLimitError.
     """
-    return bareiss(symbolic_moment_entries(D), size=len,
-                   limit=SYMBOLIC_WORK_LIMIT)[0]
+    return bareiss(symbolic_moment_entries(D), limit=SYMBOLIC_WORK_LIMIT)[0]

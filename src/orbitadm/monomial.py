@@ -37,7 +37,7 @@ from math import gcd, lcm
 
 from .algebra import (DimensionMismatchError, LieAlgebra, Record, _products,
                       dense_vector)
-from .linalg import dot, echelon, integer_rref, reduce_in_place
+from .linalg import integer_rref, residue
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -140,11 +140,12 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
 
     candidate_rows holds the generators, each a dict {k: coefficient}
     (read as it is) or a dense row of length n; f_vals their values under
-    f.  One echelon of the generators gives the rank and, pair by pair, the
-    residual of [Y_i, Y_j] outside their span; m = 0 is the trivial
-    subalgebra.  The chart comes from the rref of the rows (Y_i | f(Y_i)),
-    the coordinates taken last to first and f in a final column, held as
-    integer rows over e, the lcm of their pivot entries.  Its pivots are
+    f.  The ``integer_rref`` of the generators gives the rank and, pair by
+    pair, the residual of [Y_i, Y_j] outside their span (``residue``);
+    m = 0 is the trivial subalgebra.  The chart comes from the rref of the
+    rows (Y_i | f(Y_i)), the coordinates taken last to first and f in a
+    final column, held as integer rows over e, the lcm of their pivot
+    entries.  Its pivots are
     the last nonzero coordinates of elements of h, and the completion
     keeps the other standard vectors e_k, k rising: each e_k independent
     of what came before.  On a kept k the chart is
@@ -161,7 +162,7 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
         d_y = lcm(*(x.denominator for y in coords for x in y.values()))
         ints = [{k: x.numerator * (d_y // x.denominator)
                  for k, x in y.items()} for y in coords]
-    basis, pivots = echelon(ints)
+    basis, pivots = integer_rref(ints)
     if len(pivots) != m:
         raise RankDeficientError(
             f"{m} generators span only a {len(pivots)}-dimensional subspace")
@@ -172,9 +173,9 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
         w = {k: x for k, x in w.items() if x}
         if not w:
             continue  # a zero bracket lies in the span and f kills it
-        residual = dict(w)
-        reduce_in_place(residual, basis, pivots)
+        residual = residue(w, basis, pivots)
         if residual:
+            d *= lcm(*(row[c] for row, c in zip(basis, pivots)))
             raise NotClosedError(i, j, tuple(
                 Fraction(residual.get(k, 0), d) for k in range(n)))
         brackets.append((i, j, w))
@@ -288,4 +289,5 @@ def adapted_dual_coords(D: MonomialDatum, l) -> Vector:
     if len(l) != D.n:
         raise DimensionMismatchError(
             f"functional needs {D.n} coordinates, got {len(l)}")
-    return tuple(dot(row, l) for row in D.adapted_rows)
+    return tuple(sum((x * y for x, y in zip(row, l) if x and y), Fraction(0))
+                 for row in D.adapted_rows)

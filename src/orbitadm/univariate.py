@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
-
-from .linalg import cleared_int_rows
+from math import lcm
 
 
 def primitive(p) -> list[int]:
@@ -29,7 +28,8 @@ def primitive(p) -> list[int]:
 
 def from_rationals(coeffs) -> list[int]:
     """The primitive integer polynomial with the roots of ``coeffs``."""
-    return primitive(cleared_int_rows([coeffs])[0])
+    d = lcm(*(c.denominator for c in coeffs))
+    return primitive([c.numerator * (d // c.denominator) for c in coeffs])
 
 
 def derivative(p) -> list[int]:

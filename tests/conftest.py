@@ -24,8 +24,9 @@ from hypothesis import strategies as st
 import orbitadm as oa
 from orbitadm import algebra, cli
 from orbitadm.algebra import dense_vector
-from orbitadm.linalg import dot, invert
 from orbitadm.problemfile import CONFIG_KEYS
+
+from exact import dot, invert
 
 CORPUS_NAMES = [
     "abelian_r3", "axb_f0", "axb_f1", "diag_2d", "grelaud",

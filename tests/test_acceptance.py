@@ -13,9 +13,9 @@ from conftest import (CORPUS_NAMES, FREE_NAMES, ORACLES, load_datum,
                       load_problem, moment_reference, random_dyadic,
                       random_dyadic_vector, random_invertible, random_vector,
                       run_cli, transform_algebra)
+from exact import dot, invert, rank
 from orbitadm.cli import corpus_path
 from orbitadm.geometry import coadjoint_apply_factors
-from orbitadm.linalg import dot, invert
 
 CONFIG = oa.AnalysisConfig(trials=20, bound=10 ** 6, seed=0)
 
@@ -78,7 +78,7 @@ def test_criterion_3_derivative_block_structure():
             assert jr.max_dev_bottomright < 1e-9, name
             # independent exact route for the expected rank
             l = oa.point_on_variety(D, x)
-            exact = oa.rank_exact(moment_reference(D, l))
+            exact = rank(moment_reference(D, l))
             assert jr.numerical_rank_J == exact + D.n - D.m, name
     print("ACCEPTANCE 3 (derivative block structure, 20 points/datum): PASS")
 
@@ -121,7 +121,7 @@ def test_criterion_5_invariant_suites():
             assert sr.dim_G_orbit % 2 == 0
             g_rows = [list(v) for v in sr.g_stab_basis]
             for v in sr.h_stab_basis:
-                assert oa.rank_exact(g_rows + [list(v)]) == len(g_rows)
+                assert rank(g_rows + [list(v)]) == len(g_rows)
             even_checked += 1
     assert even_checked >= 1000
 

@@ -15,6 +15,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +27,11 @@ import orbitadm as oa
 from orbitadm import cli, univariate
 from orbitadm.algebra import _quotient_failure, _real_spectrum
 from orbitadm.geometry import ad_float
-from orbitadm.linalg import invert, mat_vec, matmul, rank_exact, rref
 
 from conftest import (CORPUS_NAMES, load_bench_families, load_problem,
                       make_motion, make_skew3, random_invertible,
                       transform_algebra)
+from exact import invert, mat_vec, matmul, rank, rref
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 _families = load_bench_families()
@@ -248,13 +249,13 @@ def _reference_quotient_failure(mats):
         return None
     else:
         parts = [_semisimple_part(A) for A in mats]
-        common = rank_exact([row for P in parts for row in P])
+        common = rank([row for P in parts for row in P])
         n, t = len(mats[0]), 1
         while True:
             c = [Fraction(t ** i) for i in range(len(parts))]
             S = [[sum((ci * P[a][b] for ci, P in zip(c, parts)), Fraction(0))
                   for b in range(n)] for a in range(n)]
-            if rank_exact(S) == common:
+            if rank(S) == common:
                 break
             t += 1
     if univariate.has_nonzero_imaginary_root(univariate.charpoly(S)):
@@ -277,6 +278,15 @@ def _on_image(S, parts):
 
     inverse = invert(restricted(S))
     return [matmul(restricted(P), inverse) for P in parts]
+
+
+def _integer(mats):
+    """The rational ``mats`` times one positive integer, the lcm of all
+    their denominators: ``_quotient_failure`` takes integer actions under
+    one scale."""
+    d = lcm(*(Fraction(x).denominator for A in mats for row in A
+              for x in row))
+    return [[[int(x * d) for x in row] for row in A] for A in mats]
 
 
 def _block_diagonal(blocks):
@@ -355,7 +365,8 @@ def _nilpotent_tail_next_to_a_pair():
 def test_quotient_failure_matches_the_semisimple_parts(mats):
     """The joint Fitting-one component decides as the semisimple parts do:
     the same check fails, at the same c and the same generator."""
-    assert _quotient_failure(mats) == _reference_quotient_failure(mats)
+    assert (_quotient_failure(_integer(mats))
+            == _reference_quotient_failure(mats))
 
 
 # The triangular route of ``_real_spectrum`` (the diagonal read as the
@@ -416,7 +427,7 @@ def test_commuting_diagonal_families_pass_both_checks(n, r, data, conjugate,
         P = random_invertible(random.Random(seed), n)
         P_inv = invert(P)
         mats = [matmul(matmul(P, A), P_inv) for A in mats]
-    assert _quotient_failure(mats) is None
+    assert _quotient_failure(_integer(mats)) is None
     assert _reference_quotient_failure(mats) is None
 
 

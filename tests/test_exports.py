@@ -2,6 +2,7 @@
 not at a user's `from orbitadm import *`."""
 
 import argparse
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -9,7 +10,7 @@ import pkgutil
 import pytest
 
 import orbitadm
-from orbitadm import cli, problemfile
+from orbitadm import cli, linalg, problemfile
 from orbitadm.verdict import AnalysisConfig
 
 MODULES = ["orbitadm"] + [f"orbitadm.{info.name}"
@@ -55,3 +56,21 @@ def test_option_surface_is_pinned():
     }
     assert set(cli._VALUED_OPTIONS) <= {s for options in surface.values()
                                         for s in options}
+
+
+def test_linalg_is_the_integer_kernel():
+    # one elimination, its back-substitution, kernel and residue, bareiss
+    # for the polynomial pencil and a dense product; no Fraction layer
+    public = {name for name, obj in vars(linalg).items()
+              if not name.startswith("_")
+              and getattr(obj, "__module__", linalg.__name__)
+              == linalg.__name__}
+    assert public == {"bareiss", "echelon", "integer_rref", "integer_kernel",
+                      "residue", "matmul", "WorkLimitError"}
+    tree = ast.parse(inspect.getsource(linalg))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in imported
+    assert not hasattr(linalg, "Fraction")

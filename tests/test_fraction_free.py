@@ -1,19 +1,21 @@
 """Fraction-free back-substitution against the ``Fraction`` paths it replaced.
 
 ``linalg.integer_rref`` back-substitutes ``echelon``'s primitive integer
-rows, last row first, and divides each result by its content; ``rref``,
-``rref_sparse``, ``nullspace`` and ``invert`` form a ``Fraction`` only
-for an entry they return.  ``moment.rank_certificate`` takes U from an
-integer kernel of its residue rows, and ``symbolic_moment_entries`` reads
-the integer rows as they are.  ``structure_report`` takes the flag's V_1
-from the derived series' g^(2) when C^inf = C^1.
+rows, last row first, and divides each result by its content;
+``linalg.integer_kernel`` reads a kernel off them, and
+``algebra._scaled_inverse`` an inverse off those of (S | I), all in
+integers.  ``moment.rank_certificate`` takes U from an integer kernel of
+its residue rows, and ``symbolic_moment_entries`` reads the integer rows
+as they are.  ``structure_report`` takes the flag's V_1 from the derived
+series' g^(2) when C^inf = C^1.
 
-The references below are the code these replaced, kept here as it was:
-``reference_rref_sparse`` scales echelon's rows to pivot 1 and
-back-substitutes in ``Fraction``s, and rref, nullspace and invert are
-built on it; ``reference_symbolic_moment_entries`` clears its rows to
-integers; ``reference_rank_certificate`` reduces its residues in
-``Fraction``s and takes U from a dense m x (n - m) matrix through
+The references below are the code these replaced, kept here as it was,
+with its sparse helpers from ``exact``: ``reference_rref_sparse`` scales
+echelon's rows to pivot 1 and back-substitutes in ``Fraction``s, and
+nullspace and invert are built on it;
+``reference_symbolic_moment_entries`` clears its rows to integers;
+``reference_rank_certificate`` reduces its residues in ``Fraction``s and
+takes U from a dense m x (n - m) matrix through
 ``nullspace`` and ``cleared_int_rows``; the flag's V_1 is
 ``_span(L, commutator, stable)``.  On random sparse rational matrices,
 with zero, repeated and dependent rows and negative and non-unit pivots,
@@ -32,12 +34,12 @@ from hypothesis import strategies as st
 
 import orbitadm as oa
 from orbitadm import algebra, linalg, moment
-from orbitadm.linalg import (SingularMatrixError, cleared, cleared_int_rows,
-                             dense_rows, echelon, reduce_in_place,
-                             sparse_rows)
+from orbitadm.linalg import echelon
 from orbitadm.poly import Poly
 
 from conftest import load_bench_families, random_invertible, transform_algebra
+from exact import (SingularMatrixError, cleared, cleared_int_rows, dense_rows,
+                   reduce_in_place, sparse_rows)
 from test_moment import CHANGED_BASIS, _hand_pencil, _in_random_basis
 
 _families = load_bench_families()
@@ -55,11 +57,6 @@ def reference_rref_sparse(rows):
                 reduce_in_place(row, rows[s:s + 1], pivots[s:s + 1])
     order = sorted(range(len(rows)), key=pivots.__getitem__)
     return [rows[i] for i in order], [pivots[i] for i in order]
-
-
-def reference_rref(mat):
-    rows, pivots = reference_rref_sparse(sparse_rows(mat))
-    return dense_rows(rows, len(mat[0]) if mat else 0), pivots
 
 
 def reference_nullspace(mat, n_cols):
@@ -186,15 +183,19 @@ def _points(D, rng):
 @settings(max_examples=400, deadline=None, database=None)
 @given(mat=matrices())
 def test_rref_and_nullspace_match_the_fraction_path(mat):
+    # the integer rows over their pivot entries are the rref rows, and the
+    # integer kernel over its free entries is the canonical kernel
     n_cols = len(mat[0]) if mat else 1
     sparse = sparse_rows(mat)
-    got = linalg.rref_sparse(sparse)
-    assert got == reference_rref_sparse(sparse)
-    assert all(type(x) is Fraction for row in got[0] for x in row.values())
-    assert linalg.rref(mat) == reference_rref(mat)
-    got = linalg.nullspace(mat, n_cols)
-    assert got == reference_nullspace(mat, n_cols)
-    assert all(type(x) is Fraction for row in got for x in row)
+    rows, pivots = linalg.integer_rref(sparse)
+    assert ([{k: Fraction(x, row[col]) for k, x in row.items()}
+             for row, col in zip(rows, pivots)], pivots) \
+        == reference_rref_sparse(sparse)
+    kernel = linalg.integer_kernel(sparse, n_cols)
+    assert all(type(x) is int for v in kernel for x in v.values())
+    assert [[Fraction(v.get(k, 0), next(iter(v.values())))
+             for k in range(n_cols)] for v in kernel] \
+        == reference_nullspace(mat, n_cols)
 
 
 @settings(max_examples=400, deadline=None, database=None)
@@ -212,17 +213,21 @@ def test_integer_rows_are_the_cleared_rref_rows(mat):
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=st.data())
 def test_invert_matches_the_fraction_path(data):
+    # the inverse read off the integer rows of (S | I) is a positive
+    # integer multiple of the Fraction inverse
     n = data.draw(st.integers(1, 6))
     mat = data.draw(matrices(n_rows=n, n_cols=n))
+    got = algebra._scaled_inverse(mat)
     try:
         expected = reference_invert(mat)
     except SingularMatrixError:
-        with pytest.raises(SingularMatrixError):
-            linalg.invert(mat)
+        assert got is None
         return
-    got = linalg.invert(mat)
-    assert got == expected
-    assert all(type(x) is Fraction for row in got for x in row)
+    e = next(x / y for gr, er in zip(got, expected)
+             for x, y in zip(gr, er) if y)
+    assert e > 0 and e.denominator == 1
+    assert got == [[e * y for y in row] for row in expected]
+    assert all(type(x) is int for row in got for x in row)
 
 
 # --- moment ------------------------------------------------------------------

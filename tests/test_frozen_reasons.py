@@ -27,7 +27,7 @@ import orbitadm as oa
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from conftest import (load_bench_families, random_invertible,  # noqa: E402
                       run_cli, transform_algebra)
-from orbitadm.linalg import dot, invert  # noqa: E402
+from exact import dot, invert  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FROZEN = FIXTURES / "exponentiality_reasons.json"

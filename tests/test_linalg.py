@@ -2,36 +2,38 @@ import random
 from fractions import Fraction
 from math import gcd
 
-import pytest
-
-from orbitadm import linalg
+from orbitadm import algebra, linalg
 
 from conftest import random_invertible, random_vector
-from test_sparse_elimination import dense_rref
+from exact import mat_vec, matmul, nullspace, rank, rref
 
 
 def F(x):
     return Fraction(x)
 
 
-class TestRankExact:
+def echelon_rank(mat) -> int:
+    return len(linalg.echelon(dict(enumerate(row)) for row in mat)[0])
+
+
+class TestRank:
     def test_single_pivot(self):
-        assert linalg.rank_exact([[0, 0, -1], [0, 0, 0]]) == 1
+        assert echelon_rank([[0, 0, -1], [0, 0, 0]]) == 1
 
     def test_zero_matrix(self):
-        assert linalg.rank_exact([[0, 0], [0, 0]]) == 0
+        assert echelon_rank([[0, 0], [0, 0]]) == 0
 
     def test_identity(self):
         eye = [[int(i == j) for j in range(3)] for i in range(3)]
-        assert linalg.rank_exact(eye) == 3
+        assert echelon_rank(eye) == 3
 
     def test_empty(self):
-        assert linalg.rank_exact([]) == 0
+        assert echelon_rank([]) == 0
 
     def test_fractions_cleared(self):
         mat = [[F("1/2"), F("1/3")], [F("1/4"), F("1/6")]]
         # second row is half the first: rank 1
-        assert linalg.rank_exact(mat) == 1
+        assert echelon_rank(mat) == 1
 
     def test_agrees_with_rref_pivot_count(self):
         rng = random.Random(20240811)
@@ -39,28 +41,33 @@ class TestRankExact:
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 5)
             mat = [random_vector(rng, cols) for _ in range(rows)]
-            _, pivots = linalg.rref(mat)
-            assert linalg.rank_exact(mat) == len(pivots)
+            assert echelon_rank(mat) == rank(mat)
 
 
 class TestRref:
     def test_canonical_form(self):
-        rows, pivots = linalg.rref([[2, 4], [1, 2]])
-        assert pivots == [0]
-        assert rows == [[F(1), F(2)]]
+        rows, pivots = linalg.integer_rref([{0: 2, 1: 4}, {0: 1, 1: 2}])
+        assert (rows, pivots) == ([{0: 1, 1: 2}], [0])
+        rows, pivots = linalg.integer_rref([{0: 2, 1: 1}, {0: 2, 1: 3}])
+        assert (rows, pivots) == ([{0: 1}, {1: 1}], [0, 1])
 
     def test_row_space_membership(self):
-        basis = [[1, 0, 2, 0], [0, 1, 3, 0]]
-        rows, pivots = linalg.rref(basis)
-        rows = linalg.sparse_rows(rows)
+        # residues modulo [1, 0, 2, 0], [0, 1, 3, 0]: 0 in the span,
+        # otherwise the part outside it
+        rows, pivots = linalg.integer_rref([{0: 1, 2: 2}, {1: 1, 2: 3}])
 
-        def reduced(vec):
-            w = linalg.sparse_rows([vec])[0]
-            return linalg.reduce_in_place(w, rows, pivots), w
+        def residue(vec):
+            return linalg.residue({k: x for k, x in enumerate(vec) if x},
+                                  rows, pivots)
 
-        assert reduced([2, 3, 13, 0]) == ([2, 3], {})
-        assert reduced([0, 0, 0, 1]) == ([0, 0], {3: 1})
-        assert reduced([2, 3, 12, 0]) == ([2, 3], {2: -1})
+        assert residue([2, 3, 13, 0]) == {}
+        assert residue([0, 0, 0, 1]) == {3: 1}
+        assert residue([2, 3, 12, 0]) == {2: -1}
+        # pivot entries 2 and 3 scale every residue by their lcm, 6
+        rows, pivots = linalg.integer_rref([{0: 2, 2: 1}, {1: 3, 2: 1}])
+        assert (rows, pivots) == ([{0: 2, 2: 1}, {1: 3, 2: 1}], [0, 1])
+        assert linalg.residue({0: 2, 1: 3, 2: 2}, rows, pivots) == {}
+        assert linalg.residue({2: 1}, rows, pivots) == {2: 6}
 
 
 class TestEchelon:
@@ -81,14 +88,14 @@ class TestEchelon:
                         for _ in range(n)] for _ in range(rng.randint(1, 5))]
                 rows, pivots = linalg.echelon(dict(enumerate(row))
                                               for row in mat)
-                assert sorted(pivots) == dense_rref(mat)[1]
+                assert sorted(pivots) == rref(mat)[1]
                 for i, (row, p) in enumerate(zip(rows, pivots)):
                     assert all(type(x) is int for x in row.values())
                     assert gcd(*row.values()) == 1
                     assert p == min(row) and row[p] > 0
                     read = next(k for k in range(1, len(mat) + 1)
-                                if len(dense_rref(mat[:k])[1]) == i + 1)
-                    ref, ref_pivots = dense_rref(mat[:read])
+                                if len(rref(mat[:k])[1]) == i + 1)
+                    ref, ref_pivots = rref(mat[:read])
                     assert [row.get(k, 0) for k in range(n)] == [
                         row[p] * x for x in ref[ref_pivots.index(p)]]
 
@@ -100,10 +107,15 @@ class TestNullspace:
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 5)
             mat = [random_vector(rng, cols) for _ in range(rows)]
-            null = linalg.nullspace(mat, cols)
-            for v in null:
-                assert all(x == 0 for x in linalg.mat_vec(mat, v))
-            assert len(null) == cols - linalg.rank_exact(mat)
+            kernel = linalg.integer_kernel(
+                [dict(enumerate(row)) for row in mat], cols)
+            dense = [[v.get(k, 0) for k in range(cols)] for v in kernel]
+            for v in dense:
+                assert all(x == 0 for x in mat_vec(mat, v))
+            assert len(kernel) == cols - rank(mat)
+            # each is a positive multiple of a canonical kernel vector
+            assert [[F(x) / v[next(iter(kernel[i]))] for x in v]
+                    for i, v in enumerate(dense)] == nullspace(mat, cols)
 
 
 class TestInvertSolve:
@@ -112,11 +124,11 @@ class TestInvertSolve:
         for _ in range(25):
             n = rng.randint(1, 5)
             mat = random_invertible(rng, n)
-            inv = linalg.invert(mat)
-            prod = linalg.matmul(mat, inv)
-            eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-            assert prod == eye
+            inv = algebra._scaled_inverse(mat)
+            prod = matmul(mat, inv)
+            e = prod[0][0]
+            eye = [[e * int(i == j) for j in range(n)] for i in range(n)]
+            assert e > 0 and prod == eye
 
-    def test_invert_singular_raises(self):
-        with pytest.raises(linalg.SingularMatrixError):
-            linalg.invert([[1, 2], [2, 4]])
+    def test_singular_has_no_inverse(self):
+        assert algebra._scaled_inverse([[1, 2], [2, 4]]) is None

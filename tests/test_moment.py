@@ -7,12 +7,13 @@ import pytest
 
 import orbitadm as oa
 from orbitadm import moment
-from orbitadm.linalg import bareiss, dot, invert, matmul, rank_exact
+from orbitadm.linalg import bareiss
 from orbitadm.poly import Poly
 
 from conftest import (CORPUS_NAMES, ORACLES, load_bench_families, load_datum,
                       make_abelian, moment_reference, random_invertible,
                       random_vector, transform_algebra)
+from exact import dot, invert, rank
 
 
 _families = load_bench_families()
@@ -135,14 +136,15 @@ def _assert_pencil_matches_definition(D, rng, points):
         x = random_vector(rng, D.n - D.m)
         reference = moment_reference(D, oa.point_on_variety(D, x))
         assert oa.moment_matrix(D, x) == reference
-        rank = rank_exact(reference)
-        assert oa.rank_at(D, x) == oa.stabilizer_report(D, x).rank_M == rank
+        expected = rank(reference)
+        assert (oa.rank_at(D, x) == oa.stabilizer_report(D, x).rank_M
+                == expected)
 
 
 class TestPencilAgainstDefinition:
     """Every reader of the pencil agrees with l_x([Y_i, B_j]) taken from
     the definition: the moment matrix entry by entry, and rank_at and the
-    stabilizer report's rank with Bareiss over the integers."""
+    stabilizer report's rank with textbook elimination (``exact.rank``)."""
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_corpus(self, name, corpus_data):
@@ -162,17 +164,6 @@ class TestPencilAgainstDefinition:
     def test_in_a_random_basis(self, problem):
         D = _in_random_basis(problem)
         _assert_pencil_matches_definition(D, random.Random(problem.name), 3)
-
-
-class TestRankExactOperation:
-    def test_spec_row_pattern(self):
-        assert oa.rank_exact([[0, 0, -1], [0, 0, 0]]) == 1
-
-    def test_zero(self):
-        assert oa.rank_exact([[0, 0, 0], [0, 0, 0]]) == 0
-
-    def test_identity(self):
-        assert oa.rank_exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
 
 
 class TestStabilizerReport:
@@ -212,7 +203,7 @@ class TestStabilizerReport:
             g_rows = [list(v) for v in sr.g_stab_basis]
             for v in sr.h_stab_basis:
                 stacked = g_rows + [list(v)]
-                assert oa.rank_exact(stacked) == len(g_rows)
+                assert rank(stacked) == len(g_rows)
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_g_orbit_dimension_even(self, name, corpus_data):
@@ -253,7 +244,7 @@ class TestGenericRank:
         D = oa.build_datum(h3, [h3.vector(X=1)], [0])
         for x in [("1/2", "3"), (0.5, 0), ("0", "-7/3"), (0, 0)]:
             l = oa.point_on_variety(D, [Fraction(v) for v in x])
-            assert moment.rank_at(D, x) == rank_exact(moment_reference(D, l))
+            assert moment.rank_at(D, x) == rank(moment_reference(D, l))
         assert {moment.rank_at(D, x) for x in [("1/3", 0), (0, "1/3")]} \
             == {0, 1}
 
@@ -380,9 +371,8 @@ class TestPolyDeterminant:
         mat = [[x + y, one, x], [one, y, one], [x, one, y + one]]
         # the first step alone counts 11 term products
         with pytest.raises(oa.WorkLimitError):
-            bareiss([row[:] for row in mat], size=len, limit=5)
-        assert bareiss([row[:] for row in mat], size=len, limit=10 ** 3)[0] \
-            == 3
+            bareiss([row[:] for row in mat], limit=5)
+        assert bareiss([row[:] for row in mat], limit=10 ** 3)[0] == 3
 
     def test_two_by_two(self):
         x, one = _var(1, 0), _const(1, 1)
@@ -399,9 +389,8 @@ class TestPolyDeterminant:
             if trial % 3 == 0 and k > 1:  # force a singular matrix
                 mat[-1] = [2 * a - b for a, b in zip(mat[0], mat[1])]
             polymat = [[_const(0, v) for v in row] for row in mat]
-            # both pivot rules: column order and smallest entry
-            rank, pivot = bareiss(polymat, size=len if trial % 2 else None)
-            assert rank == rank_exact(mat)
+            got, pivot = bareiss(polymat)
+            assert got == rank(mat)
             # cofactor expansion oracle
             def cof(m):
                 if len(m) == 1:
@@ -412,7 +401,7 @@ class TestPolyDeterminant:
                     term = m[0][j] * cof(minor)
                     total += term if j % 2 == 0 else -term
                 return total
-            if rank == k:
+            if got == k:
                 assert pivot.terms == (((), pivot.terms[0][1]),)
                 assert abs(pivot.terms[0][1]) == abs(cof(mat))
             else:

@@ -1,122 +1,46 @@
-"""The sparse elimination kernel against the dense routines it replaced.
+"""The integer kernels of ``linalg`` against textbook dense elimination.
 
-``dense_rref``, ``dense_reduce_against``, ``dense_nullspace`` and
-``dense_invert`` are the Gauss-Jordan loops over full rows of ``Fraction``
-that ``linalg`` used before its readers were built on ``linalg.echelon``; ``dense_matmul``, ``dense_mat_vec`` and
-``dense_dot`` wrapped every entry in ``Fraction`` and multiplied zeros
-too.  On random rational matrices, with zero rows and columns, repeated
-and rescaled rows, negative and non-unit pivots, and empty and 1 x 1
-shapes, the linalg functions must return exactly what the references
-return, entries of type ``Fraction`` included, and raise
-SingularMatrixError in the same cases.
+``exact`` holds Gauss-Jordan loops over full rows of ``Fraction``, written
+without ``linalg``.  On random rational matrices, with zero rows and
+columns, repeated and rescaled rows, negative and non-unit pivots, and
+empty and 1 x 1 shapes, ``integer_rref``'s rows over their pivot entries
+must be the rref rows, ``integer_kernel``'s vectors over their free
+entries the canonical kernel, ``residue`` a positive multiple of the
+reduction by the rref rows, ``algebra._scaled_inverse`` a positive
+multiple of the inverse (None exactly when the matrix is singular), and
+``matmul`` the product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitadm import linalg
-from orbitadm.linalg import SingularMatrixError
+from orbitadm import algebra, linalg
+
+from exact import (SingularMatrixError, cleared, invert, matmul, nullspace,
+                   reduce_against, rref, sparse_rows)
 
 
-def as_fraction_rows(mat):
-    return [[x if type(x) is Fraction else Fraction(x) for x in row]
-            for row in mat]
+def integer_rref(mat):
+    return linalg.integer_rref(dict(enumerate(row)) for row in mat)
 
 
-def dense_rref(mat):
-    a = as_fraction_rows(mat)
-    if not a:
-        return [], []
-    n_rows, n_cols = len(a), len(a[0])
-    pivots = []
-    row = 0
-    for col in range(n_cols):
-        piv = None
-        for r in range(row, n_rows):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != row:
-            a[row], a[piv] = a[piv], a[row]
-        inv = a[row][col]
-        a[row] = [x / inv for x in a[row]]
-        for r in range(n_rows):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    return a[: len(pivots)], pivots
+def over_pivots(rows, pivots, n_cols):
+    """Integer rref rows divided by their pivot entries, dense."""
+    return [[Fraction(row.get(k, 0), row[p]) for k in range(n_cols)]
+            for row, p in zip(rows, pivots)], pivots
 
 
-def dense_reduce_against(vec, rref_rows, pivots):
-    v = [Fraction(x) for x in vec]
-    for row, col in zip(rref_rows, pivots):
-        if v[col] != 0:
-            factor = v[col]
-            v = [x - factor * y for x, y in zip(v, row)]
-    return v
-
-
-def dense_nullspace(mat, n_cols=None):
-    rows = as_fraction_rows(mat)
-    if n_cols is None:
-        if not rows:
-            raise ValueError("n_cols required for an empty matrix")
-        n_cols = len(rows[0])
-    r, pivots = dense_rref(rows) if rows else ([], [])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * n_cols
-        v[free] = Fraction(1)
-        for row, col in zip(r, pivots):
-            v[col] = -row[free]
-        basis.append(v)
-    return basis
-
-
-def dense_invert(mat):
-    a = as_fraction_rows(mat)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("inversion requires a square matrix")
-    aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(a)]
-    r, pivots = dense_rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in r]
-
-
-def dense_matmul(a, b):
-    a = as_fraction_rows(a)
-    b = as_fraction_rows(b)
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimensions do not match")
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
-             for col in zip(*b)] for row in a]
-
-
-def dense_dot(u, v):
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(u, v) if x and y),
-               Fraction(0))
-
-
-def dense_mat_vec(a, v):
-    return [sum((x * Fraction(y) for x, y in zip(row, v)), Fraction(0))
-            for row in a]
+def canonical(kernel, n_cols):
+    """Integer kernel vectors divided by their entries at their free
+    columns, dense."""
+    return [[Fraction(v.get(k, 0), next(iter(v.values())))
+             for k in range(n_cols)] for v in kernel]
 
 
 def outcome(fn, *args):
@@ -127,14 +51,7 @@ def outcome(fn, *args):
         return type(exc)
 
 
-def all_fractions(result) -> bool:
-    if isinstance(result, type):
-        return True
-    rows = result if result and isinstance(result[0], list) else [result]
-    return all(type(x) is Fraction for row in rows for x in row)
-
-
-# zero weighted up; plain ints beside Fractions, which the readers coerce
+# zero weighted up; plain ints beside Fractions, which echelon clears
 entries = st.one_of(
     st.just(0), st.just(0), st.just(0), st.integers(-3, 3),
     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
@@ -167,58 +84,52 @@ def vectors(n: int):
 @settings(max_examples=300, deadline=None, database=None)
 @given(mat=matrices())
 def test_rref_nullspace(mat):
-    got = linalg.rref(mat)
-    assert got == dense_rref(mat)
-    assert all_fractions(got[0])
     n_cols = len(mat[0]) if mat else 3
-    for args in ((mat, n_cols), (mat,)):
-        got = outcome(linalg.nullspace, *args)
-        assert got == outcome(dense_nullspace, *args)
-        assert all_fractions(got)
+    assert over_pivots(*integer_rref(mat), n_cols) == rref(mat)
+    kernel = linalg.integer_kernel(sparse_rows(mat), n_cols)
+    assert all(type(x) is int for v in kernel for x in v.values())
+    assert canonical(kernel, n_cols) == nullspace(mat, n_cols)
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=st.data())
 def test_reduce_against_an_rref_basis(data):
-    # reduce_in_place by rref rows, and by those rows scaled by nonzero
-    # integers, leaves the residual dense_reduce_against gives, and its
-    # factors are the coordinates of what it took away in the rows as given
+    # residue by integer rref rows is d times the reduction by the rref
+    # rows, d the lcm of their pivot entries, and 0 exactly in their span
     n = data.draw(st.integers(1, 6))
     mat = data.draw(matrices(n_cols=n))
-    rref_rows, pivots = dense_rref(mat)
-    scales = data.draw(st.lists(st.integers(-5, 5).filter(bool),
-                                min_size=len(pivots), max_size=len(pivots)))
-    scaled = [[q * x for x in row] for q, row in zip(scales, rref_rows)]
+    rows, pivots = integer_rref(mat)
+    rref_rows, _ = rref(mat)
+    d = lcm(*(row[p] for row, p in zip(rows, pivots)))
     free = data.draw(vectors(n))
     coeffs = data.draw(vectors(len(mat)))
     inside = [sum((c * row[k] for c, row in zip(coeffs, mat)), Fraction(0))
               for k in range(n)]
-    for rows in (rref_rows, scaled):
-        for vec in (free, inside):
-            w = linalg.sparse_rows([vec])[0]
-            factors = linalg.reduce_in_place(w, linalg.sparse_rows(rows),
-                                             pivots)
-            got = linalg.dense_rows([w], n)[0]
-            assert got == dense_reduce_against(vec, rref_rows, pivots)
-            assert all(w.values())
-            taken = [sum((f * row[k] for f, row in zip(factors, rows)),
-                         Fraction(0)) for k in range(n)]
-            assert [a - b for a, b in zip(vec, taken)] == got
-        w = linalg.sparse_rows([inside])[0]
-        linalg.reduce_in_place(w, linalg.sparse_rows(rows), pivots)
-        assert not w
+    for vec in (free, inside):
+        w, q = cleared(sparse_rows([vec])[0])
+        got = linalg.residue(w, rows, pivots)
+        assert all(type(x) is int and x for x in got.values())
+        assert [got.get(k, 0) for k in range(n)] == [
+            d * q * x for x in reduce_against(vec, rref_rows, pivots)]
+    assert not linalg.residue(cleared(sparse_rows([inside])[0])[0], rows,
+                              pivots)
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=st.data())
 def test_invert(data):
-    n = data.draw(st.integers(0, 5))
+    n = data.draw(st.integers(1, 5))
     mat = data.draw(matrices(n_rows=n, n_cols=n))
-    got = outcome(linalg.invert, mat)
-    assert got == outcome(dense_invert, mat)
-    assert all_fractions(got)
-    if n:
-        assert outcome(linalg.invert, [row[1:] for row in mat]) is ValueError
+    got = algebra._scaled_inverse(mat)
+    try:
+        expected = invert(mat)
+    except SingularMatrixError:
+        assert got is None
+        return
+    e = next(x / y for gr, er in zip(got, expected)
+             for x, y in zip(gr, er) if y)
+    assert e > 0 and e.denominator == 1
+    assert got == [[e * y for y in row] for row in expected]
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -228,14 +139,16 @@ def test_products(data):
     a = data.draw(matrices(n_cols=inner))
     b = data.draw(matrices(n_rows=inner))
     got = outcome(linalg.matmul, a, b)
-    assert got == outcome(dense_matmul, a, b)
-    assert all_fractions(got)
-    v = data.draw(vectors(inner))
-    assert linalg.mat_vec(a, v) == dense_mat_vec(a, v)
-    assert all_fractions(linalg.mat_vec(a, v))
-    for row in a:
-        got = linalg.dot(row, v)
-        assert got == dense_dot(row, v) and type(got) is Fraction
+    assert got == outcome(matmul, a, b)
+    if isinstance(got, type):
+        return
+    # integer matrices multiply in ints
+    d = lcm(*(Fraction(x).denominator for m in (a, b) for row in m
+              for x in row))
+    ia, ib = ([[int(x * d) for x in row] for row in m] for m in (a, b))
+    product = linalg.matmul(ia, ib)
+    assert all(type(x) is int for row in product for x in row)
+    assert product == [[d * d * x for x in row] for row in got]
 
 
 @pytest.mark.parametrize("mat, pivots", [
@@ -244,5 +157,6 @@ def test_products(data):
     ([[0, -2], [0, 4]], [1]),
 ])
 def test_small_shapes(mat, pivots):
-    assert linalg.rref(mat) == dense_rref(mat)
-    assert linalg.rref(mat)[1] == pivots
+    n_cols = len(mat[0]) if mat else 0
+    assert over_pivots(*integer_rref(mat), n_cols) == rref(mat)
+    assert integer_rref(mat)[1] == pivots

@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 
 import orbitadm as oa
 from orbitadm import algebra
-from orbitadm.linalg import rref
 
 from conftest import (CORPUS_NAMES, algebra_from_table, dense_table,
                       load_bench_families, load_problem, make_abelian,
                       make_axb, make_h3, make_motion, make_sl2,
                       random_invertible, transform_algebra)
+from exact import rref
 
 
 def dense_validate(L, c):

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 import orbitadm as oa
 from orbitadm import moment
 from orbitadm import verdict as verdict_mod
-from orbitadm.linalg import dot, invert
 from orbitadm.report import report_dict
 
 from conftest import (CORPUS_NAMES, ORACLES, algebra_from_table,
                       load_bench_families, load_problem, make_abelian,
                       make_axb, make_h3, make_motion, make_skew3, make_sl2,
                       random_vector, transform_algebra)
+from exact import dot, invert
 from test_moment import CHANGED_BASIS, sampled_oracle
 
 
