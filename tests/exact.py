@@ -155,10 +155,9 @@ def cleared(row: dict) -> tuple[dict[int, int], int]:
 def cleared_int_rows(mat) -> list[list[int]]:
     """Each dense row scaled by the lcm of its denominators."""
     out = []
-    for row in mat:
-        scale = lcm(*(Fraction(x).denominator for x in row))
-        out.append([Fraction(x).numerator * (scale // Fraction(x).denominator)
-                    for x in row])
+    for row in as_fraction_rows(mat):
+        scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
 
 
