@@ -18,7 +18,7 @@ this script runs both to make the agreement visible.
 
 from orbitadm import generic_h_orbit_dim, parse, build_datum
 from orbitadm.cli import corpus_path
-from orbitadm.moment import symbolic_moment_entries
+from orbitadm.poly import symbolic_moment_entries
 from orbitadm import symbolic_generic_rank
 
 for name in ("heisenberg_yz", "grelaud", "h5_y1y2", "diag_2d"):

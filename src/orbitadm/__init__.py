@@ -12,57 +12,48 @@ admissible vector exactly in the nonunimodular absolutely continuous case
 The computation is exact rational linear algebra end to end, including
 the decision that the group is exponential.  The one floating-point part,
 ``geometry`` (a finite-difference cross-check of the derivative structure
-of the coadjoint action map), is the only module that imports numpy; its
-names below are imported on first use, so importing orbitadm does not load
-numpy.  ``poly`` (the polynomials of the Bareiss fallback) and
-``univariate`` (the root counts of the exponentiality decision) load on
-first use too, so importing orbitadm loads neither.
+of the coadjoint action map), is the only module that imports numpy.
+
+Importing orbitadm loads no submodule.  Each name below is imported from
+its module on first use, through ``_EXPORTS``, so a program, and each
+command of ``cli``, compiles only the modules it runs: ``geometry`` (and
+numpy) for the names of the Jacobian check alone, ``pointwise`` for the
+readers of one chart point.
 """
 
-from .algebra import (DimensionMismatchError, LieAlgebra, StructureReport,
-                      Violation, ad_matrix, bracket, from_brackets,
-                      structure_report, validate)
-from .linalg import WorkLimitError
-from .moment import (DisagreementError, GenericRankResult, SamplingMissError,
-                     StabilizerReport, generic_h_orbit_dim, moment_matrix,
-                     rank_at, rank_certificate, skew_form_matrix,
-                     stabilizer_report, symbolic_generic_rank)
-from .monomial import (MonomialDatum, NotACharacterError, NotClosedError,
-                       RankDeficientError, adapted_dual_coords, build_datum,
-                       point_on_variety)
-from .problemfile import ParseError, ProblemFile, parse, serialize
-from .verdict import (AnalysisConfig, FullReport, InvalidAlgebraError,
-                      StructuralPreconditionError, full_report)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-_GEOMETRY_NAMES = ("JacobianReport", "expm", "ad_exp", "coadjoint_apply",
-                   "coadjoint_apply_factors", "phi_in_chart", "fd_jacobian",
-                   "numerical_rank")
+# module -> the names it exports here
+_EXPORTS = {
+    "algebra": "LieAlgebra Violation StructureReport DimensionMismatchError "
+               "from_brackets validate structure_report DisagreementError "
+               "SamplingMissError",
+    "pointwise": "bracket ad_matrix point_on_variety adapted_dual_coords "
+                 "StabilizerReport moment_matrix skew_form_matrix "
+                 "stabilizer_report",
+    "monomial": "MonomialDatum RankDeficientError NotClosedError "
+                "NotACharacterError build_datum",
+    "moment": "GenericRankResult rank_at generic_h_orbit_dim "
+              "rank_certificate symbolic_generic_rank",
+    "linalg": "WorkLimitError",
+    "verdict": "FullReport AnalysisConfig InvalidAlgebraError "
+               "StructuralPreconditionError full_report",
+    "geometry": "JacobianReport expm ad_exp coadjoint_apply "
+                "coadjoint_apply_factors phi_in_chart fd_jacobian "
+                "numerical_rank",
+    "problemfile": "ProblemFile ParseError parse serialize",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names.split()}
 
 
 def __getattr__(name: str):
-    if name in _GEOMETRY_NAMES:
-        from . import geometry
-        return getattr(geometry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module("." + module, __name__), name)
 
 
-__all__ = [
-    "LieAlgebra", "Violation", "StructureReport", "DimensionMismatchError",
-    "from_brackets", "validate", "bracket", "ad_matrix", "structure_report",
-    "MonomialDatum", "RankDeficientError", "NotClosedError",
-    "NotACharacterError", "build_datum",
-    "point_on_variety", "adapted_dual_coords",
-    "StabilizerReport", "GenericRankResult",
-    "moment_matrix", "skew_form_matrix",
-    "rank_at", "stabilizer_report", "generic_h_orbit_dim",
-    "WorkLimitError",
-    "rank_certificate", "symbolic_generic_rank",
-    "DisagreementError", "SamplingMissError", "FullReport",
-    "AnalysisConfig", "InvalidAlgebraError", "StructuralPreconditionError",
-    "full_report",
-    *_GEOMETRY_NAMES,
-    "ProblemFile", "ParseError", "parse", "serialize",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]

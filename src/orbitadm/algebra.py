@@ -11,17 +11,18 @@ constants, not n^3, and their spans are fraction-free
 (``linalg.echelon``).  The spans are support-pruned: ``support[i]`` holds
 the j with a nonzero plane table[i][j], and a product [u, v] is formed only
 when it can meet one, every other product being exactly 0.  None of them
-changes under the scaling by D;
-every exact value that leaves this module (brackets, adjoint matrices,
-violation residuals, the ``nonzero`` constants) is scaled back to the
-basis Z_i.  Exponentiality is decided exactly over Q on integer matrices:
-the quotient actions of the flag read their coordinates off
-``linalg.residue``, and the Fitting-one restriction and S^-1 off
-``linalg.integer_rref``, each under a positive scale that changes no
-check.  The univariate helpers of ``univariate`` are imported on first
-use: only a quotient action that is not triangular needs them.  Nothing
-here uses floating point.  The records of the package are plain classes,
-most with ``__slots__``; ``Record`` compares them field by field.
+changes under the scaling by D; every exact value that leaves this module
+(violation residuals, the ``nonzero`` constants) is scaled back to the
+basis Z_i, as are the brackets and adjoint matrices of ``pointwise``.
+Exponentiality is decided exactly over Q on integer matrices: the quotient
+actions of the flag read their coordinates off ``linalg.residue``, under a
+positive scale that changes no check.  A triangular action is screened
+here; ``univariate``, imported on first use, screens any other and runs
+the checks after a failed screen.  Nothing here uses floating point.  The
+records of the package are plain classes, most with ``__slots__``;
+``Record`` compares them field by field.  ``DisagreementError`` and
+``SamplingMissError``, which ``moment`` raises, are defined here, so that
+the command line catches them without loading ``moment``.
 """
 
 from __future__ import annotations
@@ -29,16 +30,31 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import lcm
 
-from .linalg import echelon, integer_rref, matmul, residue
+from .linalg import echelon, integer_rref, residue
 
 Vector = tuple[Fraction, ...]
 
 
 class DimensionMismatchError(ValueError):
     """A vector or point has the wrong length for the ambient algebra."""
+
+
+class DisagreementError(RuntimeError):
+    """The sampled rank differs from the certified one — an internal bug."""
+
+    def __init__(self, probabilistic: int, certified: int):
+        self.probabilistic = probabilistic
+        self.certified = certified
+        super().__init__(
+            f"generic rank mismatch: probabilistic {probabilistic} "
+            f"vs certified {certified}")
+
+
+class SamplingMissError(RuntimeError):
+    """The sampled rank stayed below the certified one: every point drawn
+    under the trials and bound settings fell where the rank drops."""
 
 
 class Record:
@@ -73,12 +89,11 @@ class Violation(Record):
         self.residual = residual
 
     def describe(self, names: tuple[str, ...]) -> str:
+        i, j, k = self.indices
         if self.kind == "antisymmetry":
-            i, j, k = self.indices
             return (f"antisymmetry fails at ({names[i]},{names[j]}) "
                     f"component {names[k]}: residual {self.residual}")
-        i, j, k = self.indices
-        res = ", ".join(str(x) for x in self.residual)
+        res = ", ".join(map(str, self.residual))
         return (f"Jacobi identity fails at ({names[i]},{names[j]},{names[k]}): "
                 f"residual ({res})")
 
@@ -307,42 +322,13 @@ def _products(L: LieAlgebra, us, vs=None):
             yield s, t, _product(L, u, right[t])
 
 
-def _cleared(u) -> tuple[dict[int, int], int]:
-    """(terms, d): the dense u as integer terms over d, the lcm of the
-    denominators of its nonzero entries (each read by ``Fraction``)."""
-    terms = {k: Fraction(x) for k, x in enumerate(u) if x}
-    d = lcm(*(x.denominator for x in terms.values()))
-    return {k: x.numerator * (d // x.denominator) for k, x in terms.items()}, d
-
-
-def bracket(L: LieAlgebra, u, v) -> Vector:
-    """[u, v] by bilinear expansion over the nonzero structure constants:
-    formed in the integer table from u and v cleared to integers, then
-    scaled back once per coordinate."""
-    n = L.dim
-    if len(u) != n or len(v) != n:
-        raise DimensionMismatchError(
-            f"bracket arguments must have length {n}, got {len(u)} and {len(v)}")
-    (us, du), (vs, dv) = _cleared(u), _cleared(v)
-    d = L.scale * du * dv
-    w = _product(L, us.items(), vs.items())
-    return dense_vector(((k, Fraction(x, d)) for k, x in w.items()), n)
-
-
-def ad_matrix(L: LieAlgebra, u) -> list[list[Fraction]]:
-    """Matrix of ad(u) = [u, .]; column j holds the coordinates of [u, Z_j].
-    Formed in the integer table from u cleared to integers."""
-    n = L.dim
-    if len(u) != n:
-        raise DimensionMismatchError(f"expected length {n}, got {len(u)}")
-    us, d = _cleared(u)
-    mat = [[0] * n for _ in range(n)]
-    for i, ui in us.items():
-        for j, pairs in enumerate(L.table[i]):
-            for k, q in pairs:
-                mat[k][j] += ui * q
-    d, zero = d * L.scale, Fraction(0)
-    return [[Fraction(x, d) if x else zero for x in row] for row in mat]
+def __getattr__(name: str):
+    # bracket and ad_matrix live in ``pointwise``, which no command but
+    # `rank` and `jacobian` loads; they still resolve here, on first use
+    if name not in ("bracket", "ad_matrix"):
+        raise AttributeError(name)
+    from . import pointwise
+    return getattr(pointwise, name)
 
 
 def _ad_traces(L: LieAlgebra) -> list[int]:
@@ -450,105 +436,32 @@ def lower_central_dims(L: LieAlgebra) -> tuple[int, ...]:
     return _series(L, _commutator(L), _lower_central_step)[0]
 
 
-def _on_fitting_component(mats) -> list[list[list[int]]]:
-    """The commuting integer ``mats`` restricted to their joint Fitting-one
-    part, as integer matrices.
-
-    That part is W = sum_i im A_i^d (d = len(A_i)): the sum of the joint
-    generalised eigenspaces of the characters chi != 0.  U <- sum_i A_i U,
-    from the whole space, shrinks to W and stays there: some A_i is
-    invertible on each of those eigenspaces, while on the joint kernel
-    part the A_i are commuting nilpotents, under which a nonzero invariant
-    U has sum_i A_i U smaller than U.  U is held in its ``integer_rref``
-    rows, which are unique: once U stops shrinking they are W's, and the
-    images just formed are those of W's rows.  Such a w has coordinate
-    w[pivot] / p on the row with pivot entry p, taken times e, the lcm of
-    the p: e times the restriction in the rref basis, conjugated by a
-    positive diagonal matrix, which keeps triangularity and every sign
-    the checks read.
-    """
-    rows, piv = [{j: 1} for j in range(len(mats[0]))], range(len(mats[0]))
-    while True:
-        images = [[{r: s for r, row in enumerate(A)
-                    if (s := sum(row[k] * x for k, x in b.items()))}
-                   for b in rows] for A in mats]
-        smaller, pivots = integer_rref(chain.from_iterable(images))
-        if len(smaller) == len(rows):
-            break
-        rows, piv = smaller, pivots
-    e = lcm(*(row[p] for row, p in zip(rows, piv)))
-    return [[[w.get(p, 0) * (e // row[p]) for w in columns]
-             for row, p in zip(rows, piv)] for columns in images]
-
-
 def _quotient_failure(mats):
     """Which check fails for the commuting actions ``mats`` on one quotient.
 
     The actions are integer matrices under one positive scale.  None when
     no real combination has a nonzero purely imaginary eigenvalue; else
     ("i", c, None) with the integer witness sum c_i A_i, or ("ii", c, i)
-    with the index of an E_i that has a non-real eigenvalue.
-
-    Every nonzero joint character chi lives on the joint Fitting-one part
-    W, where S = sum c_i A_i is invertible exactly when chi(S) != 0 for
-    all of them.  c runs through (1, t, t^2, ...) for t = 1, 2, ...:
-    chi(S) = sum_i chi_i t^i is a nonzero polynomial in t with fewer than
-    r roots, so the search ends.  In a joint triangular basis of W,
-    E_i = A_i S^-1 has the eigenvalues e_i = chi(A_i) / chi(S).  If (i)
-    leaves Re chi(S) != 0 and every e_i is real, chi(X) is chi(S) times a
-    real number, imaginary only when it is 0.  If some e_i is not real,
-    chi(S) and chi(A_i) span C over R, so chi(X) = i for some real X.
-    A positive scale of the A_i moves no eigenvalue off or onto the real
-    or imaginary axis, and cancels in E_i = A_i (e S^-1).
+    with the index of an E_i that has a non-real eigenvalue.  When every
+    A_i has a real spectrum, every joint character takes real values and
+    none can; otherwise ``univariate.quotient_failure`` runs the checks.
     """
     if all(_real_spectrum(A) for A in mats):
-        return None  # then every joint character takes real values
-    from . import univariate
-    mats = _on_fitting_component(mats)
-    n, t = len(mats[0]), 1
-    while True:
-        c = [t ** i for i in range(len(mats))]
-        S = [[sum(ci * A[a][b] for ci, A in zip(c, mats)) for b in range(n)]
-             for a in range(n)]
-        inverse = _scaled_inverse(S)
-        if inverse is not None:
-            break
-        t += 1
-    if univariate.has_nonzero_imaginary_root(univariate.charpoly(S)):
-        return "i", c, None
-    for i, A in enumerate(mats):
-        if not _real_spectrum(matmul(A, inverse)):
-            return "ii", c, i
-    return None
-
-
-def _scaled_inverse(S) -> list[list[int]] | None:
-    """e S^-1 for an integer e > 0, or None when S is singular: row t of
-    the ``integer_rref`` of (S | I) is p_t (e_t | row t of S^-1), and e is
-    the lcm of the p_t."""
-    n = len(S)
-    rows, piv = integer_rref({**{b: x for b, x in enumerate(row) if x},
-                              n + a: 1} for a, row in enumerate(S))
-    if piv[-1] >= n:
         return None
-    e = lcm(*(row[p] for row, p in zip(rows, piv)))
-    return [[row.get(n + b, 0) * (e // row[p]) for b in range(n)]
-            for row, p in zip(rows, piv)]
+    from .univariate import quotient_failure
+    return quotient_failure(mats)
 
 
 def _real_spectrum(M) -> bool:
     """Whether every eigenvalue of M is real.  A triangular M has its
-    diagonal entries as eigenvalues; otherwise a Sturm count of the roots
-    of the characteristic polynomial p against deg p - deg gcd(p, p'), the
-    number of distinct ones."""
+    diagonal entries as eigenvalues; otherwise ``univariate.real_spectrum``
+    counts the roots of its characteristic polynomial."""
     n = len(M)
     if (not any(M[i][j] for i in range(1, n) for j in range(i))
             or not any(M[i][j] for i in range(n) for j in range(i + 1, n))):
         return True
-    from . import univariate
-    p = univariate.charpoly(M)
-    distinct = len(p) - len(univariate.gcd(p, univariate.derivative(p)))
-    return univariate.real_root_count(p) == distinct
+    from .univariate import real_spectrum
+    return real_spectrum(M)
 
 
 def _quotient_actions(L: LieAlgebra, gens, upper, lower):

@@ -6,31 +6,31 @@ the certified rank; 2 structural precondition failed (the algebra is not
 solvable, or is decided not exponential, with the check and quotient the
 decision rests on); 3 the sampled rank differs from the certified one
 (never expected).  `validate` and `verdict` refuse as
-``verdict.check_problem`` does, then resolve their settings.  Only
-`jacobian` imports ``geometry`` and so numpy; the other subcommands are
-exact and never load it.  Two more modules load on first use, as
-``geometry`` does: ``poly``, when no certificate proves the generic rank
-and Bareiss elimination runs, and ``univariate``, when a quotient action
-of the exponentiality decision is not triangular.
+``verdict.check_problem`` does, then resolve their settings.
+
+Each command compiles only the code it runs.  This module loads what
+`validate`, `verdict` and `corpus` share; ``moment`` loads with the first
+`verdict` or `rank`, and ``json`` only for `verdict --json`.  `rank` and
+`jacobian` run from ``pointwise``, which no other command loads, and only
+`jacobian` imports ``geometry`` and so numpy.  Two more modules load on
+first use: ``poly``, when no certificate proves the generic rank and
+Bareiss elimination runs, and ``univariate``, when a quotient action of
+the exponentiality decision is not triangular.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from pathlib import Path
 
-from .algebra import DimensionMismatchError
-from .moment import DisagreementError, SamplingMissError, stabilizer_report
-from .monomial import (NotACharacterError, NotClosedError, RankDeficientError,
-                       build_datum)
-from .problemfile import ParseError, decode, parse, parse_rational_list
-from .report import (render_jacobian_text, render_json,
-                     render_problem_summary, render_stabilizer_text,
-                     render_text)
+from .algebra import (DimensionMismatchError, DisagreementError,
+                      SamplingMissError)
+from .monomial import NotACharacterError, NotClosedError, RankDeficientError
+from .problemfile import ParseError, decode, parse
+from .report import render_json, render_problem_summary, render_text
 from .verdict import (AnalysisConfig, InvalidAlgebraError,
                       StructuralPreconditionError, check_problem, decide)
 
@@ -164,55 +164,6 @@ def _cmd_verdict(args, out) -> int:
     return EXIT_OK
 
 
-def _datum_and_point(args):
-    pf = _load(args.file)
-    datum = build_datum(pf.algebra, pf.generator_terms, pf.functional_vals)
-    try:
-        x = parse_rational_list(args.point)
-    except ValueError as exc:
-        raise _UsageError(f"--point: {exc}")
-    if len(x) != datum.n - datum.m:
-        raise _UsageError(
-            f"--point needs {datum.n - datum.m} coordinates for this datum, "
-            f"got {len(x)}")
-    return datum, x
-
-
-def _cmd_rank(args, out) -> int:
-    datum, x = _datum_and_point(args)
-    sr = stabilizer_report(datum, x)
-    try:
-        text = render_stabilizer_text(sr, datum.algebra.basis_names)
-    except ValueError:  # Python's cap on the digits of an int as text
-        raise _UsageError("a number in the report at this --point has too "
-                          "many digits to print")
-    out.write(text)
-    return EXIT_OK
-
-
-def _cmd_jacobian(args, out) -> int:
-    if not 0 < args.step < math.inf:  # nan fails too
-        raise _UsageError("--step must be positive and finite")
-    if not 0 < args.tol < 1:  # at 1 no singular value would count
-        raise _UsageError("--tol must lie strictly between 0 and 1")
-    from .geometry import fd_jacobian  # numpy: loaded for this command only
-    datum, x = _datum_and_point(args)
-    try:  # fd_jacobian differentiates in floating point
-        coordinates = [float(v) for v in x]
-    except OverflowError:
-        raise _UsageError("--point: a coordinate is too large for floating "
-                          "point")
-    if any(v - args.step == v or v + args.step == v for v in coordinates):
-        raise _UsageError("--step is below the spacing of floating point at "
-                          "a --point coordinate")
-    try:
-        jr = fd_jacobian(datum, x, h=args.step, rel_tol=args.tol)
-    except OverflowError as exc:
-        raise _UsageError(f"--step is too large: {exc}")
-    out.write(render_jacobian_text(jr, x, args.step, args.tol))
-    return EXIT_OK
-
-
 def _cmd_corpus(args, out) -> int:
     entries = sorted(p for p in corpus_dir().iterdir()
                      if p.name.endswith(".alg"))
@@ -226,8 +177,6 @@ def _cmd_corpus(args, out) -> int:
 _COMMANDS = {
     "validate": _cmd_validate,
     "verdict": _cmd_verdict,
-    "rank": _cmd_rank,
-    "jacobian": _cmd_jacobian,
     "corpus": _cmd_corpus,
 }
 
@@ -262,7 +211,11 @@ def main(argv=None, out=None, err=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args, out)
+        command = _COMMANDS.get(args.command)
+        if command is None:  # rank and jacobian read one point
+            from . import pointwise
+            command = getattr(pointwise, "_cmd_" + args.command)
+        return command(args, out)
     except (_UsageError, SamplingMissError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INVALID
@@ -282,4 +235,8 @@ def main(argv=None, out=None, err=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # python -m orbitadm.cli runs this file as __main__, a second copy of
+    # the module; ``pointwise`` raises the usage errors of orbitadm.cli, so
+    # that copy's main must run
+    from .cli import main as package_main
+    sys.exit(package_main())

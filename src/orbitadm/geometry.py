@@ -21,9 +21,10 @@ from functools import cache
 
 import numpy as np
 
-from .algebra import DimensionMismatchError, LieAlgebra, ad_matrix
-from .moment import moment_matrix, rank_at
-from .monomial import MonomialDatum, point_on_variety
+from .algebra import DimensionMismatchError, LieAlgebra
+from .moment import rank_at
+from .monomial import MonomialDatum
+from .pointwise import ad_matrix, moment_matrix, point_on_variety
 
 
 def ad_float(L: LieAlgebra, u) -> np.ndarray:

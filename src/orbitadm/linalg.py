@@ -7,8 +7,9 @@ clearing a rational vector to integers on entry.  One back-substitution
 over its rows, ``integer_rref``, gives the reduced echelon form in
 primitive integer rows, ``integer_kernel`` a kernel basis in integer
 vectors, and ``residue`` a vector modulo their span, times one integer.
-``bareiss`` ranks the polynomial pencil and ``matmul`` multiplies dense
-matrices.  Nothing here forms a ``Fraction``.
+``matmul`` multiplies dense matrices.  Nothing here forms a
+``Fraction``.  ``WorkLimitError`` is the error of ``poly.bareiss``, kept
+here so that a caller can catch it without loading the polynomials.
 """
 
 from __future__ import annotations
@@ -18,48 +19,6 @@ from math import gcd, lcm
 
 class WorkLimitError(ArithmeticError):
     """An elimination stopped before a step that would pass its work limit."""
-
-
-def bareiss(a: list[list], limit: int | None = None):
-    """Fraction-free (Bareiss) elimination in place over a polynomial ring.
-
-    Entries are ``Poly``s, or anything with ``len`` (its term count),
-    ``*``, ``-``, truth and an exact ``//``; Sylvester's identity makes each
-    division by the previous pivot exact.  Returns (rank, last pivot), that
-    pivot being up to sign the minor on the pivot rows and columns (None at
-    rank 0).  The pivot is the nonzero entry left with the fewest terms.
-    ``limit`` caps the sum of len(x) * len(y) over the products formed: a
-    step that would pass it raises WorkLimitError instead.
-    """
-    n_rows = len(a)
-    cols = list(range(len(a[0]) if a else 0))
-    prev = None
-    row = spent = 0
-    while row < n_rows and cols:
-        nonzero = [(len(a[r][c]), r, c) for r in range(row, n_rows)
-                   for c in cols if a[r][c]]
-        if not nonzero:
-            break
-        _, piv, col = min(nonzero)
-        cols.remove(col)
-        a[row], a[piv] = a[piv], a[row]
-        p = a[row][col]
-        rows = range(row + 1, n_rows)
-        if limit is not None:
-            spent += (len(p) * sum(len(a[r][c]) for r in rows for c in cols)
-                      + sum(len(a[r][col]) for r in rows)
-                      * sum(len(a[row][c]) for c in cols))
-            if spent > limit:
-                raise WorkLimitError(f"elimination would form more than "
-                                     f"{limit} term products")
-        for r in rows:
-            lead = a[r][col]
-            for c in cols:
-                v = a[r][c] * p - lead * a[row][c]
-                a[r][c] = v if prev is None else v // prev
-        prev = p
-        row += 1
-    return row, prev
 
 
 def echelon(vectors,

@@ -1,18 +1,19 @@
-"""Moment matrix, stabilizers, orbit dimensions, generic rank over A_tau.
+"""Orbit dimensions over A_tau: the rank of the moment matrix, at a point
+and generically.
 
 For l in g* the m x n moment matrix has entries M(l)[i][j] = l([Y_i, B_j])
 with B_j running over the adapted basis.  Its exact rank equals the
-dimension of the H-orbit of l, and the H-stabilizer subalgebra
-h(l) = { Y in h : l([Y, .]) = 0 } is the left kernel of M(l) pushed through
-the generators.  Every reader takes l = l_x in A_tau by its chart point x
-and evaluates the datum's sparse integer pencil M(x) = M_0 + sum x_r M_r
-there once, in integers, into the sparse columns of its m x (n - m) block
-(the first m columns of M(l_x) are 0): a rational x is cleared to one
-denominator q first, giving a positive integer multiple of the block, which
-has the same rank, kernel and spans.  rank_at ranks the columns by
-``linalg.echelon``, the one fraction-free sparse elimination, with nothing
-left to clear; only moment_matrix divides back.  The point l_x itself
-comes from the datum's sparse chart.  The generic value of that rank,
+dimension of the H-orbit of l.  Every reader takes l = l_x in A_tau by its
+chart point x and evaluates the datum's sparse integer pencil
+M(x) = M_0 + sum x_r M_r there once, in integers, into the sparse columns
+of its m x (n - m) block (the first m columns of M(l_x) are 0): a rational
+x is cleared to one denominator q first, giving a positive integer
+multiple of the block, which has the same rank, kernel and spans.  rank_at
+ranks the columns by ``linalg.echelon``, the one fraction-free sparse
+elimination, with nothing left to clear.  The readers of one point that
+``verdict`` never calls, the moment matrix itself and the stabilizers,
+live in ``pointwise`` and read the same block.  The generic value of that
+rank,
 
     d_tau = max over l in A_tau of dim H.l,
 
@@ -24,14 +25,12 @@ the limit of the second Wong sequence: exact linear algebra over Q, no
 polynomials, done in integers.  Each of its subspaces U = {u : A u in W}
 is the integer kernel (``linalg.integer_kernel``) of sparse residue rows:
 the columns of A taken modulo W (``linalg.residue``), all scaled by one
-integer, one row per coordinate off the pivots of W.  The stabilizers are
-integer kernels too, divided back only for the vectors returned.  Where
-it does not close (the pencil's non-commutative rank exceeds d_tau, as
-for generic skew pencils), fraction-free elimination over the polynomial
-ring on a basis of the pencil's span certifies the rank in any dimension
-within a work limit; its polynomials (``poly``) are imported only when it
-runs.
-A proof that contradicts the sample raises DisagreementError; a sample
+integer, one row per coordinate off the pivots of W.  Where it does not
+close (the pencil's non-commutative rank exceeds d_tau, as for generic
+skew pencils), fraction-free elimination over the polynomial ring on a
+basis of the pencil's span certifies the rank in any dimension within a
+work limit; that elimination, its polynomials and the pencil's entries in
+them (``poly``) are imported only when it runs.  A proof that contradicts the sample raises DisagreementError; a sample
 below the elimination's rank raises SamplingMissError.  The induced
 representation behaves qualitatively differently according to whether
 d_tau reaches m — whether H acts freely somewhere on A_tau — which is all
@@ -44,19 +43,17 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from .algebra import DimensionMismatchError, Record
-from .linalg import (WorkLimitError, bareiss, echelon, integer_kernel,
-                     integer_rref, residue)
-from .monomial import MonomialDatum, point_on_variety
+from .algebra import (DimensionMismatchError, DisagreementError, Record,
+                      SamplingMissError)
+from .linalg import (WorkLimitError, echelon, integer_kernel, integer_rref,
+                     residue)
+from .monomial import MonomialDatum
 
 Vector = tuple[Fraction, ...]
 
 __all__ = [
-    "StabilizerReport", "GenericRankResult", "DisagreementError",
-    "SamplingMissError", "rank_at", "moment_matrix", "stabilizer_report",
-    "generic_h_orbit_dim",
-    "rank_certificate", "symbolic_generic_rank", "symbolic_moment_entries",
-    "SYMBOLIC_WORK_LIMIT",
+    "GenericRankResult", "rank_at", "generic_h_orbit_dim", "rank_certificate",
+    "symbolic_generic_rank", "SYMBOLIC_WORK_LIMIT",
 ]
 
 # Term products the symbolic route may form before it gives up.  The limit
@@ -93,75 +90,6 @@ def rank_at(D: MonomialDatum, x) -> int:
     return len(echelon(_block_at(D, x)[0])[0])
 
 
-def moment_matrix(D: MonomialDatum, x) -> tuple[Vector, ...]:
-    """The exact m x n moment matrix M(l_x) at chart point x: the integer
-    block divided back by q * denominator."""
-    block, q = _block_at(D, x)
-    d, zero = q * D.denominator, Fraction(0)
-    return tuple((zero,) * D.m + tuple(Fraction(column.get(i, 0), d)
-                                       for column in block)
-                 for i in range(D.m))
-
-
-class StabilizerReport:
-    """rank_M is dim H.l; the stabilizer bases are vectors of g in the
-    original coordinates."""
-
-    __slots__ = ("point", "rank_M", "h_stab_basis", "dim_G_orbit",
-                 "g_stab_basis")
-
-    def __init__(self, point: Vector, rank_M: int,
-                 h_stab_basis: tuple[Vector, ...], dim_G_orbit: int,
-                 g_stab_basis: tuple[Vector, ...]):
-        self.point = point
-        self.rank_M = rank_M
-        self.h_stab_basis = h_stab_basis
-        self.dim_G_orbit = dim_G_orbit
-        self.g_stab_basis = g_stab_basis
-
-
-def skew_form_matrix(D: MonomialDatum, l) -> list[list[Fraction]]:
-    """B(l)[i][j] = l([Z_i, Z_j]) over the original basis; skew-symmetric."""
-    lv = [Fraction(v) for v in l]
-    return [[sum((q * lv[k] for k, q in pairs), Fraction(0))
-             for pairs in plane] for plane in D.algebra.nonzero]
-
-
-def stabilizer_report(D: MonomialDatum, x) -> StabilizerReport:
-    """Orbit dimensions and stabilizer bases at the point l_x of A_tau.
-
-    h(l) comes from the left kernel of M(l): a row combination a with
-    a M(l) = 0 corresponds to the element sum a_i Y_i, so rank M(l) is
-    m - dim h(l).  That kernel is the right kernel of M(l)^T, whose nonzero
-    rows are the block's columns.  g(l) is the kernel of the skew form
-    B(l), whose rank (always even) is dim G.l.  Both kernels come from
-    ``linalg.integer_kernel``, whose vectors are divided by their entry at
-    their free column, the first key, once they are dense.
-    """
-    m, n = D.m, D.n
-    h_basis = []
-    for a in integer_kernel(_block_at(D, x)[0], m):
-        v = [0] * n
-        for i, ai in a.items():
-            for k, c in D.generator_terms[i]:
-                v[k] += ai * c
-        d = next(iter(a.values()))
-        h_basis.append(tuple(Fraction(y, d) for y in v))
-    l = point_on_variety(D, x)
-    g_basis = []
-    for v in integer_kernel([dict(enumerate(row))
-                             for row in skew_form_matrix(D, l)], n):
-        d = next(iter(v.values()))
-        g_basis.append(tuple(Fraction(v.get(k, 0), d) for k in range(n)))
-    return StabilizerReport(
-        point=l,
-        rank_M=m - len(h_basis),
-        h_stab_basis=tuple(h_basis),
-        dim_G_orbit=n - len(g_basis),
-        g_stab_basis=tuple(g_basis),
-    )
-
-
 # (dim U, dim W, Wong steps): subspaces with M(x) U inside W at every x,
 # so that rank M(x) <= (n - m) - (dim U - dim W) everywhere
 Certificate = tuple[int, int, int]
@@ -183,22 +111,6 @@ class GenericRankResult(Record):
         self.seed = seed
         self.bound = bound
         self.proof = proof
-
-
-class DisagreementError(RuntimeError):
-    """The sampled rank differs from the certified one — an internal bug."""
-
-    def __init__(self, probabilistic: int, certified: int):
-        self.probabilistic = probabilistic
-        self.certified = certified
-        super().__init__(
-            f"generic rank mismatch: probabilistic {probabilistic} "
-            f"vs certified {certified}")
-
-
-class SamplingMissError(RuntimeError):
-    """The sampled rank stayed below the certified one: every point drawn
-    under the trials and bound settings fell where the rank drops."""
 
 
 def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
@@ -312,28 +224,6 @@ def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
                              proof=proof)
 
 
-def symbolic_moment_entries(D: MonomialDatum) -> list[list]:
-    """The pencil over a basis of its span, as linear forms in y_1..y_s.
-
-    M(x) lies in V = span{M_0, ..., M_{n-m}}, and its generic rank is that
-    of y_1 N_1 + ... + y_s N_s for any basis N of V (giving M_0 a variable
-    and changing parameters linearly keep the generic rank).  N is the rref
-    basis of the M_v, each flattened sparse over the m x (n - m) block where
-    the pencil lives, cleared to integers: the primitive rows of
-    ``linalg.integer_rref``, read as they are; the entries returned are
-    that block's.  s can be far below n - m + 1: for h_{2k+1} with a Lagrangian
-    h, in any basis of g, the pencil is one matrix times a linear form, so
-    s = 1.  The entries are ``poly.Poly``s.
-    """
-    from .poly import Poly
-    m, k = D.m, D.n - D.m
-    flat = [{i * k + r: c for r, pairs in enumerate(coefficient)
-             for i, c in pairs} for coefficient in D.pencil]
-    basis = integer_rref(flat)[0]
-    return [[Poly.affine(0, [b.get(i * k + r, 0) for b in basis])
-             for r in range(k)] for i in range(m)]
-
-
 def symbolic_generic_rank(D: MonomialDatum) -> int:
     """Certified d_tau: Bareiss elimination of the span pencil over Q[y].
 
@@ -345,4 +235,5 @@ def symbolic_generic_rank(D: MonomialDatum) -> int:
     SYMBOLIC_WORK_LIMIT term products the elimination raises
     WorkLimitError.
     """
+    from .poly import bareiss, symbolic_moment_entries
     return bareiss(symbolic_moment_entries(D), limit=SYMBOLIC_WORK_LIMIT)[0]

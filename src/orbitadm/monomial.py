@@ -17,10 +17,11 @@ formed only for the chart the datum keeps.  The pencil is accumulated in
 its nonzero cells (v, r) alone, and the completing rows e_k are written
 directly.  The datum keeps f_vals, the chart, the pencil, the nonzero
 entries of the generators and the completing k; the dense adapted basis,
-which only ``jacobian`` and ``adapted_dual_coords`` read, is built from
-them on first read.  A generator is given as its
-{k: coefficient} terms, as ``problemfile.parse`` keeps it, or as a dense
-row, and both go through one normalisation to their nonzero terms.
+which only ``jacobian`` and ``pointwise.adapted_dual_coords`` read, is
+built from them on first read.  ``pointwise.point_on_variety`` reads the
+chart at a point.  A generator is given as its {k: coefficient} terms, as
+``problemfile.parse`` keeps it, or as a dense row, and both go through one
+normalisation to their nonzero terms.
 Integer generators stay ints, and a value of f with denominator 1 enters
 the graph of f as an int, so on an integer problem no ``Fraction``
 reaches an elimination; rational generators are cleared to one common
@@ -267,27 +268,3 @@ def _moment_pencil(L, ints, scale, kept, scaled) -> tuple[Pencil, int]:
     for (v, r), column in cells.items():
         pencil[v][r] = tuple((i, c // g) for i, c in column.items() if c)
     return tuple(map(tuple, pencil)), scale // g
-
-
-def point_on_variety(D: MonomialDatum, x) -> Vector:
-    """The chart of A_tau: x -> l with l(Y_j) = f_j and l(X_r) = x_r.
-
-    Returned as a length-n row of values on the ORIGINAL basis, each
-    coordinate read off the datum's sparse chart.
-    """
-    n, m = D.n, D.m
-    if len(x) != n - m:
-        raise DimensionMismatchError(
-            f"chart point needs {n - m} coordinates, got {len(x)}")
-    xs = (1, *map(Fraction, x))
-    return tuple(sum((a * xs[v] for v, a in pairs), Fraction(0))
-                 for pairs in D.chart)
-
-
-def adapted_dual_coords(D: MonomialDatum, l) -> Vector:
-    """Values of l on the adapted basis: (l(Y_1)..l(Y_m), l(X_1)..l(X_{n-m}))."""
-    if len(l) != D.n:
-        raise DimensionMismatchError(
-            f"functional needs {D.n} coordinates, got {len(l)}")
-    return tuple(sum((x * y for x, y in zip(row, l) if x and y), Fraction(0))
-                 for row in D.adapted_rows)

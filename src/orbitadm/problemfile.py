@@ -408,20 +408,3 @@ def serialize(pf: ProblemFile) -> str:
     for key in sorted(pf.config):
         out.append(f"config {key} {pf.config[key]}")
     return "\n".join(out) + "\n"
-
-
-def parse_rational_list(text: str) -> tuple[Fraction, ...]:
-    """Comma-separated rationals, e.g. '1,-2/3,0' (used for --point), each
-    read as a problem file reads a rational; errors carry no position.  An
-    empty text is no rationals: the chart of h = g has no coordinates."""
-    if not text.strip():
-        return ()
-    out = []
-    for piece in (item.strip() for item in text.split(",")):
-        if _RATIONAL_RE.fullmatch(piece) is None:
-            raise ValueError(f"not a rational: {piece!r}")
-        try:
-            out.append(Fraction(_rational(piece)))
-        except _Refusal as exc:
-            raise ValueError(exc.message) from None
-    return tuple(out)

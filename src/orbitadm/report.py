@@ -4,21 +4,20 @@ The JSON document is the source of truth; the text rendering is the same
 tree flattened to ``dotted.path: value`` lines, so the two stay in
 field-for-field agreement by construction.  All ordering is fixed and all
 values are rendered reproducibly, making repeated runs byte-identical.
+
+Each value of a text line is printed as ``json`` encodes it, but
+``_encode`` writes the ints, bools, None, lists and plain strings of a
+report itself, so that a text report loads no ``json``; only
+``render_json`` and the rare value it cannot write import it.  The
+reports of one point, for `rank` and `jacobian`, are rendered in
+``pointwise`` by ``_text``.
 """
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
-from typing import TYPE_CHECKING
-
 from .algebra import StructureReport, format_combo
-from .moment import StabilizerReport
 from .problemfile import ProblemFile
 from .verdict import RATIONALE_TEXT, FullReport
-
-if TYPE_CHECKING:  # geometry imports numpy, which only `jacobian` needs
-    from .geometry import JacobianReport
 
 
 def _combo_strings(rows, basis_names) -> list:
@@ -61,20 +60,36 @@ def report_dict(rep: FullReport) -> dict:
     }
 
 
-# the encoder of json.dumps with its default separators, made once: every
-# scalar and list of a text report is encoded by it
-_ENCODER = json.JSONEncoder(separators=(", ", ": "))
+def _encode(value) -> str:
+    """``json.JSONEncoder(separators=(", ", ": ")).encode(value)``, the
+    encoding of ``json.dumps`` with its default separators.  A string is
+    quoted as it is only when every character is printable ASCII other
+    than '"' and backslash, which json writes unescaped; any other string,
+    and any value that is not an int, bool, None or list, goes to json."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return repr(value)
+    if type(value) is list:
+        return "[" + ", ".join(map(_encode, value)) + "]"
+    if (type(value) is str and value.isascii() and value.isprintable()
+            and '"' not in value and "\\" not in value):
+        return f'"{value}"'
+    import json
+    return json.JSONEncoder(separators=(", ", ": ")).encode(value)
 
 
 def _flatten(prefix: str, value, lines: list) -> None:
     if isinstance(value, dict):
         for key, item in value.items():
-            path = f"{prefix}.{key}" if prefix else key
-            _flatten(path, item, lines)
-    elif isinstance(value, str):
-        lines.append(f"{prefix}: {value}")
+            _flatten(f"{prefix}.{key}" if prefix else key, item, lines)
     else:
-        lines.append(f"{prefix}: {_ENCODER.encode(value)}")
+        text = value if isinstance(value, str) else _encode(value)
+        lines.append(f"{prefix}: {text}")
 
 
 def _text(tree: dict) -> str:
@@ -84,37 +99,12 @@ def _text(tree: dict) -> str:
 
 
 def render_json(rep: FullReport) -> str:
+    import json
     return json.dumps(report_dict(rep), indent=2) + "\n"
 
 
 def render_text(rep: FullReport) -> str:
     return _text(report_dict(rep))
-
-
-def render_stabilizer_text(sr: StabilizerReport, basis_names) -> str:
-    return _text({
-        "point": [str(v) for v in sr.point],
-        "rank_M": sr.rank_M,
-        "dim_H_orbit": sr.rank_M,
-        "h_stab_basis": _combo_strings(sr.h_stab_basis, basis_names),
-        "dim_G_orbit": sr.dim_G_orbit,
-        "g_stab_basis": _combo_strings(sr.g_stab_basis, basis_names),
-    })
-
-
-def render_jacobian_text(jr: JacobianReport, point, h: float,
-                         rel_tol: float) -> str:
-    return _text({
-        "point": [str(Fraction(v)) for v in point],
-        "step": h,
-        "rank_tolerance": rel_tol,
-        "max_dev_topleft": jr.max_dev_topleft,
-        "max_dev_topright": jr.max_dev_topright,
-        "max_dev_bottomright": jr.max_dev_bottomright,
-        "numerical_rank_J": jr.numerical_rank_J,
-        "expected_rank": jr.expected_rank,
-        "rank_matches": jr.numerical_rank_J == jr.expected_rank,
-    })
 
 
 def render_problem_summary(pf: ProblemFile,

@@ -1,4 +1,5 @@
-"""Univariate polynomials over the rationals, just enough to locate roots.
+"""Univariate polynomials over the rationals, just enough to locate roots,
+and the checks of the exponentiality decision that need them.
 
 A polynomial is a list of ints, constant term first, with no trailing zero
 (the zero polynomial is ``[]``).  Callers ask only where the roots are, so
@@ -6,13 +7,26 @@ every result is given up to a positive rational factor: rational input is
 scaled to integers, and remainders are divided by their content, which
 keeps the integers small without changing any sign that a Sturm count
 reads.
+
+``algebra`` imports this module on first use, once a quotient action of
+the exponentiality decision is not triangular (in the corpus, only for
+``grelaud``): ``real_spectrum`` screens such an action, and
+``quotient_failure`` runs checks (i) and (ii) when one fails the screen.
+The Fitting-one restriction and S^-1 of those checks are read off
+``linalg.integer_rref`` rows as integer matrices, each a positive multiple
+of the rational one, which moves no eigenvalue off or onto the real or
+imaginary axis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd as int_gcd
 from math import lcm
+
+from .algebra import _real_spectrum
+from .linalg import integer_rref, matmul
 
 
 def primitive(p) -> list[int]:
@@ -153,3 +167,91 @@ def charpoly(mat) -> list[int]:
                     p[d] -= h[i][k] * t * c
         polys.append(p)
     return from_rationals(polys[-1])
+
+
+def real_spectrum(M) -> bool:
+    """Whether every eigenvalue of M is real: a Sturm count of the roots of
+    the characteristic polynomial p against deg p - deg gcd(p, p'), the
+    number of distinct ones."""
+    p = charpoly(M)
+    distinct = len(p) - len(gcd(p, derivative(p)))
+    return real_root_count(p) == distinct
+
+
+def quotient_failure(mats):
+    """``algebra._quotient_failure`` for commuting integer actions ``mats``
+    of which some has a non-real eigenvalue.
+
+    Every nonzero joint character chi lives on the joint Fitting-one part
+    W, where S = sum c_i A_i is invertible exactly when chi(S) != 0 for
+    all of them.  c runs through (1, t, t^2, ...) for t = 1, 2, ...:
+    chi(S) = sum_i chi_i t^i is a nonzero polynomial in t with fewer than
+    r roots, so the search ends.  In a joint triangular basis of W,
+    E_i = A_i S^-1 has the eigenvalues e_i = chi(A_i) / chi(S).  If (i)
+    leaves Re chi(S) != 0 and every e_i is real, chi(X) is chi(S) times a
+    real number, imaginary only when it is 0.  If some e_i is not real,
+    chi(S) and chi(A_i) span C over R, so chi(X) = i for some real X.
+    A positive scale of the A_i moves no eigenvalue off or onto the real
+    or imaginary axis, and cancels in E_i = A_i (e S^-1).
+    """
+    mats = _on_fitting_component(mats)
+    n, t = len(mats[0]), 1
+    while True:
+        c = [t ** i for i in range(len(mats))]
+        S = [[sum(ci * A[a][b] for ci, A in zip(c, mats)) for b in range(n)]
+             for a in range(n)]
+        inverse = _scaled_inverse(S)
+        if inverse is not None:
+            break
+        t += 1
+    if has_nonzero_imaginary_root(charpoly(S)):
+        return "i", c, None
+    for i, A in enumerate(mats):
+        if not _real_spectrum(matmul(A, inverse)):
+            return "ii", c, i
+    return None
+
+
+def _on_fitting_component(mats) -> list[list[list[int]]]:
+    """The commuting integer ``mats`` restricted to their joint Fitting-one
+    part, as integer matrices.
+
+    That part is W = sum_i im A_i^d (d = len(A_i)): the sum of the joint
+    generalised eigenspaces of the characters chi != 0.  U <- sum_i A_i U,
+    from the whole space, shrinks to W and stays there: some A_i is
+    invertible on each of those eigenspaces, while on the joint kernel
+    part the A_i are commuting nilpotents, under which a nonzero invariant
+    U has sum_i A_i U smaller than U.  U is held in its ``integer_rref``
+    rows, which are unique: once U stops shrinking they are W's, and the
+    images just formed are those of W's rows.  Such a w has coordinate
+    w[pivot] / p on the row with pivot entry p, taken times e, the lcm of
+    the p: e times the restriction in the rref basis, conjugated by a
+    positive diagonal matrix, which keeps triangularity and every sign
+    the checks read.
+    """
+    rows, piv = [{j: 1} for j in range(len(mats[0]))], range(len(mats[0]))
+    while True:
+        images = [[{r: s for r, row in enumerate(A)
+                    if (s := sum(row[k] * x for k, x in b.items()))}
+                   for b in rows] for A in mats]
+        smaller, pivots = integer_rref(chain.from_iterable(images))
+        if len(smaller) == len(rows):
+            break
+        rows, piv = smaller, pivots
+    e = lcm(*(row[p] for row, p in zip(rows, piv)))
+    return [[[w.get(p, 0) * (e // row[p]) for w in columns]
+             for row, p in zip(rows, piv)] for columns in images]
+
+
+def _scaled_inverse(S) -> list[list[int]] | None:
+    """e S^-1 for an integer e > 0, or None when S is singular: row t of
+    the ``integer_rref`` of (S | I) is p_t (e_t | row t of S^-1), and e is
+    the lcm of the p_t."""
+    n = len(S)
+    rows, piv = integer_rref({**{b: x for b, x in enumerate(row) if x},
+                              n + a: 1} for a, row in enumerate(S))
+    if piv[-1] >= n:
+        return None
+    e = lcm(*(row[p] for row, p in zip(rows, piv)))
+    return [[row.get(n + b, 0) * (e // row[p]) for b in range(n)]
+            for row, p in zip(rows, piv)]

@@ -14,14 +14,20 @@ acts freely at some (equivalently, at Zariski-almost-every) point of A_tau.
 full_report is two stages: check_problem refuses what the theorem does
 not cover, and decide reads the table above into one report.  d_tau and
 its proof come from ``moment.generic_h_orbit_dim``; nothing here ranks.
+``decide`` imports ``moment`` when it runs, so ``check_problem`` alone,
+as `validate` runs it, never loads it.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .algebra import (EXPONENTIAL, LieAlgebra, Record, StructureReport,
                       Violation, structure_report)
-from .moment import GenericRankResult, generic_h_orbit_dim
 from .monomial import MonomialDatum, build_datum
+
+if TYPE_CHECKING:  # `validate` runs check_problem alone, without moment
+    from .moment import GenericRankResult
 
 ABSOLUTELY_CONTINUOUS = "AbsolutelyContinuous"
 SINGULAR = "Singular"
@@ -124,6 +130,7 @@ def decide(structure: StructureReport, datum: MonomialDatum,
     ``generic_h_orbit_dim`` proves it, against m and unimodularity.  Past
     the elimination's work limit below d_tau = m a warning says the sampled
     rank decides (at d_tau = m the exact rank at the witness proves it)."""
+    from .moment import generic_h_orbit_dim
     generic = generic_h_orbit_dim(datum, trials=config.trials,
                                   bound=config.bound, seed=config.seed)
     warnings = ()

@@ -119,6 +119,18 @@ class TestUsage:
             == run_cli("verdict", corpus_file("axb_f1"))
         assert proc.stdout.startswith("structure.algebra: ")
 
+    @pytest.mark.parametrize("point", ["1,2", "1"])
+    def test_rank_runs_as_a_module(self, tmp_path, point):
+        # rank runs in pointwise, which raises the usage errors of the
+        # package's cli module: under -m they are caught all the same
+        src = pathlib.Path(oa.__file__).parents[1]
+        argv = ("rank", corpus_file("grelaud"), "--point", point)
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbitadm.cli", *argv],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={"PYTHONPATH": str(src)}, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*argv)
+
 
 class TestValidate:
     @pytest.mark.parametrize("name", CORPUS_NAMES)

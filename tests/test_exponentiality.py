@@ -1,8 +1,9 @@
 """The exact exponentiality decision, on algebras whose answer is known by
 hand, in their own basis and in random rational bases; the univariate
 helpers it rests on; and the import graph that keeps numpy off every
-command but `jacobian`, and the Bareiss polynomials and ``dataclasses``
-off every exact command that does not run them.
+command but `jacobian`, and the Bareiss polynomials, ``dataclasses``,
+``json``, the rank layer and the readers of one point off every command
+that does not run them.
 
 A solvable g is exponential iff no ad X has a nonzero purely imaginary
 eigenvalue (Dixmier 1957, Saito 1957).
@@ -482,10 +483,12 @@ class TestUnivariate:
             == [2, -3]
 
 
-# the modules of a cold process that an exact command must not load unless
-# it runs them: dataclasses (with inspect, which it pulls in), the Bareiss
-# polynomials and numpy
-_WATCHED = ("dataclasses", "inspect", "numpy", "orbitadm.poly")
+# the modules of a cold process that a command must not load unless it
+# runs them: dataclasses (with inspect, which it pulls in), json, numpy,
+# the rank layer, the readers of one point, the Bareiss polynomials and
+# the root counts of the exponentiality decision
+_WATCHED = ("dataclasses", "inspect", "json", "numpy", "orbitadm.moment",
+            "orbitadm.pointwise", "orbitadm.poly", "orbitadm.univariate")
 
 # each argument is one command line, its words joined by newlines; the
 # exit code is the last nonzero one, and the last two lines on stderr
@@ -535,13 +538,37 @@ def test_exact_commands_never_import_numpy(argv):
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_exact_commands_load_only_what_they_run(name):
+    # each command in a process of its own: a module that one loads must
+    # not hide one that another loads
     pf = load_problem(name)
     path = str(cli.corpus_path(name))
     point = ",".join(["1"] * (pf.algebra.dim - pf.m))
-    proc = _probe(("verdict", path), ("verdict", "--json", path),
-                  ("validate", path), ("rank", path, "--point", point))
-    assert proc.returncode == 0, proc.stderr
-    assert _loaded(proc) == []
+    loaded = {}
+    for argv in [("verdict", path), ("verdict", "--json", path),
+                 ("validate", path), ("rank", path, "--point", point)]:
+        proc = _probe(argv)
+        assert proc.returncode == 0, proc.stderr
+        loaded[argv[:2]] = _loaded(proc)
+    # only grelaud has a quotient action that is not triangular
+    decision = ["orbitadm.univariate"] if name == "grelaud" else []
+    assert loaded["verdict", path] == ["orbitadm.moment", *decision]
+    assert loaded["verdict", "--json"] == ["json", "orbitadm.moment",
+                                           *decision]
+    assert loaded["validate", path] == decision
+    assert loaded["rank", path] == ["orbitadm.moment", "orbitadm.pointwise"]
+
+
+def test_importing_orbitadm_loads_no_submodule():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, orbitadm\n"
+         "print(*sorted(m for m in sys.modules if m.startswith('orbitadm')))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "orbitadm\n",
+                                                           "")
 
 
 def test_the_bareiss_fallback_loads_poly(tmp_path):
@@ -555,7 +582,7 @@ def test_the_bareiss_fallback_loads_poly(tmp_path):
     path.write_text(oa.serialize(pf))
     proc = _probe(("verdict", str(path)))
     assert proc.returncode == 0, proc.stderr
-    assert _loaded(proc) == ["orbitadm.poly"]
+    assert _loaded(proc) == ["orbitadm.moment", "orbitadm.poly"]
     assert "d_tau: 2\nm: 3\n" in proc.stdout
     assert "spectral: Singular\n" in proc.stdout
 

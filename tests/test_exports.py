@@ -10,7 +10,7 @@ import pkgutil
 import pytest
 
 import orbitadm
-from orbitadm import cli, linalg, problemfile
+from orbitadm import cli, linalg, poly, problemfile
 from orbitadm.verdict import AnalysisConfig
 
 MODULES = ["orbitadm"] + [f"orbitadm.{info.name}"
@@ -23,6 +23,15 @@ def test_every_exported_name_exists(module):
     missing = [name for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert not missing
+
+
+def test_star_import_resolves_every_name():
+    # the package imports each name from its module on first use
+    namespace = {}
+    exec("from orbitadm import *", namespace)
+    assert set(orbitadm.__all__) <= namespace.keys()
+    for name in orbitadm.__all__:
+        assert namespace[name] is getattr(orbitadm, name)
 
 
 def test_the_exporting_modules_are_checked():
@@ -59,14 +68,16 @@ def test_option_surface_is_pinned():
 
 
 def test_linalg_is_the_integer_kernel():
-    # one elimination, its back-substitution, kernel and residue, bareiss
-    # for the polynomial pencil and a dense product; no Fraction layer
+    # one elimination, its back-substitution, kernel and residue and a
+    # dense product; no Fraction layer.  bareiss, for the polynomial
+    # pencil, is defined in poly, which loads only when it runs
     public = {name for name, obj in vars(linalg).items()
               if not name.startswith("_")
               and getattr(obj, "__module__", linalg.__name__)
               == linalg.__name__}
-    assert public == {"bareiss", "echelon", "integer_rref", "integer_kernel",
+    assert public == {"echelon", "integer_rref", "integer_kernel",
                       "residue", "matmul", "WorkLimitError"}
+    assert poly.bareiss.__module__ == poly.__name__
     tree = ast.parse(inspect.getsource(linalg))
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.Import) for alias in node.names}

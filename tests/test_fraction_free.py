@@ -3,7 +3,7 @@
 ``linalg.integer_rref`` back-substitutes ``echelon``'s primitive integer
 rows, last row first, and divides each result by its content;
 ``linalg.integer_kernel`` reads a kernel off them, and
-``algebra._scaled_inverse`` an inverse off those of (S | I), all in
+``univariate._scaled_inverse`` an inverse off those of (S | I), all in
 integers.  ``moment.rank_certificate`` takes U from an integer kernel of
 its residue rows, and ``symbolic_moment_entries`` reads the integer rows
 as they are.  ``structure_report`` takes the flag's V_1 from the derived
@@ -33,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitadm as oa
-from orbitadm import algebra, linalg, moment
+from orbitadm import algebra, linalg, moment, poly, univariate
 from orbitadm.linalg import echelon
 from orbitadm.poly import Poly
 
@@ -217,7 +217,7 @@ def test_invert_matches_the_fraction_path(data):
     # integer multiple of the Fraction inverse
     n = data.draw(st.integers(1, 6))
     mat = data.draw(matrices(n_rows=n, n_cols=n))
-    got = algebra._scaled_inverse(mat)
+    got = univariate._scaled_inverse(mat)
     try:
         expected = reference_invert(mat)
     except SingularMatrixError:
@@ -236,7 +236,7 @@ def test_invert_matches_the_fraction_path(data):
 @settings(max_examples=300, deadline=None, database=None)
 @given(D=pencils(), seed=st.integers(0, 10 ** 6))
 def test_random_pencils_match_the_fraction_path(D, seed):
-    assert (moment.symbolic_moment_entries(D)
+    assert (poly.symbolic_moment_entries(D)
             == reference_symbolic_moment_entries(D))
     for x in _points(D, random.Random(seed)):
         assert (moment.rank_certificate(D, x)
@@ -247,7 +247,7 @@ def test_random_pencils_match_the_fraction_path(D, seed):
                          ids=[p.name for p in CHANGED_BASIS])
 def test_random_basis_pencils_match_the_fraction_path(problem):
     D = _in_random_basis(problem)
-    assert (moment.symbolic_moment_entries(D)
+    assert (poly.symbolic_moment_entries(D)
             == reference_symbolic_moment_entries(D))
     witness = oa.generic_h_orbit_dim(D).witness
     for x in [witness] + _points(D, random.Random(problem.name)):

@@ -33,7 +33,7 @@ import orbitadm as oa
 from orbitadm import algebra, cli, monomial, problemfile
 from orbitadm.algebra import DimensionMismatchError, dense_vector
 from orbitadm.linalg import _primitive, _take_away, echelon
-from orbitadm.monomial import adapted_dual_coords, point_on_variety
+from orbitadm.pointwise import adapted_dual_coords, point_on_variety
 
 from conftest import (CORPUS_NAMES, CORPUS_TEXTS, ROUNDTRIP_ALGEBRAS,
                       load_bench_families, random_invertible, run_cli,

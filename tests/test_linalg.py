@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from orbitadm import algebra, linalg
+from orbitadm import linalg, univariate
 
 from conftest import random_invertible, random_vector
 from exact import mat_vec, matmul, nullspace, rank, rref
@@ -124,11 +124,11 @@ class TestInvertSolve:
         for _ in range(25):
             n = rng.randint(1, 5)
             mat = random_invertible(rng, n)
-            inv = algebra._scaled_inverse(mat)
+            inv = univariate._scaled_inverse(mat)
             prod = matmul(mat, inv)
             e = prod[0][0]
             eye = [[e * int(i == j) for j in range(n)] for i in range(n)]
             assert e > 0 and prod == eye
 
     def test_singular_has_no_inverse(self):
-        assert algebra._scaled_inverse([[1, 2], [2, 4]]) is None
+        assert univariate._scaled_inverse([[1, 2], [2, 4]]) is None

@@ -6,9 +6,8 @@ from types import SimpleNamespace
 import pytest
 
 import orbitadm as oa
-from orbitadm import moment
-from orbitadm.linalg import bareiss
-from orbitadm.poly import Poly
+from orbitadm import moment, pointwise, poly
+from orbitadm.poly import Poly, bareiss
 
 from conftest import (CORPUS_NAMES, ORACLES, load_bench_families, load_datum,
                       make_abelian, moment_reference, random_invertible,
@@ -187,7 +186,7 @@ class TestStabilizerReport:
         D = oa.build_datum(axb, [axb.vector(X=1)], [1])
         sr = oa.stabilizer_report(D, (0,))
         assert sr.point == axb.vector(X=1)
-        B = moment.skew_form_matrix(D, axb.vector(X=1))
+        B = pointwise.skew_form_matrix(D, axb.vector(X=1))
         assert B == [[0, 1], [-1, 0]]
         assert sr.rank_M == 1
         assert sr.h_stab_basis == ()
@@ -257,7 +256,7 @@ class TestGenericRank:
 class TestSymbolicRank:
     def test_axb_constant_entry(self, axb):
         D = oa.build_datum(axb, [axb.vector(X=1)], [1])
-        entries = moment.symbolic_moment_entries(D)
+        entries = poly.symbolic_moment_entries(D)
         # M(x) = (0, -1) at every x: its span is one matrix, one variable;
         # the entries are those of the block, here the one entry -1
         assert [[str(p) for p in row] for row in entries] == [["1*x1"]]
@@ -265,7 +264,7 @@ class TestSymbolicRank:
 
     def test_h3_yz_largest_minor_is_one(self, h3):
         D = oa.build_datum(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
-        entries = moment.symbolic_moment_entries(D)
+        entries = poly.symbolic_moment_entries(D)
         # row Z of the symbolic matrix vanishes identically
         assert not any(entries[1])
         assert oa.symbolic_generic_rank(D) == 1

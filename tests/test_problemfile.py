@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 import orbitadm as oa
-from orbitadm.problemfile import MAX_BASIS_NAMES, parse_rational_list
+from orbitadm.pointwise import parse_rational_list
+from orbitadm.problemfile import MAX_BASIS_NAMES
 
 from conftest import (CORPUS_NAMES, dense_table, load_problem,
                       mutated_corpus_texts, problem_texts)

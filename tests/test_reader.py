@@ -25,8 +25,9 @@ from hypothesis import strategies as st
 
 import orbitadm as oa
 from orbitadm.algebra import dense_vector, from_brackets
+from orbitadm.pointwise import parse_rational_list
 from orbitadm.problemfile import (CONFIG_KEYS, MAX_BASIS_NAMES, ParseError,
-                                  ProblemFile, parse_rational_list)
+                                  ProblemFile)
 
 from conftest import (CORPUS_TEXTS, FUZZ_CHARS, FUZZ_LITERALS,
                       mutated_corpus_texts, problem_texts)

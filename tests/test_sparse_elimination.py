@@ -6,7 +6,7 @@ columns, repeated and rescaled rows, negative and non-unit pivots, and
 empty and 1 x 1 shapes, ``integer_rref``'s rows over their pivot entries
 must be the rref rows, ``integer_kernel``'s vectors over their free
 entries the canonical kernel, ``residue`` a positive multiple of the
-reduction by the rref rows, ``algebra._scaled_inverse`` a positive
+reduction by the rref rows, ``univariate._scaled_inverse`` a positive
 multiple of the inverse (None exactly when the matrix is singular), and
 ``matmul`` the product.
 """
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitadm import algebra, linalg
+from orbitadm import linalg, univariate
 
 from exact import (SingularMatrixError, cleared, invert, matmul, nullspace,
                    reduce_against, rref, sparse_rows)
@@ -120,7 +120,7 @@ def test_reduce_against_an_rref_basis(data):
 def test_invert(data):
     n = data.draw(st.integers(1, 5))
     mat = data.draw(matrices(n_rows=n, n_cols=n))
-    got = algebra._scaled_inverse(mat)
+    got = univariate._scaled_inverse(mat)
     try:
         expected = invert(mat)
     except SingularMatrixError:

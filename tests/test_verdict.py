@@ -155,9 +155,9 @@ class TestFullReport:
         assert any("work limit" in w for w in rep.warnings)
         # free: the exact rank m at the witness proves d_tau = m, so an
         # unproven result there carries no warning
-        sampled = verdict_mod.generic_h_orbit_dim
+        sampled = moment.generic_h_orbit_dim
         monkeypatch.setattr(
-            verdict_mod, "generic_h_orbit_dim",
+            moment, "generic_h_orbit_dim",
             lambda *args, **kw: _replaced(sampled(*args, **kw), proof=None))
         pf = corpus_problems["h5_y1y2"]
         rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
