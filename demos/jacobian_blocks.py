@@ -1,8 +1,4 @@
-import numpy as np
-
 from orbitadm import build_datum, fd_jacobian, from_brackets
-
-np.set_printoptions(precision=6, suppress=True)
 
 # The chart map sends group coordinates t and transverse coordinates x to
 # the moved functional s(t) . l(x), read off in adapted coordinates.  Its
@@ -21,7 +17,8 @@ D = build_datum(L, [L.vector(X=1), L.vector(Y=1)], [1, 1])
 jr = fd_jacobian(D, (0.5,), h=1e-4)
 
 print("finite-difference J at x = (1/2):")
-print(jr.J)
+for row in jr.J:  # a list of rows of floats
+    print("  ".join(f"{v:10.6f}" for v in row))
 print()
 print("deviation of the top-left block from the exact moment matrix: "
       f"{jr.max_dev_topleft:.3e}")

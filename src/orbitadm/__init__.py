@@ -12,13 +12,14 @@ admissible vector exactly in the nonunimodular absolutely continuous case
 The computation is exact rational linear algebra end to end, including
 the decision that the group is exponential.  The one floating-point part,
 ``geometry`` (a finite-difference cross-check of the derivative structure
-of the coadjoint action map), is the only module that imports numpy.
+of the coadjoint action map), computes in plain Python floats: the package
+needs nothing outside the standard library.
 
 Importing orbitadm loads no submodule.  Each name below is imported from
 its module on first use, through ``_EXPORTS``, so a program, and each
-command of ``cli``, compiles only the modules it runs: ``geometry`` (and
-numpy) for the names of the Jacobian check alone, ``pointwise`` for the
-readers of one chart point.
+command of ``cli``, compiles only the modules it runs: ``geometry`` for
+the names of the Jacobian check alone, ``pointwise`` for the readers of one
+chart point.
 """
 
 from importlib import import_module

@@ -12,10 +12,11 @@ Each command compiles only the code it runs.  This module loads what
 `validate`, `verdict` and `corpus` share; ``moment`` loads with the first
 `verdict` or `rank`, and ``json`` only for `verdict --json`.  `rank` and
 `jacobian` run from ``pointwise``, which no other command loads, and only
-`jacobian` imports ``geometry`` and so numpy.  Two more modules load on
-first use: ``poly``, when no certificate proves the generic rank and
-Bareiss elimination runs, and ``univariate``, when a quotient action of
-the exponentiality decision is not triangular.
+`jacobian` imports ``geometry``.  No command imports anything outside the
+standard library.  Two more modules load on first use: ``poly``, when no
+certificate proves the generic rank and Bareiss elimination runs, and
+``univariate``, when a quotient action of the exponentiality decision is
+not triangular.
 """
 
 from __future__ import annotations
@@ -29,21 +30,17 @@ from pathlib import Path
 from .algebra import (DimensionMismatchError, DisagreementError,
                       SamplingMissError)
 from .monomial import NotACharacterError, NotClosedError, RankDeficientError
-from .problemfile import ParseError, decode, parse
+from .problemfile import EXIT_OK, ParseError, _load, _UsageError
 from .report import render_json, render_problem_summary, render_text
 from .verdict import (AnalysisConfig, InvalidAlgebraError,
                       StructuralPreconditionError, check_problem, decide)
 
 SEED_ENV_VAR = "ORBITADM_SEED"
 
-EXIT_OK = 0
+# EXIT_OK, 0, is shared with ``pointwise`` through ``problemfile``
 EXIT_INVALID = 1
 EXIT_PRECONDITION = 2
 EXIT_DISAGREEMENT = 3
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,14 +129,6 @@ def _settings(args, file_config: dict) -> AnalysisConfig:
                       else f"config {key} in {args.file}")
             raise _UsageError(f"{source} must be at least 1")
     return config
-
-
-def _load(path: str):
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}")
-    return parse(decode(data))
 
 
 def _checked(args):
@@ -235,8 +224,4 @@ def main(argv=None, out=None, err=None) -> int:
 
 
 if __name__ == "__main__":
-    # python -m orbitadm.cli runs this file as __main__, a second copy of
-    # the module; ``pointwise`` raises the usage errors of orbitadm.cli, so
-    # that copy's main must run
-    from .cli import main as package_main
-    sys.exit(package_main())
+    sys.exit(main())

@@ -11,6 +11,14 @@ realizes the chart form of the action map,
 and checks by central differences that its Jacobian at (0, x) has the block
 shape [[M(l), 0], [*, I]] — rows split m / n-m, columns split n / n-m — so
 its rank is rank M(l) + n - m.
+
+The arithmetic is plain Python floats: a vector is a list, a matrix a list
+of its rows.  The kernels are the standard dense ones: scaling and squaring
+around a Taylor core for the exponential (Higham 2005), and one-sided Jacobi
+for the singular values (Demmel and Veselić 1992).  A row is moved by
+exp(tA) as a Taylor series on the row itself while |t| ||A||_1 <= 1/2, which
+covers every finite-difference step at the default ``--step``, so no n x n
+exponential is formed there.
 """
 
 from __future__ import annotations
@@ -18,70 +26,129 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-
-import numpy as np
+from operator import mul
 
 from .algebra import DimensionMismatchError, LieAlgebra
 from .moment import rank_at
 from .monomial import MonomialDatum
 from .pointwise import ad_matrix, moment_matrix, point_on_variety
 
+Matrix = list[list[float]]
 
-def ad_float(L: LieAlgebra, u) -> np.ndarray:
+# terms of the exponential series are added until they fall below this
+_SERIES_TOL = 1e-18
+# largest norm the series runs at; above it, scaling and squaring
+_SERIES_NORM = 0.5
+# Jacobi rotates a pair of vectors while their cosine exceeds the vector
+# length times one ulp, and stops after _SWEEPS sweeps in any case
+_ULP = 2.0 ** -52
+_SWEEPS = 60
+
+
+def ad_float(L: LieAlgebra, u) -> Matrix:
     """ad(u) as a floating n x n matrix."""
-    return np.array(ad_matrix(L, u), dtype=float)
+    return [[float(x) if x else 0.0 for x in row] for row in ad_matrix(L, u)]
 
 
-def expm(A: np.ndarray) -> np.ndarray:
+def _norm1(A) -> float:
+    """The largest column sum of |A|: it bounds v -> v A in the max norm."""
+    return max((sum(map(abs, column)) for column in zip(*A)), default=0.0)
+
+
+def _matmul(A, B) -> Matrix:
+    columns = list(zip(*B))
+    return [[sum(map(mul, row, column)) for column in columns] for row in A]
+
+
+def expm(A) -> Matrix:
     """Matrix exponential: scaling and squaring around a Taylor core.
 
     The scaled matrix has norm <= 1/2, so the series converges fast; terms
     are added until they fall below machine precision.  For nilpotent input
     the series is finite and the result exact to roundoff.
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    norm = np.linalg.norm(A, 1)
+    A = [[float(a) for a in row] for row in A]
+    n = len(A)
+    norm = _norm1(A)
     squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-        A = A / (2.0 ** squarings)
-    result = np.eye(n)
-    term = np.eye(n)
+    if norm > _SERIES_NORM:
+        squarings = math.ceil(math.log2(norm / _SERIES_NORM))
+        scale = 2.0 ** squarings
+        A = [[a / scale for a in row] for row in A]
+    result = [[float(i == j) for j in range(n)] for i in range(n)]
+    term = result
     for k in range(1, 40):
-        term = term @ A / k
-        result = result + term
-        if np.abs(term).max() < 1e-18:
+        term = [[x / k for x in row] for row in _matmul(term, A)]
+        result = [[r + x for r, x in zip(rrow, trow)]
+                  for rrow, trow in zip(result, term)]
+        if max((abs(x) for row in term for x in row),
+               default=0.0) < _SERIES_TOL:
             break
     for _ in range(squarings):
-        result = result @ result
+        result = _matmul(result, result)
     return result
 
 
-def ad_exp(L: LieAlgebra, Z, t: float) -> np.ndarray:
+def _exp_action(A):
+    """(v, t) -> v exp(tA) for the square float matrix A (rows).
+
+    While |t| ||A||_1 <= 1/2 the Taylor series runs on the row: its k-th
+    term is at most ||v||_max / (2^k k!) in every entry, and it stops as
+    ``expm``'s does, with the tolerance taken relative to ||v||_max.  Above
+    that, v is multiplied by ``expm(tA)``.
+    """
+    n = len(A)
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in A]
+    norm = _norm1(A)
+
+    def act(v: list[float], t: float) -> list[float]:
+        if abs(t) * norm > _SERIES_NORM:
+            E = expm([[t * a for a in row] for row in A])
+            return [sum(map(mul, v, column)) for column in zip(*E)]
+        result = term = v
+        tol = _SERIES_TOL * max(map(abs, v), default=0.0)
+        for k in range(1, 40):
+            c = t / k
+            following = [0.0] * n
+            for x, row in zip(term, rows):
+                if x:
+                    x *= c
+                    for j, a in row:
+                        following[j] += x * a
+            term = following
+            result = [r + x for r, x in zip(result, term)]
+            if max(map(abs, term), default=0.0) <= tol:
+                break
+        return result
+    return act
+
+
+def ad_exp(L: LieAlgebra, Z, t: float) -> Matrix:
     """exp(t ad Z) as an n x n floating matrix."""
-    return expm(t * ad_float(L, Z))
+    return expm([[t * a for a in row] for row in ad_float(L, Z)])
 
 
-def _coadjoint_apply_ads(ad_factors, l) -> np.ndarray:
-    """coadjoint_apply_factors, given the pairs (floating ad Z_k, t_k)."""
-    row = np.array([float(v) for v in l], dtype=float)
-    for ad, t in reversed(list(ad_factors)):
+def _coadjoint_apply_acts(factors, l) -> list[float]:
+    """coadjoint_apply_factors, given the pairs (``_exp_action`` of ad Z_k,
+    t_k)."""
+    row = [float(v) for v in l]
+    for act, t in reversed(list(factors)):
         if t:  # exp(0) = I
-            row = row @ expm(-float(t) * ad)
+            row = act(row, -float(t))
     return row
 
 
-def coadjoint_apply_factors(L: LieAlgebra, factors, l) -> np.ndarray:
+def coadjoint_apply_factors(L: LieAlgebra, factors, l) -> list[float]:
     """l o Ad(s^-1) for s = prod exp(t_k Z_k), factors = [(Z_k, t_k), ...].
 
     Ad(s^-1) is the product of the inverse factors in reverse order; as a
     row vector l transforms by right multiplication.
     """
-    return _coadjoint_apply_ads([(ad_float(L, Z), t) for Z, t in factors], l)
+    return _coadjoint_apply_acts(
+        [(_exp_action(ad_float(L, Z)), t) for Z, t in factors], l)
 
 
-def coadjoint_apply(L: LieAlgebra, t, l) -> np.ndarray:
+def coadjoint_apply(L: LieAlgebra, t, l) -> list[float]:
     """Coadjoint action of s = exp(t_1 Z_1) ... exp(t_n Z_n), original basis."""
     if len(t) != L.dim:
         raise DimensionMismatchError(
@@ -90,7 +157,7 @@ def coadjoint_apply(L: LieAlgebra, t, l) -> np.ndarray:
     return coadjoint_apply_factors(L, factors, l)
 
 
-def phi_in_chart(D: MonomialDatum, t, x) -> np.ndarray:
+def phi_in_chart(D: MonomialDatum, t, x) -> list[float]:
     """The action map in chart coordinates.
 
     t holds n exp-coordinates over the ADAPTED basis (Y's first, then the
@@ -111,42 +178,86 @@ def phi_in_chart(D: MonomialDatum, t, x) -> np.ndarray:
 def _chart_action(D: MonomialDatum):
     """phi~(t, x), with the adapted basis and its ad-matrices floated once
     and l_x computed once per distinct x."""
-    ads = [ad_float(D.algebra, row) for row in D.adapted_rows]
-    adapted = np.array(D.adapted_rows, dtype=float)
+    acts = [_exp_action(ad_float(D.algebra, row)) for row in D.adapted_rows]
+    adapted = [[(j, float(a)) for j, a in enumerate(row) if a]
+               for row in D.adapted_rows]
 
     @cache
     def l_at(x):
         return point_on_variety(D, tuple(Fraction(v) for v in x))
 
     def phi(t, x):
-        return adapted @ _coadjoint_apply_ads(zip(ads, t), l_at(tuple(x)))
+        row = _coadjoint_apply_acts(zip(acts, t), l_at(tuple(x)))
+        return [sum(a * row[j] for j, a in pairs) for pairs in adapted]
     return phi
 
 
-def numerical_rank(mat: np.ndarray, rel_tol: float = 1e-8) -> int:
+def singular_values(mat) -> list[float]:
+    """The min(rows, columns) singular values of mat, largest first.
+
+    One-sided Jacobi on the shorter side: the pairs of its vectors (the rows
+    of a wide matrix, the columns of a tall one) are rotated until every
+    pair is orthogonal to working precision, and the singular values are
+    then their lengths.  mat is first divided by its largest |entry|, so no
+    sum of squares overflows.
+    """
+    rows = [[float(a) for a in row] for row in mat]
+    if not all(math.isfinite(a) for row in rows for a in row):
+        raise ValueError("the matrix has an entry that is not finite")
+    width = len(rows[0]) if rows else 0
+    vectors = rows if len(rows) <= width else [list(c) for c in zip(*rows)]
+    top = max((abs(a) for v in vectors for a in v), default=0.0)
+    if top == 0.0:
+        return [0.0] * len(vectors)
+    vectors = [[a / top for a in v] for v in vectors]
+    tol = _ULP * len(vectors[0])
+    squares = [sum(map(mul, v, v)) for v in vectors]
+    k = len(vectors)
+    for _ in range(_SWEEPS):
+        rotated = False
+        for i in range(k - 1):
+            for j in range(i + 1, k):
+                gamma = sum(map(mul, vectors[i], vectors[j]))
+                if abs(gamma) <= (tol * math.sqrt(squares[i])
+                                  * math.sqrt(squares[j])):
+                    continue
+                rotated = True
+                zeta = (squares[j] - squares[i]) / (2 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta)
+                                                + math.hypot(1.0, zeta))
+                c = 1 / math.sqrt(1 + t * t)
+                s = c * t
+                vi = [c * a - s * b for a, b in zip(vectors[i], vectors[j])]
+                vj = [s * a + c * b for a, b in zip(vectors[i], vectors[j])]
+                vectors[i], vectors[j] = vi, vj
+                squares[i] = sum(map(mul, vi, vi))
+                squares[j] = sum(map(mul, vj, vj))
+        if not rotated:
+            break
+    return sorted((math.sqrt(q) * top for q in squares), reverse=True)
+
+
+def numerical_rank(mat, rel_tol: float = 1e-8) -> int:
     """Singular values above rel_tol times the largest one, 0 < rel_tol < 1:
     at 1 or more none would count."""
     if not 0 < rel_tol < 1:  # nan fails too
         raise ValueError("rel_tol must lie strictly between 0 and 1")
-    mat = np.asarray(mat, dtype=float)
-    if mat.size == 0:
-        return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    top = sv.max(initial=0.0)
+    sv = singular_values(mat)
+    top = max(sv, default=0.0)
     if top == 0.0:
         return 0
-    return int((sv > rel_tol * top).sum())
+    return sum(s > rel_tol * top for s in sv)
 
 
 class JacobianReport:
-    """J is n x (2n - m); the deviations are from the analytic M(l), the
-    zero block and the identity block; expected_rank is
+    """J is n x (2n - m), a list of rows; the deviations are from the
+    analytic M(l), the zero block and the identity block; expected_rank is
     rank M(l) + n - m."""
 
     __slots__ = ("J", "max_dev_topleft", "max_dev_topright",
                  "max_dev_bottomright", "numerical_rank_J", "expected_rank")
 
-    def __init__(self, J: np.ndarray, max_dev_topleft: float,
+    def __init__(self, J: Matrix, max_dev_topleft: float,
                  max_dev_topright: float, max_dev_bottomright: float,
                  numerical_rank_J: int, expected_rank: int):
         self.J = J
@@ -157,7 +268,6 @@ class JacobianReport:
         self.expected_rank = expected_rank
 
 
-@np.errstate(over="ignore", invalid="ignore")  # J is checked to be finite
 def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
                 rel_tol: float = 1e-8) -> JacobianReport:
     """Central-difference Jacobian of phi~ at (t, x) = (0, x), with checks.
@@ -176,30 +286,33 @@ def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
     x_float = [float(v) for v in x_exact]
 
     f = _chart_action(D)
+
+    def quotient(plus, minus):
+        return [(p - q) / (2 * h) for p, q in zip(plus, minus)]
+
     cols = []
     for k in range(n):
         tp = [0.0] * n
         tm = [0.0] * n
         tp[k], tm[k] = h, -h
-        cols.append((f(tp, x_float) - f(tm, x_float)) / (2 * h))
+        cols.append(quotient(f(tp, x_float), f(tm, x_float)))
     for r in range(nfree):
         xp = list(x_float)
         xm = list(x_float)
         xp[r] += h
         xm[r] -= h
-        cols.append((f([0.0] * n, xp) - f([0.0] * n, xm)) / (2 * h))
-    J = np.column_stack(cols) if cols else np.zeros((n, 0))
-    if not np.isfinite(J).all():
+        cols.append(quotient(f([0.0] * n, xp), f([0.0] * n, xm)))
+    J = [list(row) for row in zip(*cols)]
+    if not all(math.isfinite(v) for row in J for v in row):
         raise OverflowError(f"the difference quotients at step {h!r} "
                             f"are not finite")
 
     M = moment_matrix(D, x_exact)
-    M_float = np.array([[float(v) for v in row] for row in M],
-                       dtype=float).reshape(m, n)
-    top_left = J[:m, :n] - M_float
-    top_right = J[:m, n:]
-    bottom_right = J[m:, n:] - np.eye(nfree)
-    dev = (lambda block: float(np.abs(block).max()) if block.size else 0.0)
+    top_left = (J[i][j] - float(M[i][j]) for i in range(m) for j in range(n))
+    top_right = (J[i][j] for i in range(m) for j in range(n, n + nfree))
+    bottom_right = (J[i][j] - (i - m == j - n) for i in range(m, n)
+                    for j in range(n, n + nfree))
+    dev = (lambda block: max(map(abs, block), default=0.0))
     return JacobianReport(
         J=J,
         max_dev_topleft=dev(top_left),

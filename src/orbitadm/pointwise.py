@@ -26,14 +26,14 @@ from math import inf, lcm
 from typing import TYPE_CHECKING
 
 from .algebra import DimensionMismatchError, LieAlgebra, _product, dense_vector
-from .cli import EXIT_OK, _load, _UsageError
 from .linalg import integer_kernel
 from .moment import _block_at
 from .monomial import MonomialDatum, build_datum
-from .problemfile import _RATIONAL, _rational, _Refusal
+from .problemfile import (_RATIONAL, EXIT_OK, _load, _rational, _Refusal,
+                          _UsageError)
 from .report import _combo_strings, _text
 
-if TYPE_CHECKING:  # geometry imports numpy, which only `jacobian` needs
+if TYPE_CHECKING:  # only `jacobian` loads geometry
     from .geometry import JacobianReport
 
 Vector = tuple[Fraction, ...]
@@ -262,7 +262,7 @@ def _cmd_jacobian(args, out) -> int:
         raise _UsageError("--step must be positive and finite")
     if not 0 < args.tol < 1:  # at 1 no singular value would count
         raise _UsageError("--tol must lie strictly between 0 and 1")
-    from .geometry import fd_jacobian  # numpy: loaded for this command only
+    from .geometry import fd_jacobian  # loaded for this command only
     datum, x = _datum_and_point(args)
     try:  # fd_jacobian differentiates in floating point
         coordinates = [float(v) for v in x]

@@ -257,6 +257,27 @@ def decode(data: bytes) -> str:
                          ) from None
 
 
+# what the commands of ``cli`` and ``pointwise`` share, kept here so that
+# ``pointwise`` never imports ``orbitadm.cli``: under python -m, cli.py
+# runs as __main__, and that import would run a second copy of it
+EXIT_OK = 0
+
+
+class _UsageError(Exception):
+    """Bad usage, or a file that cannot be read: ``cli.main`` prints it and
+    exits 1."""
+
+
+def _load(path: str) -> ProblemFile:
+    """The problem file at ``path``, read, decoded and parsed."""
+    from pathlib import Path  # the library reads no files
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc}")
+    return parse(decode(data))
+
+
 def parse(source: str) -> ProblemFile:
     """The problem of ``source``; the first error is a ParseError."""
     texts = _LINE_BREAK.split(source)

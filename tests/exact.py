@@ -11,12 +11,18 @@ entry is a ``Fraction``.
 The sparse helpers at the end (rows as {column: nonzero entry}) serve the
 references of ``test_fraction_free.py``, which are kept as the program
 had them before its elimination became fraction-free.
+
+One reference is not exact: ``expm``, the numpy matrix exponential that
+``orbitadm.geometry`` used before its kernels became plain Python, against
+which they are now checked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+import numpy as np
 
 
 class SingularMatrixError(ValueError):
@@ -181,3 +187,25 @@ def reduce_in_place(w: dict, rows, pivots) -> list:
                     del w[k]
         factors.append(f)
     return factors
+
+
+def expm(A) -> np.ndarray:
+    """Matrix exponential in numpy: scaling and squaring around a Taylor
+    core, whose terms are added until they fall below 1e-18."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    norm = np.linalg.norm(A, 1)
+    squarings = 0
+    if norm > 0.5:
+        squarings = int(np.ceil(np.log2(norm / 0.5)))
+        A = A / (2.0 ** squarings)
+    result = np.eye(n)
+    term = np.eye(n)
+    for k in range(1, 40):
+        term = term @ A / k
+        result = result + term
+        if np.abs(term).max() < 1e-18:
+            break
+    for _ in range(squarings):
+        result = result @ result
+    return result

@@ -119,10 +119,27 @@ class TestUsage:
             == run_cli("verdict", corpus_file("axb_f1"))
         assert proc.stdout.startswith("structure.algebra: ")
 
+    def test_module_run_imports_no_second_cli(self, tmp_path):
+        # under -m, cli.py runs once, as __main__: pointwise takes what it
+        # shares with cli from problemfile, so orbitadm.cli is never
+        # imported as well
+        src = pathlib.Path(oa.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "orbitadm.cli",
+             "rank", corpus_file("grelaud"), "--point", "1,2"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={"PYTHONPATH": str(src)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rpartition("|")[2].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "orbitadm.pointwise" in imported
+        assert "orbitadm.cli" not in imported
+
     @pytest.mark.parametrize("point", ["1,2", "1"])
     def test_rank_runs_as_a_module(self, tmp_path, point):
-        # rank runs in pointwise, which raises the usage errors of the
-        # package's cli module: under -m they are caught all the same
+        # rank runs in pointwise, which raises the usage errors that
+        # cli.main catches: under -m they are caught all the same
         src = pathlib.Path(oa.__file__).parents[1]
         argv = ("rank", corpus_file("grelaud"), "--point", point)
         proc = subprocess.run(

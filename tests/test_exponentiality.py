@@ -1,9 +1,9 @@
 """The exact exponentiality decision, on algebras whose answer is known by
 hand, in their own basis and in random rational bases; the univariate
 helpers it rests on; and the import graph that keeps numpy off every
-command but `jacobian`, and the Bareiss polynomials, ``dataclasses``,
-``json``, the rank layer and the readers of one point off every command
-that does not run them.
+command, and the Bareiss polynomials, ``dataclasses``, ``json``, the rank
+layer and the readers of one point off every command that does not run
+them.
 
 A solvable g is exponential iff no ad X has a nonzero purely imaginary
 eigenvalue (Dixmier 1957, Saito 1957).
@@ -11,6 +11,7 @@ eigenvalue (Dixmier 1957, Saito 1957).
 
 from __future__ import annotations
 
+import ast
 import os
 import random
 import subprocess
@@ -587,15 +588,21 @@ def test_the_bareiss_fallback_loads_poly(tmp_path):
     assert "spectral: Singular\n" in proc.stdout
 
 
-def test_jacobian_still_loads_numpy():
-    path = str(cli.corpus_path("grelaud"))
-    assert _fresh("jacobian", path, "--point", "1,2") == (0, "True")
+def test_jacobian_loads_no_numpy():
+    # every corpus file at its benchmark point, in one fresh interpreter
+    proc = _probe(*[("jacobian", str(cli.corpus_path(name)), "--point",
+                     _families.CORPUS[name][3]) for name in CORPUS_NAMES])
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy" not in _loaded(proc)
+    assert proc.stderr.strip().splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("argv, code", [
     (("validate", "grelaud"), 0), (("verdict", "grelaud"), 0),
     (("rank", "grelaud", "--point", "1,2"), 0),
-    (("jacobian", "grelaud", "--point", "2,1/2", "--tol", "2"), 1)])
+    (("jacobian", "grelaud", "--point", "2,1/2", "--tol", "2"), 1),
+    *((("jacobian", name, "--point", _families.CORPUS[name][3]), 0)
+      for name in CORPUS_NAMES)])
 def test_runs_without_site_packages(argv, code):
     # python -S leaves site-packages, and with them numpy, off the path
     command, name, *rest = argv
@@ -610,7 +617,19 @@ def test_runs_without_site_packages(argv, code):
     assert "Traceback" not in proc.stderr
 
 
-def test_only_geometry_imports_numpy():
-    importers = sorted(path.name for path in (SRC / "orbitadm").glob("*.py")
-                       if "import numpy" in path.read_text())
-    assert importers == ["geometry.py"]
+def _imported_roots(path: Path) -> set[str]:
+    """The top-level packages that the import statements of a file name."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots.add(node.module.partition(".")[0])
+    return roots
+
+
+def test_no_module_imports_numpy():
+    files = sorted((SRC / "orbitadm").rglob("*.py"))
+    assert any(path.name == "geometry.py" for path in files)
+    assert [path.name for path in files
+            if "numpy" in _imported_roots(path)] == []

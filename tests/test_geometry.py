@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import orbitadm as oa
 from orbitadm import geometry
@@ -11,6 +13,7 @@ from orbitadm import geometry
 from conftest import (CORPUS_NAMES, ORACLES, load_problem, make_abelian,
                       make_axb, make_h3, moment_float, random_dyadic,
                       random_dyadic_vector, random_vector)
+from exact import expm as reference_expm
 from exact import rank
 
 
@@ -31,14 +34,14 @@ class TestExpm:
     def test_inverse_is_negative_exponent(self):
         rng = np.random.default_rng(8)
         A = rng.normal(size=(4, 4))
-        prod = geometry.expm(A) @ geometry.expm(-A)
+        prod = np.asarray(geometry.expm(A)) @ np.asarray(geometry.expm(-A))
         assert np.allclose(prod, np.eye(4), atol=1e-12)
 
     def test_scaling_path_matches_series(self):
         # norm > 1/2 forces squaring; compare against the additive identity
         # exp(A) = exp(A/2) @ exp(A/2)
         A = np.array([[0.0, 3.0], [-1.0, 0.5]])
-        half = geometry.expm(A / 2)
+        half = np.asarray(geometry.expm(A / 2))
         assert np.allclose(geometry.expm(A), half @ half, atol=1e-12)
 
 
@@ -51,7 +54,7 @@ class TestAdExp:
         assert np.allclose(got, expect, atol=1e-14)
 
     def test_axb_scales_x(self, axb):
-        got = geometry.ad_exp(axb, axb.vector(A=1), 1.0)
+        got = np.asarray(geometry.ad_exp(axb, axb.vector(A=1), 1.0))
         assert abs(got[1, 1] - math.e) < 1e-13
         assert abs(got[0, 0] - 1.0) < 1e-15
 
@@ -178,11 +181,119 @@ class TestNumericalRank:
                 oa.numerical_rank(np.eye(2), rel_tol)
 
 
+# entries in [-1, 1], none subnormal; a matrix takes one scale for all of
+# them, so its singular values span at most the range of its entries
+_ENTRIES = st.floats(-1, 1, allow_subnormal=False)
+_SCALES = st.sampled_from([1e-150, 1.0, 1e150])
+
+
+def _array(draw, rows: int, cols: int) -> np.ndarray:
+    return np.array(draw(st.lists(_ENTRIES, min_size=rows * cols,
+                                  max_size=rows * cols)),
+                    dtype=float).reshape(rows, cols)
+
+
+@st.composite
+def _float_matrices(draw) -> np.ndarray:
+    """A tall, wide, square or empty matrix, or a product of two whose
+    rank is below its shorter side, times one scale."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    if rows and cols and draw(st.booleans()):
+        inner = draw(st.integers(0, min(rows, cols) - 1))
+        mat = _array(draw, rows, inner) @ _array(draw, inner, cols)
+    else:
+        mat = _array(draw, rows, cols)
+    return mat * draw(_SCALES)
+
+
+# ||A||_1 on both sides of 1/2, where the row exponential leaves its
+# Taylor series on the row for a product with expm, and expm starts to
+# square
+_NORMS = st.one_of(st.floats(1e-3, 0.5),
+                   st.floats(0.5, 8.0, exclude_min=True))
+
+
+@st.composite
+def _square_matrices(draw) -> np.ndarray:
+    n = draw(st.integers(1, 6))
+    A = _array(draw, n, n)
+    assume(np.abs(A).max() > 0)
+    return A * (draw(_NORMS) / np.linalg.norm(A, 1))
+
+
+@st.composite
+def _rows_and_matrices(draw):
+    """(v, A, t) for the row exponential v exp(tA), ``_exp_action``."""
+    A = draw(_square_matrices())
+    v = _array(draw, 1, len(A))[0] * draw(_SCALES)
+    return v, A, draw(st.sampled_from([1.0, -1.0]))
+
+
+_SWITCH = [np.array([[0.1, 0.2], [-0.3, 0.1]]) * scale / 0.4
+           for scale in (0.49, 0.51)]
+
+
+class TestFloatKernels:
+    """The plain-Python kernels against numpy: singular values against
+    ``np.linalg.svd``, the exponentials against the numpy ``expm``."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_float_matrices())
+    @example(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    def test_singular_values_match_numpy(self, mat):
+        got = geometry.singular_values(mat.tolist())
+        want = np.linalg.svd(mat, compute_uv=False)
+        assert len(got) == len(want) == min(mat.shape)
+        top = want.max(initial=0.0)
+        assert np.abs(np.array(got) - want).max(initial=0.0) <= 1e-12 * top
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_float_matrices(), st.sampled_from([1e-8, 1e-4]))
+    def test_numerical_rank_matches_numpy(self, mat, rel_tol):
+        sv = np.linalg.svd(mat, compute_uv=False)
+        cut = rel_tol * sv.max(initial=0.0)
+        # a singular value this close to the cut may fall on either side
+        assume(not any(cut / 10 < s < cut * 10 for s in sv))
+        assert geometry.numerical_rank(mat.tolist(), rel_tol) \
+            == int((sv > cut).sum())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_refused(self, bad):
+        for shape, (i, j) in (((3, 5), (2, 4)), ((4, 2), (0, 1)),
+                              ((1, 1), (0, 0))):
+            mat = np.ones(shape).tolist()
+            mat[i][j] = bad
+            with pytest.raises(ValueError):
+                geometry.singular_values(mat)
+            with pytest.raises(ValueError):
+                oa.numerical_rank(mat)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_square_matrices())
+    @example(_SWITCH[0])
+    @example(_SWITCH[1])
+    def test_expm_matches_reference(self, A):
+        got = np.array(geometry.expm(A.tolist()))
+        want = reference_expm(A)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_rows_and_matrices())
+    @example((np.array([1.0, -1.0]), _SWITCH[0], -1.0))
+    @example((np.array([1.0, -1.0]), _SWITCH[1], -1.0))
+    def test_row_exp_matches_reference(self, case):
+        v, A, t = case
+        got = np.array(geometry._exp_action(A.tolist())(v.tolist(), t))
+        E = reference_expm(t * A)
+        scale = (np.abs(v) @ np.abs(E)).max()
+        assert np.abs(got - v @ E).max() <= 1e-12 * scale
+
+
 class TestFdJacobian:
     def test_axb_top_left_matches_constant_row(self, axb):
         D = oa.build_datum(axb, [axb.vector(X=1)], [1])
         jr = oa.fd_jacobian(D, (0.0,), h=1e-4)
-        assert np.allclose(jr.J[0, :2], [0.0, -1.0], atol=1e-6)
+        assert np.allclose(np.asarray(jr.J)[0, :2], [0.0, -1.0], atol=1e-6)
         assert jr.max_dev_topleft < 1e-6
         assert jr.numerical_rank_J == jr.expected_rank == 2
 
@@ -196,7 +307,7 @@ class TestFdJacobian:
         L = make_abelian(3)
         D = oa.build_datum(L, [L.vector(E1=1)], [2])
         jr = oa.fd_jacobian(D, (0.25, -0.75), h=1e-4)
-        assert np.abs(jr.J[:1, :]).max() == 0.0
+        assert np.abs(np.asarray(jr.J)[:1, :]).max() == 0.0
         assert jr.numerical_rank_J == jr.expected_rank == 2
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
