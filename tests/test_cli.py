@@ -64,14 +64,18 @@ def problem_file(name: str) -> str:
 
 
 class TestUsage:
-    def test_help_exits_zero(self, capsys):
-        code, _out, _err = run_cli("--help")
-        assert code == 0
-        assert "usage" in capsys.readouterr().out
+    def test_help_exits_zero(self):
+        code, out, err = run_cli("--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: orbitadm")
+        assert all(name in out for name in cli.COMMANDS)
 
-    def test_subcommand_help_exits_zero(self, capsys):
-        code, _out, _err = run_cli("verdict", "--help")
-        assert code == 0
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_subcommand_help_exits_zero(self, command):
+        code, out, err = run_cli(command, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: orbitadm {command} ")
+        assert all(option in out for option in cli.COMMANDS[command][2])
 
     def test_no_arguments_is_usage_error(self):
         code, _out, err = run_cli()
@@ -534,7 +538,7 @@ class TestRank:
                        ).read_text()
 
     def test_negative_point_as_a_separate_argument(self):
-        # argparse would read "-1,2" as an option and "--step -inf" too
+        # a valued option takes the next word, "-1,2" and "-inf" included
         path = corpus_file("grelaud")
         for point in ("-1,2", "-1/2,2"):
             bound = run_cli("rank", path, f"--point={point}")
@@ -584,6 +588,19 @@ class TestRank:
                                   "--point", "one")
         assert code == 1
         assert "--point" in err
+
+    def test_dashes_as_a_value(self):
+        # '--' after a valued option is its value: a point and a step that
+        # do not parse, not a traceback
+        path = corpus_file("grelaud")
+        for argv in (("rank", path, "--point", "--"),
+                     ("rank", path, "--point=--"),
+                     ("jacobian", path, "--point", "--")):
+            code, out, err = run_cli(*argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: --point") and err.count("\n") == 1
+        assert run_cli("jacobian", path, "--point", "1,2", "--step", "--") \
+            == (1, "", "error: argument --step: invalid float value: '--'\n")
 
     def test_point_is_required(self):
         code, _out, err = run_cli("rank", corpus_file("heisenberg_yz"))

@@ -485,11 +485,13 @@ class TestUnivariate:
 
 
 # the modules of a cold process that a command must not load unless it
-# runs them: dataclasses (with inspect, which it pulls in), json, numpy,
-# the rank layer, the readers of one point, the Bareiss polynomials and
-# the root counts of the exponentiality decision
-_WATCHED = ("dataclasses", "inspect", "json", "numpy", "orbitadm.moment",
-            "orbitadm.pointwise", "orbitadm.poly", "orbitadm.univariate")
+# runs them: argparse and gettext, which no command loads, dataclasses
+# (with inspect, which it pulls in), json, numpy, the rank layer, the
+# readers of one point, the Bareiss polynomials and the root counts of the
+# exponentiality decision
+_WATCHED = ("argparse", "dataclasses", "gettext", "inspect", "json", "numpy",
+            "orbitadm.moment", "orbitadm.pointwise", "orbitadm.poly",
+            "orbitadm.univariate")
 
 # each argument is one command line, its words joined by newlines; the
 # exit code is the last nonzero one, and the last two lines on stderr

@@ -1,7 +1,6 @@
 """Every name a module exports exists, so a stale export fails here and
 not at a user's `from orbitadm import *`."""
 
-import argparse
 import ast
 import importlib
 import inspect
@@ -47,24 +46,24 @@ def test_option_surface_is_pinned():
     assert problemfile.CONFIG_KEYS == {"seed", "trials", "bound"}
     # --symbolic changes nothing, and validate draws no random numbers, but
     # scripts pass both, so they stay accepted
-    parser = cli.build_parser()
-    assert [a.option_strings for a in parser._actions] == [["-h", "--help"],
-                                                          []]
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    surface = {name: [s for a in p._actions for s in a.option_strings]
-               for name, p in sub.choices.items()}
-    help_ = ["-h", "--help"]
+    surface = {command: {name: kind for name, (kind, _, _) in options.items()}
+               for command, (_, _, options) in cli.COMMANDS.items()}
     assert surface == {
-        "validate": help_ + ["--seed"],
-        "verdict": help_ + ["--trials", "--bound", "--seed", "--symbolic",
-                            "--json"],
-        "rank": help_ + ["--point"],
-        "jacobian": help_ + ["--point", "--step", "--tol"],
-        "corpus": help_,
+        "validate": {"--seed": int},
+        "verdict": {"--trials": int, "--bound": int, "--seed": int,
+                    "--symbolic": None, "--json": None},
+        "rank": {"--point": str},
+        "jacobian": {"--point": str, "--step": float, "--tol": float},
+        "corpus": {},
     }
-    assert set(cli._VALUED_OPTIONS) <= {s for options in surface.values()
-                                        for s in options}
+    assert {command: takes_file for command, (_, takes_file, _)
+            in cli.COMMANDS.items()} == {"validate": True, "verdict": True,
+                                         "rank": True, "jacobian": True,
+                                         "corpus": False}
+    assert [(command, name) for command, (_, _, options)
+            in cli.COMMANDS.items() for name, (_, default, _)
+            in options.items() if default is cli.REQUIRED] \
+        == [("rank", "--point"), ("jacobian", "--point")]
 
 
 def test_linalg_is_the_integer_kernel():
