@@ -84,9 +84,9 @@ COMMANDS = {
     "corpus": ("list the bundled example files", False, {}),
 }
 
-DESCRIPTION = ("Spectral type and wavelet admissibility of induced "
-               "representations of exponential solvable Lie groups, from "
-               "rational structure constants.")
+_DESCRIPTION = ("Spectral type and wavelet admissibility of induced "
+                "representations of exponential solvable Lie groups, from "
+                "rational structure constants.")
 
 _HELP = ("-h", "--help")
 # a word that starts with '-' but reads as a number is a positional word
@@ -97,7 +97,7 @@ def _usage(command=None) -> str:
     """The help text of ``command``, or of the program when it is None."""
     if command is None:
         return (f"usage: orbitadm [-h] {{{','.join(COMMANDS)}}} ...\n\n"
-                f"{DESCRIPTION}\n\ncommands:\n"
+                f"{_DESCRIPTION}\n\ncommands:\n"
                 + "".join(f"  {name:<10}{help_}\n"
                           for name, (help_, _, _) in COMMANDS.items()))
     help_, takes_file, options = COMMANDS[command]

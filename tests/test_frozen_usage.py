@@ -17,6 +17,7 @@ rewrites that fixture from the program as it stands.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -94,7 +95,7 @@ def test_usage_matches_frozen_fixture(name, frozen):
 
 
 if __name__ == "__main__":
-    cli.os.environ.pop(cli.SEED_ENV_VAR, None)
+    os.environ.pop(cli.SEED_ENV_VAR, None)
     FROZEN.write_text(json.dumps(
         {name: outcome(argv) for name, argv in CASES.items()},
         indent=1, sort_keys=True, ensure_ascii=False) + "\n")
