@@ -23,7 +23,7 @@ from orbitadm import symbolic_generic_rank
 
 for name in ("heisenberg_yz", "grelaud", "h5_y1y2", "diag_2d"):
     pf = parse(corpus_path(name).read_text())
-    D = build_datum(pf.algebra, pf.subalgebra_rows, pf.functional_vals)
+    D = build_datum(pf.algebra, pf.generator_terms, pf.functional_vals)
 
     print(f"== {name} (n = {D.n}, m = {D.m})")
     print("   the m x (n - m) block, as linear forms over the pencil's span:")

@@ -21,7 +21,7 @@ for entry in sorted(corpus_dir().iterdir()):
     if not entry.name.endswith(".alg"):
         continue
     pf = parse(entry.read_text())
-    rep = full_report(pf.algebra, pf.subalgebra_rows, pf.functional_vals,
+    rep = full_report(pf.algebra, pf.generator_terms, pf.functional_vals,
                       config)
     print(f"{entry.name[:-4]:<16}{pf.algebra.dim:>4}{pf.m:>3}"
           f"{rep.generic.d_tau:>6}   {rep.spectral:<22}"

@@ -31,9 +31,8 @@ _EXPORTS = {
     "algebra": "LieAlgebra Violation StructureReport DimensionMismatchError "
                "from_brackets validate structure_report DisagreementError "
                "SamplingMissError",
-    "pointwise": "bracket ad_matrix point_on_variety adapted_dual_coords "
-                 "StabilizerReport moment_matrix skew_form_matrix "
-                 "stabilizer_report",
+    "pointwise": "bracket ad_matrix point_on_variety StabilizerReport "
+                 "moment_matrix stabilizer_report",
     "monomial": "MonomialDatum RankDeficientError NotClosedError "
                 "NotACharacterError build_datum",
     "moment": "GenericRankResult rank_at generic_h_orbit_dim "
@@ -41,10 +40,9 @@ _EXPORTS = {
     "linalg": "WorkLimitError",
     "verdict": "FullReport AnalysisConfig InvalidAlgebraError "
                "StructuralPreconditionError full_report",
-    "geometry": "JacobianReport expm ad_exp coadjoint_apply "
-                "coadjoint_apply_factors phi_in_chart fd_jacobian "
+    "geometry": "JacobianReport expm coadjoint_apply_factors fd_jacobian "
                 "numerical_rank",
-    "problemfile": "ProblemFile ParseError parse serialize",
+    "problemfile": "ProblemFile ParseError parse",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names.split()}

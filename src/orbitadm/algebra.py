@@ -12,8 +12,8 @@ constants, not n^3, and their spans are fraction-free
 the j with a nonzero plane table[i][j], and a product [u, v] is formed only
 when it can meet one, every other product being exactly 0.  None of them
 changes under the scaling by D; every exact value that leaves this module
-(violation residuals, the ``nonzero`` constants) is scaled back to the
-basis Z_i, as are the brackets and adjoint matrices of ``pointwise``.
+(the violation residuals) is scaled back to the basis Z_i, as are the
+brackets and adjoint matrices of ``pointwise``.
 Exponentiality is decided exactly over Q on integer matrices: the quotient
 actions of the flag read their coordinates off ``linalg.residue``, under a
 positive scale that changes no check.  A triangular action is screened
@@ -128,20 +128,8 @@ class LieAlgebra(Record):
         return tuple(frozenset(j for j, pairs in enumerate(plane) if pairs)
                      for plane in self.table)
 
-    @property
-    def nonzero(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...],
-                               ...]:
-        """The constants themselves: nonzero[i][j] holds the (k, c) pairs
-        of [Z_i, Z_j] = sum c Z_k, c a nonzero Fraction, k rising."""
-        d = self.scale
-        return tuple(tuple(tuple((k, Fraction(q, d)) for k, q in pairs)
-                           for pairs in plane) for plane in self.table)
-
     def index_of(self, name: str) -> int:
         return self.basis_names.index(name)
-
-    def basis_vector(self, i: int) -> Vector:
-        return dense_vector([(i, Fraction(1))], self.dim)
 
     def vector(self, **coeffs) -> Vector:
         """Build a vector from named coefficients, e.g. L.vector(X=1, Y=-2)."""

@@ -38,7 +38,7 @@ from types import SimpleNamespace
 from .algebra import (DimensionMismatchError, DisagreementError,
                       SamplingMissError)
 from .monomial import NotACharacterError, NotClosedError, RankDeficientError
-from .problemfile import EXIT_OK, ParseError, _load, _UsageError
+from .problemfile import EXIT_OK, ParseError, _load, _printable, _UsageError
 from .report import render_json, render_problem_summary, render_text
 from .verdict import (AnalysisConfig, InvalidAlgebraError,
                       StructuralPreconditionError, check_problem, decide)
@@ -324,7 +324,8 @@ def main(argv=None, out=None, err=None) -> int:
         if command is None:  # rank and jacobian read one point
             from . import pointwise
             command = getattr(pointwise, "_cmd_" + args.command)
-        return command(args, out)
+        with _printable("the output"):
+            return command(args, out)
     except (_UsageError, SamplingMissError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INVALID

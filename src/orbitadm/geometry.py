@@ -6,7 +6,7 @@ Ad(s) is the corresponding product of matrix exponentials exp(t_k ad B_k),
 and the coadjoint action is l -> l o Ad(s^-1).  On top of that this module
 realizes the chart form of the action map,
 
-    phi~(t, x) = adapted dual coordinates of (s_t . l_x),   l_x in A_tau,
+    phi~(t, x) = the values of s_t . l_x on the adapted basis,   l_x in A_tau,
 
 and checks by central differences that its Jacobian at (0, x) has the block
 shape [[M(l), 0], [*, I]] — rows split m / n-m, columns split n / n-m — so
@@ -28,7 +28,8 @@ from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from .algebra import DimensionMismatchError, LieAlgebra
+from .algebra import LieAlgebra
+from .linalg import matmul
 from .moment import rank_at
 from .monomial import MonomialDatum
 from .pointwise import ad_matrix, moment_matrix, point_on_variety
@@ -55,11 +56,6 @@ def _norm1(A) -> float:
     return max((sum(map(abs, column)) for column in zip(*A)), default=0.0)
 
 
-def _matmul(A, B) -> Matrix:
-    columns = list(zip(*B))
-    return [[sum(map(mul, row, column)) for column in columns] for row in A]
-
-
 def expm(A) -> Matrix:
     """Matrix exponential: scaling and squaring around a Taylor core.
 
@@ -78,14 +74,14 @@ def expm(A) -> Matrix:
     result = [[float(i == j) for j in range(n)] for i in range(n)]
     term = result
     for k in range(1, 40):
-        term = [[x / k for x in row] for row in _matmul(term, A)]
+        term = [[x / k for x in row] for row in matmul(term, A)]
         result = [[r + x for r, x in zip(rrow, trow)]
                   for rrow, trow in zip(result, term)]
         if max((abs(x) for row in term for x in row),
                default=0.0) < _SERIES_TOL:
             break
     for _ in range(squarings):
-        result = _matmul(result, result)
+        result = matmul(result, result)
     return result
 
 
@@ -123,11 +119,6 @@ def _exp_action(A):
     return act
 
 
-def ad_exp(L: LieAlgebra, Z, t: float) -> Matrix:
-    """exp(t ad Z) as an n x n floating matrix."""
-    return expm([[t * a for a in row] for row in ad_float(L, Z)])
-
-
 def _coadjoint_apply_acts(factors, l) -> list[float]:
     """coadjoint_apply_factors, given the pairs (``_exp_action`` of ad Z_k,
     t_k)."""
@@ -148,36 +139,12 @@ def coadjoint_apply_factors(L: LieAlgebra, factors, l) -> list[float]:
         [(_exp_action(ad_float(L, Z)), t) for Z, t in factors], l)
 
 
-def coadjoint_apply(L: LieAlgebra, t, l) -> list[float]:
-    """Coadjoint action of s = exp(t_1 Z_1) ... exp(t_n Z_n), original basis."""
-    if len(t) != L.dim:
-        raise DimensionMismatchError(
-            f"group coordinates need {L.dim} values, got {len(t)}")
-    factors = [(L.basis_vector(k), t[k]) for k in range(L.dim)]
-    return coadjoint_apply_factors(L, factors, l)
-
-
-def phi_in_chart(D: MonomialDatum, t, x) -> list[float]:
-    """The action map in chart coordinates.
-
-    t holds n exp-coordinates over the ADAPTED basis (Y's first, then the
-    completion), x the n-m chart coordinates of a point of A_tau.  Output is
-    the value of s_t . l_x on the adapted basis: first m entries on the Y_j,
-    last n-m on the X_r.  At t = 0 this returns (f, x) up to roundoff.
-    """
-    n, m = D.n, D.m
-    if len(t) != n:
-        raise DimensionMismatchError(
-            f"group coordinates need {n} values, got {len(t)}")
-    if len(x) != n - m:
-        raise DimensionMismatchError(
-            f"chart point needs {n - m} values, got {len(x)}")
-    return _chart_action(D)(t, x)
-
-
 def _chart_action(D: MonomialDatum):
     """phi~(t, x), with the adapted basis and its ad-matrices floated once
-    and l_x computed once per distinct x."""
+    and l_x computed once per distinct x.  t holds n exp-coordinates over
+    the adapted basis (the Y_j, then the X_r), x the n - m chart
+    coordinates of l_x; the value is s_t . l_x on the adapted basis, so at
+    t = 0 it is (f, x) up to roundoff."""
     acts = [_exp_action(ad_float(D.algebra, row)) for row in D.adapted_rows]
     adapted = [[(j, float(a)) for j, a in enumerate(row) if a]
                for row in D.adapted_rows]

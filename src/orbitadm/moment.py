@@ -30,11 +30,11 @@ close (the pencil's non-commutative rank exceeds d_tau, as for generic
 skew pencils), fraction-free elimination over the polynomial ring on a
 basis of the pencil's span certifies the rank in any dimension within a
 work limit; that elimination, its polynomials and the pencil's entries in
-them (``poly``) are imported only when it runs.  A proof that contradicts the sample raises DisagreementError; a sample
-below the elimination's rank raises SamplingMissError.  The induced
-representation behaves qualitatively differently according to whether
-d_tau reaches m — whether H acts freely somewhere on A_tau — which is all
-the verdict layer reads.
+them (``poly``) are imported only when it runs.  A proof that contradicts
+the sample raises DisagreementError; a sample below the elimination's
+rank raises SamplingMissError.  The induced representation behaves
+qualitatively differently according to whether d_tau reaches m — whether
+H acts freely somewhere on A_tau — which is all the verdict layer reads.
 """
 
 from __future__ import annotations

@@ -17,18 +17,16 @@ formed only for the chart the datum keeps.  The pencil is accumulated in
 its nonzero cells (v, r) alone, and the completing rows e_k are written
 directly.  The datum keeps f_vals, the chart, the pencil, the nonzero
 entries of the generators and the completing k; the dense adapted basis,
-which only ``jacobian`` and ``pointwise.adapted_dual_coords`` read, is
-built from them on first read.  ``pointwise.point_on_variety`` reads the
-chart at a point.  A generator is given as its {k: coefficient} terms, as
-``problemfile.parse`` keeps it, or as a dense row, and both go through one
-normalisation to their nonzero terms.
-Integer generators stay ints, and a value of f with denominator 1 enters
-the graph of f as an int, so on an integer problem no ``Fraction``
+which only ``jacobian`` reads, is built from them on first read.
+``pointwise.point_on_variety`` reads the chart at a point.  A generator is
+given as its {k: coefficient} terms, as ``problemfile.parse`` keeps it, or
+as a dense row, and both go through one normalisation to their nonzero
+terms.  Integer generators stay ints, and a value of f with denominator 1
+enters the graph of f as an int, so on an integer problem no ``Fraction``
 reaches an elimination; rational generators are cleared to one common
-denominator once.  Every
-bracket of two generators, or of a generator and a completing vector, is
-formed in the integer table; a pair of generators whose product is
-exactly 0 is not formed (``algebra._products``).
+denominator once.  Every bracket of two generators, or of a generator and a
+completing vector, is formed in the integer table; a pair of generators
+whose product is exactly 0 is not formed (``algebra._products``).
 """
 
 from __future__ import annotations

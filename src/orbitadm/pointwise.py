@@ -3,12 +3,11 @@
 ``rank`` and ``jacobian`` read a single point l_x of A_tau, given by its
 chart coordinates x (``parse_rational_list`` reads ``--point``).  This
 module holds what they run and ``verdict`` never does: the point
-itself (``point_on_variety``) and its adapted coordinates, the moment
-matrix and the stabilizers there, the two commands and their text
-reports.  It also holds the exact ``bracket`` and ``ad_matrix`` of the
-algebra, which only library callers and ``geometry`` use.  ``cli``
-imports it for those two commands alone, so a cold ``verdict`` never
-compiles it.
+itself (``point_on_variety``), the moment matrix and the stabilizers
+there, the two commands and their text reports.  It also holds the
+exact ``bracket`` and ``ad_matrix`` of the algebra, which only library
+callers and ``geometry`` use.  ``cli`` imports it for those two commands
+alone, so a cold ``verdict`` never compiles it.
 
 Every reader works in integers.  The stabilizer report reads the moment
 block at x from ``moment._block_at`` and the skew form B(l) from the
@@ -20,7 +19,6 @@ arguments the same way (``_cleared``) and scale back once per entry.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import inf, lcm
 from typing import TYPE_CHECKING
@@ -29,16 +27,14 @@ from .algebra import DimensionMismatchError, LieAlgebra, _product, dense_vector
 from .linalg import integer_kernel
 from .moment import _block_at
 from .monomial import MonomialDatum, build_datum
-from .problemfile import (_RATIONAL, EXIT_OK, _load, _rational, _Refusal,
-                          _UsageError)
+from .problemfile import (_RATIONAL_RE, EXIT_OK, _load, _printable,
+                          _rational, _Refusal, _UsageError)
 from .report import _combo_strings, _text
 
 if TYPE_CHECKING:  # only `jacobian` loads geometry
     from .geometry import JacobianReport
 
 Vector = tuple[Fraction, ...]
-
-_RATIONAL_RE = re.compile(_RATIONAL)
 
 
 def _cleared(u) -> tuple[dict[int, int], int]:
@@ -94,15 +90,6 @@ def point_on_variety(D: MonomialDatum, x) -> Vector:
                  for pairs in D.chart)
 
 
-def adapted_dual_coords(D: MonomialDatum, l) -> Vector:
-    """Values of l on the adapted basis: (l(Y_1)..l(Y_m), l(X_1)..l(X_{n-m}))."""
-    if len(l) != D.n:
-        raise DimensionMismatchError(
-            f"functional needs {D.n} coordinates, got {len(l)}")
-    return tuple(sum((x * y for x, y in zip(row, l) if x and y), Fraction(0))
-                 for row in D.adapted_rows)
-
-
 def moment_matrix(D: MonomialDatum, x) -> tuple[Vector, ...]:
     """The exact m x n moment matrix M(l_x) at chart point x: the integer
     block divided back by q * denominator."""
@@ -143,14 +130,6 @@ def _skew_rows(L: LieAlgebra, l) -> tuple[list[dict[int, int]], int]:
                 row[j] = s
         rows.append(row)
     return rows, d * L.scale
-
-
-def skew_form_matrix(D: MonomialDatum, l) -> list[list[Fraction]]:
-    """B(l)[i][j] = l([Z_i, Z_j]) over the original basis; skew-symmetric."""
-    rows, e = _skew_rows(D.algebra, l)
-    zero = Fraction(0)
-    return [[Fraction(row[j], e) if j in row else zero for j in range(D.n)]
-            for row in rows]
 
 
 def stabilizer_report(D: MonomialDatum, x) -> StabilizerReport:
@@ -248,11 +227,8 @@ def _datum_and_point(args):
 def _cmd_rank(args, out) -> int:
     datum, x = _datum_and_point(args)
     sr = stabilizer_report(datum, x)
-    try:
+    with _printable("the report at this --point"):
         text = render_stabilizer_text(sr, datum.algebra.basis_names)
-    except ValueError:  # Python's cap on the digits of an int as text
-        raise _UsageError("a number in the report at this --point has too "
-                          "many digits to print")
     out.write(text)
     return EXIT_OK
 

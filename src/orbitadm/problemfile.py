@@ -1,4 +1,4 @@
-"""Line-oriented problem-file format: parse, validate positions, serialize.
+"""Line-oriented problem-file format: parse it, with positioned errors.
 
     algebra NAME
     dim INT
@@ -22,21 +22,19 @@ Bracket lines fill the constants by basis index, the antisymmetric entry
 with them, for ``from_constants``; an integral coefficient stays an
 ``int``, so an integral table is built with no ``Fraction``.  Each
 generator is kept as its {basis index: coefficient} term sum, which
-``build_datum`` reads as it is; the dense rows that ``serialize`` and the
-``validate`` summary read are built from them on first read.
+``build_datum`` reads as it is and the ``validate`` summary prints.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 
-from .algebra import (LieAlgebra, Record, dense_vector, format_combo,
-                      from_constants)
+from .algebra import LieAlgebra, Record, from_constants
 
 Vector = tuple[Fraction, ...]
-# the generators as dense rows, and as {basis index: coefficient} term sums
-Rows = tuple[tuple[int | Fraction, ...], ...]
+# the generators as {basis index: coefficient} term sums
 Terms = tuple[dict[int, int | Fraction], ...]
 
 
@@ -78,38 +76,20 @@ CONFIG_KEYS = frozenset({"seed", "trials", "bound"})
 
 class ProblemFile(Record):
     """A parsed problem.  generator_terms holds the generators as
-    {basis index: coefficient} term sums, as ``parse`` read them, and is
-    what ``build_datum`` is given; subalgebra_rows holds them as dense rows
-    of ints and Fractions.  Either may be given: terms given alone have
-    their dense rows built on first read, and dense rows given alone give
-    the terms.  Equality reads the dense rows, not the terms."""
+    {basis index: coefficient} term sums, as ``parse`` read them (a term
+    that cancels stays, as 0), and is what ``build_datum`` is given."""
 
-    __slots__ = ("name", "algebra", "_rows", "functional_vals", "config",
-                 "generator_terms")
-    _compared = ("name", "algebra", "subalgebra_rows", "functional_vals",
-                 "config")
+    __slots__ = _compared = ("name", "algebra", "generator_terms",
+                             "functional_vals", "config")
 
     def __init__(self, name: str, algebra: LieAlgebra,
-                 subalgebra_rows: Rows | None, functional_vals: Vector,
-                 config: dict | None = None,
-                 generator_terms: Terms | None = None):
+                 generator_terms: Terms, functional_vals: Vector,
+                 config: dict | None = None):
         self.name = name
         self.algebra = algebra
-        self._rows = subalgebra_rows
+        self.generator_terms = generator_terms
         self.functional_vals = functional_vals
         self.config = {} if config is None else config
-        if generator_terms is None:
-            generator_terms = tuple({k: x for k, x in enumerate(row) if x}
-                                    for row in subalgebra_rows)
-        self.generator_terms = generator_terms
-
-    @property
-    def subalgebra_rows(self) -> Rows:
-        if self._rows is None:
-            n = self.algebra.dim
-            self._rows = tuple(dense_vector(terms.items(), n)
-                               for terms in self.generator_terms)
-        return self._rows
 
     @property
     def m(self) -> int:
@@ -268,6 +248,19 @@ class _UsageError(Exception):
     exits 1."""
 
 
+@contextmanager
+def _printable(what: str):
+    """Python's refusal to write an int of over 4,300 digits as text, met
+    in a report or a refusal of an accepted file, as a _UsageError."""
+    try:
+        yield
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise _UsageError(f"a number in {what} has too many digits to "
+                          "print") from None
+
+
 def _load(path: str) -> ProblemFile:
     """The problem file at ``path``, read, decoded and parsed."""
     from pathlib import Path  # the library reads no files
@@ -406,26 +399,6 @@ def parse(source: str) -> ProblemFile:
                                          exc.offset), exc.message) from None
 
     algebra = from_constants(name, tuple(names), constants)
-    return ProblemFile(name=name, algebra=algebra, subalgebra_rows=None,
-                       functional_vals=f_vals, config=config,
-                       generator_terms=sub_terms)
+    return ProblemFile(name=name, algebra=algebra, generator_terms=sub_terms,
+                       functional_vals=f_vals, config=config)
 
-
-def serialize(pf: ProblemFile) -> str:
-    """Canonical text form; parse(serialize(pf)) == pf."""
-    L = pf.algebra
-    names = L.basis_names
-    out = [f"algebra {pf.name}", f"dim {L.dim}", "basis " + " ".join(names)]
-    for i, plane in enumerate(L.nonzero):
-        for j in range(i + 1, L.dim):
-            if plane[j]:
-                combo = format_combo(plane[j], names)
-                out.append(f"bracket {names[i]} {names[j]} = {combo}")
-    if pf.subalgebra_rows:
-        gens = "; ".join(format_combo(enumerate(row), names)
-                         for row in pf.subalgebra_rows)
-        out.append(f"subalgebra {gens}")
-        out.append("functional " + ", ".join(map(str, pf.functional_vals)))
-    for key in sorted(pf.config):
-        out.append(f"config {key} {pf.config[key]}")
-    return "\n".join(out) + "\n"

@@ -115,7 +115,8 @@ def render_problem_summary(pf: ProblemFile,
         "algebra": pf.name,
         "dim": L.dim,
         "basis": " ".join(L.basis_names),
-        "generators": _combo_strings(pf.subalgebra_rows, L.basis_names),
+        "generators": [format_combo(sorted(terms.items()), L.basis_names)
+                       for terms in pf.generator_terms],
         "functional": [str(v) for v in pf.functional_vals],
         "is_solvable": structure.is_solvable,
         "is_nilpotent": structure.is_nilpotent,

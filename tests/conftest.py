@@ -69,7 +69,38 @@ def load_problem(name: str) -> oa.ProblemFile:
 
 def load_datum(name: str) -> oa.MonomialDatum:
     pf = load_problem(name)
-    return oa.build_datum(pf.algebra, pf.subalgebra_rows, pf.functional_vals)
+    return oa.build_datum(pf.algebra, pf.generator_terms, pf.functional_vals)
+
+
+_BENCH = load_bench_families()
+
+
+def text_terms(generators) -> tuple:
+    """The {index: coefficient} terms that ``parse`` reads back from the
+    generators as ``problem_text_of`` writes them: the nonzero coordinates
+    of each dense row or term dict, and {0: 0} for a zero generator, which
+    is written as 0 times the first basis name."""
+    return tuple({k: x for k, x in (g.items() if isinstance(g, dict)
+                                    else enumerate(g)) if x} or {0: 0}
+                 for g in generators)
+
+
+def problem_text_of(name: str, L: oa.LieAlgebra, generators, functional,
+                    config=None) -> str:
+    """The problem file of (L, h, f) as the benchmark's ``problem_text``
+    writes it, from the nonzero planes [Z_i, Z_j], i < j, of L's table
+    and the ``text_terms`` of the generators, then a line per config key,
+    sorted."""
+    names = L.basis_names
+    brackets = {(names[i], names[j]): {names[k]: Fraction(q, L.scale)
+                                       for k, q in plane[j]}
+                for i, plane in enumerate(L.table)
+                for j in range(i + 1, L.dim) if plane[j]}
+    gens = [{names[k]: x for k, x in terms.items()}
+            for terms in text_terms(generators)]
+    text = _BENCH.problem_text(name, names, brackets, gens, functional)
+    return text + "".join(f"config {key} {value}\n"
+                          for key, value in sorted((config or {}).items()))
 
 
 @pytest.fixture(scope="session")
@@ -183,8 +214,9 @@ def algebra_from_table(name: str, names, c) -> oa.LieAlgebra:
 
 def dense_table(L: oa.LieAlgebra) -> tuple:
     """The dense table c[i][j][k] of L: [Z_i, Z_j] = sum_k c[i][j][k] Z_k."""
-    return tuple(tuple(dense_vector(pairs, L.dim) for pairs in plane)
-                 for plane in L.nonzero)
+    return tuple(tuple(dense_vector(((k, Fraction(q, L.scale))
+                                     for k, q in pairs), L.dim)
+                       for pairs in plane) for plane in L.table)
 
 
 def transform_algebra(L: oa.LieAlgebra, Q) -> oa.LieAlgebra:
@@ -245,8 +277,8 @@ small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 @st.composite
 def problem_texts(draw):
     """A problem file over a Lie algebra in a random rational basis, and its
-    text: serialized, or with a `bracket X Y = 0 * Z` line for a pair whose
-    bracket is zero."""
+    text: by ``problem_text_of``, with or without a `bracket X Y = 0 * Z`
+    line for a pair whose bracket is zero."""
     L = draw(st.sampled_from(ROUNDTRIP_ALGEBRAS))
     seed = draw(st.integers(0, 10 ** 6))
     L = transform_algebra(L, random_invertible(random.Random(seed), L.dim))
@@ -257,12 +289,14 @@ def problem_texts(draw):
     config = {}
     for key in draw(st.sets(st.sampled_from(sorted(CONFIG_KEYS)))):
         config[key] = draw(st.integers(-5, 500))
-    pf = oa.ProblemFile(name=L.name, algebra=L, subalgebra_rows=rows,
+    pf = oa.ProblemFile(name=L.name, algebra=L,
+                        generator_terms=text_terms(rows),
                         functional_vals=vals, config=config)
-    lines = oa.serialize(pf).splitlines(keepends=True)
+    lines = problem_text_of(L.name, L, rows, vals,
+                            config).splitlines(keepends=True)
     names = L.basis_names
     zero_pairs = [(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)
-                  if not L.nonzero[i][j]]
+                  if not L.table[i][j]]
     if zero_pairs and draw(st.booleans()):
         i, j = draw(st.sampled_from(zero_pairs))
         k = draw(st.integers(0, L.dim - 1))

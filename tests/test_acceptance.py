@@ -13,7 +13,7 @@ from conftest import (CORPUS_NAMES, FREE_NAMES, ORACLES, load_datum,
                       load_problem, moment_reference, random_dyadic,
                       random_dyadic_vector, random_invertible, random_vector,
                       run_cli, transform_algebra)
-from exact import dot, invert, rank
+from exact import dense_rows, dot, invert, mat_vec, rank
 from orbitadm.cli import corpus_path
 from orbitadm.geometry import coadjoint_apply_factors
 
@@ -22,7 +22,7 @@ CONFIG = oa.AnalysisConfig(trials=20, bound=10 ** 6, seed=0)
 
 def full(name: str) -> oa.FullReport:
     pf = load_problem(name)
-    return oa.full_report(pf.algebra, pf.subalgebra_rows, pf.functional_vals,
+    return oa.full_report(pf.algebra, pf.generator_terms, pf.functional_vals,
                           CONFIG)
 
 
@@ -155,13 +155,13 @@ def test_criterion_5_invariant_suites():
             Qinv = invert(Q)
             L2 = transform_algebra(L, Q)
             rows2 = [tuple(dot(r, col) for col in zip(*Qinv))
-                     for r in pf.subalgebra_rows]
+                     for r in dense_rows(pf.generator_terms, L.dim)]
             D2 = oa.build_datum(L2, rows2, pf.functional_vals)
             for _ in range(20):
                 x = random_vector(rng, D0.n - D0.m, num_bound=30)
                 l = oa.point_on_variety(D0, x)
                 l2 = tuple(dot(l, Q[i]) for i in range(L.dim))
-                x2 = oa.adapted_dual_coords(D2, l2)[D2.m:]
+                x2 = mat_vec(D2.adapted_rows, l2)[D2.m:]
                 assert oa.rank_at(D0, x) == oa.rank_at(D2, x2)
     print("ACCEPTANCE 5 (invariant suites): PASS")
 

@@ -12,8 +12,8 @@ from orbitadm import algebra
 
 from conftest import (CORPUS_NAMES, algebra_from_table, dense_table,
                       load_problem, make_abelian, make_axb, make_h3,
-                      make_motion, make_sl2, random_invertible, random_vector,
-                      transform_algebra)
+                      make_motion, make_sl2, problem_text_of,
+                      random_invertible, random_vector, transform_algebra)
 from exact import dot, invert
 from test_moment import CHANGED_BASIS, _in_random_basis
 
@@ -124,7 +124,10 @@ class TestBracket:
 def triple_loop_validate(L):
     """``validate`` as it was written first: antisymmetry over the pairs
     i <= j, then the cyclic sum of every triple i < j < k in turn."""
-    n, nz = L.dim, L.nonzero
+    n = L.dim
+    # the constants themselves: (k, c) pairs of [Z_i, Z_j] = sum c Z_k
+    nz = [[tuple((k, Fraction(q, L.scale)) for k, q in pairs)
+           for pairs in plane] for plane in L.table]
     out = []
     for i in range(n):
         for j in range(i, n):
@@ -357,8 +360,8 @@ class TestRationalTables:
         for _ in range(10):
             u, v = random_vector(rng, n), random_vector(rng, n)
             assert oa.bracket(L, u, v) == _plain_bracket(c, u, v)
-            columns = [_plain_bracket(c, u, L.basis_vector(j))
-                       for j in range(n)]
+            columns = [_plain_bracket(c, u, L.vector(**{name: 1}))
+                       for name in L.basis_names]
             assert oa.ad_matrix(L, u) == [list(row) for row in zip(*columns)]
             assert table_trace(L, u) == sum(
                 (columns[k][k] for k in range(n)), Fraction(0))
@@ -377,7 +380,8 @@ class TestRationalTables:
         c[x, y], c[y, x] = {z: Fraction(5, 6)}, {z: Fraction(-5, 6)}
         self._assert_readers_match(L, c, random.Random(6))
         assert ad_trace(L, L.vector(A=1)) == Fraction(7, 3)
-        assert oa.parse(oa.serialize(pf)) == pf
+        assert oa.parse(problem_text_of(pf.name, L, pf.generator_terms,
+                                        pf.functional_vals, pf.config)) == pf
 
     @pytest.mark.parametrize("problem", SMALL_CHANGED_BASIS,
                              ids=[p.name for p in SMALL_CHANGED_BASIS])
@@ -402,9 +406,11 @@ class TestRationalTables:
             for i in range(L.dim))
         self._assert_readers_match(L, c, random.Random(problem.n))
         pf = oa.ProblemFile(name=L.name, algebra=L,
-                            subalgebra_rows=D.generators,
+                            generator_terms=tuple(map(dict,
+                                                      D.generator_terms)),
                             functional_vals=D.f_vals)
-        assert oa.parse(oa.serialize(pf)) == pf
+        assert oa.parse(problem_text_of(L.name, L, D.generators,
+                                        D.f_vals)) == pf
 
 
 class TestFromBrackets:

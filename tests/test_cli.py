@@ -555,7 +555,7 @@ class TestRank:
         # 5/18 and 7/6); at both frozen points the moment matrix is exact
         pf = oa.parse((FIXTURES / "rational_scales.alg").read_text())
         assert oa.validate(pf.algebra) == []
-        D = oa.build_datum(pf.algebra, pf.subalgebra_rows, pf.functional_vals)
+        D = oa.build_datum(pf.algebra, pf.generator_terms, pf.functional_vals)
         entries = [c for coefficient in D.pencil for pairs in coefficient
                    for _, c in pairs]
         assert all(type(c) is int for c in entries)
@@ -636,6 +636,36 @@ class TestRank:
         assert run_cli("rank", str(path), "--point", "-1/2") == (
             1, "", "error: a number in the report at this --point has too "
                    "many digits to print\n")
+
+
+# N has 4,300 digits, as many as Python reads as an int; each file below
+# parses, but its report or refusal holds a number of more digits than
+# Python writes as text
+N = "9" * 4300
+TOO_LONG_TO_PRINT = {
+    # a Jacobi residual of about N^2
+    "jacobi": f"bracket X Y = {N} * Y\nbracket Y Z = {N} * X\n",
+    # [N X, N Y] = N^2 Z leaves h
+    "not_closed": f"bracket X Y = Z\nsubalgebra {N} * X; {N} * Y\n",
+    # f([X, Y]) = f(2 Z) = 2N
+    "not_a_character": f"bracket X Y = 2 * Z\nsubalgebra X; Y; Z\n"
+                       f"functional 0, 0, {N}\n",
+    # the generator 2N Z, printed by the summary and the report
+    "generator": f"bracket X Y = Z\nsubalgebra {N} * Z + {N} * Z\n",
+}
+
+
+@pytest.mark.parametrize("command", [("validate",), ("verdict",),
+                                     ("verdict", "--json")],
+                         ids=" ".join)
+@pytest.mark.parametrize("case", list(TOO_LONG_TO_PRINT))
+def test_a_number_too_long_to_print_is_refused(case, command, tmp_path):
+    path = tmp_path / f"{case}.alg"
+    path.write_text("algebra g\ndim 3\nbasis X Y Z\n"
+                    + TOO_LONG_TO_PRINT[case])
+    assert run_cli(*command, str(path)) == (
+        1, "", "error: a number in the output has too many digits to "
+               "print\n")
 
 
 class TestJacobian:

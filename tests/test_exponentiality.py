@@ -31,8 +31,8 @@ from orbitadm.algebra import _quotient_failure, _real_spectrum
 from orbitadm.geometry import ad_float
 
 from conftest import (CORPUS_NAMES, load_bench_families, load_problem,
-                      make_motion, make_skew3, random_invertible,
-                      transform_algebra)
+                      make_motion, make_skew3, problem_text_of,
+                      random_invertible, transform_algebra)
 from exact import invert, mat_vec, matmul, rank, rref
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -577,12 +577,9 @@ def test_importing_orbitadm_loads_no_submodule():
 def test_the_bareiss_fallback_loads_poly(tmp_path):
     # no certificate closes on the skew pencil, so Bareiss decides d_tau
     L = make_skew3()
-    pf = oa.ProblemFile(name=L.name, algebra=L,
-                        subalgebra_rows=tuple(L.vector(**{f"Y{i}": 1})
-                                              for i in range(3)),
-                        functional_vals=(Fraction(0),) * 3)
     path = tmp_path / "skew3.alg"
-    path.write_text(oa.serialize(pf))
+    path.write_text(problem_text_of(L.name, L, [{i: 1} for i in range(3)],
+                                    [0] * 3))
     proc = _probe(("verdict", str(path)))
     assert proc.returncode == 0, proc.stderr
     assert _loaded(proc) == ["orbitadm.moment", "orbitadm.poly"]

@@ -5,6 +5,8 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,40 @@ def test_star_import_resolves_every_name():
     assert set(orbitadm.__all__) <= namespace.keys()
     for name in orbitadm.__all__:
         assert namespace[name] is getattr(orbitadm, name)
+
+
+def test_package_surface_is_pinned():
+    # what the commands, the README's Library block, the demos and the
+    # benchmark use; a name that only tests call must not creep back in
+    assert set(orbitadm.__all__) == {
+        "LieAlgebra", "Violation", "StructureReport",
+        "DimensionMismatchError", "from_brackets", "validate",
+        "structure_report", "DisagreementError", "SamplingMissError",
+        "bracket", "ad_matrix", "point_on_variety", "StabilizerReport",
+        "moment_matrix", "stabilizer_report",
+        "MonomialDatum", "RankDeficientError", "NotClosedError",
+        "NotACharacterError", "build_datum",
+        "GenericRankResult", "rank_at", "generic_h_orbit_dim",
+        "rank_certificate", "symbolic_generic_rank",
+        "WorkLimitError",
+        "FullReport", "AnalysisConfig", "InvalidAlgebraError",
+        "StructuralPreconditionError", "full_report",
+        "JacobianReport", "expm", "coadjoint_apply_factors", "fd_jacobian",
+        "numerical_rank",
+        "ProblemFile", "ParseError", "parse",
+        "__version__",
+    }
+
+
+def test_readme_library_block_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme[readme.index("\n## Library\n"):]
+    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    rep = namespace["rep"]
+    assert (rep.generic.d_tau, rep.spectral, rep.admissibility) == (
+        1, "Singular", "NotAdmissible")
 
 
 def test_the_exporting_modules_are_checked():

@@ -25,9 +25,9 @@ import pytest
 import orbitadm as oa
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from conftest import (load_bench_families, random_invertible,  # noqa: E402
-                      run_cli, transform_algebra)
-from exact import dot, invert  # noqa: E402
+from conftest import (load_bench_families, problem_text_of,  # noqa: E402
+                      random_invertible, run_cli, transform_algebra)
+from exact import dense_rows, dot, invert  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FROZEN = FIXTURES / "exponentiality_reasons.json"
@@ -44,12 +44,10 @@ def _in_random_basis(text: str, seed: int) -> str:
     pf = oa.parse(text)
     Q = random_invertible(random.Random(seed), pf.algebra.dim)
     Qinv = invert(Q)
-    rows = tuple(tuple(dot(r, col) for col in zip(*Qinv))
-                 for r in pf.subalgebra_rows)
-    return oa.serialize(oa.ProblemFile(
-        name=pf.name, algebra=transform_algebra(pf.algebra, Q),
-        subalgebra_rows=rows, functional_vals=pf.functional_vals,
-        config={}))
+    rows = [[dot(r, col) for col in zip(*Qinv)]
+            for r in dense_rows(pf.generator_terms, pf.algebra.dim)]
+    return problem_text_of(pf.name, transform_algebra(pf.algebra, Q), rows,
+                           pf.functional_vals)
 
 
 def cases() -> dict[str, str]:

@@ -45,64 +45,26 @@ class TestExpm:
         assert np.allclose(geometry.expm(A), half @ half, atol=1e-12)
 
 
-class TestAdExp:
-    def test_h3_unipotent(self, h3):
-        got = geometry.ad_exp(h3, h3.vector(X=1), 2.0)
-        # exp(2 ad X): Y-column becomes Y + 2Z
-        expect = np.eye(3)
-        expect[2, 1] = 2.0
-        assert np.allclose(got, expect, atol=1e-14)
-
-    def test_axb_scales_x(self, axb):
-        got = np.asarray(geometry.ad_exp(axb, axb.vector(A=1), 1.0))
-        assert abs(got[1, 1] - math.e) < 1e-13
-        assert abs(got[0, 0] - 1.0) < 1e-15
-
-    def test_zero_time(self, h3):
-        assert np.allclose(geometry.ad_exp(h3, h3.vector(Y=1), 0.0),
-                           np.eye(3), atol=1e-16)
-
-    def test_derivative_at_zero_first_order_decay(self):
-        # ((exp(h ad u) - I)/h - ad u) has leading term (h/2)(ad u)^2, so
-        # shrinking h tenfold shrinks the error about tenfold.
-        cases = []
-        for L in (make_axb(), load_problem("diag_2d").algebra,
-                  load_problem("grelaud").algebra):
-            cases.append((L, L.vector(A=1)))
-        for L, u in cases:
-            ad = np.array([[float(x) for x in row]
-                           for row in oa.ad_matrix(L, u)])
-            assert np.abs(ad @ ad).max() > 0  # second-order term present
-            errs = []
-            for h in (1e-3, 1e-4):
-                diff = (geometry.ad_exp(L, u, h) - np.eye(L.dim)) / h
-                errs.append(np.abs(diff - ad).max())
-            ratio = errs[0] / errs[1]
-            assert 8 <= ratio <= 12
-
-    def test_derivative_exact_for_square_zero(self, h3):
-        # (ad X)^2 = 0 in h3: the series stops and the quotient is exact
-        ad = np.array([[float(x) for x in row]
-                       for row in oa.ad_matrix(h3, h3.vector(X=1))])
-        diff = (geometry.ad_exp(h3, h3.vector(X=1), 1e-3) - np.eye(3)) / 1e-3
-        assert np.abs(diff - ad).max() < 1e-12
-
-
 class TestCoadjointApply:
     def test_axb_closed_form(self, axb):
-        out = oa.coadjoint_apply(axb, (1.0, 0.0), (0.0, 1.0))
+        # s = exp(A)
+        out = oa.coadjoint_apply_factors(axb, [(axb.vector(A=1), 1.0)],
+                                         (0.0, 1.0))
         assert abs(out[0]) < 1e-15
         assert abs(out[1] - math.exp(-1)) < 1e-14
 
     def test_h3_translation(self, h3):
-        out = oa.coadjoint_apply(h3, (2.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        # s = exp(2X)
+        out = oa.coadjoint_apply_factors(h3, [(h3.vector(X=1), 2.0)],
+                                         (0.0, 0.0, 1.0))
         assert np.allclose(out, [0.0, -2.0, 1.0], atol=1e-13)
 
     def test_identity_fixes_everything(self, h3):
         rng = random.Random(60)
         for _ in range(10):
             l = [float(random_dyadic(rng)) for _ in range(3)]
-            out = oa.coadjoint_apply(h3, (0.0, 0.0, 0.0), l)
+            out = oa.coadjoint_apply_factors(
+                h3, [(h3.vector(**{name: 1}), 0.0) for name in "XYZ"], l)
             assert np.allclose(out, l, atol=0)
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -113,7 +75,8 @@ class TestCoadjointApply:
             t = [float(random_dyadic(rng, scale=16, span=16))
                  for _ in range(L.dim)]
             l = [float(random_dyadic(rng)) for _ in range(L.dim)]
-            factors = [(L.basis_vector(k), t[k]) for k in range(L.dim)]
+            factors = [(L.vector(**{basis: 1}), tk)
+                       for basis, tk in zip(L.basis_names, t)]
             inverse_factors = [(Z, -tk) for Z, tk in reversed(factors)]
             there = geometry.coadjoint_apply_factors(L, factors, l)
             back = geometry.coadjoint_apply_factors(L, inverse_factors, there)
@@ -125,29 +88,22 @@ class TestPhiInChart:
         rng = random.Random(2)
         for D in corpus_data.values():
             x = [float(random_dyadic(rng)) for _ in range(D.n - D.m)]
-            out = oa.phi_in_chart(D, [0.0] * D.n, x)
+            out = geometry._chart_action(D)([0.0] * D.n, x)
             expect = [float(v) for v in D.f_vals] + x
             assert np.abs(out - np.array(expect)).max() < 1e-12
 
     def test_axb_first_coordinate_decays(self, axb):
         D = oa.build_datum(axb, [axb.vector(X=1)], [1])
         # adapted order (X, A); t = (0, 1) is s = exp(A)
-        out = oa.phi_in_chart(D, (0.0, 1.0), (0.0,))
+        out = geometry._chart_action(D)((0.0, 1.0), (0.0,))
         assert abs(out[0] - math.exp(-1)) < 1e-13
 
     def test_h3_moves_f_value_linearly(self, h3):
         D = oa.build_datum(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
         # adapted order (Y, Z, X); t = (0, 0, 2) is s = exp(2X)
-        out = oa.phi_in_chart(D, (0.0, 0.0, 2.0), (0.0,))
+        out = geometry._chart_action(D)((0.0, 0.0, 2.0), (0.0,))
         assert abs(out[0] - (-2.0)) < 1e-13   # value on Y
         assert abs(out[1] - 1.0) < 1e-13      # value on Z (central: fixed)
-
-    def test_arity_checks(self, h3):
-        D = oa.build_datum(h3, [h3.vector(X=1)], [0])
-        with pytest.raises(oa.DimensionMismatchError):
-            oa.phi_in_chart(D, (0.0, 0.0), (0.0, 0.0))
-        with pytest.raises(oa.DimensionMismatchError):
-            oa.phi_in_chart(D, (0.0, 0.0, 0.0), (0.0,))
 
 
 class TestNumericalRank:

@@ -30,15 +30,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitadm as oa
-from orbitadm import algebra, cli, monomial, problemfile
+from orbitadm import algebra, cli, monomial
 from orbitadm.algebra import DimensionMismatchError, dense_vector
 from orbitadm.linalg import _primitive, _take_away, echelon
-from orbitadm.pointwise import adapted_dual_coords, point_on_variety
+from orbitadm.pointwise import point_on_variety
 
 from conftest import (CORPUS_NAMES, CORPUS_TEXTS, ROUNDTRIP_ALGEBRAS,
-                      load_bench_families, random_invertible, run_cli,
-                      transform_algebra)
-from exact import cleared, dot, invert, sparse_rows
+                      load_bench_families, problem_text_of, random_invertible,
+                      run_cli, text_terms, transform_algebra)
+from exact import cleared, dot, invert, mat_vec, sparse_rows
 
 _families = load_bench_families()
 
@@ -107,12 +107,12 @@ def _outcome(L, rows, f_vals):
 
 
 def _assert_sparse_matches_dense(pf):
-    """build_datum of the parsed terms, of the dense rows and of the
-    reference Fraction rows agree; a datum restricts to f on h."""
+    """build_datum of the parsed terms and of the reference dense rows, with
+    f as parsed and as Fractions, agree; a datum restricts to f on h."""
     L, f = pf.algebra, pf.functional_vals
     rows = reference_rows(pf)
     sparse = _outcome(L, pf.generator_terms, f)
-    dense = _outcome(L, pf.subalgebra_rows, f)
+    dense = _outcome(L, rows, f)
     assert sparse == dense
     assert sparse == _outcome(L, rows, [Fraction(v) for v in f])
     if isinstance(sparse, tuple):
@@ -126,7 +126,7 @@ def _assert_sparse_matches_dense(pf):
         x = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                   for _ in range(sparse.n - sparse.m))
         l = point_on_variety(sparse, x)
-        assert adapted_dual_coords(sparse, l) == tuple(f) + x
+        assert tuple(mat_vec(sparse.adapted_rows, l)) == tuple(f) + x
     return sparse
 
 
@@ -158,26 +158,25 @@ def _rational_f(text: str) -> str:
 
 
 def _in_random_basis(pf, rng):
-    """pf in a random rational basis of g and of h, as dense Fraction rows
-    and as term sums, with f carried along."""
+    """The text of pf in a random rational basis of g and of h, with f
+    carried along."""
     n, m = pf.algebra.dim, pf.m
     Q = random_invertible(rng, n)
     Qinv = invert(Q)
-    rows = [[dot(r, col) for col in zip(*Qinv)] for r in pf.subalgebra_rows]
+    rows = [[dot(r, col) for col in zip(*Qinv)] for r in reference_rows(pf)]
     A = random_invertible(rng, m) if m else []
     rows = [tuple(dot(a, col) for col in zip(*rows)) for a in A]
     f = tuple(dot(a, pf.functional_vals) for a in A)
-    return oa.ProblemFile(name=pf.name + "_chg",
-                          algebra=transform_algebra(pf.algebra, Q),
-                          subalgebra_rows=tuple(rows), functional_vals=f)
+    return problem_text_of(pf.name + "_chg",
+                           transform_algebra(pf.algebra, Q), rows, f)
 
 
 # --- the table: an integral one is taken as it is -------------------------
 
 
 def _fraction_constants(L):
-    return {(i, j): {k: Fraction(c) for k, c in pairs}
-            for i, plane in enumerate(L.nonzero)
+    return {(i, j): {k: Fraction(q, L.scale) for k, q in pairs}
+            for i, plane in enumerate(L.table)
             for j, pairs in enumerate(plane) if pairs}
 
 
@@ -204,29 +203,35 @@ def problems(draw):
     m = draw(st.integers(0, n))
     rows = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(m))
     vals = tuple(Fraction(draw(entry)) for _ in range(m))
-    return oa.ProblemFile(name=L.name, algebra=L, subalgebra_rows=rows,
+    return oa.ProblemFile(name=L.name, algebra=L,
+                          generator_terms=text_terms(rows),
                           functional_vals=vals)
+
+
+def _text(pf):
+    return problem_text_of(pf.name, pf.algebra, pf.generator_terms,
+                           pf.functional_vals)
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(pf=problems())
 def test_parse_gives_the_reference_table(pf):
-    parsed = oa.parse(oa.serialize(pf))
+    parsed = oa.parse(_text(pf))
     L = pf.algebra
     ref = reference_from_constants(L.name, L.basis_names,
                                    _fraction_constants(L))
     assert (parsed.algebra.table, parsed.algebra.scale) == (ref.table,
                                                             ref.scale)
     assert parsed == pf
-    integral = all(c.denominator == 1 for plane in L.nonzero
-                   for pairs in plane for _, c in pairs)
+    integral = all(q % L.scale == 0 for plane in L.table
+                   for pairs in plane for _, q in pairs)
     assert (parsed.algebra.scale == 1) == integral
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(pf=problems())
 def test_terms_give_the_datum_of_the_dense_rows(pf):
-    _assert_sparse_matches_dense(oa.parse(oa.serialize(pf)))
+    _assert_sparse_matches_dense(oa.parse(_text(pf)))
 
 
 def test_from_constants_on_int_and_mixed_tables():
@@ -282,8 +287,9 @@ SMALL_FAMILIES = [p for p in FAMILIES if p.n <= 12]
 @pytest.mark.parametrize("problem", SMALL_FAMILIES,
                          ids=[p.name for p in SMALL_FAMILIES])
 def test_random_rational_bases(problem):
-    pf = _in_random_basis(oa.parse(problem.text), random.Random(problem.name))
-    _assert_sparse_matches_dense(oa.parse(oa.serialize(pf)))
+    text = _in_random_basis(oa.parse(problem.text),
+                            random.Random(problem.name))
+    _assert_sparse_matches_dense(oa.parse(text))
 
 
 def test_trivial_subalgebra():
@@ -303,23 +309,13 @@ def test_cancelled_terms_are_dropped():
     assert D.f_vals == (1, Fraction(3, 2))
 
 
-def test_problem_file_from_dense_rows_takes_its_terms():
-    pf = oa.ProblemFile(name="g", algebra=oa.from_brackets("g", ("A", "X"),
-                                                           {}),
-                        subalgebra_rows=((Fraction(0), Fraction(2, 3)),),
-                        functional_vals=(Fraction(1),))
-    assert pf.generator_terms == ({1: Fraction(2, 3)},)
-    assert oa.parse(oa.serialize(pf)) == pf
-
-
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_verdict_builds_no_dense_rows(name, monkeypatch):
-    # the parser's dense generator rows and the datum's adapted basis are
-    # built on first read, and verdict reads neither
+    # the datum's adapted basis is built on first read, and verdict never
+    # reads it; the parser builds no dense rows at all
     def refuse(pairs, n):
         raise AssertionError("a dense row was built")
 
-    monkeypatch.setattr(problemfile, "dense_vector", refuse)
     monkeypatch.setattr(monomial, "dense_vector", refuse)
     code, out, err = run_cli("verdict", str(cli.corpus_path(name)))
     assert (code, err) == (0, "")

@@ -6,13 +6,13 @@ from types import SimpleNamespace
 import pytest
 
 import orbitadm as oa
-from orbitadm import moment, pointwise, poly
+from orbitadm import moment, poly
 from orbitadm.poly import Poly, bareiss
 
 from conftest import (CORPUS_NAMES, ORACLES, load_bench_families, load_datum,
                       make_abelian, moment_reference, random_invertible,
                       random_vector, transform_algebra)
-from exact import dot, invert, rank
+from exact import dense_rows, dot, invert, mat_vec, rank
 
 
 _families = load_bench_families()
@@ -66,7 +66,8 @@ def _in_random_basis(problem) -> oa.MonomialDatum:
     rng = random.Random(problem.name)
     Q = random_invertible(rng, problem.n)
     Qinv = invert(Q)
-    rows = [[dot(r, col) for col in zip(*Qinv)] for r in pf.subalgebra_rows]
+    rows = [[dot(r, col) for col in zip(*Qinv)]
+            for r in dense_rows(pf.generator_terms, problem.n)]
     A = random_invertible(rng, problem.m)
     rows = [[dot(a, col) for col in zip(*rows)] for a in A]
     f = [dot(a, pf.functional_vals) for a in A]
@@ -154,7 +155,7 @@ class TestPencilAgainstDefinition:
                              ids=[p.name for p in FAMILIES_LARGE])
     def test_families_large(self, problem):
         pf = oa.parse(problem.text)
-        D = oa.build_datum(pf.algebra, pf.subalgebra_rows,
+        D = oa.build_datum(pf.algebra, pf.generator_terms,
                            pf.functional_vals)
         _assert_pencil_matches_definition(D, random.Random(problem.name), 3)
 
@@ -186,8 +187,10 @@ class TestStabilizerReport:
         D = oa.build_datum(axb, [axb.vector(X=1)], [1])
         sr = oa.stabilizer_report(D, (0,))
         assert sr.point == axb.vector(X=1)
-        B = pointwise.skew_form_matrix(D, axb.vector(X=1))
-        assert B == [[0, 1], [-1, 0]]
+        basis = (axb.vector(A=1), axb.vector(X=1))
+        B = [[dot(sr.point, oa.bracket(axb, u, v)) for v in basis]
+             for u in basis]
+        assert B == [[0, 1], [-1, 0]]  # the skew form B(l), of rank 2
         assert sr.rank_M == 1
         assert sr.h_stab_basis == ()
         assert sr.dim_G_orbit == 2
@@ -285,7 +288,7 @@ class TestSymbolicRank:
         # the report's one witness is the sampled one; the symbolic rank
         # certifies it
         pf = corpus_problems[name]
-        rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
+        rep = oa.full_report(pf.algebra, pf.generator_terms,
                              pf.functional_vals)
         assert moment.rank_at(rep.datum, rep.generic.witness) \
             == rep.generic.d_tau == ORACLES[name][0]
@@ -442,7 +445,7 @@ class TestRouteAgreementLarge:
                              ids=[p.name for p in FAMILIES_LARGE])
     def test_routes_match_hand_derived_rank(self, problem):
         pf = oa.parse(problem.text)
-        D = oa.build_datum(pf.algebra, pf.subalgebra_rows,
+        D = oa.build_datum(pf.algebra, pf.generator_terms,
                            pf.functional_vals)
         assert (D.n, D.m) == (problem.n, problem.m)
         sym = oa.symbolic_generic_rank(D)
@@ -490,7 +493,7 @@ class TestBasisInvariance:
             assert not oa.validate(L2)
             # rows in the new coordinates: r' = r . Q^{-1}
             rows2 = [tuple(dot(r, col) for col in zip(*Qinv))
-                     for r in pf.subalgebra_rows]
+                     for r in dense_rows(pf.generator_terms, L.dim)]
             D2 = oa.build_datum(L2, rows2, pf.functional_vals)
             assert_certified(D2, ORACLES[name][0])
             for _ in range(20):
@@ -498,7 +501,7 @@ class TestBasisInvariance:
                 l = oa.point_on_variety(D0, x)
                 # same functional in new coordinates: l'_i = l(Q_i)
                 l2 = tuple(dot(l, Q[i]) for i in range(L.dim))
-                x2 = oa.adapted_dual_coords(D2, l2)[D2.m:]
+                x2 = mat_vec(D2.adapted_rows, l2)[D2.m:]
                 assert oa.rank_at(D0, x) == oa.rank_at(D2, x2)
 
     @pytest.mark.parametrize("name",
@@ -506,12 +509,13 @@ class TestBasisInvariance:
     def test_rank_stable_under_generator_change(self, name, corpus_problems):
         pf = corpus_problems[name]
         L = pf.algebra
-        m = len(pf.subalgebra_rows)
+        m = pf.m
+        rows = dense_rows(pf.generator_terms, L.dim)
         rng = random.Random(len(name) * 29 + 3)
         D0 = load_datum(name)
         for _ in range(10):
             A = random_invertible(rng, m)
-            rows2 = [tuple(sum(A[i][k] * pf.subalgebra_rows[k][c]
+            rows2 = [tuple(sum(A[i][k] * rows[k][c]
                                for k in range(m)) for c in range(L.dim))
                      for i in range(m)]
             f2 = [sum(A[i][k] * pf.functional_vals[k] for k in range(m))
@@ -520,5 +524,5 @@ class TestBasisInvariance:
             for _ in range(20):
                 x = random_vector(rng, D0.n - D0.m, num_bound=30)
                 l = oa.point_on_variety(D0, x)
-                x2 = oa.adapted_dual_coords(D2, l)[D2.m:]
+                x2 = mat_vec(D2.adapted_rows, l)[D2.m:]
                 assert oa.rank_at(D0, x) == oa.rank_at(D2, x2)

@@ -12,7 +12,7 @@ from orbitadm.geometry import coadjoint_apply_factors
 from conftest import (CORPUS_NAMES, load_problem, make_abelian, make_h3,
                       random_dyadic, random_invertible, random_vector,
                       transform_algebra)
-from exact import dot, invert, nullspace, rank, rref
+from exact import dense_rows, dot, invert, mat_vec, nullspace, rank, rref
 
 
 ENTRIES = st.sampled_from((0, 0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 2)))
@@ -22,7 +22,8 @@ def nullspace_rule(L, rows):
     """The completion as it was first computed: the standard vectors e_k at
     the pivot columns of the rref of a basis of h^perp."""
     _, kept = rref(nullspace(rref(rows)[0], n_cols=L.dim))
-    return tuple(map(tuple, rows)) + tuple(L.basis_vector(k) for k in kept)
+    return tuple(map(tuple, rows)) + tuple(
+        L.vector(**{L.basis_names[k]: 1}) for k in kept)
 
 
 def random_basis_datum() -> oa.MonomialDatum:
@@ -32,7 +33,8 @@ def random_basis_datum() -> oa.MonomialDatum:
     rng = random.Random(5)
     Q = random_invertible(rng, pf.algebra.dim)
     Qinv = invert(Q)
-    rows = [[dot(r, col) for col in zip(*Qinv)] for r in pf.subalgebra_rows]
+    rows = [[dot(r, col) for col in zip(*Qinv)]
+            for r in dense_rows(pf.generator_terms, pf.algebra.dim)]
     A = random_invertible(rng, len(rows))
     return oa.build_datum(transform_algebra(pf.algebra, Q),
                           [[dot(a, col) for col in zip(*rows)] for a in A],
@@ -91,7 +93,7 @@ class TestCheckSubalgebra:
     def test_errors_come_in_order(self, h3):
         # generator length, rank, closure pair by pair, the functional's
         # length, then the character check
-        X, Y, Z = (h3.basis_vector(k) for k in range(3))
+        X, Y, Z = h3.vector(X=1), h3.vector(Y=1), h3.vector(Z=1)
         with pytest.raises(oa.DimensionMismatchError, match="generator"):
             oa.build_datum(h3, [X, X, (1, 0)], [])
         with pytest.raises(oa.RankDeficientError):
@@ -141,7 +143,8 @@ class TestAdaptBasis:
 
     def test_trivial_subalgebra_full_completion(self, h3):
         D = oa.build_datum(h3, [], [])
-        assert D.adapted_rows == tuple(h3.basis_vector(i) for i in range(3))
+        assert D.adapted_rows == (h3.vector(X=1), h3.vector(Y=1),
+                                  h3.vector(Z=1))
 
     def test_greedy_prefers_lowest_index(self):
         # in abelian R^3 with h = span{E2}, the completion must be E1, E3
@@ -166,7 +169,7 @@ class TestAdaptBasis:
                 rows.append(row)
         chosen = [list(r) for r in rows]
         for k in range(n):
-            trial = chosen + [list(L.basis_vector(k))]
+            trial = chosen + [list(L.vector(**{L.basis_names[k]: 1}))]
             if rank(trial) == len(trial):
                 chosen = trial
         D = oa.build_datum(L, rows, [0] * len(rows))
@@ -232,8 +235,8 @@ class TestPointOnVariety:
                           zip(l, D.generators[j]))
                 assert val == D.f_vals[j]
             # and the completion coordinates are the chart input
-            assert oa.adapted_dual_coords(D, l)[D.m:] == tuple(
-                Fraction(v) for v in x)
+            assert mat_vec(D.adapted_rows, l)[D.m:] == [
+                Fraction(v) for v in x]
 
     def test_non_standard_generators_chart(self, h3):
         # generators Y+Z, Z with f = (2, 5): l(Y+Z)=2, l(Z)=5 => l(Y)=-3

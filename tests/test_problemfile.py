@@ -9,7 +9,7 @@ from orbitadm.pointwise import parse_rational_list
 from orbitadm.problemfile import MAX_BASIS_NAMES
 
 from conftest import (CORPUS_NAMES, dense_table, load_problem,
-                      mutated_corpus_texts, problem_texts)
+                      mutated_corpus_texts, problem_text_of, problem_texts)
 
 H3_SOURCE = ("algebra h3\ndim 3\nbasis X Y Z\nbracket X Y = Z\n"
              "subalgebra Y; Z\nfunctional 0, 1\n")
@@ -28,8 +28,7 @@ class TestParseValid:
         assert pf.algebra.basis_names == ("X", "Y", "Z")
         assert dense_table(pf.algebra)[0][1][2] == 1
         assert dense_table(pf.algebra)[1][0][2] == -1
-        assert pf.subalgebra_rows == ((Fraction(0), Fraction(1), Fraction(0)),
-                                      (Fraction(0), Fraction(0), Fraction(1)))
+        assert pf.generator_terms == ({1: 1}, {2: 1})
         assert pf.functional_vals == (Fraction(0), Fraction(1))
         assert pf.config == {}
 
@@ -41,7 +40,7 @@ class TestParseValid:
     def test_omitted_subalgebra_is_trivial(self):
         pf = oa.parse("algebra g\ndim 2\nbasis A B\n")
         assert pf.m == 0
-        assert pf.subalgebra_rows == ()
+        assert pf.generator_terms == ()
         assert pf.functional_vals == ()
 
     def test_omitted_functional_is_zero(self):
@@ -60,8 +59,7 @@ class TestParseValid:
                       "subalgebra 1/2 * X + Y\nfunctional 2\n")
         assert dense_table(pf.algebra)[0][1] == (Fraction(0), Fraction(1),
                                                  Fraction(-1))
-        assert pf.subalgebra_rows == ((Fraction(0), Fraction(1, 2),
-                                       Fraction(1)),)
+        assert pf.generator_terms == ({1: Fraction(1, 2), 2: 1},)
 
     def test_repeated_term_coefficients_accumulate(self):
         pf = oa.parse("algebra g\ndim 2\nbasis A X\n"
@@ -276,53 +274,35 @@ class TestParseErrors:
         assert str(e).startswith("line 4, column 11: ")
 
 
-class TestSerialize:
+class TestEquality:
     @pytest.mark.parametrize("name", CORPUS_NAMES)
-    def test_roundtrip_on_corpus(self, name):
+    def test_corpus_rewritten_reads_equal(self, name):
         pf = load_problem(name)
-        again = oa.parse(oa.serialize(pf))
-        assert again == pf
+        text = problem_text_of(pf.name, pf.algebra, pf.generator_terms,
+                               pf.functional_vals, pf.config)
+        assert oa.parse(text) == pf
 
-    def test_roundtrip_is_canonical(self):
-        # serialize . parse . serialize is a fixed point
-        text = oa.serialize(load_problem("grelaud"))
-        assert oa.serialize(oa.parse(text)) == text
-
-    def test_zero_generator_serializes_reparseably(self):
-        L = oa.from_brackets("g", ("A", "B"), {})
-        pf = oa.ProblemFile(name="g", algebra=L,
-                            subalgebra_rows=((Fraction(0), Fraction(0)),),
-                            functional_vals=(Fraction(0),))
-        again = oa.parse(oa.serialize(pf))
-        assert again.subalgebra_rows == pf.subalgebra_rows
-
-    def test_config_survives_roundtrip(self):
-        src = ("algebra g\ndim 2\nbasis A X\nbracket A X = X\n"
-               "subalgebra X\nfunctional 1\nconfig seed 4\n"
-               "config bound 7\n")
-        pf = oa.parse(src)
-        assert oa.parse(oa.serialize(pf)).config == {"seed": 4, "bound": 7}
-
-    def test_equality_reads_the_config_and_the_dense_rows(self):
+    def test_equality_reads_the_config_and_the_terms(self):
         pf = oa.parse("algebra g\ndim 2\nbasis A X\nbracket A X = X\n"
                       "subalgebra X + A + -1 * A\nfunctional 1\n"
                       "config seed 4\n")
-        rows = ((Fraction(0), Fraction(1)),)
 
-        def made(config):
+        def made(terms, config):
             return oa.ProblemFile(name="g", algebra=pf.algebra,
-                                  subalgebra_rows=rows,
+                                  generator_terms=terms,
                                   functional_vals=pf.functional_vals,
                                   config=config)
 
-        # the parser's terms keep the cancelled A, the rows' terms do not
-        assert made({"seed": 4}) == pf
-        assert made({"seed": 5}) != pf and made({}) != pf
+        # the parser keeps the cancelled A as a 0 term
+        assert made(({1: 1, 0: 0},), {"seed": 4}) == pf
+        assert made(({1: 1},), {"seed": 4}) != pf
+        assert made(({1: 1, 0: 0},), {"seed": 5}) != pf
+        assert made(({1: 1, 0: 0},), {}) != pf
 
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(case=problem_texts())
-def test_parse_inverts_serialize_in_random_bases(case):
+def test_parse_inverts_problem_text_in_random_bases(case):
     pf, text = case
     assert oa.parse(text) == pf
 

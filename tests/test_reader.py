@@ -5,11 +5,13 @@
 and fills the constants by basis index for ``from_constants``.  The
 reference below is the parser it replaced, kept here as it was: a
 ``Token`` per token with its column, a cursor per line, and the bracket
-lines collected by name for ``from_brackets``.  Valid texts (the corpus,
-every fixture, random-basis problems, any line ends, comments and blanks)
-must give equal ``ProblemFile``s; mutated corpus texts must give the same
-outcome, an equal ``ProblemFile`` or the same (line, column, message);
-and ``parse_rational_list`` the same values or the same message.
+lines collected by name for ``from_brackets``; its generators are the
+term sums a ``ProblemFile`` holds, where it first built dense rows.  Valid
+texts (the corpus, every fixture, random-basis problems, any line ends,
+comments and blanks) must give equal ``ProblemFile``s; mutated corpus
+texts must give the same outcome, an equal ``ProblemFile`` or the same
+(line, column, message); and ``parse_rational_list`` the same values or
+the same message.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitadm as oa
-from orbitadm.algebra import dense_vector, from_brackets
+from orbitadm.algebra import from_brackets
 from orbitadm.pointwise import parse_rational_list
 from orbitadm.problemfile import (CONFIG_KEYS, MAX_BASIS_NAMES, ParseError,
                                   ProblemFile)
@@ -252,10 +254,10 @@ def reference_parse(source: str) -> ProblemFile:
             if functional is not None:
                 raise ParseError(head.line, head.col,
                                  "subalgebra must precede the functional")
-            sub_rows = [dense_vector(_term_sum(line, names), n)]
+            sub_rows = [dict(_term_sum(line, names))]
             while line.peek() is not None:
                 line.take("PUNCT", "';'", ";")
-                sub_rows.append(dense_vector(_term_sum(line, names), n))
+                sub_rows.append(dict(_term_sum(line, names)))
             line.done()
         elif head.text == "functional":
             if functional is not None:
@@ -306,7 +308,7 @@ def reference_parse(source: str) -> ProblemFile:
         f_vals = (Fraction(0),) * len(rows)
 
     algebra = from_brackets(name, basis, brackets)
-    return ProblemFile(name=name, algebra=algebra, subalgebra_rows=rows,
+    return ProblemFile(name=name, algebra=algebra, generator_terms=rows,
                        functional_vals=f_vals, config=config)
 
 

@@ -70,7 +70,8 @@ def test_basis_names_that_need_escaping_render_as_json_did():
     text = report.render_text(rep)
     assert text == _reference_text(report.report_dict(rep))
     assert 'structure.basis: ["A\\"", "X\\\\", "Y\\u00e9\\u0007"]\n' in text
-    pf = oa.ProblemFile(name="axb2", algebra=L, subalgebra_rows=rows,
+    pf = oa.ProblemFile(name="axb2", algebra=L,
+                        generator_terms=({1: 1}, {2: 1}),
                         functional_vals=(Fraction(1), Fraction(-2, 3)))
     summary = report.render_problem_summary(pf, rep.structure)
     assert summary == _reference_text({

@@ -2,7 +2,7 @@
 
 ``dense_bracket``, ``dense_ad_matrix``, ``dense_validate`` and
 ``dense_series`` are loops over the full n x n x n table c[i][j][k], the
-representation that the sparse table ``LieAlgebra.nonzero`` replaced.  On
+representation that the sparse table ``LieAlgebra.table`` replaced.  On
 random rational tables (Lie algebras in random bases, and tables with
 injected antisymmetry and Jacobi faults) the sparse code must return
 exactly what they return: the same vectors, matrices and violation lists,
@@ -75,7 +75,8 @@ def dense_bracket(L, c, u, v):
 
 def dense_ad_matrix(L, c, u):
     n = L.dim
-    cols = [dense_bracket(L, c, u, L.basis_vector(j)) for j in range(n)]
+    cols = [dense_bracket(L, c, u, L.vector(**{name: 1}))
+            for name in L.basis_names]
     return [[cols[j][k] for j in range(n)] for k in range(n)]
 
 
@@ -87,7 +88,7 @@ def _dense_bracket_span(L, c, rows_a, rows_b):
 
 def dense_series(L, c, lower: bool):
     """Derived (lower=False) or lower central series dimensions."""
-    full = [list(L.basis_vector(i)) for i in range(L.dim)]
+    full = [list(L.vector(**{name: 1})) for name in L.basis_names]
     current = full
     dims = [L.dim]
     while dims[-1] > 0:

@@ -17,7 +17,7 @@ from conftest import (CORPUS_NAMES, ORACLES, algebra_from_table,
                       load_bench_families, load_problem, make_abelian,
                       make_axb, make_h3, make_motion, make_skew3, make_sl2,
                       random_vector, transform_algebra)
-from exact import dot, invert
+from exact import dense_rows, dot, invert
 from test_moment import CHANGED_BASIS, sampled_oracle
 
 
@@ -89,7 +89,7 @@ class TestFullReport:
             raise AssertionError("Bareiss ran although a proof was found")
         monkeypatch.setattr(moment, "symbolic_generic_rank", unreachable)
         pf = corpus_problems[name]
-        rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
+        rep = oa.full_report(pf.algebra, pf.generator_terms,
                              pf.functional_vals)
         d_tau, m, spectral, admis, unimod = ORACLES[name]
         assert rep.generic.d_tau == d_tau
@@ -148,7 +148,7 @@ class TestFullReport:
         _no_proof_at_the_witness(monkeypatch)
         # Singular: d_tau < m rests on the sampled points alone
         pf = oa.parse(load_bench_families().borel(4, "nilradical").text)
-        rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
+        rep = oa.full_report(pf.algebra, pf.generator_terms,
                              pf.functional_vals)
         assert rep.generic.proof is None
         assert (rep.generic.d_tau, rep.datum.m) == (3, 6)
@@ -160,7 +160,7 @@ class TestFullReport:
             moment, "generic_h_orbit_dim",
             lambda *args, **kw: _replaced(sampled(*args, **kw), proof=None))
         pf = corpus_problems["h5_y1y2"]
-        rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
+        rep = oa.full_report(pf.algebra, pf.generator_terms,
                              pf.functional_vals)
         assert rep.generic.proof is None
         assert rep.generic.d_tau == ORACLES["h5_y1y2"][0] == rep.datum.m
@@ -220,16 +220,16 @@ class TestFullReport:
         pf = corpus_problems["grelaud"]
         cfg = oa.AnalysisConfig(seed=3)
         checked = verdict_mod.check_problem(
-            pf.algebra, pf.subalgebra_rows, pf.functional_vals)
+            pf.algebra, pf.generator_terms, pf.functional_vals)
         assert verdict_mod.decide(*checked, cfg) == oa.full_report(
-            pf.algebra, pf.subalgebra_rows, pf.functional_vals, cfg)
+            pf.algebra, pf.generator_terms, pf.functional_vals, cfg)
 
     def test_deterministic_given_config(self, corpus_problems):
         pf = corpus_problems["grelaud"]
         cfg = oa.AnalysisConfig(seed=9, trials=13, bound=5000)
-        a = oa.full_report(pf.algebra, pf.subalgebra_rows,
+        a = oa.full_report(pf.algebra, pf.generator_terms,
                            pf.functional_vals, cfg)
-        b = oa.full_report(pf.algebra, pf.subalgebra_rows,
+        b = oa.full_report(pf.algebra, pf.generator_terms,
                            pf.functional_vals, cfg)
         assert a == b
 
@@ -238,7 +238,7 @@ class TestFullReport:
         pf = corpus_problems[name]
         outcomes = set()
         for seed in (0, 7, 123):
-            rep = oa.full_report(pf.algebra, pf.subalgebra_rows,
+            rep = oa.full_report(pf.algebra, pf.generator_terms,
                                  pf.functional_vals,
                                  oa.AnalysisConfig(seed=seed))
             outcomes.add((rep.spectral, rep.generic.d_tau,
@@ -321,7 +321,7 @@ def _decisions(L, rows, f) -> tuple:
 @functools.cache
 def _decisions_of(name) -> tuple:
     pf = METAMORPHIC[name]
-    return _decisions(pf.algebra, pf.subalgebra_rows, pf.functional_vals)
+    return _decisions(pf.algebra, pf.generator_terms, pf.functional_vals)
 
 
 def _change_basis_of_g(name, data) -> None:
@@ -329,15 +329,17 @@ def _change_basis_of_g(name, data) -> None:
     Q = data.draw(invertible_matrices(pf.algebra.dim), label="Q")
     Qinv = invert(Q)
     # the generators in the new coordinates: r' = r . Q^{-1}
-    rows = [[dot(r, col) for col in zip(*Qinv)] for r in pf.subalgebra_rows]
+    rows = [[dot(r, col) for col in zip(*Qinv)]
+            for r in dense_rows(pf.generator_terms, pf.algebra.dim)]
     assert _decisions(transform_algebra(pf.algebra, Q), rows,
                       pf.functional_vals) == _decisions_of(name)
 
 
 def _change_generators_of_h(name, data) -> None:
     pf = METAMORPHIC[name]
-    A = data.draw(invertible_matrices(len(pf.subalgebra_rows)), label="A")
-    rows = [[dot(a, col) for col in zip(*pf.subalgebra_rows)] for a in A]
+    A = data.draw(invertible_matrices(pf.m), label="A")
+    rows = [[dot(a, col) for col in
+             zip(*dense_rows(pf.generator_terms, pf.algebra.dim))] for a in A]
     f = [dot(a, pf.functional_vals) for a in A]
     assert _decisions(pf.algebra, rows, f) == _decisions_of(name)
 
