@@ -14,15 +14,19 @@ when it can meet one, every other product being exactly 0.  None of them
 changes under the scaling by D; every exact value that leaves this module
 (the violation residuals) is scaled back to the basis Z_i, as are the
 brackets and adjoint matrices of ``pointwise``.
-Exponentiality is decided exactly over Q on integer matrices: the quotient
-actions of the flag read their coordinates off ``linalg.residue``, under a
-positive scale that changes no check.  A triangular action is screened
-here; ``univariate``, imported on first use, screens any other and runs
-the checks after a failed screen.  Nothing here uses floating point.  The
-records of the package are plain classes, most with ``__slots__``;
-``Record`` compares them field by field.  ``DisagreementError`` and
-``SamplingMissError``, which ``moment`` raises, are defined here, so that
-the command line catches them without loading ``moment``.
+Exponentiality is decided exactly over Q.  One walk over the nonzero
+planes, which also reads the traces, looks for an order of the basis in
+which every ad Z_i is triangular; a non-nilpotent g that has one is
+exponential, and no flag is built.  Otherwise the quotient actions of the
+flag of C^inf are integer matrices that read their coordinates off
+``linalg.residue``, under a positive scale that changes no check.  A
+triangular action is screened here; ``univariate``, imported on first
+use, screens any other and runs the checks after a failed screen.
+Nothing here uses floating point.  The records of the package are plain
+classes, most with ``__slots__``; ``Record`` compares them field by
+field.  ``DisagreementError`` and ``SamplingMissError``, which ``moment``
+raises, are defined here, so that the command line catches them without
+loading ``moment``.
 """
 
 from __future__ import annotations
@@ -319,14 +323,11 @@ def __getattr__(name: str):
     return getattr(pointwise, name)
 
 
-def _ad_traces(L: LieAlgebra) -> list[int]:
-    """D tr ad Z_i: the sum of the W_j coefficients of [W_i, W_j] over j."""
-    return [sum(q for j, pairs in enumerate(plane) for k, q in pairs if k == j)
-            for plane in L.table]
-
-
 EXPONENTIAL = "Exponential"
 NOT_EXPONENTIAL = "NotExponential"
+# the reason of an exponential g that ``_ad_scan`` triangularises
+TRIANGULAR = ("some order of the basis makes every ad Z_i triangular, so "
+              "every ad X has a real spectrum")
 
 
 class StructureReport(Record):
@@ -486,7 +487,9 @@ def _exponentiality(L: LieAlgebra, commutator, stable, second=None):
     each V_j/V_(j+1), so there only the basis vectors Z_k outside the
     pivots of [g, g] act, by commuting matrices A_k.  Checks (i) and (ii)
     of ``_quotient_failure`` run on each quotient.  ``second`` is passed
-    on to ``_flag`` as V_1.
+    on to ``_flag`` as V_1.  ``structure_report`` calls this only when no
+    order of the basis makes every ad Z_i triangular, but it decides any
+    valid solvable L, triangular or not.
     """
     if not stable:
         return EXPONENTIAL, "nilpotent", None
@@ -516,30 +519,71 @@ def _exponentiality(L: LieAlgebra, commutator, stable, second=None):
                          "the flag of C^inf"), None
 
 
+def _ad_scan(L: LieAlgebra) -> tuple[list[int], bool]:
+    """(traces, triangular) from one walk over the nonzero planes.
+
+    traces[i] is D tr ad Z_i, the sum of the W_j coefficients of
+    [W_i, W_j] over j.  ad Z_i maps Z_j to its own multiple and to the Z_k
+    of the other pairs (k, q) of table[i][j], so some order of the basis
+    makes every ad Z_i triangular iff the graph j -> k over those pairs of
+    every plane has no cycle; Kahn's topological sort decides that.
+    """
+    n = L.dim
+    traces = [0] * n
+    after: list[set[int]] = [set() for _ in range(n)]
+    for i, (plane, js) in enumerate(zip(L.table, L.support)):
+        for j in js:
+            for k, q in plane[j]:
+                if k == j:
+                    traces[i] += q
+                else:
+                    after[j].add(k)
+    indegree = [0] * n
+    for ks in after:
+        for k in ks:
+            indegree[k] += 1
+    ordered = [j for j in range(n) if not indegree[j]]
+    for j in ordered:  # a vertex whose last edge in is removed joins the walk
+        for k in after[j]:
+            indegree[k] -= 1
+            if not indegree[k]:
+                ordered.append(k)
+    return traces, len(ordered) == n
+
+
 def structure_report(L: LieAlgebra) -> StructureReport:
     """Validate and classify: solvable / nilpotent / unimodular / exponential.
 
     The report carries validate's violations, so none need a second pass.
-    Series dimensions come from exact ranks of echelon spanning sets;
-    unimodularity is tr ad Z_i = 0 on every basis element, read from the
-    table (trace is linear in u, so the basis check decides it).
-    Exponentiality is decided exactly over Q (``_exponentiality``); an
-    invalid table or a group that is not solvable is not exponential.
-    When dim C^inf = dim C^1, the two are equal, and the flag's
-    V_1 = [C^1, C^inf] = [C^1, C^1] is g^(2), taken from the derived
-    series instead of spanned again; b_N and A x| R^k are such algebras.
+    Series dimensions come from exact ranks of echelon spanning sets.  One
+    walk over the nonzero planes (``_ad_scan``) gives tr ad Z_i for every
+    basis element, and g is unimodular when each is 0 (trace is linear in
+    u, so the basis check decides it); it also finds whether some order
+    of the basis makes every ad Z_i triangular.  An invalid
+    table or a group that is not solvable is not exponential, and a
+    nilpotent one is.  Any other g with such an order is exponential: ad X
+    is then triangular with rational diagonal entries for every X, so its
+    spectrum is real, and no flag is built.  The rest, where every order
+    leaves a cycle, is decided exactly over Q on the flag of C^inf
+    (``_exponentiality``).  When dim C^inf = dim C^1, the two are equal,
+    and the flag's V_1 = [C^1, C^inf] = [C^1, C^1] is g^(2), taken from
+    the derived series instead of spanned again; b_N and A x| R^k are such
+    algebras.
     """
     violations = tuple(validate(L))
     commutator = _commutator(L)
     derived: list = []
     der, _ = _series(L, commutator, _span, derived)
     low, stable = _series(L, commutator, _lower_central_step)
+    traces, triangular = _ad_scan(L)
     # C^inf = C^1 gives V_1 = [C^1, C^inf] = [C^1, C^1] = g^(2)
     second = derived[0] if derived and len(stable) == len(commutator) else None
     if violations:
         decision = NOT_EXPONENTIAL, "the structure constants are invalid", None
     elif der[-1] != 0:
         decision = NOT_EXPONENTIAL, "not solvable", None
+    elif stable and triangular:
+        decision = EXPONENTIAL, TRIANGULAR, None
     else:
         decision = _exponentiality(L, commutator, stable, second)
     status, reason, witness = decision
@@ -549,7 +593,7 @@ def structure_report(L: LieAlgebra) -> StructureReport:
         derived_series_dims=der,
         lower_central_dims=low,
         is_nilpotent=low[-1] == 0,
-        is_unimodular=not any(_ad_traces(L)),
+        is_unimodular=not any(traces),
         exponentiality=status,
         exponentiality_reason=reason,
         exponentiality_witness=witness,

@@ -46,6 +46,11 @@ _ULP = 2.0 ** -52
 _SWEEPS = 60
 
 
+class ProblemOverflowError(OverflowError):
+    """A number of the problem itself, at the given point, is past the
+    float range: no step of the difference quotients would mend that."""
+
+
 def ad_float(L: LieAlgebra, u) -> Matrix:
     """ad(u) as a floating n x n matrix."""
     return [[float(x) if x else 0.0 for x in row] for row in ad_matrix(L, u)]
@@ -244,6 +249,8 @@ def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
     blocks is M(l) (top-left), 0 (top-right), I (bottom-right); the
     bottom-left block is unconstrained.  x may be floats; they convert to
     exact rationals, so the comparison matrix M(l_x) is computed exactly.
+    A number of the problem past the float range at x raises
+    ``ProblemOverflowError``; an overflow at the step, ``OverflowError``.
     """
     if not 0 < h < math.inf:
         raise ValueError("step must be positive and finite")
@@ -252,7 +259,12 @@ def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
     x_exact = tuple(Fraction(v) for v in x)
     x_float = [float(v) for v in x_exact]
 
-    f = _chart_action(D)
+    try:  # the problem's numbers in floating point, before any step
+        f = _chart_action(D)
+        f([0.0] * n, x_float)
+        M = [[float(a) for a in row] for row in moment_matrix(D, x_exact)]
+    except OverflowError as exc:
+        raise ProblemOverflowError(str(exc)) from None
 
     def quotient(plus, minus):
         return [(p - q) / (2 * h) for p, q in zip(plus, minus)]
@@ -274,8 +286,7 @@ def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
         raise OverflowError(f"the difference quotients at step {h!r} "
                             f"are not finite")
 
-    M = moment_matrix(D, x_exact)
-    top_left = (J[i][j] - float(M[i][j]) for i in range(m) for j in range(n))
+    top_left = (J[i][j] - M[i][j] for i in range(m) for j in range(n))
     top_right = (J[i][j] for i in range(m) for j in range(n, n + nfree))
     bottom_right = (J[i][j] - (i - m == j - n) for i in range(m, n)
                     for j in range(n, n + nfree))

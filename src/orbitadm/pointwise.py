@@ -238,7 +238,8 @@ def _cmd_jacobian(args, out) -> int:
         raise _UsageError("--step must be positive and finite")
     if not 0 < args.tol < 1:  # at 1 no singular value would count
         raise _UsageError("--tol must lie strictly between 0 and 1")
-    from .geometry import fd_jacobian  # loaded for this command only
+    # loaded for this command only
+    from .geometry import ProblemOverflowError, fd_jacobian
     datum, x = _datum_and_point(args)
     try:  # fd_jacobian differentiates in floating point
         coordinates = [float(v) for v in x]
@@ -250,6 +251,9 @@ def _cmd_jacobian(args, out) -> int:
                           "a --point coordinate")
     try:
         jr = fd_jacobian(datum, x, h=args.step, rel_tol=args.tol)
+    except ProblemOverflowError as exc:
+        raise _UsageError("a number of the problem at this --point is too "
+                          f"large for floating point: {exc}")
     except OverflowError as exc:
         raise _UsageError(f"--step is too large: {exc}")
     out.write(render_jacobian_text(jr, x, args.step, args.tol))

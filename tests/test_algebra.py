@@ -28,7 +28,7 @@ def ad_trace(L, u) -> Fraction:
 
 def table_trace(L, u) -> Fraction:
     """tr ad(u) from the per-basis traces that unimodularity reads."""
-    return sum((x * t for x, t in zip(u, algebra._ad_traces(L))),
+    return sum((x * t for x, t in zip(u, algebra._ad_scan(L)[0])),
                Fraction(0)) / L.scale
 
 ALL_CORPUS_ALGEBRAS = [make_h3(), make_axb(), make_abelian(3), make_motion(),

@@ -730,6 +730,24 @@ class TestJacobian:
         assert err == ("error: --point: a coordinate is too large for "
                        "floating point\n")
 
+    def test_a_problem_past_the_float_range_is_not_the_step(self,
+                                                            tmp_path):
+        # the generator 2N Z floats to no number, whatever the step; a step
+        # that overflows the difference quotients is still named
+        path = tmp_path / "generator.alg"
+        path.write_text("algebra g\ndim 3\nbasis X Y Z\n"
+                        + TOO_LONG_TO_PRINT["generator"])
+        for step in ("1e-4", "1e300"):
+            assert run_cli("jacobian", str(path), "--point", "0,0",
+                           "--step", step) == (
+                1, "", "error: a number of the problem at this --point is "
+                       "too large for floating point: int too large to "
+                       "convert to float\n")
+        code, out, err = run_cli("jacobian", corpus_file("grelaud"),
+                                 "--point", "1,2", "--step", "1e300")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --step is too large: ")
+
     def test_step_below_float_spacing_is_a_usage_error(self):
         # where x_r + step or x_r - step rounds to x_r, the chart columns
         # of the difference quotient vanish or halve, and the report would

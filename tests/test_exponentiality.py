@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbitadm as oa
-from orbitadm import cli, univariate
+from orbitadm import algebra, cli, univariate
 from orbitadm.algebra import _quotient_failure, _real_spectrum
 from orbitadm.geometry import ad_float
 
@@ -173,6 +173,87 @@ def test_decision_is_basis_invariant(name, build, expected):
         assert rep.exponentiality == expected
         if rep.exponentiality_witness is not None:
             _assert_imaginary_witness(M, rep.exponentiality_witness)
+
+
+# The scan of ``algebra._ad_scan``: an order of the basis in which every
+# ad Z_i is triangular decides a non-nilpotent g exponential with no flag.
+
+
+def _permuted(L: oa.LieAlgebra, seed) -> oa.LieAlgebra:
+    """L in its basis shuffled by ``seed``: new Z_r is old Z_order[r]."""
+    order = list(range(L.dim))
+    random.Random(seed).shuffle(order)
+    return transform_algebra(L, [[Fraction(int(c == i)) for c in range(L.dim)]
+                                 for i in order])
+
+
+def _flag_decision(L: oa.LieAlgebra):
+    """``_exponentiality`` called directly: the flag of C^inf decides."""
+    commutator = algebra._commutator(L)
+    _, stable = algebra._series(L, commutator, algebra._lower_central_step)
+    return algebra._exponentiality(L, commutator, stable)
+
+
+@pytest.mark.parametrize("name, build, expected", CASES,
+                         ids=[c[0] for c in CASES])
+def test_a_triangularising_order_agrees_with_the_flag(name, build, expected):
+    L = build()
+    bases = [L] + [_permuted(L, f"perm:{name}:{s}") for s in range(3)]
+    found = algebra._ad_scan(L)[1]
+    for M in bases:
+        # a permutation of the basis keeps or breaks every order at once
+        assert algebra._ad_scan(M)[1] is found
+        if found:
+            assert expected == "Exponential"
+            assert _flag_decision(M)[0] == "Exponential"
+            rep = oa.structure_report(M)
+            assert rep.exponentiality == "Exponential"
+            assert rep.exponentiality_reason == (
+                "nilpotent" if rep.is_nilpotent else algebra.TRIANGULAR)
+
+
+def _index_order_triangularises(L: oa.LieAlgebra) -> bool:
+    """Whether every ad Z_i is upper or every one lower triangular in the
+    order Z_1, ..., Z_n itself."""
+    moves = [k - j for plane in L.table for j, pairs in enumerate(plane)
+             for k, _ in pairs if k != j]
+    return all(d > 0 for d in moves) or all(d < 0 for d in moves)
+
+
+@pytest.mark.parametrize("N", [4, 5, 6])
+def test_a_permuted_borel_basis_is_decided_by_the_scan(N, monkeypatch):
+    L = _family(_families.borel(N, "cartan"))
+    M = _permuted(L, f"borel:{N}")
+    assert not _index_order_triangularises(M)
+    monkeypatch.setattr(algebra, "_flag", lambda *args: pytest.fail(
+        "the flag was built"))
+    rep = oa.structure_report(M)
+    assert (rep.exponentiality, rep.exponentiality_reason) == (
+        "Exponential", algebra.TRIANGULAR)
+    assert rep == oa.structure_report(L)
+
+
+NO_ORDER = {"grelaud": lambda: load_problem("grelaud").algebra,
+            "motion": make_motion,
+            **{f"twist{j}": (lambda j=j: _family(_families.twist(j)))
+               for j in (1, 2, 3)}}
+
+
+@pytest.mark.parametrize("name", NO_ORDER)
+def test_cyclic_bases_take_the_flag(name, monkeypatch):
+    L = NO_ORDER[name]()
+    rng = random.Random(f"cyclic:{name}")
+    built = []
+    flag = algebra._flag
+    monkeypatch.setattr(algebra, "_flag", lambda *args: built.append(
+        flag(*args)) or built[-1])
+    for M in [L, _permuted(L, f"perm:{name}"),
+              transform_algebra(L, random_invertible(rng, L.dim))]:
+        assert not algebra._ad_scan(M)[1]
+        built.clear()
+        rep = oa.structure_report(M)
+        assert len(built) == 1
+        assert rep.exponentiality_reason != algebra.TRIANGULAR
 
 
 def test_check_ii_names_the_quotient_and_generator():
