@@ -19,9 +19,8 @@ planes, which also reads the traces, looks for an order of the basis in
 which every ad Z_i is triangular; a non-nilpotent g that has one is
 exponential, and no flag is built.  Otherwise the quotient actions of the
 flag of C^inf are integer matrices that read their coordinates off
-``linalg.residue``, under a positive scale that changes no check.  A
-triangular action is screened here; ``univariate``, imported on first
-use, screens any other and runs the checks after a failed screen.
+``linalg.residue``, under a positive scale that changes no check, and
+``univariate``, imported on first use, runs the exact checks on each.
 Nothing here uses floating point.  The records of the package are plain
 classes, most with ``__slots__``; ``Record`` compares them field by
 field.  ``DisagreementError`` and ``SamplingMissError``, which ``moment``
@@ -36,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .linalg import echelon, integer_rref, residue
+from .linalg import coordinates, echelon, integer_rref, residue
 
 Vector = tuple[Fraction, ...]
 
@@ -385,31 +384,21 @@ def _lower_central_step(L: LieAlgebra, rows) -> list[dict]:
     return _span(L, basis, rows, limit=len(rows))
 
 
-def _flag(L: LieAlgebra, commutator, stable,
-          second=None) -> list[list[dict]]:
-    """V_0 = stable, V_(j+1) = [[g, g], V_j], down to and with V = 0.
-
-    ``second``, when given, is taken as V_1: when C^inf = C^1, V_1 is
-    [C^1, C^1] = g^(2), which the derived series has already spanned.  The
-    quotient actions read off V_0/V_1 do not depend on which echelon basis
-    of V_1 they get.
-    """
-    flag = [stable] if second is None else [stable, second]
+def _flag(L: LieAlgebra, commutator, stable) -> list[list[dict]]:
+    """V_0 = stable, V_(j+1) = [[g, g], V_j], down to and with V = 0."""
+    flag = [stable]
     while flag[-1]:
         flag.append(_span(L, commutator, flag[-1]))
     return flag
 
 
-def _series(L: LieAlgebra, current, step, terms=None):
+def _series(L: LieAlgebra, current, step):
     """Dimensions of g, current, step(current), ... while they decrease,
-    and a basis of the last term; each term that a step forms is also
-    appended to the list ``terms``, when given."""
+    and a basis of the last term."""
     dims = [L.dim]
     while len(current) < dims[-1]:
         dims.append(len(current))
         current = step(L, current)
-        if terms is not None:
-            terms.append(current)
     return tuple(dims), current
 
 
@@ -425,58 +414,23 @@ def lower_central_dims(L: LieAlgebra) -> tuple[int, ...]:
     return _series(L, _commutator(L), _lower_central_step)[0]
 
 
-def _quotient_failure(mats):
-    """Which check fails for the commuting actions ``mats`` on one quotient.
-
-    The actions are integer matrices under one positive scale.  None when
-    no real combination has a nonzero purely imaginary eigenvalue; else
-    ("i", c, None) with the integer witness sum c_i A_i, or ("ii", c, i)
-    with the index of an E_i that has a non-real eigenvalue.  When every
-    A_i has a real spectrum, every joint character takes real values and
-    none can; otherwise ``univariate.quotient_failure`` runs the checks.
-    """
-    if all(_real_spectrum(A) for A in mats):
-        return None
-    from .univariate import quotient_failure
-    return quotient_failure(mats)
-
-
-def _real_spectrum(M) -> bool:
-    """Whether every eigenvalue of M is real.  A triangular M has its
-    diagonal entries as eigenvalues; otherwise ``univariate.real_spectrum``
-    counts the roots of its characteristic polynomial."""
-    n = len(M)
-    if (not any(M[i][j] for i in range(1, n) for j in range(i))
-            or not any(M[i][j] for i in range(n) for j in range(i + 1, n))):
-        return True
-    from .univariate import real_spectrum
-    return real_spectrum(M)
-
-
 def _quotient_actions(L: LieAlgebra, gens, upper, lower):
     """ad Z_k on upper/lower for k in gens, as integer matrices.
 
     The residues of upper's rows modulo lower's ``integer_rref`` rows (one
     scale d > 0) span a complement of lower; their ``integer_rref`` rows
-    are the basis, and the residue w of a bracket has coordinate
-    w[pivot] / p on the row with pivot entry p, taken times e, the lcm of
-    the p.  With the bracket formed in the integer table, each action is
-    d e D times the one in that basis: one positive scale, under which no
-    check of ``_quotient_failure`` changes.
+    are the basis, on which ``linalg.coordinates`` reads each bracket's
+    residue.  With the bracket formed in the integer table, each action is
+    one positive multiple of the one in that basis, under which no check
+    of ``univariate.quotient_failure`` changes.
     """
     below = integer_rref(lower)
     rows, piv = integer_rref(residue(row, *below) for row in upper)
-    e = lcm(*(row[p] for row, p in zip(rows, piv)))
-    mats = []
-    for k in gens:
-        cols = [residue(_product(L, ((k, 1),), row.items()), *below)
-                for row in rows]
-        mats.append([[w.get(p, 0) * (e // row[p]) for w in cols]
-                     for row, p in zip(rows, piv)])
-    return mats
+    return [coordinates([residue(_product(L, ((k, 1),), row.items()), *below)
+                         for row in rows], rows, piv) for k in gens]
 
 
-def _exponentiality(L: LieAlgebra, commutator, stable, second=None):
+def _exponentiality(L: LieAlgebra, commutator, stable):
     """(status, reason, witness) for a valid solvable L, decided exactly.
 
     g is exponential iff no ad X has a nonzero purely imaginary eigenvalue
@@ -486,18 +440,19 @@ def _exponentiality(L: LieAlgebra, commutator, stable, second=None):
     is g-stable and reaches 0 by Engel's theorem, and [g, g] acts as 0 on
     each V_j/V_(j+1), so there only the basis vectors Z_k outside the
     pivots of [g, g] act, by commuting matrices A_k.  Checks (i) and (ii)
-    of ``_quotient_failure`` run on each quotient.  ``second`` is passed
-    on to ``_flag`` as V_1.  ``structure_report`` calls this only when no
-    order of the basis makes every ad Z_i triangular, but it decides any
-    valid solvable L, triangular or not.
+    of ``univariate.quotient_failure``, imported here on first use, run on
+    each quotient.  ``structure_report`` calls this only when no order of
+    the basis makes every ad Z_i triangular, but it decides any valid
+    solvable L, triangular or not.
     """
     if not stable:
         return EXPONENTIAL, "nilpotent", None
+    from .univariate import quotient_failure
     pivots = {min(row) for row in commutator}
     gens = [k for k in range(L.dim) if k not in pivots]
-    flag = _flag(L, commutator, stable, second)
+    flag = _flag(L, commutator, stable)
     for j, (upper, lower) in enumerate(zip(flag, flag[1:])):
-        failure = _quotient_failure(_quotient_actions(L, gens, upper, lower))
+        failure = quotient_failure(_quotient_actions(L, gens, upper, lower))
         if failure is None:
             continue
         check, c, i = failure
@@ -565,19 +520,13 @@ def structure_report(L: LieAlgebra) -> StructureReport:
     is then triangular with rational diagonal entries for every X, so its
     spectrum is real, and no flag is built.  The rest, where every order
     leaves a cycle, is decided exactly over Q on the flag of C^inf
-    (``_exponentiality``).  When dim C^inf = dim C^1, the two are equal,
-    and the flag's V_1 = [C^1, C^inf] = [C^1, C^1] is g^(2), taken from
-    the derived series instead of spanned again; b_N and A x| R^k are such
-    algebras.
+    (``_exponentiality``).
     """
     violations = tuple(validate(L))
     commutator = _commutator(L)
-    derived: list = []
-    der, _ = _series(L, commutator, _span, derived)
+    der, _ = _series(L, commutator, _span)
     low, stable = _series(L, commutator, _lower_central_step)
     traces, triangular = _ad_scan(L)
-    # C^inf = C^1 gives V_1 = [C^1, C^inf] = [C^1, C^1] = g^(2)
-    second = derived[0] if derived and len(stable) == len(commutator) else None
     if violations:
         decision = NOT_EXPONENTIAL, "the structure constants are invalid", None
     elif der[-1] != 0:
@@ -585,7 +534,7 @@ def structure_report(L: LieAlgebra) -> StructureReport:
     elif stable and triangular:
         decision = EXPONENTIAL, TRIANGULAR, None
     else:
-        decision = _exponentiality(L, commutator, stable, second)
+        decision = _exponentiality(L, commutator, stable)
     status, reason, witness = decision
     return StructureReport(
         violations=violations,

@@ -23,8 +23,8 @@ Each command compiles only the code it runs.  This module loads what
 `jacobian` imports ``geometry``.  No command imports anything outside the
 standard library.  Two more modules load on first use: ``poly``, when no
 certificate proves the generic rank and Bareiss elimination runs, and
-``univariate``, when a quotient action of the exponentiality decision is
-not triangular.
+``univariate``, when the exponentiality decision builds the flag of
+C^inf.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ coordinate and kernel comes from one fraction-free sparse reduction,
 clearing a rational vector to integers on entry.  One back-substitution
 over its rows, ``integer_rref``, gives the reduced echelon form in
 primitive integer rows, ``integer_kernel`` a kernel basis in integer
-vectors, and ``residue`` a vector modulo their span, times one integer.
+vectors, ``residue`` a vector modulo their span, times one integer, and
+``coordinates`` vectors of their span on them, times one integer.
 ``matmul`` multiplies dense matrices.  Nothing here forms a
 ``Fraction``.  ``WorkLimitError`` is the error of ``poly.bareiss``, kept
 here so that a caller can catch it without loading the polynomials.
@@ -163,6 +164,19 @@ def residue(a: dict, rows, pivots) -> dict:
                 else:
                     del out[i]
     return out
+
+
+def coordinates(vectors, rows, pivots) -> list[list[int]]:
+    """The integer matrix whose column t holds the coordinates of
+    vectors[t], which lies in the span of the ``integer_rref`` rows, on
+    those rows, times e, the lcm of their pivot entries: w[pivot] / p on
+    the row with pivot entry p.  In the basis of the rows scaled to pivot
+    entry 1 the matrix is e times its rational one and conjugate to it by
+    a positive diagonal matrix, which keeps triangularity and every
+    eigenvalue's place on or off the real and imaginary axes."""
+    e = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    return [[w.get(p, 0) * (e // row[p]) for w in vectors]
+            for row, p in zip(rows, pivots)]
 
 
 def matmul(a, b) -> list[list]:

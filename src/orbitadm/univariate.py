@@ -1,32 +1,27 @@
-"""Univariate polynomials over the rationals, just enough to locate roots,
-and the checks of the exponentiality decision that need them.
+"""Univariate integer polynomials, just enough to locate roots, and the
+checks of the exponentiality decision that need them.
 
 A polynomial is a list of ints, constant term first, with no trailing zero
 (the zero polynomial is ``[]``).  Callers ask only where the roots are, so
-every result is given up to a positive rational factor: rational input is
-scaled to integers, and remainders are divided by their content, which
-keeps the integers small without changing any sign that a Sturm count
-reads.
+a result may be given up to a positive factor: remainders are divided by
+their content, which keeps the integers small without changing any sign
+that a Sturm count reads.  ``charpoly`` uses ring operations alone.
 
-``algebra`` imports this module on first use, once a quotient action of
-the exponentiality decision is not triangular (in the corpus, only for
-``grelaud``): ``real_spectrum`` screens such an action, and
-``quotient_failure`` runs checks (i) and (ii) when one fails the screen.
-The Fitting-one restriction and S^-1 of those checks are read off
-``linalg.integer_rref`` rows as integer matrices, each a positive multiple
-of the rational one, which moves no eigenvalue off or onto the real or
-imaginary axis.
+``algebra`` imports this module on first use, once it builds the flag of
+C^inf (in the corpus, only for ``grelaud``): ``quotient_failure`` runs
+checks (i) and (ii) on each quotient action.  The Fitting-one restriction
+and S^-1 of those checks are read off ``linalg.integer_rref`` rows as
+integer matrices, each a positive multiple of the rational one, which
+moves no eigenvalue off or onto the real or imaginary axis.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd as int_gcd
 from math import lcm
 
-from .algebra import _real_spectrum
-from .linalg import integer_rref, matmul
+from .linalg import coordinates, integer_rref, matmul
 
 
 def primitive(p) -> list[int]:
@@ -38,12 +33,6 @@ def primitive(p) -> list[int]:
     for c in p:
         g = int_gcd(g, c)
     return [c // g for c in p] if g > 1 else p
-
-
-def from_rationals(coeffs) -> list[int]:
-    """The primitive integer polynomial with the roots of ``coeffs``."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return primitive([c.numerator * (d // c.denominator) for c in coeffs])
 
 
 def derivative(p) -> list[int]:
@@ -116,57 +105,25 @@ def has_nonzero_imaginary_root(p) -> bool:
     return len(g) > 1 and real_root_count(g) > 0
 
 
-def charpoly(mat) -> list[int]:
-    """det(x I - mat), up to a positive factor, in O(n^3) exact steps.
+def charpoly(mat) -> list:
+    """det(x I - mat), monic, by ring operations alone (Berkowitz 1984):
+    an integer mat gives integer coefficients.
 
-    The matrix is brought to upper Hessenberg form H by similarity
-    (Gaussian elimination below the subdiagonal), then the determinant
-    follows from the recurrence on its leading principal minors,
-
-        p_k = (x - h_kk) p_(k-1)
-              - sum_(i<k) h_ik * h_(i+1,i) ... h_(k,k-1) * p_(i-1).
-
-    Zero multipliers and zero subdiagonal products are skipped, so a
-    triangular matrix costs O(n^2).
+    With p the characteristic polynomial of the leading k x k block M, r
+    and c the rest of row and column k of mat and a = mat[k][k], that of
+    the leading block one larger is p, highest term first, times the
+    lower triangular Toeplitz matrix with first column 1, -a, -r c,
+    -r M c, ..., -r M^(k-1) c.
     """
-    h = [[Fraction(x) for x in row] for row in mat]
-    n = len(h)
-    for m in range(1, n - 1):
-        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if piv is None:
-            continue
-        if piv != m:
-            h[piv], h[m] = h[m], h[piv]
-            for row in h:
-                row[piv], row[m] = row[m], row[piv]
-        top = h[m][m - 1]
-        for i in range(m + 1, n):
-            u = h[i][m - 1] / top
-            if not u:
-                continue
-            row_i, row_m = h[i], h[m]
-            for c in range(m - 1, n):
-                if row_m[c]:
-                    row_i[c] -= u * row_m[c]
-            for row in h:
-                if row[i]:
-                    row[m] += u * row[i]
-    polys = [[Fraction(1)]]
-    for k in range(n):
-        prev = polys[-1]
-        p = [Fraction(0)] + prev
-        for d, c in enumerate(prev):
-            p[d] -= h[k][k] * c
-        t = Fraction(1)
-        for i in range(k - 1, -1, -1):
-            t *= h[i + 1][i]
-            if not t:
-                break
-            if h[i][k]:
-                for d, c in enumerate(polys[i]):
-                    p[d] -= h[i][k] * t * c
-        polys.append(p)
-    return from_rationals(polys[-1])
+    p = [1]
+    for k, row in enumerate(mat):
+        toeplitz, v = [1, -row[k]], [mat[i][k] for i in range(k)]
+        for _ in range(k):
+            toeplitz.append(-sum(x * y for x, y in zip(row, v)))
+            v = [sum(x * y for x, y in zip(mat[i], v)) for i in range(k)]
+        p = [sum(toeplitz[s] * p[d - s] for s in range(max(0, d - k), d + 1))
+             for d in range(k + 2)]
+    return p[::-1]
 
 
 def real_spectrum(M) -> bool:
@@ -179,8 +136,13 @@ def real_spectrum(M) -> bool:
 
 
 def quotient_failure(mats):
-    """``algebra._quotient_failure`` for commuting integer actions ``mats``
-    of which some has a non-real eigenvalue.
+    """Which check fails for the commuting integer actions ``mats`` on one
+    quotient of the flag of C^inf.
+
+    None when no real combination has a nonzero purely imaginary
+    eigenvalue; else ("i", c, None) with the integer witness sum c_i A_i,
+    or ("ii", c, i) with the index of an E_i that has a non-real
+    eigenvalue.
 
     Every nonzero joint character chi lives on the joint Fitting-one part
     W, where S = sum c_i A_i is invertible exactly when chi(S) != 0 for
@@ -196,6 +158,8 @@ def quotient_failure(mats):
     """
     mats = _on_fitting_component(mats)
     n, t = len(mats[0]), 1
+    if not n:  # every A_i is nilpotent: there is no nonzero character
+        return None
     while True:
         c = [t ** i for i in range(len(mats))]
         S = [[sum(ci * A[a][b] for ci, A in zip(c, mats)) for b in range(n)]
@@ -207,7 +171,7 @@ def quotient_failure(mats):
     if has_nonzero_imaginary_root(charpoly(S)):
         return "i", c, None
     for i, A in enumerate(mats):
-        if not _real_spectrum(matmul(A, inverse)):
+        if not real_spectrum(matmul(A, inverse)):
             return "ii", c, i
     return None
 
@@ -223,11 +187,8 @@ def _on_fitting_component(mats) -> list[list[list[int]]]:
     part the A_i are commuting nilpotents, under which a nonzero invariant
     U has sum_i A_i U smaller than U.  U is held in its ``integer_rref``
     rows, which are unique: once U stops shrinking they are W's, and the
-    images just formed are those of W's rows.  Such a w has coordinate
-    w[pivot] / p on the row with pivot entry p, taken times e, the lcm of
-    the p: e times the restriction in the rref basis, conjugated by a
-    positive diagonal matrix, which keeps triangularity and every sign
-    the checks read.
+    images just formed are those of W's rows, whose coordinates
+    ``linalg.coordinates`` reads.
     """
     rows, piv = [{j: 1} for j in range(len(mats[0]))], range(len(mats[0]))
     while True:
@@ -238,9 +199,7 @@ def _on_fitting_component(mats) -> list[list[list[int]]]:
         if len(smaller) == len(rows):
             break
         rows, piv = smaller, pivots
-    e = lcm(*(row[p] for row, p in zip(rows, piv)))
-    return [[[w.get(p, 0) * (e // row[p]) for w in columns]
-             for row, p in zip(rows, piv)] for columns in images]
+    return [coordinates(columns, rows, piv) for columns in images]
 
 
 def _scaled_inverse(S) -> list[list[int]] | None:

@@ -27,12 +27,11 @@ from hypothesis import strategies as st
 
 import orbitadm as oa
 from orbitadm import algebra, cli, univariate
-from orbitadm.algebra import _quotient_failure, _real_spectrum
 from orbitadm.geometry import ad_float
 
 from conftest import (CORPUS_NAMES, load_bench_families, load_problem,
                       make_motion, make_skew3, problem_text_of,
-                      random_invertible, transform_algebra)
+                      random_invertible, run_cli, transform_algebra)
 from exact import invert, mat_vec, matmul, rank, rref
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -256,6 +255,27 @@ def test_cyclic_bases_take_the_flag(name, monkeypatch):
         assert rep.exponentiality_reason != algebra.TRIANGULAR
 
 
+SWAP_H3 = Path(__file__).parent / "fixtures" / "swap_h3.alg"
+
+
+def test_a_zero_action_on_the_last_quotient_passes_both_checks():
+    # ad A swaps U and V, so the flag decides; on V_1/V_2 = span{R} every
+    # action is 0 and there is no nonzero character
+    L = oa.parse(SWAP_H3.read_text()).algebra
+    assert not algebra._ad_scan(L)[1]
+    commutator = algebra._commutator(L)
+    _, stable = algebra._series(L, commutator, algebra._lower_central_step)
+    assert [len(term) for term in algebra._flag(L, commutator, stable)] \
+        == [3, 1, 0]
+    rep = oa.structure_report(L)
+    assert (rep.exponentiality, rep.exponentiality_reason) == (
+        "Exponential", "checks (i) and (ii) hold on every quotient of the "
+        "flag of C^inf")
+    code, out, err = run_cli("verdict", str(SWAP_H3))
+    assert (code, err) == (0, "")
+    assert "structure.exponentiality: Exponential\n" in out
+
+
 def test_check_ii_names_the_quotient_and_generator():
     rep = oa.structure_report(_family(_families.twist(2)))
     assert rep.exponentiality_reason == (
@@ -275,10 +295,10 @@ def test_invalid_and_non_solvable_tables_are_not_exponential():
         "NotExponential", "not solvable")
 
 
-# The reference for ``_quotient_failure``: the Jordan-Chevalley path it
-# replaced.  It reads the semisimple parts S_i of the A_i, from Newton's
-# iteration, takes S = sum c_i S_i with ker S the common kernel of the S_i,
-# and runs check (ii) on E_i = S_i S^-1 on im S.
+# The reference for ``univariate.quotient_failure``: the Jordan-Chevalley
+# path it replaced.  It reads the semisimple parts S_i of the A_i, from
+# Newton's iteration, takes S = sum c_i S_i with ker S the common kernel of
+# the S_i, and runs check (ii) on E_i = S_i S^-1 on im S.
 
 
 def _matrix_poly(p, A):
@@ -292,6 +312,18 @@ def _matrix_poly(p, A):
     return out
 
 
+def _from_rationals(coeffs):
+    """The primitive integer polynomial with the roots of ``coeffs``."""
+    d = lcm(*(Fraction(c).denominator for c in coeffs))
+    return univariate.primitive([int(c * d) for c in coeffs])
+
+
+def _charpoly(A):
+    """The characteristic polynomial of a rational A, as a primitive
+    integer polynomial."""
+    return _from_rationals(univariate.charpoly(A))
+
+
 def _squarefree(p):
     """p / gcd(p, p'): every repeated factor reduced to a single one."""
     g = univariate.gcd(p, univariate.derivative(p))
@@ -301,13 +333,13 @@ def _squarefree(p):
         q[k] = r[k + len(g) - 1] / g[-1]
         for i, x in enumerate(g):
             r[k + i] -= q[k] * x
-    return univariate.from_rationals(q)
+    return _from_rationals(q)
 
 
 def _semisimple_part(A):
     """Newton's iteration A <- A - p(A) p'(A)^-1, p the square-free part of
     the characteristic polynomial, until p(A) = 0."""
-    full = univariate.charpoly(A)
+    full = _charpoly(A)
     p = _squarefree(full)
     if len(p) == len(full):
         return A
@@ -321,7 +353,7 @@ def _semisimple_part(A):
 
 
 def _reference_real_spectrum(M):
-    p = _squarefree(univariate.charpoly(M))
+    p = _squarefree(_charpoly(M))
     return univariate.real_root_count(p) == len(p) - 1
 
 
@@ -341,7 +373,7 @@ def _reference_quotient_failure(mats):
             if rank(S) == common:
                 break
             t += 1
-    if univariate.has_nonzero_imaginary_root(univariate.charpoly(S)):
+    if univariate.has_nonzero_imaginary_root(_charpoly(S)):
         return "i", c, None
     for i, E in enumerate(_on_image(S, parts) if parts else ()):
         if not _reference_real_spectrum(E):
@@ -365,8 +397,8 @@ def _on_image(S, parts):
 
 def _integer(mats):
     """The rational ``mats`` times one positive integer, the lcm of all
-    their denominators: ``_quotient_failure`` takes integer actions under
-    one scale."""
+    their denominators: ``univariate`` takes integer matrices, and one
+    positive scale moves no eigenvalue off or onto either axis."""
     d = lcm(*(Fraction(x).denominator for A in mats for row in A
               for x in row))
     return [[[int(x * d) for x in row] for row in A] for A in mats]
@@ -448,12 +480,13 @@ def _nilpotent_tail_next_to_a_pair():
 def test_quotient_failure_matches_the_semisimple_parts(mats):
     """The joint Fitting-one component decides as the semisimple parts do:
     the same check fails, at the same c and the same generator."""
-    assert (_quotient_failure(_integer(mats))
+    assert (univariate.quotient_failure(_integer(mats))
             == _reference_quotient_failure(mats))
 
 
-# The triangular route of ``_real_spectrum`` (the diagonal read as the
-# eigenvalues) against the characteristic polynomial route.
+# ``univariate.real_spectrum`` on triangular matrices, whose diagonal holds
+# the eigenvalues, and on matrices one entry off triangular, against the
+# reference.
 
 small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
@@ -472,6 +505,11 @@ def triangular_matrices(draw):
     return M if draw(st.booleans()) else [list(row) for row in zip(*M)]
 
 
+def _real_spectrum(M):
+    """``univariate.real_spectrum`` of the rational M cleared to integers."""
+    return univariate.real_spectrum(_integer([M])[0])
+
+
 def _conjugated(M, seed):
     P = random_invertible(random.Random(seed), len(M))
     return matmul(matmul(P, M), invert(P))
@@ -488,8 +526,7 @@ def test_real_spectrum_of_triangular_matrices(M, seed):
 @settings(max_examples=150, deadline=None, database=None)
 @given(M=triangular_matrices(), data=st.data())
 def test_real_spectrum_one_entry_off_triangular(M, data):
-    # one entry across the diagonal can make a pair of non-real roots; the
-    # matrix is then not triangular and the charpoly route decides it
+    # one entry across the diagonal can make a pair of non-real roots
     n = len(M)
     if n > 1:
         i, j = data.draw(st.sampled_from(
@@ -510,8 +547,14 @@ def test_commuting_diagonal_families_pass_both_checks(n, r, data, conjugate,
         P = random_invertible(random.Random(seed), n)
         P_inv = invert(P)
         mats = [matmul(matmul(P, A), P_inv) for A in mats]
-    assert _quotient_failure(_integer(mats)) is None
+    assert univariate.quotient_failure(_integer(mats)) is None
     assert _reference_quotient_failure(mats) is None
+
+
+@pytest.mark.parametrize("mats", [[[[0]]], [[[1, 1], [-1, -1]]]])
+def test_nilpotent_actions_pass_both_checks(mats):
+    # the joint Fitting-one part is 0, so there is no nonzero character
+    assert univariate.quotient_failure(mats) is None
 
 
 @pytest.mark.parametrize("M, real", [
@@ -521,7 +564,7 @@ def test_commuting_diagonal_families_pass_both_checks(n, r, data, conjugate,
     ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], False),   # a cyclic shift
 ])
 def test_real_spectrum_by_hand(M, real):
-    assert _real_spectrum(M) is real
+    assert univariate.real_spectrum(M) is real
 
 
 class TestUnivariate:
@@ -561,8 +604,7 @@ class TestUnivariate:
         assert univariate.gcd(a, [-3, 2, 1]) == [-1, 1]
         # the repeated factor: a has 3 - 1 = 2 distinct roots
         assert univariate.gcd(a, univariate.derivative(a)) == [-1, 1]
-        assert univariate.from_rationals([Fraction(1, 2), Fraction(-3, 4)]) \
-            == [2, -3]
+        assert _from_rationals([Fraction(1, 2), Fraction(-3, 4)]) == [2, -3]
 
 
 # the modules of a cold process that a command must not load unless it
@@ -633,7 +675,7 @@ def test_exact_commands_load_only_what_they_run(name):
         proc = _probe(argv)
         assert proc.returncode == 0, proc.stderr
         loaded[argv[:2]] = _loaded(proc)
-    # only grelaud has a quotient action that is not triangular
+    # only grelaud reaches the flag
     decision = ["orbitadm.univariate"] if name == "grelaud" else []
     assert loaded["verdict", path] == ["orbitadm.moment", *decision]
     assert loaded["verdict", "--json"] == ["json", "orbitadm.moment",

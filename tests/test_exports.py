@@ -103,15 +103,16 @@ def test_option_surface_is_pinned():
 
 
 def test_linalg_is_the_integer_kernel():
-    # one elimination, its back-substitution, kernel and residue and a
-    # dense product; no Fraction layer.  bareiss, for the polynomial
-    # pencil, is defined in poly, which loads only when it runs
+    # one elimination, its back-substitution, kernel, residue and
+    # coordinates and a dense product; no Fraction layer.  bareiss, for
+    # the polynomial pencil, is defined in poly, which loads only when it
+    # runs
     public = {name for name, obj in vars(linalg).items()
               if not name.startswith("_")
               and getattr(obj, "__module__", linalg.__name__)
               == linalg.__name__}
     assert public == {"echelon", "integer_rref", "integer_kernel",
-                      "residue", "matmul", "WorkLimitError"}
+                      "residue", "coordinates", "matmul", "WorkLimitError"}
     assert poly.bareiss.__module__ == poly.__name__
     tree = ast.parse(inspect.getsource(linalg))
     imported = {alias.name for node in ast.walk(tree)

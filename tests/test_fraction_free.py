@@ -6,8 +6,8 @@ rows, last row first, and divides each result by its content;
 ``univariate._scaled_inverse`` an inverse off those of (S | I), all in
 integers.  ``moment.rank_certificate`` takes U from an integer kernel of
 its residue rows, and ``symbolic_moment_entries`` reads the integer rows
-as they are.  ``structure_report`` takes the flag's V_1 from the derived
-series' g^(2) when C^inf = C^1.
+as they are.  ``structure_report`` builds the flag of C^inf once, from
+C^inf, whether C^inf is C^1 or lies below it.
 
 The references below are the code these replaced, kept here as it was,
 with its sparse helpers from ``exact``: ``reference_rref_sparse`` scales
@@ -16,8 +16,8 @@ nullspace and invert are built on it;
 ``reference_symbolic_moment_entries`` clears its rows to integers;
 ``reference_rank_certificate`` reduces its residues in ``Fraction``s and
 takes U from a dense m x (n - m) matrix through
-``nullspace`` and ``cleared_int_rows``; the flag's V_1 is
-``_span(L, commutator, stable)``.  On random sparse rational matrices,
+``nullspace`` and ``cleared_int_rows``; the flag is ``_flag`` called
+on C^inf directly.  On random sparse rational matrices,
 with zero, repeated and dependent rows and negative and non-unit pivots,
 on random pencils and on pencils and algebras in random bases, both sides
 must return equal values.
@@ -256,7 +256,7 @@ def test_random_basis_pencils_match_the_fraction_path(problem):
     assert reference_rank_certificate(D, witness) is not None
 
 
-# --- the flag's V_1 ----------------------------------------------------------
+# --- the flag of C^inf -------------------------------------------------------
 
 
 def _strictly_upper_plus_affine() -> oa.LieAlgebra:
@@ -293,14 +293,9 @@ def test_the_flag_matches_the_one_built_from_c_inf(L, below, seed,
     if seed is not None:
         L = _in_a_random_basis(L, f"{L.name}-{seed}")
     commutator = algebra._commutator(L)
-    derived = []
-    algebra._series(L, commutator, algebra._span, derived)
     _, stable = algebra._series(L, commutator, algebra._lower_central_step)
     assert (len(stable) < len(commutator)) is below
     reference = algebra._flag(L, commutator, stable)
-    if not below:  # V_1 = [C^1, C^inf] = [C^1, C^1] = g^(2)
-        assert (reference_rref_sparse(derived[0])
-                == reference_rref_sparse(algebra._span(L, commutator, stable)))
     built = []
     flag = algebra._flag
     monkeypatch.setattr(algebra, "_flag", lambda *args: built.append(
@@ -313,8 +308,7 @@ def test_the_flag_matches_the_one_built_from_c_inf(L, below, seed,
     assert algebra._ad_scan(L)[1] is triangular
     if triangular:
         assert built == []
-        algebra._exponentiality(L, commutator, stable,
-                                None if below else derived[0])
+        algebra._exponentiality(L, commutator, stable)
     [got] = built
     assert ([reference_rref_sparse(term) for term in got]
             == [reference_rref_sparse(term) for term in reference])
