@@ -3,9 +3,11 @@
 The probabilistic route samples random integer points of the spectral
 variety and takes the best exact rank seen, which bounds the generic rank
 from below.  At that witness it also looks for a shrunk-subspace
-certificate (the limit of the second Wong sequence): subspaces U, W with
-M(x) U inside W at every x, which bounds the rank from above by
-(n - m) - (dim U - dim W).  The symbolic route writes the moment matrix
+certificate: subspaces U, W with M(x) U inside W at every x, which bounds
+the rank from above by (n - m) - (dim U - dim W).  The pencil's image
+(U everything, W the span of the columns of the coefficient matrices, no
+Wong step) is tried first, then the limit of the second Wong sequence;
+on these four files the image closes.  The symbolic route writes the moment matrix
 over a basis of the span of its chart coefficients, so each entry is a
 linear form in a few new variables (printed x1, x2, ...), and eliminates
 fraction-free over the polynomial ring, which certifies the rank outright

@@ -425,9 +425,10 @@ def _quotient_actions(L: LieAlgebra, gens, upper, lower):
     of ``univariate.quotient_failure`` changes.
     """
     below = integer_rref(lower)
-    rows, piv = integer_rref(residue(row, *below) for row in upper)
-    return [coordinates([residue(_product(L, ((k, 1),), row.items()), *below)
-                         for row in rows], rows, piv) for k in gens]
+    rows, piv = integer_rref(residue(upper, *below))
+    return [coordinates(list(residue((_product(L, ((k, 1),), row.items())
+                                      for row in rows), *below)), rows, piv)
+            for k in gens]
 
 
 def _exponentiality(L: LieAlgebra, commutator, stable):

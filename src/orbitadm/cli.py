@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 import re
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from .algebra import (DimensionMismatchError, DisagreementError,
@@ -42,6 +41,11 @@ from .problemfile import EXIT_OK, ParseError, _load, _printable, _UsageError
 from .report import render_json, render_problem_summary, render_text
 from .verdict import (AnalysisConfig, InvalidAlgebraError,
                       StructuralPreconditionError, check_problem, decide)
+
+# typing.TYPE_CHECKING, read by type checkers; typing is not imported
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from pathlib import Path
 
 SEED_ENV_VAR = "ORBITADM_SEED"
 
@@ -237,6 +241,7 @@ def _read(argv):
 
 
 def corpus_dir() -> Path:
+    from pathlib import Path  # only the corpus readers load pathlib
     return Path(__file__).with_name("corpus")
 
 

@@ -6,7 +6,7 @@ coordinate and kernel comes from one fraction-free sparse reduction,
 clearing a rational vector to integers on entry.  One back-substitution
 over its rows, ``integer_rref``, gives the reduced echelon form in
 primitive integer rows, ``integer_kernel`` a kernel basis in integer
-vectors, ``residue`` a vector modulo their span, times one integer, and
+vectors, ``residue`` vectors modulo their span, times one integer, and
 ``coordinates`` vectors of their span on them, times one integer.
 ``matmul`` multiplies dense matrices.  Nothing here forms a
 ``Fraction``.  ``WorkLimitError`` is the error of ``poly.bareiss``, kept
@@ -146,24 +146,26 @@ def integer_kernel(rows, n_cols: int) -> list[dict[int, int]]:
     return basis
 
 
-def residue(a: dict, rows, pivots) -> dict:
-    """d a minus its part in the span of ``integer_rref`` rows, d the lcm
-    of their pivot entries: 0 at every pivot, and 0 exactly when a lies in
-    the span.  One d for every a, so a linear relation among residues is
-    one among the a modulo the span."""
+def residue(vectors, rows, pivots):
+    """Yield, for each sparse vector a, d a minus its part in the span of
+    ``integer_rref`` rows, d the lcm of their pivot entries, formed once:
+    0 at every pivot, and 0 exactly when a lies in the span.  One d for
+    every a, so a linear relation among residues is one among the a modulo
+    the span."""
     d = lcm(*(row[col] for row, col in zip(rows, pivots)))
-    out = {i: d * c for i, c in a.items() if c}
-    for row, col in zip(rows, pivots):
-        f = a.get(col)
-        if f:
-            f *= d // row[col]
-            for i, c in row.items():
-                v = out.get(i, 0) - f * c
-                if v:
-                    out[i] = v
-                else:
-                    del out[i]
-    return out
+    for a in vectors:
+        out = {i: d * c for i, c in a.items() if c}
+        for row, col in zip(rows, pivots):
+            f = a.get(col)
+            if f:
+                f *= d // row[col]
+                for i, c in row.items():
+                    v = out.get(i, 0) - f * c
+                    if v:
+                        out[i] = v
+                    else:
+                        del out[i]
+        yield out
 
 
 def coordinates(vectors, rows, pivots) -> list[list[int]]:

@@ -20,17 +20,21 @@ rank,
 is decided and proven here, by generic_h_orbit_dim alone.  Seeded random
 evaluation (exact rank at integer chart points, Schwartz-Zippel
 controlled) gives the witness point and proves d_tau >= its rank.  The
-upper bound is proven at that same point by a shrunk-subspace certificate,
-the limit of the second Wong sequence: exact linear algebra over Q, no
-polynomials, done in integers.  Each of its subspaces U = {u : A u in W}
-is the integer kernel (``linalg.integer_kernel``) of sparse residue rows:
-the columns of A taken modulo W (``linalg.residue``), all scaled by one
-integer, one row per coordinate off the pivots of W.  Where it does not
-close (the pencil's non-commutative rank exceeds d_tau, as for generic
-skew pencils), fraction-free elimination over the polynomial ring on a
-basis of the pencil's span certifies the rank in any dimension within a
-work limit; that elimination, its polynomials and the pencil's entries in
-them (``poly``) are imported only when it runs.  A proof that contradicts
+upper bound is proven at that same point by the first of three proofs
+that closes, cheapest first, all exact and in integers.  First the
+pencil's image: every column of M(x) is a combination of the nonzero
+columns of the M_v, so their span T bounds the rank everywhere, and
+dim T = rank A proves it.  Then the shrunk-subspace certificate, the limit
+of the second Wong sequence: linear algebra over Q, no polynomials.  Each
+of its subspaces U = {u : A u in W} is the integer kernel
+(``linalg.integer_kernel``) of sparse residue rows: the columns of A taken
+modulo W (``linalg.residue``), all scaled by one integer, one row per
+coordinate off the pivots of W.  Where it does not close (the pencil's
+non-commutative rank exceeds d_tau, as for generic skew pencils),
+fraction-free elimination over the polynomial ring on a basis of the
+pencil's span certifies the rank in any dimension within a work limit;
+that elimination, its polynomials and the pencil's entries in them
+(``poly``) are imported only when it runs.  A proof that contradicts
 the sample raises DisagreementError; a sample below the elimination's
 rank raises SamplingMissError.  The induced representation behaves
 qualitatively differently according to whether d_tau reaches m — whether
@@ -118,9 +122,28 @@ def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
     x, or return None.
 
     It reads the m x (n - m) block of M(x) = M_0 + sum x_r M_r, where the
-    pencil lives.  With A that block at x, the second Wong
-    sequence W_0 = 0, U_i = {u : A u in W_i}, W_{i+1} = sum_v M_v U_i over
-    the n - m + 1 coefficient matrices rises to a limit W*.  If some W_i
+    pencil lives, A that block at x.  First the pencil's image: every
+    column of M(x') is a combination of the nonzero columns of the M_v, so
+    rank M(x') <= dim T at every x', T their span, formed by
+    ``linalg.echelon`` until it passes rank A.  When dim T is rank A it
+    returns (n - m, dim T, 0): U is the whole chart space, W = T, and no
+    Wong step runs.  Otherwise the second Wong sequence decides
+    (``_wong_certificate``).
+    """
+    a_columns = _block_at(D, x)[0]
+    rank = len(echelon(a_columns)[0])
+    image = echelon((dict(pairs) for coefficient in D.pencil
+                     for pairs in coefficient if pairs), limit=rank + 1)[0]
+    if len(image) == rank:
+        return D.n - D.m, rank, 0
+    return _wong_certificate(D, a_columns)
+
+
+def _wong_certificate(D: MonomialDatum, a_columns) -> Certificate | None:
+    """The second Wong sequence at A, given by its sparse columns.
+
+    W_0 = 0, U_i = {u : A u in W_i}, W_{i+1} = sum_v M_v U_i over the
+    n - m + 1 coefficient matrices rises to a limit W*.  If some W_i
     leaves im A, nothing is proven: None.  Otherwise U = U* has
     M_v U in W* for every v, so at every x' M(x') U lies in W* and
     rank M(x') <= (n - m) - (dim U - dim W*).  A maps U onto W* with kernel
@@ -131,12 +154,11 @@ def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
     pencil's non-commutative rank.  W and im A are held in the reduced
     integer rows of ``linalg.integer_rref``; U is the integer kernel of
     the residues of A's columns modulo W (``linalg.residue``), transposed
-    to one sparse row per coordinate, and the residue of each row of W
-    tells whether it leaves im A.  Past ``_block_at``, which clears a rational
+    to one sparse row per coordinate, and the residues of W's rows tell
+    whether it leaves im A.  Past ``_block_at``, which clears a rational
     x, no ``Fraction`` is formed.
     """
     m, k = D.m, D.n - D.m
-    a_columns = _block_at(D, x)[0]
     image = integer_rref(a_columns)
     w_rows: list = []
     w_pivots: list[int] = []
@@ -145,8 +167,8 @@ def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
         # U = ker of A followed by the quotient map onto Q^m / W: the
         # kernel of the residue rows, one per coordinate i off W's pivots
         residue_rows: list[dict] = [{} for _ in range(m)]
-        for j, a in enumerate(a_columns):
-            for i, c in residue(a, w_rows, w_pivots).items():
+        for j, r in enumerate(residue(a_columns, w_rows, w_pivots)):
+            for i, c in r.items():
                 residue_rows[i][j] = c
         U = integer_kernel(residue_rows, k)
         products = []
@@ -160,7 +182,7 @@ def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
                     products.append(w)
         rows, pivots = integer_rref(products)
         steps += 1
-        if any(residue(row, *image) for row in rows):  # W leaves im A
+        if any(residue(rows, *image)):  # W leaves im A
             return None
         if len(rows) == len(w_rows):  # W only grows: it has stopped
             return len(U), len(rows), steps
@@ -174,7 +196,9 @@ def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
     Each trial draws x uniformly from the integer box [-bound, bound]^(n-m)
     and computes rank M(l(x)) exactly, a lower bound on d_tau.  At each new
     best rank r it seeks the upper bound: r = m needs none (the certificate
-    is the trivial (n - m, m, 0)), below m it runs ``rank_certificate``.
+    is the trivial (n - m, m, 0): the pencil's image has at most m
+    dimensions), below m it runs ``rank_certificate``, the image first and
+    then the Wong sequence.
     The trials stop at the first proven point, and a certificate for any
     rank but r raises DisagreementError.  Without one, Bareiss elimination
     (``symbolic_generic_rank``) certifies d_tau: a rank below the sampled

@@ -9,15 +9,18 @@ x -> l for the spectral variety
 
     A_tau = { l in g* : l(Y) = f(Y) on h }  =  f + h^perp
 
-and the moment pencil over it, stored sparse in integers.  The chart is
-read off the graph of f, the fraction-free rref of the rows (Y_i | f(Y_i))
-(``linalg.integer_rref``), with no inverse of the adapted basis; its
-integer rows over one denominator feed the pencil, and ``Fraction``s are
-formed only for the chart the datum keeps.  The pencil is accumulated in
-its nonzero cells (v, r) alone, and the completing rows e_k are written
-directly.  The datum keeps f_vals, the chart, the pencil, the nonzero
-entries of the generators and the completing k; the dense adapted basis,
-which only ``jacobian`` reads, is built from them on first read.
+and the moment pencil over it, stored sparse in integers.  One
+elimination serves the checks and the chart: the graph of f, the
+fraction-free rref of the rows (Y_i | f(Y_i)) (``linalg.integer_rref``),
+gives the rank of the generators, tells whether each bracket lies in h
+and what f takes on it, and is read as the chart, with no inverse of the
+adapted basis; its integer rows over one denominator feed the pencil.
+The pencil is accumulated in its nonzero cells (v, r) alone, and the
+completing rows e_k are written directly.  The datum keeps f_vals, the
+chart's integer rows, the pencil, the nonzero entries of the generators
+and the completing k; the chart in ``Fraction``s, which only the readers
+of one point use, and the dense adapted basis, which only ``jacobian``
+reads, are built from them on first read.
 ``pointwise.point_on_variety`` reads the chart at a point.  A generator is
 given as its {k: coefficient} terms, as ``problemfile.parse`` keeps it, or
 as a dense row, and both go through one normalisation to their nonzero
@@ -80,7 +83,8 @@ class MonomialDatum(Record):
     Y_i, rows m..n-1 the greedy standard-vector completion X_r = e_k for k
     in ``kept``, built on first read.
     f_vals[j] = f(Y_j).  chart is the affine chart x -> l_x of A_tau, with
-    l_x(Y_j) = f_j and l_x(X_r) = x_r, sparse (see ``Chart``).  pencil is
+    l_x(Y_j) = f_j and l_x(X_r) = x_r, sparse (see ``Chart``), built on
+    first read from its integer pairs over one positive scale.  pencil is
     the moment matrix M(l_x)[i][j] = l_x([Y_i, B_j]) over the chart, B_j
     running over the adapted basis, as M(x) = M_0 + sum x_r M_r, in
     integers: the pencil stores denominator * M_v, with denominator a
@@ -91,23 +95,27 @@ class MonomialDatum(Record):
     k rising.  Equality reads the adapted rows, not the terms.
     """
 
-    __slots__ = ("algebra", "f_vals", "chart", "pencil", "denominator",
-                 "generator_terms", "kept", "_adapted")
+    __slots__ = ("algebra", "f_vals", "pencil", "denominator",
+                 "generator_terms", "kept", "_chart_pairs", "_chart_scale",
+                 "_chart", "_adapted")
     _compared = ("algebra", "f_vals", "adapted_rows", "chart", "pencil",
                  "denominator")
 
-    def __init__(self, algebra: LieAlgebra, f_vals: Vector, chart: Chart,
-                 pencil: Pencil, denominator: int,
+    def __init__(self, algebra: LieAlgebra, f_vals: Vector,
+                 chart_pairs: tuple[tuple[tuple[int, int], ...], ...],
+                 chart_scale: int, pencil: Pencil, denominator: int,
                  generator_terms: tuple[tuple[tuple[int, int | Fraction],
                                               ...], ...],
                  kept: tuple[int, ...]):
         self.algebra = algebra
         self.f_vals = f_vals
-        self.chart = chart
         self.pencil = pencil
         self.denominator = denominator
         self.generator_terms = generator_terms
         self.kept = kept
+        self._chart_pairs = chart_pairs
+        self._chart_scale = chart_scale
+        self._chart = None
         self._adapted = None
 
     @property
@@ -117,6 +125,14 @@ class MonomialDatum(Record):
     @property
     def m(self) -> int:
         return len(self.f_vals)
+
+    @property
+    def chart(self) -> Chart:
+        if self._chart is None:
+            e = self._chart_scale
+            self._chart = tuple(tuple((v, Fraction(a, e)) for v, a in pairs)
+                                for pairs in self._chart_pairs)
+        return self._chart
 
     @property
     def generators(self) -> Matrix:
@@ -139,18 +155,23 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
 
     candidate_rows holds the generators, each a dict {k: coefficient}
     (read as it is) or a dense row of length n; f_vals their values under
-    f.  The ``integer_rref`` of the generators gives the rank and, pair by
-    pair, the residual of [Y_i, Y_j] outside their span (``residue``);
-    m = 0 is the trivial subalgebra.  The chart comes from the rref of the
-    rows (Y_i | f(Y_i)), the coordinates taken last to first and f in a
-    final column, held as integer rows over e, the lcm of their pivot
-    entries.  Its pivots are
-    the last nonzero coordinates of elements of h, and the completion
-    keeps the other standard vectors e_k, k rising: each e_k independent
-    of what came before.  On a kept k the chart is
-    l_k = x_k; the row at pivot p reads l_p = f-part - sum over kept k of
-    its entry at k times x_k.  The chart at x = 0 restricts to f on h, so
-    it checks that f kills each bracket already formed.
+    f.  One elimination decides the checks and gives the chart: the
+    ``integer_rref`` of the graph rows (Y_i | f(Y_i)), the coordinates
+    taken last to first and f in a final column n (left out when f_vals
+    does not hold m values, which is refused after the closure check).
+    The generators have rank m exactly when m graph pivots lie below
+    column n; m = 0 is the trivial subalgebra.  Each bracket [Y_i, Y_j],
+    formed in the integer table, is taken modulo the graph rows
+    (``residue``, with 0 in column n): it lies in h exactly when its
+    residue is 0 below column n, and then that residue's entry at column n
+    is -e times f of it, e the lcm of the graph's pivot entries.  Only
+    when a bracket leaves h are the generators eliminated alone, for the
+    residual of [Y_i, Y_j] outside their span.  The graph's rows are the
+    chart, integer rows over e.  Its pivots are the last nonzero
+    coordinates of elements of h, and the completion keeps the other
+    standard vectors e_k, k rising: each e_k independent of what came
+    before.  On a kept k the chart is l_k = x_k; the row at pivot p reads
+    l_p = f-part - sum over kept k of its entry at k times x_k.
     """
     n = L.dim
     coords = [_terms(row, n) for row in candidate_rows]
@@ -161,35 +182,43 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
         d_y = lcm(*(x.denominator for y in coords for x in y.values()))
         ints = [{k: x.numerator * (d_y // x.denominator)
                  for k, x in y.items()} for y in coords]
-    basis, pivots = integer_rref(ints)
-    if len(pivots) != m:
-        raise RankDeficientError(
-            f"{m} generators span only a {len(pivots)}-dimensional subspace")
-    # each w is [y_i, y_j] in the integer table: d [Y_i, Y_j]
-    d = L.scale * d_y * d_y
-    brackets = []
-    for i, j, w in _products(L, ints):
-        w = {k: x for k, x in w.items() if x}
-        if not w:
-            continue  # a zero bracket lies in the span and f kills it
-        residual = residue(w, basis, pivots)
-        if residual:
-            d *= lcm(*(row[c] for row, c in zip(basis, pivots)))
-            raise NotClosedError(i, j, tuple(
-                Fraction(residual.get(k, 0), d) for k in range(n)))
-        brackets.append((i, j, w))
     vals = tuple(x if type(x) is Fraction else Fraction(x) for x in f_vals)
-    if len(vals) != m:
-        raise DimensionMismatchError(
-            f"functional has {len(vals)} values for {m} generators")
     # column c of the graph is coordinate n - 1 - c, and f is column n, an
     # int where it is integral; its integer rows over e, the lcm of their
     # pivot entries, are the rref rows
-    graph, last = integer_rref(
-        {n - 1 - k: x for k, x in c.items()}
-        | {n: v.numerator if v.denominator == 1 else v}
-        for c, v in zip(coords, vals))
+    f_column = ([{n: v.numerator if v.denominator == 1 else v}
+                 for v in vals] if len(vals) == m else [{}] * m)
+    graph, last = integer_rref({n - 1 - k: x for k, x in c.items()} | f
+                               for c, f in zip(coords, f_column))
+    rank = sum(c < n for c in last)
+    if rank != m:
+        raise RankDeficientError(
+            f"{m} generators span only a {rank}-dimensional subspace")
+    # each w is [y_i, y_j] in the integer table: d [Y_i, Y_j]; its residue
+    # modulo the graph is 0 below column n exactly when it lies in h, and
+    # then holds -e f(w) at column n
+    d = L.scale * d_y * d_y
+    brackets = list(_products(L, ints))
+    character = None
+    for (i, j, w), r in zip(brackets, residue(
+            ({n - 1 - k: x for k, x in w.items()} for _, _, w in brackets),
+            graph, last)):
+        value = r.pop(n, 0)
+        if r:
+            basis, pivots = integer_rref(ints)
+            [residual] = residue([w], basis, pivots)
+            d *= lcm(*(row[c] for row, c in zip(basis, pivots)))
+            raise NotClosedError(i, j, tuple(
+                Fraction(residual.get(k, 0), d) for k in range(n)))
+        if value and character is None:
+            character = i, j, value
+    if len(vals) != m:
+        raise DimensionMismatchError(
+            f"functional has {len(vals)} values for {m} generators")
     e = lcm(*(row[c] for c, row in zip(last, graph)))
+    if character is not None:
+        i, j, value = character
+        raise NotACharacterError(i, j, Fraction(-value, e * d))
     solved = {n - 1 - c: (e // row[c], row) for c, row in zip(last, graph)}
     kept = [k for k in range(n) if k not in solved]
     var = {k: r + 1 for r, k in enumerate(kept)}
@@ -204,17 +233,10 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
         scaled.append(tuple(sorted(
             (0, q * x) if j == n else (var[n - 1 - j], -q * x)
             for j, x in row.items() if j != n - 1 - k)))
-    chart = tuple(tuple((v, Fraction(a, e)) for v, a in pairs)
-                  for pairs in scaled)
-    constant = {k: pairs[0][1] for k, pairs in enumerate(scaled)
-                if pairs and pairs[0][0] == 0}
-    for i, j, w in brackets:
-        value = sum(constant.get(k, 0) * c for k, c in w.items())
-        if value:
-            raise NotACharacterError(i, j, Fraction(value, e * d))
     pencil, denominator = _moment_pencil(L, ints, L.scale * d_y * e, kept,
                                          scaled)
-    return MonomialDatum(algebra=L, f_vals=vals, chart=chart, pencil=pencil,
+    return MonomialDatum(algebra=L, f_vals=vals, chart_pairs=tuple(scaled),
+                         chart_scale=e, pencil=pencil,
                          denominator=denominator,
                          generator_terms=tuple(tuple(sorted(y.items()))
                                                for y in coords),

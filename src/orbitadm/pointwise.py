@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import inf, lcm
-from typing import TYPE_CHECKING
 
 from .algebra import DimensionMismatchError, LieAlgebra, _product, dense_vector
 from .linalg import integer_kernel
@@ -31,6 +30,8 @@ from .problemfile import (_RATIONAL_RE, EXIT_OK, _load, _printable,
                           _rational, _Refusal, _UsageError)
 from .report import _combo_strings, _text
 
+# typing.TYPE_CHECKING, read by type checkers; typing is not imported
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # only `jacobian` loads geometry
     from .geometry import JacobianReport
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, neg, sub
-from typing import TYPE_CHECKING
 
 from .linalg import WorkLimitError, integer_rref
 
+# typing.TYPE_CHECKING, read by type checkers; typing is not imported
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .monomial import MonomialDatum
 

@@ -263,9 +263,9 @@ def _printable(what: str):
 
 def _load(path: str) -> ProblemFile:
     """The problem file at ``path``, read, decoded and parsed."""
-    from pathlib import Path  # the library reads no files
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as file:
+            data = file.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
     return parse(decode(data))

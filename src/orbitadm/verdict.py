@@ -20,12 +20,12 @@ as `validate` runs it, never loads it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .algebra import (EXPONENTIAL, LieAlgebra, Record, StructureReport,
                       Violation, structure_report)
 from .monomial import MonomialDatum, build_datum
 
+# typing.TYPE_CHECKING, read by type checkers; typing is not imported
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # `validate` runs check_problem alone, without moment
     from .moment import GenericRankResult
 

@@ -739,6 +739,32 @@ def test_runs_without_site_packages(argv, code):
     assert "Traceback" not in proc.stderr
 
 
+def test_commands_without_site_load_no_typing_or_pathlib(tmp_path):
+    # with site, both are loaded before orbitadm; without it a cold command
+    # loads neither: the skew pencil's verdict runs Bareiss (poly), and
+    # grelaud's reaches the flag (univariate)
+    L = make_skew3()
+    skew = tmp_path / "skew3.alg"
+    skew.write_text(problem_text_of(L.name, L, [{i: 1} for i in range(3)],
+                                    [0] * 3))
+    grelaud = str(cli.corpus_path("grelaud"))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop(cli.SEED_ENV_VAR, None)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys\n"
+         "from orbitadm.cli import main\n"
+         "for argv in sys.argv[1:]:\n"
+         "    assert main(argv.split('\\n')) == 0\n"
+         "print(*sorted({'typing', 'pathlib'} & set(sys.modules)),"
+         " file=sys.stderr)\n",
+         f"verdict\n{skew}", f"verdict\n--json\n{grelaud}",
+         f"rank\n{grelaud}\n--point\n1,2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "\n")
+    assert "d_tau: 2\nm: 3\n" in proc.stdout
+
+
 def _imported_roots(path: Path) -> set[str]:
     """The top-level packages that the import statements of a file name."""
     roots = set()

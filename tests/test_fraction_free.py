@@ -4,10 +4,10 @@
 rows, last row first, and divides each result by its content;
 ``linalg.integer_kernel`` reads a kernel off them, and
 ``univariate._scaled_inverse`` an inverse off those of (S | I), all in
-integers.  ``moment.rank_certificate`` takes U from an integer kernel of
-its residue rows, and ``symbolic_moment_entries`` reads the integer rows
-as they are.  ``structure_report`` builds the flag of C^inf once, from
-C^inf, whether C^inf is C^1 or lies below it.
+integers.  The Wong stage of ``moment.rank_certificate`` takes U from an
+integer kernel of its residue rows, and ``symbolic_moment_entries`` reads
+the integer rows as they are.  ``structure_report`` builds the flag of
+C^inf once, from C^inf, whether C^inf is C^1 or lies below it.
 
 The references below are the code these replaced, kept here as it was,
 with its sparse helpers from ``exact``: ``reference_rref_sparse`` scales
@@ -233,14 +233,31 @@ def test_invert_matches_the_fraction_path(data):
 # --- moment ------------------------------------------------------------------
 
 
+def wong_stage(D, x):
+    """The Wong stage of ``moment.rank_certificate`` at x, run whether or
+    not the pencil's image closes first."""
+    return moment._wong_certificate(D, moment._block_at(D, x)[0])
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(D=pencils(), seed=st.integers(0, 10 ** 6))
 def test_random_pencils_match_the_fraction_path(D, seed):
     assert (poly.symbolic_moment_entries(D)
             == reference_symbolic_moment_entries(D))
-    for x in _points(D, random.Random(seed)):
-        assert (moment.rank_certificate(D, x)
-                == reference_rank_certificate(D, x))
+    points = _points(D, random.Random(seed))
+    k = D.n - D.m
+    image = len(echelon(dict(pairs) for coefficient in D.pencil
+                        for pairs in coefficient)[0])
+    for x in points:
+        assert wong_stage(D, x) == reference_rank_certificate(D, x)
+        # the image stage decides where dim T is the rank at x, and no
+        # proof bounds the rank below that of any point
+        got = moment.rank_certificate(D, x)
+        rank = moment.rank_at(D, x)
+        assert got == ((k, rank, 0) if image == rank else wong_stage(D, x))
+        if got is not None:
+            assert all(moment.rank_at(D, y) <= k - (got[0] - got[1])
+                       for y in points)
 
 
 @pytest.mark.parametrize("problem", CHANGED_BASIS,
@@ -251,8 +268,7 @@ def test_random_basis_pencils_match_the_fraction_path(problem):
             == reference_symbolic_moment_entries(D))
     witness = oa.generic_h_orbit_dim(D).witness
     for x in [witness] + _points(D, random.Random(problem.name)):
-        assert (moment.rank_certificate(D, x)
-                == reference_rank_certificate(D, x))
+        assert wong_stage(D, x) == reference_rank_certificate(D, x)
     assert reference_rank_certificate(D, witness) is not None
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -237,11 +238,15 @@ class TestFloatKernels:
     @given(_rows_and_matrices())
     @example((np.array([1.0, -1.0]), _SWITCH[0], -1.0))
     @example((np.array([1.0, -1.0]), _SWITCH[1], -1.0))
+    @example((np.array([1.11358325e-312]), np.array([[0.5]]), 1.0))
     def test_row_exp_matches_reference(self, case):
         v, A, t = case
         got = np.array(geometry._exp_action(A.tolist())(v.tolist(), t))
         E = reference_expm(t * A)
-        scale = (np.abs(v) @ np.abs(E)).max()
+        # below the smallest normal float a result keeps no relative
+        # precision (1e-12 times a subnormal scale is 0), so the scale is
+        # floored there
+        scale = max((np.abs(v) @ np.abs(E)).max(), sys.float_info.min)
         assert np.abs(got - v @ E).max() <= 1e-12 * scale
 
 

@@ -56,18 +56,16 @@ class TestRref:
         # otherwise the part outside it
         rows, pivots = linalg.integer_rref([{0: 1, 2: 2}, {1: 1, 2: 3}])
 
-        def residue(vec):
-            return linalg.residue({k: x for k, x in enumerate(vec) if x},
-                                  rows, pivots)
-
-        assert residue([2, 3, 13, 0]) == {}
-        assert residue([0, 0, 0, 1]) == {3: 1}
-        assert residue([2, 3, 12, 0]) == {2: -1}
+        vectors = [[2, 3, 13, 0], [0, 0, 0, 1], [2, 3, 12, 0]]
+        assert list(linalg.residue(
+            ({k: x for k, x in enumerate(vec) if x} for vec in vectors),
+            rows, pivots)) == [{}, {3: 1}, {2: -1}]
         # pivot entries 2 and 3 scale every residue by their lcm, 6
         rows, pivots = linalg.integer_rref([{0: 2, 2: 1}, {1: 3, 2: 1}])
         assert (rows, pivots) == ([{0: 2, 2: 1}, {1: 3, 2: 1}], [0, 1])
-        assert linalg.residue({0: 2, 1: 3, 2: 2}, rows, pivots) == {}
-        assert linalg.residue({2: 1}, rows, pivots) == {2: 6}
+        assert list(linalg.residue([{0: 2, 1: 3, 2: 2}, {2: 1}], rows,
+                                   pivots)) == [{}, {2: 6}]
+        assert list(linalg.residue([], rows, pivots)) == []
 
 
 class TestEchelon:

@@ -1,6 +1,7 @@
 import functools
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +17,7 @@ from exact import dense_rows, dot, invert, mat_vec, rank
 
 
 _families = load_bench_families()
+FIXTURES = Path(__file__).parent / "fixtures"
 # the cases of the benchmark's families-large workload, n = 9..21
 FAMILIES_LARGE = (
     [_families.heisenberg(k, sub) for k in range(4, 11)
@@ -306,6 +308,21 @@ def _hand_pencil(block):
         for v in range(k + 1)))
 
 
+def _no_wong_stage(monkeypatch):
+    def unreachable(D, a_columns):
+        raise AssertionError("the Wong stage ran although the image closed")
+    monkeypatch.setattr(moment, "_wong_certificate", unreachable)
+
+
+def _count_wong_stage(monkeypatch) -> list:
+    """The calls of the Wong stage, which still runs, as they come."""
+    ran = []
+    wong = moment._wong_certificate
+    monkeypatch.setattr(moment, "_wong_certificate",
+                        lambda *args: ran.append(args) or wong(*args))
+    return ran
+
+
 class TestRankCertificate:
     def test_generic_skew_pencil_falls_back(self):
         # [[0, x1, x2], [-x1, 0, x3], [-x2, -x3, 0]]: rank 2 at every point,
@@ -318,16 +335,98 @@ class TestRankCertificate:
         assert moment.rank_certificate(D, (1, 2, 3)) is None
 
     def test_rank_one_pencil_closes_with_gap_two(self):
-        # [[x1, x2, x3], [2 x1, 2 x2, 2 x3]]: rank 1, kernel of dimension 2
+        # [[x1, x2, x3], [2 x1, 2 x2, 2 x3]]: rank 1, kernel of dimension 2,
+        # and every column is a multiple of (1, 2), so dim T = 1 proves it
         D = _hand_pencil([[(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
                           [(0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]])
         assert moment.rank_at(D, (1, 2, 3)) == 1
         dim_u, dim_w, steps = moment.rank_certificate(D, (1, 2, 3))
         assert (dim_u, dim_w, dim_u - dim_w) == (3, 1, 2)
-        assert steps == 2
+        assert steps == 0
+        # the Wong sequence proves the same bound in two steps
+        columns = moment._block_at(D, (1, 2, 3))[0]
+        assert moment._wong_certificate(D, columns) == (3, 1, 2)
         # at a point below the generic rank no certificate can close
         assert moment.rank_at(D, (0, 0, 0)) == 0
         assert moment.rank_certificate(D, (0, 0, 0)) is None
+
+    def test_pencil_wider_than_its_rank_closes_with_wong(self, monkeypatch):
+        # [[x1, x2, x3], [2 x1, 2 x2, 0], [0, 0, x1]]: the first two columns
+        # are multiples of (1, 2, 0), so the rank is 2, but the columns of
+        # the M_v span all of Q^3; U = span{e_0, e_1} maps into
+        # W = span{(1, 2, 0)}, reached in two steps
+        o = (0, 0, 0, 0)
+        D = _hand_pencil([[(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+                          [(0, 2, 0, 0), (0, 0, 2, 0), o],
+                          [o, o, (0, 1, 0, 0)]])
+        ran = _count_wong_stage(monkeypatch)
+        assert moment.rank_at(D, (1, 2, 3)) == 2
+        dim_u, dim_w, steps = moment.rank_certificate(D, (1, 2, 3))
+        assert (dim_u, dim_w, dim_u - dim_w) == (2, 1, 1)
+        assert steps == 2 and len(ran) == 1
+
+
+# every bench family case whose sampled rank needs a proof, d_tau < m
+SINGULAR_FAMILIES = [p for p in (
+    [_families.heisenberg(k, sub) for k in range(1, 11)
+     for sub in ("lagrangian", "centre")]
+    + [_families.borel(N, sub) for N in range(2, 7)
+       for sub in ("cartan", "nilradical")]
+    + [_families.diagonal(k, m) for k in range(1, 21) for m in (1, k)])
+    if p.answer.d_tau < p.m]
+B3_WONG = FIXTURES / "b3_wong.alg"
+
+
+class TestImageStage:
+    """dim T, T the span of the columns of the M_v, does not depend on the
+    basis of g or of h, so where it equals d_tau it closes in every basis,
+    before any Wong step."""
+
+    @pytest.mark.parametrize("problem", SINGULAR_FAMILIES,
+                             ids=[p.name for p in SINGULAR_FAMILIES])
+    @pytest.mark.parametrize("changed", [False, True],
+                             ids=["canonical", "random_basis"])
+    def test_closes_on_every_singular_family_case(self, problem, changed,
+                                                  monkeypatch):
+        if changed:
+            D = _in_random_basis(problem)
+        else:
+            pf = oa.parse(problem.text)
+            D = oa.build_datum(pf.algebra, pf.generator_terms,
+                               pf.functional_vals)
+        _no_wong_stage(monkeypatch)
+        res = oa.generic_h_orbit_dim(D)
+        assert res.d_tau == problem.answer.d_tau
+        assert res.proof == (D.n - D.m, res.d_tau, 0)
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_closes_on_every_corpus_file(self, name, corpus_problems,
+                                         monkeypatch):
+        pf = corpus_problems[name]
+        D = load_datum(name)
+        rng = random.Random(f"{name}-image")
+        Q = random_invertible(rng, pf.algebra.dim)
+        Qinv = invert(Q)
+        rows = [[dot(r, col) for col in zip(*Qinv)]
+                for r in dense_rows(pf.generator_terms, pf.algebra.dim)]
+        D2 = oa.build_datum(transform_algebra(pf.algebra, Q), rows,
+                            pf.functional_vals)
+        _no_wong_stage(monkeypatch)
+        for datum in (D, D2):
+            res = oa.generic_h_orbit_dim(datum)
+            assert res.d_tau == ORACLES[name][0]
+            assert res.proof == (datum.n - datum.m, res.d_tau, 0)
+
+    def test_b3_wong_needs_the_wong_stage(self, monkeypatch):
+        # the columns of the M_v span a plane, the rank is 1
+        pf = oa.parse(B3_WONG.read_text())
+        D = oa.build_datum(pf.algebra, pf.generator_terms,
+                           pf.functional_vals)
+        ran = _count_wong_stage(monkeypatch)
+        res = oa.generic_h_orbit_dim(D)
+        assert (res.d_tau, res.proof) == (1, (3, 0, 1))
+        assert len(ran) == 1
+        assert moment.symbolic_generic_rank(D) == 1
 
 
 def _var(nvars, i):

@@ -105,14 +105,14 @@ def test_reduce_against_an_rref_basis(data):
     coeffs = data.draw(vectors(len(mat)))
     inside = [sum((c * row[k] for c, row in zip(coeffs, mat)), Fraction(0))
               for k in range(n)]
-    for vec in (free, inside):
-        w, q = cleared(sparse_rows([vec])[0])
-        got = linalg.residue(w, rows, pivots)
+    vecs = (free, inside)
+    scaled = [cleared(sparse_rows([vec])[0]) for vec in vecs]
+    residues = list(linalg.residue((w for w, _ in scaled), rows, pivots))
+    for vec, (_, q), got in zip(vecs, scaled, residues):
         assert all(type(x) is int and x for x in got.values())
         assert [got.get(k, 0) for k in range(n)] == [
             d * q * x for x in reduce_against(vec, rref_rows, pivots)]
-    assert not linalg.residue(cleared(sparse_rows([inside])[0])[0], rows,
-                              pivots)
+    assert not residues[1]
 
 
 @settings(max_examples=300, deadline=None, database=None)
