@@ -33,9 +33,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
-from .linalg import coordinates, echelon, integer_rref, residue
+from .linalg import cleared, coordinates, echelon, integer_rref, residue
 
 Vector = tuple[Fraction, ...]
 
@@ -157,15 +156,11 @@ def from_constants(name: str, basis_names, constants) -> LieAlgebra:
            for q in combo.values()):
         scale, planes = 1, constants
     else:
-        planes = {ij: {k: q if type(q) in (int, Fraction) else Fraction(q)
-                       for k, q in combo.items()}
+        ints, scale = cleared(Fraction(q) for combo in constants.values()
+                              for q in combo.values())
+        ints = iter(ints)  # zip reads each combo's keys before its ints
+        planes = {ij: dict(zip(combo, ints))
                   for ij, combo in constants.items()}
-        # an int has denominator 1 and is its own numerator
-        scale = lcm(*(q.denominator for combo in planes.values()
-                      for q in combo.values()))
-        planes = {ij: {k: q.numerator * (scale // q.denominator)
-                       for k, q in combo.items()}
-                  for ij, combo in planes.items()}
     table = [[()] * n for _ in range(n)]
     for (i, j), combo in planes.items():
         table[i][j] = tuple(sorted((k, q) for k, q in combo.items() if q))

@@ -29,10 +29,10 @@ from functools import cache
 from operator import mul
 
 from .algebra import LieAlgebra
-from .linalg import matmul
-from .moment import rank_at
+from .linalg import echelon, matmul
+from .moment import _block_at
 from .monomial import MonomialDatum
-from .pointwise import ad_matrix, moment_matrix, point_on_variety
+from .pointwise import ad_matrix, point_on_variety
 
 Matrix = list[list[float]]
 
@@ -156,7 +156,7 @@ def _chart_action(D: MonomialDatum):
 
     @cache
     def l_at(x):
-        return point_on_variety(D, tuple(Fraction(v) for v in x))
+        return point_on_variety(D, x)
 
     def phi(t, x):
         row = _coadjoint_apply_acts(zip(acts, t), l_at(tuple(x)))
@@ -248,9 +248,10 @@ def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
     in the chart directions.  The analytic prediction for the three marked
     blocks is M(l) (top-left), 0 (top-right), I (bottom-right); the
     bottom-left block is unconstrained.  x may be floats; they convert to
-    exact rationals, so the comparison matrix M(l_x) is computed exactly.
-    A number of the problem past the float range at x raises
-    ``ProblemOverflowError``; an overflow at the step, ``OverflowError``.
+    exact rationals, so M(l_x) and its rank are read exactly off one
+    integer block (``moment._block_at``).  A number of the problem past the
+    float range at x raises ``ProblemOverflowError``; an overflow at the
+    step, ``OverflowError``.
     """
     if not 0 < h < math.inf:
         raise ValueError("step must be positive and finite")
@@ -262,7 +263,9 @@ def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
     try:  # the problem's numbers in floating point, before any step
         f = _chart_action(D)
         f([0.0] * n, x_float)
-        M = [[float(a) for a in row] for row in moment_matrix(D, x_exact)]
+        block, q = _block_at(D, x_exact)
+        M = [[0.0] * m + [c.get(i, 0) / (q * D.denominator) for c in block]
+             for i in range(m)]
     except OverflowError as exc:
         raise ProblemOverflowError(str(exc)) from None
 
@@ -297,5 +300,5 @@ def fd_jacobian(D: MonomialDatum, x, h: float = 1e-4,
         max_dev_topright=dev(top_right),
         max_dev_bottomright=dev(bottom_right),
         numerical_rank_J=numerical_rank(J, rel_tol),
-        expected_rank=rank_at(D, x_exact) + nfree,
+        expected_rank=len(echelon(block)[0]) + nfree,
     )

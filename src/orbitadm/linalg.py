@@ -8,9 +8,11 @@ over its rows, ``integer_rref``, gives the reduced echelon form in
 primitive integer rows, ``integer_kernel`` a kernel basis in integer
 vectors, ``residue`` vectors modulo their span, times one integer, and
 ``coordinates`` vectors of their span on them, times one integer.
-``matmul`` multiplies dense matrices.  Nothing here forms a
-``Fraction``.  ``WorkLimitError`` is the error of ``poly.bareiss``, kept
-here so that a caller can catch it without loading the polynomials.
+``cleared`` is the one clearing of rationals to integers over the lcm of
+their denominators, and ``matmul`` multiplies dense matrices.  Nothing
+here forms a ``Fraction``.  ``WorkLimitError`` is the error of
+``poly.bareiss``, kept here so that a caller can catch it without loading
+the polynomials.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ def echelon(vectors,
     in primitive integer rows, fraction-free (Bareiss 1968).
 
     A zero vector is skipped before it meets any row, and a vector with an
-    entry other than an int (a ``Fraction``) is cleared to integers first,
-    by the lcm of the denominators.  A vector that is 0 at
-    every pivot so far (a set of them is kept) becomes a row at once, as
-    the walk below would leave it unchanged.  Any other
+    entry other than an int (a ``Fraction``) is cleared to integers first
+    (``cleared``).  A vector that is 0 at every pivot so far (a set of them
+    is kept) becomes a row at once, as the walk below would leave it
+    unchanged.  Any other
     vector w is reduced by the rows so far: at the pivot column of a
     row with entry p there, w <- p w - w_p row, both factors divided by
     gcd(p, w_p) first.  A nonzero residue becomes a row with its first
@@ -49,8 +51,7 @@ def echelon(vectors,
         if not w:
             continue
         if not all(type(x) is int for x in w.values()):
-            d = lcm(*(x.denominator for x in w.values()))
-            w = {k: x.numerator * (d // x.denominator) for k, x in w.items()}
+            w = dict(zip(w, cleared(w.values())[0]))
         if not taken.isdisjoint(w):
             for row, col in zip(rows, pivots):
                 f = w.get(col)
@@ -65,6 +66,14 @@ def echelon(vectors,
         if len(rows) == limit:
             break
     return rows, pivots
+
+
+def cleared(values) -> tuple[list[int], int]:
+    """(integers, d): the rationals values, ints or ``Fraction``s, times d,
+    the lcm of their denominators."""
+    values = list(values)
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _take_away(w: dict, row: dict, col: int, f: int) -> dict:

@@ -7,20 +7,23 @@ dimension of the H-orbit of l.  Every reader takes l = l_x in A_tau by its
 chart point x and evaluates the datum's sparse integer pencil
 M(x) = M_0 + sum x_r M_r there once, in integers, into the sparse columns
 of its m x (n - m) block (the first m columns of M(l_x) are 0): a rational
-x is cleared to one denominator q first, giving a positive integer
-multiple of the block, which has the same rank, kernel and spans.  rank_at
-ranks the columns by ``linalg.echelon``, the one fraction-free sparse
-elimination, with nothing left to clear.  The readers of one point that
-``verdict`` never calls, the moment matrix itself and the stabilizers,
-live in ``pointwise`` and read the same block.  The generic value of that
-rank,
+x is cleared to one denominator q first (``linalg.cleared``), giving a
+positive integer multiple of the block, which has the same rank, kernel
+and spans.  rank_at ranks the columns by ``linalg.echelon``, the one
+fraction-free sparse elimination, with nothing left to clear, and
+rank_certificate proves that rank from the same block.  The readers of
+one point that ``verdict`` never calls, the point l_x, the moment matrix
+itself and the stabilizers, live in ``pointwise``, and ``jacobian`` in
+``geometry``; they read the same block and the same clearing of x.  The
+generic value of that rank,
 
     d_tau = max over l in A_tau of dim H.l,
 
 is decided and proven here, by generic_h_orbit_dim alone.  Seeded random
 evaluation (exact rank at integer chart points, Schwartz-Zippel
 controlled) gives the witness point and proves d_tau >= its rank.  The
-upper bound is proven at that same point by the first of three proofs
+upper bound is proven at that same point, from the block and rank the
+sample formed, by the first of three proofs
 that closes, cheapest first, all exact and in integers.  First the
 pencil's image: every column of M(x) is a combination of the nonzero
 columns of the M_v, so their span T bounds the rank everywhere, and
@@ -45,12 +48,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 
 from .algebra import (DimensionMismatchError, DisagreementError, Record,
                       SamplingMissError)
-from .linalg import (WorkLimitError, echelon, integer_kernel, integer_rref,
-                     residue)
+from .linalg import (WorkLimitError, cleared, echelon, integer_kernel,
+                     integer_rref, residue)
 from .monomial import MonomialDatum
 
 Vector = tuple[Fraction, ...]
@@ -67,19 +69,22 @@ __all__ = [
 SYMBOLIC_WORK_LIMIT = 10 ** 6
 
 
+def _cleared_point(D: MonomialDatum, x) -> tuple[list[int], int]:
+    """(q x, q): the chart point x in integers, q the lcm of the
+    denominators of its n - m coordinates (each an int or read by
+    ``Fraction``)."""
+    if len(x) != D.n - D.m:
+        raise DimensionMismatchError(
+            f"chart point needs {D.n - D.m} coordinates, got {len(x)}")
+    return cleared(v if type(v) is int else Fraction(v) for v in x)
+
+
 def _block_at(D: MonomialDatum, x) -> tuple[list[dict], int]:
     """(columns, q): column r of the m x (n - m) block of
     q * denominator * M(l_x), as {i: nonzero int}, for r = 0..n-m-1, with
     q the lcm of the denominators of x.  The integer pencil is evaluated in
     integers at q x, its constant term taken q times."""
-    if len(x) != D.n - D.m:
-        raise DimensionMismatchError(
-            f"chart point needs {D.n - D.m} coordinates, got {len(x)}")
-    q = 1
-    if any(type(v) is not int for v in x):
-        x = [Fraction(v) for v in x]
-        q = lcm(*(v.denominator for v in x))
-        x = [v.numerator * (q // v.denominator) for v in x]
+    x, q = _cleared_point(D, x)
     columns: list[dict] = [{} for _ in x]
     for t, coefficient in zip((q, *x), D.pencil):
         if t:
@@ -119,19 +124,27 @@ class GenericRankResult(Record):
 
 def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
     """Prove that no chart point gives the pencil a rank above its rank at
-    x, or return None.
+    x, or return None: ``_proof`` of the block at x and its rank."""
+    columns = _block_at(D, x)[0]
+    return _proof(D, columns, len(echelon(columns)[0]))
 
-    It reads the m x (n - m) block of M(x) = M_0 + sum x_r M_r, where the
-    pencil lives, A that block at x.  First the pencil's image: every
-    column of M(x') is a combination of the nonzero columns of the M_v, so
+
+def _proof(D: MonomialDatum, a_columns, rank: int) -> Certificate | None:
+    """The certificate for A, the m x (n - m) block of
+    M(x) = M_0 + sum x_r M_r at a point, given by its sparse columns and
+    its rank, or None.
+
+    Rank m needs no work: the pencil's image has at most m dimensions, so
+    it is (n - m, m, 0).  Below m, first the pencil's image: every column
+    of M(x') is a combination of the nonzero columns of the M_v, so
     rank M(x') <= dim T at every x', T their span, formed by
     ``linalg.echelon`` until it passes rank A.  When dim T is rank A it
     returns (n - m, dim T, 0): U is the whole chart space, W = T, and no
     Wong step runs.  Otherwise the second Wong sequence decides
     (``_wong_certificate``).
     """
-    a_columns = _block_at(D, x)[0]
-    rank = len(echelon(a_columns)[0])
+    if rank == D.m:
+        return D.n - D.m, rank, 0
     image = echelon((dict(pairs) for coefficient in D.pencil
                      for pairs in coefficient if pairs), limit=rank + 1)[0]
     if len(image) == rank:
@@ -193,12 +206,12 @@ def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
                         bound: int = 10 ** 6, seed: int = 0) -> GenericRankResult:
     """d_tau, sampled at random integer points and then proven.
 
-    Each trial draws x uniformly from the integer box [-bound, bound]^(n-m)
-    and computes rank M(l(x)) exactly, a lower bound on d_tau.  At each new
-    best rank r it seeks the upper bound: r = m needs none (the certificate
-    is the trivial (n - m, m, 0): the pencil's image has at most m
-    dimensions), below m it runs ``rank_certificate``, the image first and
-    then the Wong sequence.
+    Each trial draws x uniformly from the integer box [-bound, bound]^(n-m),
+    evaluates the block of M(l(x)) there once (``_block_at``) and computes
+    its rank exactly, a lower bound on d_tau.  At each new best
+    rank r it proves the upper bound from that block and rank (``_proof``,
+    the steps of ``rank_certificate``): r = m needs no work, below m the
+    image comes first and then the Wong sequence.
     The trials stop at the first proven point, and a certificate for any
     rank but r raises DisagreementError.  Without one, Bareiss elimination
     (``symbolic_generic_rank``) certifies d_tau: a rank below the sampled
@@ -220,11 +233,11 @@ def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
     proof = None
     for _ in range(trials):
         x = tuple(rng.randint(-bound, bound) for _ in range(nfree))
-        r = rank_at(D, x)
+        columns = _block_at(D, x)[0]
+        r = len(echelon(columns)[0])
         if r > best:
             best, witness = r, x
-            proof = ((nfree, D.m, 0) if r == D.m
-                     else rank_certificate(D, x))
+            proof = _proof(D, columns, r)
             if proof is not None:
                 break
     if proof is None:

@@ -17,19 +17,19 @@ and what f takes on it, and is read as the chart, with no inverse of the
 adapted basis; its integer rows over one denominator feed the pencil.
 The pencil is accumulated in its nonzero cells (v, r) alone, and the
 completing rows e_k are written directly.  The datum keeps f_vals, the
-chart's integer rows, the pencil, the nonzero entries of the generators
-and the completing k; the chart in ``Fraction``s, which only the readers
-of one point use, and the dense adapted basis, which only ``jacobian``
-reads, are built from them on first read.
+chart as its integer pairs over one scale, the pencil, the nonzero
+entries of the generators and the completing k; the dense adapted basis,
+which only ``jacobian`` reads, is built from them on first read.
 ``pointwise.point_on_variety`` reads the chart at a point.  A generator is
 given as its {k: coefficient} terms, as ``problemfile.parse`` keeps it, or
 as a dense row, and both go through one normalisation to their nonzero
 terms.  Integer generators stay ints, and a value of f with denominator 1
 enters the graph of f as an int, so on an integer problem no ``Fraction``
 reaches an elimination; rational generators are cleared to one common
-denominator once.  Every bracket of two generators, or of a generator and a
-completing vector, is formed in the integer table; a pair of generators
-whose product is exactly 0 is not formed (``algebra._products``).
+denominator once (``linalg.cleared``).  Every bracket of two generators,
+or of a generator and a completing vector, is formed in the integer
+table; a pair of generators whose product is exactly 0 is not formed
+(``algebra._products``).
 """
 
 from __future__ import annotations
@@ -39,13 +39,10 @@ from math import gcd, lcm
 
 from .algebra import (DimensionMismatchError, LieAlgebra, Record, _products,
                       dense_vector)
-from .linalg import integer_rref, residue
+from .linalg import cleared, integer_rref, residue
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
-# chart[t]: the nonzero (v, a) pairs, v rising, of coordinate t of the
-# chart point l_x, which is sum over v of a x_v, x_0 = 1
-Chart = tuple[tuple[tuple[int, Fraction], ...], ...]
 # pencil[v][r]: the nonzero (i, c) pairs of column r of M_v, i rising, c an
 # int, over the m x (n - m) block; entry (i, r) of M(x) is the sum over v of
 # c x_v, x_0 = 1, divided by the datum's denominator
@@ -82,9 +79,10 @@ class MonomialDatum(Record):
     adapted_rows: n x n invertible matrix; rows 0..m-1 are the generators
     Y_i, rows m..n-1 the greedy standard-vector completion X_r = e_k for k
     in ``kept``, built on first read.
-    f_vals[j] = f(Y_j).  chart is the affine chart x -> l_x of A_tau, with
-    l_x(Y_j) = f_j and l_x(X_r) = x_r, sparse (see ``Chart``), built on
-    first read from its integer pairs over one positive scale.  pencil is
+    f_vals[j] = f(Y_j).  chart_pairs[t] holds the nonzero (v, a) pairs, v
+    rising and a an int, of coordinate t of the affine chart x -> l_x of
+    A_tau (l_x(Y_j) = f_j, l_x(X_r) = x_r): the sum over v of a x_v,
+    x_0 = 1, divided by the positive int chart_scale.  pencil is
     the moment matrix M(l_x)[i][j] = l_x([Y_i, B_j]) over the chart, B_j
     running over the adapted basis, as M(x) = M_0 + sum x_r M_r, in
     integers: the pencil stores denominator * M_v, with denominator a
@@ -95,11 +93,10 @@ class MonomialDatum(Record):
     k rising.  Equality reads the adapted rows, not the terms.
     """
 
-    __slots__ = ("algebra", "f_vals", "pencil", "denominator",
-                 "generator_terms", "kept", "_chart_pairs", "_chart_scale",
-                 "_chart", "_adapted")
-    _compared = ("algebra", "f_vals", "adapted_rows", "chart", "pencil",
-                 "denominator")
+    __slots__ = ("algebra", "f_vals", "chart_pairs", "chart_scale", "pencil",
+                 "denominator", "generator_terms", "kept", "_adapted")
+    _compared = ("algebra", "f_vals", "adapted_rows", "chart_pairs",
+                 "chart_scale", "pencil", "denominator")
 
     def __init__(self, algebra: LieAlgebra, f_vals: Vector,
                  chart_pairs: tuple[tuple[tuple[int, int], ...], ...],
@@ -109,13 +106,12 @@ class MonomialDatum(Record):
                  kept: tuple[int, ...]):
         self.algebra = algebra
         self.f_vals = f_vals
+        self.chart_pairs = chart_pairs
+        self.chart_scale = chart_scale
         self.pencil = pencil
         self.denominator = denominator
         self.generator_terms = generator_terms
         self.kept = kept
-        self._chart_pairs = chart_pairs
-        self._chart_scale = chart_scale
-        self._chart = None
         self._adapted = None
 
     @property
@@ -125,14 +121,6 @@ class MonomialDatum(Record):
     @property
     def m(self) -> int:
         return len(self.f_vals)
-
-    @property
-    def chart(self) -> Chart:
-        if self._chart is None:
-            e = self._chart_scale
-            self._chart = tuple(tuple((v, Fraction(a, e)) for v, a in pairs)
-                                for pairs in self._chart_pairs)
-        return self._chart
 
     @property
     def generators(self) -> Matrix:
@@ -176,12 +164,9 @@ def build_datum(L: LieAlgebra, candidate_rows, f_vals) -> MonomialDatum:
     n = L.dim
     coords = [_terms(row, n) for row in candidate_rows]
     m = len(coords)
-    if all(type(x) is int for y in coords for x in y.values()):
-        d_y, ints = 1, coords
-    else:
-        d_y = lcm(*(x.denominator for y in coords for x in y.values()))
-        ints = [{k: x.numerator * (d_y // x.denominator)
-                 for k, x in y.items()} for y in coords]
+    flat, d_y = cleared(x for y in coords for x in y.values())
+    flat = iter(flat)  # zip reads each generator's keys before its ints
+    ints = [dict(zip(y, flat)) for y in coords]
     vals = tuple(x if type(x) is Fraction else Fraction(x) for x in f_vals)
     # column c of the graph is coordinate n - 1 - c, and f is column n, an
     # int where it is integral; its integer rows over e, the lcm of their

@@ -9,22 +9,24 @@ exact ``bracket`` and ``ad_matrix`` of the algebra, which only library
 callers and ``geometry`` use.  ``cli`` imports it for those two commands
 alone, so a cold ``verdict`` never compiles it.
 
-Every reader works in integers.  The stabilizer report reads the moment
-block at x from ``moment._block_at`` and the skew form B(l) from the
-integer table, with l cleared to one denominator (``_skew_rows``); both
-kernels come from ``linalg.integer_kernel`` and are divided back only for
-the vectors returned.  ``bracket`` and ``ad_matrix`` clear their
-arguments the same way (``_cleared``) and scale back once per entry.
+Every reader works in integers.  x is cleared to one denominator as for
+the moment block (``moment._cleared_point``), and l_x formed there from
+the datum's integer chart (``_integer_point``).  The stabilizer report
+takes the kernels of the moment block and of the skew form B(l), built
+from the integer table at that integer point (``_skew_rows``), from
+``linalg.integer_kernel``, and divides back only the vectors returned.
+``bracket`` and ``ad_matrix`` clear their arguments by ``linalg.cleared``
+and scale back once per entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm
+from math import inf
 
 from .algebra import DimensionMismatchError, LieAlgebra, _product, dense_vector
-from .linalg import integer_kernel
-from .moment import _block_at
+from .linalg import cleared, integer_kernel
+from .moment import _block_at, _cleared_point
 from .monomial import MonomialDatum, build_datum
 from .problemfile import (_RATIONAL_RE, EXIT_OK, _load, _printable,
                           _rational, _Refusal, _UsageError)
@@ -38,14 +40,6 @@ if TYPE_CHECKING:  # only `jacobian` loads geometry
 Vector = tuple[Fraction, ...]
 
 
-def _cleared(u) -> tuple[dict[int, int], int]:
-    """(terms, d): the dense u as integer terms over d, the lcm of the
-    denominators of its nonzero entries (each read by ``Fraction``)."""
-    terms = {k: Fraction(x) for k, x in enumerate(u) if x}
-    d = lcm(*(x.denominator for x in terms.values()))
-    return {k: x.numerator * (d // x.denominator) for k, x in terms.items()}, d
-
-
 def bracket(L: LieAlgebra, u, v) -> Vector:
     """[u, v] by bilinear expansion over the nonzero structure constants:
     formed in the integer table from u and v cleared to integers, then
@@ -54,9 +48,10 @@ def bracket(L: LieAlgebra, u, v) -> Vector:
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(
             f"bracket arguments must have length {n}, got {len(u)} and {len(v)}")
-    (us, du), (vs, dv) = _cleared(u), _cleared(v)
+    (us, du), (vs, dv) = cleared(map(Fraction, u)), cleared(map(Fraction, v))
     d = L.scale * du * dv
-    w = _product(L, us.items(), vs.items())
+    w = _product(L, *([(k, c) for k, c in enumerate(t) if c]
+                      for t in (us, vs)))
     return dense_vector(((k, Fraction(x, d)) for k, x in w.items()), n)
 
 
@@ -66,29 +61,35 @@ def ad_matrix(L: LieAlgebra, u) -> list[list[Fraction]]:
     n = L.dim
     if len(u) != n:
         raise DimensionMismatchError(f"expected length {n}, got {len(u)}")
-    us, d = _cleared(u)
+    us, d = cleared(map(Fraction, u))
     mat = [[0] * n for _ in range(n)]
-    for i, ui in us.items():
-        for j, pairs in enumerate(L.table[i]):
-            for k, q in pairs:
-                mat[k][j] += ui * q
+    for i, ui in enumerate(us):
+        if ui:
+            for j, pairs in enumerate(L.table[i]):
+                for k, q in pairs:
+                    mat[k][j] += ui * q
     d, zero = d * L.scale, Fraction(0)
     return [[Fraction(x, d) if x else zero for x in row] for row in mat]
+
+
+def _integer_point(D: MonomialDatum, x) -> tuple[list[int], int]:
+    """(c, d): l_x = c / d, with x cleared to q x over one denominator q
+    and d = q * chart_scale, each coordinate of c formed in integers from
+    the datum's chart pairs."""
+    xs, q = _cleared_point(D, x)
+    xs = (q, *xs)
+    return ([sum(a * xs[v] for v, a in pairs) for pairs in D.chart_pairs],
+            q * D.chart_scale)
 
 
 def point_on_variety(D: MonomialDatum, x) -> Vector:
     """The chart of A_tau: x -> l with l(Y_j) = f_j and l(X_r) = x_r.
 
-    Returned as a length-n row of values on the ORIGINAL basis, each
-    coordinate read off the datum's sparse chart.
+    Returned as a length-n row of values on the ORIGINAL basis, formed in
+    integers (``_integer_point``) and divided once per coordinate.
     """
-    n, m = D.n, D.m
-    if len(x) != n - m:
-        raise DimensionMismatchError(
-            f"chart point needs {n - m} coordinates, got {len(x)}")
-    xs = (1, *map(Fraction, x))
-    return tuple(sum((a * xs[v] for v, a in pairs), Fraction(0))
-                 for pairs in D.chart)
+    c, d = _integer_point(D, x)
+    return tuple(Fraction(v, d) for v in c)
 
 
 def moment_matrix(D: MonomialDatum, x) -> tuple[Vector, ...]:
@@ -118,11 +119,9 @@ class StabilizerReport:
         self.g_stab_basis = g_stab_basis
 
 
-def _skew_rows(L: LieAlgebra, l) -> tuple[list[dict[int, int]], int]:
-    """(rows, e): row i of e B(l) as {j: nonzero int}, from the integer
-    table and l cleared to one denominator d, so e = d L.scale > 0."""
-    terms, d = _cleared(l)
-    lv = [terms.get(k, 0) for k in range(len(l))]
+def _skew_rows(L: LieAlgebra, lv: list[int]) -> list[dict[int, int]]:
+    """Row i of e B(l) as {j: nonzero int}, from the integer table and the
+    integer point lv = d l, so e = d L.scale > 0."""
     rows = []
     for plane in L.table:
         row = {}
@@ -130,7 +129,7 @@ def _skew_rows(L: LieAlgebra, l) -> tuple[list[dict[int, int]], int]:
             if pairs and (s := sum(q * lv[k] for k, q in pairs)):
                 row[j] = s
         rows.append(row)
-    return rows, d * L.scale
+    return rows
 
 
 def stabilizer_report(D: MonomialDatum, x) -> StabilizerReport:
@@ -154,13 +153,13 @@ def stabilizer_report(D: MonomialDatum, x) -> StabilizerReport:
                 v[k] += ai * c
         d = next(iter(a.values()))
         h_basis.append(tuple(Fraction(y, d) for y in v))
-    l = point_on_variety(D, x)
+    lv, e = _integer_point(D, x)
     g_basis = []
-    for v in integer_kernel(_skew_rows(D.algebra, l)[0], n):
+    for v in integer_kernel(_skew_rows(D.algebra, lv), n):
         d = next(iter(v.values()))
         g_basis.append(tuple(Fraction(v.get(k, 0), d) for k in range(n)))
     return StabilizerReport(
-        point=l,
+        point=tuple(Fraction(v, e) for v in lv),
         rank_M=m - len(h_basis),
         h_stab_basis=tuple(h_basis),
         dim_G_orbit=n - len(g_basis),

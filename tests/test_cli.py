@@ -423,7 +423,7 @@ class TestVerdict:
 
     def test_disagreement_exits_three(self, monkeypatch):
         # heisenberg_yz samples rank 1; a Bareiss rank below it is a bug
-        monkeypatch.setattr(moment, "rank_certificate", lambda D, x: None)
+        monkeypatch.setattr(moment, "_proof", lambda D, columns, rank: None)
         monkeypatch.setattr(moment, "symbolic_generic_rank", lambda D: 0)
         code, out, err = run_cli("verdict", corpus_file("heisenberg_yz"))
         assert (code, out) == (3, "")
@@ -443,21 +443,23 @@ class TestVerdict:
             + "functional " + ", ".join(["1"] * 9) + "\n")
         assert run_cli("verdict", str(path))[0] == 0
 
-        # a sampled rank above the Bareiss one
-        monkeypatch.setattr(moment, "rank_at", lambda D, x: 2)
-        monkeypatch.setattr(moment, "rank_certificate", lambda D, x: None)
+        # a sampled rank above the Bareiss one: every drawn point gives a
+        # block of rank 2
+        monkeypatch.setattr(moment, "_block_at",
+                            lambda D, x: ([{0: 1}, {1: 1}], 1))
+        monkeypatch.setattr(moment, "_proof", lambda D, columns, rank: None)
         code, _out, err = run_cli("verdict", str(path))
         assert code == 3
         assert err == ("internal disagreement: generic rank mismatch: "
                        "probabilistic 2 vs certified 1\n")
 
     def test_a_certificate_with_a_wrong_gap_exits_three(self, monkeypatch):
-        certificate = moment.rank_certificate
+        proof = moment._proof
 
-        def wrong_gap(D, x):
-            dim_u, dim_w, steps = certificate(D, x)
+        def wrong_gap(D, columns, rank):
+            dim_u, dim_w, steps = proof(D, columns, rank)
             return dim_u, dim_w + 1, steps
-        monkeypatch.setattr(moment, "rank_certificate", wrong_gap)
+        monkeypatch.setattr(moment, "_proof", wrong_gap)
         code, out, err = run_cli("verdict", corpus_file("heisenberg_yz"))
         assert (code, out) == (3, "")
         assert err == ("internal disagreement: generic rank mismatch: "

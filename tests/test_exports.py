@@ -104,7 +104,8 @@ def test_option_surface_is_pinned():
 
 def test_linalg_is_the_integer_kernel():
     # one elimination, its back-substitution, kernel, residue and
-    # coordinates and a dense product; no Fraction layer.  bareiss, for
+    # coordinates, the one clearing of rationals to integers and a dense
+    # product; no Fraction layer.  bareiss, for
     # the polynomial pencil, is defined in poly, which loads only when it
     # runs
     public = {name for name, obj in vars(linalg).items()
@@ -112,7 +113,8 @@ def test_linalg_is_the_integer_kernel():
               and getattr(obj, "__module__", linalg.__name__)
               == linalg.__name__}
     assert public == {"echelon", "integer_rref", "integer_kernel",
-                      "residue", "coordinates", "matmul", "WorkLimitError"}
+                      "residue", "coordinates", "cleared", "matmul",
+                      "WorkLimitError"}
     assert poly.bareiss.__module__ == poly.__name__
     tree = ast.parse(inspect.getsource(linalg))
     imported = {alias.name for node in ast.walk(tree)

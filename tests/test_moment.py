@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import orbitadm as oa
-from orbitadm import moment, poly
+from orbitadm import cli, geometry, moment, pointwise, poly, verdict
 from orbitadm.poly import Poly, bareiss
 
 from conftest import (CORPUS_NAMES, ORACLES, load_bench_families, load_datum,
@@ -427,6 +427,55 @@ class TestImageStage:
         assert (res.d_tau, res.proof) == (1, (3, 0, 1))
         assert len(ran) == 1
         assert moment.symbolic_generic_rank(D) == 1
+
+
+def _count_blocks(monkeypatch) -> list:
+    """The chart points at which a moment block is formed, as they come,
+    through every module that holds ``_block_at``."""
+    seen = []
+    block_at = moment._block_at
+
+    def counting(D, x):
+        seen.append(tuple(x))
+        return block_at(D, x)
+    for module in (moment, pointwise, geometry):
+        if hasattr(module, "_block_at"):
+            monkeypatch.setattr(module, "_block_at", counting)
+    return seen
+
+
+class TestOneBlockPerPoint:
+    """Each reader of a chart point evaluates the pencil there once: the
+    sampled rank and its proof share the drawn point's block."""
+
+    @pytest.mark.parametrize("path", [cli.corpus_path("heisenberg_z"),
+                                      B3_WONG], ids=["heisenberg_z",
+                                                     "b3_wong"])
+    def test_decide_forms_one_block_per_drawn_point(self, path,
+                                                    monkeypatch):
+        pf = oa.parse(path.read_text())
+        structure, D = verdict.check_problem(
+            pf.algebra, pf.generator_terms, pf.functional_vals)
+        seen = _count_blocks(monkeypatch)
+        rep = verdict.decide(structure, D)
+        assert rep.generic.d_tau < D.m
+        # the points generic_h_orbit_dim draws, each once, the witness last
+        rng = random.Random(rep.generic.seed)
+        bound = rep.generic.bound
+        drawn = [tuple(rng.randint(-bound, bound) for _ in range(D.n - D.m))
+                 for _ in seen]
+        assert seen == drawn
+        assert seen[-1] == rep.generic.witness
+
+    def test_fd_jacobian_forms_one_block(self, monkeypatch):
+        pf = oa.parse((FIXTURES / "rational_scales.alg").read_text())
+        D = oa.build_datum(pf.algebra, pf.generator_terms,
+                           pf.functional_vals)
+        seen = _count_blocks(monkeypatch)
+        x = (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 7))
+        jr = oa.fd_jacobian(D, x)
+        assert seen == [x]
+        assert jr.expected_rank == moment.rank_at(D, x) + D.n - D.m
 
 
 def _var(nvars, i):

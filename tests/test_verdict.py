@@ -41,7 +41,7 @@ def _decided(L, rows, f, unimodular=None):
 def _no_proof_at_the_witness(monkeypatch):
     """Make every rank below m unproven at its witness, so that
     generic_h_orbit_dim falls back to Bareiss."""
-    monkeypatch.setattr(moment, "rank_certificate", lambda D, x: None)
+    monkeypatch.setattr(moment, "_proof", lambda D, columns, rank: None)
 
 
 class TestSpectralVerdict:
@@ -178,7 +178,7 @@ class TestFullReport:
     def test_sampling_miss_raises(self, axb, monkeypatch):
         # below the Bareiss rank it only means the sample missed
         _no_proof_at_the_witness(monkeypatch)
-        monkeypatch.setattr(moment, "rank_at", lambda D, x: 0)
+        monkeypatch.setattr(moment, "_block_at", lambda D, x: ([{}], 1))
         with pytest.raises(oa.SamplingMissError,
                            match="trials 3 and bound 7 are too small"):
             oa.full_report(axb, [axb.vector(X=1)], [1],
