@@ -19,12 +19,12 @@ this script runs both to make the agreement visible.
 """
 
 from orbitadm import generic_h_orbit_dim, parse, build_datum
-from orbitadm.cli import corpus_path
+from orbitadm.cli import corpus_dir
 from orbitadm.poly import symbolic_moment_entries
 from orbitadm import symbolic_generic_rank
 
 for name in ("heisenberg_yz", "grelaud", "h5_y1y2", "diag_2d"):
-    pf = parse(corpus_path(name).read_text())
+    pf = parse((corpus_dir() / f"{name}.alg").read_text())
     D = build_datum(pf.algebra, pf.generator_terms, pf.functional_vals)
 
     print(f"== {name} (n = {D.n}, m = {D.m})")

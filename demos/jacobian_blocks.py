@@ -12,7 +12,8 @@ from orbitadm import build_datum, fd_jacobian, from_brackets
 
 L = from_brackets("diag", ("A", "X", "Y"),
                   {("A", "X"): {"X": 1}, ("A", "Y"): {"Y": 2}})
-D = build_datum(L, [L.vector(X=1), L.vector(Y=1)], [1, 1])
+# h = span{X, Y}, each generator given by its {basis index: coefficient}
+D = build_datum(L, [{1: 1}, {2: 1}], [1, 1])
 
 jr = fd_jacobian(D, (0.5,), h=1e-4)
 

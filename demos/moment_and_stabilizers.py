@@ -7,15 +7,16 @@
 
 from fractions import Fraction
 
-from orbitadm import (build_datum, from_brackets, moment_matrix,
-                      point_on_variety, rank_at, stabilizer_report)
+from orbitadm import (build_datum, from_brackets, point_on_variety,
+                      stabilizer_report)
 
 L = from_brackets("h3", ("X", "Y", "Z"), {("X", "Y"): {"Z": 1}})
-D = build_datum(L, [L.vector(Y=1), L.vector(Z=1)], [0, 1])
+# each generator by its {basis index: coefficient}: Y is 1, Z is 2
+D = build_datum(L, [{1: 1}, {2: 1}], [0, 1])
 
 print("adapted basis rows (Y's first, completion last):")
 for row in D.adapted_rows:
-    print("   ", row)
+    print("   ", ", ".join(map(str, row)))
 print()
 
 # The moment matrix has entries l[Y_i, B_j] over the adapted columns.
@@ -23,11 +24,10 @@ print()
 # So M(l) is constant of rank 1 on the whole variety -- the subgroup
 # never acts freely and the spectral measure is singular.  Points of the
 # variety are named by their chart coordinate a, as everywhere in the
-# library.
+# library; the stabilizer report reads rank M(l) there.
 for a in (Fraction(0), Fraction(5), Fraction(-3, 2)):
     l = point_on_variety(D, (a,))
-    M = moment_matrix(D, (a,))
-    print(f"l = {l}   M(l) = {M}   rank {rank_at(D, (a,))}")
+    print(f"l = {l}   rank M(l) = {stabilizer_report(D, (a,)).rank_M}")
 
 print()
 sr = stabilizer_report(D, (Fraction(5),))

@@ -8,7 +8,7 @@ two verdicts.  Run it from anywhere; the files are found next to the
 package's own modules.
 """
 
-from orbitadm import AnalysisConfig, full_report, parse
+from orbitadm import AnalysisConfig, check_problem, decide, parse
 from orbitadm.cli import corpus_dir
 
 config = AnalysisConfig(trials=20, bound=10 ** 6, seed=0)
@@ -21,8 +21,8 @@ for entry in sorted(corpus_dir().iterdir()):
     if not entry.name.endswith(".alg"):
         continue
     pf = parse(entry.read_text())
-    rep = full_report(pf.algebra, pf.generator_terms, pf.functional_vals,
-                      config)
+    rep = decide(*check_problem(pf.algebra, pf.generator_terms,
+                                pf.functional_vals), config)
     print(f"{entry.name[:-4]:<16}{pf.algebra.dim:>4}{pf.m:>3}"
           f"{rep.generic.d_tau:>6}   {rep.spectral:<22}"
           f"{rep.admissibility}")

@@ -17,9 +17,10 @@ needs nothing outside the standard library.
 
 Importing orbitadm loads no submodule.  Each name below is imported from
 its module on first use, through ``_EXPORTS``, so a program, and each
-command of ``cli``, compiles only the modules it runs: ``geometry`` for
-the names of the Jacobian check alone, ``pointwise`` for the readers of one
-chart point.
+command of ``cli``, compiles only the modules it runs: ``verdict`` for
+``check_problem`` and ``decide``, the two stages that `validate` and
+`verdict` run, ``geometry`` for the Jacobian check alone, ``pointwise``
+for the readers of one chart point.
 """
 
 from importlib import import_module
@@ -31,17 +32,15 @@ _EXPORTS = {
     "algebra": "LieAlgebra Violation StructureReport DimensionMismatchError "
                "from_brackets validate structure_report DisagreementError "
                "SamplingMissError",
-    "pointwise": "bracket ad_matrix point_on_variety StabilizerReport "
-                 "moment_matrix stabilizer_report",
+    "pointwise": "ad_matrix point_on_variety StabilizerReport "
+                 "stabilizer_report",
     "monomial": "MonomialDatum RankDeficientError NotClosedError "
                 "NotACharacterError build_datum",
-    "moment": "GenericRankResult rank_at generic_h_orbit_dim "
-              "rank_certificate symbolic_generic_rank",
+    "moment": "GenericRankResult generic_h_orbit_dim symbolic_generic_rank",
     "linalg": "WorkLimitError",
     "verdict": "FullReport AnalysisConfig InvalidAlgebraError "
-               "StructuralPreconditionError full_report",
-    "geometry": "JacobianReport expm coadjoint_apply_factors fd_jacobian "
-                "numerical_rank",
+               "StructuralPreconditionError check_problem decide",
+    "geometry": "JacobianReport fd_jacobian numerical_rank",
     "problemfile": "ProblemFile ParseError parse",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

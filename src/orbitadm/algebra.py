@@ -12,8 +12,8 @@ constants, not n^3, and their spans are fraction-free
 the j with a nonzero plane table[i][j], and a product [u, v] is formed only
 when it can meet one, every other product being exactly 0.  None of them
 changes under the scaling by D; every exact value that leaves this module
-(the violation residuals) is scaled back to the basis Z_i, as are the
-brackets and adjoint matrices of ``pointwise``.
+(the violation residuals) is scaled back to the basis Z_i, as is the
+adjoint matrix of ``pointwise``.
 Exponentiality is decided exactly over Q.  One walk over the nonzero
 planes, which also reads the traces, looks for an order of the basis in
 which every ad Z_i is triangular; a non-nilpotent g that has one is
@@ -129,14 +129,6 @@ class LieAlgebra(Record):
         some i of u's coordinates has a j of v's in support[i]."""
         return tuple(frozenset(j for j, pairs in enumerate(plane) if pairs)
                      for plane in self.table)
-
-    def index_of(self, name: str) -> int:
-        return self.basis_names.index(name)
-
-    def vector(self, **coeffs) -> Vector:
-        """Build a vector from named coefficients, e.g. L.vector(X=1, Y=-2)."""
-        return dense_vector([(self.index_of(name), Fraction(value))
-                             for name, value in coeffs.items()], self.dim)
 
 
 def from_constants(name: str, basis_names, constants) -> LieAlgebra:
@@ -309,12 +301,12 @@ def _products(L: LieAlgebra, us, vs=None):
 
 
 def __getattr__(name: str):
-    # bracket and ad_matrix live in ``pointwise``, which no command but
-    # `rank` and `jacobian` loads; they still resolve here, on first use
-    if name not in ("bracket", "ad_matrix"):
+    # ad_matrix lives in ``pointwise``, which no command but `rank` and
+    # `jacobian` loads; it still resolves here, on first use
+    if name != "ad_matrix":
         raise AttributeError(name)
     from . import pointwise
-    return getattr(pointwise, name)
+    return pointwise.ad_matrix
 
 
 EXPONENTIAL = "Exponential"
@@ -403,10 +395,6 @@ def derived_series_dims(L: LieAlgebra) -> tuple[int, ...]:
     Strictly decreasing by construction; ends in 0 exactly when L is solvable.
     """
     return _series(L, _commutator(L), _span)[0]
-
-
-def lower_central_dims(L: LieAlgebra) -> tuple[int, ...]:
-    return _series(L, _commutator(L), _lower_central_step)[0]
 
 
 def _quotient_actions(L: LieAlgebra, gens, upper, lower):

@@ -245,13 +245,6 @@ def corpus_dir() -> Path:
     return Path(__file__).with_name("corpus")
 
 
-def corpus_path(name: str) -> Path:
-    path = corpus_dir() / (name + ".alg")
-    if not path.exists():
-        raise FileNotFoundError(f"no bundled example named {name!r}")
-    return path
-
-
 def _settings(args, file_config: dict) -> AnalysisConfig:
     """A flag beats the file's config line, which beats ORBITADM_SEED (the
     seed only), which beats the AnalysisConfig default."""

@@ -9,13 +9,11 @@ M(x) = M_0 + sum x_r M_r there once, in integers, into the sparse columns
 of its m x (n - m) block (the first m columns of M(l_x) are 0): a rational
 x is cleared to one denominator q first (``linalg.cleared``), giving a
 positive integer multiple of the block, which has the same rank, kernel
-and spans.  rank_at ranks the columns by ``linalg.echelon``, the one
-fraction-free sparse elimination, with nothing left to clear, and
-rank_certificate proves that rank from the same block.  The readers of
-one point that ``verdict`` never calls, the point l_x, the moment matrix
-itself and the stabilizers, live in ``pointwise``, and ``jacobian`` in
-``geometry``; they read the same block and the same clearing of x.  The
-generic value of that rank,
+and spans.  ``linalg.echelon``, the one fraction-free sparse elimination,
+ranks its columns with nothing left to clear.  The readers of one point
+that ``verdict`` never calls, the point l_x and the stabilizers, live in
+``pointwise``, and ``jacobian`` in ``geometry``; they read the same block
+and the same clearing of x.  The generic value of that rank,
 
     d_tau = max over l in A_tau of dim H.l,
 
@@ -58,8 +56,8 @@ from .monomial import MonomialDatum
 Vector = tuple[Fraction, ...]
 
 __all__ = [
-    "GenericRankResult", "rank_at", "generic_h_orbit_dim", "rank_certificate",
-    "symbolic_generic_rank", "SYMBOLIC_WORK_LIMIT",
+    "GenericRankResult", "generic_h_orbit_dim", "symbolic_generic_rank",
+    "SYMBOLIC_WORK_LIMIT",
 ]
 
 # Term products the symbolic route may form before it gives up.  The limit
@@ -94,11 +92,6 @@ def _block_at(D: MonomialDatum, x) -> tuple[list[dict], int]:
     return [{i: c for i, c in column.items() if c} for column in columns], q
 
 
-def rank_at(D: MonomialDatum, x) -> int:
-    """Exact rank of the moment matrix at chart point x, from the pencil."""
-    return len(echelon(_block_at(D, x)[0])[0])
-
-
 # (dim U, dim W, Wong steps): subspaces with M(x) U inside W at every x,
 # so that rank M(x) <= (n - m) - (dim U - dim W) everywhere
 Certificate = tuple[int, int, int]
@@ -122,17 +115,10 @@ class GenericRankResult(Record):
         self.proof = proof
 
 
-def rank_certificate(D: MonomialDatum, x) -> Certificate | None:
-    """Prove that no chart point gives the pencil a rank above its rank at
-    x, or return None: ``_proof`` of the block at x and its rank."""
-    columns = _block_at(D, x)[0]
-    return _proof(D, columns, len(echelon(columns)[0]))
-
-
 def _proof(D: MonomialDatum, a_columns, rank: int) -> Certificate | None:
     """The certificate for A, the m x (n - m) block of
     M(x) = M_0 + sum x_r M_r at a point, given by its sparse columns and
-    its rank, or None.
+    its rank, that no point gives the pencil a higher rank, or None.
 
     Rank m needs no work: the pencil's image has at most m dimensions, so
     it is (n - m, m, 0).  Below m, first the pencil's image: every column
@@ -209,9 +195,9 @@ def generic_h_orbit_dim(D: MonomialDatum, trials: int = 20,
     Each trial draws x uniformly from the integer box [-bound, bound]^(n-m),
     evaluates the block of M(l(x)) there once (``_block_at``) and computes
     its rank exactly, a lower bound on d_tau.  At each new best
-    rank r it proves the upper bound from that block and rank (``_proof``,
-    the steps of ``rank_certificate``): r = m needs no work, below m the
-    image comes first and then the Wong sequence.
+    rank r it proves the upper bound from that block and rank
+    (``_proof``): r = m needs no work, below m the image comes first and
+    then the Wong sequence.
     The trials stop at the first proven point, and a certificate for any
     rank but r raises DisagreementError.  Without one, Bareiss elimination
     (``symbolic_generic_rank``) certifies d_tau: a rank below the sampled

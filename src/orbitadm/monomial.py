@@ -90,13 +90,13 @@ class MonomialDatum(Record):
     columns of M are 0, since f kills [h, h], so it holds only the block
     j >= m, column by column and sparse (see ``Pencil``).
     generator_terms holds the nonzero (k, Y_i[k]) pairs of each generator,
-    k rising.  Equality reads the adapted rows, not the terms.
+    k rising.  Equality reads them and kept, which give the adapted rows.
     """
 
     __slots__ = ("algebra", "f_vals", "chart_pairs", "chart_scale", "pencil",
                  "denominator", "generator_terms", "kept", "_adapted")
-    _compared = ("algebra", "f_vals", "adapted_rows", "chart_pairs",
-                 "chart_scale", "pencil", "denominator")
+    _compared = ("algebra", "f_vals", "generator_terms", "kept",
+                 "chart_pairs", "chart_scale", "pencil", "denominator")
 
     def __init__(self, algebra: LieAlgebra, f_vals: Vector,
                  chart_pairs: tuple[tuple[tuple[int, int], ...], ...],
@@ -123,18 +123,13 @@ class MonomialDatum(Record):
         return len(self.f_vals)
 
     @property
-    def generators(self) -> Matrix:
-        """The generators as dense rows: the first m adapted rows."""
-        return tuple(dense_vector(terms, self.n)
-                     for terms in self.generator_terms)
-
-    @property
     def adapted_rows(self) -> Matrix:
         if self._adapted is None:
             n, zero, one = self.n, Fraction(0), Fraction(1)
-            self._adapted = self.generators + tuple(
-                (zero,) * k + (one,) + (zero,) * (n - 1 - k)
-                for k in self.kept)
+            self._adapted = tuple(
+                dense_vector(terms, n) for terms in self.generator_terms
+            ) + tuple((zero,) * k + (one,) + (zero,) * (n - 1 - k)
+                      for k in self.kept)
         return self._adapted
 
 

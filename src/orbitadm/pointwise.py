@@ -3,11 +3,10 @@
 ``rank`` and ``jacobian`` read a single point l_x of A_tau, given by its
 chart coordinates x (``parse_rational_list`` reads ``--point``).  This
 module holds what they run and ``verdict`` never does: the point
-itself (``point_on_variety``), the moment matrix and the stabilizers
-there, the two commands and their text reports.  It also holds the
-exact ``bracket`` and ``ad_matrix`` of the algebra, which only library
-callers and ``geometry`` use.  ``cli`` imports it for those two commands
-alone, so a cold ``verdict`` never compiles it.
+itself (``point_on_variety``), the stabilizers there, the two commands
+and their text reports.  It also holds the exact ``ad_matrix`` of the
+algebra, which ``geometry`` floats.  ``cli`` imports it for those two
+commands alone, so a cold ``verdict`` never compiles it.
 
 Every reader works in integers.  x is cleared to one denominator as for
 the moment block (``moment._cleared_point``), and l_x formed there from
@@ -15,8 +14,8 @@ the datum's integer chart (``_integer_point``).  The stabilizer report
 takes the kernels of the moment block and of the skew form B(l), built
 from the integer table at that integer point (``_skew_rows``), from
 ``linalg.integer_kernel``, and divides back only the vectors returned.
-``bracket`` and ``ad_matrix`` clear their arguments by ``linalg.cleared``
-and scale back once per entry.
+``ad_matrix`` clears its argument by ``linalg.cleared`` and scales back
+once per entry.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf
 
-from .algebra import DimensionMismatchError, LieAlgebra, _product, dense_vector
+from .algebra import DimensionMismatchError, LieAlgebra
 from .linalg import cleared, integer_kernel
 from .moment import _block_at, _cleared_point
 from .monomial import MonomialDatum, build_datum
@@ -38,21 +37,6 @@ if TYPE_CHECKING:  # only `jacobian` loads geometry
     from .geometry import JacobianReport
 
 Vector = tuple[Fraction, ...]
-
-
-def bracket(L: LieAlgebra, u, v) -> Vector:
-    """[u, v] by bilinear expansion over the nonzero structure constants:
-    formed in the integer table from u and v cleared to integers, then
-    scaled back once per coordinate."""
-    n = L.dim
-    if len(u) != n or len(v) != n:
-        raise DimensionMismatchError(
-            f"bracket arguments must have length {n}, got {len(u)} and {len(v)}")
-    (us, du), (vs, dv) = cleared(map(Fraction, u)), cleared(map(Fraction, v))
-    d = L.scale * du * dv
-    w = _product(L, *([(k, c) for k, c in enumerate(t) if c]
-                      for t in (us, vs)))
-    return dense_vector(((k, Fraction(x, d)) for k, x in w.items()), n)
 
 
 def ad_matrix(L: LieAlgebra, u) -> list[list[Fraction]]:
@@ -90,16 +74,6 @@ def point_on_variety(D: MonomialDatum, x) -> Vector:
     """
     c, d = _integer_point(D, x)
     return tuple(Fraction(v, d) for v in c)
-
-
-def moment_matrix(D: MonomialDatum, x) -> tuple[Vector, ...]:
-    """The exact m x n moment matrix M(l_x) at chart point x: the integer
-    block divided back by q * denominator."""
-    block, q = _block_at(D, x)
-    d, zero = q * D.denominator, Fraction(0)
-    return tuple((zero,) * D.m + tuple(Fraction(column.get(i, 0), d)
-                                       for column in block)
-                 for i in range(D.m))
 
 
 class StabilizerReport:

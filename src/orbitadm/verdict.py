@@ -11,9 +11,11 @@ acts freely at some (equivalently, at Zariski-almost-every) point of A_tau.
     a.c. + nonunimodular-> admissible vectors exist
     a.c. + unimodular   -> conjectured: no admissible vector (open case)
 
-full_report is two stages: check_problem refuses what the theorem does
-not cover, and decide reads the table above into one report.  d_tau and
-its proof come from ``moment.generic_h_orbit_dim``; nothing here ranks.
+The analysis is two stages, which ``cli`` runs in turn: check_problem
+refuses what the theorem does not cover, and decide reads the table above
+into one report, ``decide(*check_problem(L, h_rows, f_vals), config)``.
+d_tau and its proof come from ``moment.generic_h_orbit_dim``; nothing
+here ranks.
 ``decide`` imports ``moment`` when it runs, so ``check_problem`` alone,
 as `validate` runs it, never loads it.
 """
@@ -151,8 +153,3 @@ def decide(structure: StructureReport, datum: MonomialDatum,
                       spectral=spectral, admissibility=admissibility,
                       rationale=rationale, warnings=warnings)
 
-
-def full_report(L: LieAlgebra, h_rows, f_vals,
-                config: AnalysisConfig = AnalysisConfig()) -> FullReport:
-    """``check_problem``, then ``decide``: the whole analysis in one call."""
-    return decide(*check_problem(L, h_rows, f_vals), config)

@@ -22,8 +22,9 @@ import pytest
 from hypothesis import strategies as st
 
 import orbitadm as oa
-from orbitadm import algebra, cli
+from orbitadm import algebra, cli, moment
 from orbitadm.algebra import dense_vector
+from orbitadm.linalg import echelon
 from orbitadm.problemfile import CONFIG_KEYS
 
 from exact import dot, invert
@@ -63,8 +64,13 @@ def load_bench_families():
     return module
 
 
+def corpus_file(name: str) -> Path:
+    """The bundled problem file ``name``."""
+    return cli.corpus_dir() / f"{name}.alg"
+
+
 def load_problem(name: str) -> oa.ProblemFile:
-    return oa.parse(cli.corpus_path(name).read_text())
+    return oa.parse(corpus_file(name).read_text())
 
 
 def load_datum(name: str) -> oa.MonomialDatum:
@@ -167,6 +173,45 @@ def axb():
 
 
 # ---------------------------------------------------------------------------
+# vectors, brackets and the moment matrix, from the definitions
+
+def vector(L: oa.LieAlgebra, **coeffs) -> tuple:
+    """The vector of L with the named coordinates, e.g. vector(L, X=1, Y=-2),
+    and 0 at every other basis name."""
+    return dense_vector([(L.basis_names.index(name), Fraction(value))
+                         for name, value in coeffs.items()], L.dim)
+
+
+def bracket(L: oa.LieAlgebra, u, v) -> tuple:
+    """[u, v] = sum u_i v_j [Z_i, Z_j] over the stored table, in Fractions."""
+    us, vs = ([(i, Fraction(x)) for i, x in enumerate(t) if x]
+              for t in (u, v))
+    w = [Fraction(0)] * L.dim
+    for i, ui in us:
+        for j, vj in vs:
+            for k, q in L.table[i][j]:
+                w[k] += ui * vj * q
+    return tuple(x / L.scale for x in w)
+
+
+def moment_matrix(D: oa.MonomialDatum, x) -> tuple:
+    """The exact m x n moment matrix M(l_x) at chart point x, as the pencil
+    gives it: m zero columns, then the integer block of ``moment._block_at``
+    divided back by q * denominator."""
+    block, q = moment._block_at(D, x)
+    d = q * D.denominator
+    return tuple((Fraction(0),) * D.m + tuple(Fraction(column.get(i, 0), d)
+                                              for column in block)
+                 for i in range(D.m))
+
+
+def block_rank(D: oa.MonomialDatum, x) -> int:
+    """rank M(l_x) as the sampled route ranks a drawn point: the echelon of
+    the pencil's block there."""
+    return len(echelon(moment._block_at(D, x)[0])[0])
+
+
+# ---------------------------------------------------------------------------
 # randomness helpers
 
 def random_rational(rng: random.Random, num_bound: int = 12,
@@ -231,7 +276,7 @@ def transform_algebra(L: oa.LieAlgebra, Q) -> oa.LieAlgebra:
     for i in range(n):
         plane = []
         for j in range(n):
-            w = oa.bracket(L, Q[i], Q[j])
+            w = bracket(L, Q[i], Q[j])
             dw = lcm(*(x.denominator for x in w))
             terms = [(inv[k], x.numerator * (dw // x.denominator))
                      for k, x in enumerate(w) if x]
@@ -246,8 +291,8 @@ def moment_reference(D: oa.MonomialDatum, l) -> tuple:
     """M(l)[i][j] = l([Y_i, B_j]) straight from the definition, for any l in
     g*; the reference the datum's pencil is checked against."""
     L = D.algebra
-    return tuple(tuple(dot(l, oa.bracket(L, y, b)) for b in D.adapted_rows)
-                 for y in D.generators)
+    return tuple(tuple(dot(l, bracket(L, y, b)) for b in D.adapted_rows)
+                 for y in D.adapted_rows[:D.m])
 
 
 def moment_float(D: oa.MonomialDatum, l_float) -> np.ndarray:
@@ -304,7 +349,7 @@ def problem_texts(draw):
     return pf, "".join(lines)
 
 
-CORPUS_TEXTS = [cli.corpus_path(name).read_text() for name in CORPUS_NAMES]
+CORPUS_TEXTS = [corpus_file(name).read_text() for name in CORPUS_NAMES]
 # a form feed, NEL, a byte order mark and an Arabic-Indic digit are no line
 # break, blank or digit of the format
 FUZZ_CHARS = "AXYZabz019/-*+;,=# \t\n@_\f\x85\ufeff\u0661"

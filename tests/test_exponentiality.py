@@ -29,8 +29,8 @@ import orbitadm as oa
 from orbitadm import algebra, cli, univariate
 from orbitadm.geometry import ad_float
 
-from conftest import (CORPUS_NAMES, load_bench_families, load_problem,
-                      make_motion, make_skew3, problem_text_of,
+from conftest import (CORPUS_NAMES, corpus_file, load_bench_families,
+                      load_problem, make_motion, make_skew3, problem_text_of,
                       random_invertible, run_cli, transform_algebra)
 from exact import invert, mat_vec, matmul, rank, rref
 
@@ -659,7 +659,7 @@ def _loaded(proc: subprocess.CompletedProcess) -> list[str]:
     ("rank", "grelaud", "--point", "1,2")])
 def test_exact_commands_never_import_numpy(argv):
     command, name, *rest = argv
-    assert _fresh(command, str(cli.corpus_path(name)), *rest) == (0, "False")
+    assert _fresh(command, str(corpus_file(name)), *rest) == (0, "False")
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -667,7 +667,7 @@ def test_exact_commands_load_only_what_they_run(name):
     # each command in a process of its own: a module that one loads must
     # not hide one that another loads
     pf = load_problem(name)
-    path = str(cli.corpus_path(name))
+    path = str(corpus_file(name))
     point = ",".join(["1"] * (pf.algebra.dim - pf.m))
     loaded = {}
     for argv in [("verdict", path), ("verdict", "--json", path),
@@ -712,7 +712,7 @@ def test_the_bareiss_fallback_loads_poly(tmp_path):
 
 def test_jacobian_loads_no_numpy():
     # every corpus file at its benchmark point, in one fresh interpreter
-    proc = _probe(*[("jacobian", str(cli.corpus_path(name)), "--point",
+    proc = _probe(*[("jacobian", str(corpus_file(name)), "--point",
                      _families.CORPUS[name][3]) for name in CORPUS_NAMES])
     assert proc.returncode == 0, proc.stderr
     assert "numpy" not in _loaded(proc)
@@ -733,7 +733,7 @@ def test_runs_without_site_packages(argv, code):
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys; from orbitadm.cli import main; sys.exit(main())",
-         command, str(cli.corpus_path(name)), *rest],
+         command, str(corpus_file(name)), *rest],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -747,7 +747,7 @@ def test_commands_without_site_load_no_typing_or_pathlib(tmp_path):
     skew = tmp_path / "skew3.alg"
     skew.write_text(problem_text_of(L.name, L, [{i: 1} for i in range(3)],
                                     [0] * 3))
-    grelaud = str(cli.corpus_path("grelaud"))
+    grelaud = str(corpus_file("grelaud"))
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop(cli.SEED_ENV_VAR, None)
     proc = subprocess.run(

@@ -42,17 +42,15 @@ def test_package_surface_is_pinned():
         "LieAlgebra", "Violation", "StructureReport",
         "DimensionMismatchError", "from_brackets", "validate",
         "structure_report", "DisagreementError", "SamplingMissError",
-        "bracket", "ad_matrix", "point_on_variety", "StabilizerReport",
-        "moment_matrix", "stabilizer_report",
+        "ad_matrix", "point_on_variety", "StabilizerReport",
+        "stabilizer_report",
         "MonomialDatum", "RankDeficientError", "NotClosedError",
         "NotACharacterError", "build_datum",
-        "GenericRankResult", "rank_at", "generic_h_orbit_dim",
-        "rank_certificate", "symbolic_generic_rank",
+        "GenericRankResult", "generic_h_orbit_dim", "symbolic_generic_rank",
         "WorkLimitError",
         "FullReport", "AnalysisConfig", "InvalidAlgebraError",
-        "StructuralPreconditionError", "full_report",
-        "JacobianReport", "expm", "coadjoint_apply_factors", "fd_jacobian",
-        "numerical_rank",
+        "StructuralPreconditionError", "check_problem", "decide",
+        "JacobianReport", "fd_jacobian", "numerical_rank",
         "ProblemFile", "ParseError", "parse",
         "__version__",
     }

@@ -4,7 +4,7 @@
 rows, last row first, and divides each result by its content;
 ``linalg.integer_kernel`` reads a kernel off them, and
 ``univariate._scaled_inverse`` an inverse off those of (S | I), all in
-integers.  The Wong stage of ``moment.rank_certificate`` takes U from an
+integers.  The Wong stage of ``moment._proof`` takes U from an
 integer kernel of its residue rows, and ``symbolic_moment_entries`` reads
 the integer rows as they are.  ``structure_report`` builds the flag of
 C^inf once, from C^inf, whether C^inf is C^1 or lies below it.
@@ -14,7 +14,7 @@ with its sparse helpers from ``exact``: ``reference_rref_sparse`` scales
 echelon's rows to pivot 1 and back-substitutes in ``Fraction``s, and
 nullspace and invert are built on it;
 ``reference_symbolic_moment_entries`` clears its rows to integers;
-``reference_rank_certificate`` reduces its residues in ``Fraction``s and
+``reference_wong_certificate`` reduces its residues in ``Fraction``s and
 takes U from a dense m x (n - m) matrix through
 ``nullspace`` and ``cleared_int_rows``; the flag is ``_flag`` called
 on C^inf directly.  On random sparse rational matrices,
@@ -37,10 +37,12 @@ from orbitadm import algebra, linalg, moment, poly, univariate
 from orbitadm.linalg import echelon
 from orbitadm.poly import Poly
 
-from conftest import load_bench_families, random_invertible, transform_algebra
+from conftest import (block_rank, load_bench_families, random_invertible,
+                      transform_algebra)
 from exact import (SingularMatrixError, cleared, cleared_int_rows, dense_rows,
                    reduce_in_place, sparse_rows)
-from test_moment import CHANGED_BASIS, _hand_pencil, _in_random_basis
+from test_moment import (CHANGED_BASIS, _hand_pencil, _in_random_basis,
+                         _proof_at)
 
 _families = load_bench_families()
 
@@ -97,7 +99,7 @@ def reference_symbolic_moment_entries(D):
             for i in range(m)]
 
 
-def reference_rank_certificate(D, x):
+def reference_wong_certificate(D, x):
     m, k = D.m, D.n - D.m
     a_columns = moment._block_at(D, x)[0]
     image_rows, image_pivots = echelon(a_columns)
@@ -234,7 +236,7 @@ def test_invert_matches_the_fraction_path(data):
 
 
 def wong_stage(D, x):
-    """The Wong stage of ``moment.rank_certificate`` at x, run whether or
+    """The Wong stage of ``moment._proof`` at x, run whether or
     not the pencil's image closes first."""
     return moment._wong_certificate(D, moment._block_at(D, x)[0])
 
@@ -249,14 +251,13 @@ def test_random_pencils_match_the_fraction_path(D, seed):
     image = len(echelon(dict(pairs) for coefficient in D.pencil
                         for pairs in coefficient)[0])
     for x in points:
-        assert wong_stage(D, x) == reference_rank_certificate(D, x)
+        assert wong_stage(D, x) == reference_wong_certificate(D, x)
         # the image stage decides where dim T is the rank at x, and no
         # proof bounds the rank below that of any point
-        got = moment.rank_certificate(D, x)
-        rank = moment.rank_at(D, x)
+        rank, got = _proof_at(D, x)
         assert got == ((k, rank, 0) if image == rank else wong_stage(D, x))
         if got is not None:
-            assert all(moment.rank_at(D, y) <= k - (got[0] - got[1])
+            assert all(block_rank(D, y) <= k - (got[0] - got[1])
                        for y in points)
 
 
@@ -268,8 +269,8 @@ def test_random_basis_pencils_match_the_fraction_path(problem):
             == reference_symbolic_moment_entries(D))
     witness = oa.generic_h_orbit_dim(D).witness
     for x in [witness] + _points(D, random.Random(problem.name)):
-        assert wong_stage(D, x) == reference_rank_certificate(D, x)
-    assert reference_rank_certificate(D, witness) is not None
+        assert wong_stage(D, x) == reference_wong_certificate(D, x)
+    assert reference_wong_certificate(D, witness) is not None
 
 
 # --- the flag of C^inf -------------------------------------------------------

@@ -26,7 +26,7 @@ import pytest
 from orbitadm import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from conftest import run_cli  # noqa: E402
+from conftest import corpus_file, run_cli  # noqa: E402
 
 FROZEN = Path(__file__).parent / "fixtures" / "usage.json"
 G = "GRELAUD"
@@ -62,7 +62,7 @@ CASES = {
 
 
 def outcome(argv) -> dict:
-    path = str(cli.corpus_path("grelaud"))
+    path = str(corpus_file("grelaud"))
     code, out, err = run_cli(*(path if word == G else word for word in argv))
     return {"argv": list(argv), "exit": code, "stdout": out, "stderr": err}
 

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 import orbitadm as oa
 from orbitadm import geometry
 
-from conftest import (CORPUS_NAMES, ORACLES, load_problem, make_abelian,
-                      make_axb, make_h3, moment_float, random_dyadic,
-                      random_dyadic_vector, random_vector)
+from conftest import (CORPUS_NAMES, ORACLES, block_rank, load_problem,
+                      make_abelian, make_axb, make_h3, moment_float,
+                      random_dyadic, random_dyadic_vector, random_vector,
+                      vector)
 from exact import expm as reference_expm
 from exact import rank
 
@@ -49,14 +50,14 @@ class TestExpm:
 class TestCoadjointApply:
     def test_axb_closed_form(self, axb):
         # s = exp(A)
-        out = oa.coadjoint_apply_factors(axb, [(axb.vector(A=1), 1.0)],
+        out = geometry.coadjoint_apply_factors(axb, [(vector(axb, A=1), 1.0)],
                                          (0.0, 1.0))
         assert abs(out[0]) < 1e-15
         assert abs(out[1] - math.exp(-1)) < 1e-14
 
     def test_h3_translation(self, h3):
         # s = exp(2X)
-        out = oa.coadjoint_apply_factors(h3, [(h3.vector(X=1), 2.0)],
+        out = geometry.coadjoint_apply_factors(h3, [(vector(h3, X=1), 2.0)],
                                          (0.0, 0.0, 1.0))
         assert np.allclose(out, [0.0, -2.0, 1.0], atol=1e-13)
 
@@ -64,8 +65,8 @@ class TestCoadjointApply:
         rng = random.Random(60)
         for _ in range(10):
             l = [float(random_dyadic(rng)) for _ in range(3)]
-            out = oa.coadjoint_apply_factors(
-                h3, [(h3.vector(**{name: 1}), 0.0) for name in "XYZ"], l)
+            out = geometry.coadjoint_apply_factors(
+                h3, [(vector(h3, **{name: 1}), 0.0) for name in "XYZ"], l)
             assert np.allclose(out, l, atol=0)
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -76,7 +77,7 @@ class TestCoadjointApply:
             t = [float(random_dyadic(rng, scale=16, span=16))
                  for _ in range(L.dim)]
             l = [float(random_dyadic(rng)) for _ in range(L.dim)]
-            factors = [(L.vector(**{basis: 1}), tk)
+            factors = [(vector(L, **{basis: 1}), tk)
                        for basis, tk in zip(L.basis_names, t)]
             inverse_factors = [(Z, -tk) for Z, tk in reversed(factors)]
             there = geometry.coadjoint_apply_factors(L, factors, l)
@@ -94,13 +95,13 @@ class TestPhiInChart:
             assert np.abs(out - np.array(expect)).max() < 1e-12
 
     def test_axb_first_coordinate_decays(self, axb):
-        D = oa.build_datum(axb, [axb.vector(X=1)], [1])
+        D = oa.build_datum(axb, [vector(axb, X=1)], [1])
         # adapted order (X, A); t = (0, 1) is s = exp(A)
         out = geometry._chart_action(D)((0.0, 1.0), (0.0,))
         assert abs(out[0] - math.exp(-1)) < 1e-13
 
     def test_h3_moves_f_value_linearly(self, h3):
-        D = oa.build_datum(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
+        D = oa.build_datum(h3, [vector(h3, Y=1), vector(h3, Z=1)], [0, 1])
         # adapted order (Y, Z, X); t = (0, 0, 2) is s = exp(2X)
         out = geometry._chart_action(D)((0.0, 0.0, 2.0), (0.0,))
         assert abs(out[0] - (-2.0)) < 1e-13   # value on Y
@@ -252,21 +253,21 @@ class TestFloatKernels:
 
 class TestFdJacobian:
     def test_axb_top_left_matches_constant_row(self, axb):
-        D = oa.build_datum(axb, [axb.vector(X=1)], [1])
+        D = oa.build_datum(axb, [vector(axb, X=1)], [1])
         jr = oa.fd_jacobian(D, (0.0,), h=1e-4)
         assert np.allclose(np.asarray(jr.J)[0, :2], [0.0, -1.0], atol=1e-6)
         assert jr.max_dev_topleft < 1e-6
         assert jr.numerical_rank_J == jr.expected_rank == 2
 
     def test_h3_rank_formula(self, h3):
-        D = oa.build_datum(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
+        D = oa.build_datum(h3, [vector(h3, Y=1), vector(h3, Z=1)], [0, 1])
         jr = oa.fd_jacobian(D, (0.5,), h=1e-4)
         assert jr.expected_rank == 1 + (3 - 2)
         assert jr.numerical_rank_J == 2
 
     def test_abelian_zero_top_block(self):
         L = make_abelian(3)
-        D = oa.build_datum(L, [L.vector(E1=1)], [2])
+        D = oa.build_datum(L, [vector(L, E1=1)], [2])
         jr = oa.fd_jacobian(D, (0.25, -0.75), h=1e-4)
         assert np.abs(np.asarray(jr.J)[:1, :]).max() == 0.0
         assert jr.numerical_rank_J == jr.expected_rank == 2
@@ -331,9 +332,9 @@ class TestTransportedStabilizers:
         for _ in range(20):
             x = random_dyadic_vector(rng, D.n - D.m)
             l_exact = oa.point_on_variety(D, x)
-            exact_rank = oa.rank_at(D, x)
+            exact_rank = block_rank(D, x)
             l_float = [float(v) for v in l_exact]
-            factors = [(D.generators[i], float(random_dyadic(rng)))
+            factors = [(D.adapted_rows[i], float(random_dyadic(rng)))
                        for i in range(D.m)]
             moved = geometry.coadjoint_apply_factors(L, factors, l_float)
             got = oa.numerical_rank(moment_float(D, moved), 1e-8)

@@ -30,14 +30,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitadm as oa
-from orbitadm import algebra, cli, monomial
+from orbitadm import algebra, monomial
 from orbitadm.algebra import DimensionMismatchError, dense_vector
 from orbitadm.linalg import _primitive, _take_away, echelon
 from orbitadm.pointwise import point_on_variety
 
 from conftest import (CORPUS_NAMES, CORPUS_TEXTS, ROUNDTRIP_ALGEBRAS,
-                      load_bench_families, problem_text_of, random_invertible,
-                      run_cli, text_terms, transform_algebra)
+                      corpus_file, load_bench_families, problem_text_of,
+                      random_invertible, run_cli, text_terms,
+                      transform_algebra)
 from exact import cleared, dot, invert, mat_vec, sparse_rows
 
 _families = load_bench_families()
@@ -317,8 +318,21 @@ def test_verdict_builds_no_dense_rows(name, monkeypatch):
         raise AssertionError("a dense row was built")
 
     monkeypatch.setattr(monomial, "dense_vector", refuse)
-    code, out, err = run_cli("verdict", str(cli.corpus_path(name)))
+    code, out, err = run_cli("verdict", str(corpus_file(name)))
     assert (code, err) == (0, "")
+
+
+def test_datum_equality_builds_no_dense_rows(h3, monkeypatch):
+    # equality reads the generators' terms and the completing k, which give
+    # the adapted rows, so comparing two data builds neither's rows
+    def refuse(pairs, n):
+        raise AssertionError("a dense row was built")
+
+    a = oa.build_datum(h3, [{1: 1}, {2: 1}], [0, 1])
+    monkeypatch.setattr(monomial, "dense_vector", refuse)
+    assert a == oa.build_datum(h3, [(0, 1, 0), (0, 0, Fraction(1))], [0, 1])
+    assert a != oa.build_datum(h3, [{1: 2}, {2: 1}], [0, 1])
+    assert a != oa.build_datum(h3, [{0: 1}, {2: 1}], [0, 1])
 
 
 def test_wrong_lengths_are_refused(h3):

@@ -65,8 +65,8 @@ def test_basis_names_that_need_escaping_render_as_json_did():
     a, x, y = 'A"', "X\\", "Yé\x07"
     L = oa.from_brackets("axb2", (a, x, y),
                          {(a, x): {x: 1}, (a, y): {y: Fraction(1, 2)}})
-    rows = [L.vector(**{x: 1}), L.vector(**{y: 1})]
-    rep = oa.full_report(L, rows, [1, Fraction(-2, 3)])
+    rep = oa.decide(*oa.check_problem(L, [{1: 1}, {2: 1}],
+                                      [1, Fraction(-2, 3)]))
     text = report.render_text(rep)
     assert text == _reference_text(report.report_dict(rep))
     assert 'structure.basis: ["A\\"", "X\\\\", "Y\\u00e9\\u0007"]\n' in text

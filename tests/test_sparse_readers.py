@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 import orbitadm as oa
 from orbitadm import algebra
 
-from conftest import (CORPUS_NAMES, algebra_from_table, dense_table,
+from conftest import (CORPUS_NAMES, algebra_from_table, bracket, dense_table,
                       load_bench_families, load_problem, make_abelian,
                       make_axb, make_h3, make_motion, make_sl2,
-                      random_invertible, transform_algebra)
+                      random_invertible, transform_algebra, vector)
 from exact import rref
 
 
@@ -75,7 +75,7 @@ def dense_bracket(L, c, u, v):
 
 def dense_ad_matrix(L, c, u):
     n = L.dim
-    cols = [dense_bracket(L, c, u, L.vector(**{name: 1}))
+    cols = [dense_bracket(L, c, u, vector(L, **{name: 1}))
             for name in L.basis_names]
     return [[cols[j][k] for j in range(n)] for k in range(n)]
 
@@ -88,7 +88,7 @@ def _dense_bracket_span(L, c, rows_a, rows_b):
 
 def dense_series(L, c, lower: bool):
     """Derived (lower=False) or lower central series dimensions."""
-    full = [list(L.vector(**{name: 1})) for name in L.basis_names]
+    full = [list(vector(L, **{name: 1})) for name in L.basis_names]
     current = full
     dims = [L.dim]
     while dims[-1] > 0:
@@ -175,7 +175,7 @@ def _vector(n):
 def _check_readers(L, c, data):
     u = data.draw(_vector(L.dim))
     v = data.draw(_vector(L.dim))
-    assert oa.bracket(L, u, v) == dense_bracket(L, c, u, v)
+    assert bracket(L, u, v) == dense_bracket(L, c, u, v)
     assert oa.ad_matrix(L, u) == dense_ad_matrix(L, c, u)
     got, want = oa.validate(L), dense_validate(L, c)
     assert got == want
@@ -190,7 +190,8 @@ def test_lie_algebras_in_random_bases(L, data):
     _check_readers(L, c, data)
     assert not oa.validate(L)
     assert algebra.derived_series_dims(L) == dense_series(L, c, lower=False)
-    assert algebra.lower_central_dims(L) == dense_series(L, c, lower=True)
+    assert oa.structure_report(L).lower_central_dims == dense_series(
+        L, c, lower=True)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -219,7 +220,8 @@ def _family_lower_central_cases():
 @pytest.mark.parametrize("problem, dims", _family_lower_central_cases(),
                          ids=lambda case: getattr(case, "name", ""))
 def test_lower_central_dims_of_the_families(problem, dims):
-    assert algebra.lower_central_dims(oa.parse(problem.text).algebra) == dims
+    L = oa.parse(problem.text).algebra
+    assert oa.structure_report(L).lower_central_dims == dims
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -227,4 +229,5 @@ def test_series_of_the_corpus_match_the_dense_loops(name):
     L = load_problem(name).algebra
     c = dense_table(L)
     assert algebra.derived_series_dims(L) == dense_series(L, c, lower=False)
-    assert algebra.lower_central_dims(L) == dense_series(L, c, lower=True)
+    assert oa.structure_report(L).lower_central_dims == dense_series(
+        L, c, lower=True)

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 import orbitadm as oa
 from orbitadm import moment
 from orbitadm import verdict as verdict_mod
-from orbitadm.report import report_dict
+from orbitadm.report import render_json, render_text, report_dict
 
 from conftest import (CORPUS_NAMES, ORACLES, algebra_from_table,
-                      load_bench_families, load_problem, make_abelian,
-                      make_axb, make_h3, make_motion, make_skew3, make_sl2,
-                      random_vector, transform_algebra)
+                      corpus_file, load_bench_families, load_problem,
+                      make_abelian, make_axb, make_h3, make_motion,
+                      make_skew3, make_sl2, random_vector, run_cli,
+                      transform_algebra, vector)
 from exact import dense_rows, dot, invert
 from test_moment import CHANGED_BASIS, sampled_oracle
 
@@ -46,14 +47,14 @@ def _no_proof_at_the_witness(monkeypatch):
 
 class TestSpectralVerdict:
     def test_free_is_absolutely_continuous(self, axb):
-        rep = _decided(axb, [axb.vector(X=1)], [1])
+        rep = _decided(axb, [vector(axb, X=1)], [1])
         assert rep.spectral == "AbsolutelyContinuous"
         assert rep.generic.d_tau == rep.datum.m == 1
         assert report_dict(rep)["witness"] == [str(v) for v
                                                in rep.generic.witness]
 
     def test_stuck_rank_is_singular(self, h3):
-        rep = _decided(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
+        rep = _decided(h3, [vector(h3, Y=1), vector(h3, Z=1)], [0, 1])
         assert rep.spectral == "Singular"
         assert report_dict(rep)["witness"] is None
 
@@ -64,19 +65,19 @@ class TestSpectralVerdict:
 
 class TestAdmissibilityVerdict:
     def test_ac_nonunimodular_admissible(self, h3):
-        rep = _decided(h3, [h3.vector(X=1)], [0], unimodular=False)
+        rep = _decided(h3, [vector(h3, X=1)], [0], unimodular=False)
         assert rep.admissibility == "Admissible"
         assert rep.rationale == "free_and_nonunimodular"
 
     def test_singular_never_admissible(self, h3):
         for unimod in (True, False):
-            rep = _decided(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1],
+            rep = _decided(h3, [vector(h3, Y=1), vector(h3, Z=1)], [0, 1],
                            unimodular=unimod)
             assert rep.admissibility == "NotAdmissible"
             assert rep.rationale == "singular_spectrum"
 
     def test_ac_unimodular_conjectural(self, axb):
-        rep = _decided(axb, [axb.vector(X=1)], [1], unimodular=True)
+        rep = _decided(axb, [vector(axb, X=1)], [1], unimodular=True)
         assert rep.admissibility == "ConjecturallyNotAdmissible"
         assert rep.rationale == "unimodular_free_conjectural"
         assert "unresolved" in verdict_mod.RATIONALE_TEXT[rep.rationale]
@@ -89,8 +90,8 @@ class TestFullReport:
             raise AssertionError("Bareiss ran although a proof was found")
         monkeypatch.setattr(moment, "symbolic_generic_rank", unreachable)
         pf = corpus_problems[name]
-        rep = oa.full_report(pf.algebra, pf.generator_terms,
-                             pf.functional_vals)
+        rep = oa.decide(*oa.check_problem(pf.algebra, pf.generator_terms,
+                                          pf.functional_vals))
         d_tau, m, spectral, admis, unimod = ORACLES[name]
         assert rep.generic.d_tau == d_tau
         assert rep.datum.m == m
@@ -104,16 +105,16 @@ class TestFullReport:
         table[0][1][2] = Fraction(1)  # [X,Y]=Z but [Y,X] missing: broken
         L = algebra_from_table("broken", ("X", "Y", "Z"), table)
         with pytest.raises(oa.InvalidAlgebraError):
-            oa.full_report(L, [], [])
+            oa.decide(*oa.check_problem(L, [], []))
 
     def test_not_solvable_rejected(self):
         with pytest.raises(oa.StructuralPreconditionError):
-            oa.full_report(make_sl2(), [], [])
+            oa.decide(*oa.check_problem(make_sl2(), [], []))
 
     def test_exponentiality_witness_rejected(self):
         with pytest.raises(oa.StructuralPreconditionError) as exc:
-            oa.full_report(make_motion(), [], [])
-        assert exc.value.witness == make_motion().vector(A=1)
+            oa.decide(*oa.check_problem(make_motion(), [], []))
+        assert exc.value.witness == vector(make_motion(), A=1)
         assert "not exponential" in str(exc.value)
         assert "X = A" in str(exc.value)
 
@@ -123,12 +124,12 @@ class TestFullReport:
             oa.AnalysisConfig(assume_exponential=True)
         for seed in range(4):
             with pytest.raises(oa.StructuralPreconditionError):
-                oa.full_report(make_motion(), [], [],
-                               oa.AnalysisConfig(seed=seed))
+                oa.decide(*oa.check_problem(make_motion(), [], []),
+                          oa.AnalysisConfig(seed=seed))
 
     def test_large_dimension_certified_symbolically(self, monkeypatch):
         L = make_abelian(9)
-        rep = oa.full_report(L, [], [])
+        rep = oa.decide(*oa.check_problem(L, [], []))
         assert rep.generic.d_tau == 0
         assert rep.spectral == "AbsolutelyContinuous"
         # A x| R^9 with [A, X_i] = i X_i, h = span{X_i}, f = 1: d_tau = 1 < 9
@@ -136,7 +137,8 @@ class TestFullReport:
         L = oa.from_brackets("diag9", ["A"] + xs,
                              {("A", x): {x: i} for i, x in enumerate(xs, 1)})
         _no_proof_at_the_witness(monkeypatch)
-        rep = oa.full_report(L, [L.vector(**{x: 1}) for x in xs], [1] * 9)
+        rep = oa.decide(*oa.check_problem(
+            L, [vector(L, **{x: 1}) for x in xs], [1] * 9))
         assert rep.generic.proof == "bareiss"
         assert rep.generic.d_tau == 1
         assert rep.spectral == "Singular"
@@ -148,8 +150,8 @@ class TestFullReport:
         _no_proof_at_the_witness(monkeypatch)
         # Singular: d_tau < m rests on the sampled points alone
         pf = oa.parse(load_bench_families().borel(4, "nilradical").text)
-        rep = oa.full_report(pf.algebra, pf.generator_terms,
-                             pf.functional_vals)
+        rep = oa.decide(*oa.check_problem(pf.algebra, pf.generator_terms,
+                                          pf.functional_vals))
         assert rep.generic.proof is None
         assert (rep.generic.d_tau, rep.datum.m) == (3, 6)
         assert any("work limit" in w for w in rep.warnings)
@@ -160,8 +162,8 @@ class TestFullReport:
             moment, "generic_h_orbit_dim",
             lambda *args, **kw: _replaced(sampled(*args, **kw), proof=None))
         pf = corpus_problems["h5_y1y2"]
-        rep = oa.full_report(pf.algebra, pf.generator_terms,
-                             pf.functional_vals)
+        rep = oa.decide(*oa.check_problem(pf.algebra, pf.generator_terms,
+                                          pf.functional_vals))
         assert rep.generic.proof is None
         assert rep.generic.d_tau == ORACLES["h5_y1y2"][0] == rep.datum.m
         assert rep.warnings == ()
@@ -173,7 +175,8 @@ class TestFullReport:
         monkeypatch.setattr(moment, "symbolic_generic_rank", lambda D: 0)
         with pytest.raises(oa.DisagreementError,
                            match="probabilistic 1 vs certified 0"):
-            oa.full_report(h3, [h3.vector(Y=1), h3.vector(Z=1)], [0, 1])
+            oa.decide(*oa.check_problem(
+                h3, [vector(h3, Y=1), vector(h3, Z=1)], [0, 1]))
 
     def test_sampling_miss_raises(self, axb, monkeypatch):
         # below the Bareiss rank it only means the sample missed
@@ -181,8 +184,8 @@ class TestFullReport:
         monkeypatch.setattr(moment, "_block_at", lambda D, x: ([{}], 1))
         with pytest.raises(oa.SamplingMissError,
                            match="trials 3 and bound 7 are too small"):
-            oa.full_report(axb, [axb.vector(X=1)], [1],
-                           oa.AnalysisConfig(trials=3, bound=7))
+            oa.decide(*oa.check_problem(axb, [vector(axb, X=1)], [1]),
+                      oa.AnalysisConfig(trials=3, bound=7))
 
     def test_skew_pencil_falls_back_to_bareiss(self, monkeypatch):
         # M(l) has rank 2 where its non-commutative rank is 3 (see
@@ -192,8 +195,8 @@ class TestFullReport:
         symbolic = moment.symbolic_generic_rank
         monkeypatch.setattr(moment, "symbolic_generic_rank",
                             lambda D: ran.append(D) or symbolic(D))
-        rep = oa.full_report(L, [L.vector(**{f"Y{i}": 1}) for i in range(3)],
-                             [0, 0, 0])
+        rep = oa.decide(*oa.check_problem(
+            L, [vector(L, **{f"Y{i}": 1}) for i in range(3)], [0, 0, 0]))
         assert rep.generic.proof == "bareiss" and len(ran) == 1
         assert rep.generic.d_tau == 2
         assert rep.spectral == "Singular"
@@ -209,38 +212,41 @@ class TestFullReport:
         with pytest.raises(oa.InvalidAlgebraError):
             check(broken.algebra, [(1, 0, 0), (0, 1, 0)], [0, 0])
         sl2 = make_sl2()
-        E, F = sl2.vector(E=1), sl2.vector(F=1)
+        E, F = vector(sl2, E=1), vector(sl2, F=1)
         with pytest.raises(oa.NotClosedError):
             check(sl2, [E, F], [0, 0])
         with pytest.raises(oa.StructuralPreconditionError,
                            match=r"not solvable \(derived series dims \[3\]\)"):
             check(sl2, [E], [0])
 
-    def test_full_report_is_the_check_then_decide(self, corpus_problems):
+    @pytest.mark.parametrize("flags", [(), ("--json",)],
+                             ids=["text", "json"])
+    def test_verdict_command_is_the_check_then_decide(self, flags,
+                                                      corpus_problems):
         pf = corpus_problems["grelaud"]
-        cfg = oa.AnalysisConfig(seed=3)
-        checked = verdict_mod.check_problem(
-            pf.algebra, pf.generator_terms, pf.functional_vals)
-        assert verdict_mod.decide(*checked, cfg) == oa.full_report(
-            pf.algebra, pf.generator_terms, pf.functional_vals, cfg)
+        cfg = oa.AnalysisConfig(**{**pf.config, "seed": 3})
+        rep = oa.decide(*oa.check_problem(pf.algebra, pf.generator_terms,
+                                          pf.functional_vals), cfg)
+        code, out, err = run_cli("verdict", str(corpus_file("grelaud")),
+                                 "--seed", "3", *flags)
+        assert (code, err) == (0, "")
+        assert out == (render_json(rep) if flags else render_text(rep))
 
     def test_deterministic_given_config(self, corpus_problems):
         pf = corpus_problems["grelaud"]
         cfg = oa.AnalysisConfig(seed=9, trials=13, bound=5000)
-        a = oa.full_report(pf.algebra, pf.generator_terms,
-                           pf.functional_vals, cfg)
-        b = oa.full_report(pf.algebra, pf.generator_terms,
-                           pf.functional_vals, cfg)
-        assert a == b
+        checked = oa.check_problem(pf.algebra, pf.generator_terms,
+                                   pf.functional_vals)
+        assert oa.decide(*checked, cfg) == oa.decide(*checked, cfg)
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_verdict_independent_of_seed(self, name, corpus_problems):
         pf = corpus_problems[name]
         outcomes = set()
         for seed in (0, 7, 123):
-            rep = oa.full_report(pf.algebra, pf.generator_terms,
-                                 pf.functional_vals,
-                                 oa.AnalysisConfig(seed=seed))
+            rep = oa.decide(*oa.check_problem(pf.algebra, pf.generator_terms,
+                                              pf.functional_vals),
+                            oa.AnalysisConfig(seed=seed))
             outcomes.add((rep.spectral, rep.generic.d_tau,
                           rep.admissibility))
         assert len(outcomes) == 1
@@ -273,7 +279,8 @@ class TestConsistencyTable:
     def test_never_inconsistent(self):
         seen_ac = seen_sing = 0
         for L, rows, f in self._random_data():
-            rep = oa.full_report(L, rows, f, oa.AnalysisConfig(trials=8))
+            rep = oa.decide(*oa.check_problem(L, rows, f),
+                            oa.AnalysisConfig(trials=8))
             spectral = rep.spectral
             admis = rep.admissibility
             if spectral == "Singular":
@@ -313,7 +320,7 @@ def invertible_matrices(draw, n):
 
 
 def _decisions(L, rows, f) -> tuple:
-    rep = oa.full_report(L, rows, f)
+    rep = oa.decide(*oa.check_problem(L, rows, f))
     return (rep.generic.d_tau, rep.spectral, rep.admissibility,
             rep.structure.is_unimodular, rep.structure.exponentiality)
 
