@@ -4,16 +4,18 @@ A ``LieAlgebra`` stores its sparse bracket table as integers: with D the
 lcm of the constants' denominators, ``table[i][j]`` is the tuple of (k, q)
 pairs with [W_i, W_j] = sum q W_k in the basis W_i = D Z_i, q = D c a
 nonzero ``int`` and k rising.  ``from_constants`` builds it from the
-constants as given, ``from_brackets`` from a list of brackets.  Validation
+constants as given, ``from_brackets`` from a list of brackets, and with
+it, in the same pass, its index of nonzero planes: ``support[i]`` is
+{j: table[i][j]} over the nonzero planes of row i, j rising.  Validation
 and the structural classification (solvable, nilpotent, unimodular,
-exponential) read the integer table, so their cost follows the nonzero
-constants, not n^3, and their spans are fraction-free
-(``linalg.echelon``).  The spans are support-pruned: ``support[i]`` holds
-the j with a nonzero plane table[i][j], and a product [u, v] is formed only
-when it can meet one, every other product being exactly 0.  None of them
-changes under the scaling by D; every exact value that leaves this module
-(the violation residuals) is scaled back to the basis Z_i, as is the
-adjoint matrix of ``pointwise``.
+exponential) walk that index and never an empty cell, so their cost
+follows the nonzero constants, not n^2 or n^3, and their spans are
+fraction-free (``linalg.echelon``).  The spans are support-pruned: a
+product [u, v] is formed only when it can meet a nonzero plane, every
+other product being exactly 0, and [g, g] reads each distinct plane
+once.  None of them changes under the scaling by D; every exact value
+that leaves this module (the violation residuals) is scaled back to the
+basis Z_i, as is the adjoint matrix of ``pointwise``.
 Exponentiality is decided exactly over Q.  One walk over the nonzero
 planes, which also reads the traces, looks for an order of the basis in
 which every ad Z_i is triangular; a non-nilpotent g that has one is
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cached_property
 
 from .linalg import cleared, coordinates, echelon, integer_rref, residue
 
@@ -104,17 +105,21 @@ class LieAlgebra(Record):
     """table[i][j]: the (k, q) pairs of [W_i, W_j] with q a nonzero int, k
     rising, in the basis W_i = scale * Z_i; scale is the lcm of the
     constants' denominators, so equality and hashing follow the constants.
-    No ``__slots__``: ``support`` is cached in the instance dict."""
+    support[i] is the index of row i's nonzero planes, {j: table[i][j]}
+    with j rising; [u, v] is 0 unless some i of u's coordinates has a j of
+    v's in support[i].  ``from_constants`` writes both in one pass."""
 
+    __slots__ = ("name", "basis_names", "table", "scale", "support")
     _compared = ("name", "basis_names", "table", "scale")
 
     def __init__(self, name: str, basis_names: tuple[str, ...],
                  table: tuple[tuple[tuple[tuple[int, int], ...], ...], ...],
-                 scale: int):
+                 scale: int, support: tuple[dict, ...]):
         self.name = name
         self.basis_names = basis_names
         self.table = table
         self.scale = scale
+        self.support = support
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -122,13 +127,6 @@ class LieAlgebra(Record):
     @property
     def dim(self) -> int:
         return len(self.basis_names)
-
-    @cached_property
-    def support(self) -> tuple[frozenset[int], ...]:
-        """support[i]: the j with table[i][j] nonzero.  [u, v] is 0 unless
-        some i of u's coordinates has a j of v's in support[i]."""
-        return tuple(frozenset(j for j, pairs in enumerate(plane) if pairs)
-                     for plane in self.table)
 
 
 def from_constants(name: str, basis_names, constants) -> LieAlgebra:
@@ -138,7 +136,10 @@ def from_constants(name: str, basis_names, constants) -> LieAlgebra:
     by antisymmetry, so a table that breaks it keeps its fault.
     Coefficients are ints or anything ``Fraction`` accepts.  When every
     one is an ``int`` the table is the constants themselves, scale 1, with
-    no ``Fraction`` formed and no denominator read.
+    no ``Fraction`` formed and no denominator read.  One pass over the
+    entries writes each nonzero plane into the table and into its index,
+    ``support``; the parser and ``from_brackets`` build every algebra
+    here.
     """
     names = tuple(basis_names)
     n = len(names)
@@ -154,9 +155,15 @@ def from_constants(name: str, basis_names, constants) -> LieAlgebra:
         planes = {ij: dict(zip(combo, ints))
                   for ij, combo in constants.items()}
     table = [[()] * n for _ in range(n)]
-    for (i, j), combo in planes.items():
-        table[i][j] = tuple(sorted((k, q) for k, q in combo.items() if q))
-    return LieAlgebra(name, names, tuple(map(tuple, table)), scale)
+    support: list[dict] = [{} for _ in range(n)]
+    # (i, j) rising, so that each support[i] is written j rising
+    for (i, j), combo in sorted(planes.items()):
+        if 0 in combo.values():
+            combo = {k: q for k, q in combo.items() if q}
+        if combo:
+            table[i][j] = support[i][j] = tuple(sorted(combo.items()))
+    return LieAlgebra(name, names, tuple(map(tuple, table)), scale,
+                      tuple(support))
 
 
 def from_brackets(name: str, basis_names, brackets) -> LieAlgebra:
@@ -208,46 +215,58 @@ def validate(L: LieAlgebra) -> list[Violation]:
     """Exact check of antisymmetry and the Jacobi identity.
 
     Violations are returned as data; an empty list certifies the table.
-    Both checks run over the nonzero constants only: antisymmetry on the
-    pairs (i <= j) with a nonzero entry either way, Jacobi on the nonzero
-    terms [[Z_a, Z_b], Z_c] alone, each added to the cyclic sum of the
-    triple i < j < k it is a rotation of, (i, j, k), (j, k, i) or (k, i, j).
-    A triple with no such term has cyclic sum 0.  The sums are formed in
-    the integer table, where an antisymmetry residual is D times the
-    constants' and a Jacobi residual D^2 times, and are scaled back.
+    Both checks walk the index of nonzero planes, ``L.support``, alone.
+    Antisymmetry compares each nonzero plane table[i][j] with its mirror
+    table[j][i], pair by pair, and sums the two only where they differ;
+    the pairs (i <= j) so found are reported in order.  Jacobi adds each
+    nonzero term [[Z_a, Z_b], Z_c] to the cyclic sum of the triple
+    i < j < k it is a rotation of, (i, j, k), (j, k, i) or (k, i, j), the
+    key read off that rotation.  A triple with no such term has cyclic
+    sum 0.  The sums are formed in the integer table, where an
+    antisymmetry residual is D times the constants' and a Jacobi residual
+    D^2 times, and are scaled back.
     """
     n, d = L.dim, L.scale
-    nz = L.table
+    table, support = L.table, L.support
+    faults: dict[tuple[int, int], tuple] = {}
+    for i, row in enumerate(support):
+        for j, pairs in row.items():
+            mirror = table[j][i]
+            if j < i and mirror:
+                continue  # compared from row j
+            if i != j and len(pairs) == len(mirror) and all(
+                    k == m and q == -r
+                    for (k, q), (m, r) in zip(pairs, mirror)):
+                continue
+            faults[min(i, j), max(i, j)] = pairs + mirror
     out: list[Violation] = []
-    for i in range(n):
-        for j in range(i, n):
-            if not (nz[i][j] or nz[j][i]):
-                continue
-            sums: dict[int, int] = {}
-            for k, q in nz[i][j] + nz[j][i]:
-                sums[k] = sums.get(k, 0) + q
-            out.extend(Violation("antisymmetry", (i, j, k),
-                                 Fraction(sums[k], d))
-                       for k in sorted(sums) if sums[k] != 0)
-    support = [[(c, pairs) for c, pairs in enumerate(plane) if pairs]
-               for plane in nz]
+    for (i, j), terms in sorted(faults.items()):
+        sums: dict[int, int] = {}
+        for k, q in terms:
+            sums[k] = sums.get(k, 0) + q
+        out.extend(Violation("antisymmetry", (i, j, k),
+                             Fraction(sums[k], d))
+                   for k in sorted(sums) if sums[k] != 0)
     cyclic: dict[tuple[int, int, int], dict[int, int]] = {}
-    for a in range(n):
-        for b, ab in support[a]:
-            # (a, b, c) is a rotation of an increasing triple for the c
-            # outside [a, b] when a < b and inside (b, a) when b < a
-            if a < b:
-                lo, hi, outside = a, b, True
-            elif b < a:
-                lo, hi, outside = b + 1, a - 1, False
-            else:
-                continue
+    for a, row in enumerate(support):
+        for b, ab in row.items():
             for p, coeff in ab:
-                for c, pc in support[p]:
-                    if (lo <= c <= hi) is not outside:
-                        res = cyclic.setdefault(tuple(sorted((a, b, c))), {})
-                        for q, r in pc:
-                            res[q] = res.get(q, 0) + coeff * r
+                for c, pc in support[p].items():
+                    # (a, b, c) is (i, j, k), (j, k, i) or (k, i, j)
+                    if a < b:
+                        if c > b:
+                            key = a, b, c
+                        elif c < a:
+                            key = c, a, b
+                        else:
+                            continue
+                    elif b < c < a:
+                        key = b, c, a
+                    else:
+                        continue
+                    res = cyclic.setdefault(key, {})
+                    for q, r in pc:
+                        res[q] = res.get(q, 0) + coeff * r
     for triple, res in sorted(cyclic.items()):
         if any(res.values()):
             out.append(Violation("jacobi", triple, tuple(
@@ -358,16 +377,19 @@ def _span(L: LieAlgebra, us, vs=None, limit=None) -> list[dict]:
 
 
 def _commutator(L: LieAlgebra) -> list[dict]:
-    """Echelon basis of [g, g]: the span of the planes marked nonzero."""
+    """Echelon basis of [g, g]: the span of the nonzero planes, each
+    distinct one read once, as a repeat would reduce to 0."""
     # [Z_j, Z_i] = -[Z_i, Z_j], so only the planes j > i are read
-    return echelon(dict(pairs) for i, plane in enumerate(L.table)
-                   for pairs in plane[i + 1:] if pairs)[0]
+    distinct = dict.fromkeys(pairs for i, row in enumerate(L.support)
+                             for j, pairs in row.items() if j > i)
+    return echelon(map(dict, distinct))[0]
 
 
 def _lower_central_step(L: LieAlgebra, rows) -> list[dict]:
     # C^(j+1) lies in C^j, so a span as large as C^j is C^j: the series
-    # has stabilised and the remaining products cannot add to it
-    basis = [{z: 1} for z in range(L.dim)]
+    # has stabilised and the remaining products cannot add to it; a Z_z
+    # with no nonzero plane brackets every row to 0
+    basis = [{z: 1} for z, planes in enumerate(L.support) if planes]
     return _span(L, basis, rows, limit=len(rows))
 
 
@@ -381,10 +403,12 @@ def _flag(L: LieAlgebra, commutator, stable) -> list[list[dict]]:
 
 def _series(L: LieAlgebra, current, step):
     """Dimensions of g, current, step(current), ... while they decrease,
-    and a basis of the last term."""
+    down to 0 at most, and a basis of the last term."""
     dims = [L.dim]
     while len(current) < dims[-1]:
         dims.append(len(current))
+        if not current:  # a step on 0 is 0
+            break
         current = step(L, current)
     return tuple(dims), current
 
@@ -470,9 +494,9 @@ def _ad_scan(L: LieAlgebra) -> tuple[list[int], bool]:
     n = L.dim
     traces = [0] * n
     after: list[set[int]] = [set() for _ in range(n)]
-    for i, (plane, js) in enumerate(zip(L.table, L.support)):
-        for j in js:
-            for k, q in plane[j]:
+    for i, row in enumerate(L.support):
+        for j, pairs in row.items():
+            for k, q in pairs:
                 if k == j:
                     traces[i] += q
                 else:

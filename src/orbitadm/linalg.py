@@ -29,14 +29,16 @@ def echelon(vectors,
     """Echelon basis (rows, pivots) of the span of sparse rational vectors,
     in primitive integer rows, fraction-free (Bareiss 1968).
 
-    A zero vector is skipped before it meets any row, and a vector with an
-    entry other than an int (a ``Fraction``) is cleared to integers first
-    (``cleared``).  A vector that is 0 at every pivot so far (a set of them
-    is kept) becomes a row at once, as the walk below would leave it
-    unchanged.  Any other
-    vector w is reduced by the rows so far: at the pivot column of a
-    row with entry p there, w <- p w - w_p row, both factors divided by
-    gcd(p, w_p) first.  A nonzero residue becomes a row with its first
+    A vector whose columns all hold one-entry rows is dropped before it
+    meets any row: each such row is a unit vector e_k (a set of their
+    columns is kept), so the vector lies in the span already; a zero
+    vector is dropped too.  A vector with an entry other than an int (a
+    ``Fraction``) is cleared to integers first (``cleared``).  A vector
+    that is 0 at every pivot so far (a set of them is kept) becomes a row
+    at once, as the walk below would leave it unchanged.  Any other vector
+    w is reduced by the rows so far: at the pivot column of a row with
+    entry p there, w <- p w - w_p row, both factors divided by gcd(p, w_p)
+    first.  A nonzero residue becomes a row with its first
     nonzero column as pivot, divided by the gcd of its entries and signed
     to a positive pivot entry.  So each row is 0 at the pivots of the rows
     before it, and is a positive multiple of the rref row at its pivot of
@@ -46,7 +48,10 @@ def echelon(vectors,
     rows: list[dict] = []
     pivots: list[int] = []
     taken: set[int] = set()
+    units: set[int] = set()
     for v in vectors:
+        if v.keys() <= units:
+            continue
         w = {k: x for k, x in v.items() if x}
         if not w:
             continue
@@ -63,6 +68,8 @@ def echelon(vectors,
         rows.append(_primitive(w, col))
         pivots.append(col)
         taken.add(col)
+        if len(w) == 1:
+            units.add(col)
         if len(rows) == limit:
             break
     return rows, pivots

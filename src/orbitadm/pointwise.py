@@ -49,7 +49,7 @@ def ad_matrix(L: LieAlgebra, u) -> list[list[Fraction]]:
     mat = [[0] * n for _ in range(n)]
     for i, ui in enumerate(us):
         if ui:
-            for j, pairs in enumerate(L.table[i]):
+            for j, pairs in L.support[i].items():
                 for k, q in pairs:
                     mat[k][j] += ui * q
     d, zero = d * L.scale, Fraction(0)
@@ -97,10 +97,10 @@ def _skew_rows(L: LieAlgebra, lv: list[int]) -> list[dict[int, int]]:
     """Row i of e B(l) as {j: nonzero int}, from the integer table and the
     integer point lv = d l, so e = d L.scale > 0."""
     rows = []
-    for plane in L.table:
+    for planes in L.support:
         row = {}
-        for j, pairs in enumerate(plane):
-            if pairs and (s := sum(q * lv[k] for k, q in pairs)):
+        for j, pairs in planes.items():
+            if s := sum(q * lv[k] for k, q in pairs):
                 row[j] = s
         rows.append(row)
     return rows

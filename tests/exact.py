@@ -1,10 +1,11 @@
 """Textbook exact linear algebra over the rationals, the tests' reference.
 
 Dense Gauss-Jordan elimination over full rows of ``Fraction``: the
-reduced row echelon form, rank, nullspace, inverse and products.  It is
-written without ``orbitadm.linalg``, so the program's integer kernels
-(``echelon``, ``integer_rref``, ``integer_kernel``, ``residue``) are
-checked against an independent computation, not against themselves.
+reduced row echelon form, rank, nullspace, inverse and products, and the
+echelon basis built by reducing each vector in turn by the rows before
+it.  It is written without ``orbitadm.linalg``, so the program's integer
+kernels (``echelon``, ``integer_rref``, ``integer_kernel``, ``residue``)
+are checked against an independent computation, not against themselves.
 Matrices are sequences of rows of ints or ``Fraction``s; every result
 entry is a ``Fraction``.
 
@@ -20,7 +21,7 @@ which they are now checked.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -112,6 +113,33 @@ def invert(mat) -> list[list[Fraction]]:
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return [row[n:] for row in r]
+
+
+def echelon(vectors, n_cols: int, limit=None):
+    """(rows, pivots) of the span of sparse vectors, read in turn: each
+    one, dense in ``Fraction``, minus (v[col] / row[col]) row for each row
+    so far in order, and a nonzero rest becomes a row with its first
+    nonzero column as pivot, cleared to integers, divided by their gcd and
+    signed to a positive pivot entry.  Stops at ``limit`` rows.  Rows are
+    returned sparse, {column: int}."""
+    rows, pivots = [], []
+    for vec in vectors:
+        v = [Fraction(vec.get(k, 0)) for k in range(n_cols)]
+        for row, col in zip(rows, pivots):
+            if v[col]:
+                f = v[col] / row[col]
+                v = [x - f * y for x, y in zip(v, row)]
+        if not any(v):
+            continue
+        col = next(k for k, x in enumerate(v) if x)
+        d = lcm(*(x.denominator for x in v))
+        ints = [x.numerator * (d // x.denominator) for x in v]
+        g = gcd(*ints) if ints[col] > 0 else -gcd(*ints)
+        rows.append([x // g for x in ints])
+        pivots.append(col)
+        if len(rows) == limit:
+            break
+    return [{k: x for k, x in enumerate(row) if x} for row in rows], pivots
 
 
 def dot(u, v) -> Fraction:

@@ -151,7 +151,9 @@ def triple_loop_validate(L):
 def sparse_tables(draw):
     """A table on 1..6 basis vectors with a few nonzero constants.  Filled
     by antisymmetry or not; either way most break Jacobi, and tables with
-    few constants often satisfy it."""
+    few constants often satisfy it.  A mirrored table may have one mirror
+    entry bent, in its coefficient or moved to another key, so that a
+    plane and its mirror differ at equal length."""
     n = draw(st.integers(1, 6))
     index = st.integers(0, n - 1)
     entries = draw(st.lists(st.tuples(
@@ -164,6 +166,17 @@ def sparse_tables(draw):
         c[i][j][k] += q
         if mirrored:
             c[j][i][k] -= q
+    bendable = [(i, j, k) for i, j, _, _ in entries for k in range(n)
+                if i != j and c[j][i][k]]
+    if mirrored and bendable and draw(st.booleans()):
+        i, j, k = draw(st.sampled_from(bendable))
+        free = [t for t in range(n) if not c[j][i][t]]
+        if free and draw(st.booleans()):  # the same coefficient, moved
+            c[j][i][draw(st.sampled_from(free))] = c[j][i][k]
+            c[j][i][k] = Fraction(0)
+        else:  # another nonzero coefficient at the same key
+            c[j][i][k] += draw(st.sampled_from(
+                [Fraction(1), Fraction(-1, 2), Fraction(3)]))
     return algebra_from_table("random", [f"Z{i}" for i in range(n)], c)
 
 

@@ -61,7 +61,10 @@ def reference_from_constants(name, basis_names, constants):
         table[i][j] = tuple(sorted(
             (k, q.numerator * (scale // q.denominator)) for k, q in pairs
             if q))
-    return algebra.LieAlgebra(name, names, tuple(map(tuple, table)), scale)
+    support = tuple({j: pairs for j, pairs in enumerate(plane) if pairs}
+                    for plane in table)
+    return algebra.LieAlgebra(name, names, tuple(map(tuple, table)), scale,
+                              support)
 
 
 def reference_rows(pf):

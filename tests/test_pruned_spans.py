@@ -9,7 +9,9 @@ products cancel inside nonzero planes, the pruned derived and lower
 central steps, the flag of C^inf and the generator pairs of
 ``build_datum`` must give the same (rows, pivots), a pair left out must
 have a zero product, and a pair is formed exactly when it meets a nonzero
-plane.
+plane.  ``_commutator``, which reads each distinct plane once, must give
+the rows of every nonzero plane j > i read off the dense table, on tables
+with repeated and negated planes, and the series must stop at a term 0.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ def full_span(L, us, vs=None, limit=None):
     return echelon((w for _, _, w in full_products(L, us, vs)), limit=limit)
 
 
+def full_commutator(L):
+    """Echelon basis of [g, g]: every nonzero plane j > i, in order."""
+    return echelon(dict(L.table[i][j]) for i in range(L.dim)
+                   for j in range(i + 1, L.dim) if L.table[i][j])[0]
+
+
 def full_flag(L, commutator, stable):
     """The flag of C^inf, or None when it has not reached 0 after n steps,
     as on a table that is no Lie algebra it need not."""
@@ -59,8 +67,9 @@ def full_flag(L, commutator, stable):
 @st.composite
 def tables(draw):
     """A random sparse integer algebra: antisymmetric or not, Jacobi mostly
-    broken, and with a twin row b whose planes are minus those of a, so
-    that [e_a + e_b, v] cancels inside nonzero planes."""
+    broken, with some planes repeated or negated in other cells, and with
+    a twin row b whose planes are minus those of a, so that
+    [e_a + e_b, v] cancels inside nonzero planes."""
     n = draw(st.integers(1, 6))
     coefficient = st.integers(-2, 2)
     planes = {}
@@ -70,6 +79,13 @@ def tables(draw):
                 planes[i, j] = {k: draw(coefficient)
                                 for k in draw(st.sets(st.integers(0, n - 1),
                                                       max_size=2))}
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for _ in range(draw(st.integers(0, 3))):  # a repeated or negated plane
+        if planes and cells:
+            combo = planes[draw(st.sampled_from(sorted(planes)))]
+            sign = draw(st.sampled_from([1, -1]))
+            planes[draw(st.sampled_from(cells))] = {
+                k: sign * q for k, q in combo.items()}
     if draw(st.booleans()):  # antisymmetric
         planes = {(i, j): combo for (i, j), combo in planes.items() if i < j}
         planes |= {(j, i): {k: -q for k, q in combo.items()}
@@ -139,13 +155,18 @@ def test_pruned_spans_match_every_product(data):
 @given(data=st.data())
 def test_series_and_flag_match_every_product(data):
     L = data.draw(tables())
-    commutator = algebra._commutator(L)
+    commutator = full_commutator(L)
+    assert algebra._commutator(L) == commutator
     for step, full_step in (
             (algebra._span, lambda rows: full_span(L, rows)[0]),
             (algebra._lower_central_step, lambda rows: full_span(
                 L, [{z: 1} for z in range(L.dim)], rows,
                 limit=len(rows))[0])):
-        dims, last = algebra._series(L, commutator, step)
+        sizes = []
+        dims, last = algebra._series(
+            L, commutator, lambda L, rows: sizes.append(len(rows))
+            or step(L, rows))
+        assert 0 not in sizes  # no step is taken on a term 0
         current, full_dims = commutator, [L.dim]
         while len(current) < full_dims[-1]:
             full_dims.append(len(current))

@@ -8,7 +8,10 @@ must be the rref rows, ``integer_kernel``'s vectors over their free
 entries the canonical kernel, ``residue`` a positive multiple of the
 reduction by the rref rows, ``univariate._scaled_inverse`` a positive
 multiple of the inverse (None exactly when the matrix is singular), and
-``matmul`` the product.
+``matmul`` the product.  ``echelon`` must give the rows and pivots of
+``exact.echelon`` on vectors that meet its one-entry rows: one-term
+vectors with coefficients other than +-1, repeated, and one-term vectors
+at the pivot of a row with several entries, which lie outside the span.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitadm import linalg, univariate
 
+import exact
 from exact import (SingularMatrixError, cleared, invert, matmul, nullspace,
                    reduce_against, rref, sparse_rows)
 
@@ -149,6 +153,47 @@ def test_products(data):
     product = linalg.matmul(ia, ib)
     assert all(type(x) is int for row in product for x in row)
     assert product == [[d * d * x for x in row] for row in got]
+
+
+@st.composite
+def unit_heavy_vectors(draw):
+    """(vectors, n_cols): one-term vectors with coefficients other than
+    +-1, some repeated or rescaled, among vectors with several entries,
+    some followed by one-term vectors at their first column."""
+    n = draw(st.integers(2, 6))
+    column = st.integers(0, n - 1)
+    coefficient = st.one_of(
+        st.integers(-6, 6).filter(lambda q: q not in (-1, 0, 1)),
+        st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                  st.integers(2, 4)))
+    vectors = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 3))
+        if kind == 0 or not vectors:  # a one-term vector
+            vectors.append({draw(column): draw(coefficient)})
+        elif kind == 1:  # a repeat, as it was or rescaled
+            v = draw(st.sampled_from(vectors))
+            q = draw(st.sampled_from([1, -1, 3, Fraction(-2, 5)]))
+            vectors.append({k: q * x for k, x in v.items()})
+        else:  # several entries, then perhaps a one-term vector at the first
+            keys = sorted(draw(st.sets(column, min_size=2, max_size=4)))
+            vectors.append({k: draw(coefficient) for k in keys})
+            if kind == 3:
+                vectors.append({keys[0]: draw(coefficient)})
+    return vectors, n
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(drawn=unit_heavy_vectors(),
+       limit=st.one_of(st.none(), st.integers(1, 4)))
+# {0: 5} meets the row {0: 2, 1: 3} at its pivot and adds the row {1: 1}
+@example(drawn=([{0: 2, 1: 3}, {0: 5}, {1: -4}, {0: 7}], 2), limit=None)
+# repeats of a one-term vector, and a vector on two unit rows
+@example(drawn=([{2: -3}, {2: Fraction(1, 2)}, {0: 4}, {2: 6, 0: -8}], 3),
+         limit=None)
+def test_echelon_on_one_term_vectors(drawn, limit):
+    vectors, n = drawn
+    assert linalg.echelon(vectors, limit) == exact.echelon(vectors, n, limit)
 
 
 @pytest.mark.parametrize("mat, pivots", [
